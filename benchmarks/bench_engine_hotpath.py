@@ -1,5 +1,6 @@
 """Hot-path throughput benchmarks: all four engines (event, slotted,
-rushed, PS), cached vs uncached, calendar queue vs heap, 8x8-32x32 meshes.
+rushed, PS), cached vs uncached, deterministic vs exponential service,
+8x8-32x32 meshes.
 
 ``scripts/check.sh`` runs this file with ``--benchmark-json`` so the
 engine throughput trajectory is recorded across PRs
@@ -26,21 +27,12 @@ soft 1.5x floor so a noisy or slower machine does not fail the gate
 spuriously — absolute cross-machine comparisons belong to the warn-only
 perf gate, not to hard asserts.
 
-PR 3 added the remaining engines and the stochastic-service structural
-work: the exponential 32x32 cell on both event queues (calendar vs
-heap; parity within this container's noise band, interleaved best-of
-runs put the calendar at ~0.98-1.05x — the structure targets larger
-networks where heap depth grows), the ported rushed engine (16x16,
-~1.25-1.45x its pre-port baseline via the merge loop + arena + blocked
-draws) and the ported PS engine (8x8; PS keeps its O(k)-per-event
-re-linearisation, so the port is about shared architecture and
-validation parity, not throughput).
-
-The calendar queue has since grown Brown's-rule adaptive bucket widths
-(the engine default); the exponential cell now appears three ways —
-adaptive calendar, fixed-width calendar, heap — all bit-identical by
-the pop-order contract, so the trio isolates the pure data-structure
-cost.
+The exponential 32x32 cell times the stochastic-service loop, whose
+departures are not monotone and so pop from a plain ``heapq`` list in
+``(time, seq)`` order. The rushed cell (16x16) runs ~1.25-1.45x its
+pre-port baseline via the merge loop + arena + blocked draws; the PS
+cell (8x8) keeps its O(k)-per-event re-linearisation, so its port is
+about shared architecture and validation parity, not throughput.
 
 PR 6 extracted the hot loops into the kernels layer and added the
 vectorized ``backend="numpy"`` whole-trajectory solver; the two
@@ -183,30 +175,9 @@ def test_event_32x32_cached_beats_uncached(once, benchmark):
     assert t_cached < t_uncached * 1.05  # cache never loses
 
 
-def test_event_32x32_exponential_calendar(best_of, benchmark):
-    """The stochastic-service loop on the calendar queue — since the
-    adaptive-width work this is Brown's-rule resampling (the engine
-    default)."""
+def test_event_32x32_exponential(best_of, benchmark):
+    """The stochastic-service loop: exponential service on the heap."""
     sim = _event_cell(32, service="exponential")
-    res = best_of(sim.run, WARMUP, HORIZON)
-    _record(benchmark, res, PRE_PR_EVENT_EXP_32)
-    assert res.generated > 10_000
-
-
-def test_event_32x32_exponential_calendar_fixed(best_of, benchmark):
-    """The same cell with adaptive widths disabled (the pre-Brown
-    fixed-width calendar), isolating what the resampling buys/costs.
-    Outputs are bit-identical to the adaptive cell by the pop-order
-    contract; only the timing differs."""
-    sim = _event_cell(32, service="exponential", event_queue="calendar-fixed")
-    res = best_of(sim.run, WARMUP, HORIZON)
-    _record(benchmark, res, PRE_PR_EVENT_EXP_32)
-    assert res.generated > 10_000
-
-
-def test_event_32x32_exponential_heap(best_of, benchmark):
-    """The same cell on the binary heap, for the structural contrast."""
-    sim = _event_cell(32, service="exponential", event_queue="heap")
     res = best_of(sim.run, WARMUP, HORIZON)
     _record(benchmark, res, PRE_PR_EVENT_EXP_32)
     assert res.generated > 10_000

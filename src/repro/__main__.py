@@ -35,7 +35,7 @@ Examples
     python -m repro simulate --engine rushed -n 8 --rho 0.7
     python -m repro simulate --engine ps -n 6 --rho 0.6 --replications 4
     python -m repro simulate --engine slotted --engine-param batch_rng=false
-    python -m repro simulate --engine fifo --engine-param event_queue=heap
+    python -m repro simulate --engine fifo --engine-param backend=numpy
     python -m repro simulate --engine finite --engine-param buffer_size=4
     python -m repro simulate --scenario hotspot --param h=0.4
     python -m repro engines
@@ -387,7 +387,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=[],
         metavar="KEY=VALUE",
         help="engine-specific knob (repeatable), validated against the "
-        "engine registry, e.g. --engine-param event_queue=heap or "
+        "engine registry, e.g. --engine-param backend=numpy or "
         "--engine-param batch_rng=false; list them with "
         "`python -m repro engines`",
     )

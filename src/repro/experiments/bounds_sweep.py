@@ -19,8 +19,8 @@ from dataclasses import dataclass
 
 from repro.core.lower_bounds import BoundSummary, asymptotic_gap, bound_summary
 from repro.core.rates import lambda_for_load
-from repro.experiments.grid import CellSpec, simulate_cell
-from repro.util.parallel import pmap
+from repro.experiments.grid import CellSpec, cell_result
+from repro.sim.replication import ReplicationEngine
 from repro.util.tables import Table
 
 
@@ -99,10 +99,9 @@ class SweepResult:
         return t.render()
 
 
-def _simulate(args: tuple[int, float, SweepConfig]):
-    n, rho, cfg = args
+def _cell_spec(n: int, rho: float, cfg: SweepConfig) -> CellSpec:
     scale = min(1.0 / (1.0 - rho), cfg.congestion_cap)
-    spec = CellSpec(
+    return CellSpec(
         n=n,
         rho=rho,
         warmup=cfg.base_warmup * scale,
@@ -110,17 +109,18 @@ def _simulate(args: tuple[int, float, SweepConfig]):
         seed=(cfg.seed * 65537 + n * 101 + int(rho * 1000)) % 2**31,
         convention="exact",  # the bounds are parity-aware; match them
     )
-    return simulate_cell(spec)
 
 
 def run(config: SweepConfig = QUICK_SWEEP, *, processes: int | None = None) -> SweepResult:
     """Evaluate all bounds (and optionally simulate) over the sweep grid."""
     combos = [(n, rho) for n in config.ns for rho in config.rhos]
-    sims = (
-        pmap(_simulate, [(n, r, config) for n, r in combos], processes=processes)
-        if config.simulate
-        else [None] * len(combos)
-    )
+    sims: list = [None] * len(combos)
+    if config.simulate:
+        specs = [_cell_spec(n, rho, config) for n, rho in combos]
+        pooled = ReplicationEngine(processes=processes).run_many(
+            [s.to_replication() for s in specs]
+        )
+        sims = [cell_result(s, p) for s, p in zip(specs, pooled)]
     points = []
     for (n, rho), sim in zip(combos, sims):
         lam = lambda_for_load(n, rho, "exact")

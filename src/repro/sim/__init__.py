@@ -34,10 +34,10 @@ many seeds". Two registries plus one spec type cover that whole space:
 * **engines** (:mod:`repro.sim.registry`) name the simulator — ``fifo``
   (alias ``event``), ``finite``, ``slotted``, ``rushed``, ``ps`` — each
   entry carrying its supported service laws, its typed engine-specific
-  knobs (:class:`~repro.sim.registry.EngineParam`: fifo/finite/rushed/ps
-  ``event_queue``, slotted ``batch_rng``, per-edge ``service_rates``,
-  the finite engine's ``buffer_size``, the kernel-layer engines'
-  ``backend``), its supported kernel backends
+  knobs (:class:`~repro.sim.registry.EngineParam`: slotted
+  ``batch_rng``, per-edge ``service_rates``, the finite engine's
+  ``buffer_size``, the kernel-layer engines' ``backend``), its supported
+  kernel backends
   (:attr:`~repro.sim.registry.Engine.backends`) and the ``run_cell``
   builder the replication layer dispatches to;
 * a :class:`CellSpec` is the declarative cross of the two — scenario
@@ -48,13 +48,13 @@ many seeds". Two registries plus one spec type cover that whole space:
   cell into a :class:`ReplicatedResult` with across-replication means
   and ~95% confidence intervals.
 
-Any scenario x engine x service x event-queue combination is one spec::
+Any scenario x engine x service x backend combination is one spec::
 
     from repro.sim import CellSpec, ReplicationEngine
 
-    spec = CellSpec(scenario="hotspot", n=8, rho=0.8, engine="rushed",
+    spec = CellSpec(scenario="hotspot", n=8, rho=0.8, engine="fifo",
                     warmup=200, horizon=2000, seeds=tuple(range(8)),
-                    engine_params=(("event_queue", "heap"),))
+                    engine_params=(("backend", "numpy"),))
     pooled = ReplicationEngine(processes=4).run(spec)
     print(pooled.render())  # per-seed rows + pooled row with CIs
 
@@ -76,8 +76,7 @@ pieces, each independently pinned by tests:
   lazily, and *reused* across ``run_many`` calls and whole sweeps —
   worker processes keep their imports, their per-cell ``(network,
   cache)`` memo and their attached shared-memory segments warm instead
-  of paying pool start-up per call. ``pmap`` is a thin ordered-map
-  wrapper over the same pools; ``REPRO_PROCESSES`` overrides the
+  of paying pool start-up per call. ``REPRO_PROCESSES`` overrides the
   default worker count everywhere.
 * **Shared-memory cell snapshots** (:mod:`repro.sim.sharedcells`). Per
   batch, the parent publishes the read-only cell state — the path
@@ -184,24 +183,18 @@ k-d arrays; closed-form for hypercube and butterfly) — so no engine and
 no topology falls back to per-packet path building unless explicitly
 asked to (``use_path_cache=False``).
 
-**Monotone merge where service is uniform deterministic; a calendar
-queue where it is not.** With one deterministic service time everywhere
+**Monotone merge where service is uniform deterministic; a binary heap
+where it is not.** With one deterministic service time everywhere
 (the standard model), departures are pushed in nondecreasing time
 order, so the event engine, the finite-buffer engine (drops never
 schedule events) and the rushed engine replace the priority queue with
 an O(1) merge of a departure deque and the pending arrival. The
-stochastic-service cases (exponential service, per-edge rates) run on
-a pluggable event queue (:mod:`repro.sim.eventqueue`): a *calendar
-queue* — a bucketed event list whose buckets are sorted once on
-activation, with a small day-heap skipping empty buckets, and whose
-bucket width is re-estimated from queue occupancy by Brown's rule
-(``"calendar"``, the default; ``"calendar-fixed"`` pins the initial
-width) — or the classic binary heap. All pop the exact ``(time, seq)``
-order, so the choice is benchmarkable without touching the contract.
-PS has no monotone structure to exploit (completions are re-planned on
-every queue change), so its versioned-event loop rides the same
-pluggable queue — ``event_queue="calendar"`` by default, bit-identical
-across all kinds.
+stochastic-service cases (exponential service, per-edge rates) push
+``(time, seq, ...)`` event tuples onto a plain ``heapq`` list; ``seq``
+is unique per run, so the pop order is total and never compares the
+payload. PS has no monotone structure to exploit (completions are
+re-planned on every queue change), so its versioned-event loop uses
+the same heap.
 
 **Blocked and batched draws.** NumPy ``Generator`` array fills are
 stream-identical to the same number of consecutive scalar draws of the

@@ -32,8 +32,8 @@ The engine shares the PR-2/3 architecture via its base class: the
 shared path-cache arena with ``(arena_offset, length)`` packet records,
 blocked RNG draws, the monotone-merge event loop for uniform
 deterministic service (drops never schedule events, so departure pushes
-stay nondecreasing) and the pluggable event queue
-(:mod:`repro.sim.eventqueue`) for stochastic service. With
+stay nondecreasing) and a plain ``heapq`` event list for stochastic
+service. With
 ``buffer_size=None`` the run is delegated verbatim to the FIFO engine,
 so it is *bit-identical* to ``engine="fifo"`` — pinned by the
 ``finite_none_*`` golden cells — and with buffers too large to ever

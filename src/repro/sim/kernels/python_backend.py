@@ -15,11 +15,11 @@ and own only the hot loop plus the result assembly.
 from __future__ import annotations
 
 from collections import deque
+from heapq import heappop, heappush
 from typing import Any
 
 import numpy as np
 
-from repro.sim.eventqueue import make_event_queue
 from repro.sim.measurement import TimeBatchAccumulator
 from repro.sim.result import SimResult
 from repro.sim.rng import make_rng
@@ -40,7 +40,7 @@ def run_fifo(
     track_maxima: bool = False,
     delay_batches: int = 32,
 ) -> SimResult:
-    """The FIFO event-driven loops (monotone merge + pluggable queue)."""
+    """The FIFO event-driven loops (monotone merge + binary heap)."""
     rng = make_rng(sim.seed, engine="fifo", backend="python")
     t_end = warmup + horizon
 
@@ -118,7 +118,7 @@ def run_fifo(
     def start_service_heap(e: int, t: float, pkt: list) -> None:
         nonlocal seq
         s = service_sample(e)
-        pushe((t + s, seq, e, pkt))
+        heappush(heap, (t + s, seq, e, pkt))
         seq += 1
         if util is not None:
             lo = t if t > warmup else warmup
@@ -495,23 +495,15 @@ def run_fifo(
     else:
         # ------------------ event-queue loop ------------------
         # Exponential or per-edge deterministic service: departure
-        # times are not monotone, so a priority queue orders them —
-        # the calendar queue by default, the binary heap on request
-        # (both pop the identical (time, seq) order), with the
-        # arrival sentinel merged in. The calendar bucket width is
-        # one mean arrival gap: the event rate is roughly the
-        # arrival rate times the mean hop count, so a bucket holds
-        # on the order of one route's worth of events — enough to
-        # amortise the day-heap traffic, small enough that the
-        # activation sort and same-bucket insorts stay cheap.
-        evq = make_event_queue(sim.event_queue, width=gap_scale)
-        pushe = evq.push
-        pope = evq.pop
-        pushe((first_gap, seq, -1, None))
+        # times are not monotone, so a binary heap orders them (by
+        # the unique (time, seq) prefix), with the arrival sentinel
+        # merged in.
+        heap: list[tuple] = []
+        heappush(heap, (first_gap, seq, -1, None))
         seq += 1
         fast_service = not exponential and util is None
-        while evq:
-            t, _s, e, pkt = pope()
+        while heap:
+            t, _s, e, pkt = heappop(heap)
             if not maxima_seeded and t >= warmup:
                 maxima_seeded = True
                 for q in queues:
@@ -611,7 +603,7 @@ def run_fifo(
                     else:
                         busy[f] = 1
                         if fast_service:
-                            pushe((t + st[f], seq, f, new_pkt))
+                            heappush(heap, (t + st[f], seq, f, new_pkt))
                             seq += 1
                         else:
                             start_service_heap(f, t, new_pkt)
@@ -619,7 +611,7 @@ def run_fifo(
                 if exp_i >= BLK:
                     exp_block = rng.exponential(size=BLK)
                     exp_i = 0
-                pushe((t + exp_block[exp_i] * gap_scale, seq, -1, None))
+                heappush(heap, (t + exp_block[exp_i] * gap_scale, seq, -1, None))
                 exp_i += 1
                 seq += 1
             else:
@@ -654,7 +646,7 @@ def run_fifo(
                     else:
                         busy[f] = 1
                         if fast_service:
-                            pushe((t + st[f], seq, f, pkt))
+                            heappush(heap, (t + st[f], seq, f, pkt))
                             seq += 1
                         else:
                             start_service_heap(f, t, pkt)
@@ -662,7 +654,7 @@ def run_fifo(
                 if q:
                     nxt = q.popleft()
                     if fast_service:
-                        pushe((t + st[e], seq, e, nxt))
+                        heappush(heap, (t + st[e], seq, e, nxt))
                         seq += 1
                     else:
                         start_service_heap(e, t, nxt)
@@ -1071,7 +1063,7 @@ def run_finite(
     def start_service_heap(e: int, t: float, pkt: list) -> None:
         nonlocal seq
         s = service_sample(e)
-        pushe((t + s, seq, e, pkt))
+        heappush(heap, (t + s, seq, e, pkt))
         seq += 1
         if util is not None:
             lo = t if t > warmup else warmup
@@ -1313,16 +1305,14 @@ def run_finite(
     else:
         # ------------------ event-queue loop ------------------
         # Exponential or per-edge deterministic service (see run_fifo):
-        # the pluggable event queue orders departures; drops simply
-        # skip the enqueue.
-        evq = make_event_queue(sim.event_queue, width=gap_scale)
-        pushe = evq.push
-        pope = evq.pop
-        pushe((first_gap, seq, -1, None))
+        # the binary heap orders departures; drops simply skip the
+        # enqueue.
+        heap: list[tuple] = []
+        heappush(heap, (first_gap, seq, -1, None))
         seq += 1
         fast_service = not exponential and util is None
-        while evq:
-            t, _s, e, pkt = pope()
+        while heap:
+            t, _s, e, pkt = heappop(heap)
             if not maxima_seeded and t >= warmup:
                 maxima_seeded = True
                 for q in queues:
@@ -1425,7 +1415,7 @@ def run_finite(
                         else:
                             busy[f] = 1
                             if fast_service:
-                                pushe((t + st[f], seq, f, new_pkt))
+                                heappush(heap, (t + st[f], seq, f, new_pkt))
                                 seq += 1
                             else:
                                 start_service_heap(f, t, new_pkt)
@@ -1433,7 +1423,7 @@ def run_finite(
                 if exp_i >= BLK:
                     exp_block = rng.exponential(size=BLK)
                     exp_i = 0
-                pushe((t + exp_block[exp_i] * gap_scale, seq, -1, None))
+                heappush(heap, (t + exp_block[exp_i] * gap_scale, seq, -1, None))
                 exp_i += 1
                 seq += 1
             else:
@@ -1481,7 +1471,7 @@ def run_finite(
                         else:
                             busy[f] = 1
                             if fast_service:
-                                pushe((t + st[f], seq, f, pkt))
+                                heappush(heap, (t + st[f], seq, f, pkt))
                                 seq += 1
                             else:
                                 start_service_heap(f, t, pkt)
@@ -1489,7 +1479,7 @@ def run_finite(
                 if q:
                     nxt = q.popleft()
                     if fast_service:
-                        pushe((t + st[e], seq, e, nxt))
+                        heappush(heap, (t + st[e], seq, e, nxt))
                         seq += 1
                     else:
                         start_service_heap(e, t, nxt)

@@ -19,12 +19,9 @@ stale entries are skipped on pop. Cost is O(k) per queue event, which
 is fine at the modest sizes the PS comparisons run at (its purpose is
 validation, not Table-scale statistics). Because completions are
 re-planned (truly stochastic event times), this engine needs a priority
-queue — the merge loop does not apply — and since PR 6 that queue is the
-pluggable :mod:`repro.sim.eventqueue` structure the FIFO/rushed/finite
-stochastic loops use (``event_queue="calendar"`` by default; every kind
-pops the identical ``(time, seq)`` order, so outputs are bit-identical
-and the PS golden cells pin the calendar loop exactly as they pinned the
-heap). It shares the rest of the hot-path
+queue — the merge loop does not apply — so it pops ``(time, seq)``-ordered
+events from a plain ``heapq`` list, like the FIFO/rushed/finite
+stochastic loops. It shares the rest of the hot-path
 architecture: paths come from the shared :mod:`repro.routing.pathcache`
 arena, packet records store ``(arena_offset, length)`` views, and the
 source draw uses the pinned CDF with ``side='right'`` so a boundary draw
@@ -35,6 +32,7 @@ unchanged from the pre-cache engine, and the PS golden cells in
 
 from __future__ import annotations
 
+from heapq import heappop, heappush
 from typing import Sequence
 
 import numpy as np
@@ -46,7 +44,6 @@ from repro.sim.enginecommon import (
     EngineCommon,
     resolve_service_rates,
 )
-from repro.sim.eventqueue import CALENDAR, QUEUE_KINDS, make_event_queue
 from repro.sim.measurement import TimeBatchAccumulator
 from repro.sim.result import SimResult
 from repro.sim.rng import make_rng
@@ -58,10 +55,7 @@ class PSNetworkSimulation:
 
     Parameters mirror :class:`repro.sim.NetworkSimulation` (service is
     always unit-work PS; ``use_path_cache`` / ``path_cache`` control the
-    shared path-cache arena exactly as there, and ``event_queue`` selects
-    the completion-event priority structure from
-    :data:`repro.sim.eventqueue.QUEUE_KINDS` — bit-identical outputs for
-    every kind).
+    shared path-cache arena exactly as there).
     """
 
     def __init__(
@@ -75,15 +69,8 @@ class PSNetworkSimulation:
         seed: int = 0,
         use_path_cache: bool = True,
         path_cache=None,
-        event_queue: str = CALENDAR,
     ) -> None:
         self.seed = int(seed)
-        if event_queue not in QUEUE_KINDS:
-            raise ValueError(
-                f"event_queue must be one of {'/'.join(QUEUE_KINDS)}, "
-                f"got {event_queue!r}"
-            )
-        self.event_queue = event_queue
         phi = resolve_service_rates(service_rates, router.topology.num_edges)
         self._phi = phi.tolist()
         # Shared constructor policy. PS has no fast-id block draw
@@ -137,13 +124,10 @@ class PSNetworkSimulation:
         last_up = [0.0] * num_edges
         version = [0] * num_edges
 
-        # All pushes carry times >= the current event time (completions
-        # are re-planned forward, arrivals add an exponential gap), so the
-        # calendar queue's monotone-push contract holds.
-        evq = make_event_queue(self.event_queue, width=1.0 / self.total_rate)
+        # Events are (time, seq, edge, version); seq is unique, so the
+        # heap order is total and never compares the payload.
+        heap: list[tuple] = []
         seq = 0
-        push = evq.push
-        pop = evq.pop
         searchsorted = np.searchsorted
         sources = self.source_nodes
         source_cdf = self._source_cdf
@@ -179,7 +163,7 @@ class PSNetworkSimulation:
             k = len(works[e])
             if k:
                 t_next = t + min(works[e]) * k / phi[e]
-                push((t_next, seq, e, version[e]))
+                heappush(heap, (t_next, seq, e, version[e]))
                 seq += 1
 
         def enqueue(e: int, t: float, pkt: list) -> None:
@@ -191,12 +175,12 @@ class PSNetworkSimulation:
         # PS replans one exponential arrival gap per event; the scalar
         # draw order *is* the engine's pinned bit-identity stream (golden
         # ps_* cells), so the blocked-draw convention does not apply.
-        push((rng.exponential(1.0 / self.total_rate), seq, -1, 0))  # replint: disable=rng-discipline
+        heappush(heap, (rng.exponential(1.0 / self.total_rate), seq, -1, 0))  # replint: disable=rng-discipline
         seq += 1
 
         draining = False
-        while evq:
-            t, _s, e, ver = pop()
+        while heap:
+            t, _s, e, ver = heappop(heap)
             if t >= t_end and not draining:
                 draining = True
                 in_flight_at_horizon = in_system
@@ -256,7 +240,7 @@ class PSNetworkSimulation:
                     # (fresh per-packet record — mutated in place)
                     enqueue(arena[off], t, [t, off, ln, 0, measured])  # replint: disable=hot-loop-alloc
                 # Same pinned per-event scalar stream as the initial draw.
-                push((t + rng.exponential(1.0 / self.total_rate), seq, -1, 0))  # replint: disable=rng-discipline
+                heappush(heap, (t + rng.exponential(1.0 / self.total_rate), seq, -1, 0))  # replint: disable=rng-discipline
                 seq += 1
             else:
                 # ----- tentative completion at queue e -----

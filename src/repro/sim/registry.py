@@ -10,8 +10,8 @@ experiment sweeps) need to know about a simulator:
   event-driven engine);
 * the service laws it supports;
 * its **engine-specific knobs** as typed :class:`EngineParam` metadata —
-  e.g. the FIFO/rushed ``event_queue`` structure, the slotted
-  ``batch_rng`` draw order, per-edge ``service_rates`` — validated when a
+  e.g. the slotted ``batch_rng`` draw order, per-edge ``service_rates``,
+  the kernel ``backend`` — validated when a
   :class:`CellSpec` is built, long before a worker process touches them;
 * capability flags (saturated-edge tracking, per-packet maxima, whether
   Little's-Law and the Theorem 7 bound sandwich are meaningful for its
@@ -28,8 +28,6 @@ the experiment sweeps, with no per-engine kwargs sprawl.
 Engine-specific parameters
 --------------------------
 ``fifo`` (alias ``event``)
-    ``event_queue``: ``"calendar"`` or ``"heap"`` — the stochastic-service
-    priority structure (outputs are bit-identical either way);
     ``service_rates``: per-edge ``phi_e`` (scalar broadcasts; pass a tuple
     to keep the spec hashable); ``backend``: the kernel backend
     (``"python"`` is the bit-identical reference, ``"numpy"`` the
@@ -42,18 +40,16 @@ Engine-specific parameters
     :mod:`repro.sim.slotted`). ``backend`` as for ``fifo`` (the numpy
     slot kernel requires ``batch_rng=True``).
 ``rushed``
-    ``event_queue`` and ``service_rates`` as for ``fifo``. The number of
+    ``service_rates`` as for ``fifo``. The number of
     copies per packet is not a free knob: Theorem 10's construction sends
     exactly one copy to every queue on the route, so the copy count is
     the path length by definition.
 ``ps``
     ``service_rates`` as for ``fifo`` (the PS discipline itself has no
     further parameters: equal sharing of ``phi_e`` among the customers
-    present), plus ``event_queue`` — PS completions are re-planned
-    stochastic times, so its versioned-event loop runs on the same
-    pluggable priority structure (bit-identical across all kinds).
+    present).
 ``finite``
-    ``event_queue`` and ``service_rates`` as for ``fifo``, plus
+    ``service_rates`` as for ``fifo``, plus
     ``buffer_size``: per-node waiting room (a non-negative int broadcasts
     over all nodes, a tuple gives one value per node, ``None`` — the
     default — reproduces the infinite-buffer ``fifo`` engine
@@ -76,7 +72,6 @@ from dataclasses import dataclass
 from numbers import Integral, Real
 from typing import Any, Callable, Mapping
 
-from repro.sim.eventqueue import CALENDAR, QUEUE_KINDS
 from repro.sim.fifo_network import DETERMINISTIC, EXPONENTIAL, NetworkSimulation
 from repro.sim.kernels import KERNEL_BACKENDS, PYTHON_BACKEND
 from repro.sim.finite_buffer import FiniteBufferNetworkSimulation
@@ -257,15 +252,6 @@ def available_engines() -> list[Engine]:
 # ----------------------------------------------------------------------
 # Built-in engines.
 
-_EVENT_QUEUE_PARAM = EngineParam(
-    "event_queue",
-    CHOICE,
-    CALENDAR,
-    "priority structure for the stochastic-service loop (bit-identical "
-    "either way; calendar adapts its bucket width by Brown's rule, "
-    "calendar-fixed pins the initial width)",
-    choices=QUEUE_KINDS,
-)
 _SERVICE_RATES_PARAM = EngineParam(
     "service_rates",
     RATE_OR_RATES,
@@ -409,7 +395,7 @@ register_engine(
             "(deterministic service) and the Jackson model (exponential)"
         ),
         services=(DETERMINISTIC, EXPONENTIAL),
-        params=(_EVENT_QUEUE_PARAM, _SERVICE_RATES_PARAM, _BACKEND_PARAM),
+        params=(_SERVICE_RATES_PARAM, _BACKEND_PARAM),
         run_cell=_fifo_cell,
         supports_saturated=True,
         supports_maxima=True,
@@ -454,7 +440,7 @@ register_engine(
             "served immediately; mean_delay is the per-packet makespan"
         ),
         services=(DETERMINISTIC,),
-        params=(_EVENT_QUEUE_PARAM, _SERVICE_RATES_PARAM),
+        params=(_SERVICE_RATES_PARAM,),
         run_cell=_rushed_cell,
         supports_saturated=True,
         supports_maxima=True,
@@ -471,7 +457,6 @@ register_engine(
         ),
         services=(DETERMINISTIC, EXPONENTIAL),
         params=(
-            _EVENT_QUEUE_PARAM,
             _SERVICE_RATES_PARAM,
             EngineParam(
                 "buffer_size",
@@ -506,9 +491,7 @@ register_engine(
             "phi_e among the customers present; product-form equilibrium"
         ),
         services=(DETERMINISTIC,),
-        # PS completions are re-planned stochastic times, so its
-        # versioned-event loop rides the pluggable queue too.
-        params=(_SERVICE_RATES_PARAM, _EVENT_QUEUE_PARAM),
+        params=(_SERVICE_RATES_PARAM,),
         run_cell=_ps_cell,
         supports_delays=True,
         supports_number_distribution=True,

@@ -121,8 +121,8 @@ class CellSpec:
     engine_params:
         Engine-specific knobs as a tuple of ``(name, value)`` pairs,
         validated against the registry's typed :class:`EngineParam`
-        metadata — e.g. ``(("event_queue", "heap"),)`` for the FIFO or
-        rushed engines, ``(("batch_rng", False),)`` to opt the slotted
+        metadata — e.g. ``(("backend", "numpy"),)`` for the FIFO, finite
+        or slotted engines, ``(("batch_rng", False),)`` to opt the slotted
         engine back into the legacy draw order, or
         ``(("service_rates", 2.0),)`` wherever per-edge rates apply.
         Unknown names or ill-typed values raise at spec construction,

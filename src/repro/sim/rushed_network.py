@@ -25,14 +25,15 @@ come from the shared :mod:`repro.routing.pathcache` arena and the packet
 record stores an ``(arena_offset, length)`` view; exponential gaps and
 uniform id pairs are drawn in 8192-size blocks; uniform deterministic
 service (the standard model) runs the monotone-merge event loop, and
-per-edge deterministic service runs on the pluggable event queue
-(calendar by default). The same-seed bit-identity contract applies: the
+per-edge deterministic service runs on a plain ``heapq`` event list.
+The same-seed bit-identity contract applies: the
 rushed golden cells in ``tests/golden/`` pin this engine's outputs.
 """
 
 from __future__ import annotations
 
 from collections import deque
+from heapq import heappop, heappush
 from typing import Sequence
 
 import numpy as np
@@ -45,7 +46,6 @@ from repro.sim.enginecommon import (
     resolve_saturated_mask,
     resolve_service_rates,
 )
-from repro.sim.eventqueue import CALENDAR, QUEUE_KINDS, make_event_queue
 from repro.sim.measurement import TimeBatchAccumulator
 from repro.sim.result import SimResult
 from repro.sim.rng import make_rng
@@ -59,8 +59,8 @@ class RushedNetworkSimulation:
 
     Parameters mirror :class:`repro.sim.NetworkSimulation` (FIFO servers,
     deterministic service ``1/phi_e``; ``use_path_cache`` / ``path_cache``
-    / ``event_queue`` / ``saturated_mask`` control the hot path and the
-    optional R_s(t) tracking exactly as there).
+    / ``saturated_mask`` control the hot path and the optional R_s(t)
+    tracking exactly as there).
 
     Notes
     -----
@@ -89,14 +89,7 @@ class RushedNetworkSimulation:
         seed: int = 0,
         use_path_cache: bool = True,
         path_cache=None,
-        event_queue: str = CALENDAR,
     ) -> None:
-        if event_queue not in QUEUE_KINDS:
-            raise ValueError(
-                f"event_queue must be one of {'/'.join(QUEUE_KINDS)}, "
-                f"got {event_queue!r}"
-            )
-        self.event_queue = event_queue
         self.seed = int(seed)
         self._sat = resolve_saturated_mask(
             saturated_mask, router.topology.num_edges
@@ -363,15 +356,12 @@ class RushedNetworkSimulation:
         else:
             # ------------- event-queue loop (per-edge service) -------------
             # Per-edge deterministic service times break the monotone push
-            # order; the pluggable event queue (calendar by default)
-            # orders departures exactly like a binary heap would.
-            evq = make_event_queue(self.event_queue, width=gap_scale)
-            pushe = evq.push
-            pope = evq.pop
-            pushe((first_gap, seq, -1, None))
+            # order, so a binary heap orders the departures.
+            heap: list[tuple] = []
+            heappush(heap, (first_gap, seq, -1, None))
             seq += 1
-            while evq:
-                t, _s, e, parent = pope()
+            while heap:
+                t, _s, e, parent = heappop(heap)
                 if not maxima_seeded and t >= warmup:
                     maxima_seeded = True
                     for q in queues:
@@ -458,12 +448,12 @@ class RushedNetworkSimulation:
                                     max_queue = len(q)
                             else:
                                 busy[f] = 1
-                                pushe((t + st[f], seq, f, parent))
+                                heappush(heap, (t + st[f], seq, f, parent))
                                 seq += 1
                     if exp_i >= BLK:
                         exp_block = rng.exponential(size=BLK)
                         exp_i = 0
-                    pushe((t + exp_block[exp_i] * gap_scale, seq, -1, None))
+                    heappush(heap, (t + exp_block[exp_i] * gap_scale, seq, -1, None))
                     exp_i += 1
                     seq += 1
                 else:
@@ -482,7 +472,7 @@ class RushedNetworkSimulation:
                             max_delay = d
                     q = queues[e]
                     if q:
-                        pushe((t + st[e], seq, e, q.popleft()))
+                        heappush(heap, (t + st[e], seq, e, q.popleft()))
                         seq += 1
                     else:
                         busy[e] = 0

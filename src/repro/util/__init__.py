@@ -1,4 +1,4 @@
-"""Shared utilities: validation, table rendering, and parallel fan-out.
+"""Shared utilities: validation, table rendering, and warm worker pools.
 
 These helpers are deliberately dependency-light; every other subpackage may
 import from :mod:`repro.util` but :mod:`repro.util` imports nothing from the
@@ -13,7 +13,6 @@ from repro.util.validation import (
     check_in_range,
 )
 from repro.util.tables import Table, format_float
-from repro.util.parallel import pmap
 from repro.util.workerpool import (
     WorkerPool,
     get_pool,
@@ -29,7 +28,6 @@ __all__ = [
     "check_in_range",
     "Table",
     "format_float",
-    "pmap",
     "WorkerPool",
     "get_pool",
     "resolve_processes",

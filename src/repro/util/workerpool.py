@@ -1,9 +1,9 @@
 """Persistent warm worker pools for the replication fan-out.
 
-The old fan-out (``pmap`` before this module) created a fresh
-``multiprocessing.Pool`` for every call: each ``ReplicationEngine.run``
-paid pool start-up, and a sweep of hundreds of cells paid it hundreds of
-times, cold workers every time. This module keeps pools *warm*:
+A fresh ``multiprocessing.Pool`` per call would make every
+``ReplicationEngine.run`` pay pool start-up, and a sweep of hundreds of
+cells pay it hundreds of times, cold workers every time. This module
+keeps pools *warm*:
 
 * :class:`WorkerPool` — a lazily created, reusable process pool. The
   underlying ``multiprocessing.Pool`` is built on first parallel use and
@@ -13,7 +13,7 @@ times, cold workers every time. This module keeps pools *warm*:
   survives across calls. Context-managed; also usable as a long-lived
   module-level pool.
 * :func:`get_pool` — the shared warm-pool registry, keyed by worker
-  count. ``pmap`` and ``ReplicationEngine`` draw from here, so one warm
+  count. ``ReplicationEngine`` draws from here, so one warm
   pool serves a whole sweep. All registered pools are shut down at
   interpreter exit (and on demand via :func:`shutdown_pools`).
 * :func:`resolve_processes` — the one place the worker count is decided:
@@ -25,15 +25,14 @@ times, cold workers every time. This module keeps pools *warm*:
 Environment
 -----------
 ``REPRO_PROCESSES``
-    Default worker count for every pool and ``pmap`` call that does not
+    Default worker count for every pool and fan-out that does not
     pass ``processes`` explicitly. Useful to pin CI to a known
     parallelism (``REPRO_PROCESSES=2``) or to force the serial path on
     single-core machines (``REPRO_PROCESSES=1``). Must be a positive
     integer; invalid values are ignored with the cpu-count fallback.
 
 Serial calls (one worker, or at most one work item) never touch a pool:
-they run in-process, bit-identical to the parallel path and debuggable,
-exactly like the historical ``pmap`` contract.
+they run in-process, bit-identical to the parallel path and debuggable.
 """
 
 from __future__ import annotations
@@ -138,7 +137,7 @@ class WorkerPool:
         *,
         chunksize: int = 1,
     ) -> list[R]:
-        """Ordered map (the ``pmap`` semantics), serial for trivial input."""
+        """Ordered map (results in input order), serial for trivial input."""
         work: Sequence[T] = list(items)
         if self.processes == 1 or len(work) <= 1:
             return [func(item) for item in work]

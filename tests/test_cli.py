@@ -115,7 +115,8 @@ class TestCommands:
         for name in ("fifo", "finite", "slotted", "rushed", "ps"):
             assert name in out
         assert "event" in out  # the alias is listed
-        assert "batch_rng" in out and "event_queue" in out
+        assert "batch_rng" in out and "service_rates" in out
+        assert "event_queue" not in out
         assert "buffer_size" in out  # the finite engine's knob
         assert "finite.buffer_size" in out  # per-engine param details
         assert "deterministic/exponential" in out
@@ -223,26 +224,27 @@ class TestCommands:
         """A bad --engine-param key exits with usage-style help listing
         every valid key for the *chosen* engine (not a bare registry
         traceback)."""
-        with pytest.raises(SystemExit) as exc_info:
-            main(
-                [
-                    "simulate",
-                    "-n",
-                    "4",
-                    "--rho",
-                    "0.5",
-                    "--engine-param",
-                    "turbo=1",
-                    "--processes",
-                    "1",
-                ]
-            )
-        msg = str(exc_info.value)
-        assert "turbo" in msg
-        assert "'fifo'" in msg
-        assert "event_queue" in msg and "service_rates" in msg
-        # fifo has no buffer_size: the listing is engine-specific.
-        assert "buffer_size" not in msg
+        for key in ("turbo", "event_queue"):
+            with pytest.raises(SystemExit) as exc_info:
+                main(
+                    [
+                        "simulate",
+                        "-n",
+                        "4",
+                        "--rho",
+                        "0.5",
+                        "--engine-param",
+                        f"{key}=heap",
+                        "--processes",
+                        "1",
+                    ]
+                )
+            msg = str(exc_info.value)
+            assert f"no param {key!r}" in msg
+            assert "'fifo'" in msg
+            assert "backend=" in msg and "service_rates=" in msg
+            # fifo has no buffer_size: the listing is engine-specific.
+            assert "buffer_size" not in msg
 
     def test_simulate_engine_param_listing_is_per_engine(self):
         with pytest.raises(SystemExit) as exc_info:

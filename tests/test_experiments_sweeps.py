@@ -48,13 +48,20 @@ class TestSpecLoading:
         path.write_text(
             "scenario,n,rho,seeds,warmup,horizon,engine_params\n"
             "uniform,4,0.4,0;1,20,120,\n"
-            "uniform,4,0.7,2,20,120,event_queue=heap\n"
+            "uniform,4,0.7,2,20,120,backend=numpy\n"
         )
         specs = load_sweep_spec(path)
         assert len(specs) == 2
         assert specs[0].seeds == (0, 1)
         assert specs[1].seeds == (2,)
-        assert specs[1].engine_params_dict == {"event_queue": "heap"}
+        assert specs[1].engine_params_dict == {"backend": "numpy"}
+        # A row naming a param the engine lacks fails while loading.
+        path.write_text(
+            "scenario,n,rho,seeds,warmup,horizon,engine_params\n"
+            "uniform,4,0.7,2,20,120,event_queue=heap\n"
+        )
+        with pytest.raises(ValueError, match="engine 'fifo' has no param"):
+            load_sweep_spec(path)
 
     def test_empty_spec_rejected(self, tmp_path):
         path = tmp_path / "spec.json"

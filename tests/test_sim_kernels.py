@@ -31,7 +31,6 @@ from repro.sim.kernels import (
     get_kernel,
     numpy_available,
 )
-from repro.sim.ps_network import PSNetworkSimulation
 from repro.sim.replication import CellSpec, replicate
 from repro.sim.registry import get_engine
 from repro.sim.slotted import SlottedNetworkSimulation
@@ -600,39 +599,3 @@ class TestRegistryBackendParam:
         )
         pooled = replicate(spec, processes=1)
         assert pooled.replications[0].completed > 0
-
-
-class TestPSEventQueue:
-    def _spec(self, **ep):
-        return CellSpec(
-            scenario="uniform",
-            n=4,
-            node_rate=0.3,
-            engine="ps",
-            warmup=10,
-            horizon=200,
-            seeds=(0,),
-            engine_params=tuple(sorted(ep.items())),
-        )
-
-    def test_all_queue_kinds_are_bit_identical(self):
-        results = [
-            replicate(self._spec(event_queue=kind), processes=1)
-            for kind in ("calendar", "calendar-fixed", "heap")
-        ]
-        base = results[0].replications[0]
-        for pooled in results[1:]:
-            rep = pooled.replications[0]
-            assert rep.mean_delay == base.mean_delay
-            assert rep.mean_number == base.mean_number
-            assert rep.generated == base.generated
-
-    def test_constructor_validates_kind(self):
-        mesh = ArrayMesh(4)
-        with pytest.raises(ValueError, match="event_queue"):
-            PSNetworkSimulation(
-                GreedyArrayRouter(mesh),
-                UniformDestinations(16),
-                0.2,
-                event_queue="fibonacci",
-            )

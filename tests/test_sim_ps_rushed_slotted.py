@@ -316,16 +316,6 @@ class TestEngineParityValidation:
                 path_cache=other,
             )
 
-    def test_rushed_rejects_bad_event_queue(self):
-        mesh = ArrayMesh(3)
-        with pytest.raises(ValueError):
-            RushedNetworkSimulation(
-                GreedyArrayRouter(mesh),
-                UniformDestinations(9),
-                0.2,
-                event_queue="splay",
-            )
-
 
 class TestSlottedSimulator:
     def test_single_queue_near_md1(self):

@@ -197,10 +197,10 @@ class TestRegistryLookup:
 
     def test_param_validation(self):
         fifo = get_engine("fifo")
-        fifo.validate_params({"event_queue": "heap", "service_rates": 2.0})
+        fifo.validate_params({"backend": "numpy", "service_rates": 2.0})
         fifo.validate_params({"service_rates": (1.0, 2.0)})
         with pytest.raises(ValueError):
-            fifo.validate_params({"event_queue": "splay"})
+            fifo.validate_params({"backend": "fortran"})
         with pytest.raises(ValueError):
             fifo.validate_params({"turbo": True})
         slotted = get_engine("slotted")
@@ -213,6 +213,15 @@ class TestSpecEngineParams:
     def test_unknown_engine_param_raises_at_spec_time(self):
         with pytest.raises(ValueError):
             CellSpec(rho=0.5, engine="fifo", engine_params=(("turbo", 1),))
+        # No engine has an event-queue knob: the error names the engine
+        # and lists the params it does accept.
+        for engine in ("fifo", "finite", "rushed", "ps"):
+            with pytest.raises(ValueError, match="valid params") as exc_info:
+                CellSpec(rho=0.5, engine=engine,
+                         engine_params=(("event_queue", "heap"),))
+            msg = str(exc_info.value)
+            assert f"engine {engine!r} has no param 'event_queue'" in msg
+            assert "service_rates=" in msg
 
     def test_ill_typed_engine_param_raises_at_spec_time(self):
         with pytest.raises(ValueError):
@@ -222,8 +231,8 @@ class TestSpecEngineParams:
     def test_duplicate_engine_params_rejected(self):
         with pytest.raises(ValueError):
             CellSpec(rho=0.5, engine="fifo",
-                     engine_params=(("event_queue", "heap"),
-                                    ("event_queue", "calendar")))
+                     engine_params=(("backend", "numpy"),
+                                    ("backend", "python")))
 
     def test_engine_canonicalised(self):
         assert CellSpec(rho=0.5, engine="event").engine == "fifo"
@@ -263,11 +272,11 @@ class TestSpecEngineParams:
 
     def test_with_engine_params_merges(self):
         spec = CellSpec(node_rate=0.2, engine="fifo",
-                        engine_params=(("event_queue", "heap"),))
+                        engine_params=(("backend", "numpy"),))
         spec2 = spec.with_engine_params(service_rates=2.0)
         assert spec2.engine_params_dict == {
-            "event_queue": "heap", "service_rates": 2.0}
-        assert spec.engine_params_dict == {"event_queue": "heap"}
+            "backend": "numpy", "service_rates": 2.0}
+        assert spec.engine_params_dict == {"backend": "numpy"}
 
 
 class TestRegistryRoundTrip:
@@ -288,15 +297,7 @@ class TestRegistryRoundTrip:
         assert [r.seed for r in pooled.replications] == [1, 2]
 
     def test_engine_params_flow_through_run(self):
-        """event_queue=heap must be bit-identical to the calendar default,
-        and the slotted batch_rng opt-out must change the draw stream."""
-        base = dict(scenario="uniform", n=4, rho=0.5, service="exponential",
-                    warmup=20, horizon=200, seeds=(3,))
-        cal = ReplicationEngine(processes=1).run(CellSpec(**base))
-        heap = ReplicationEngine(processes=1).run(
-            CellSpec(**base, engine_params=(("event_queue", "heap"),))
-        )
-        assert cal.mean_delay == heap.mean_delay
+        """The slotted batch_rng opt-out must change the draw stream."""
         s = dict(scenario="uniform", n=4, rho=0.5, engine="slotted",
                  warmup=20, horizon=200, seeds=(3,))
         batch = ReplicationEngine(processes=1).run(CellSpec(**s))

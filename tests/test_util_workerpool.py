@@ -6,6 +6,7 @@ import pytest
 
 from repro.util.workerpool import (
     WorkerPool,
+    default_processes,
     get_pool,
     resolve_processes,
     shutdown_pools,
@@ -37,13 +38,17 @@ class TestResolveProcesses:
         assert resolve_processes(0) == 1
         assert resolve_processes(-4) == 1
 
-    def test_env_var_reaches_pmap(self, monkeypatch):
-        from repro.util.parallel import pmap
-
+    def test_env_var_reaches_shared_pool(self, monkeypatch):
         monkeypatch.setenv("REPRO_PROCESSES", "1")
+        pool = get_pool()
+        assert pool.processes == 1
         # Serial path: works even for lambdas, which cannot be pickled —
         # proof no pool was involved.
-        assert pmap(lambda x: x + 1, [1, 2]) == [2, 3]
+        assert pool.map(lambda x: x + 1, [1, 2]) == [2, 3]
+        assert not pool.started
+
+    def test_default_processes_positive(self):
+        assert default_processes() >= 1
 
 
 class TestWorkerPool:
@@ -107,14 +112,44 @@ class TestSharedPools:
         assert get_pool(2) is not a
         shutdown_pools()
 
-    def test_pmap_draws_from_shared_pool(self):
+    def test_replication_engine_draws_from_shared_pool(self):
+        from repro.sim.replication import CellSpec, ReplicationEngine
+
+        spec = CellSpec(n=3, rho=0.5, warmup=5, horizon=40, seeds=(0, 1))
         try:
             pool = get_pool(2)
-            from repro.util.parallel import pmap
-
-            assert pmap(square, range(6), processes=2) == [
-                x * x for x in range(6)
-            ]
+            pooled = ReplicationEngine(processes=2).run(spec)
+            assert [r.seed for r in pooled.replications] == [0, 1]
             assert pool.started
+        finally:
+            shutdown_pools()
+
+
+class TestSharedPoolMap:
+    """The ordered map of the shared pools (serial for trivial input)."""
+
+    def test_serial_path(self):
+        assert get_pool(1).map(square, [1, 2, 3]) == [1, 4, 9]
+
+    def test_preserves_order(self):
+        items = list(range(20))
+        try:
+            assert get_pool(2).map(square, items) == [x * x for x in items]
+        finally:
+            shutdown_pools()
+
+    def test_empty_input(self):
+        assert get_pool(4).map(square, []) == []
+
+    def test_single_item_runs_serial(self):
+        # A lambda cannot be pickled: only the in-process path can run it.
+        assert get_pool(2).map(lambda x: x * x, [7]) == [49]
+
+    def test_parallel_matches_serial(self):
+        items = list(range(10))
+        try:
+            assert get_pool(3).map(square, items) == get_pool(1).map(
+                square, items
+            )
         finally:
             shutdown_pools()
