@@ -42,15 +42,18 @@ above — ~8-14x measured on this container) and
 ``speedup_vs_python_backend`` (an interleaved same-process timing of the
 reference kernel on the identical warm cell — ~4-6x measured). Soft
 floors sit well under the measured ratios, same discipline as the 1.5x
-floor on the python cells.
+floor on the python cells. The fifo cell also records the kernel's
+tracemalloc peak per visit (``peak_bytes_per_visit``), which
+``scripts/perf_gate.py`` compares against the baseline like a median.
 """
 
 import time
+import tracemalloc
 
 from repro.core.rates import lambda_for_load
 from repro.routing.destinations import UniformDestinations
 from repro.routing.greedy import GreedyArrayRouter
-from repro.routing.pathcache import path_cache_for
+from repro.routing.pathcache import PathArena, path_cache_for
 from repro.sim.fifo_network import NetworkSimulation
 from repro.sim.ps_network import PSNetworkSimulation
 from repro.sim.rushed_network import RushedNetworkSimulation
@@ -224,7 +227,29 @@ def _best_seconds(fn, *args, rounds=3, **kwargs):
     return best
 
 
-def test_event_32x32_numpy_warm(best_of, benchmark):
+def _peak_bytes_per_visit(monkeypatch, run, *args):
+    """tracemalloc peak of one kernel run over the visits it solved
+    (counted at the arena gather, the numpy kernels' only one)."""
+    visits = []
+    gather = PathArena.gather
+
+    def counting_gather(arena, offs, lens):
+        out = gather(arena, offs, lens)
+        visits.append(out.size)
+        return out
+
+    with monkeypatch.context() as patch:
+        patch.setattr(PathArena, "gather", counting_gather)
+        tracemalloc.start()
+        try:
+            run(*args)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    return peak / sum(visits)
+
+
+def test_event_32x32_numpy_warm(best_of, benchmark, monkeypatch):
     """The PR-6 vectorized kernel on the acceptance cell (32x32 uniform
     deterministic, warm shared cache — the same configuration as
     ``test_event_32x32_cached_warm``). The interleaved reference timing
@@ -249,6 +274,9 @@ def test_event_32x32_numpy_warm(best_of, benchmark):
     pps = _record(benchmark, res, PRE_PR_EVENT[32])
     ratio = t_python / benchmark.stats.stats.min
     benchmark.extra_info["speedup_vs_python_backend"] = round(ratio, 3)
+    benchmark.extra_info["peak_bytes_per_visit"] = round(
+        _peak_bytes_per_visit(monkeypatch, sim.run, WARMUP, HORIZON), 1
+    )
     assert res.generated > 10_000
     assert res.littles_law_gap < 0.1
     # Soft floors (see module docstring): measured ~14x / ~5-6x.

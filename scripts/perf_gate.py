@@ -3,9 +3,11 @@
 
 Compares a freshly produced pytest-benchmark JSON against the committed
 baseline of the same stage and prints a warning for every benchmark whose
-median regressed by more than the threshold (default 25%), or that is
-present in the baseline but missing from the fresh run (a benchmark that
-stops running must not look like a pass).
+median regressed by more than the threshold (default 25%), whose recorded
+memory per unit of work (the ``extra_info`` fields in ``GATED_EXTRA_INFO``)
+grew by more than the threshold, or that is present in the baseline but
+missing from the fresh run (a benchmark that stops running must not look
+like a pass).
 
 By default the gate is *warn-only* — timing on shared machines is too
 noisy for a hard local gate — which is how ``scripts/check.sh`` invokes
@@ -25,6 +27,10 @@ import argparse
 import json
 import sys
 
+#: ``extra_info`` fields gated like the medians (lower is better): memory
+#: per unit of work, which host speed does not move.
+GATED_EXTRA_INFO = ("peak_bytes_per_visit",)
+
 
 def medians(path: str) -> dict[str, float]:
     """``benchmark name -> median seconds`` from a pytest-benchmark JSON."""
@@ -32,6 +38,19 @@ def medians(path: str) -> dict[str, float]:
         data = json.load(fh)
     return {
         b["name"]: float(b["stats"]["median"]) for b in data.get("benchmarks", [])
+    }
+
+
+def gated_extra_info(path: str) -> dict[tuple[str, str], float]:
+    """``(benchmark name, field) -> value`` for the recorded
+    :data:`GATED_EXTRA_INFO` fields of a pytest-benchmark JSON."""
+    with open(path) as fh:
+        data = json.load(fh)
+    return {
+        (b["name"], key): float(b["extra_info"][key])
+        for b in data.get("benchmarks", [])
+        for key in GATED_EXTRA_INFO
+        if key in b.get("extra_info", {})
     }
 
 
@@ -93,6 +112,8 @@ def main(argv: list[str]) -> int:
     try:
         baseline = medians(args.baseline)
         fresh = medians(args.fresh)
+        baseline_extra = gated_extra_info(args.baseline)
+        fresh_extra = gated_extra_info(args.fresh)
     except (OSError, ValueError, KeyError) as exc:
         # An unreadable input is the strongest form of "the benchmarks
         # stopped running": warn-only mode skips (local noise tolerance),
@@ -137,6 +158,16 @@ def main(argv: list[str]) -> int:
                 f"perf_gate WARNING: {name} regressed "
                 f"{(f / b - 1.0) * 100:.0f}% ({b * 1e3:.1f}ms -> {f * 1e3:.1f}ms)"
             )
+    for name, key in sorted(set(baseline_extra) & set(fresh_extra)):
+        b, f = baseline_extra[name, key], fresh_extra[name, key]
+        if b > 0 and f > b * (1.0 + args.threshold):
+            regressed += 1
+            pct = round((f / b - 1.0) * 100, 1)
+            summary["regressions"].append(
+                {"name": name, "field": key, "baseline": b, "fresh": f,
+                 "regression_pct": pct}
+            )
+            print(f"perf_gate WARNING: {name} {key} grew {pct:.0f}% ({b:g} -> {f:g})")
     if not regressed:
         tail = f" ({len(missing)} baseline benchmark(s) missing)" if missing else ""
         print(

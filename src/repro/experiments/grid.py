@@ -7,21 +7,36 @@ and R_s(t) in a single pass. Cells run through the
 :class:`~repro.sim.replication.ReplicationEngine`: every (cell, seed)
 pair fans out over one flat process-pool map, and with
 ``config.replications > 1`` each grid point reports across-replication
-means and CIs instead of single-trajectory point estimates. With the
-default single replication the numbers are bit-identical to a direct
-:class:`~repro.sim.NetworkSimulation` run at the cell's seed.
+means and CIs instead of single-trajectory point estimates.
+
+Every grid cell is the standard model (uniform traffic, row-first
+greedy routing, unit deterministic service), which the vectorized
+``backend="numpy"`` kernel solves, so cells run there unless their
+expected visit count exceeds :data:`NUMPY_VISIT_BUDGET`. The numbers are
+therefore seed-stable and statistically equivalent to a direct
+:class:`~repro.sim.NetworkSimulation` run at the cell's seed, not
+bit-identical to it (the two-backend contract in :mod:`repro.sim`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.core.distances import mean_distance
 from repro.core.md1_approx import delay_md1_estimate
-from repro.core.rates import lambda_for_load
+from repro.core.rates import lambda_for_load, total_external_rate
 from repro.core.upper_bound import delay_upper_bound
 from repro.experiments.configs import GridConfig
 from repro.sim.replication import CellSpec as ReplicationSpec
 from repro.sim.replication import ReplicatedResult, ReplicationEngine
+
+#: Largest expected visit count (packets x hops, warmup included) of one
+#: replication that still runs on the numpy kernel. Its whole-trajectory
+#: solve holds about 30 bytes per visit, so this caps it near 130 MB; the
+#: QUICK presets peak at 2.3M visits, while the FULL table1 n=20,
+#: rho=0.99 cell needs ~348M and runs on the python loop, whose memory
+#: does not grow with the run.
+NUMPY_VISIT_BUDGET = 1 << 22
 
 
 @dataclass(frozen=True)
@@ -36,12 +51,24 @@ class CellSpec:
     convention: str = "table1"
     replications: int = 1
 
+    def expected_visits(self) -> float:
+        """Expected edge visits of one replication: total arrival rate x
+        (warmup + horizon) x mean hops per packet."""
+        lam = lambda_for_load(self.n, self.rho, self.convention)
+        return (
+            total_external_rate(self.n, lam)
+            * (self.warmup + self.horizon)
+            * mean_distance(self.n)
+        )
+
     def to_replication(self) -> ReplicationSpec:
         """View as a replication-engine spec (standard-model scenario).
 
-        Replication seeds step by 1 from the cell seed, so replication 0
-        reproduces the single-seed cell exactly.
+        Replication seeds step by 1 from the cell seed. The kernel
+        backend is ``numpy`` while :meth:`expected_visits` fits
+        :data:`NUMPY_VISIT_BUDGET`, else ``python``.
         """
+        fits = self.expected_visits() <= NUMPY_VISIT_BUDGET
         return ReplicationSpec(
             scenario="uniform",
             n=self.n,
@@ -51,6 +78,7 @@ class CellSpec:
             horizon=self.horizon,
             seeds=tuple(self.seed + k for k in range(self.replications)),
             track_saturated=True,
+            engine_params=(("backend", "numpy" if fits else "python"),),
         )
 
 

@@ -129,11 +129,13 @@ class PathArena:
         total = int(cum[-1])
         if bool(np.all(lens > 0)):
             # Pointer walk: +1 inside a path, jump at each boundary —
-            # one cumsum instead of two repeats (needs non-empty paths).
-            step = np.ones(total, dtype=np.int64)
+            # one cumsum instead of two repeats (needs non-empty paths),
+            # in place and in int32 while the arena's indices fit.
+            dtype = np.int32 if arr.size < 2**31 else np.int64
+            step = np.ones(total, dtype=dtype)
             step[0] = offs[0]
             step[cum[:-1]] = offs[1:] - offs[:-1] - lens[:-1] + 1
-            return arr[np.cumsum(step)]
+            return arr[np.cumsum(step, dtype=dtype, out=step)]
         seg = np.repeat(np.arange(offs.size, dtype=np.int64), lens)
         within = np.arange(total, dtype=np.int64) - np.repeat(
             cum - lens, lens

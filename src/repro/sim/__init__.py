@@ -155,6 +155,13 @@ service, routes whose edge-precedence graph has cycles — e.g. torus
 wrap-around) raise ``ValueError`` pointing back to ``backend="python"``
 rather than degrading silently.
 
+Every engine defaults to ``backend="python"``. The paper report's
+shared (n, rho) grid (:mod:`repro.experiments.grid` — Tables I–III, the
+bounds sweep) is the standard model the numpy kernels solve, so its
+cells choose ``backend="numpy"`` while their expected visit count fits
+``grid.NUMPY_VISIT_BUDGET`` (the whole-trajectory solve holds about 30
+bytes per visit) and ``python`` above it.
+
 Hot-path architecture
 ---------------------
 The per-packet work of all four engines is built around four ideas:

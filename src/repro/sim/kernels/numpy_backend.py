@@ -25,11 +25,15 @@ the kernels detect that and raise a ``ValueError`` pointing back to
 ``backend='python'``.
 
 The arena's ``int32`` snapshot (``PathArena.gather``) is the canonical
-input: visits are the concatenation of every routed packet's path, and
-all statistics (occupancy/remaining-work integrals, delay batch means,
-in-flight counts) are exact window-overlap reductions over the per-visit
-departure times — the same integrals the reference loops accumulate
-incrementally.
+input: visits are the concatenation of every routed packet's path. Both
+kernels share one memory layout (:func:`_sweep_levels`): the visits'
+edge ids and next-hop positions as ``int16``/``int32`` arrays in level
+order, plus one value buffer whose slice for a level holds the
+eligibility values until the level is solved and its departures after.
+All statistics (occupancy/remaining-work integrals, delay batch means,
+in-flight counts) are exact window-overlap reductions — the same
+integrals the reference loops accumulate incrementally — taken level by
+level as each level is solved, so no other per-visit array is kept.
 
 Contract
 --------
@@ -58,7 +62,7 @@ exponential service for fifo (rejected at construction).
 
 from __future__ import annotations
 
-from typing import Any
+from typing import Any, Callable
 
 import numpy as np
 
@@ -71,6 +75,9 @@ _BLOCK = 8192
 #: Cells above this in a level's (segments x max-run) cummax rectangle
 #: switch to the per-segment loop to bound memory.
 _RECT_LIMIT = 1 << 25
+
+#: Visits per chunk of the level sort (bounds its int64 temporaries).
+_SORT_CHUNK = 1 << 16
 
 _NEG = np.iinfo(np.int32).min // 2
 
@@ -91,16 +98,13 @@ def _edge_levels(
 
     ``lvl[e] = 0`` for edges never preceded on any used path, else one
     more than the deepest predecessor. Computed as a vectorized fixpoint
-    over the deduplicated consecutive-visit pairs ``prev -> nxt``; a
-    route set with a precedence cycle never converges and is rejected
-    within ``#distinct edges + 1`` sweeps.
+    over the distinct consecutive-visit pairs ``prev -> nxt``; a route
+    set with a precedence cycle never converges and is rejected within
+    ``#distinct edges + 1`` sweeps.
     """
     lvl = np.zeros(num_edges, dtype=np.int64)
     if prev.size == 0:
         return lvl
-    pairs = np.unique(prev * num_edges + nxt)
-    prev = pairs // num_edges
-    nxt = pairs % num_edges
     distinct = np.unique(np.concatenate((prev, nxt))).size
     for _ in range(distinct + 1):
         new = lvl.copy()
@@ -117,12 +121,12 @@ def _edge_levels(
 
 
 def _levels_for(
-    cache: Any, num_edges: int, visit_edge: np.ndarray, is_first: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
+    cache: Any, num_edges: int, visit_edge: np.ndarray, breaks: np.ndarray
+) -> np.ndarray:
     """Per-visit edge levels for this run, memoized on the path cache.
 
-    Returns ``(lvl, lvl_vis)`` — the per-edge assignment and its
-    per-visit gather. A level assignment is valid for a run iff
+    ``breaks`` are the visits ``b`` whose pair ``(b, b + 1)`` straddles
+    two packets. A level assignment is valid for a run iff
     ``lvl[f] > lvl[e]`` for every consecutive visit pair ``e -> f`` the
     run actually uses, so a cached assignment (computed from an earlier
     run over the same arena) is revalidated with one vectorized pass
@@ -132,12 +136,23 @@ def _levels_for(
     cached = getattr(cache, "_kernel_levels", None)
     if cached is not None and cached.size == num_edges:
         lvl_vis = cached[visit_edge]
-        if bool(np.all((lvl_vis[1:] > lvl_vis[:-1]) | is_first[1:])):
-            return cached, lvl_vis
-    mask = ~is_first[1:]  # consecutive visits of the same packet
-    prev = visit_edge[:-1][mask].astype(np.int64)
-    nxt = visit_edge[1:][mask].astype(np.int64)
-    lvl = _edge_levels(num_edges, prev, nxt)
+        ok = lvl_vis[1:] > lvl_vis[:-1]
+        ok[breaks] = True
+        if bool(ok.all()):
+            return lvl_vis
+        del lvl_vis, ok
+    # Distinct precedence pairs as keys e * E + f (int32 while E^2
+    # fits); the pairs that straddle two packets are masked out as -1.
+    key = visit_edge[:-1].astype(
+        np.int32 if num_edges * num_edges < 2**31 else np.int64
+    )
+    key *= num_edges
+    key += visit_edge[1:]
+    key[breaks] = -1
+    pairs = np.unique(key)
+    del key
+    pairs = pairs[pairs >= 0].astype(np.int64)
+    lvl = _edge_levels(num_edges, pairs // num_edges, pairs % num_edges)
     if int(lvl.max()) < _I16_MAX:
         # int16 levels: the level sort's radix pass then needs no cast.
         lvl = lvl.astype(np.int16)
@@ -145,21 +160,7 @@ def _levels_for(
         cache._kernel_levels = lvl
     except AttributeError:  # slotted storage without a cache attribute
         pass
-    return lvl, lvl[visit_edge]
-
-
-def _segments(
-    e_sorted: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Start offsets, per-element segment id and within-segment index of
-    the equal-edge runs of an edge-sorted array."""
-    n = e_sorted.size
-    diff = e_sorted[1:] != e_sorted[:-1]
-    seg_id = np.zeros(n, dtype=np.int32)
-    np.cumsum(diff, out=seg_id[1:])
-    starts = np.flatnonzero(np.concatenate(([True], diff)))
-    idx = np.arange(n, dtype=np.int32) - starts.astype(np.int32)[seg_id]
-    return starts, seg_id, idx
+    return lvl[visit_edge]
 
 
 def _rectangle_cummax(
@@ -167,12 +168,11 @@ def _rectangle_cummax(
     idx: np.ndarray,
     shifted: np.ndarray,
     sentinel: float,
-    dtype: Any,
 ) -> np.ndarray:
     """Segmented cumulative max via one (segments x max-run) rectangle."""
     n_seg = int(seg_id[-1]) + 1
     width = int(idx.max()) + 1
-    mat = np.full((n_seg, width), sentinel, dtype=dtype)
+    mat = np.full((n_seg, width), sentinel, dtype=shifted.dtype)
     mat[seg_id, idx] = shifted
     np.maximum.accumulate(mat, axis=1, out=mat)
     return mat[seg_id, idx]
@@ -187,127 +187,204 @@ def _loop_cummax(starts: np.ndarray, shifted: np.ndarray) -> np.ndarray:
     return out
 
 
+def _solve_runs(
+    e_sorted: np.ndarray,
+    shifted: np.ndarray,
+    scale: float,
+    lag: int,
+    sentinel: float,
+) -> np.ndarray:
+    """Max-plus solve of one level's visits, sorted by edge and then by
+    queue order, with ``shifted`` holding their eligibility values: the
+    ``k``-th visit of an edge's run leaves at
+    ``(k + lag) * scale + cummax_j<=k (shifted_j - j * scale)``.
+    Overwrites ``shifted``."""
+    n = e_sorted.size
+    diff = e_sorted[1:] != e_sorted[:-1]
+    seg_id = np.zeros(n, dtype=np.int32)
+    np.cumsum(diff, out=seg_id[1:])
+    starts = np.flatnonzero(np.concatenate(([True], diff)))
+    idx = np.arange(n, dtype=np.int32) - starts.astype(np.int32)[seg_id]
+    shifted -= idx * scale
+    if len(starts) * (int(idx.max()) + 1) <= _RECT_LIMIT:
+        cm = _rectangle_cummax(seg_id, idx, shifted, sentinel)
+    else:
+        cm = _loop_cummax(starts, shifted)
+    cm += (idx + lag) * scale
+    return cm
+
+
 def _sorted_by_edge_then(
-    key: np.ndarray, e_s: np.ndarray, e_span: int
+    key: np.ndarray, e_s: np.ndarray, e_span: int, kind: Any = None
 ) -> np.ndarray:
     """Indices sorting by ``e_s`` with ``key``'s order inside each edge:
-    one comparison sort on ``key``, then a stable int16 radix pass on
-    the edge ids when they fit (they are topology edge ids, so they do
-    for every paper-scale network)."""
-    o1 = np.argsort(key)
-    if e_s.size == 0:
-        return o1
+    one sort on ``key``, then a stable int16 radix pass on the edge ids
+    when they fit (they are topology edge ids, so they do for every
+    paper-scale network)."""
+    o1 = np.argsort(key, kind=kind)
     e_o = e_s[o1]
     if e_span < _I16_MAX:
-        return o1[np.argsort(e_o.astype(np.int16), kind="stable")]
+        e_o = e_o.astype(np.int16, copy=False)
     return o1[np.argsort(e_o, kind="stable")]
 
 
 def _fifo_departures(
     e_s: np.ndarray, x_s: np.ndarray, c: float, e_span: int
-) -> np.ndarray:
-    """Departure times of one level's visits: FIFO order is arrival
-    order (float eligibility ties have measure zero)."""
+) -> None:
+    """Solve one level in place: ``x_s`` holds its visits' eligibility
+    times on entry and their departure times on return. FIFO order is
+    arrival order (float eligibility ties have measure zero)."""
     order = _sorted_by_edge_then(x_s, e_s, e_span)
-    e_o = e_s[order]
-    x_o = x_s[order]
-    starts, seg_id, idx = _segments(e_o)
-    shifted = x_o - idx * c
-    if len(starts) * (int(idx.max()) + 1) <= _RECT_LIMIT:
-        cm = _rectangle_cummax(seg_id, idx, shifted, -np.inf, np.float64)
-    else:
-        cm = _loop_cummax(starts, shifted)
-    d = np.empty_like(x_s)
-    d[order] = cm + (idx + 1) * c
-    return d
+    x_s[order] = _solve_runs(e_s[order], x_s[order], c, 1, -np.inf)
 
 
-def _slot_departures(
-    e_s: np.ndarray, g_s: np.ndarray, is_new: np.ndarray, e_span: int
-) -> np.ndarray:
-    """Departure slots of one level's visits. Queue (join) order at an
-    edge is exactly ``(eligibility slot, movers-before-new-arrivals)``:
-    slot-``s`` arrivals join before end-of-slot-``s`` movers, which join
-    before slot-``s+1`` arrivals, and the movers' eligibility is
-    ``s + 1``. Equal joins keep the input (visit) order — a
-    distribution-level tie only; the reference engine's same-slot mover
-    order is set-iteration order."""
-    # Both keys are small non-negative ints, so two stable int16 radix
+def _slot_departures(e_s: np.ndarray, k_s: np.ndarray, e_span: int) -> None:
+    """Solve one level in place: ``k_s`` holds its visits' join keys
+    ``2 * eligibility slot + is_new`` on entry and their departure slots
+    on return.
+
+    Queue (join) order at an edge is exactly the key order: slot-``s``
+    arrivals join before end-of-slot-``s`` movers, which join before
+    slot-``s+1`` arrivals, and the movers' eligibility is ``s + 1``.
+    Equal joins keep the input (visit) order — a distribution-level tie
+    only; the reference engine's same-slot mover order is set-iteration
+    order."""
+    # The keys are small non-negative ints, so two stable int16 radix
     # passes replace the 4-pass comparison lexsort. Stability chains:
     # the second pass (by edge) preserves the first pass's
     # (slot, movers-first, visit-order) order within each edge.
-    g0 = int(g_s.min()) if g_s.size else 0
-    g_span = (int(g_s.max()) - g0 + 1) if g_s.size else 1
-    k1 = ((g_s - g0) << 1) + is_new
-    if 2 * g_span < _I16_MAX and e_span < _I16_MAX:
-        o1 = np.argsort(k1.astype(np.int16), kind="stable")
-        order = o1[np.argsort(e_s[o1].astype(np.int16), kind="stable")]
-    else:  # pathological ranges: comparison sorts, same key order
-        o1 = np.argsort(k1, kind="stable")
-        order = o1[np.argsort(e_s[o1], kind="stable")]
-    e_o = e_s[order]
-    g_o = g_s[order]
-    starts, seg_id, idx = _segments(e_o)
-    shifted = g_o - idx
-    if len(starts) * (int(idx.max()) + 1) <= _RECT_LIMIT:
-        cm = _rectangle_cummax(seg_id, idx, shifted, _NEG, shifted.dtype)
-    else:
-        cm = _loop_cummax(starts, shifted)
-    d = np.empty_like(g_s)
-    d[order] = cm + idx
-    return d
+    key = k_s - (int(k_s.min()) & ~1)  # an even shift keeps is_new
+    if int(key.max()) < _I16_MAX:
+        key = key.astype(np.int16)
+    order = _sorted_by_edge_then(key, e_s, e_span, kind="stable")
+    del key
+    k_s[order] = _solve_runs(e_s[order], k_s[order] >> 1, 1, 0, _NEG)
 
 
 def _level_order(lvl_vis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Stable level sort of the visits plus per-level slice bounds.
+    """Stable level sort of the visits (``int32``) plus per-level slice
+    bounds.
 
     The stable sort keeps visits in generation order inside each level
-    (each packet appears at most once per level, so this is also
-    packet order — the slotted tie-break relies on it)."""
-    max_lvl = int(lvl_vis.max())
-    if lvl_vis.dtype == np.int16:
-        # int16 stable sort is radix — much faster than a comparison
-        # sort on these few-distinct-value keys.
-        order = np.argsort(lvl_vis, kind="stable")
-    elif max_lvl < _I16_MAX:
-        order = np.argsort(lvl_vis.astype(np.int16), kind="stable")
-    else:
-        order = np.argsort(lvl_vis, kind="stable")
-    bounds = np.searchsorted(lvl_vis[order], np.arange(max_lvl + 2))
+    (each packet appears at most once per level, so this is also packet
+    order — the slotted tie-break relies on it). It runs as a chunked
+    counting sort: each chunk is radix-sorted on its own and scattered
+    to its levels' next free slots, so no full-size ``int64`` index
+    array is ever allocated."""
+    nvis = lvl_vis.size
+    n_lvl = int(lvl_vis.max()) + 1
+    cuts = range(0, nvis, _SORT_CHUNK)
+    counts = np.array(
+        [np.bincount(lvl_vis[i : i + _SORT_CHUNK], minlength=n_lvl) for i in cuts]
+    )
+    bounds = np.zeros(n_lvl + 1, dtype=np.int64)
+    np.cumsum(counts.sum(axis=0), out=bounds[1:])
+    # Level-layout slot of each chunk's first visit on each level.
+    base = bounds[:-1] + np.cumsum(counts, axis=0) - counts
+    order = np.empty(nvis, dtype=np.int32)
+    for k, i in enumerate(cuts):
+        chunk = lvl_vis[i : i + _SORT_CHUNK]
+        o = np.argsort(chunk, kind="stable")
+        first = np.cumsum(counts[k]) - counts[k]  # in the sorted chunk
+        order[(base[k] - first)[chunk[o]] + np.arange(o.size)] = o + i
     return order, bounds
 
 
 def _level_layout(
-    cache: Any,
-    num_edges: int,
-    visit_edge: np.ndarray,
-    cum0: np.ndarray,
-    nvis: int,
+    cache: Any, num_edges: int, visit_edge: np.ndarray, ends: np.ndarray
 ) -> tuple[np.ndarray, ...]:
     """Static per-run structure of the level sweep, in *level layout*
     (visits stably sorted by level): the solve loop then reads its
-    static inputs as contiguous slices and only the dynamic
-    eligibility array needs scattered writes.
+    static inputs as contiguous slices and only the value buffer needs
+    scattered writes. ``ends`` are the packets' cumulative path lengths.
 
-    Returns ``(order, bounds, inv, e_lv, new_lv, hn_lv, nxt_lv)`` —
-    the level sort and its inverse, per-visit edge ids, first-hop and
-    has-next flags in level layout, and each visit's next hop's
-    level-layout position (valid where ``hn_lv``)."""
-    is_first = np.zeros(nvis, dtype=bool)
-    is_first[cum0[:-1]] = True
-    lvl, lvl_vis = _levels_for(cache, num_edges, visit_edge, is_first)
+    Returns ``(bounds, e_lv, nxt_lv, first_lv, last_lv)`` — per-level
+    slice bounds; per visit in level layout, its edge id (``int16``
+    where edge ids fit) and its next hop's position (``nvis``, one past
+    the end, on a packet's last hop); and each packet's first-hop and
+    last-hop positions. Full-size temporaries are freed as soon as they
+    are dead."""
+    nvis = visit_edge.size
+    lvl_vis = _levels_for(cache, num_edges, visit_edge, ends[:-1] - 1)
     order, bounds = _level_order(lvl_vis)
-    inv = np.empty(nvis, dtype=np.int64)
-    inv[order] = np.arange(nvis, dtype=np.int64)
-    e_lv = visit_edge[order]
-    # Scatter the boundary flags straight into level layout (one small
-    # scatter per flag instead of a full-size gather).
-    new_lv = np.zeros(nvis, dtype=bool)
-    new_lv[inv[cum0[:-1]]] = True
-    hn_lv = np.ones(nvis, dtype=bool)
-    hn_lv[inv[cum0[1:] - 1]] = False  # last hop has no next edge
-    nxt_lv = inv[np.minimum(order + 1, nvis - 1)]
-    return order, bounds, inv, e_lv, new_lv, hn_lv, nxt_lv
+    del lvl_vis
+    e_lv = visit_edge[order].astype(
+        np.int16 if num_edges < _I16_MAX else np.int32, copy=False
+    )
+    inv = np.empty(nvis, dtype=np.int32)
+    inv[order] = np.arange(nvis, dtype=np.int32)
+    first_lv = inv[np.concatenate(([0], ends[:-1]))]
+    last_lv = inv[ends - 1]
+    order += 1  # each visit's successor; last hops are patched below
+    np.minimum(order, nvis - 1, out=order)
+    nxt_lv = inv[order]
+    del order, inv
+    nxt_lv[last_lv] = nvis
+    return bounds, e_lv, nxt_lv, first_lv, last_lv
+
+
+def _sweep_levels(
+    sim: Any,
+    offs: np.ndarray,
+    lens: np.ndarray,
+    seed: np.ndarray,
+    solve: Callable[[np.ndarray, np.ndarray], None],
+    forward: Callable[[np.ndarray], np.ndarray],
+    clip_lo: float,
+    clip_hi: float,
+    sat_arr: np.ndarray | None,
+) -> tuple[np.ndarray, float, float, np.ndarray | None]:
+    """The level sweep both kernels share.
+
+    Gathers the routed packets' visits, lays them out by level and
+    solves level by level in one buffer of ``seed``'s dtype. A level's
+    slice holds its visits' eligibility values — ``seed`` on first
+    hops, ``forward(d)`` after the previous hop departed at ``d`` —
+    until ``solve(edges, slice)`` overwrites it with their departures.
+    Next hops always sit in later levels (last hops forward into one
+    spare slot), so the buffer ends up holding every departure. Each
+    solved level adds its visits' clipped departures
+    ``max(min(d, clip_hi) - clip_lo, 0)`` to the window sums.
+
+    Returns ``(d_final, sum_all, sum_sat, sat_hops)``: each packet's
+    last-hop departure, the window sums over all visits and over
+    saturated-edge visits, and each packet's number of saturated hops
+    (``None`` without a mask).
+    """
+    if lens.size == 0:
+        sat_hops = None if sat_arr is None else np.zeros(0, dtype=np.int64)
+        return np.empty(0, dtype=seed.dtype), 0.0, 0.0, sat_hops
+    cache = sim.path_cache
+    visit_edge = cache.arena.gather(offs, lens)
+    ends = np.cumsum(lens)
+    sat_hops = None
+    if sat_arr is not None:
+        cum_sat = np.cumsum(sat_arr[visit_edge], dtype=np.int32)
+        sat_hops = np.diff(cum_sat[ends - 1], prepend=0)
+        del cum_sat
+    bounds, e_lv, nxt_lv, first_lv, last_lv = _level_layout(
+        cache, sim.topology.num_edges, visit_edge, ends
+    )
+    del visit_edge, ends
+    buf = np.empty(nxt_lv.size + 1, dtype=seed.dtype)
+    buf[first_lv] = seed
+    del first_lv
+    sum_all = sum_sat = 0.0
+    for lev in range(bounds.size - 1):
+        lo, hi = int(bounds[lev]), int(bounds[lev + 1])
+        if lo == hi:
+            continue
+        e = e_lv[lo:hi]
+        d = buf[lo:hi]
+        solve(e, d)
+        buf[nxt_lv[lo:hi]] = forward(d)
+        clipped = np.minimum(d, clip_hi)
+        clipped -= clip_lo
+        np.maximum(clipped, 0, out=clipped)
+        sum_all += clipped.sum().item()
+        if sat_arr is not None:
+            sum_sat += clipped[sat_arr[e]].sum().item()
+    return buf[last_lv], sum_all, sum_sat, sat_hops
 
 
 def run_fifo(
@@ -345,45 +422,35 @@ def run_fifo(
         offset = float(blk[-1])
         blocks.append(blk)
     r_t = np.concatenate(blocks)
+    del blocks
     r_t = r_t[r_t < t_end]  # arrivals at/after the horizon are discarded
-    m = r_t.size
-    srcs, dsts = _draw_ids(sim, m, num_nodes, rng)
+    srcs, dsts = _draw_ids(sim, r_t.size, num_nodes, rng)
 
     measured = r_t >= warmup
     generated = int(measured.sum())
     zero = srcs == dsts
-    zero_hop = int((measured & zero).sum())
+    zero_ts = r_t[measured & zero]
 
     nz = ~zero
     a_t = r_t[nz]  # routed packets' creation times
     mr = measured[nz]
-    offs, lens, visit_edge = _draw_paths(sim, srcs[nz], dsts[nz], rng)
+    srcs, dsts = srcs[nz], dsts[nz]
+    del r_t, measured, zero, nz
+    offs, lens = _draw_paths(sim, srcs, dsts, rng)
+    del srcs, dsts
 
     # ---- solve ----
-    if visit_edge.size:
-        nvis = visit_edge.size
-        cum0 = np.concatenate(([0], np.cumsum(lens)))
-        order, bounds, inv, e_lv, new_lv, hn_lv, nxt_lv = _level_layout(
-            sim.path_cache, num_edges, visit_edge, cum0, nvis
-        )
-        x_lv = np.empty(nvis)
-        x_lv[inv[cum0[:-1]]] = a_t
-        dep_lv = np.empty(nvis)
-        for lev in range(bounds.size - 1):
-            lo, hi = int(bounds[lev]), int(bounds[lev + 1])
-            if lo == hi:
-                continue
-            d_sel = _fifo_departures(e_lv[lo:hi], x_lv[lo:hi], c, num_edges)
-            dep_lv[lo:hi] = d_sel
-            hn = hn_lv[lo:hi]
-            x_lv[nxt_lv[lo:hi][hn]] = d_sel[hn]
-        dep = np.empty(nvis)
-        dep[order] = dep_lv
-        d_final = dep[cum0[1:] - 1]
-    else:
-        cum0 = np.zeros(1, dtype=np.int64)
-        dep = np.empty(0)
-        d_final = np.empty(0)
+    d_final, sum_r, sum_rs, sat_hops = _sweep_levels(
+        sim,
+        offs,
+        lens,
+        a_t,
+        lambda e, x: _fifo_departures(e, x, c, num_edges),
+        lambda d: d,
+        warmup,
+        t_end,
+        sat_arr,
+    )
 
     # ---- exact window-overlap statistics ----
     int_n = float(
@@ -391,22 +458,21 @@ def run_fifo(
             np.minimum(d_final, t_end) - np.maximum(a_t, warmup), 0.0
         ).sum()
     )
-    a_vis = np.repeat(a_t, lens) if visit_edge.size else np.empty(0)
-    overlap = np.minimum(dep, t_end)
-    overlap -= np.maximum(a_vis, warmup)
-    np.maximum(overlap, 0.0, out=overlap)
-    int_r = float(overlap.sum())
+    # Hop h's remaining-work unit exists over [a, d_h]; the sweep summed
+    # its overlap with [warmup, t_end] as if every packet were born
+    # before the warmup, so packets born inside the window give back
+    # (a - warmup) per hop. (Products summed, not a float ``@``: that
+    # goes to BLAS, whose threads may take every core.)
+    lag = a_t[mr] - warmup
+    int_r = sum_r - float((lens[mr] * lag).sum())
     int_rs = (
-        float(overlap[sat_arr[visit_edge]].sum())
-        if sat_arr is not None and visit_edge.size
-        else 0.0
+        0.0 if sat_hops is None else sum_rs - float((sat_hops[mr] * lag).sum())
     )
     in_flight = int((d_final >= t_end).sum())
 
     delay_acc = TimeBatchAccumulator(warmup, t_end, delay_batches)
     routed_delay = d_final - a_t
     delay_acc.add_batch(a_t[mr], routed_delay[mr])
-    zero_ts = r_t[measured & zero]
     delay_acc.add_batch(zero_ts, np.zeros(zero_ts.size))
 
     delays = None
@@ -423,7 +489,7 @@ def run_fifo(
         seed=sim.seed,
         generated=generated,
         completed=generated,  # every measured packet completes after drain
-        zero_hop=zero_hop,
+        zero_hop=zero_ts.size,
         in_flight_at_end=in_flight,
         mean_number=mean_number,
         mean_remaining=int_r / horizon,
@@ -476,73 +542,56 @@ def run_slotted(
         counts[drawn : drawn + size] = rng.poisson(batch_mean, size=size)
         drawn += size
     slots = np.repeat(np.arange(t_end_slot, dtype=np.int32), counts)
-    m = slots.size
-    srcs, dsts = _draw_ids(sim, m, num_nodes, rng)
+    del counts
+    srcs, dsts = _draw_ids(sim, slots.size, num_nodes, rng)
 
     measured = slots >= warmup_slots
     generated = int(measured.sum())
     zero = srcs == dsts
-    zero_hop = int((measured & zero).sum())
+    zero_ts = slots[measured & zero] * tau
 
     nz = ~zero
     a_s = slots[nz]  # routed packets' generation slots
     mr = measured[nz]
-    offs, lens, visit_edge = _draw_paths(sim, srcs[nz], dsts[nz], rng)
+    srcs, dsts = srcs[nz], dsts[nz]
+    del slots, measured, zero, nz
+    offs, lens = _draw_paths(sim, srcs, dsts, rng)
+    del srcs, dsts
 
     # ---- solve ----
-    if visit_edge.size:
-        nvis = visit_edge.size
-        cum0 = np.concatenate(([0], np.cumsum(lens)))
-        order, bounds, inv, e_lv, new_lv, hn_lv, nxt_lv = _level_layout(
-            sim.path_cache, num_edges, visit_edge, cum0, nvis
-        )
-        g_lv = np.empty(nvis, dtype=np.int32)
-        g_lv[inv[cum0[:-1]]] = a_s
-        dep_lv = np.empty(nvis, dtype=np.int32)
-        for lev in range(bounds.size - 1):
-            lo, hi = int(bounds[lev]), int(bounds[lev + 1])
-            if lo == hi:
-                continue
-            d_sel = _slot_departures(
-                e_lv[lo:hi], g_lv[lo:hi], new_lv[lo:hi], num_edges
-            )
-            dep_lv[lo:hi] = d_sel
-            hn = hn_lv[lo:hi]
-            # delivered at the end of slot d -> eligible in slot d + 1
-            g_lv[nxt_lv[lo:hi][hn]] = d_sel[hn] + 1
-        dep = np.empty(nvis, dtype=np.int32)
-        dep[order] = dep_lv
-        d_final = dep[cum0[1:] - 1]
-    else:
-        cum0 = np.zeros(1, dtype=np.int64)
-        dep = np.empty(0, dtype=np.int32)
-        d_final = np.empty(0, dtype=np.int32)
+    # The buffer carries join keys 2 * slot + is_new: a packet joins its
+    # first edge in its generation slot as a new arrival; a hop
+    # delivered at the end of slot d makes the next one a mover
+    # eligible in slot d + 1.
+    last = t_end_slot - 1
+    d_final, sum_r, sum_rs, sat_hops = _sweep_levels(
+        sim,
+        offs,
+        lens,
+        2 * a_s + 1,
+        lambda e, k: _slot_departures(e, k, num_edges),
+        lambda d: 2 * d + 2,
+        warmup_slots - 1,
+        last,
+        sat_arr,
+    )
 
     # ---- inclusive-slot window statistics ----
     # A packet occupies the system during slots [a, d_final] (it leaves
     # at the end of slot d_final); hop h's remaining-work unit exists
     # during slots [a, d_h]. The reference loop integrates state over
-    # measuring slots [W, L], tau per slot.
-    last = t_end_slot - 1
+    # measuring slots [W, L], tau per slot; the sweep counted each hop's
+    # slots in [W, L] as if every packet were born before W, so packets
+    # born inside the window give back (a - W) slots per hop.
     int_n = tau * float(
         np.maximum(
             np.minimum(d_final, last) - np.maximum(a_s, warmup_slots) + 1, 0
         ).sum()
     )
-    a_vis = (
-        np.repeat(a_s, lens)
-        if visit_edge.size
-        else np.empty(0, dtype=np.int64)
-    )
-    overlap = np.minimum(dep, last)
-    overlap -= np.maximum(a_vis, warmup_slots)
-    overlap += 1
-    np.maximum(overlap, 0, out=overlap)
-    int_r = tau * float(overlap.sum())
+    lag = a_s[mr] - warmup_slots
+    int_r = tau * (sum_r - int(lens[mr] @ lag))
     int_rs = (
-        tau * float(overlap[sat_arr[visit_edge]].sum())
-        if sat_arr is not None and visit_edge.size
-        else 0.0
+        0.0 if sat_hops is None else tau * (sum_rs - int(sat_hops[mr] @ lag))
     )
     in_flight = int((d_final >= last).sum())
 
@@ -550,7 +599,6 @@ def run_slotted(
     birth_t = a_s * tau
     routed_delay = (d_final + 1 - a_s) * tau  # arrival is end of slot d
     delay_acc.add_batch(birth_t[mr], routed_delay[mr])
-    zero_ts = slots[measured & zero] * tau
     delay_acc.add_batch(zero_ts, np.zeros(zero_ts.size))
 
     delays = None
@@ -567,7 +615,7 @@ def run_slotted(
         seed=sim.seed,
         generated=generated,
         completed=generated,  # every measured packet completes after drain
-        zero_hop=zero_hop,
+        zero_hop=zero_ts.size,
         in_flight_at_end=in_flight,
         mean_number=mean_number,
         mean_remaining=int_r / horizon,
@@ -615,9 +663,10 @@ def _draw_paths(
     srcs: np.ndarray,
     dsts: np.ndarray,
     rng: np.random.Generator,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """One batch path lookup; returns ``(offs, lens, visit_edge)`` with
-    the arena snapshot taken *after* the lookup grew the arena."""
+) -> tuple[np.ndarray, np.ndarray]:
+    """One batch path lookup; returns the ``(offs, lens)`` arena views.
+    Gather the visits only after it returns: the lookup may still grow
+    the arena."""
     cache = sim.path_cache
     if cache.consumes_rng:
         offs, lens = cache.sample_offlen_batch(srcs, dsts, rng)
@@ -626,6 +675,4 @@ def _draw_paths(
         if promote is not None:
             promote()  # dict-only caches would loop a probe per pair
         offs, lens = cache.offlen_batch(srcs, dsts)
-    offs = np.asarray(offs, dtype=np.int64)
-    lens = np.asarray(lens, dtype=np.int64)
-    return offs, lens, cache.arena.gather(offs, lens)
+    return np.asarray(offs, dtype=np.int64), np.asarray(lens, dtype=np.int64)

@@ -82,8 +82,11 @@ _NETWORK_MEMO_MAX = 8
 
 
 def cell_key(spec: Any) -> tuple:
-    """The cell identity that decides (network, cache) shareability."""
-    return (spec.engine, spec.engine_params, spec.scenario, spec.n, spec.params)
+    """The cell identity that decides (network, cache) shareability: the
+    scenario, its size and its parameters. Engines and engine params
+    share the entry — the network does not depend on them, and a path
+    cache never influences results."""
+    return (spec.scenario, spec.n, spec.params)
 
 
 def cell_network(spec: Any) -> tuple:
@@ -92,9 +95,9 @@ def cell_network(spec: Any) -> tuple:
     Replications of one cell are separate pool tasks; without the memo
     each task would rebuild the scenario network *and* re-route every
     path from scratch. A path cache only grows and never influences
-    results, so sharing it across same-cell replications is safe. The
-    key includes the engine name and engine_params so mixed-engine
-    batches never hand one engine type a cache attuned to another.
+    results, so sharing it across same-cell replications — and across
+    the engines and engine params of one scenario (:func:`cell_key`) —
+    is safe.
     """
     from repro.scenarios import build_network  # late: scenarios imports sim
 
@@ -274,6 +277,8 @@ class _AttachedBatch:
         self.registry = pickle.loads(
             bytes(self.shm.buf[reg_off : reg_off + reg_len])
         )
+        #: ``(memo key, memo entry)`` of every cell adopted from this block.
+        self.adopted: list[tuple] = []
 
     def array(self, aref: tuple) -> np.ndarray:
         """Materialise an array locator as a read-only shared view."""
@@ -283,6 +288,12 @@ class _AttachedBatch:
         return arr
 
     def release(self) -> None:
+        # numpy views keep no buffer export, so closing unmaps the pages
+        # under them: first forget the memoized cells that view them.
+        for key, ent in self.adopted:
+            if _NETWORK_MEMO.get(key) is ent:
+                del _NETWORK_MEMO[key]
+        self.adopted.clear()
         try:
             self.shm.close()
         except BufferError:  # pragma: no cover - cache still holds views
@@ -329,6 +340,8 @@ def _adopt_cell(spec: Any, meta: dict, batch: _AttachedBatch) -> tuple:
                 batch.array(snap["col_off"]), batch.array(snap["col_len"])
             )
     ent = (net, cache)
+    if snap is not None:
+        batch.adopted.append((key, ent))
     _NETWORK_MEMO[key] = ent
     if len(_NETWORK_MEMO) > _NETWORK_MEMO_MAX:
         _NETWORK_MEMO.popitem(last=False)

@@ -6,6 +6,7 @@ import pytest
 from repro.experiments import configs, figure1, figure2, grid
 from repro.experiments import table1, table2, table3
 from repro.experiments.bounds_sweep import QUICK_SWEEP, SweepConfig
+from repro.experiments.bounds_sweep import _cell_spec as sweep_cell_spec
 from repro.experiments.bounds_sweep import run as run_sweep
 from repro.experiments.bounds_sweep import shape_checks as sweep_checks
 from repro.experiments.optimal_config import OptimalConfig
@@ -17,6 +18,7 @@ from repro.experiments.hypercube_bounds import shape_checks as hc_checks
 from repro.experiments.randomized_greedy import RandomizedConfig
 from repro.experiments.randomized_greedy import run as run_randomized
 from repro.experiments.randomized_greedy import shape_checks as rand_checks
+from repro.sim.replication import ReplicationEngine
 
 TINY = configs.GridConfig(
     ns=(4,),
@@ -43,6 +45,29 @@ class TestGrid:
         assert cfg.warmup_for(0.9) > cfg.warmup_for(0.2)
         assert cfg.horizon_for(0.99) <= cfg.base_horizon * cfg.congestion_cap
 
+    def test_quick_presets_run_on_numpy(self):
+        """Every cell of the quick report's grid fits the visit budget."""
+        specs = (
+            grid.grid_specs(configs.QUICK)
+            + grid.grid_specs(table3.QUICK3.to_grid())
+            + [
+                sweep_cell_spec(n, rho, QUICK_SWEEP)
+                for n in QUICK_SWEEP.ns
+                for rho in QUICK_SWEEP.rhos
+            ]
+        )
+        for spec in specs:
+            backend = spec.to_replication().engine_params_dict["backend"]
+            assert backend == "numpy", spec
+
+    def test_heavy_full_cell_stays_on_python(self):
+        """FULL Table I at n=20, rho=0.99 would need ~348M visits."""
+        spec = next(
+            s for s in grid.grid_specs(configs.FULL) if s.n == 20 and s.rho == 0.99
+        )
+        assert spec.expected_visits() > grid.NUMPY_VISIT_BUDGET
+        assert spec.to_replication().engine_params_dict["backend"] == "python"
+
     def test_simulate_cell_fields(self):
         cell = grid.simulate_cell(grid.grid_specs(TINY)[0])
         assert cell.t_sim > 0
@@ -67,6 +92,19 @@ class TestTables:
         out = res.render()
         assert "r (Sim.)" in out
         assert table2.shape_checks(res) == []
+
+    def test_numpy_cells_within_python_cis(self, tiny_cells):
+        """The grid's numpy cells estimate the same delays as python
+        runs of the same cells, within the two runs' CIs."""
+        python = ReplicationEngine(processes=1).run_many(
+            [
+                s.to_replication().with_engine_params(backend="python")
+                for s in grid.grid_specs(TINY)
+            ]
+        )
+        for cell, ref in zip(tiny_cells, python):
+            assert cell.spec.to_replication().engine_params_dict["backend"] == "numpy"
+            assert abs(cell.t_sim - ref.mean_delay) <= cell.t_ci + ref.delay_half_width
 
     def test_table3_runs(self):
         cfg = table3.Table3Config(

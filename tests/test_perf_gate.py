@@ -190,3 +190,21 @@ def test_no_common_benchmarks_summary_not_ok(perf_gate, tmp_path):
     summary = _json.loads(out_path.read_text())
     assert summary["ok"] is False
     assert summary["missing"] == ["a"]
+
+
+def test_memory_growth_warns_like_a_regression(perf_gate, tmp_path, capsys):
+    """A recorded peak_bytes_per_visit that grows past the threshold is a
+    regression (and fails --strict) even when the median holds."""
+
+    def bench(name, peak):
+        path = tmp_path / name
+        path.write_text(json.dumps({"benchmarks": [
+            {"name": "a", "stats": {"median": 1.0},
+             "extra_info": {"peak_bytes_per_visit": peak}},
+        ]}))
+        return str(path)
+
+    base = bench("base.json", 30.0)
+    assert perf_gate.main(["perf_gate", base, bench("same.json", 31.0), "--strict"]) == 0
+    assert perf_gate.main(["perf_gate", base, bench("grew.json", 90.0), "--strict"]) == 1
+    assert "a peak_bytes_per_visit grew 200%" in capsys.readouterr().out

@@ -5,11 +5,14 @@ boundary, and the level cache / arena gather machinery it rides on."""
 
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from repro.core.rates import array_edge_rates, lambda_for_load
+from repro.core.saturation import saturated_edge_mask
 from repro.routing.base import TabulatedRouter
 from repro.routing.destinations import (
     HotSpotDestinations,
@@ -233,16 +236,25 @@ class TestDistributionParity:
     def test_uniform_4x4_is_workload_identical(self):
         """Under one draw block the batched streams coincide with the
         reference order for the uniform fast-id path, so the runs are
-        not merely statistically close but equal."""
-        py = _mesh_sims(
-            NetworkSimulation, UniformDestinations, 4, 0.2, 3, PYTHON_BACKEND
-        ).run(20.0, 400.0)
-        nu = _mesh_sims(
-            NetworkSimulation, UniformDestinations, 4, 0.2, 3, NUMPY_BACKEND
-        ).run(20.0, 400.0)
+        not merely statistically close but equal — the remaining-work
+        integrals R and R_s included."""
+        mesh = ArrayMesh(4)
+        mask = np.zeros(mesh.num_edges, dtype=bool)
+        mask[::3] = True
+        py, nu = (
+            NetworkSimulation(
+                GreedyArrayRouter(mesh), UniformDestinations(16), 0.2,
+                seed=3, backend=backend, saturated_mask=mask,
+            ).run(20.0, 400.0)
+            for backend in (PYTHON_BACKEND, NUMPY_BACKEND)
+        )
         assert nu.generated == py.generated
         assert nu.mean_delay == pytest.approx(py.mean_delay, rel=1e-12)
         assert nu.mean_number == pytest.approx(py.mean_number, rel=1e-12)
+        assert nu.mean_remaining == pytest.approx(py.mean_remaining, rel=1e-12)
+        assert nu.mean_remaining_saturated == pytest.approx(
+            py.mean_remaining_saturated, rel=1e-12
+        )
 
     def test_slotted_uniform_4x4_shares_the_workload(self):
         """Per-slot Poisson blocks concatenate identically, so the two
@@ -456,6 +468,44 @@ class TestPathArenaGather:
         lens = np.array([3, 2, 3])
         got = arena.gather(offs, lens)
         assert got.tolist() == [2, 4, 6, 7, 8, 2, 4, 6]
+
+
+class TestKernelMemory:
+    def test_fifo_peak_stays_within_40_bytes_per_visit(self, monkeypatch):
+        """The numpy fifo kernel's traced peak on a fixed 8x8, rho=0.9
+        grid-style cell (saturated edges tracked) stays within 40 bytes
+        per visit: an int16/int32 level layout, one value buffer and
+        per-level window sums (the full-size departure, arrival and
+        overlap arrays of the earlier layout took ~93)."""
+        visits = []
+        gather = PathArena.gather
+
+        def counting_gather(arena, offs, lens):
+            out = gather(arena, offs, lens)
+            visits.append(out.size)
+            return out
+
+        monkeypatch.setattr(PathArena, "gather", counting_gather)
+        mesh = ArrayMesh(8)
+        lam = lambda_for_load(8, 0.9)
+        sim = NetworkSimulation(
+            GreedyArrayRouter(mesh),
+            UniformDestinations(64),
+            lam,
+            seed=13,
+            backend=NUMPY_BACKEND,
+            saturated_mask=saturated_edge_mask(array_edge_rates(mesh, lam)),
+        )
+        sim.run(0.0, 100.0)  # build the path cache and its level cache
+        visits.clear()
+        tracemalloc.start()
+        try:
+            sim.run(200.0, 2000.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert visits[0] > 300_000
+        assert peak / visits[0] <= 40.0
 
 
 # ----------------------------------------------------------------------

@@ -309,9 +309,9 @@ class TestRegistryRoundTrip:
         )
 
     def test_mixed_engine_batch_does_not_cross_engines(self):
-        """run_many over all four engines at once: the memo key includes
-        the engine name + engine_params, so each cell's result matches
-        the same cell run alone."""
+        """run_many over all four engines at once: the engines share the
+        memoized (network, path cache), and each cell's result still
+        matches the same cell run alone."""
         specs = [
             CellSpec(scenario="uniform", n=4, rho=0.5, engine=e,
                      warmup=20, horizon=200, seeds=(5,))

@@ -119,6 +119,21 @@ class TestRunSeedChunk:
                 del cache
                 attached.release()
 
+    def test_release_forgets_cells_adopted_from_the_block(self):
+        """Closing an attachment unmaps its pages under any live numpy
+        view, so the memoized cells adopted from it go first — a later
+        cell with the same key would otherwise read unmapped memory."""
+        spec = CellSpec(scenario="uniform", n=4, rho=0.6, **WINDOW)
+        with publish_cells([_resolved(spec)]) as batch:
+            sharedcells._NETWORK_MEMO.clear()
+            attached = sharedcells._AttachedBatch(batch.token)
+            meta = attached.registry["cells"][0]
+            sharedcells._adopt_cell(meta["spec"], meta, attached)
+            key = sharedcells.cell_key(meta["spec"])
+            assert key in sharedcells._NETWORK_MEMO
+            attached.release()
+            assert key not in sharedcells._NETWORK_MEMO
+
 
 @pytest.mark.parametrize("engine", ["fifo", "slotted", "rushed", "finite", "ps"])
 class TestParallelBitIdentity:
