@@ -286,8 +286,7 @@ def test_event_32x32_numpy_warm(best_of, benchmark, monkeypatch):
 
 def test_slotted_32x32_numpy_warm(best_of, benchmark):
     """The vectorized slot kernel on the 32x32 acceptance cell, against
-    the batched python kernel (``batch_rng=True``, its fastest mode) on
-    the identical warm cell."""
+    the python kernel on the identical warm cell."""
     mesh_router = GreedyArrayRouter(ArrayMesh(32))
     cache = path_cache_for(mesh_router)
     dests = UniformDestinations(1024)
@@ -343,25 +342,16 @@ def test_finite_32x32_numpy_warm(best_of, benchmark):
 
 
 def test_slotted_8x8(best_of, benchmark):
-    """The legacy-compatible kernel (batch_rng=False; the engine default
-    is the fully batched order since the registry redesign)."""
+    """The python slot kernel (blocked Poisson counts, batched ids)."""
     sim = _slotted_cell(8)
-    res = best_of(sim.run, int(WARMUP), int(HORIZON), batch_rng=False)
+    res = best_of(sim.run, int(WARMUP), int(HORIZON))
     _record(benchmark, res, PRE_PR_SLOTTED[8])
     assert res.generated > 2000
 
 
 def test_slotted_32x32(best_of, benchmark):
-    """The legacy-compatible kernel (batch_rng=False)."""
+    """The python slot kernel on the 32x32 acceptance cell."""
     sim = _slotted_cell(32)
-    res = best_of(sim.run, int(WARMUP), int(HORIZON), batch_rng=False)
-    _record(benchmark, res, PRE_PR_SLOTTED[32])
-    assert res.generated > 10_000
-
-
-def test_slotted_32x32_batch_rng(best_of, benchmark):
-    """The fully batched draw order (blocked Poisson + batched ids)."""
-    sim = _slotted_cell(32)
-    res = best_of(sim.run, int(WARMUP), int(HORIZON), batch_rng=True)
+    res = best_of(sim.run, int(WARMUP), int(HORIZON))
     _record(benchmark, res, PRE_PR_SLOTTED[32])
     assert res.generated > 10_000

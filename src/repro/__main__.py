@@ -34,7 +34,7 @@ Examples
     python -m repro simulate --scenario transpose --engine slotted -n 6
     python -m repro simulate --engine rushed -n 8 --rho 0.7
     python -m repro simulate --engine ps -n 6 --rho 0.6 --replications 4
-    python -m repro simulate --engine slotted --engine-param batch_rng=false
+    python -m repro simulate --engine slotted --engine-param backend=numpy
     python -m repro simulate --engine fifo --engine-param backend=numpy
     python -m repro simulate --engine finite --engine-param buffer_size=4
     python -m repro simulate --scenario hotspot --param h=0.4
@@ -387,9 +387,8 @@ def build_parser() -> argparse.ArgumentParser:
         default=[],
         metavar="KEY=VALUE",
         help="engine-specific knob (repeatable), validated against the "
-        "engine registry, e.g. --engine-param backend=numpy or "
-        "--engine-param batch_rng=false; list them with "
-        "`python -m repro engines`",
+        "engine registry, e.g. --engine-param backend=numpy; list them "
+        "with `python -m repro engines`",
     )
     p.set_defaults(func=_cmd_simulate)
 

@@ -25,9 +25,8 @@ rule                   invariant
 ``golden-coverage``    every registered engine and draw-stream-changing
                        capability flag is pinned by a golden fixture
                        cell (direct + ``api_*``; exp service, saturated
-                       tracking, maxima, both ``batch_rng`` streams,
-                       lossy + infinite buffers) — a new engine fails
-                       the gate until it is pinned
+                       tracking, maxima, lossy + infinite buffers) — a
+                       new engine fails the gate until it is pinned
 ``bench-coverage``     every registered engine and non-reference
                        backend appears in a ``BENCH_*.json`` cell, so
                        the perf gate covers the whole registry surface

@@ -3,15 +3,14 @@
 Every :class:`~repro.sim.registry.Engine` entry promises the facade
 layers things about a simulator class it does not itself contain: that
 each typed :class:`~repro.sim.registry.EngineParam` is a real
-constructor (or run) parameter, and that the capability flags describe
+constructor parameter, and that the capability flags describe
 options the class actually accepts. Nothing ties the promise to the
 class — a renamed constructor kwarg or a dropped ``track_maxima`` option
 would only surface when a sweep explodes inside a worker. This rule
 closes the gap per registered engine:
 
 * every ``EngineParam`` name resolves to a parameter of the simulator's
-  ``__init__`` — or, for the run-scoped knobs in ``_RUN_PARAMS``
-  (slotted ``batch_rng``), of its ``run`` method;
+  ``__init__``;
 * ``supports_saturated`` implies the constructor accepts
   ``saturated_mask``; ``supports_maxima`` implies ``run`` accepts
   ``track_maxima``; ``supports_delays`` implies ``run`` accepts
@@ -63,7 +62,7 @@ def _builder_classes(tree: ast.Module) -> dict[str, str]:
 class RegistryConsistencyRule(Rule):
     name = "registry-consistency"
     description = (
-        "every registered EngineParam must be a real constructor/run "
+        "every registered EngineParam must be a real constructor "
         "parameter and every capability flag a real option of the "
         "simulator class behind the engine"
     )
@@ -82,10 +81,9 @@ class RegistryConsistencyRule(Rule):
             )
             return
         builder_to_class = _builder_classes(registry_src.tree)
-        run_params = frozenset(getattr(registry, "_RUN_PARAMS", ()))
         for engine in registry.available_engines():
             yield from self._check_engine(
-                registry_src, registry, engine, builder_to_class, run_params
+                registry_src, registry, engine, builder_to_class
             )
 
     def _check_engine(
@@ -94,7 +92,6 @@ class RegistryConsistencyRule(Rule):
         registry: object,
         engine: object,
         builder_to_class: dict[str, str],
-        run_params: frozenset,
     ) -> Iterator[Finding]:
         builder = engine.run_cell.__name__
         cls_name = builder_to_class.get(builder)
@@ -117,16 +114,7 @@ class RegistryConsistencyRule(Rule):
                 )
         run_sig = set(inspect.signature(cls.run).parameters)
         for param in engine.params:
-            if param.name in run_params:
-                if param.name not in run_sig:
-                    yield src.finding(
-                        self.name,
-                        None,
-                        f"engine {engine.name!r}: run-scoped param "
-                        f"{param.name!r} is not accepted by "
-                        f"{cls.__name__}.run()",
-                    )
-            elif param.name not in init_params:
+            if param.name not in init_params:
                 yield src.finding(
                     self.name,
                     None,

@@ -34,10 +34,9 @@ many seeds". Two registries plus one spec type cover that whole space:
 * **engines** (:mod:`repro.sim.registry`) name the simulator — ``fifo``
   (alias ``event``), ``finite``, ``slotted``, ``rushed``, ``ps`` — each
   entry carrying its supported service laws, its typed engine-specific
-  knobs (:class:`~repro.sim.registry.EngineParam`: slotted
-  ``batch_rng``, per-edge ``service_rates``, the finite engine's
-  ``buffer_size``, the kernel-layer engines' ``backend``), its supported
-  kernel backends
+  knobs (:class:`~repro.sim.registry.EngineParam`: per-edge
+  ``service_rates``, the finite engine's ``buffer_size``, the
+  kernel-layer engines' ``backend``), its supported kernel backends
   (:attr:`~repro.sim.registry.Engine.backends`) and the ``run_cell``
   builder the replication layer dispatches to;
 * a :class:`CellSpec` is the declarative cross of the two — scenario
@@ -111,11 +110,9 @@ All four engines resolve their constructor arguments through
 :class:`repro.sim.enginecommon.EngineCommon`: source-node list, per-node
 rate validation, the pinned source CDF behind the boundary-safe
 ``side='right'`` draw, the uniform fast-id predicate and the shared path
-cache. The one deliberate asymmetry is the fast-id source-order mode:
-the event-driven engines accept any full source set (``SORTED_IDS``),
-the slotted compat kernel requires the identity order
-(``IDENTITY_IDS``), and PS opts out (``NO_FAST_IDS``) — a load-bearing
-difference the identity-vs-sorted regression tests pin.
+cache. The one deliberate asymmetry is the fast-id mode: the fifo,
+rushed and slotted engines accept any full source set (``SORTED_IDS``)
+and PS opts out (``NO_FAST_IDS``).
 
 The kernels layer and the two-backend contract
 ----------------------------------------------
@@ -131,8 +128,7 @@ engine     ``backend="python"``         ``backend="numpy"``
                                         deterministic service only
 ``finite`` reference loop (default)     ``buffer_size=None`` only
                                         (delegates to the fifo kernel)
-``slotted``reference loop (default)     batched slot kernel;
-                                        ``batch_rng=True`` only
+``slotted``reference loop (default)     batched slot kernel
 ``rushed`` reference loop               —
 ``ps``     reference loop               —
 ========== ============================ ==============================
@@ -148,8 +144,7 @@ same result) and *statistically equivalent*, but not
 draw-order-identical: blocked draws interleave differently once a run
 crosses an RNG block boundary, and equal-eligibility slot ties may
 swap. Distribution-level parity tests (``tests/test_sim_kernels.py``)
-pin that tier, the same discipline as the slotted ``batch_rng``
-redefinition. Options the vectorized kernels cannot honour
+pin that tier. Options the vectorized kernels cannot honour
 (``track_maxima``, ``track_utilization``, finite buffers, exponential
 service, routes whose edge-precedence graph has cycles — e.g. torus
 wrap-around) raise ``ValueError`` pointing back to ``backend="python"``
@@ -207,18 +202,13 @@ the same heap.
 stream-identical to the same number of consecutive scalar draws of the
 same kind. The engines exploit that: the event engine consumes
 exponential gaps and uniform id pairs from 8192-size blocks (ids refill
-exactly when all ``2 * 8192`` are consumed); the slotted engine samples a
-whole slot's sources/destinations/path views with single vectorized calls
-whenever the legacy per-packet draw sequence was a run of same-kind draws
-(uniform id pairs; RNG-free destination laws), and otherwise keeps the
-scalar loop. ``batch_rng=True`` — the slotted default since the registry
-redesign closed the ROADMAP deprecation window (``batch_rng=False``
-keeps the legacy stream, pinned by the ``slotted_*_compat`` golden
-cells) — goes further and *redefines* the draw order: Poisson counts
-blocked like the event engine's exponentials, then per slot: source
-batch, destination ``sample_batch``, router coin batch — trading
-bit-compatibility for full vectorization of data-dependent laws
-(hot-spot, geometric).
+exactly when all ``2 * 8192`` are consumed); the slotted engine draws its
+per-slot Poisson counts from 8192-size blocks too, then samples a whole
+slot with single vectorized calls: one uniform id-pair block where the
+fast-id predicate holds over an RNG-free path cache, else a source
+batch, a destination ``sample_batch`` and a batched path lookup (router
+coins included), so data-dependent laws (hot-spot, geometric) vectorize
+as well.
 
 Statically enforced invariants
 ------------------------------
@@ -241,7 +231,7 @@ repro.analysis``), which CI runs as a merge gate next to the tests
   ``tests/test_sim_kernels.py`` remain the runtime backstop.
 * **registry-consistency** — every registered
   :class:`~repro.sim.registry.EngineParam` must be a real
-  constructor/run parameter of the simulator class behind the engine,
+  constructor parameter of the simulator class behind the engine,
   and capability flags (``supports_saturated``, ``supports_maxima``,
   ``backends``) must describe options the class actually accepts.
   Registering a new engine therefore fails the lint gate until its
@@ -253,9 +243,8 @@ repro.analysis``), which CI runs as a merge gate next to the tests
   contract of the replication fan-out, statically.
 
 Intentional exceptions carry a ``# replint: disable=RULE`` comment with
-a reason (the legacy per-slot Poisson draw and the PS re-planned
-exponential gap are the shipped examples — their scalar draw order *is*
-the pinned stream). A strict mypy tier (see ``pyproject.toml``) covers
+a reason (the PS re-planned exponential gap is the shipped example —
+its scalar draw order *is* the pinned stream). A strict mypy tier (see ``pyproject.toml``) covers
 the kernels, registry, shared-cells, pool and sweep modules for the
 same reason: those carry the cross-process contracts.
 
@@ -269,8 +258,7 @@ the floating-point accumulation order all observable, so every hot-path
 change is either provably output-neutral or an explicit, documented
 contract change (regenerate via ``tests/golden/regen.py``). This is why
 the monotone-merge event loop replays the heap's exact ``(time, seq)``
-pop order, and why the slotted engine's default kernel only vectorizes
-stream-compatible draw runs.
+pop order.
 """
 
 from repro.sim.result import SimResult

@@ -11,22 +11,14 @@ draw, decide whether the uniform fast-id block draw applies, and resolve
 the shared path cache (:func:`~repro.routing.pathcache.resolve_path_cache`).
 :class:`EngineCommon` is that block, written once.
 
-The one load-bearing difference between the copies is *which source order
-the fast-id predicate demands*:
+The one difference between the copies is whether the engine has a
+fast-id path at all, expressed as the ``fast_id_order`` mode:
 
-* the event-driven engines (fifo, rushed) draw fast ids as node ids
+* the fifo, rushed and slotted engines draw fast ids as node ids
   directly (``rng.integers(0, num_nodes)``), so any ordering of a full
   source set works — they require only **sorted** equality with
-  ``range(num_nodes)``;
-* the slotted engine's vectorized compat kernel replays the legacy
-  per-packet stream where a drawn id *is* the source's index, so it
-  requires the **identity** order ``source_nodes == range(num_nodes)``;
-* the PS engine has no fast-id path at all.
-
-That difference is expressed as the ``fast_id_order`` mode
-(:data:`SORTED_IDS` / :data:`IDENTITY_IDS` / :data:`NO_FAST_IDS`) instead
-of being re-derived, slightly differently, in four places. The
-identity-vs-sorted regression tests pin it.
+  ``range(num_nodes)`` (:data:`SORTED_IDS`);
+* the PS engine has no fast-id path (:data:`NO_FAST_IDS`).
 
 The remaining shared validation — per-edge service rates and the
 saturated-edge mask — lives here too (:func:`resolve_service_rates`,
@@ -45,7 +37,7 @@ from repro.routing.pathcache import resolve_path_cache
 from repro.util.validation import check_node_rates, check_positive, pinned_cdf
 
 #: Fast-id source-order requirements (see module docstring).
-SORTED_IDS, IDENTITY_IDS, NO_FAST_IDS = "sorted", "identity", "none"
+SORTED_IDS, NO_FAST_IDS = "sorted", "none"
 
 
 class EngineCommon:
@@ -64,8 +56,8 @@ class EngineCommon:
         Generating nodes (default: all nodes).
     fast_id_order:
         Which source ordering the engine's fast-id block draw requires:
-        :data:`SORTED_IDS` (event-driven engines), :data:`IDENTITY_IDS`
-        (the slotted compat kernel) or :data:`NO_FAST_IDS` (PS).
+        :data:`SORTED_IDS` (fifo, rushed, slotted) or :data:`NO_FAST_IDS`
+        (PS).
     path_cache, use_path_cache:
         Passed to :func:`~repro.routing.pathcache.resolve_path_cache`.
 
@@ -85,8 +77,8 @@ class EngineCommon:
         The destination law is :class:`UniformDestinations`.
     fast_ids:
         The engine may draw ``(src, dst)`` id pairs from a single uniform
-        integer block (requires uniform sources over *all* nodes in the
-        engine's required order, and uniform destinations).
+        integer block (requires a :data:`SORTED_IDS` engine, uniform
+        sources over *all* nodes in any order, and uniform destinations).
     path_cache:
         The resolved shared path cache.
     """
@@ -102,10 +94,10 @@ class EngineCommon:
         path_cache=None,
         use_path_cache: bool = True,
     ) -> None:
-        if fast_id_order not in (SORTED_IDS, IDENTITY_IDS, NO_FAST_IDS):
+        if fast_id_order not in (SORTED_IDS, NO_FAST_IDS):
             raise ValueError(
-                f"fast_id_order must be '{SORTED_IDS}', '{IDENTITY_IDS}' or "
-                f"'{NO_FAST_IDS}', got {fast_id_order!r}"
+                f"fast_id_order must be '{SORTED_IDS}' or '{NO_FAST_IDS}', "
+                f"got {fast_id_order!r}"
             )
         self.router = router
         self.topology = router.topology
@@ -131,13 +123,12 @@ class EngineCommon:
         self.source_cdf = pinned_cdf(self.node_rates)
         self.uniform_dests = isinstance(destinations, UniformDestinations)
         all_nodes = list(range(self.topology.num_nodes))
-        if fast_id_order == SORTED_IDS:
-            order_ok = sorted(self.source_nodes) == all_nodes
-        elif fast_id_order == IDENTITY_IDS:
-            order_ok = self.source_nodes == all_nodes
-        else:
-            order_ok = False
-        self.fast_ids = self.uniform_sources and self.uniform_dests and order_ok
+        self.fast_ids = (
+            fast_id_order == SORTED_IDS
+            and self.uniform_sources
+            and self.uniform_dests
+            and sorted(self.source_nodes) == all_nodes
+        )
         self.path_cache = resolve_path_cache(
             router, path_cache=path_cache, use_path_cache=use_path_cache
         )

@@ -48,16 +48,15 @@ contract in :mod:`repro.sim`. The draw order, for regression pinning:
   ``searchsorted(..., side="right")``) followed by one destination
   ``sample_batch``; then one batch path lookup for the routed pairs.
 * slotted: per-slot Poisson counts in 8192-size blocks (the same block
-  discipline as the python backend's ``batch_rng=True``), then the same
-  id/source/destination/path batches as fifo, once for all slots.
+  discipline as the python backend), then the same id/source/
+  destination/path batches as fifo, once for all slots.
 
 Unsupported options raise ``ValueError`` rather than silently diverge:
 ``track_utilization``, ``track_number_distribution`` and
-``track_maxima`` (order statistics need the event interleaving),
-slotted ``batch_rng=False`` (the legacy compat stream is per-packet by
-definition), finite buffers (state-dependent admission breaks the
-max-plus decomposition; rejected at construction), and non-uniform or
-exponential service for fifo (rejected at construction).
+``track_maxima`` (order statistics need the event interleaving), finite
+buffers (state-dependent admission breaks the max-plus decomposition;
+rejected at construction), and non-uniform or exponential service for
+fifo (rejected at construction).
 """
 
 from __future__ import annotations
@@ -512,17 +511,10 @@ def run_slotted(
     delay_batches: int = 32,
     track_maxima: bool = False,
     collect_delays: bool = False,
-    batch_rng: bool = True,
 ) -> SimResult:
     """Vectorized slotted kernel (integer max-plus over slots)."""
     if track_maxima:
         _reject("track_maxima", "slotted")
-    if not batch_rng:
-        raise ValueError(
-            "backend='numpy' supports only the batched draw order "
-            "(batch_rng=True); the legacy compat stream is per-packet "
-            "by definition — use backend='python'"
-        )
     rng = make_rng(sim.seed, engine="slotted", backend="numpy")
     tau = sim.tau
     warmup = warmup_slots * tau

@@ -710,9 +710,8 @@ def run_slotted(
     delay_batches: int = 32,
     track_maxima: bool = False,
     collect_delays: bool = False,
-    batch_rng: bool = True,
 ) -> SimResult:
-    """The slotted slot loop (compat and batched draw orders)."""
+    """The slotted slot loop (blocked Poisson counts, per-slot batches)."""
     rng = make_rng(sim.seed, engine="slotted", backend="python")
     tau = sim.tau
     warmup = warmup_slots * tau
@@ -723,32 +722,21 @@ def run_slotted(
     sat = sim._sat
 
     uniform_sources = sim._uniform_sources
-    fast_ids = sim._fast_ids
-    sources = sim.source_nodes
-    source_arr = np.asarray(sources, dtype=np.int64)
-    nsrc = len(sources)
+    source_arr = np.asarray(sim.source_nodes, dtype=np.int64)
+    nsrc = len(source_arr)
     source_cdf = sim._source_cdf
     destinations = sim.destinations
     dest_sample = destinations.sample
     dest_sample_batch = getattr(destinations, "sample_batch", None)
-    dest_rng_free = not getattr(destinations, "consumes_rng", True)
 
     cache = sim.path_cache
     arena = cache.arena.edges  # extended in place; safe to bind once
     cache_rng_free = not cache.consumes_rng
-    if cache_rng_free:
-        offlen_batch = cache.offlen_batch
-        det_get = cache.table.get
-        det_build = cache.ensure
-    else:
-        offlen_batch = None
-        det_get = det_build = None
-    sample_offlen = cache.sample_offlen
+    offlen_batch = cache.offlen_batch if cache_rng_free else None
     sample_offlen_batch = cache.sample_offlen_batch
-    # Which vectorized kernel may run under the legacy-stream contract:
-    # fast id pairs, or consecutive source draws with an RNG-free law.
-    compat_pairs = fast_ids and cache_rng_free
-    compat_src_batch = dest_rng_free and cache_rng_free
+    # Uniform sources over all nodes, uniform destinations and an RNG-free
+    # path cache: draw each slot's (src, dst) pairs as one flat id block.
+    uniform_id_pairs = sim._fast_ids and cache_rng_free
 
     queues: list[deque] = [deque() for _ in range(sim.topology.num_edges)]
     active: set[int] = set()
@@ -783,33 +771,26 @@ def run_slotted(
                     max_queue = len(q)
         # --- batch arrivals at slot start ---
         if not draining:
-            if batch_rng:
-                if count_i >= len(count_block):
-                    size = min(_BLOCK, t_end_slot - counts_drawn)
-                    count_block = rng.poisson(batch_mean, size=size).tolist()
-                    counts_drawn += size
-                    count_i = 0
-                k = count_block[count_i]
-                count_i += 1
-            else:
-                # Legacy per-slot draw order (batch_rng=False): one scalar
-                # Poisson per slot is the pinned compat stream — blocking
-                # it would change draw order and break the slotted_*_compat
-                # golden cells.
-                k = int(rng.poisson(batch_mean))  # replint: disable=rng-discipline
+            if count_i >= len(count_block):
+                size = min(_BLOCK, t_end_slot - counts_drawn)
+                count_block = rng.poisson(batch_mean, size=size).tolist()
+                counts_drawn += size
+                count_i = 0
+            k = count_block[count_i]
+            count_i += 1
             if k:
-                # Draw the slot's sources/destinations/paths. Every
-                # branch enqueues packets in identical order; they
-                # differ only in how many RNG calls produce the draws.
-                offs = lens = None
-                if compat_pairs:
+                # Draw the slot's sources, destinations and paths as
+                # batches; packets are enqueued in draw order.
+                if uniform_id_pairs:
                     ids = rng.integers(0, num_nodes, size=2 * k)
                     srcs_a = ids[0::2]
                     dsts_a = ids[1::2]
-                elif batch_rng or compat_src_batch:
+                else:
                     if uniform_sources:
                         srcs_a = source_arr[rng.integers(0, nsrc, size=k)]
                     else:
+                        # side="right": a boundary draw must not pick a
+                        # zero-rate source (see the event engine).
                         srcs_a = source_arr[
                             np.searchsorted(
                                 source_cdf, rng.random(k), side="right"
@@ -823,45 +804,18 @@ def run_slotted(
                         dsts_a = np.asarray(  # replint: disable=hot-loop-alloc
                             [dest_sample(int(s), rng) for s in srcs_a.tolist()]  # replint: disable=hot-loop-alloc
                         )
-                else:
-                    # Interleaved data-dependent draws: keep the legacy
-                    # scalar order (bit-identity), path-cached below.
-                    srcs_a = dsts_a = None
-                if srcs_a is not None:
-                    nz = srcs_a != dsts_a
-                    if nz.any():
-                        if cache_rng_free:
-                            offs, lens = offlen_batch(srcs_a[nz], dsts_a[nz])
-                        else:
-                            offs, lens = sample_offlen_batch(
-                                srcs_a[nz], dsts_a[nz], rng
-                            )
-                        offs = offs.tolist()
-                        lens = lens.tolist()
-                    srcs = srcs_a.tolist()
-                    dsts = dsts_a.tolist()
-                at = 0  # index into offs/lens (non-zero-hop packets)
-                for i in range(k):
-                    if srcs_a is not None:
-                        src = srcs[i]
-                        dst = dsts[i]
+                nz = srcs_a != dsts_a
+                if nz.any():
+                    if offlen_batch is not None:
+                        offs_a, lens_a = offlen_batch(srcs_a[nz], dsts_a[nz])
                     else:
-                        if uniform_sources:
-                            src = sources[int(rng.integers(nsrc))]
-                        else:
-                            # side="right": a boundary draw must not
-                            # pick a zero-rate source (see the event
-                            # engine).
-                            src = sources[
-                                int(
-                                    np.searchsorted(
-                                        source_cdf,
-                                        rng.random(),
-                                        side="right",
-                                    )
-                                )
-                            ]
-                        dst = dest_sample(src, rng)
+                        offs_a, lens_a = sample_offlen_batch(
+                            srcs_a[nz], dsts_a[nz], rng
+                        )
+                    offs = offs_a.tolist()
+                    lens = lens_a.tolist()
+                at = 0  # index into offs/lens (non-zero-hop packets)
+                for src, dst in zip(srcs_a.tolist(), dsts_a.tolist()):
                     if measuring:
                         generated += 1
                     if src == dst:
@@ -872,17 +826,9 @@ def run_slotted(
                             if delays is not None:
                                 delays.append(0.0)
                         continue
-                    if offs is not None:
-                        off = offs[at]
-                        ln = lens[at]
-                        at += 1
-                    elif det_get is not None:
-                        ol = det_get(src * num_nodes + dst)
-                        if ol is None:
-                            ol = det_build(src, dst)
-                        off, ln = ol
-                    else:
-                        off, ln = sample_offlen(src, dst, rng)
+                    off = offs[at]
+                    ln = lens[at]
+                    at += 1
                     in_system += 1
                     remaining += ln
                     if sat is not None:

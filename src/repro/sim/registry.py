@@ -10,7 +10,7 @@ experiment sweeps) need to know about a simulator:
   event-driven engine);
 * the service laws it supports;
 * its **engine-specific knobs** as typed :class:`EngineParam` metadata —
-  e.g. the slotted ``batch_rng`` draw order, per-edge ``service_rates``,
+  e.g. per-edge ``service_rates``, the finite engine's ``buffer_size``,
   the kernel ``backend`` — validated when a
   :class:`CellSpec` is built, long before a worker process touches them;
 * capability flags (saturated-edge tracking, per-packet maxima, whether
@@ -33,12 +33,7 @@ Engine-specific parameters
     (``"python"`` is the bit-identical reference, ``"numpy"`` the
     vectorized whole-trajectory solver — see :mod:`repro.sim.kernels`).
 ``slotted``
-    ``batch_rng``: fully batched draw order (blocked Poisson counts plus
-    per-slot source/destination/coin batches). **Default True** since the
-    registry redesign — pass ``batch_rng=False`` for the legacy
-    per-packet-compatible stream (see the deprecation note in
-    :mod:`repro.sim.slotted`). ``backend`` as for ``fifo`` (the numpy
-    slot kernel requires ``batch_rng=True``).
+    ``backend`` as for ``fifo``.
 ``rushed``
     ``service_rates`` as for ``fifo``. The number of
     copies per packet is not a free knob: Theorem 10's construction sends
@@ -83,7 +78,7 @@ from repro.sim.slotted import SlottedNetworkSimulation
 FIFO, SLOTTED, RUSHED, PS, FINITE = "fifo", "slotted", "rushed", "ps", "finite"
 
 #: Value-kind tags for :class:`EngineParam` validation.
-BOOL, CHOICE, RATE_OR_RATES = "bool", "choice", "rate-or-rates"
+CHOICE, RATE_OR_RATES = "choice", "rate-or-rates"
 SIZE_OR_SIZES = "size-or-sizes"
 
 
@@ -91,12 +86,12 @@ SIZE_OR_SIZES = "size-or-sizes"
 class EngineParam:
     """Typed metadata for one engine-specific knob.
 
-    ``kind`` selects the validation rule: :data:`BOOL` (a real ``bool``),
-    :data:`CHOICE` (a string from ``choices``), :data:`RATE_OR_RATES`
-    (a positive scalar, or a tuple of per-edge values — tuples, not
-    lists/arrays, so the owning spec stays hashable and picklable) or
-    :data:`SIZE_OR_SIZES` (``None``, a non-negative int, or a tuple of
-    non-negative per-node ints — the finite-buffer vocabulary).
+    ``kind`` selects the validation rule: :data:`CHOICE` (a string from
+    ``choices``), :data:`RATE_OR_RATES` (a positive scalar, or a tuple of
+    per-edge values — tuples, not lists/arrays, so the owning spec stays
+    hashable and picklable) or :data:`SIZE_OR_SIZES` (``None``, a
+    non-negative int, or a tuple of non-negative per-node ints — the
+    finite-buffer vocabulary).
     """
 
     name: str
@@ -107,12 +102,7 @@ class EngineParam:
 
     def validate(self, value: object) -> None:
         """Raise ``ValueError`` unless ``value`` fits this parameter."""
-        if self.kind == BOOL:
-            if not isinstance(value, bool):
-                raise ValueError(
-                    f"engine param {self.name!r} expects a bool, got {value!r}"
-                )
-        elif self.kind == CHOICE:
+        if self.kind == CHOICE:
             if value not in self.choices:
                 raise ValueError(
                     f"engine param {self.name!r} must be one of "
@@ -269,10 +259,6 @@ _BACKEND_PARAM = EngineParam(
     choices=KERNEL_BACKENDS,
 )
 
-#: Engine params consumed by ``run()`` rather than the constructor; the
-#: cell builders split ``engine_params`` on this set.
-_RUN_PARAMS = frozenset({"batch_rng"})
-
 
 def _fifo_cell(
     spec: Any, seed: int, node_rate: Any, mask: Any, net: Any, cache: Any
@@ -300,11 +286,6 @@ def _fifo_cell(
 def _slotted_cell(
     spec: Any, seed: int, node_rate: Any, mask: Any, net: Any, cache: Any
 ) -> SimResult:
-    # The slotted engine splits its knobs: ``backend`` selects the kernel
-    # at construction, ``batch_rng`` is a per-run draw-order flag.
-    ep = spec.engine_params_dict
-    ctor_params = {k: v for k, v in ep.items() if k not in _RUN_PARAMS}
-    run_params = {k: v for k, v in ep.items() if k in _RUN_PARAMS}
     sim = SlottedNetworkSimulation(
         net.router,
         net.destinations,
@@ -314,7 +295,7 @@ def _slotted_cell(
         saturated_mask=mask,
         seed=seed,
         path_cache=cache,
-        **ctor_params,
+        **spec.engine_params_dict,
     )
     warmup_slots = int(round(spec.warmup / spec.tau))
     horizon_slots = max(1, int(round(spec.horizon / spec.tau)))
@@ -323,7 +304,6 @@ def _slotted_cell(
         horizon_slots,
         track_maxima=spec.track_maxima,
         collect_delays=spec.collect_delays,
-        **run_params,
     )
 
 
@@ -413,17 +393,7 @@ register_engine(
             "unit-slot transmission per non-empty edge"
         ),
         services=(DETERMINISTIC,),
-        params=(
-            EngineParam(
-                "batch_rng",
-                BOOL,
-                True,
-                "fully batched draw order (False replays the legacy "
-                "per-packet-compatible stream; the numpy backend "
-                "requires True)",
-            ),
-            _BACKEND_PARAM,
-        ),
+        params=(_BACKEND_PARAM,),
         run_cell=_slotted_cell,
         supports_saturated=True,
         supports_maxima=True,

@@ -122,9 +122,9 @@ class CellSpec:
         Engine-specific knobs as a tuple of ``(name, value)`` pairs,
         validated against the registry's typed :class:`EngineParam`
         metadata — e.g. ``(("backend", "numpy"),)`` for the FIFO, finite
-        or slotted engines, ``(("batch_rng", False),)`` to opt the slotted
-        engine back into the legacy draw order, or
-        ``(("service_rates", 2.0),)`` wherever per-edge rates apply.
+        or slotted engines, ``(("buffer_size", 4),)`` for the finite
+        engine, or ``(("service_rates", 2.0),)`` wherever per-edge rates
+        apply.
         Unknown names or ill-typed values raise at spec construction,
         not inside a worker process. Like ``params``, kept as a sorted
         tuple so the spec stays hashable and picklable.

@@ -20,10 +20,12 @@ class AlwaysNodeZero:
 
 
 class BoundaryRNG:
-    """Wrap a Generator so the first bare ``random()`` call returns 0.0.
+    """Wrap a Generator so its first ``random`` draw lands on 0.0.
 
-    A draw landing exactly on a CDF boundary is measure-zero, so the
-    regressions for the ``side='left'`` source-selection bug force it.
+    A bare ``random()`` returns 0.0; a batched ``random(k)`` returns its
+    block with 0.0 in the first element. A draw landing exactly on a CDF
+    boundary is measure-zero, so the regressions for the ``side='left'``
+    source-selection bug force it, in scalar and batched source draws.
     """
 
     def __init__(self, inner):
@@ -31,10 +33,14 @@ class BoundaryRNG:
         self._first = True
 
     def random(self, *args, **kwargs):
-        if self._first and not args and not kwargs:
-            self._first = False
+        if not self._first:
+            return self._inner.random(*args, **kwargs)
+        self._first = False
+        if not args and not kwargs:
             return 0.0
-        return self._inner.random(*args, **kwargs)
+        out = self._inner.random(*args, **kwargs)
+        out[0] = 0.0
+        return out
 
     def __getattr__(self, name):
         return getattr(self._inner, name)

@@ -115,8 +115,8 @@ class TestCommands:
         for name in ("fifo", "finite", "slotted", "rushed", "ps"):
             assert name in out
         assert "event" in out  # the alias is listed
-        assert "batch_rng" in out and "service_rates" in out
-        assert "event_queue" not in out
+        assert "service_rates" in out and "slotted.backend" in out
+        assert "event_queue" not in out and "batch_rng" not in out
         assert "buffer_size" in out  # the finite engine's knob
         assert "finite.buffer_size" in out  # per-engine param details
         assert "deterministic/exponential" in out
@@ -181,7 +181,7 @@ class TestCommands:
                 "--rho",
                 "0.5",
                 "--engine-param",
-                "batch_rng=false",
+                "backend=numpy",
                 "--processes",
                 "1",
                 "--warmup",
@@ -224,11 +224,17 @@ class TestCommands:
         """A bad --engine-param key exits with usage-style help listing
         every valid key for the *chosen* engine (not a bare registry
         traceback)."""
-        for key in ("turbo", "event_queue"):
+        for engine, key in (
+            ("fifo", "turbo"),
+            ("fifo", "event_queue"),
+            ("slotted", "batch_rng"),
+        ):
             with pytest.raises(SystemExit) as exc_info:
                 main(
                     [
                         "simulate",
+                        "--engine",
+                        engine,
                         "-n",
                         "4",
                         "--rho",
@@ -241,9 +247,10 @@ class TestCommands:
                 )
             msg = str(exc_info.value)
             assert f"no param {key!r}" in msg
-            assert "'fifo'" in msg
-            assert "backend=" in msg and "service_rates=" in msg
-            # fifo has no buffer_size: the listing is engine-specific.
+            assert f"{engine!r}" in msg
+            assert "backend=" in msg
+            assert ("service_rates=" in msg) == (engine == "fifo")
+            # Neither has buffer_size: the listing is engine-specific.
             assert "buffer_size" not in msg
 
     def test_simulate_engine_param_listing_is_per_engine(self):

@@ -55,13 +55,22 @@ class TestSpecLoading:
         assert specs[0].seeds == (0, 1)
         assert specs[1].seeds == (2,)
         assert specs[1].engine_params_dict == {"backend": "numpy"}
-        # A row naming a param the engine lacks fails while loading.
-        path.write_text(
-            "scenario,n,rho,seeds,warmup,horizon,engine_params\n"
-            "uniform,4,0.7,2,20,120,event_queue=heap\n"
-        )
-        with pytest.raises(ValueError, match="engine 'fifo' has no param"):
-            load_sweep_spec(path)
+        # A row naming a param the engine lacks fails while loading, and
+        # the error lists the params the engine does accept.
+        for engine, param in (
+            ("fifo", "event_queue=heap"),
+            ("slotted", "batch_rng=false"),
+        ):
+            path.write_text(
+                "scenario,n,rho,seeds,warmup,horizon,engine,engine_params\n"
+                f"uniform,4,0.7,2,20,120,{engine},{param}\n"
+            )
+            with pytest.raises(
+                ValueError, match=f"engine '{engine}' has no param"
+            ) as exc_info:
+                load_sweep_spec(path)
+            assert "valid params: " in str(exc_info.value)
+            assert "backend='python'" in str(exc_info.value)
 
     def test_empty_spec_rejected(self, tmp_path):
         path = tmp_path / "spec.json"

@@ -56,8 +56,7 @@ def test_fixture_covers_all_five_engines(golden):
     """The acceptance scenarios are pinned for every engine, including
     the PR-3-ported rushed and PS simulators, the finite-buffer loss
     engine (both the buffer_size=None fifo-identity cells and nonzero
-    drop cells), the legacy slotted draw order (batch_rng=False, the
-    *_compat cells) and the declarative facade path (the api_* cells)."""
+    drop cells) and the declarative facade path (the api_* cells)."""
     names = set(golden)
     for required in (
         "event_uniform_det",
@@ -65,9 +64,6 @@ def test_fixture_covers_all_five_engines(golden):
         "slotted_uniform",
         "slotted_hotspot",
         "slotted_maxima",
-        "slotted_uniform_compat",
-        "slotted_hotspot_compat",
-        "slotted_randomized_compat",
         "rushed_uniform",
         "rushed_peredge_service",
         "rushed_sat_maxima",
@@ -82,7 +78,7 @@ def test_fixture_covers_all_five_engines(golden):
         "api_fifo_uniform",
         "api_rushed_uniform",
         "api_ps_hotspot",
-        "api_slotted_uniform_compat",
+        "api_slotted_uniform",
         "api_finite_hotspot_k1",
     ):
         assert required in names
@@ -96,7 +92,7 @@ def test_api_cells_match_direct_cells(golden):
         ("api_fifo_uniform", "event_uniform_det"),
         ("api_rushed_uniform", "rushed_uniform"),
         ("api_ps_hotspot", "ps_hotspot"),
-        ("api_slotted_uniform_compat", "slotted_uniform_compat"),
+        ("api_slotted_uniform", "slotted_uniform"),
         ("api_finite_hotspot_k1", "finite_hotspot_k1"),
     ):
         assert golden[api] == golden[direct], (api, direct)

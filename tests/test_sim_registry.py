@@ -3,9 +3,8 @@
 Covers the three regression surfaces the registry redesign introduced:
 
 * :class:`repro.sim.enginecommon.EngineCommon` — the shared source-rate /
-  fast-id / pinned-CDF policy block, including the load-bearing
-  identity-vs-sorted fast-id ordering difference between the slotted and
-  event-driven engines, and the boundary-safe source-CDF draw;
+  fast-id / pinned-CDF policy block, including the fast-id source-order
+  modes and the boundary-safe source-CDF draw;
 * :mod:`repro.sim.registry` — name/alias resolution and the typed
   ``engine_params`` metadata;
 * the facade round trip — every registered engine runs end-to-end through
@@ -18,7 +17,6 @@ import pytest
 from repro.routing.destinations import HotSpotDestinations, UniformDestinations
 from repro.routing.greedy import GreedyArrayRouter
 from repro.sim.enginecommon import (
-    IDENTITY_IDS,
     NO_FAST_IDS,
     SORTED_IDS,
     EngineCommon,
@@ -44,12 +42,9 @@ def _mesh(n=4):
 
 
 class TestFastIdOrdering:
-    """Slotted requires the identity source order for its fast-id batch
-    draw; the event-driven engines only require sorted order. That
-    difference is load-bearing: losing it would either disable the event
-    engines' fast path for permuted-but-complete source lists, or
-    silently corrupt the slotted compat kernel's replay of the legacy
-    stream (where a drawn id *is* the source's index)."""
+    """The fifo, rushed and slotted engines draw fast ids as node ids, so
+    any full source set in any order qualifies (sorted order); PS has no
+    fast-id path."""
 
     PERMUTED = [1, 0] + list(range(2, 16))  # full node set, not identity
 
@@ -60,20 +55,6 @@ class TestFastIdOrdering:
         )
         assert c.fast_ids
 
-    def test_identity_mode_rejects_permuted_full_set(self):
-        c = EngineCommon(
-            _mesh(), UniformDestinations(16), 0.2,
-            source_nodes=self.PERMUTED, fast_id_order=IDENTITY_IDS,
-        )
-        assert not c.fast_ids
-
-    def test_identity_mode_accepts_identity_order(self):
-        c = EngineCommon(
-            _mesh(), UniformDestinations(16), 0.2,
-            source_nodes=list(range(16)), fast_id_order=IDENTITY_IDS,
-        )
-        assert c.fast_ids
-
     def test_no_fast_ids_mode(self):
         c = EngineCommon(
             _mesh(), UniformDestinations(16), 0.2, fast_id_order=NO_FAST_IDS
@@ -81,8 +62,8 @@ class TestFastIdOrdering:
         assert not c.fast_ids
 
     def test_engines_wire_their_required_order(self):
-        """The regression that matters end-to-end: the same permuted
-        source list flips _fast_ids between the engine families."""
+        """End to end: a permuted full source list keeps the fast-id path
+        on every engine that has one."""
         router = _mesh()
         dests = UniformDestinations(16)
         fifo = NetworkSimulation(router, dests, 0.2, source_nodes=self.PERMUTED)
@@ -92,10 +73,9 @@ class TestFastIdOrdering:
         slotted = SlottedNetworkSimulation(
             router, dests, 0.2, source_nodes=self.PERMUTED
         )
-        assert fifo._fast_ids and rushed._fast_ids
-        assert not slotted._fast_ids
-        assert SlottedNetworkSimulation(
-            router, dests, 0.2, source_nodes=list(range(16))
+        assert fifo._fast_ids and rushed._fast_ids and slotted._fast_ids
+        assert not PSNetworkSimulation(
+            router, dests, 0.2, source_nodes=self.PERMUTED
         )._fast_ids
 
     def test_non_uniform_dests_disable_fast_ids(self):
@@ -203,30 +183,34 @@ class TestRegistryLookup:
             fifo.validate_params({"backend": "fortran"})
         with pytest.raises(ValueError):
             fifo.validate_params({"turbo": True})
-        slotted = get_engine("slotted")
-        slotted.validate_params({"batch_rng": False})
-        with pytest.raises(ValueError):
-            slotted.validate_params({"batch_rng": "yes"})
 
 
 class TestSpecEngineParams:
     def test_unknown_engine_param_raises_at_spec_time(self):
         with pytest.raises(ValueError):
             CellSpec(rho=0.5, engine="fifo", engine_params=(("turbo", 1),))
-        # No engine has an event-queue knob: the error names the engine
-        # and lists the params it does accept.
-        for engine in ("fifo", "finite", "rushed", "ps"):
+        # No engine has an event-queue knob and slotted has no draw-order
+        # knob: the error names the engine and lists the params it does
+        # accept.
+        for engine, name, value in (
+            ("fifo", "event_queue", "heap"),
+            ("finite", "event_queue", "heap"),
+            ("rushed", "event_queue", "heap"),
+            ("ps", "event_queue", "heap"),
+            ("slotted", "batch_rng", False),
+        ):
             with pytest.raises(ValueError, match="valid params") as exc_info:
                 CellSpec(rho=0.5, engine=engine,
-                         engine_params=(("event_queue", "heap"),))
+                         engine_params=((name, value),))
             msg = str(exc_info.value)
-            assert f"engine {engine!r} has no param 'event_queue'" in msg
-            assert "service_rates=" in msg
+            assert f"engine {engine!r} has no param {name!r}" in msg
+            for param in get_engine(engine).params:
+                assert param.describe() in msg
 
     def test_ill_typed_engine_param_raises_at_spec_time(self):
         with pytest.raises(ValueError):
             CellSpec(rho=0.5, engine="slotted",
-                     engine_params=(("batch_rng", "yes"),))
+                     engine_params=(("backend", "fortran"),))
 
     def test_duplicate_engine_params_rejected(self):
         with pytest.raises(ValueError):
@@ -296,17 +280,24 @@ class TestRegistryRoundTrip:
         assert all(r.completed == r.generated for r in pooled.replications)
         assert [r.seed for r in pooled.replications] == [1, 2]
 
-    def test_engine_params_flow_through_run(self):
-        """The slotted batch_rng opt-out must change the draw stream."""
-        s = dict(scenario="uniform", n=4, rho=0.5, engine="slotted",
-                 warmup=20, horizon=200, seeds=(3,))
-        batch = ReplicationEngine(processes=1).run(CellSpec(**s))
-        compat = ReplicationEngine(processes=1).run(
-            CellSpec(**s, engine_params=(("batch_rng", False),))
-        )
-        assert batch.generated != compat.generated or (
-            batch.mean_delay != compat.mean_delay
-        )
+    def test_engine_params_flow_through_run(self, monkeypatch):
+        """An engine param reaches the simulator the registry builds: the
+        slotted cell asks for the kernel of the backend it was given."""
+        import repro.sim.slotted as slotted_mod
+
+        requested = []
+        real = slotted_mod.get_kernel
+
+        def spy(kind, backend):
+            requested.append(backend)
+            return real(kind, backend)
+
+        monkeypatch.setattr(slotted_mod, "get_kernel", spy)
+        ReplicationEngine(processes=1).run(CellSpec(
+            scenario="uniform", n=4, rho=0.5, engine="slotted", warmup=20,
+            horizon=200, seeds=(3,), engine_params=(("backend", "numpy"),),
+        ))
+        assert requested == ["numpy"]
 
     def test_mixed_engine_batch_does_not_cross_engines(self):
         """run_many over all four engines at once: the engines share the
