@@ -317,10 +317,11 @@ def test_slotted_32x32_numpy_warm(best_of, benchmark):
 def test_finite_32x32_numpy_warm(best_of, benchmark):
     """The finite-buffer engine on its numpy-backed configuration
     (buffer_size=None — the only combination the vectorized kernel
-    accepts, delegated to the FIFO whole-trajectory solver). This is the
-    bench-coverage cell for the finite x numpy registry entry; the
-    python-backend finite loop itself is timed indirectly through
-    ``test_replication_finite_cell`` in the replication suite."""
+    accepts, which runs the FIFO whole-trajectory solver). This is the
+    bench-coverage cell for the finite x numpy registry entry; capped
+    python-backend runs (the fifo loops with tail-drop admission) are
+    timed through ``test_replication_finite_cell`` in the replication
+    suite."""
     from repro.sim.finite_buffer import FiniteBufferNetworkSimulation
 
     mesh_router = GreedyArrayRouter(ArrayMesh(32))

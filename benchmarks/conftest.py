@@ -1,13 +1,13 @@
 """Benchmark harness configuration.
 
-Each ``bench_*.py`` regenerates one table/figure/claim of the paper at the
-QUICK preset, asserts the paper's shape claims, and times the regeneration
-with pytest-benchmark. Simulation benches use a single round (they are
-long-running stochastic jobs, not microbenchmarks); the engine/analytics
-microbenches use normal multi-round timing.
+Two pytest-benchmark stages live here, each recorded into a committed
+baseline by ``scripts/check.sh`` and CI: ``bench_engine_hotpath.py``
+(engine throughput, ``BENCH_engine_hotpath.json``) and
+``bench_replication.py`` (the replication fan-out,
+``BENCH_replication.json``). Long-running simulation cells use a single
+round; cells fast enough to repeat use three.
 
-Run with ``pytest benchmarks/ --benchmark-only``; add ``-s`` to see the
-regenerated tables printed alongside the timings.
+Run with ``pytest benchmarks/ --benchmark-only``.
 """
 
 from __future__ import annotations

@@ -1,10 +1,10 @@
 """Experiment harness: one module per table/figure/claim of the paper.
 
 Every experiment exposes ``run(config) -> Result`` plus a formatter that
-prints the paper's row layout, so ``benchmarks/`` and
-``examples/reproduce_tables.py`` share one code path. ``configs`` holds
-QUICK (seconds-to-minutes, benchmark-friendly) and FULL (paper-scale)
-horizon presets.
+prints the paper's row layout, so the ``repro tables`` report
+(:mod:`repro.experiments.runner`) and ``examples/reproduce_tables.py``
+share one code path. ``configs`` holds QUICK (seconds-to-minutes,
+benchmark-friendly) and FULL (paper-scale) horizon presets.
 """
 
 from repro.experiments.configs import QUICK, FULL, GridConfig

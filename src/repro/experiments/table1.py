@@ -6,7 +6,7 @@ textbook-P-K estimate variant and the Theorem 7 upper bound as extra
 columns, and report the simulation's confidence half-width (the paper
 reports point estimates only).
 
-Shape claims this table supports (asserted by ``bench_table1``):
+Shape claims this table supports (asserted by :func:`shape_checks`):
 
 * the estimate tracks simulation closely at light load (rho <= 0.5);
 * for n >= 10 at heavy load the estimate *over*-estimates T — the paper's

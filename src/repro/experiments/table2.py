@@ -8,7 +8,7 @@ near the end of their route dominate the in-system population because
 middle-of-array queues are the crowded ones — with ``r / n-bar-2``
 settling around 0.7 for larger n, and barely depends on rho.
 
-Shape claims asserted by ``bench_table2``: ``r < n-bar-2`` everywhere;
+Shape claims asserted by :func:`shape_checks`: ``r < n-bar-2`` everywhere;
 ``r`` is nearly rho-independent (spread over rho within a few percent of
 its mean); and ``r/n-bar-2 < 0.75`` for n >= 10.
 """

@@ -7,7 +7,7 @@ values sit near 1.25 (below s-bar = 3/2) while odd n values sit near 2
 2.209). It also notes "the dependence of r_s on the arrival rate is
 minimal", which we re-check by running a second load.
 
-Shape claims asserted by ``bench_table3``: r_s < s-bar(n) for every n;
+Shape claims asserted by :func:`shape_checks`: r_s < s-bar(n) for every n;
 even-n r_s < odd-n r_s (the parity split); and r_s moves little with rho.
 """
 

@@ -119,15 +119,17 @@ The kernels layer and the two-backend contract
 The FIFO, finite-buffer and slotted engines route their hot loops
 through :mod:`repro.sim.kernels`, selected by the ``backend``
 constructor knob (and the matching ``backend`` engine param on the
-facade):
+facade). The finite-buffer engine has no kernel of its own: it runs the
+``fifo`` kernel with per-edge waiting-room caps, under which the
+kernel's general loops apply tail-drop admission.
 
 ========== ============================ ==============================
 engine     ``backend="python"``         ``backend="numpy"``
 ========== ============================ ==============================
 ``fifo``   reference loop (default)     max-plus level sweep; uniform
                                         deterministic service only
-``finite`` reference loop (default)     ``buffer_size=None`` only
-                                        (delegates to the fifo kernel)
+``finite`` fifo loop with tail-drop     ``buffer_size=None`` only
+           admission (default)          (the fifo kernel, uncapped)
 ``slotted``reference loop (default)     batched slot kernel
 ``rushed`` reference loop               —
 ``ps``     reference loop               —
@@ -188,9 +190,9 @@ asked to (``use_path_cache=False``).
 **Monotone merge where service is uniform deterministic; a binary heap
 where it is not.** With one deterministic service time everywhere
 (the standard model), departures are pushed in nondecreasing time
-order, so the event engine, the finite-buffer engine (drops never
-schedule events) and the rushed engine replace the priority queue with
-an O(1) merge of a departure deque and the pending arrival. The
+order, so the FIFO kernel (which the finite-buffer engine shares: drops
+never schedule events) and the rushed engine replace the priority queue
+with an O(1) merge of a departure deque and the pending arrival. The
 stochastic-service cases (exponential service, per-edge rates) push
 ``(time, seq, ...)`` event tuples onto a plain ``heapq`` list; ``seq``
 is unique per run, so the pop order is total and never compares the

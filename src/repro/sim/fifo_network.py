@@ -117,6 +117,10 @@ class NetworkSimulation:
         service (the monotone-merge regime).
     """
 
+    #: Per-edge waiting-room caps for tail-drop admission, or ``None``
+    #: for infinite buffers (set by the finite-buffer engine).
+    _edge_caps: list[int] | None = None
+
     def __init__(
         self,
         router: Router,

@@ -27,19 +27,18 @@ exactly the ones lost.
 
 Hot path and bit-identity
 -------------------------
-The engine shares the PR-2/3 architecture via its base class: the
-:class:`~repro.sim.enginecommon.EngineCommon` constructor policy, the
-shared path-cache arena with ``(arena_offset, length)`` packet records,
-blocked RNG draws, the monotone-merge event loop for uniform
-deterministic service (drops never schedule events, so departure pushes
-stay nondecreasing) and a plain ``heapq`` event list for stochastic
-service. With
-``buffer_size=None`` the run is delegated verbatim to the FIFO engine,
-so it is *bit-identical* to ``engine="fifo"`` — pinned by the
-``finite_none_*`` golden cells — and with buffers too large to ever
-fill, the finite loop performs the exact same draws, event ordering and
-float accumulation as the FIFO loops (the admission test consumes no
-randomness), which the regression tests pin as well.
+This class adds no loop of its own. It sets ``_edge_caps`` and
+inherits :meth:`NetworkSimulation.run`, so every run executes the FIFO
+kernel (:func:`repro.sim.kernels.python_backend.run_fifo`). With caps
+set, the kernel's general merge and heap loops apply tail-drop
+admission at each enqueue onto a busy edge and count the drops. With
+``buffer_size=None`` there are no caps, so the run *is* a FIFO run,
+bit-identical to ``engine="fifo"`` and pinned by the ``finite_none_*``
+golden cells. With buffers too large to ever fill, the capped loops
+perform the exact same draws, event ordering and float accumulation as
+the uncapped ones (the admission test consumes no randomness), which
+the regression tests pin as well. A capped run records
+``engine="finite"`` in its rngsan trace.
 """
 
 from __future__ import annotations
@@ -51,9 +50,7 @@ import numpy as np
 from repro.routing.base import Router
 from repro.routing.destinations import DestinationDistribution
 from repro.sim.fifo_network import NetworkSimulation
-from repro.sim.kernels import FINITE_KERNEL, NUMPY_BACKEND, get_kernel
-from repro.sim.result import SimResult
-from repro.util.validation import check_positive
+from repro.sim.kernels import NUMPY_BACKEND
 
 
 def resolve_buffer_size(
@@ -102,7 +99,8 @@ class FiniteBufferNetworkSimulation(NetworkSimulation):
         A scalar int broadcasts over all nodes; a per-node sequence gives
         node ``v``'s room to each of its outgoing edges; ``None``
         (the default) reproduces the infinite-buffer FIFO engine
-        bit-for-bit.
+        bit-for-bit. Results of capped runs carry ``dropped`` and
+        ``node_drops``; uncapped runs have ``node_drops=None``.
     """
 
     def __init__(
@@ -118,13 +116,12 @@ class FiniteBufferNetworkSimulation(NetworkSimulation):
         topology = router.topology
         per_node = resolve_buffer_size(buffer_size, topology.num_nodes)
         self.buffer_size = buffer_size
-        #: Per-edge waiting-room cap (node caps fanned onto out-edges),
-        #: or ``None`` for infinite buffers.
-        self._edge_caps: list[int] | None = None
         self._edge_tail: list[int] = topology.edge_source.tolist()
-        if per_node is not None:
-            self._edge_caps = [per_node[u] for u in self._edge_tail]
-        if self._edge_caps is not None and self.backend == NUMPY_BACKEND:
+        if per_node is None:
+            return
+        # Per-edge waiting-room cap: node caps fanned onto out-edges.
+        self._edge_caps = [per_node[u] for u in self._edge_tail]
+        if self.backend == NUMPY_BACKEND:
             # Tail-drop admission couples every packet's trajectory to
             # instantaneous queue lengths, which breaks the max-plus
             # decomposition the vectorized kernel relies on.
@@ -133,46 +130,3 @@ class FiniteBufferNetworkSimulation(NetworkSimulation):
                 "(tail-drop admission is state-dependent); use "
                 "backend='python' or buffer_size=None"
             )
-
-    # ------------------------------------------------------------------
-    def run(
-        self,
-        warmup: float,
-        horizon: float,
-        *,
-        track_utilization: bool = False,
-        collect_delays: bool = False,
-        track_number_distribution: bool = False,
-        track_maxima: bool = False,
-        delay_batches: int = 32,
-    ) -> SimResult:
-        """Simulate ``warmup + horizon`` time units and drain.
-
-        Options are as in :meth:`NetworkSimulation.run`. With
-        ``buffer_size=None`` the run delegates to the FIFO engine (the
-        result then has ``node_drops=None``); otherwise the finite
-        kernel runs and the result carries ``dropped`` / ``node_drops``.
-        """
-        if self._edge_caps is None:
-            return super().run(
-                warmup,
-                horizon,
-                track_utilization=track_utilization,
-                collect_delays=collect_delays,
-                track_number_distribution=track_number_distribution,
-                track_maxima=track_maxima,
-                delay_batches=delay_batches,
-            )
-        check_positive(horizon, "horizon")
-        if warmup < 0:
-            raise ValueError(f"warmup must be >= 0, got {warmup}")
-        return get_kernel(FINITE_KERNEL, self.backend)(
-            self,
-            warmup,
-            horizon,
-            track_utilization=track_utilization,
-            collect_delays=collect_delays,
-            track_number_distribution=track_number_distribution,
-            track_maxima=track_maxima,
-            delay_batches=delay_batches,
-        )

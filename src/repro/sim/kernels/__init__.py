@@ -2,13 +2,17 @@
 
 The FIFO, slotted and finite-buffer engines route their hot loops through
 this package, selected by the ``backend`` constructor knob (and the
-``backend`` :class:`~repro.sim.registry.EngineParam` on the facade):
+``backend`` :class:`~repro.sim.registry.EngineParam` on the facade).
+There are two kernels, ``fifo`` and ``slotted``: the finite-buffer engine
+is the FIFO engine with per-edge waiting-room caps, and runs the ``fifo``
+kernel, which applies tail-drop admission when the caps are set.
 
 ``"python"`` (the default)
     The extracted reference loops (:mod:`repro.sim.kernels.python_backend`)
-    — byte-for-byte the pre-extraction engine bodies, so they remain
-    bound by the same-seed bit-identity contract and the golden fixtures
-    pass unchanged.
+    — the pre-extraction engine bodies plus the finite engine's tail-drop
+    admission test, which draws nothing, so they remain bound by the
+    same-seed bit-identity contract and the golden fixtures pass
+    unchanged.
 ``"numpy"``
     Vectorized kernels (:mod:`repro.sim.kernels.numpy_backend`) that
     solve the whole trajectory over the path arena's ``int32`` snapshot
@@ -41,7 +45,7 @@ PYTHON_BACKEND, NUMPY_BACKEND = "python", "numpy"
 KERNEL_BACKENDS = (PYTHON_BACKEND, NUMPY_BACKEND)
 
 #: Kernel entry points every backend module may provide (``run_<name>``).
-FIFO_KERNEL, SLOTTED_KERNEL, FINITE_KERNEL = "fifo", "slotted", "finite"
+FIFO_KERNEL, SLOTTED_KERNEL = "fifo", "slotted"
 
 
 def numpy_available() -> bool:

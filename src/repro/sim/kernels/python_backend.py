@@ -1,9 +1,12 @@
-"""The reference (interpreted) kernels, extracted verbatim from the engines.
+"""The reference (interpreted) kernels, extracted from the engines.
 
-Each ``run_*`` function is the pre-extraction body of the corresponding
-engine's ``run`` method with ``self`` renamed to ``sim`` — nothing else.
-The RNG draw order, the event pop order and the floating-point
-accumulation order are therefore exactly those of the pre-kernels
+Each ``run_*`` function is the body of the corresponding engine's
+``run`` loop with ``self`` renamed to ``sim``. :func:`run_fifo` also
+serves the finite-buffer engine: given per-edge caps, its general loops
+drop a packet that finds its next edge busy and the waiting room full.
+The admission test consumes no randomness and drops never schedule
+events, so the RNG draw order, the event pop order and the
+floating-point accumulation order are exactly those of the pre-kernels
 engines, and the golden fixtures (``tests/golden/``) pass unchanged:
 this module *is* the same-seed bit-identity reference that the numpy
 backend's distribution-parity tests compare against.
@@ -40,14 +43,26 @@ def run_fifo(
     track_maxima: bool = False,
     delay_batches: int = 32,
 ) -> SimResult:
-    """The FIFO event-driven loops (monotone merge + binary heap)."""
-    rng = make_rng(sim.seed, engine="fifo", backend="python")
+    """The FIFO event-driven loops (monotone merge + binary heap).
+
+    With per-edge waiting-room caps (``sim._edge_caps``, set by the
+    finite-buffer engine) the general loops apply tail-drop admission at
+    every enqueue onto a busy edge and count the drops. An uncapped run
+    pays one local truth test per enqueue onto a busy edge for that.
+    """
+    cap = sim._edge_caps
+    capped = cap is not None
+    rng = make_rng(
+        sim.seed, engine="finite" if capped else "fifo", backend="python"
+    )
     t_end = warmup + horizon
 
     destinations = sim.destinations
     exponential = sim.service == EXPONENTIAL
     st = sim._service_times
     sat = sim._sat
+    # Edge -> tail node, for per-node drop attribution.
+    tail: list[int] = sim._edge_tail if capped else []
     num_nodes = sim.topology.num_nodes
     num_edges = sim.topology.num_edges
     queues: list[deque] = [deque() for _ in range(num_edges)]
@@ -95,6 +110,8 @@ def run_fifo(
     int_rs = 0.0
     last_t = 0.0
     generated = completed = zero_hop = 0
+    dropped = 0
+    node_drops = [0] * num_nodes
     delay_acc = TimeBatchAccumulator(warmup, t_end, delay_batches)
     delays: list[float] | None = [] if collect_delays else None
     util = np.zeros(num_edges) if track_utilization else None
@@ -138,12 +155,17 @@ def run_fifo(
     maxima_seeded = not track_maxima or warmup == 0.0
     BLK = _BLOCK
     TWO_BLOCK = 2 * _BLOCK
-    # The common standard-model configuration (no saturation mask, no
-    # N-distribution, no maxima, no utilization) gets a lean loop with
-    # every untracked branch removed; the arithmetic that remains is
-    # identical, so results are bit-identical across loop variants.
+    # The common standard-model configuration (infinite buffers, no
+    # saturation mask, no N-distribution, no maxima, no utilization) gets
+    # a lean loop with every untracked branch removed; the arithmetic
+    # that remains is identical, so results are bit-identical across
+    # loop variants.
     plain_stats = (
-        sat is None and ndist is None and not track_maxima and util is None
+        not capped
+        and sat is None
+        and ndist is None
+        and not track_maxima
+        and util is None
     )
 
     if sim._uniform_service and plain_stats:
@@ -291,6 +313,7 @@ def run_fifo(
         # All service times equal => departures are pushed with
         # nondecreasing times, so a FIFO deque plus the single pending
         # arrival replays the heap's (time, seq) pop order exactly.
+        # Drops never schedule events, so this holds with caps too.
         service_c = st[0]
         dep_q: deque = deque()
         dep_pop = dep_q.popleft
@@ -397,39 +420,45 @@ def run_fifo(
                         off, ln = ol
                     else:
                         off, ln = sample_offlen(src, dst, rng)
-                    in_system += 1
-                    remaining += ln
-                    if sat is not None:
-                        nsat = 0
-                        for k in range(off, off + ln):
-                            if sat[arena[k]]:
-                                nsat += 1
-                        remaining_sat += nsat
-                    # Fresh per-packet record: the queues mutate it in
-                    # place, so it cannot be pooled.
-                    new_pkt = [t, off, ln, 0, measured]  # replint: disable=hot-loop-alloc
                     f = arena[off]
-                    if busy[f]:
-                        q = queues[f]
-                        q.append(new_pkt)
-                        if (
-                            track_maxima
-                            and measured
-                            and not draining
-                            and len(q) > max_queue
-                        ):
-                            max_queue = len(q)
+                    if busy[f] and capped and len(queues[f]) >= cap[f]:
+                        # Entry buffer full: the packet never enters.
+                        if measured:
+                            dropped += 1
+                            node_drops[tail[f]] += 1
                     else:
-                        busy[f] = 1
-                        dep_append((t + service_c, seq, f, new_pkt))
-                        seq += 1
-                        if util is not None:
-                            lo = t if t > warmup else warmup
-                            hi = t + service_c
-                            if hi > t_end:
-                                hi = t_end
-                            if hi > lo:
-                                util[f] += hi - lo
+                        in_system += 1
+                        remaining += ln
+                        if sat is not None:
+                            nsat = 0
+                            for k in range(off, off + ln):
+                                if sat[arena[k]]:
+                                    nsat += 1
+                            remaining_sat += nsat
+                        # Fresh per-packet record: the queues mutate it
+                        # in place, so it cannot be pooled.
+                        new_pkt = [t, off, ln, 0, measured]  # replint: disable=hot-loop-alloc
+                        if busy[f]:
+                            q = queues[f]
+                            q.append(new_pkt)
+                            if (
+                                track_maxima
+                                and measured
+                                and not draining
+                                and len(q) > max_queue
+                            ):
+                                max_queue = len(q)
+                        else:
+                            busy[f] = 1
+                            dep_append((t + service_c, seq, f, new_pkt))
+                            seq += 1
+                            if util is not None:
+                                lo = t if t > warmup else warmup
+                                hi = t + service_c
+                                if hi > t_end:
+                                    hi = t_end
+                                if hi > lo:
+                                    util[f] += hi - lo
                 # Next arrival.
                 if exp_i >= BLK:
                     exp_block = rng.exponential(size=BLK)
@@ -455,29 +484,44 @@ def run_fifo(
                         if delays is not None:
                             delays.append(d)
                 else:
-                    pkt[3] = hop
                     f = arena[pkt[1] + hop]
-                    if busy[f]:
-                        qf = queues[f]
-                        qf.append(pkt)
-                        if (
-                            track_maxima
-                            and not draining
-                            and t >= warmup
-                            and len(qf) > max_queue
-                        ):
-                            max_queue = len(qf)
+                    if busy[f] and capped and len(queues[f]) >= cap[f]:
+                        # Mid-route drop: the packet leaves with its
+                        # unserved hops still on the books.
+                        in_system -= 1
+                        remaining -= pkt[2] - hop
+                        if sat is not None:
+                            nsat = 0
+                            for k in range(pkt[1] + hop, pkt[1] + pkt[2]):
+                                if sat[arena[k]]:
+                                    nsat += 1
+                            remaining_sat -= nsat
+                        if pkt[4]:
+                            dropped += 1
+                            node_drops[tail[f]] += 1
                     else:
-                        busy[f] = 1
-                        dep_append((t + service_c, seq, f, pkt))
-                        seq += 1
-                        if util is not None:
-                            lo = t if t > warmup else warmup
-                            hi = t + service_c
-                            if hi > t_end:
-                                hi = t_end
-                            if hi > lo:
-                                util[f] += hi - lo
+                        pkt[3] = hop
+                        if busy[f]:
+                            qf = queues[f]
+                            qf.append(pkt)
+                            if (
+                                track_maxima
+                                and not draining
+                                and t >= warmup
+                                and len(qf) > max_queue
+                            ):
+                                max_queue = len(qf)
+                        else:
+                            busy[f] = 1
+                            dep_append((t + service_c, seq, f, pkt))
+                            seq += 1
+                            if util is not None:
+                                lo = t if t > warmup else warmup
+                                hi = t + service_c
+                                if hi > t_end:
+                                    hi = t_end
+                                if hi > lo:
+                                    util[f] += hi - lo
                 q = queues[e]
                 if q:
                     nxt = q.popleft()
@@ -578,35 +622,40 @@ def run_fifo(
                         off, ln = ol
                     else:
                         off, ln = sample_offlen(src, dst, rng)
-                    in_system += 1
-                    remaining += ln
-                    if sat is not None:
-                        nsat = 0
-                        for k in range(off, off + ln):
-                            if sat[arena[k]]:
-                                nsat += 1
-                        remaining_sat += nsat
-                    # Fresh per-packet record: the queues mutate it in
-                    # place, so it cannot be pooled.
-                    new_pkt = [t, off, ln, 0, measured]  # replint: disable=hot-loop-alloc
                     f = arena[off]
-                    if busy[f]:
-                        q = queues[f]
-                        q.append(new_pkt)
-                        if (
-                            track_maxima
-                            and measured
-                            and not draining
-                            and len(q) > max_queue
-                        ):
-                            max_queue = len(q)
+                    if busy[f] and capped and len(queues[f]) >= cap[f]:
+                        # Entry buffer full (see the merge loop).
+                        if measured:
+                            dropped += 1
+                            node_drops[tail[f]] += 1
                     else:
-                        busy[f] = 1
-                        if fast_service:
-                            heappush(heap, (t + st[f], seq, f, new_pkt))
-                            seq += 1
+                        in_system += 1
+                        remaining += ln
+                        if sat is not None:
+                            nsat = 0
+                            for k in range(off, off + ln):
+                                if sat[arena[k]]:
+                                    nsat += 1
+                            remaining_sat += nsat
+                        # Fresh per-packet record (see the merge loop).
+                        new_pkt = [t, off, ln, 0, measured]  # replint: disable=hot-loop-alloc
+                        if busy[f]:
+                            q = queues[f]
+                            q.append(new_pkt)
+                            if (
+                                track_maxima
+                                and measured
+                                and not draining
+                                and len(q) > max_queue
+                            ):
+                                max_queue = len(q)
                         else:
-                            start_service_heap(f, t, new_pkt)
+                            busy[f] = 1
+                            if fast_service:
+                                heappush(heap, (t + st[f], seq, f, new_pkt))
+                                seq += 1
+                            else:
+                                start_service_heap(f, t, new_pkt)
                 # Next arrival.
                 if exp_i >= BLK:
                     exp_block = rng.exponential(size=BLK)
@@ -631,25 +680,39 @@ def run_fifo(
                         if delays is not None:
                             delays.append(d)
                 else:
-                    pkt[3] = hop
                     f = arena[pkt[1] + hop]
-                    if busy[f]:
-                        qf = queues[f]
-                        qf.append(pkt)
-                        if (
-                            track_maxima
-                            and not draining
-                            and t >= warmup
-                            and len(qf) > max_queue
-                        ):
-                            max_queue = len(qf)
+                    if busy[f] and capped and len(queues[f]) >= cap[f]:
+                        # Mid-route drop (see the merge loop).
+                        in_system -= 1
+                        remaining -= pkt[2] - hop
+                        if sat is not None:
+                            nsat = 0
+                            for k in range(pkt[1] + hop, pkt[1] + pkt[2]):
+                                if sat[arena[k]]:
+                                    nsat += 1
+                            remaining_sat -= nsat
+                        if pkt[4]:
+                            dropped += 1
+                            node_drops[tail[f]] += 1
                     else:
-                        busy[f] = 1
-                        if fast_service:
-                            heappush(heap, (t + st[f], seq, f, pkt))
-                            seq += 1
+                        pkt[3] = hop
+                        if busy[f]:
+                            qf = queues[f]
+                            qf.append(pkt)
+                            if (
+                                track_maxima
+                                and not draining
+                                and t >= warmup
+                                and len(qf) > max_queue
+                            ):
+                                max_queue = len(qf)
                         else:
-                            start_service_heap(f, t, pkt)
+                            busy[f] = 1
+                            if fast_service:
+                                heappush(heap, (t + st[f], seq, f, pkt))
+                                seq += 1
+                            else:
+                                start_service_heap(f, t, pkt)
                 q = queues[e]
                 if q:
                     nxt = q.popleft()
@@ -699,6 +762,8 @@ def run_fifo(
         number_distribution=ndist,
         max_delay=max_delay if track_maxima else float("nan"),
         max_queue_length=max_queue if track_maxima else -1,
+        dropped=dropped,
+        node_drops=np.asarray(node_drops, dtype=np.int64) if capped else None,
     )
 
 
@@ -913,561 +978,3 @@ def run_slotted(
         max_queue_length=max_queue if track_maxima else -1,
     )
 
-
-def run_finite(
-    sim: Any,
-    warmup: float,
-    horizon: float,
-    *,
-    track_utilization: bool = False,
-    collect_delays: bool = False,
-    track_number_distribution: bool = False,
-    track_maxima: bool = False,
-    delay_batches: int = 32,
-) -> SimResult:
-    """The finite-buffer tail-drop loops (merge + pluggable queue).
-
-    Only called with resolved per-edge caps (``sim._edge_caps`` not
-    ``None``); the engine delegates the infinite-buffer case to the FIFO
-    kernel before dispatching here.
-    """
-    rng = make_rng(sim.seed, engine="finite", backend="python")
-    t_end = warmup + horizon
-
-    destinations = sim.destinations
-    exponential = sim.service == EXPONENTIAL
-    st = sim._service_times
-    sat = sim._sat
-    cap = sim._edge_caps
-    tail = sim._edge_tail
-    num_nodes = sim.topology.num_nodes
-    num_edges = sim.topology.num_edges
-    queues: list[deque] = [deque() for _ in range(num_edges)]
-    busy = bytearray(num_edges)
-
-    # Path cache bindings (see run_fifo).
-    cache = sim.path_cache
-    arena = cache.arena.edges  # extended in place; safe to bind once
-    if cache.consumes_rng:
-        det_get = None
-        det_build = None
-        sample_offlen = cache.sample_offlen
-    else:
-        det_get = cache.table.get
-        det_build = cache.ensure
-        sample_offlen = None
-
-    seq = 0
-
-    # Block RNG: exponential(1) variates and uniform source/dest ids.
-    exp_block = rng.exponential(size=_BLOCK)
-    exp_i = 0
-    sources = sim.source_nodes
-    nsrc = len(sources)
-    uniform_fast = sim._fast_ids
-    uniform_sources = sim._uniform_sources
-    source_cdf = None if uniform_sources else sim._source_cdf
-    if uniform_fast:
-        id_block = rng.integers(0, num_nodes, size=2 * _BLOCK).tolist()
-        id_i = 0
-    else:
-        id_block = None
-        id_i = 0
-    gap_scale = 1.0 / sim.total_rate
-
-    # Statistics (drop accounting on top of the FIFO set).
-    in_system = 0
-    remaining = 0
-    remaining_sat = 0
-    int_n = 0.0
-    int_r = 0.0
-    int_rs = 0.0
-    last_t = 0.0
-    generated = completed = zero_hop = 0
-    dropped = 0
-    node_drops = [0] * num_nodes
-    delay_acc = TimeBatchAccumulator(warmup, t_end, delay_batches)
-    delays: list[float] | None = [] if collect_delays else None
-    util = np.zeros(num_edges) if track_utilization else None
-    ndist: dict[int, float] | None = {} if track_number_distribution else None
-    max_delay = 0.0
-    max_queue = 0
-    searchsorted = np.searchsorted
-    dest_sample = destinations.sample
-
-    def service_sample(e: int) -> float:
-        nonlocal exp_i, exp_block
-        if not exponential:
-            return st[e]
-        if exp_i >= _BLOCK:
-            exp_block = rng.exponential(size=_BLOCK)
-            exp_i = 0
-        v = exp_block[exp_i] * st[e]
-        exp_i += 1
-        return v
-
-    def start_service_heap(e: int, t: float, pkt: list) -> None:
-        nonlocal seq
-        s = service_sample(e)
-        heappush(heap, (t + s, seq, e, pkt))
-        seq += 1
-        if util is not None:
-            lo = t if t > warmup else warmup
-            hi = t + s if t + s < t_end else t_end
-            if hi > lo:
-                util[e] += hi - lo
-
-    first_gap = exp_block[exp_i] * gap_scale
-    exp_i += 1
-
-    draining = False
-    in_flight_at_horizon = 0
-    maxima_seeded = not track_maxima or warmup == 0.0
-    BLK = _BLOCK
-    TWO_BLOCK = 2 * _BLOCK
-
-    if sim._uniform_service:
-        # ---------------- monotone-merge event loop ----------------
-        # Drops never schedule events, so departure pushes stay
-        # nondecreasing and the FIFO merge structure carries over
-        # unchanged (same (time, seq) pop order as the heap would
-        # give, same arithmetic when nothing drops).
-        service_c = st[0]
-        dep_q: deque = deque()
-        dep_pop = dep_q.popleft
-        dep_append = dep_q.append
-        arr_t = first_gap
-        arr_seq = seq
-        seq += 1
-        have_arrival = True
-        while True:
-            if dep_q:
-                head = dep_q[0]
-                if have_arrival:
-                    ht = head[0]
-                    if arr_t < ht or (arr_t == ht and arr_seq < head[1]):
-                        is_arrival = True
-                        t = arr_t
-                    else:
-                        is_arrival = False
-                        t, _s, e, pkt = dep_pop()
-                else:
-                    is_arrival = False
-                    t, _s, e, pkt = dep_pop()
-            elif have_arrival:
-                is_arrival = True
-                t = arr_t
-            else:
-                break
-            if not maxima_seeded and t >= warmup:
-                maxima_seeded = True
-                for q in queues:
-                    if len(q) > max_queue:
-                        max_queue = len(q)
-            if t >= t_end and not draining:
-                draining = True
-                in_flight_at_horizon = in_system
-                lo = last_t if last_t > warmup else warmup
-                if t_end > lo:
-                    dt = t_end - lo
-                    int_n += in_system * dt
-                    int_r += remaining * dt
-                    int_rs += remaining_sat * dt
-                    if ndist is not None:
-                        ndist[in_system] = ndist.get(in_system, 0.0) + dt
-                last_t = t_end
-            if not draining and t > warmup:
-                lo = last_t if last_t > warmup else warmup
-                dt = t - lo
-                if dt > 0.0:
-                    int_n += in_system * dt
-                    int_r += remaining * dt
-                    int_rs += remaining_sat * dt
-                    if ndist is not None:
-                        ndist[in_system] = ndist.get(in_system, 0.0) + dt
-                last_t = t
-            elif not draining:
-                last_t = t
-
-            if is_arrival:
-                # ----- external arrival -----
-                if draining:
-                    have_arrival = False  # no arrivals past the horizon
-                    continue
-                if uniform_fast:
-                    if id_i >= TWO_BLOCK:
-                        id_block = rng.integers(
-                            0, num_nodes, size=TWO_BLOCK
-                        ).tolist()
-                        id_i = 0
-                    src = id_block[id_i]
-                    dst = id_block[id_i + 1]
-                    id_i += 2
-                else:
-                    if uniform_sources:
-                        src = sources[int(rng.integers(nsrc))]
-                    else:
-                        src = sources[
-                            int(
-                                searchsorted(
-                                    source_cdf, rng.random(), side="right"
-                                )
-                            )
-                        ]
-                    dst = dest_sample(src, rng)
-                measured = t >= warmup
-                if measured:
-                    generated += 1
-                if src == dst:
-                    if measured:
-                        zero_hop += 1
-                        completed += 1
-                        delay_acc.add(t, 0.0)
-                        if delays is not None:
-                            delays.append(0.0)
-                else:
-                    if det_get is not None:
-                        ol = det_get(src * num_nodes + dst)
-                        if ol is None:
-                            ol = det_build(src, dst)
-                        off, ln = ol
-                    else:
-                        off, ln = sample_offlen(src, dst, rng)
-                    f = arena[off]
-                    if busy[f] and len(queues[f]) >= cap[f]:
-                        # Entry buffer full: the packet never enters.
-                        if measured:
-                            dropped += 1
-                            node_drops[tail[f]] += 1
-                    else:
-                        in_system += 1
-                        remaining += ln
-                        if sat is not None:
-                            nsat = 0
-                            for k in range(off, off + ln):
-                                if sat[arena[k]]:
-                                    nsat += 1
-                            remaining_sat += nsat
-                        # Fresh per-packet record (see run_fifo).
-                        new_pkt = [t, off, ln, 0, measured]  # replint: disable=hot-loop-alloc
-                        if busy[f]:
-                            q = queues[f]
-                            q.append(new_pkt)
-                            if (
-                                track_maxima
-                                and measured
-                                and not draining
-                                and len(q) > max_queue
-                            ):
-                                max_queue = len(q)
-                        else:
-                            busy[f] = 1
-                            dep_append((t + service_c, seq, f, new_pkt))
-                            seq += 1
-                            if util is not None:
-                                lo = t if t > warmup else warmup
-                                hi = t + service_c
-                                if hi > t_end:
-                                    hi = t_end
-                                if hi > lo:
-                                    util[f] += hi - lo
-                # Next arrival.
-                if exp_i >= BLK:
-                    exp_block = rng.exponential(size=BLK)
-                    exp_i = 0
-                arr_t = t + exp_block[exp_i] * gap_scale
-                exp_i += 1
-                arr_seq = seq
-                seq += 1
-            else:
-                # ----- departure: pkt finished service at edge e -----
-                remaining -= 1
-                if sat is not None and sat[e]:
-                    remaining_sat -= 1
-                hop = pkt[3] + 1
-                if hop == pkt[2]:
-                    in_system -= 1
-                    if pkt[4]:
-                        completed += 1
-                        d = t - pkt[0]
-                        delay_acc.add(pkt[0], d)
-                        if track_maxima and d > max_delay:
-                            max_delay = d
-                        if delays is not None:
-                            delays.append(d)
-                else:
-                    f = arena[pkt[1] + hop]
-                    if busy[f] and len(queues[f]) >= cap[f]:
-                        # Mid-route drop: the packet leaves with its
-                        # unserved hops still on the books.
-                        in_system -= 1
-                        remaining -= pkt[2] - hop
-                        if sat is not None:
-                            nsat = 0
-                            for k in range(pkt[1] + hop, pkt[1] + pkt[2]):
-                                if sat[arena[k]]:
-                                    nsat += 1
-                            remaining_sat -= nsat
-                        if pkt[4]:
-                            dropped += 1
-                            node_drops[tail[f]] += 1
-                    else:
-                        pkt[3] = hop
-                        if busy[f]:
-                            qf = queues[f]
-                            qf.append(pkt)
-                            if (
-                                track_maxima
-                                and not draining
-                                and t >= warmup
-                                and len(qf) > max_queue
-                            ):
-                                max_queue = len(qf)
-                        else:
-                            busy[f] = 1
-                            dep_append((t + service_c, seq, f, pkt))
-                            seq += 1
-                            if util is not None:
-                                lo = t if t > warmup else warmup
-                                hi = t + service_c
-                                if hi > t_end:
-                                    hi = t_end
-                                if hi > lo:
-                                    util[f] += hi - lo
-                q = queues[e]
-                if q:
-                    nxt = q.popleft()
-                    dep_append((t + service_c, seq, e, nxt))
-                    seq += 1
-                    if util is not None:
-                        lo = t if t > warmup else warmup
-                        hi = t + service_c
-                        if hi > t_end:
-                            hi = t_end
-                        if hi > lo:
-                            util[e] += hi - lo
-                else:
-                    busy[e] = 0
-    else:
-        # ------------------ event-queue loop ------------------
-        # Exponential or per-edge deterministic service (see run_fifo):
-        # the binary heap orders departures; drops simply skip the
-        # enqueue.
-        heap: list[tuple] = []
-        heappush(heap, (first_gap, seq, -1, None))
-        seq += 1
-        fast_service = not exponential and util is None
-        while heap:
-            t, _s, e, pkt = heappop(heap)
-            if not maxima_seeded and t >= warmup:
-                maxima_seeded = True
-                for q in queues:
-                    if len(q) > max_queue:
-                        max_queue = len(q)
-            if t >= t_end and not draining:
-                draining = True
-                in_flight_at_horizon = in_system
-                lo = last_t if last_t > warmup else warmup
-                if t_end > lo:
-                    dt = t_end - lo
-                    int_n += in_system * dt
-                    int_r += remaining * dt
-                    int_rs += remaining_sat * dt
-                    if ndist is not None:
-                        ndist[in_system] = ndist.get(in_system, 0.0) + dt
-                last_t = t_end
-            if not draining and t > warmup:
-                lo = last_t if last_t > warmup else warmup
-                dt = t - lo
-                if dt > 0.0:
-                    int_n += in_system * dt
-                    int_r += remaining * dt
-                    int_rs += remaining_sat * dt
-                    if ndist is not None:
-                        ndist[in_system] = ndist.get(in_system, 0.0) + dt
-                last_t = t
-            elif not draining:
-                last_t = t
-
-            if e < 0:
-                # ----- external arrival -----
-                if draining:
-                    continue  # no arrivals past the horizon
-                if uniform_fast:
-                    if id_i >= TWO_BLOCK:
-                        id_block = rng.integers(
-                            0, num_nodes, size=TWO_BLOCK
-                        ).tolist()
-                        id_i = 0
-                    src = id_block[id_i]
-                    dst = id_block[id_i + 1]
-                    id_i += 2
-                else:
-                    if uniform_sources:
-                        src = sources[int(rng.integers(nsrc))]
-                    else:
-                        src = sources[
-                            int(
-                                searchsorted(
-                                    source_cdf, rng.random(), side="right"
-                                )
-                            )
-                        ]
-                    dst = dest_sample(src, rng)
-                measured = t >= warmup
-                if measured:
-                    generated += 1
-                if src == dst:
-                    if measured:
-                        zero_hop += 1
-                        completed += 1
-                        delay_acc.add(t, 0.0)
-                        if delays is not None:
-                            delays.append(0.0)
-                else:
-                    if det_get is not None:
-                        ol = det_get(src * num_nodes + dst)
-                        if ol is None:
-                            ol = det_build(src, dst)
-                        off, ln = ol
-                    else:
-                        off, ln = sample_offlen(src, dst, rng)
-                    f = arena[off]
-                    if busy[f] and len(queues[f]) >= cap[f]:
-                        if measured:
-                            dropped += 1
-                            node_drops[tail[f]] += 1
-                    else:
-                        in_system += 1
-                        remaining += ln
-                        if sat is not None:
-                            nsat = 0
-                            for k in range(off, off + ln):
-                                if sat[arena[k]]:
-                                    nsat += 1
-                            remaining_sat += nsat
-                        # Fresh per-packet record (see run_fifo).
-                        new_pkt = [t, off, ln, 0, measured]  # replint: disable=hot-loop-alloc
-                        if busy[f]:
-                            q = queues[f]
-                            q.append(new_pkt)
-                            if (
-                                track_maxima
-                                and measured
-                                and not draining
-                                and len(q) > max_queue
-                            ):
-                                max_queue = len(q)
-                        else:
-                            busy[f] = 1
-                            if fast_service:
-                                heappush(heap, (t + st[f], seq, f, new_pkt))
-                                seq += 1
-                            else:
-                                start_service_heap(f, t, new_pkt)
-                # Next arrival.
-                if exp_i >= BLK:
-                    exp_block = rng.exponential(size=BLK)
-                    exp_i = 0
-                heappush(heap, (t + exp_block[exp_i] * gap_scale, seq, -1, None))
-                exp_i += 1
-                seq += 1
-            else:
-                # ----- departure: pkt finished service at edge e -----
-                remaining -= 1
-                if sat is not None and sat[e]:
-                    remaining_sat -= 1
-                hop = pkt[3] + 1
-                if hop == pkt[2]:
-                    in_system -= 1
-                    if pkt[4]:
-                        completed += 1
-                        d = t - pkt[0]
-                        delay_acc.add(pkt[0], d)
-                        if track_maxima and d > max_delay:
-                            max_delay = d
-                        if delays is not None:
-                            delays.append(d)
-                else:
-                    f = arena[pkt[1] + hop]
-                    if busy[f] and len(queues[f]) >= cap[f]:
-                        in_system -= 1
-                        remaining -= pkt[2] - hop
-                        if sat is not None:
-                            nsat = 0
-                            for k in range(pkt[1] + hop, pkt[1] + pkt[2]):
-                                if sat[arena[k]]:
-                                    nsat += 1
-                            remaining_sat -= nsat
-                        if pkt[4]:
-                            dropped += 1
-                            node_drops[tail[f]] += 1
-                    else:
-                        pkt[3] = hop
-                        if busy[f]:
-                            qf = queues[f]
-                            qf.append(pkt)
-                            if (
-                                track_maxima
-                                and not draining
-                                and t >= warmup
-                                and len(qf) > max_queue
-                            ):
-                                max_queue = len(qf)
-                        else:
-                            busy[f] = 1
-                            if fast_service:
-                                heappush(heap, (t + st[f], seq, f, pkt))
-                                seq += 1
-                            else:
-                                start_service_heap(f, t, pkt)
-                q = queues[e]
-                if q:
-                    nxt = q.popleft()
-                    if fast_service:
-                        heappush(heap, (t + st[e], seq, e, nxt))
-                        seq += 1
-                    else:
-                        start_service_heap(e, t, nxt)
-                else:
-                    busy[e] = 0
-
-    if last_t < t_end:
-        lo = last_t if last_t > warmup else warmup
-        dt = t_end - lo
-        int_n += in_system * dt
-        int_r += remaining * dt
-        int_rs += remaining_sat * dt
-        if ndist is not None:
-            ndist[in_system] = ndist.get(in_system, 0.0) + dt
-
-    mean_number = int_n / horizon
-    summary = delay_acc.summary()
-    if ndist is not None:
-        total_dt = sum(ndist.values())
-        ndist = {k: v / total_dt for k, v in sorted(ndist.items())}
-    return SimResult(
-        warmup=warmup,
-        horizon=horizon,
-        seed=sim.seed,
-        generated=generated,
-        completed=completed,
-        zero_hop=zero_hop,
-        in_flight_at_end=in_flight_at_horizon,
-        mean_number=mean_number,
-        mean_remaining=int_r / horizon,
-        mean_remaining_saturated=(
-            int_rs / horizon if sat is not None else float("nan")
-        ),
-        mean_delay=summary.mean,
-        delay_half_width=summary.half_width,
-        mean_delay_littles=mean_number / sim.total_rate,
-        total_rate=sim.total_rate,
-        utilization=util / horizon if util is not None else None,
-        delays=np.asarray(delays) if delays is not None else None,
-        number_distribution=ndist,
-        max_delay=max_delay if track_maxima else float("nan"),
-        max_queue_length=max_queue if track_maxima else -1,
-        dropped=dropped,
-        node_drops=np.asarray(node_drops, dtype=np.int64),
-    )

@@ -41,18 +41,11 @@ import numpy as np
 
 from repro.sim.fifo_network import DETERMINISTIC
 from repro.sim.measurement import BatchMeans, batch_means
-#: SLOTTED is re-exported here for backward compatibility: it was this
-#: module's public engine constant before the registry existed.
 from repro.sim.registry import FIFO, canonical_engine, get_engine
-from repro.sim.registry import SLOTTED as SLOTTED
 from repro.sim.result import SimResult
 from repro.sim.sharedcells import cell_network, publish_cells, run_seed_chunk
 from repro.util.tables import Table
 from repro.util.workerpool import get_pool, resolve_processes
-
-#: Historical alias for the FIFO event-driven engine (still accepted by
-#: ``CellSpec``; canonicalised to ``"fifo"`` on construction).
-EVENT = "event"
 
 
 @dataclass(frozen=True)
@@ -88,7 +81,7 @@ class CellSpec:
         ``CellSpec(engine="event").engine == "fifo"``.
     service:
         Service law; each engine declares the laws it supports in the
-        registry (only the FIFO engine supports ``"exponential"``).
+        registry (the FIFO and finite engines support ``"exponential"``).
     tau:
         Slot duration for the slotted engine.
     warmup, horizon:
@@ -409,23 +402,6 @@ class ReplicatedResult:
             ]
         )
         return t.render()
-
-
-#: Backward-compatible alias: the per-process (network, path cache) memo
-#: now lives in :mod:`repro.sim.sharedcells` (both the parent-side
-#: publisher and the serial path draw from the same memo).
-_cell_network = cell_network
-
-
-def _run_replication(job: tuple) -> SimResult:
-    """Run one seeded replication of a cell (top-level for pickling).
-
-    Dispatches through the engine registry: any engine registered in
-    :mod:`repro.sim.registry` runs here with no per-engine code.
-    """
-    spec, seed, node_rate, mask = job
-    net, cache = _cell_network(spec)
-    return get_engine(spec.engine).run_cell(spec, seed, node_rate, mask, net, cache)
 
 
 class ReplicationEngine:

@@ -36,6 +36,10 @@ class TestPaperTableExact:
         lam = lambda_for_load(n, rho, "table1")
         est = delay_md1_estimate(n, lam, variant="paper")
         assert est == pytest.approx(PAPER_TABLE1_EST[(n, rho)], abs=5e-4)
+        # The residual-service term the display drops costs the paper
+        # variant between 0 and 25% of the textbook estimate.
+        pk = delay_md1_estimate(n, lam, variant="pk")
+        assert 0.0 < pk / est - 1.0 < 0.25
 
     def test_paper_display_formula_identity(self):
         """The per-edge 'paper' term equals the journal's display

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.experiments import configs, figure1, figure2, grid
+from repro.experiments import configs, dominance, figure1, figure2, grid
 from repro.experiments import table1, table2, table3
 from repro.experiments.bounds_sweep import QUICK_SWEEP, SweepConfig
 from repro.experiments.bounds_sweep import _cell_spec as sweep_cell_spec
@@ -158,6 +158,12 @@ class TestOtherExperiments:
         )
         res = run_hypercube(cfg)
         assert hc_checks(res) == []
+
+    def test_dominance_quick(self):
+        cfg = dominance.DominanceConfig(warmup=100.0, horizon=1000.0)
+        res = dominance.run(cfg)
+        assert dominance.shape_checks(res) == []
+        assert res.n_fifo < res.n_ps
 
     def test_randomized_quick(self):
         cfg = RandomizedConfig(

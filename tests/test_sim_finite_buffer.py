@@ -2,11 +2,11 @@
 
 Three contracts:
 
-* **fifo identity** — ``buffer_size=None`` delegates to the FIFO engine
+* **fifo identity** — ``buffer_size=None`` is a plain FIFO run
   (bit-identical; also pinned by the ``finite_none_*`` golden cells),
-  and a buffer too large to ever fill runs the finite loop with the
-  exact same draws, event order and float accumulation as the FIFO
-  loops;
+  and a buffer too large to ever fill runs the capped loops with the
+  exact same draws, event order and float accumulation as the uncapped
+  ones, under every tracked statistic;
 * **drop accounting** — conservation (``completed + dropped ==
   generated``), warmup-boundary exclusion, per-node attribution, and
   the loss CI surfaced through ``ReplicationEngine``;
@@ -36,6 +36,7 @@ FIELDS = (
     "generated", "completed", "zero_hop", "in_flight_at_end",
     "mean_number", "mean_remaining", "mean_delay", "delay_half_width",
     "mean_delay_littles", "max_delay", "max_queue_length",
+    "mean_remaining_saturated",
 )
 
 
@@ -45,6 +46,23 @@ def _same(a, b):
         assert va == vb or (
             isinstance(va, float) and math.isnan(va) and math.isnan(vb)
         ), f
+    for f in ("delays", "utilization"):
+        va, vb = getattr(a, f), getattr(b, f)
+        assert (va is None) == (vb is None), f
+        assert va is None or va.tolist() == vb.tolist(), f
+    assert a.number_distribution == b.number_distribution
+
+
+def _tracked_inputs(router):
+    """``(constructor kwargs, run kwargs)`` covering every tracked branch
+    of the general loops: maxima, utilization plus the N distribution,
+    and the saturated-edge count."""
+    mask = np.arange(router.topology.num_edges) % 3 == 0
+    return [
+        ({}, {"track_maxima": True}),
+        ({}, {"track_utilization": True, "track_number_distribution": True}),
+        ({"saturated_mask": mask}, {}),
+    ]
 
 
 class TestFifoIdentity:
@@ -56,26 +74,25 @@ class TestFifoIdentity:
             router4, uniform4, 0.2, seed=3, buffer_size=None
         ).run(10, 120, track_maxima=True, collect_delays=True)
         _same(fifo, fin)
-        assert fin.delays.tolist() == fifo.delays.tolist()
         assert fin.node_drops is None and fin.dropped == 0
         assert fin.loss_probability == 0.0
 
     def test_huge_buffer_runs_finite_loop_bit_identically(
         self, router4, uniform4
     ):
-        """The finite merge loop performs the FIFO loop's exact
+        """The capped merge loop performs the uncapped loop's exact
         arithmetic when nothing drops (the admission test consumes no
-        randomness)."""
-        fifo = NetworkSimulation(router4, uniform4, 0.2, seed=3).run(
-            10, 120, track_maxima=True, collect_delays=True
-        )
-        fin = FiniteBufferNetworkSimulation(
-            router4, uniform4, 0.2, seed=3, buffer_size=HUGE
-        ).run(10, 120, track_maxima=True, collect_delays=True)
-        _same(fifo, fin)
-        assert fin.delays.tolist() == fifo.delays.tolist()
-        assert fin.dropped == 0
-        assert fin.node_drops.sum() == 0
+        randomness), for every tracked statistic."""
+        for sim_kw, run_kw in _tracked_inputs(router4):
+            fifo = NetworkSimulation(
+                router4, uniform4, 0.2, seed=3, **sim_kw
+            ).run(10, 120, collect_delays=True, **run_kw)
+            fin = FiniteBufferNetworkSimulation(
+                router4, uniform4, 0.2, seed=3, buffer_size=HUGE, **sim_kw
+            ).run(10, 120, collect_delays=True, **run_kw)
+            _same(fifo, fin)
+            assert fin.dropped == 0
+            assert fin.node_drops.sum() == 0
 
     @pytest.mark.parametrize("service_kw", [
         {"service": "exponential"},
@@ -90,14 +107,15 @@ class TestFifoIdentity:
             kw["service_rates"] = 1.0 + 0.5 * (
                 np.arange(router4.topology.num_edges) % 4 == 0
             )
-        fifo = NetworkSimulation(router4, uniform4, 0.2, seed=5, **kw).run(
-            10, 120, collect_delays=True
-        )
-        fin = FiniteBufferNetworkSimulation(
-            router4, uniform4, 0.2, seed=5, buffer_size=HUGE, **kw
-        ).run(10, 120, collect_delays=True)
-        _same(fifo, fin)
-        assert fin.delays.tolist() == fifo.delays.tolist()
+        for sim_kw, run_kw in _tracked_inputs(router4):
+            fifo = NetworkSimulation(
+                router4, uniform4, 0.2, seed=5, **kw, **sim_kw
+            ).run(10, 120, collect_delays=True, **run_kw)
+            fin = FiniteBufferNetworkSimulation(
+                router4, uniform4, 0.2, seed=5, buffer_size=HUGE, **kw,
+                **sim_kw,
+            ).run(10, 120, collect_delays=True, **run_kw)
+            _same(fifo, fin)
 
 
 class TestDropAccounting:

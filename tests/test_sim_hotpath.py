@@ -12,7 +12,8 @@ from repro.routing.greedy import GreedyArrayRouter
 from repro.routing.randomized_greedy import RandomizedGreedyArrayRouter
 from repro.sim.fifo_network import NetworkSimulation
 from repro.sim.kernels.python_backend import _BLOCK
-from repro.sim.replication import CellSpec, _cell_network, replicate
+from repro.sim.replication import CellSpec, replicate
+from repro.sim.sharedcells import cell_network
 from repro.sim.slotted import SlottedNetworkSimulation
 from repro.topology.array_mesh import ArrayMesh
 
@@ -157,13 +158,13 @@ class TestSlottedBatchRng:
 class TestReplicationCacheSharing:
     def test_cell_network_is_memoized(self):
         spec = CellSpec(scenario="uniform", n=4, rho=0.5)
-        net1, cache1 = _cell_network(spec)
-        net2, cache2 = _cell_network(
+        net1, cache1 = cell_network(spec)
+        net2, cache2 = cell_network(
             CellSpec(scenario="uniform", n=4, rho=0.9, seeds=(7,))
         )
         assert net1 is net2  # rho/seeds are not part of the cell identity
         assert cache1 is cache2
-        other, _ = _cell_network(CellSpec(scenario="uniform", n=5, rho=0.5))
+        other, _ = cell_network(CellSpec(scenario="uniform", n=5, rho=0.5))
         assert other is not net1
 
     def test_shared_cache_matches_fresh_engines(self):
