@@ -45,12 +45,19 @@ floors sit well under the measured ratios, same discipline as the 1.5x
 floor on the python cells. The fifo cell also records the kernel's
 tracemalloc peak per visit (``peak_bytes_per_visit``), which
 ``scripts/perf_gate.py`` compares against the baseline like a median.
+
+Two numpy cells time the kernel's options on 16x16 configurations the
+report runs, each against the python loops on the identical warm cell:
+tail-drop admission (finite engine, rho = 0.9, ``buffer_size=2`` — the
+finite-buffer section's cell) and per-edge deterministic service
+(Theorem 15's allocation, the Section 5.1 cell).
 """
 
 import time
 import tracemalloc
 
-from repro.core.rates import lambda_for_load
+from repro.core.optimization import optimal_service_rates, standard_capacity
+from repro.core.rates import array_edge_rates, lambda_for_load
 from repro.routing.destinations import UniformDestinations
 from repro.routing.greedy import GreedyArrayRouter
 from repro.routing.pathcache import PathArena, path_cache_for
@@ -315,13 +322,12 @@ def test_slotted_32x32_numpy_warm(best_of, benchmark):
 
 
 def test_finite_32x32_numpy_warm(best_of, benchmark):
-    """The finite-buffer engine on its numpy-backed configuration
-    (buffer_size=None — the only combination the vectorized kernel
-    accepts, which runs the FIFO whole-trajectory solver). This is the
-    bench-coverage cell for the finite x numpy registry entry; capped
-    python-backend runs (the fifo loops with tail-drop admission) are
-    timed through ``test_replication_finite_cell`` in the replication
-    suite."""
+    """The finite-buffer engine with infinite buffers on numpy
+    (buffer_size=None, which runs the plain FIFO whole-trajectory
+    solve); ``test_finite_16x16_capped_numpy`` times tail-drop
+    admission. Capped python-backend runs (the fifo loops with tail-drop
+    admission) are timed through ``test_replication_finite_cell`` in the
+    replication suite."""
     from repro.sim.finite_buffer import FiniteBufferNetworkSimulation
 
     mesh_router = GreedyArrayRouter(ArrayMesh(32))
@@ -356,3 +362,62 @@ def test_slotted_32x32(best_of, benchmark):
     res = best_of(sim.run, int(WARMUP), int(HORIZON))
     _record(benchmark, res, PRE_PR_SLOTTED[32])
     assert res.generated > 10_000
+
+
+def _numpy_vs_python(benchmark, best_of, build):
+    """Time ``build(backend).run`` on numpy (best of 3) after one warming
+    run, record packets/s and the ratio to the python loops on the
+    identical warm cell; returns the numpy result and that ratio."""
+    build("numpy").run(WARMUP, HORIZON)  # warm the arena + level cache
+    t_python = _best_seconds(build("python").run, WARMUP, HORIZON)
+    res = best_of(build("numpy").run, WARMUP, HORIZON)
+    dt = benchmark.stats.stats.min
+    ratio = t_python / dt
+    benchmark.extra_info["packets_per_second"] = round(res.generated / dt)
+    benchmark.extra_info["speedup_vs_python_backend"] = round(ratio, 3)
+    return res, ratio
+
+
+def test_finite_16x16_capped_numpy(best_of, benchmark):
+    """Tail-drop admission on the numpy kernel: 16x16 uniform at
+    rho = 0.9 with buffer_size=2."""
+    from repro.sim.finite_buffer import FiniteBufferNetworkSimulation
+
+    router = GreedyArrayRouter(ArrayMesh(16))
+    cache = path_cache_for(router)
+    dests = UniformDestinations(256)
+    lam = lambda_for_load(16, 0.9)
+
+    def build(backend):
+        return FiniteBufferNetworkSimulation(
+            router, dests, lam, buffer_size=2, seed=3, path_cache=cache,
+            backend=backend,
+        )
+
+    res, ratio = _numpy_vs_python(benchmark, best_of, build)
+    assert res.dropped > 0
+    assert res.completed + res.dropped == res.generated
+    assert ratio > 1.5  # soft floor
+
+
+def test_event_16x16_per_edge_numpy(best_of, benchmark):
+    """Per-edge deterministic service on the numpy kernel: Theorem 15's
+    optimal rates on the 16x16 mesh at 70% of the standard capacity
+    (the python reference runs its heap loop here)."""
+    mesh = ArrayMesh(16)
+    router = GreedyArrayRouter(mesh)
+    cache = path_cache_for(router)
+    dests = UniformDestinations(256)
+    lam = 0.7 * standard_capacity(16)
+    phis = optimal_service_rates(array_edge_rates(mesh, lam), 1.0, 4.0 * 16 * 15)
+
+    def build(backend):
+        return NetworkSimulation(
+            router, dests, lam, service_rates=phis, seed=3,
+            path_cache=cache, backend=backend,
+        )
+
+    res, ratio = _numpy_vs_python(benchmark, best_of, build)
+    assert res.generated > 3000
+    assert res.littles_law_gap < 0.1
+    assert ratio > 2.0  # soft floor

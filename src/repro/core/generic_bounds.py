@@ -11,6 +11,9 @@ butterfly, and higher-dimensional arrays (Section 5.2).
 
 Everything here is exact but enumeration-based (O(nodes^2 * path)); for
 the square array prefer the closed forms, which the tests verify agree.
+Each of the six ingredient helpers walks every (src, dst) pair, so one
+:func:`generic_bounds` call routes each pair once through a memoizing
+wrapper and hands the helpers the stored paths.
 """
 
 from __future__ import annotations
@@ -30,9 +33,26 @@ from repro.core.saturation import (
     saturated_remaining_expectations,
 )
 from repro.core.upper_bound import delay_upper_bound_generic
-from repro.routing.base import Router
+from repro.routing.base import BaseRouter, Router
 from repro.routing.destinations import DestinationDistribution
 from repro.util.validation import check_positive
+
+
+class _RoutedOnce(BaseRouter):
+    """``router``'s canonical paths, each computed once and then looked
+    up (lives for one :func:`generic_bounds` call)."""
+
+    def __init__(self, router: Router) -> None:
+        super().__init__(router.topology)
+        self._route = router.path
+        self._paths: dict[tuple[int, int], tuple[int, ...]] = {}
+
+    def path(self, src: int, dst: int) -> tuple[int, ...]:
+        key = (src, dst)
+        found = self._paths.get(key)
+        if found is None:
+            found = self._paths[key] = self._route(src, dst)
+        return found
 
 
 @dataclass(frozen=True)
@@ -119,6 +139,7 @@ def generic_bounds(
     scheme — they cannot be fully decided from samples. For layeredness
     there is a checker: :func:`repro.core.layering.find_layering_obstruction`.
     """
+    routed = _RoutedOnce(router)
     topo = router.topology
     sources = (
         list(range(topo.num_nodes)) if source_nodes is None else list(source_nodes)
@@ -135,7 +156,7 @@ def generic_bounds(
         raise ValueError("total arrival rate must be positive")
 
     rates = edge_rates_from_routing(
-        router, destinations, weights, source_nodes=sources
+        routed, destinations, weights, source_nodes=sources
     )
     # Only destinations the law can actually produce participate in the
     # route-structure maxima (the butterfly, e.g., only routes to outputs).
@@ -154,7 +175,7 @@ def generic_bounds(
         raise ValueError(f"unstable system: network load {rho} >= 1")
 
     nbar = mean_route_length(
-        router,
+        routed,
         destinations,
         source_nodes=sources,
         source_weights=weights,
@@ -170,7 +191,7 @@ def generic_bounds(
     # rho_e, not on the time unit.)
     md1_total = md1_network_number(loads, variant="pk")
     d_max = max_route_length(
-        router, source_nodes=sources, dest_nodes=dest_nodes
+        routed, source_nodes=sources, dest_nodes=dest_nodes
     )
     lower_copy = md1_total / (d_max * total_rate)
 
@@ -178,7 +199,7 @@ def generic_bounds(
     lower_markov = None
     if markovian:
         d_e = expected_remaining_distances(
-            router, destinations, source_nodes=sources, source_weights=weights
+            routed, destinations, source_nodes=sources, source_weights=weights
         )
         d_bar = float(np.nanmax(d_e))
         lower_markov = md1_total / (d_bar * total_rate)
@@ -187,12 +208,12 @@ def generic_bounds(
     mask = saturated_edge_mask(rates, phi)
     sat_total = md1_network_number(loads[mask], variant="pk")
     s_max = max_saturated_on_route(
-        router, mask, source_nodes=sources, dest_nodes=dest_nodes
+        routed, mask, source_nodes=sources, dest_nodes=dest_nodes
     )
     s_bar_val = None
     if markovian:
         s_e = saturated_remaining_expectations(
-            router,
+            routed,
             destinations,
             mask,
             source_nodes=sources,

@@ -32,6 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.experiments.backends import with_budget_backend
 from repro.sim.replication import CellSpec, ReplicatedResult, ReplicationEngine
 from repro.util.tables import Table
 
@@ -98,24 +99,34 @@ class FiniteBufferResult:
         return t.render()
 
 
+def to_cell_specs(config: FiniteBufferConfig = QUICK_FINITE) -> list[CellSpec]:
+    """The sweep's cells: one per finite K, then the infinite baseline,
+    each on the backend the shared visit budget picks (the numpy kernel
+    applies tail-drop admission itself)."""
+    return [
+        with_budget_backend(
+            CellSpec(
+                scenario=config.scenario,
+                n=config.n,
+                rho=config.rho,
+                engine="finite",
+                warmup=config.warmup,
+                horizon=config.horizon,
+                seeds=config.seeds,
+                engine_params=(("buffer_size", k),),
+            )
+        )
+        for k in (*config.buffer_sizes, None)
+    ]
+
+
 def run(
     config: FiniteBufferConfig = QUICK_FINITE, *, processes: int | None = None
 ) -> FiniteBufferResult:
     """Sweep K (plus the infinite baseline) in one replication batch."""
-    specs = [
-        CellSpec(
-            scenario=config.scenario,
-            n=config.n,
-            rho=config.rho,
-            engine="finite",
-            warmup=config.warmup,
-            horizon=config.horizon,
-            seeds=config.seeds,
-            engine_params=(("buffer_size", k),),
-        )
-        for k in (*config.buffer_sizes, None)
-    ]
-    pooled = ReplicationEngine(processes=processes).run_many(specs)
+    pooled = ReplicationEngine(processes=processes).run_many(
+        to_cell_specs(config)
+    )
     return FiniteBufferResult(config=config, pooled=pooled)
 
 

@@ -12,7 +12,8 @@ means and CIs instead of single-trajectory point estimates.
 Every grid cell is the standard model (uniform traffic, row-first
 greedy routing, unit deterministic service), which the vectorized
 ``backend="numpy"`` kernel solves, so cells run there unless their
-expected visit count exceeds :data:`NUMPY_VISIT_BUDGET`. The numbers are
+expected visit count exceeds the budget every report section shares
+(:func:`repro.experiments.backends.budget_backend`). The numbers are
 therefore seed-stable and statistically equivalent to a direct
 :class:`~repro.sim.NetworkSimulation` run at the cell's seed, not
 bit-identical to it (the two-backend contract in :mod:`repro.sim`).
@@ -26,17 +27,10 @@ from repro.core.distances import mean_distance
 from repro.core.md1_approx import delay_md1_estimate
 from repro.core.rates import lambda_for_load, total_external_rate
 from repro.core.upper_bound import delay_upper_bound
+from repro.experiments.backends import budget_backend
 from repro.experiments.configs import GridConfig
 from repro.sim.replication import CellSpec as ReplicationSpec
 from repro.sim.replication import ReplicatedResult, ReplicationEngine
-
-#: Largest expected visit count (packets x hops, warmup included) of one
-#: replication that still runs on the numpy kernel. Its whole-trajectory
-#: solve holds about 30 bytes per visit, so this caps it near 130 MB; the
-#: QUICK presets peak at 2.3M visits, while the FULL table1 n=20,
-#: rho=0.99 cell needs ~348M and runs on the python loop, whose memory
-#: does not grow with the run.
-NUMPY_VISIT_BUDGET = 1 << 22
 
 
 @dataclass(frozen=True)
@@ -65,10 +59,10 @@ class CellSpec:
         """View as a replication-engine spec (standard-model scenario).
 
         Replication seeds step by 1 from the cell seed. The kernel
-        backend is ``numpy`` while :meth:`expected_visits` fits
-        :data:`NUMPY_VISIT_BUDGET`, else ``python``.
+        backend is the one :func:`~repro.experiments.backends.budget_backend`
+        picks for :meth:`expected_visits`.
         """
-        fits = self.expected_visits() <= NUMPY_VISIT_BUDGET
+        backend = budget_backend(self.expected_visits())
         return ReplicationSpec(
             scenario="uniform",
             n=self.n,
@@ -78,7 +72,7 @@ class CellSpec:
             horizon=self.horizon,
             seeds=tuple(self.seed + k for k in range(self.replications)),
             track_saturated=True,
-            engine_params=(("backend", "numpy" if fits else "python"),),
+            engine_params=(("backend", backend),),
         )
 
 

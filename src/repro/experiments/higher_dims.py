@@ -26,6 +26,7 @@ from repro.core.kd_bounds import (
     kd_lambda_for_load,
     kd_mean_distance,
 )
+from repro.experiments.backends import budget_backend
 from repro.routing.destinations import UniformDestinations
 from repro.routing.greedy import GreedyKDRouter
 from repro.sim.fifo_network import NetworkSimulation
@@ -112,9 +113,16 @@ def run(config: HigherDimsConfig = QUICK_KD) -> HigherDimsResult:
     router = GreedyKDRouter(array)
     dests = UniformDestinations(array.num_nodes)
     gb = generic_bounds(router, dests, lam)
-    sim = NetworkSimulation(router, dests, lam, seed=config.seed)
-    res = sim.run(config.warmup, config.horizon, track_utilization=True)
     closed = kd_edge_rates(array, lam)
+    window = config.warmup + config.horizon
+    sim = NetworkSimulation(
+        router,
+        dests,
+        lam,
+        seed=config.seed,
+        backend=budget_backend(float(closed.sum()) * window),
+    )
+    res = sim.run(config.warmup, config.horizon, track_utilization=True)
     return HigherDimsResult(
         rows=rows,
         sim_k=k_s,

@@ -28,6 +28,7 @@ from repro.core.hypercube_bounds import (
     hypercube_markov_lower_bound,
     hypercube_mean_distance,
 )
+from repro.experiments.backends import budget_backend
 from repro.routing.destinations import PBiasedHypercubeDestinations
 from repro.routing.hypercube_greedy import GreedyHypercubeRouter
 from repro.sim.fifo_network import NetworkSimulation
@@ -99,11 +100,13 @@ def run(config: HypercubeConfig = QUICK_HC) -> HypercubeResult:
     cube = Hypercube(d)
     router = GreedyHypercubeRouter(cube)
     destinations = PBiasedHypercubeDestinations(cube, p)
+    util_target = hypercube_edge_rate(d, lam, p)
+    visits = util_target * cube.num_edges * (config.warmup + config.horizon)
     sim = NetworkSimulation(
-        router, destinations, lam, seed=config.seed
+        router, destinations, lam, seed=config.seed,
+        backend=budget_backend(visits),
     )
     res = sim.run(config.warmup, config.horizon, track_utilization=True)
-    util_target = hypercube_edge_rate(d, lam, p)
     return HypercubeResult(
         rows=rows,
         sim_d=d,

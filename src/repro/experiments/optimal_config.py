@@ -32,6 +32,7 @@ from repro.core.optimization import (
 )
 from repro.core.rates import array_edge_rates
 from repro.core.upper_bound import delay_upper_bound
+from repro.experiments.backends import budget_backend
 from repro.routing.destinations import UniformDestinations
 from repro.routing.greedy import GreedyArrayRouter
 from repro.sim.fifo_network import NetworkSimulation
@@ -118,7 +119,8 @@ class OptimalResult:
 
 
 def _optimal_sim(n: int, lam: float, budget: float, warmup: float, horizon: float, seed: int):
-    """Simulate the deterministic-service mesh with Theorem 15 rates."""
+    """Simulate the deterministic-service mesh with Theorem 15 rates
+    (per-edge service, which the numpy kernel solves within the budget)."""
     mesh = ArrayMesh(n)
     router = GreedyArrayRouter(mesh)
     rates = array_edge_rates(mesh, lam)
@@ -129,6 +131,7 @@ def _optimal_sim(n: int, lam: float, budget: float, warmup: float, horizon: floa
         lam,
         service_rates=phis,
         seed=seed,
+        backend=budget_backend(float(rates.sum()) * (warmup + horizon)),
     )
     return sim.run(warmup, horizon)
 

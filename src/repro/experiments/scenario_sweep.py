@@ -28,6 +28,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.experiments.backends import with_budget_backend
+from repro.scenarios import get_scenario
+from repro.sim.kernels import NUMPY_BACKEND
 from repro.sim.registry import get_engine
 from repro.sim.replication import CellSpec, ReplicatedResult, ReplicationEngine
 from repro.util.tables import Table
@@ -101,20 +104,29 @@ def to_cell_specs(config: ScenarioSweepConfig = QUICK_SCEN) -> list[CellSpec]:
     the resumable sweep runner (:mod:`repro.experiments.sweeps`) — e.g.
     ``run_sweep(to_cell_specs(FULL_SCEN), "out/scen")`` checkpoints each
     (scenario, engine) cell and survives interrupts.
+
+    Cells of layered scenarios on engines that offer the numpy backend
+    run on the backend the shared visit budget picks; the rest (the
+    torus, the randomized mixture, the rushed and PS engines) stay on
+    the python default.
     """
-    return [
-        CellSpec(
-            scenario=name,
-            n=config.cube_dim if name == "bitreversal" else config.n,
-            rho=config.rho,
-            engine=engine,
-            warmup=config.warmup,
-            horizon=config.horizon,
-            seeds=config.seeds,
-        )
-        for name in config.scenarios
-        for engine in config.engines
-    ]
+    specs = []
+    for name in config.scenarios:
+        layered = get_scenario(name).layered
+        for engine in config.engines:
+            spec = CellSpec(
+                scenario=name,
+                n=config.cube_dim if name == "bitreversal" else config.n,
+                rho=config.rho,
+                engine=engine,
+                warmup=config.warmup,
+                horizon=config.horizon,
+                seeds=config.seeds,
+            )
+            if layered and NUMPY_BACKEND in get_engine(engine).backends:
+                spec = with_budget_backend(spec)
+            specs.append(spec)
+    return specs
 
 
 def run(

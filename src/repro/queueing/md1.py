@@ -83,23 +83,7 @@ class MD1Queue:
         """
         if not self.stable:
             raise ValueError(f"unstable M/D/1 queue: rho = {self.load} >= 1")
-        if kmax < 0:
-            raise ValueError(f"kmax must be >= 0, got {kmax}")
-        rho = self.load
-        # Arrivals during one service: Poisson(rho) pmf built by the
-        # multiplicative recurrence (factorials overflow for large kmax).
-        a = np.empty(kmax + 2)
-        a[0] = math.exp(-rho)
-        for j in range(1, kmax + 2):
-            a[j] = a[j - 1] * rho / j
-        pi = np.zeros(kmax + 1)
-        pi[0] = 1.0 - rho
-        for k in range(kmax):
-            acc = pi[k] - pi[0] * a[k]
-            for j in range(1, k + 1):
-                acc -= pi[j] * a[k - j + 1]
-            pi[k + 1] = acc / a[0]
-        return pi
+        return departure_chain(self.load, kmax, 1.0 - self.load)
 
     def mm1_ratio(self) -> float:
         """Ratio of the matched M/M/1 mean number to this queue's.
@@ -115,3 +99,28 @@ class MD1Queue:
         )
         md1 = self.mean_number()
         return mm1 / md1 if md1 > 0 else 1.0
+
+
+def departure_chain(rho: float, kmax: int, pi0: float) -> np.ndarray:
+    """``pi_0..pi_kmax`` of the M/D/1 departure-epoch chain, scaled so
+    that ``pi_0 = pi0``: the forward recursion of
+    :meth:`MD1Queue.number_pmf`, which needs no stability condition.
+    Its first ``k`` balance equations are those of the chain truncated
+    at ``k`` as well, which is how :mod:`repro.queueing.md1k` uses it.
+    """
+    if kmax < 0:
+        raise ValueError(f"kmax must be >= 0, got {kmax}")
+    # Arrivals during one service: Poisson(rho) pmf built by the
+    # multiplicative recurrence (factorials overflow for large kmax).
+    a = np.empty(kmax + 2)
+    a[0] = math.exp(-rho)
+    for j in range(1, kmax + 2):
+        a[j] = a[j - 1] * rho / j
+    pi = np.zeros(kmax + 1)
+    pi[0] = pi0
+    for k in range(kmax):
+        acc = pi[k] - pi[0] * a[k]
+        for j in range(1, k + 1):
+            acc -= pi[j] * a[k - j + 1]
+        pi[k + 1] = acc / a[0]
+    return pi

@@ -95,6 +95,11 @@ class Scenario:
     ``bounds_apply`` marks the one scheme the paper's Theorem 7 upper
     bound covers: the randomized mixture shares the standard rate map but
     is not layered, so the bound sandwich must not be asserted for it.
+    ``layered`` marks scenarios whose routes are feedforward (the
+    edge-precedence relation of the used paths is acyclic), which the
+    ``backend="numpy"`` max-plus kernels need: dimension-ordered routing
+    on the mesh and the hypercube, not the torus wrap-around or the
+    randomized row/column mixture.
     """
 
     name: str
@@ -102,6 +107,7 @@ class Scenario:
     build: Callable[..., ScenarioNetwork]
     standard_mesh: bool = False
     bounds_apply: bool = False
+    layered: bool = False
 
 
 _REGISTRY: dict[str, Scenario] = {}
@@ -143,6 +149,25 @@ def resolve_cell(spec: CellSpec) -> tuple[float | tuple, np.ndarray | None]:
     solver for everything else). The mask is ``None`` unless
     ``spec.track_saturated``.
     """
+    scenario, net, node_rate, unit = _calibrate(spec)
+    if not spec.track_saturated:
+        return node_rate, None
+    return node_rate, saturated_edge_mask(
+        _edge_rates(scenario, net, node_rate, unit)
+    )
+
+
+def cell_edge_rates(spec: CellSpec) -> np.ndarray:
+    """Per-edge arrival rates ``lam_e`` of a :class:`CellSpec`'s network
+    at its resolved node rate (as :func:`resolve_cell` calibrates it)."""
+    return _edge_rates(*_calibrate(spec))
+
+
+def _calibrate(
+    spec: CellSpec,
+) -> tuple[Scenario, ScenarioNetwork, float | tuple, np.ndarray | None]:
+    """The scenario, its network, the resolved node rate and — when the
+    generic solver calibrated it — the unit-rate edge rates."""
     scenario = get_scenario(spec.scenario)
     net = scenario.build(spec.n, **spec.params_dict)
     unit = None  # solver rates at node_rate = 1, reusable: rates are linear
@@ -160,17 +185,24 @@ def resolve_cell(spec: CellSpec) -> tuple[float | tuple, np.ndarray | None]:
                 f"scenario {spec.scenario!r} carries no traffic at n={spec.n}"
             )
         node_rate = spec.rho / peak
-    if not spec.track_saturated:
-        return node_rate, None
+    return scenario, net, node_rate, unit
+
+
+def _edge_rates(
+    scenario: Scenario,
+    net: ScenarioNetwork,
+    node_rate: float | tuple,
+    unit: np.ndarray | None,
+) -> np.ndarray:
+    """Per-edge arrival rates at ``node_rate``: the closed form on the
+    standard mesh, else the (reused or fresh) generic solver."""
     if scenario.standard_mesh and np.isscalar(node_rate):
-        rates = array_edge_rates(net.router.topology, node_rate)
-    elif unit is not None:
-        rates = unit * node_rate
-    else:
-        rates = edge_rates_from_routing(
-            net.router, net.destinations, node_rate, source_nodes=net.source_nodes
-        )
-    return node_rate, saturated_edge_mask(rates)
+        return array_edge_rates(net.router.topology, node_rate)
+    if unit is not None:
+        return unit * node_rate
+    return edge_rates_from_routing(
+        net.router, net.destinations, node_rate, source_nodes=net.source_nodes
+    )
 
 
 # ----------------------------------------------------------------------
@@ -255,6 +287,7 @@ register(
         _uniform,
         standard_mesh=True,
         bounds_apply=True,
+        layered=True,
     )
 )
 register(
@@ -270,6 +303,7 @@ register(
         "hotspot",
         "uniform mesh traffic with extra mass h on a hot node",
         _hotspot,
+        layered=True,
     )
 )
 register(
@@ -277,6 +311,7 @@ register(
         "transpose",
         "fixed-permutation transpose traffic (i,j) -> (j,i) on the mesh",
         _transpose,
+        layered=True,
     )
 )
 register(
@@ -284,6 +319,7 @@ register(
         "bitreversal",
         "bit-reversal permutation on the n-dimensional hypercube",
         _bitreversal,
+        layered=True,
     )
 )
 register(
@@ -291,6 +327,7 @@ register(
         "geometric",
         "Section 5.2 distance-biased destinations on the mesh",
         _geometric,
+        layered=True,
     )
 )
 register(
@@ -299,6 +336,7 @@ register(
         "one isolated M/*/1 queue (2x2 mesh, node 0 -> 1 only) for "
         "closed-form validation cells",
         _single,
+        layered=True,
     )
 )
 register(

@@ -120,16 +120,17 @@ The FIFO, finite-buffer and slotted engines route their hot loops
 through :mod:`repro.sim.kernels`, selected by the ``backend``
 constructor knob (and the matching ``backend`` engine param on the
 facade). The finite-buffer engine has no kernel of its own: it runs the
-``fifo`` kernel with per-edge waiting-room caps, under which the
-kernel's general loops apply tail-drop admission.
+``fifo`` kernel with per-edge waiting-room caps, under which both
+backends apply tail-drop admission.
 
 ========== ============================ ==============================
 engine     ``backend="python"``         ``backend="numpy"``
 ========== ============================ ==============================
-``fifo``   reference loop (default)     max-plus level sweep; uniform
-                                        deterministic service only
-``finite`` fifo loop with tail-drop     ``buffer_size=None`` only
-           admission (default)          (the fifo kernel, uncapped)
+``fifo``   reference loop (default)     max-plus level sweep;
+                                        deterministic service (uniform
+                                        or per-edge), utilization
+``finite`` fifo loop with tail-drop     the fifo sweep plus a
+           admission (default)          vectorized tail-drop scan
 ``slotted``reference loop (default)     batched slot kernel
 ``rushed`` reference loop               —
 ``ps``     reference loop               —
@@ -147,17 +148,19 @@ draw-order-identical: blocked draws interleave differently once a run
 crosses an RNG block boundary, and equal-eligibility slot ties may
 swap. Distribution-level parity tests (``tests/test_sim_kernels.py``)
 pin that tier. Options the vectorized kernels cannot honour
-(``track_maxima``, ``track_utilization``, finite buffers, exponential
-service, routes whose edge-precedence graph has cycles — e.g. torus
+(``track_maxima``, ``track_number_distribution``, exponential service,
+routes whose edge-precedence graph has cycles — e.g. torus
 wrap-around) raise ``ValueError`` pointing back to ``backend="python"``
 rather than degrading silently.
 
-Every engine defaults to ``backend="python"``. The paper report's
-shared (n, rho) grid (:mod:`repro.experiments.grid` — Tables I–III, the
-bounds sweep) is the standard model the numpy kernels solve, so its
-cells choose ``backend="numpy"`` while their expected visit count fits
-``grid.NUMPY_VISIT_BUDGET`` (the whole-trajectory solve holds about 30
-bytes per visit) and ``python`` above it.
+Every engine defaults to ``backend="python"``. The paper report runs
+every cell the numpy kernels can solve there — the shared (n, rho)
+grid (:mod:`repro.experiments.grid`: Tables I–III, the bounds sweep),
+the Section 4.5 / 5.1 / 5.2 validation points, the finite-buffer sweep
+and the layered scenario-sweep cells — while its expected visit count
+fits ``NUMPY_VISIT_BUDGET``, and on ``python`` above it; the rule lives
+in :mod:`repro.experiments.backends` (the whole-trajectory solve holds
+about 30 bytes per visit).
 
 Hot-path architecture
 ---------------------

@@ -113,8 +113,9 @@ class NetworkSimulation:
         ``"python"`` (the default) runs the extracted reference loops
         under the same-seed bit-identity contract; ``"numpy"`` runs the
         vectorized max-plus kernel — distribution-identical, not
-        draw-order-identical, and only for uniform deterministic
-        service (the monotone-merge regime).
+        draw-order-identical, for deterministic service (uniform or
+        per-edge rates, with utilization and tail-drop caps) on
+        feedforward routes.
     """
 
     #: Per-edge waiting-room caps for tail-drop admission, or ``None``
@@ -154,11 +155,11 @@ class NetworkSimulation:
             == len(self._service_times)
         )
         self.backend = check_backend(backend)
-        if self.backend == NUMPY_BACKEND and not self._uniform_service:
+        if self.backend == NUMPY_BACKEND and service != DETERMINISTIC:
             raise ValueError(
-                "backend='numpy' vectorizes only the uniform-deterministic "
-                "(monotone-merge) regime; exponential or per-edge service "
-                "rates need backend='python'"
+                "backend='numpy' vectorizes only deterministic service "
+                "(uniform-deterministic or per-edge rates); exponential "
+                "service needs backend='python'"
             )
 
         # Shared constructor policy (sources, rates, pinned source CDF,

@@ -29,16 +29,28 @@ Hot path and bit-identity
 -------------------------
 This class adds no loop of its own. It sets ``_edge_caps`` and
 inherits :meth:`NetworkSimulation.run`, so every run executes the FIFO
-kernel (:func:`repro.sim.kernels.python_backend.run_fifo`). With caps
-set, the kernel's general merge and heap loops apply tail-drop
-admission at each enqueue onto a busy edge and count the drops. With
-``buffer_size=None`` there are no caps, so the run *is* a FIFO run,
-bit-identical to ``engine="fifo"`` and pinned by the ``finite_none_*``
-golden cells. With buffers too large to ever fill, the capped loops
-perform the exact same draws, event ordering and float accumulation as
-the uncapped ones (the admission test consumes no randomness), which
-the regression tests pin as well. A capped run records
-``engine="finite"`` in its rngsan trace.
+kernel of the selected backend. On ``backend="python"``
+(:func:`repro.sim.kernels.python_backend.run_fifo`) the kernel's
+general merge and heap loops apply tail-drop admission at each enqueue
+onto a busy edge and count the drops. With ``buffer_size=None`` there
+are no caps, so the run *is* a FIFO run, bit-identical to
+``engine="fifo"`` and pinned by the ``finite_none_*`` golden cells.
+With buffers too large to ever fill, the capped loops perform the
+exact same draws, event ordering and float accumulation as the
+uncapped ones (the admission test consumes no randomness), which the
+regression tests pin as well. A capped run records ``engine="finite"``
+in its rngsan trace.
+
+On ``backend="numpy"`` (deterministic service, feedforward routes)
+the max-plus kernel (:func:`repro.sim.kernels.numpy_backend.run_fifo`)
+decides admission per edge from the last admitted departure: an
+arrival at ``a`` finds ``ceil((d_last - a) / c_e)`` packets, so it is
+dropped iff that is at least ``K + 1``. The scan over arrival rank runs
+vectorized across the edges of one level, and a dropped packet's later
+hops are retired. Seed-stable and distribution-equivalent to the
+python loops (loss, delay and E[N] parity tests, and the
+``md1k-loss`` validation check), not draw-order-identical; with
+buffers too large to fill it equals the uncapped numpy run exactly.
 """
 
 from __future__ import annotations
@@ -50,7 +62,6 @@ import numpy as np
 from repro.routing.base import Router
 from repro.routing.destinations import DestinationDistribution
 from repro.sim.fifo_network import NetworkSimulation
-from repro.sim.kernels import NUMPY_BACKEND
 
 
 def resolve_buffer_size(
@@ -121,12 +132,3 @@ class FiniteBufferNetworkSimulation(NetworkSimulation):
             return
         # Per-edge waiting-room cap: node caps fanned onto out-edges.
         self._edge_caps = [per_node[u] for u in self._edge_tail]
-        if self.backend == NUMPY_BACKEND:
-            # Tail-drop admission couples every packet's trajectory to
-            # instantaneous queue lengths, which breaks the max-plus
-            # decomposition the vectorized kernel relies on.
-            raise ValueError(
-                "backend='numpy' does not support finite buffers "
-                "(tail-drop admission is state-dependent); use "
-                "backend='python' or buffer_size=None"
-            )

@@ -3,12 +3,14 @@
 Instead of replaying the event loop, these kernels exploit the structure
 of the two regimes the python backend's hot loops already isolate:
 
-* **uniform deterministic FIFO service** (the event engine's
-  monotone-merge regime) — at a single FIFO server with constant service
-  time ``c`` the departure of the ``k``-th arrival (in arrival order) is
-  the Lindley recurrence ``d_k = max(x_k, d_{k-1}) + c``, which has the
-  closed form ``d_k = (k+1)c + cummax_j<=k (x_j - j c)``: one segmented
-  cumulative maximum per edge, no loop over events;
+* **deterministic FIFO service** — at a single FIFO server with
+  constant service time ``c_e`` the departure of the ``k``-th arrival
+  (in arrival order) is the Lindley recurrence
+  ``d_k = max(x_k, d_{k-1}) + c_e``, which has the closed form
+  ``d_k = (k+1) c_e + cummax_j<=k (x_j - j c_e)``: one segmented
+  cumulative maximum per edge, no loop over events. Uniform service
+  (the standard model) keeps ``c`` a scalar; per-edge rates (Theorem
+  15's allocation) scale each visit by its own edge's ``c_e``;
 * **slotted unit transmissions** — the integer analogue
   ``d_k = max(g_k, d_{k-1} + 1) = k + cummax(g_j - j)`` over eligibility
   slots ``g``.
@@ -51,17 +53,35 @@ contract in :mod:`repro.sim`. The draw order, for regression pinning:
   discipline as the python backend), then the same id/source/
   destination/path batches as fifo, once for all slots.
 
+FIFO options
+------------
+* ``track_utilization``: a visit that leaves edge ``e`` at ``d`` kept it
+  busy over ``[d - c_e, d]``; each solved level clips those intervals
+  to the window and sums them per edge with one ``bincount``.
+* Tail-drop caps (the finite-buffer engine): a visit arriving at ``a``
+  finds ``ceil((d_last - a) / c_e)`` packets at its edge, where
+  ``d_last`` is the departure of the edge's last admitted packet (the
+  queue's departures are ``c_e`` apart within a busy period), so it is
+  dropped iff ``d_last - a > cap_e * c_e``. Admission is therefore a
+  scan over arrival rank (:func:`_tail_drop`), vectorized across the
+  edges of one level and confined to the uncapped solve's busy periods
+  that overflow: before a busy period's first overflow and after it
+  drains the capped and uncapped queues coincide. A dropped packet's
+  later visits are retired — skipped by every later solve, with the
+  drop time standing in for their departures — so its remaining hop
+  units end at the drop time in the N and R integrals, as in the
+  reference loop. ``dropped`` and ``node_drops`` count measured packets
+  only.
+
 Unsupported options raise ``ValueError`` rather than silently diverge:
-``track_utilization``, ``track_number_distribution`` and
-``track_maxima`` (order statistics need the event interleaving), finite
-buffers (state-dependent admission breaks the max-plus decomposition;
-rejected at construction), and non-uniform or exponential service for
-fifo (rejected at construction).
+``track_number_distribution`` and ``track_maxima`` (order statistics
+need the event interleaving) and exponential fifo service (rejected at
+construction).
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable
+from typing import Any, Callable, NamedTuple
 
 import numpy as np
 
@@ -189,7 +209,7 @@ def _loop_cummax(starts: np.ndarray, shifted: np.ndarray) -> np.ndarray:
 def _solve_runs(
     e_sorted: np.ndarray,
     shifted: np.ndarray,
-    scale: float,
+    scale: float | np.ndarray,
     lag: int,
     sentinel: float,
 ) -> np.ndarray:
@@ -197,6 +217,7 @@ def _solve_runs(
     queue order, with ``shifted`` holding their eligibility values: the
     ``k``-th visit of an edge's run leaves at
     ``(k + lag) * scale + cummax_j<=k (shifted_j - j * scale)``.
+    ``scale`` is a scalar, or per visit (constant along each run).
     Overwrites ``shifted``."""
     n = e_sorted.size
     diff = e_sorted[1:] != e_sorted[:-1]
@@ -228,13 +249,96 @@ def _sorted_by_edge_then(
 
 
 def _fifo_departures(
-    e_s: np.ndarray, x_s: np.ndarray, c: float, e_span: int
-) -> None:
+    e_s: np.ndarray,
+    x_s: np.ndarray,
+    c: float | np.ndarray,
+    e_span: int,
+    cap: np.ndarray | None = None,
+) -> np.ndarray | None:
     """Solve one level in place: ``x_s`` holds its visits' eligibility
     times on entry and their departure times on return. FIFO order is
-    arrival order (float eligibility ties have measure zero)."""
+    arrival order (float eligibility ties have measure zero).
+
+    ``c`` is the uniform service time or a per-edge array. With per-edge
+    waiting-room caps ``cap``, tail-drop admission applies: a dropped
+    visit's entry is left at its arrival (drop) time, and the visits'
+    drop mask is returned when any were dropped (else ``None``)."""
     order = _sorted_by_edge_then(x_s, e_s, e_span)
-    x_s[order] = _solve_runs(e_s[order], x_s[order], c, 1, -np.inf)
+    e_o = e_s[order]
+    scale = c[e_o] if isinstance(c, np.ndarray) else c
+    if cap is None:
+        x_s[order] = _solve_runs(e_o, x_s[order], scale, 1, -np.inf)
+        return None
+    x_o = x_s[order]
+    d = _solve_runs(e_o, x_o.copy(), scale, 1, -np.inf)
+    dropped = _tail_drop(e_o, x_o, d, scale, cap[e_o] * scale)
+    x_s[order] = d
+    if dropped is None:
+        return None
+    mask = np.zeros(e_s.size, dtype=bool)
+    mask[order[dropped]] = True
+    return mask
+
+
+def _tail_drop(
+    e: np.ndarray,
+    x: np.ndarray,
+    d: np.ndarray,
+    c: float | np.ndarray,
+    room: np.ndarray,
+) -> np.ndarray | None:
+    """Tail-drop admission over one level's visits, sorted by edge and
+    then by arrival time ``x``, given their *uncapped* departures ``d``
+    (overwritten with the capped ones; a dropped visit gets its arrival
+    time). ``c`` is the service time (a scalar or per visit) and
+    ``room = cap * c`` the longest backlog an arrival may find, per
+    visit. Returns the dropped positions, or ``None`` when nothing
+    drops.
+
+    A visit arriving at ``a`` is dropped iff the edge's last admitted
+    departure ``d_last`` exceeds ``a + room``. Only busy periods of the
+    uncapped solve in which some visit would be dropped need the scan:
+    until their first such visit the capped queue is the uncapped one,
+    and once the uncapped queue drains the capped one (never longer) has
+    drained too. Each of those stretches is scanned from its first drop
+    to the end of its busy period, one arrival rank per step, all of
+    them at once."""
+    n = e.size
+    prev = np.empty(n)
+    prev[0] = -np.inf
+    prev[1:] = d[:-1]
+    prev[np.flatnonzero(e[1:] != e[:-1]) + 1] = -np.inf
+    over = np.flatnonzero(prev - x > room)
+    if over.size == 0:
+        return None
+    idle = x >= prev  # the visit opens a busy period of the uncapped solve
+    period = np.cumsum(idle) - 1
+    period_end = np.append(np.flatnonzero(idle)[1:], n)
+    first = np.ones(over.size, dtype=bool)
+    first[1:] = period[over[1:]] != period[over[:-1]]
+    start = over[first]
+    length = period_end[period[start]] - start
+    by_len = np.argsort(-length, kind="stable")
+    start, length = start[by_len], length[by_len]
+    # Stretches still running at each rank step (a prefix: longest first).
+    active = np.searchsorted(-length, -np.arange(int(length[0])), side="left")
+    last = prev[start]  # exact: nothing dropped before ``start``
+    c_u = np.broadcast_to(c, n)[start]  # constant along each stretch
+    room_u = room[start]
+    drop = np.zeros(n, dtype=bool)
+    for k, m in enumerate(active.tolist()):
+        pos = start[:m] + k
+        a = x[pos]
+        d_last = last[:m]
+        lost = d_last - a > room_u[:m]
+        dep = np.maximum(a, d_last)
+        dep += c_u[:m]
+        np.copyto(d_last, dep, where=~lost)
+        d[pos] = dep
+        drop[pos] = lost
+    dropped = np.flatnonzero(drop)
+    d[dropped] = x[dropped]
+    return dropped
 
 
 def _slot_departures(e_s: np.ndarray, k_s: np.ndarray, e_span: int) -> None:
@@ -322,17 +426,38 @@ def _level_layout(
     return bounds, e_lv, nxt_lv, first_lv, last_lv
 
 
+#: Tail-drop visit state bit: the packet was dropped here or earlier.
+_DROPPED = 2
+
+
+class _Sweep(NamedTuple):
+    """What :func:`_sweep_levels` returns."""
+
+    #: Each packet's last-hop departure (its drop time if dropped).
+    d_final: np.ndarray
+    #: Window sums of the clipped departures over all visits and over
+    #: saturated-edge visits.
+    sum_all: float
+    sum_sat: float
+    #: Each packet's number of saturated hops (``None`` without a mask).
+    sat_hops: np.ndarray | None
+    #: Tail-drop runs only: which packets were not dropped, and the
+    #: measured packets dropped at each edge.
+    drops: tuple[np.ndarray, np.ndarray] | None = None
+
+
 def _sweep_levels(
     sim: Any,
     offs: np.ndarray,
     lens: np.ndarray,
     seed: np.ndarray,
-    solve: Callable[[np.ndarray, np.ndarray], None],
+    solve: Callable[[np.ndarray, np.ndarray], np.ndarray | None],
     forward: Callable[[np.ndarray], np.ndarray],
     clip_lo: float,
     clip_hi: float,
     sat_arr: np.ndarray | None,
-) -> tuple[np.ndarray, float, float, np.ndarray | None]:
+    measured: np.ndarray | None = None,
+) -> _Sweep:
     """The level sweep both kernels share.
 
     Gathers the routed packets' visits, lays them out by level and
@@ -345,14 +470,20 @@ def _sweep_levels(
     solved level adds its visits' clipped departures
     ``max(min(d, clip_hi) - clip_lo, 0)`` to the window sums.
 
-    Returns ``(d_final, sum_all, sum_sat, sat_hops)``: each packet's
-    last-hop departure, the window sums over all visits and over
-    saturated-edge visits, and each packet's number of saturated hops
-    (``None`` without a mask).
+    Tail-drop runs pass each routed packet's ``measured`` flag, and
+    ``solve`` returns the mask of the visits it dropped (or ``None``).
+    A dropped packet's later visits are retired: they skip every later
+    solve and carry the drop time forward as their "departure", which
+    is where its remaining hop units end in the window sums.
     """
+    num_edges = sim.topology.num_edges
+    edge_drops = np.zeros(num_edges, dtype=np.int64)
     if lens.size == 0:
         sat_hops = None if sat_arr is None else np.zeros(0, dtype=np.int64)
-        return np.empty(0, dtype=seed.dtype), 0.0, 0.0, sat_hops
+        drops = None
+        if measured is not None:
+            drops = (np.zeros(0, dtype=bool), edge_drops)
+        return _Sweep(np.empty(0, dtype=seed.dtype), 0.0, 0.0, sat_hops, drops)
     cache = sim.path_cache
     visit_edge = cache.arena.gather(offs, lens)
     ends = np.cumsum(lens)
@@ -362,11 +493,17 @@ def _sweep_levels(
         sat_hops = np.diff(cum_sat[ends - 1], prepend=0)
         del cum_sat
     bounds, e_lv, nxt_lv, first_lv, last_lv = _level_layout(
-        cache, sim.topology.num_edges, visit_edge, ends
+        cache, num_edges, visit_edge, ends
     )
     del visit_edge, ends
     buf = np.empty(nxt_lv.size + 1, dtype=seed.dtype)
     buf[first_lv] = seed
+    state: np.ndarray | None = None
+    if measured is not None:
+        # Per visit: bit 0 = measured packet, plus the _DROPPED bit;
+        # forwarded hop to hop alongside the values.
+        state = np.zeros(buf.size, dtype=np.int8)
+        state[first_lv] = measured
     del first_lv
     sum_all = sum_sat = 0.0
     for lev in range(bounds.size - 1):
@@ -375,7 +512,23 @@ def _sweep_levels(
             continue
         e = e_lv[lo:hi]
         d = buf[lo:hi]
-        solve(e, d)
+        if state is None:
+            solve(e, d)
+        else:
+            st = state[lo:hi]
+            live = np.flatnonzero(st < _DROPPED)
+            lost: np.ndarray | None = None
+            if live.size:  # a level may hold only retired visits
+                d_live = d[live]
+                lost = solve(e[live], d_live)
+                d[live] = d_live
+            if lost is not None:
+                hit = live[lost]
+                edge_drops += np.bincount(
+                    e[hit[st[hit] == 1]], minlength=num_edges
+                )
+                st[hit] |= _DROPPED
+            state[nxt_lv[lo:hi]] = st
         buf[nxt_lv[lo:hi]] = forward(d)
         clipped = np.minimum(d, clip_hi)
         clipped -= clip_lo
@@ -383,7 +536,10 @@ def _sweep_levels(
         sum_all += clipped.sum().item()
         if sat_arr is not None:
             sum_sat += clipped[sat_arr[e]].sum().item()
-    return buf[last_lv], sum_all, sum_sat, sat_hops
+    drops = None
+    if state is not None:
+        drops = (state[last_lv] < _DROPPED, edge_drops)
+    return _Sweep(buf[last_lv], sum_all, sum_sat, sat_hops, drops)
 
 
 def run_fifo(
@@ -397,21 +553,45 @@ def run_fifo(
     track_maxima: bool = False,
     delay_batches: int = 32,
 ) -> SimResult:
-    """Vectorized uniform-deterministic FIFO kernel (max-plus solve)."""
-    if track_utilization:
-        _reject("track_utilization", "fifo")
+    """Vectorized deterministic FIFO kernel (max-plus solve), with
+    per-edge service, utilization and tail-drop caps as options."""
     if track_number_distribution:
         _reject("track_number_distribution", "fifo")
     if track_maxima:
         _reject("track_maxima", "fifo")
-    rng = make_rng(sim.seed, engine="fifo", backend="numpy")
+    caps = sim._edge_caps
+    capped = caps is not None
+    rng = make_rng(
+        sim.seed, engine="finite" if capped else "fifo", backend="numpy"
+    )
     t_end = warmup + horizon
     gap_scale = 1.0 / sim.total_rate
     num_nodes = sim.topology.num_nodes
     num_edges = sim.topology.num_edges
-    c = sim._service_times[0]
+    # Uniform service keeps the scalar solve; per-edge service times are
+    # gathered per visit.
+    c = (
+        sim._service_times[0]
+        if sim._uniform_service
+        else np.asarray(sim._service_times)
+    )
+    cap = np.asarray(caps, dtype=np.float64) if capped else None
     sat = sim._sat
     sat_arr = None if sat is None else np.asarray(sat, dtype=bool)
+    util = np.zeros(num_edges) if track_utilization else None
+
+    def solve(e: np.ndarray, x: np.ndarray) -> np.ndarray | None:
+        lost = _fifo_departures(e, x, c, num_edges, cap)
+        if util is not None:
+            if lost is not None:
+                e, x = e[~lost], x[~lost]
+            # Each served visit keeps its edge busy over [d - c_e, d].
+            start = x - (c[e] if isinstance(c, np.ndarray) else c)
+            busy = np.minimum(x, t_end)
+            busy -= np.maximum(start, warmup)
+            np.maximum(busy, 0.0, out=busy)
+            util[:] += np.bincount(e, weights=busy, minlength=num_edges)
+        return lost
 
     # ---- draws (see the module docstring's draw-order spec) ----
     blocks = []
@@ -439,17 +619,19 @@ def run_fifo(
     del srcs, dsts
 
     # ---- solve ----
-    d_final, sum_r, sum_rs, sat_hops = _sweep_levels(
+    sweep = _sweep_levels(
         sim,
         offs,
         lens,
         a_t,
-        lambda e, x: _fifo_departures(e, x, c, num_edges),
+        solve,
         lambda d: d,
         warmup,
         t_end,
         sat_arr,
+        mr if capped else None,
     )
+    d_final, sum_r, sum_rs, sat_hops = sweep[:4]
 
     # ---- exact window-overlap statistics ----
     int_n = float(
@@ -469,15 +651,26 @@ def run_fifo(
     )
     in_flight = int((d_final >= t_end).sum())
 
+    dropped = 0
+    node_drops = None
+    done = mr  # measured routed packets that complete
+    if sweep.drops is not None:
+        survived, edge_drops = sweep.drops
+        done = mr & survived
+        node_drops = np.bincount(
+            sim._edge_tail, weights=edge_drops, minlength=num_nodes
+        ).astype(np.int64)
+        dropped = int(edge_drops.sum())
+
     delay_acc = TimeBatchAccumulator(warmup, t_end, delay_batches)
     routed_delay = d_final - a_t
-    delay_acc.add_batch(a_t[mr], routed_delay[mr])
+    delay_acc.add_batch(a_t[done], routed_delay[done])
     delay_acc.add_batch(zero_ts, np.zeros(zero_ts.size))
 
     delays = None
     if collect_delays:
-        comp_t = np.concatenate((zero_ts, d_final[mr]))
-        vals = np.concatenate((np.zeros(zero_ts.size), routed_delay[mr]))
+        comp_t = np.concatenate((zero_ts, d_final[done]))
+        vals = np.concatenate((np.zeros(zero_ts.size), routed_delay[done]))
         delays = vals[np.argsort(comp_t, kind="stable")]
 
     mean_number = int_n / horizon
@@ -487,7 +680,8 @@ def run_fifo(
         horizon=horizon,
         seed=sim.seed,
         generated=generated,
-        completed=generated,  # every measured packet completes after drain
+        # Every measured packet that is not dropped completes after drain.
+        completed=generated - dropped,
         zero_hop=zero_ts.size,
         in_flight_at_end=in_flight,
         mean_number=mean_number,
@@ -499,7 +693,10 @@ def run_fifo(
         delay_half_width=summary.half_width,
         mean_delay_littles=mean_number / sim.total_rate,
         total_rate=sim.total_rate,
+        utilization=util / horizon if util is not None else None,
         delays=delays,
+        dropped=dropped,
+        node_drops=node_drops,
     )
 
 
@@ -566,7 +763,7 @@ def run_slotted(
         warmup_slots - 1,
         last,
         sat_arr,
-    )
+    )[:4]
 
     # ---- inclusive-slot window statistics ----
     # A packet occupies the system during slots [a, d_final] (it leaves

@@ -48,8 +48,9 @@ Engine-specific parameters
     ``buffer_size``: per-node waiting room (a non-negative int broadcasts
     over all nodes, a tuple gives one value per node, ``None`` — the
     default — reproduces the infinite-buffer ``fifo`` engine
-    bit-for-bit). ``backend`` as for ``fifo`` — numpy only with
-    ``buffer_size=None`` (tail-drop admission is state-dependent).
+    bit-for-bit). ``backend`` as for ``fifo``: the numpy kernel
+    decides tail-drop admission with a vectorized scan over each edge's
+    arrivals (deterministic service only, like every numpy fifo run).
 
 Kernel backends
 ---------------
@@ -448,8 +449,7 @@ register_engine(
         # the Theorem 7 sandwich brackets it once drops occur.
         littles_law=False,
         bound_sandwich=False,
-        # numpy only with buffer_size=None (the constructor rejects the
-        # combination otherwise — tail-drop admission is state-dependent).
+        # numpy covers capped runs too (deterministic service only).
         backends=KERNEL_BACKENDS,
     )
 )

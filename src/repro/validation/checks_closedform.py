@@ -15,6 +15,11 @@ against the exact analytic target with :func:`~repro.validation.framework.z_comp
 * ``mm1k-loss`` — the finite engine with ``buffer_size=K`` on the single
   queue is an M/M/1/K system of capacity ``K+1``
   (:class:`repro.queueing.MM1KQueue`): loss probability and mean number.
+* ``md1k-loss`` — the same cell with deterministic service is M/D/1/K
+  (:class:`repro.queueing.MD1KQueue`, the truncated M/D/1
+  departure-epoch chain), on both kernel backends: the numpy kernel's
+  tail-drop admission is held to a queueing law, not only to a delay
+  identity.
 * ``jackson-mesh`` — fifo with exponential service on the uniform mesh
   is an open Jackson network: mean number from
   :class:`~repro.queueing.ProductFormNetwork` and mean delay via
@@ -37,7 +42,13 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.rates import array_edge_rates, lambda_for_load
-from repro.queueing import MD1Queue, MM1KQueue, MM1Queue, ProductFormNetwork
+from repro.queueing import (
+    MD1KQueue,
+    MD1Queue,
+    MM1KQueue,
+    MM1Queue,
+    ProductFormNetwork,
+)
 from repro.sim.fifo_network import DETERMINISTIC, EXPONENTIAL
 from repro.sim.registry import available_engines
 from repro.sim.replication import CellSpec
@@ -111,27 +122,35 @@ def _md1_delay(engine: str):
     return runner
 
 
-#: Waiting room of the M/M/1/K loss cell (system capacity K+1) and its
-#: offered load — high enough that ~17% of packets drop, so the loss CI
-#: is tight at quick-tier horizons.
+#: Waiting room of the M/M/1/K and M/D/1/K loss cells (system capacity
+#: K+1) and their offered load — high enough that ~17% (exponential) or
+#: ~10% (deterministic) of packets drop, so the loss CI is tight at
+#: quick-tier horizons.
 BUFFER_K, RHO_LOSS = 2, 0.8
 
 
-def _mm1k_loss(backend: str, processes: int | None) -> list[Comparison]:
-    q = MM1KQueue.from_buffer(RHO_LOSS, BUFFER_K)
-    res = run_cell(
-        CellSpec(engine="finite", service=EXPONENTIAL, rho=RHO_LOSS,
-                 engine_params=backend_engine_params(backend)
-                 + (("buffer_size", BUFFER_K),),
-                 **SINGLE),
-        processes,
-    )
-    return [
-        z_comparison("loss_probability", res.loss_probability,
-                     q.blocking_probability(), res.loss_half_width),
-        z_comparison("mean_number", res.mean_number, q.mean_number(),
-                     res.number_half_width),
-    ]
+def _loss(service: str):
+    """Loss probability and mean number of the finite single-queue cell
+    against M/M/1/K (exponential service) or M/D/1/K (deterministic)."""
+    queue = MM1KQueue if service == EXPONENTIAL else MD1KQueue
+
+    def runner(backend: str, processes: int | None) -> list[Comparison]:
+        q = queue.from_buffer(RHO_LOSS, BUFFER_K)
+        res = run_cell(
+            CellSpec(engine="finite", service=service, rho=RHO_LOSS,
+                     engine_params=backend_engine_params(backend)
+                     + (("buffer_size", BUFFER_K),),
+                     **SINGLE),
+            processes,
+        )
+        return [
+            z_comparison("loss_probability", res.loss_probability,
+                         q.blocking_probability(), res.loss_half_width),
+            z_comparison("mean_number", res.mean_number, q.mean_number(),
+                         res.number_half_width),
+        ]
+
+    return runner
 
 
 def _jackson_mesh(backend: str, processes: int | None) -> list[Comparison]:
@@ -234,7 +253,15 @@ register_check(ValidationCheck(
     description="finite + exponential on the single queue is M/M/1/K "
     "(loss probability and mean number)",
     severity=GATE, tier=QUICK, engine="finite", backends=("python",),
-    runner=_mm1k_loss,
+    runner=_loss(EXPONENTIAL),
+))
+register_check(ValidationCheck(
+    name="md1k-loss",
+    description="finite + deterministic on the single queue is M/D/1/K "
+    "(loss probability and mean number), both kernel backends",
+    severity=GATE, tier=QUICK, engine="finite",
+    backends=("python", "numpy"),
+    runner=_loss(DETERMINISTIC),
 ))
 register_check(ValidationCheck(
     name="jackson-mesh",

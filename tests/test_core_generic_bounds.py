@@ -1,19 +1,28 @@
 """Tests for the topology-generic bound assembly."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
+from repro.core.distances import max_route_length, mean_route_length
 from repro.core.generic_bounds import generic_bounds
 from repro.core.lower_bounds import bound_summary
-from repro.core.rates import lambda_for_load
+from repro.core.rates import edge_rates_from_routing, lambda_for_load
+from repro.core.remaining_distance import expected_remaining_distances
+from repro.core.saturation import (
+    max_saturated_on_route,
+    saturated_edge_mask,
+    saturated_remaining_expectations,
+)
 from repro.routing.destinations import (
     PBiasedHypercubeDestinations,
     UniformDestinations,
 )
-from repro.routing.greedy import GreedyArrayRouter
+from repro.routing.greedy import GreedyArrayRouter, GreedyKDRouter
 from repro.routing.hypercube_greedy import GreedyHypercubeRouter
 from repro.routing.torus_greedy import GreedyTorusRouter
-from repro.topology.array_mesh import ArrayMesh
+from repro.topology.array_mesh import ArrayMesh, KDArray
 from repro.topology.hypercube import Hypercube
 from repro.topology.torus import Torus
 
@@ -126,3 +135,44 @@ class TestValidation:
                 [0.0],
                 source_nodes=[0],
             )
+
+
+class TestRoutesEachPairOnce:
+    """The six ingredient helpers share one memoized routing pass."""
+
+    class CountingRouter:
+        def __init__(self, router):
+            self.topology = router.topology
+            self._router = router
+            self.calls = Counter()
+
+        def path(self, src, dst):
+            self.calls[src, dst] += 1
+            return self._router.path(src, dst)
+
+        def sample_path(self, src, dst, rng):
+            return self.path(src, dst)
+
+    def test_each_pair_routed_once_bounds_unchanged(self):
+        array = KDArray((3, 3, 3))
+        dests = UniformDestinations(array.num_nodes)
+        lam = 0.05
+        counting = self.CountingRouter(GreedyKDRouter(array))
+        gb = generic_bounds(counting, dests, lam)
+        assert counting.calls and max(counting.calls.values()) == 1
+
+        # The same ingredients from each helper on the bare router.
+        router = GreedyKDRouter(array)
+        rates = edge_rates_from_routing(router, dests, lam)
+        mask = saturated_edge_mask(rates)
+        assert gb.network_load == pytest.approx(rates.max())
+        assert gb.mean_distance == pytest.approx(
+            mean_route_length(router, dests)
+        )
+        assert gb.d_max == max_route_length(router)
+        assert gb.d_bar == pytest.approx(
+            np.nanmax(expected_remaining_distances(router, dests))
+        )
+        assert gb.s_max == max_saturated_on_route(router, mask)
+        s_e = saturated_remaining_expectations(router, dests, mask)
+        assert gb.s_bar == pytest.approx(s_e[np.isfinite(s_e)].max())

@@ -3,7 +3,11 @@
 import numpy as np
 import pytest
 
-from repro.experiments import configs, dominance, figure1, figure2, grid
+import dataclasses
+
+from repro.experiments import backends, configs, dominance, figure1, figure2, grid
+from repro.experiments import finite_buffer, higher_dims, hypercube_bounds
+from repro.experiments import optimal_config, scenario_sweep
 from repro.experiments import table1, table2, table3
 from repro.experiments.bounds_sweep import QUICK_SWEEP, SweepConfig
 from repro.experiments.bounds_sweep import _cell_spec as sweep_cell_spec
@@ -18,6 +22,7 @@ from repro.experiments.hypercube_bounds import shape_checks as hc_checks
 from repro.experiments.randomized_greedy import RandomizedConfig
 from repro.experiments.randomized_greedy import run as run_randomized
 from repro.experiments.randomized_greedy import shape_checks as rand_checks
+from repro.sim.fifo_network import NetworkSimulation
 from repro.sim.replication import ReplicationEngine
 
 TINY = configs.GridConfig(
@@ -45,8 +50,11 @@ class TestGrid:
         assert cfg.warmup_for(0.9) > cfg.warmup_for(0.2)
         assert cfg.horizon_for(0.99) <= cfg.base_horizon * cfg.congestion_cap
 
-    def test_quick_presets_run_on_numpy(self):
-        """Every cell of the quick report's grid fits the visit budget."""
+    def test_quick_presets_run_on_numpy(self, monkeypatch):
+        """Every cell of the quick report's grid fits the visit budget,
+        and so does every feedforward cell of the other sections: the
+        finite-buffer sweep, the layered scenario-sweep cells and the
+        hand-built Section 4.5 / 5.1 / 5.2 simulators."""
         specs = (
             grid.grid_specs(configs.QUICK)
             + grid.grid_specs(table3.QUICK3.to_grid())
@@ -60,12 +68,32 @@ class TestGrid:
             backend = spec.to_replication().engine_params_dict["backend"]
             assert backend == "numpy", spec
 
+        cells = finite_buffer.to_cell_specs(finite_buffer.QUICK_FINITE)
+        cells += scenario_sweep.to_cell_specs(scenario_sweep.QUICK_SCEN)
+        for cell in cells:
+            backend = cell.engine_params_dict.get("backend", "python")
+            want = "python" if cell.scenario == "torus" else "numpy"
+            assert backend == want, cell
+
+        built = []
+        init = NetworkSimulation.__init__
+
+        def spy(sim, *args, **kwargs):
+            init(sim, *args, **kwargs)
+            built.append(sim.backend)
+
+        monkeypatch.setattr(NetworkSimulation, "__init__", spy)
+        optimal_config.run(optimal_config.QUICK_OPT)
+        hypercube_bounds.run(hypercube_bounds.QUICK_HC)
+        higher_dims.run(dataclasses.replace(higher_dims.QUICK_KD, table_ks=()))
+        assert built == ["numpy"] * 6
+
     def test_heavy_full_cell_stays_on_python(self):
         """FULL Table I at n=20, rho=0.99 would need ~348M visits."""
         spec = next(
             s for s in grid.grid_specs(configs.FULL) if s.n == 20 and s.rho == 0.99
         )
-        assert spec.expected_visits() > grid.NUMPY_VISIT_BUDGET
+        assert spec.expected_visits() > backends.NUMPY_VISIT_BUDGET
         assert spec.to_replication().engine_params_dict["backend"] == "python"
 
     def test_simulate_cell_fields(self):

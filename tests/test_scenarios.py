@@ -8,11 +8,12 @@ from repro.scenarios import (
     Scenario,
     available_scenarios,
     build_network,
+    cell_edge_rates,
     get_scenario,
     register,
     resolve_cell,
 )
-from repro.sim.replication import CellSpec
+from repro.sim.replication import CellSpec, replicate
 
 
 class TestRegistry:
@@ -121,3 +122,33 @@ class TestCalibration:
         # the bottleneck under heavy hot-spot mass).
         heads = {net.router.topology.edge_endpoints(e)[1] for e in np.where(mask)[0]}
         assert hot in heads
+
+    def test_cell_edge_rates_peak_at_the_target_load(self):
+        for name in ("uniform", "hotspot", "torus"):
+            spec = CellSpec(scenario=name, n=4, rho=0.7)
+            assert cell_edge_rates(spec).max() == pytest.approx(0.7)
+
+
+class TestLayered:
+    """``Scenario.layered`` is what the report trusts to put a cell on
+    the numpy max-plus kernel: every layered scenario must run a tiny
+    numpy cell, every other one must be refused with the pointer back
+    to the python backend."""
+
+    @pytest.mark.parametrize(
+        "name", [s.name for s in available_scenarios()]
+    )
+    def test_flag_matches_the_numpy_kernel(self, name):
+        n = {"single": 2, "bitreversal": 3}.get(name, 4)
+        spec = CellSpec(
+            scenario=name, n=n, rho=0.5, warmup=10.0, horizon=200.0,
+            seeds=(1,), engine_params=(("backend", "numpy"),),
+        )
+        if get_scenario(name).layered:
+            res = replicate(spec, processes=1)
+            assert res.generated > 0
+            assert res.replications[0].completed == res.generated
+        else:
+            with pytest.raises(ValueError, match="backend='python'"):
+                replicate(spec, processes=1)
+

@@ -104,8 +104,7 @@ class TestNumpyBackendRejections:
         )
 
     @pytest.mark.parametrize(
-        "opt",
-        ["track_utilization", "track_number_distribution", "track_maxima"],
+        "opt", ["track_number_distribution", "track_maxima"]
     )
     def test_fifo_rejects_unsupported_tracking(self, opt):
         with pytest.raises(ValueError, match="backend='python'"):
@@ -126,17 +125,6 @@ class TestNumpyBackendRejections:
         with pytest.raises(ValueError, match="backend='python'"):
             self._slotted().run(0, 50, track_maxima=True)
 
-    def test_finite_rejects_numpy_with_caps(self):
-        mesh = ArrayMesh(4)
-        with pytest.raises(ValueError, match="finite buffers"):
-            FiniteBufferNetworkSimulation(
-                GreedyArrayRouter(mesh),
-                UniformDestinations(16),
-                0.2,
-                buffer_size=4,
-                backend=NUMPY_BACKEND,
-            )
-
     def test_finite_without_caps_delegates_to_numpy_fifo(self):
         mesh = ArrayMesh(4)
         args = (GreedyArrayRouter(mesh), UniformDestinations(16), 0.2)
@@ -148,6 +136,259 @@ class TestNumpyBackendRejections:
         ).run(10, 200)
         assert fin.mean_delay == fifo.mean_delay
         assert fin.generated == fifo.generated
+
+
+class TestNumpyFifoOptions:
+    """Per-edge service, utilization and tail-drop caps on the numpy
+    fifo kernel. Under one draw block the uniform fast-id 4x4 cell
+    simulates the same workload on both backends (see
+    ``test_uniform_4x4_is_workload_identical``), so each option must
+    reproduce the python loops to rounding: counts, drops per node,
+    the N and R integrals, delays and per-edge busy time."""
+
+    PHIS = 1.0 + 0.5 * np.random.default_rng(0).random(ArrayMesh(4).num_edges)
+
+    @pytest.mark.parametrize(
+        "kw",
+        [
+            {"service_rates": PHIS},
+            {"buffer_size": 0},
+            {"buffer_size": 1},
+            {"buffer_size": 2, "service_rates": PHIS},
+            {"buffer_size": list(range(16))},
+        ],
+        ids=["per-edge", "K=0", "K=1", "K=2+per-edge", "per-node-K"],
+    )
+    def test_workload_identical_to_python(self, kw):
+        mesh = ArrayMesh(4)
+        mask = np.zeros(mesh.num_edges, dtype=bool)
+        mask[::3] = True
+        cls = (
+            FiniteBufferNetworkSimulation
+            if "buffer_size" in kw
+            else NetworkSimulation
+        )
+        py, nu = (
+            cls(
+                GreedyArrayRouter(mesh), UniformDestinations(16), 0.3,
+                seed=3, backend=backend, saturated_mask=mask, **kw,
+            ).run(20.0, 400.0, track_utilization=True)
+            for backend in (PYTHON_BACKEND, NUMPY_BACKEND)
+        )
+        assert (nu.generated, nu.completed, nu.dropped) == (
+            py.generated, py.completed, py.dropped
+        )
+        assert nu.in_flight_at_end == py.in_flight_at_end
+        if "buffer_size" in kw:
+            assert py.dropped > 0
+            assert nu.node_drops.tolist() == py.node_drops.tolist()
+        for attr in (
+            "mean_delay", "mean_number", "mean_remaining",
+            "mean_remaining_saturated",
+        ):
+            assert getattr(nu, attr) == pytest.approx(
+                getattr(py, attr), rel=1e-9
+            ), attr
+        np.testing.assert_allclose(
+            nu.utilization, py.utilization, rtol=1e-9, atol=1e-12
+        )
+
+    def test_finite_runs_numpy_with_caps(self):
+        mesh = ArrayMesh(4)
+        res = FiniteBufferNetworkSimulation(
+            GreedyArrayRouter(mesh),
+            UniformDestinations(16),
+            0.4,
+            buffer_size=1,
+            backend=NUMPY_BACKEND,
+            seed=2,
+        ).run(20.0, 400.0, collect_delays=True)
+        assert res.dropped > 0
+        assert res.completed + res.dropped == res.generated
+        assert int(res.node_drops.sum()) == res.dropped
+        assert len(res.delays) == res.completed
+        assert 0.0 < res.loss_probability < 1.0
+
+    def test_huge_cap_equals_uncapped(self):
+        """Caps that never bind leave the numpy run exactly the uncapped
+        one (the admission scan never starts)."""
+        mesh = ArrayMesh(5)
+        args = (GreedyArrayRouter(mesh), UniformDestinations(25), 0.3)
+        kw = dict(seed=7, backend=NUMPY_BACKEND)
+        capped = FiniteBufferNetworkSimulation(
+            *args, buffer_size=10**9, **kw
+        ).run(30.0, 500.0, track_utilization=True, collect_delays=True)
+        free = NetworkSimulation(*args, **kw).run(
+            30.0, 500.0, track_utilization=True, collect_delays=True
+        )
+        assert capped.dropped == 0
+        assert capped.node_drops.tolist() == [0] * 25
+        for attr in (
+            "generated", "completed", "in_flight_at_end", "mean_delay",
+            "delay_half_width", "mean_number", "mean_remaining",
+        ):
+            assert getattr(capped, attr) == getattr(free, attr), attr
+        assert capped.utilization.tolist() == free.utilization.tolist()
+        assert capped.delays.tolist() == free.delays.tolist()
+
+    def test_level_of_retired_visits_only(self):
+        """A drop can retire every visit of a later level: packet 0
+        (0 -> 1) holds edge 0 over [0, 1]; packet 1 (0 -> 2) reaches it
+        at 0.5 with no waiting room, so the only visit of edge 1 belongs
+        to a dropped packet and that level has nothing to solve."""
+        from repro.sim.kernels.numpy_backend import (
+            _fifo_departures,
+            _sweep_levels,
+        )
+
+        line = LinearArray(3)
+        router = TabulatedRouter(
+            line, {(0, 1): [0], (0, 2): [0, 1], (0, 0): []}
+        )
+        sim = FiniteBufferNetworkSimulation(
+            router, AlwaysNodeZero(), [1.0, 0.0, 0.0],
+            buffer_size=0, backend=NUMPY_BACKEND,
+        )
+        offs, lens = sim.path_cache.offlen_batch([0, 0], [1, 2])
+        cap = np.zeros(line.num_edges)
+        sweep = _sweep_levels(
+            sim, np.asarray(offs), np.asarray(lens), np.array([0.0, 0.5]),
+            lambda e, x: _fifo_departures(e, x, 1.0, line.num_edges, cap),
+            lambda d: d, 0.0, 10.0, None, np.array([True, True]),
+        )
+        survived, edge_drops = sweep.drops
+        assert survived.tolist() == [True, False]
+        assert sweep.d_final.tolist() == [1.0, 0.5]
+        assert edge_drops.tolist() == [1, 0, 0, 0]
+        # Units of packet 1's two hops end at its drop time 0.5.
+        assert sweep.sum_all == pytest.approx(1.0 + 2 * 0.5)
+
+    @pytest.mark.parametrize("per_edge", [False, True], ids=["unit", "per-edge"])
+    def test_utilization_matches_closed_form_rates(self, per_edge):
+        """Busy fraction of edge e = lam_e / phi_e."""
+        mesh = ArrayMesh(6)
+        lam = lambda_for_load(6, 0.6)
+        phis = (
+            1.0 + 0.5 * np.random.default_rng(1).random(mesh.num_edges)
+            if per_edge
+            else np.ones(mesh.num_edges)
+        )
+        res = NetworkSimulation(
+            GreedyArrayRouter(mesh), UniformDestinations(36), lam,
+            service_rates=phis, seed=4, backend=NUMPY_BACKEND,
+        ).run(100.0, 4000.0, track_utilization=True)
+        target = array_edge_rates(mesh, lam) / phis
+        assert np.abs(res.utilization - target).max() < 0.03
+
+
+def _tail_drop_reference(e, x, c, cap):
+    """Scalar FIFO queue per edge with tail-drop: an arrival is dropped
+    iff it finds ``cap + 1`` admitted packets still in the system."""
+    d = np.empty_like(x)
+    dropped = np.zeros(x.size, dtype=bool)
+    for edge in np.unique(e):
+        present = []  # departures of the admitted packets, ascending
+        last = -np.inf
+        for i in sorted(np.flatnonzero(e == edge), key=lambda i: x[i]):
+            present = [t for t in present if t > x[i]]
+            if len(present) >= cap[edge] + 1:
+                dropped[i] = True
+                d[i] = x[i]
+                continue
+            last = max(x[i], last) + c[edge]
+            d[i] = last
+            present.append(last)
+    return d, dropped
+
+
+class TestTailDropAdmission:
+    """The vectorized admission scan against a scalar reference loop on
+    random arrivals (heavy load, per-edge service and caps)."""
+
+    @pytest.mark.parametrize(
+        "caps",
+        ["zero", "mixed", "huge"],
+    )
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_matches_scalar_reference(self, caps, seed):
+        from repro.sim.kernels.numpy_backend import _fifo_departures
+
+        rng = np.random.default_rng(seed)
+        n_edges, n_visits = 5, 600
+        e = rng.integers(0, n_edges, size=n_visits).astype(np.int16)
+        x = rng.uniform(0.0, 150.0, size=n_visits)
+        c = rng.uniform(0.5, 1.6, size=n_edges)
+        cap = {
+            "zero": np.zeros(n_edges),
+            "mixed": np.array([0.0, 1.0, 2.0, 4.0, 8.0]),
+            "huge": np.full(n_edges, 1e9),
+        }[caps]
+        want_d, want_drop = _tail_drop_reference(e, x, c, cap)
+        got = x.copy()
+        drop = _fifo_departures(e, got, c, n_edges, cap)
+        got_drop = np.zeros(n_visits, dtype=bool) if drop is None else drop
+        assert got_drop.tolist() == want_drop.tolist()
+        np.testing.assert_allclose(got, want_d, rtol=1e-12)
+        if caps == "huge":
+            assert drop is None
+        else:
+            assert want_drop.any()
+
+
+class TestTailDropParity:
+    """Distribution level: capped numpy runs estimate the same loss,
+    survivor delay and E[N] as the python loops, within the two pooled
+    CIs."""
+
+    @staticmethod
+    def _both(**kw):
+        return [
+            replicate(
+                CellSpec(
+                    warmup=50.0, horizon=800.0, seeds=(1, 2, 3, 4, 5),
+                    **kw,
+                ).with_engine_params(backend=backend),
+                processes=1,
+            )
+            for backend in (PYTHON_BACKEND, NUMPY_BACKEND)
+        ]
+
+    @staticmethod
+    def _close(a, b, mean, hw):
+        assert abs(getattr(a, mean) - getattr(b, mean)) <= (
+            getattr(a, hw) + getattr(b, hw)
+        ), mean
+
+    @pytest.mark.parametrize("k", [0, 1, 4])
+    def test_loss_delay_number_within_cis(self, k):
+        py, nu = self._both(
+            scenario="uniform", n=6, rho=0.9, engine="finite",
+            engine_params=(("buffer_size", k),),
+        )
+        assert py.loss_probability > 0 and nu.loss_probability > 0
+        self._close(py, nu, "loss_probability", "loss_half_width")
+        self._close(py, nu, "mean_delay", "delay_half_width")
+        self._close(py, nu, "mean_number", "number_half_width")
+
+    def test_per_edge_service_optimal_config_cell(self):
+        """A Section 5.1 cell: Theorem 15's per-edge rates at 70% of the
+        standard capacity."""
+        from repro.core.optimization import (
+            optimal_service_rates,
+            standard_capacity,
+        )
+
+        n = 6
+        lam = 0.7 * standard_capacity(n)
+        phis = optimal_service_rates(
+            array_edge_rates(ArrayMesh(n), lam), 1.0, 4.0 * n * (n - 1)
+        )
+        py, nu = self._both(
+            scenario="uniform", n=n, node_rate=lam,
+            engine_params=(("service_rates", tuple(phis.tolist())),),
+        )
+        self._close(py, nu, "mean_delay", "delay_half_width")
+        self._close(py, nu, "mean_number", "number_half_width")
 
 
 class TestCycleRejection:
