@@ -84,6 +84,17 @@ def _encode(res) -> dict:
         out["dropped"] = int(res.dropped)
         out["node_drops_sum"] = int(res.node_drops.sum())
         out["node_drops_max"] = int(res.node_drops.max())
+    if res.number_distribution is not None:
+        # Cells tracking N's time-weighted distribution: pin its support
+        # and two exact checksums (total mass and first moment, summed in
+        # ascending-k order). Absent on every cell that does not track
+        # it, so those cells' recorded fields are unchanged.
+        dist = res.number_distribution
+        ks = sorted(dist)
+        out["number_dist_len"] = len(ks)
+        out["number_dist_max_n"] = int(ks[-1])
+        out["number_dist_mass"] = _hex(sum(dist[k] for k in ks))
+        out["number_dist_mean"] = _hex(sum(k * dist[k] for k in ks))
     return out
 
 
@@ -200,10 +211,12 @@ def build_cases() -> dict:
             saturated_mask=saturated_mask,
         ).run(warmup, horizon, track_maxima=track_maxima))
 
-    def ps(name, router, dests, rate, seed, *, warmup=15.0, horizon=150.0):
+    def ps(name, router, dests, rate, seed, *, warmup=15.0, horizon=150.0,
+           service_rates=1.0, track_number_distribution=False):
         _capture(cases, name, lambda: PSNetworkSimulation(
-            router, dests, rate, seed=seed
-        ).run(warmup, horizon))
+            router, dests, rate, seed=seed, service_rates=service_rates,
+        ).run(warmup, horizon,
+              track_number_distribution=track_number_distribution))
 
     rushed("rushed_uniform", GreedyArrayRouter(m5),
            UniformDestinations(25), 0.10, 23)
@@ -223,6 +236,14 @@ def build_cases() -> dict:
        UniformDestinations(16), 0.12, 26)
     ps("ps_hotspot", GreedyArrayRouter(m4),
        HotSpotDestinations(16, hot_node=5, h=0.3), 0.10, 27)
+    # A loaded PS cell: at node rate 0.8 the busiest edges run at load
+    # 0.8, so queues regularly hold several customers sharing the server
+    # (the two cells above rarely see two). Per-edge service rates and
+    # the N-distribution exercise the remaining PS options.
+    ps("ps_loaded_peredge", GreedyArrayRouter(m4),
+       UniformDestinations(16), 0.8, 28,
+       service_rates=per_edge_rates(m4.num_edges),
+       track_number_distribution=True)
 
     # The finite-buffer loss engine. The finite_none_* cells use the
     # exact constructor args of their event_* twins, pinning the

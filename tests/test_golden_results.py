@@ -69,6 +69,7 @@ def test_fixture_covers_all_five_engines(golden):
         "rushed_sat_maxima",
         "ps_uniform",
         "ps_hotspot",
+        "ps_loaded_peredge",
         "finite_none_uniform",
         "finite_none_exp",
         "finite_uniform_k0",
