@@ -10,6 +10,11 @@ engine will change at least one of these numbers and fail the golden test.
 Floats are stored as ``float.hex()`` strings so JSON round-trips cannot
 smuggle in a ulp of drift.
 
+A second fixture, ``validation_quick.json``, pins the quick validation
+tier's scored rows ``(check, backend, metric, observed, expected,
+statistic)`` the same way, so a change to how the validation gate runs
+its cells (not just to the engines) must leave every score unchanged.
+
 Run from the repo root (only when an *intentional*, documented behaviour
 change requires re-pinning)::
 
@@ -40,6 +45,7 @@ from repro.topology.array_mesh import ArrayMesh
 from repro.topology.torus import Torus
 
 OUT = os.path.join(os.path.dirname(__file__), "engine_results.json")
+VALIDATION_OUT = os.path.join(os.path.dirname(__file__), "validation_quick.json")
 
 FLOAT_FIELDS = (
     "mean_number",
@@ -347,9 +353,28 @@ def build_cases() -> dict:
     return cases
 
 
-if __name__ == "__main__":
-    cases = build_cases()
-    with open(OUT, "w") as fh:
-        json.dump(cases, fh, indent=1, sort_keys=True)
+def validation_rows(report) -> list[list]:
+    """A validation report's scored rows, in report order, floats as hex."""
+    return [
+        [o.check, o.backend, c.metric,
+         _hex(c.observed), _hex(c.expected), _hex(c.statistic)]
+        for o in report.outcomes
+        for c in o.comparisons
+    ]
+
+
+def _dump(obj, path: str) -> None:
+    with open(path, "w") as fh:
+        json.dump(obj, fh, indent=1, sort_keys=True)
         fh.write("\n")
+
+
+if __name__ == "__main__":
+    from repro.validation import run_validation
+
+    cases = build_cases()
+    _dump(cases, OUT)
     print(f"wrote {len(cases)} golden cells to {OUT}")
+    rows = validation_rows(run_validation(processes=1))
+    _dump(rows, VALIDATION_OUT)
+    print(f"wrote {len(rows)} quick-tier validation rows to {VALIDATION_OUT}")
