@@ -30,9 +30,11 @@ perf gate, not to hard asserts.
 The exponential 32x32 cell times the stochastic-service loop, whose
 departures are not monotone and so pop from a plain ``heapq`` list in
 ``(time, seq)`` order. The rushed cell (16x16) runs ~1.25-1.45x its
-pre-port baseline via the merge loop + arena + blocked draws; the PS
-cell (8x8) keeps its O(k)-per-event re-linearisation, so its port is
-about shared architecture and validation parity, not throughput.
+pre-port baseline via the merge loop + arena + blocked draws. The PS
+cell (8x8) times the inlined event loop: the queue head is the next
+customer to complete (arrival order is remaining-work order), so no
+event scans for a minimum, and an event costs one subtraction per other
+customer at its queue.
 
 PR 6 extracted the hot loops into the kernels layer and added the
 vectorized ``backend="numpy"`` whole-trajectory solver; the two

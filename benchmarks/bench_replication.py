@@ -144,8 +144,9 @@ def test_replication_finite_cell(once):
 
 
 def test_replication_ps_cell(once):
-    """The Theorem 5 PS comparator through the registry (O(k) per queue
-    event, so a smaller cell than the FIFO fan-outs)."""
+    """The Theorem 5 PS comparator through the registry (each queue event
+    drains every customer at that queue, so a smaller cell than the FIFO
+    fan-outs)."""
     spec = CellSpec(
         scenario="uniform", n=6, rho=0.7, engine="ps",
         warmup=100, horizon=600, seeds=(0, 1),

@@ -15,7 +15,11 @@ three RNG conventions that used to live only in review memory:
   (no ``size=``) bypass the blocked-draw helpers that make draw order
   reproducible and cheap. A pinned stream that must keep a scalar draw
   (the PS engine's re-planned exponential gap) carries a
-  ``# replint: disable=rng-discipline`` with the reason.
+  ``# replint: disable=rng-discipline`` with the reason. Both checks
+  read the call site, so a draw method must be called in place: an
+  uncalled reference (``draw = rng.exponential``, or ``rng.random``
+  passed as a callback) is itself a finding, because calls through the
+  alias are invisible to them.
 * **No nondeterminism sources in engine code.** Iterating a ``set``
   (unordered), ``time.time()`` / ``datetime.now()`` (wall clock) and
   no-argument ``popitem()`` have no place in a trajectory that must be a
@@ -35,6 +39,8 @@ from repro.analysis.core import Finding, Rule, SourceFile, register_rule
 
 #: Scalar-draw methods that have blocked (``size=``) forms.
 _BLOCKABLE_DRAWS = ("poisson", "exponential", "normal", "standard_exponential")
+#: Every draw method the call-site checks inspect.
+_CHECKED_DRAWS = ("random",) + _BLOCKABLE_DRAWS
 
 
 def _call_name(func: ast.AST) -> str:
@@ -80,8 +86,10 @@ class RngDisciplineRule(Rule):
     def check_file(self, src: SourceFile) -> Iterator[Finding]:
         sim_scope = _in_sim_scope(src)
         sanctioned: set[int] = set()  # ids of calls nested in a pinned draw
+        called_targets: set[int] = set()  # ids of every call's func node
         for node in ast.walk(src.tree):
             if isinstance(node, ast.Call):
+                called_targets.add(id(node.func))
                 called = _call_name(node.func)
                 if called == "searchsorted" and _side_is_right(node):
                     for sub in ast.walk(node):
@@ -90,6 +98,20 @@ class RngDisciplineRule(Rule):
         for node in ast.walk(src.tree):
             if isinstance(node, ast.Call):
                 yield from self._check_call(src, node, sim_scope, sanctioned)
+            elif (
+                sim_scope
+                and isinstance(node, ast.Attribute)
+                and node.attr in _CHECKED_DRAWS
+                and id(node) not in called_targets
+                and _is_rng_receiver(node)
+            ):
+                yield src.finding(
+                    self.name,
+                    node,
+                    f"rng.{node.attr} referenced without a call in engine "
+                    "code — calls through an alias escape the scalar-draw "
+                    "and CDF-probe checks; call the method in place",
+                )
             elif isinstance(node, (ast.For, ast.comprehension)):
                 it = node.iter
                 if sim_scope and _is_set_expr(it):

@@ -12,26 +12,40 @@ simulates both and checks ``E[N_FIFO] <= E[N_PS]`` plus the distributional
 ordering.
 
 Implementation: the classic virtual-completion-event scheme. Each queue
-keeps its customers' remaining work, a ``last update`` timestamp and a
-version counter; arrival or departure at the queue re-linearises the drain
-and re-schedules the (single) next-completion event, bumping the version so
-stale entries are skipped on pop. Cost is O(k) per queue event, which
-is fine at the modest sizes the PS comparisons run at (its purpose is
-validation, not Table-scale statistics). Because completions are
-re-planned (truly stochastic event times), this engine needs a priority
-queue — the merge loop does not apply — so it pops ``(time, seq)``-ordered
-events from a plain ``heapq`` list, like the FIFO/rushed/finite
-stochastic loops. It shares the rest of the hot-path
-architecture: paths come from the shared :mod:`repro.routing.pathcache`
-arena, packet records store ``(arena_offset, length)`` views, and the
-source draw uses the pinned CDF with ``side='right'`` so a boundary draw
-can never select a zero-rate source. The per-packet RNG draw order is
-unchanged from the pre-cache engine, and the PS golden cells in
-``tests/golden/`` pin the outputs.
+keeps its customers' remaining work in arrival order, a ``last update``
+timestamp and a version counter; an arrival or departure at the queue
+drains every customer's work by the same ``dt * phi / k`` and re-plans
+the (single) next-completion event, bumping the version so stale entries
+are skipped on pop.
+
+Arrival-order invariant: the head of a queue always holds the least
+remaining work, so it is the customer that completes next. Every
+customer joins with one unit, at least what any earlier customer still
+holds, and from then on all customers at the queue have the same amount
+subtracted at every step; float subtraction is monotone, so the order
+never inverts. Ties resolve to the head, as a first-index ``min`` scan
+would. The head therefore replaces both minimum scans exactly: the
+next-completion time reads ``works[0]`` and the departing customer is
+``pop(0)``. A queue event costs one heap push plus one subtraction per
+other customer at that queue; nothing scans for a minimum.
+
+Because completions are re-planned (truly stochastic event times), this
+engine needs a priority queue — the merge loop does not apply — so it
+pops ``(time, seq)``-ordered events from a plain ``heapq`` list, like
+the FIFO/rushed/finite stochastic loops. It shares the rest of the
+hot-path architecture: paths come from the shared
+:mod:`repro.routing.pathcache` arena, packet records store
+``(arena_offset, length)`` views, and the source draw uses the pinned
+CDF with ``side='right'`` so a boundary draw can never select a
+zero-rate source. The per-packet RNG draw order is unchanged from the
+pre-cache engine, and the PS golden cells in ``tests/golden/`` pin the
+outputs (``ps_loaded_peredge`` at a load where queues regularly hold
+several customers).
 """
 
 from __future__ import annotations
 
+from array import array
 from heapq import heappop, heappush
 from typing import Sequence
 
@@ -118,20 +132,27 @@ class PSNetworkSimulation:
             det_build = cache.ensure
             sample_offlen = None
 
-        # Per-queue PS state.
+        # Per-queue PS state. Each queue lists its customers in arrival
+        # order: works[e][i] is the i-th arrival's remaining work and
+        # pkts[e][i] its packet record. Every customer at a queue drains
+        # by the same amount per step, so the head holds the least work
+        # (see the module docstring).
         works: list[list[float]] = [[] for _ in range(num_edges)]
         pkts: list[list[list]] = [[] for _ in range(num_edges)]
         last_up = [0.0] * num_edges
         version = [0] * num_edges
 
         # Events are (time, seq, edge, version); seq is unique, so the
-        # heap order is total and never compares the payload.
+        # heap order is total and never compares the payload. Edge -1
+        # is the next external arrival.
         heap: list[tuple] = []
         seq = 0
-        searchsorted = np.searchsorted
+        # The ndarray method skips numpy's dispatch wrapper; same result.
+        searchsorted = np.ndarray.searchsorted
         sources = self.source_nodes
         source_cdf = self._source_cdf
         dest_sample = self.destinations.sample
+        mean_gap = 1.0 / self.total_rate
 
         in_system = 0
         remaining = 0
@@ -141,69 +162,48 @@ class PSNetworkSimulation:
         generated = completed = zero_hop = 0
         in_flight_at_horizon = 0
         delay_acc = TimeBatchAccumulator(warmup, t_end, delay_batches)
-        delays: list[float] | None = [] if collect_delays else None
+        # Measured (birth time, delay) pairs in completion order, folded
+        # into delay_acc after the loop.
+        births = array("d")
+        delays = array("d")
         ndist: dict[int, float] | None = {} if track_number_distribution else None
-
-        def elapse(e: int, t: float) -> None:
-            """Drain remaining works at queue e up to time t."""
-            k = len(works[e])
-            if k:
-                dt = t - last_up[e]
-                if dt > 0.0:
-                    rate = phi[e] / k
-                    w = works[e]
-                    for i in range(k):
-                        w[i] -= dt * rate
-            last_up[e] = t
-
-        def reschedule(e: int, t: float) -> None:
-            """Re-plan queue e's next completion after a state change."""
-            nonlocal seq
-            version[e] += 1
-            k = len(works[e])
-            if k:
-                t_next = t + min(works[e]) * k / phi[e]
-                heappush(heap, (t_next, seq, e, version[e]))
-                seq += 1
-
-        def enqueue(e: int, t: float, pkt: list) -> None:
-            elapse(e, t)
-            works[e].append(1.0)  # unit work per customer
-            pkts[e].append(pkt)
-            reschedule(e, t)
 
         # PS replans one exponential arrival gap per event; the scalar
         # draw order *is* the engine's pinned bit-identity stream (golden
         # ps_* cells), so the blocked-draw convention does not apply.
-        heappush(heap, (rng.exponential(1.0 / self.total_rate), seq, -1, 0))  # replint: disable=rng-discipline
+        heappush(heap, (rng.exponential(mean_gap), seq, -1, 0))  # replint: disable=rng-discipline
         seq += 1
 
         draining = False
         while heap:
             t, _s, e, ver = heappop(heap)
-            if t >= t_end and not draining:
-                draining = True
-                in_flight_at_horizon = in_system
-                lo = last_t if last_t > warmup else warmup
-                if t_end > lo:
-                    dt = t_end - lo
-                    int_n += in_system * dt
-                    int_r += remaining * dt
-                    if ndist is not None:
-                        ndist[in_system] = ndist.get(in_system, 0.0) + dt
-                last_t = t_end
-            if not draining and t > warmup:
-                lo = last_t if last_t > warmup else warmup
-                dt = t - lo
-                if dt > 0.0:
-                    int_n += in_system * dt
-                    int_r += remaining * dt
-                    if ndist is not None:
-                        ndist[in_system] = ndist.get(in_system, 0.0) + dt
-                last_t = t
-            elif not draining:
-                last_t = t
+            # Integrate N and R up to this event (every event, stale ones
+            # included: the integrals' float sums are pinned).
+            if not draining:
+                if t >= t_end:
+                    draining = True
+                    in_flight_at_horizon = in_system
+                    lo = last_t if last_t > warmup else warmup
+                    if t_end > lo:
+                        dt = t_end - lo
+                        int_n += in_system * dt
+                        int_r += remaining * dt
+                        if ndist is not None:
+                            ndist[in_system] = ndist.get(in_system, 0.0) + dt
+                    last_t = t_end
+                elif t > warmup:
+                    lo = last_t if last_t > warmup else warmup
+                    dt = t - lo
+                    if dt > 0.0:
+                        int_n += in_system * dt
+                        int_r += remaining * dt
+                        if ndist is not None:
+                            ndist[in_system] = ndist.get(in_system, 0.0) + dt
+                    last_t = t
+                else:
+                    last_t = t
 
+            # Each branch sets nxt: the edge the packet joins next, or -1.
             if e < 0:
                 # ----- external arrival -----
                 if draining:
@@ -218,13 +218,13 @@ class PSNetworkSimulation:
                 measured = t >= warmup
                 if measured:
                     generated += 1
+                nxt = -1
                 if src == dst:
                     if measured:
                         zero_hop += 1
                         completed += 1
-                        delay_acc.add(t, 0.0)
-                        if delays is not None:
-                            delays.append(0.0)
+                        births.append(t)
+                        delays.append(0.0)
                 else:
                     if det_get is not None:
                         ol = det_get(src * num_nodes + dst)
@@ -238,34 +238,68 @@ class PSNetworkSimulation:
                     # packet record: [birth, arena offset, length, hops
                     # done, measured]
                     # (fresh per-packet record — mutated in place)
-                    enqueue(arena[off], t, [t, off, ln, 0, measured])  # replint: disable=hot-loop-alloc
-                # Same pinned per-event scalar stream as the initial draw.
-                heappush(heap, (t + rng.exponential(1.0 / self.total_rate), seq, -1, 0))  # replint: disable=rng-discipline
-                seq += 1
+                    pkt = [t, off, ln, 0, measured]  # replint: disable=hot-loop-alloc
+                    nxt = arena[off]
             else:
                 # ----- tentative completion at queue e -----
                 if ver != version[e]:
                     continue  # stale event
-                elapse(e, t)
-                # The minimal-work customer is the one completing.
+                # The head (earliest arrival, least work) completes; the
+                # others drain by the work served since the last update.
                 w = works[e]
-                idx = min(range(len(w)), key=w.__getitem__)
-                w.pop(idx)
-                pkt = pkts[e].pop(idx)
+                k = len(w)
+                w.pop(0)
+                pkt = pkts[e].pop(0)
+                dt = t - last_up[e]
+                if dt > 0.0:
+                    step = dt * (phi[e] / k)
+                    for i in range(k - 1):
+                        w[i] -= step
+                last_up[e] = t
                 remaining -= 1
                 hop = pkt[3] + 1
                 pkt[3] = hop
+                nxt = -1
                 if hop == pkt[2]:
                     in_system -= 1
                     if pkt[4]:
                         completed += 1
-                        d = t - pkt[0]
-                        delay_acc.add(pkt[0], d)
-                        if delays is not None:
-                            delays.append(d)
+                        births.append(pkt[0])
+                        delays.append(t - pkt[0])
                 else:
-                    enqueue(arena[pkt[1] + hop], t, pkt)
-                reschedule(e, t)
+                    nxt = arena[pkt[1] + hop]
+
+            if nxt >= 0:
+                # ----- join queue nxt: drain it to t, add one unit of
+                # work, re-plan its next completion -----
+                w = works[nxt]
+                k = len(w)
+                if k:
+                    dt = t - last_up[nxt]
+                    if dt > 0.0:
+                        step = dt * (phi[nxt] / k)
+                        for i in range(k):
+                            w[i] -= step
+                last_up[nxt] = t
+                w.append(1.0)  # unit work per customer
+                pkts[nxt].append(pkt)
+                v = version[nxt] + 1
+                version[nxt] = v
+                heappush(heap, (t + w[0] * (k + 1) / phi[nxt], seq, nxt, v))
+                seq += 1
+
+            if e < 0:
+                # Same pinned per-event scalar stream as the initial draw.
+                heappush(heap, (t + rng.exponential(mean_gap), seq, -1, 0))  # replint: disable=rng-discipline
+                seq += 1
+            else:
+                # Re-plan queue e's next completion.
+                v = version[e] + 1
+                version[e] = v
+                w = works[e]
+                if w:
+                    heappush(heap, (t + w[0] * len(w) / phi[e], seq, e, v))
+                    seq += 1
 
         if last_t < t_end:
             lo = last_t if last_t > warmup else warmup
@@ -275,6 +309,9 @@ class PSNetworkSimulation:
             if ndist is not None:
                 ndist[in_system] = ndist.get(in_system, 0.0) + dt
 
+        # np.add.at scatters in order: the same float sums as one add()
+        # per completion.
+        delay_acc.add_batch(np.frombuffer(births), np.frombuffer(delays))
         mean_number = int_n / horizon
         summary = delay_acc.summary()
         if ndist is not None:
@@ -295,6 +332,6 @@ class PSNetworkSimulation:
             delay_half_width=summary.half_width,
             mean_delay_littles=mean_number / self.total_rate,
             total_rate=self.total_rate,
-            delays=np.asarray(delays) if delays is not None else None,
+            delays=np.array(delays) if collect_delays else None,
             number_distribution=ndist,
         )

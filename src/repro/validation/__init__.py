@@ -46,8 +46,10 @@ The validation contract
    engine and the backends it applies to, and a
    ``runner(backend, processes) -> list[Comparison]``. Runners must
    simulate only through :func:`~repro.validation.framework.run_cell`
-   (the facade path users take) and must be deterministic given the
-   spec's seed set. A runner that raises is reported as a failed
+   (the facade path users take), must be deterministic given the
+   spec's seed set, and must only read the result: within one
+   :func:`run_validation` call, checks asking for an equal spec share
+   one run of it. A runner that raises is reported as a failed
    outcome, never a crashed run.
 6. **Self-validation.** The harness is itself validated against
    false-green: the mutation test in ``tests/test_validation.py``

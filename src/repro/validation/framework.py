@@ -44,6 +44,7 @@ Every threshold here is calibrated against clean-tree runs, not guessed:
 from __future__ import annotations
 
 import fnmatch
+from contextvars import ContextVar
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -178,11 +179,31 @@ def available_checks() -> list[ValidationCheck]:
 # Helpers for check implementations.
 
 
+#: The cell memo of the :func:`run_validation` call in progress (``None``
+#: outside one): each distinct ``CellSpec`` maps to its result.
+_CELL_MEMO: ContextVar[dict[CellSpec, ReplicatedResult] | None] = ContextVar(
+    "validation_cell_memo", default=None
+)
+
+
 def run_cell(spec: CellSpec, processes: int | None) -> ReplicatedResult:
     """Run one cell through the standard facade (the only sanctioned way
     for a check to simulate — every check exercises the same
-    ``CellSpec``/``ReplicationEngine`` path users do)."""
-    return ReplicationEngine(processes=processes).run(spec)
+    ``CellSpec``/``ReplicationEngine`` path users do).
+
+    Inside a :func:`run_validation` call each distinct spec runs once:
+    every check asking for an equal spec gets the same result object
+    (checks only read it). A run that raises is not memoized, so the
+    next check asking for that spec runs it again. Outside
+    :func:`run_validation` every call runs the cell.
+    """
+    memo = _CELL_MEMO.get()
+    if memo is None:
+        return ReplicationEngine(processes=processes).run(spec)
+    res = memo.get(spec)
+    if res is None:
+        res = memo[spec] = ReplicationEngine(processes=processes).run(spec)
+    return res
 
 
 def z_score(observed: float, expected: float, half_width: float) -> float:
@@ -429,27 +450,36 @@ def run_validation(
     worst validation failure of all), so one broken check never hides
     the others' results. ``on_outcome`` fires after each (check,
     backend) execution for progress display.
+
+    Checks that ask :func:`run_cell` for the same ``CellSpec`` share one
+    run of it (``littles-law-ps`` and ``productform-ps`` run the same
+    PS mesh cell). The memo lives for this call only: it is dropped on
+    return, so the next call simulates every cell afresh.
     """
+    token = _CELL_MEMO.set({})
     outcomes: list[CheckOutcome] = []
-    for check in select_checks(select=select, tier=tier, engines=engines):
-        for backend in check.backends:
-            if backends is not None and backend not in backends:
-                continue
-            outcome = CheckOutcome(
-                check=check.name,
-                description=check.description,
-                severity=check.severity,
-                tier=check.tier,
-                engine=check.engine,
-                backend=backend,
-            )
-            try:
-                outcome.comparisons = list(check.runner(backend, processes))
-            except Exception as exc:
-                outcome.error = f"{type(exc).__name__}: {exc}"
-            outcomes.append(outcome)
-            if on_outcome is not None:
-                on_outcome(outcome)
+    try:
+        for check in select_checks(select=select, tier=tier, engines=engines):
+            for backend in check.backends:
+                if backends is not None and backend not in backends:
+                    continue
+                outcome = CheckOutcome(
+                    check=check.name,
+                    description=check.description,
+                    severity=check.severity,
+                    tier=check.tier,
+                    engine=check.engine,
+                    backend=backend,
+                )
+                try:
+                    outcome.comparisons = list(check.runner(backend, processes))
+                except Exception as exc:
+                    outcome.error = f"{type(exc).__name__}: {exc}"
+                outcomes.append(outcome)
+                if on_outcome is not None:
+                    on_outcome(outcome)
+    finally:
+        _CELL_MEMO.reset(token)
     return ValidationReport(tier=tier, outcomes=outcomes)
 
 

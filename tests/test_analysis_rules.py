@@ -62,6 +62,26 @@ def test_rng_good_fixture_clean():
     assert run([FIXTURES / "sim" / "rng_good.py"], select=["rng-discipline"]) == []
 
 
+def test_rng_alias_bad_fixture_flags_every_uncalled_draw():
+    findings = run(
+        [FIXTURES / "sim" / "rng_alias_bad.py"], select=["rng-discipline"]
+    )
+    assert [f.line for f in findings] == [9, 10, 13, 15, 15, 16]
+    assert all("without a call" in f.message for f in findings)
+
+
+def test_rng_alias_good_fixture_clean():
+    assert run(
+        [FIXTURES / "sim" / "rng_alias_good.py"], select=["rng-discipline"]
+    ) == []
+
+
+def test_rng_alias_check_is_sim_scoped(tmp_path):
+    path = tmp_path / "helpers.py"
+    path.write_text("def f(rng):\n    return rng.exponential\n")
+    assert run([path], select=["rng-discipline"]) == []
+
+
 # -- shm-hygiene -------------------------------------------------------
 
 def test_shm_bad_fixture_flags_leak_and_unentered_publish():

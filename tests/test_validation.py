@@ -1,17 +1,26 @@
 """Tests for the statistical validation harness (repro.validation).
 
-Three layers:
+Four layers:
 
 * framework units — the check registry, scoring helpers and report
   plumbing, exercised with synthetic checks that never simulate;
+* the per-run cell memo — checks sharing a ``CellSpec`` share one run
+  within a ``run_validation`` call, counted by patching
+  ``ReplicationEngine.run`` onto short windows;
 * facade wiring — the ``collect_delays`` / ``track_number_distribution``
   flags and pooled accessors the distribution checks depend on, on tiny
   cells;
-* the live gate — the clean tree passes the real quick tier, and the
-  mutation self-test: a deliberately biased service rate must trip the
-  gate and be named in the report (both ``slow``-marked; the nightly CI
-  lane runs them).
+* the live gate — the clean tree passes the real quick tier with every
+  scored row bit-identical to ``tests/golden/validation_quick.json``,
+  and the mutation self-test: a deliberately biased service rate must
+  trip the gate and be named in the report (all ``slow``-marked; the
+  nightly CI lane runs them).
 """
+
+import json
+import os
+import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -40,6 +49,9 @@ from repro.validation.framework import (
 
 TINY = dict(scenario="single", n=2, rho=0.5, warmup=20.0, horizon=300.0,
             seeds=(0, 1))
+
+sys.path.insert(0, os.path.join(os.path.dirname(__file__), "golden"))
+from regen import VALIDATION_OUT, validation_rows  # noqa: E402
 
 
 def synthetic_check(monkeypatch, name, *, severity=GATE, tier=QUICK,
@@ -240,6 +252,71 @@ class TestRunValidation:
         assert "FAIL" in text and "1 gate failures" in text
 
 
+# -- the per-run cell memo ---------------------------------------------
+
+#: The two quick-tier checks that share one PS mesh cell.
+PS_PAIR = ["littles-law-ps", "productform-ps"]
+
+
+@pytest.fixture
+def counted_runs(monkeypatch):
+    """Count ``ReplicationEngine.run`` calls, running each requested spec
+    on a short window so the memo tests stay cheap."""
+    real = ReplicationEngine.run
+    calls = []
+
+    def run(self, spec):
+        calls.append(spec)
+        return real(self, replace(spec, warmup=10.0, horizon=60.0,
+                                  seeds=(0, 1)))
+
+    monkeypatch.setattr(ReplicationEngine, "run", run)
+    return calls
+
+
+class TestCellMemo:
+    def test_shared_spec_runs_once(self, counted_runs):
+        report = run_validation(select=PS_PAIR, processes=1)
+        assert len(counted_runs) == 1
+        assert [o.check for o in report.outcomes] == PS_PAIR
+        assert all(o.error is None and o.comparisons for o in report.outcomes)
+
+    def test_memo_lives_for_one_call(self, counted_runs):
+        run_validation(select=PS_PAIR, processes=1)
+        run_validation(select=PS_PAIR, processes=1)
+        assert len(counted_runs) == 2
+        assert counted_runs[0] == counted_runs[1]
+        assert framework._CELL_MEMO.get() is None
+
+    def test_raising_run_is_retried_not_cached(self, monkeypatch):
+        real = ReplicationEngine.run
+        calls = []
+
+        def flaky(self, spec):
+            calls.append(spec)
+            if len(calls) == 1:
+                raise RuntimeError("transient")
+            return real(self, replace(spec, horizon=60.0, seeds=(0, 1)))
+
+        monkeypatch.setattr(ReplicationEngine, "run", flaky)
+        report = run_validation(select=PS_PAIR, processes=1)
+        assert len(calls) == 2
+        first, second = report.outcomes
+        assert first.error == "RuntimeError: transient"
+        assert second.error is None and second.comparisons
+
+    def test_memo_dropped_when_a_callback_raises(self, counted_runs):
+        def stop(outcome):
+            raise RuntimeError("stop")
+
+        with pytest.raises(RuntimeError, match="stop"):
+            run_validation(select=PS_PAIR, processes=1, on_outcome=stop)
+        assert framework._CELL_MEMO.get() is None
+        framework.run_cell(counted_runs[0], 1)
+        framework.run_cell(counted_runs[0], 1)
+        assert len(counted_runs) == 3  # outside run_validation: no memo
+
+
 # -- facade wiring (tiny live cells) -----------------------------------
 
 class TestFacadeWiring:
@@ -281,11 +358,25 @@ class TestFacadeWiring:
 
 # -- the live gate -----------------------------------------------------
 
+@pytest.fixture(scope="module")
+def quick_report():
+    """One run of the real quick tier, shared by the live-gate tests."""
+    return run_validation(tier=QUICK)
+
+
 class TestLiveGate:
     @pytest.mark.slow
-    def test_clean_tree_passes_quick_tier(self):
-        report = run_validation(tier=QUICK)
-        assert report.passed, report.render()
+    def test_clean_tree_passes_quick_tier(self, quick_report):
+        assert quick_report.passed, quick_report.render()
+
+    @pytest.mark.slow
+    def test_quick_tier_rows_match_golden(self, quick_report):
+        """Every scored row is bit-identical to the pinned fixture
+        (``tests/golden/validation_quick.json``): sharing cells between
+        checks changes what runs, never what is measured."""
+        with open(VALIDATION_OUT) as fh:
+            want = json.load(fh)
+        assert validation_rows(quick_report) == want
 
     @pytest.mark.slow
     def test_injected_bias_trips_the_gate(self, monkeypatch):
