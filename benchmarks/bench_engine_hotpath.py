@@ -47,6 +47,8 @@ floors sit well under the measured ratios, same discipline as the 1.5x
 floor on the python cells. The fifo cell also records the kernel's
 tracemalloc peak per visit (``peak_bytes_per_visit``), which
 ``scripts/perf_gate.py`` compares against the baseline like a median.
+``test_event_32x32_numpy_cold`` runs the same fifo cell on a fresh path
+cache every round, so it also times the bulk fill of the cache's misses.
 
 Two numpy cells time the kernel's options on 16x16 configurations the
 report runs, each against the python loops on the identical warm cell:
@@ -291,6 +293,26 @@ def test_event_32x32_numpy_warm(best_of, benchmark, monkeypatch):
     # Soft floors (see module docstring): measured ~14x / ~5-6x.
     assert pps > 4.0 * PRE_PR_EVENT[32]
     assert ratio > 2.5
+
+
+def test_event_32x32_numpy_cold(best_of, benchmark):
+    """The numpy kernel on the acceptance cell with a fresh path cache
+    every round, so each round also times the bulk miss fill (the
+    closed-form mesh builder and the arena's append-only int32 mirror)."""
+    mesh_router = GreedyArrayRouter(ArrayMesh(32))
+    dests = UniformDestinations(1024)
+    lam = lambda_for_load(32, RHO, "table1")
+
+    def cold_run():
+        cache = path_cache_for(mesh_router)
+        return NetworkSimulation(
+            mesh_router, dests, lam, seed=3, path_cache=cache, backend="numpy"
+        ).run(WARMUP, HORIZON)
+
+    res = best_of(cold_run)
+    _record(benchmark, res, PRE_PR_EVENT[32])
+    assert res.generated > 10_000
+    assert res.littles_law_gap < 0.1
 
 
 def test_slotted_32x32_numpy_warm(best_of, benchmark):

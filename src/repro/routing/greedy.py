@@ -7,9 +7,14 @@ order (row edges first); :class:`GreedyKDRouter` generalises to
 k-dimensional arrays, correcting dimensions in a fixed canonical order,
 which is the natural higher-dimensional analogue from Section 5.2.
 
-Implementation note: paths are built from precomputed per-direction edge-id
-grids, so constructing a path costs one Python loop iteration per hop with
-no hashing — this is the per-packet hot path of the simulator.
+Implementation note: the simulators do not call ``path`` per packet; they
+look paths up in a :mod:`repro.routing.pathcache` memo. ``path`` builds a
+scalar miss from precomputed per-direction edge-id grids, one Python loop
+iteration per hop with no hashing. Batch lookups (the numpy kernels) build
+their misses with the cache's closed-form mesh builder instead, which
+relies on :class:`~repro.topology.array_mesh.ArrayMesh`'s edge-id layout:
+each leg is an arithmetic run of ids (step ``±1`` along a row, ``±cols``
+along a column).
 """
 
 from __future__ import annotations

@@ -11,14 +11,17 @@ arena*:
 * :class:`PathArena` — an append-only flat edge-id store. The engines
   bind the plain Python list mirror (:attr:`PathArena.edges`), where list
   indexing beats NumPy scalar indexing by an order of magnitude; the
-  ``int32`` snapshot (:meth:`PathArena.as_array`) is the export for
-  NumPy-side consumers (analysis, future array kernels).
+  ``int32`` mirror (:meth:`PathArena.as_array`, a growable buffer that
+  copies only the edges appended since its last call) is what the numpy
+  kernels gather their visits from.
 * :class:`PathCache` — a ``(src, dst) -> (offset, length)`` memo over an
   arena for deterministic routers. Lookups are one dict probe; misses
   build the path once via the router (or a custom ``builder``) and append
-  it to the arena. For small networks a dense ``offset``/``length`` pair
-  of arrays is kept alongside the dict so batch lookups are a single
-  NumPy gather.
+  it to the arena. For small networks — and on request of the numpy
+  kernels — a dense ``offset``/``length`` pair of arrays is kept
+  alongside the dict so batch lookups are a single NumPy gather; with a
+  ``batch_builder`` the batch's misses are built in one vectorized call
+  and appended to the arena at once.
 * :class:`RandomizedGreedyPathCache` — the per-scheme cached-leg variant
   for :class:`~repro.routing.randomized_greedy.RandomizedGreedyArrayRouter`:
   two tables (row-first / column-first) share one arena, and each table's
@@ -31,7 +34,10 @@ arena*:
   single-axis legs (:class:`TorusLegCache`, :class:`KDLegCache`), and
   the hypercube and butterfly use closed-form edge-id arithmetic — so a
   cache miss never falls back to the generic hop-by-hop ``router.path``
-  walk on those networks.
+  walk on those networks. The greedy mesh routers keep their grid walk
+  for scalar misses and add a closed-form *batch* builder
+  (:func:`_mesh_batch_builder`: each path is two arithmetic runs of edge
+  ids), which fills a batch lookup's misses in bulk.
 * :class:`SampledPathInterner` — the no-memo fallback for routers the
   cache layer does not recognise (and the ``use_path_cache=False``
   baseline): it rebuilds the sampled path per packet, exactly like the
@@ -60,10 +66,13 @@ import numpy as np
 
 from repro.routing.base import BaseRouter, Router
 from repro.routing.butterfly_routing import ButterflyRouter
-from repro.routing.greedy import GreedyKDRouter
+from repro.routing.greedy import GreedyArrayRouter, GreedyKDRouter
 from repro.routing.hypercube_greedy import GreedyHypercubeRouter
 from repro.routing.randomized_greedy import RandomizedGreedyArrayRouter
 from repro.routing.torus_greedy import GreedyTorusRouter
+
+#: ``(srcs, dsts) -> (flat int32 edge ids, int64 path lengths)``.
+BatchBuilder = Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]
 
 #: Below this many nodes a cache also maintains dense ``n*n`` offset and
 #: length arrays (1 MiB at the limit), enabling single-gather batch
@@ -77,6 +86,10 @@ DENSE_NODE_LIMIT = 256
 #: 64 MiB; beyond it batch lookups keep the dict fallback.
 DENSE_PAIR_LIMIT = 4_194_304
 
+#: Edges per object gather in :meth:`PathArena.extend_array`: bounds the
+#: fill's two pointer-sized temporaries at 512 KiB each.
+_GATHER_CHUNK = 65_536
+
 
 class PathArena:
     """Append-only flat store of path edge ids with ``(offset, length)`` views.
@@ -85,14 +98,25 @@ class PathArena:
     randomized scheme) may append to one arena. ``edges`` is the Python
     list mirror used by the engines' interpreter loops and is only ever
     extended in place — engines may safely bind it to a local once.
+
+    Alongside it the arena keeps an ``int32`` mirror in a growable
+    private buffer: :meth:`as_array` copies only the edges appended since
+    its last call, and :meth:`extend_array` appends a vectorized bulk
+    fill to both mirrors at once.
     """
 
-    __slots__ = ("edges", "_array", "_array_len")
+    __slots__ = ("edges", "_buf", "_array", "_ints")
 
     def __init__(self) -> None:
         self.edges: list[int] = []
-        self._array: np.ndarray | None = None
-        self._array_len = -1
+        #: Private, writable backing store; ``_array`` is its synced prefix
+        #: (or, after :meth:`adopt_array`, the adopted snapshot itself,
+        #: with an empty ``_buf`` so that the next growth copies it).
+        self._buf = np.empty(0, dtype=np.int32)
+        self._array = self._buf
+        #: ``_ints[e] is`` the one int object every bulk-filled ``edges``
+        #: entry ``e`` references (grown on demand, never rebuilt).
+        self._ints = np.empty(0, dtype=object)
 
     def add(self, path: Sequence[int]) -> int:
         """Append ``path`` and return its offset."""
@@ -100,16 +124,60 @@ class PathArena:
         self.edges.extend(path)
         return off
 
+    def _sync(self, extra: int = 0) -> None:
+        """Mirror the list's unsynced tail into the buffer, leaving room
+        for ``extra`` more edges. Growth reallocates geometrically into a
+        private buffer, so an adopted (possibly shared, read-only)
+        snapshot is copied, never written."""
+        done = self._array.size
+        n = len(self.edges)
+        buf = self._buf
+        if n + extra > buf.size:
+            buf = np.empty(max(2 * (n + extra), 1024), dtype=np.int32)
+            buf[:done] = self._array
+            self._buf = buf
+        if n > done:
+            buf[done:n] = self.edges[done:n]
+        self._array = buf[:n]
+
     def as_array(self) -> np.ndarray:
-        """``int32`` snapshot of the arena (rebuilt lazily after growth).
+        """``int32`` mirror of the whole arena.
 
         The engines themselves index :attr:`edges`; this view is for
-        NumPy-side consumers that want the whole arena at once.
+        NumPy-side consumers that want the whole arena at once. Only the
+        edges appended since the previous call are copied; without growth
+        the same array object comes back. The returned array stays a
+        valid snapshot of the arena's prefix after later growth.
         """
-        if self._array_len != len(self.edges):
-            self._array = np.asarray(self.edges, dtype=np.int32)
-            self._array_len = len(self.edges)
+        if self._array.size != len(self.edges):
+            self._sync()
         return self._array
+
+    def extend_array(self, flat: np.ndarray) -> int:
+        """Append a bulk fill of edge ids and return its offset.
+
+        ``flat`` goes straight into the ``int32`` mirror; the list mirror
+        gets references to one shared int object per edge id (an object
+        gather), so a large fill costs a list slot per edge, not a fresh
+        int.
+        """
+        off = len(self.edges)
+        flat = np.asarray(flat, dtype=np.int32)
+        if flat.size == 0:
+            return off
+        self._sync(flat.size)
+        top = int(flat.max()) + 1
+        if top > self._ints.size:
+            self._ints = np.concatenate(
+                [self._ints, np.arange(self._ints.size, top, dtype=object)]
+            )
+        end = off + flat.size
+        self._buf[off:end] = flat
+        ints, edges = self._ints, self.edges
+        for lo in range(0, flat.size, _GATHER_CHUNK):
+            edges.extend(ints[flat[lo : lo + _GATHER_CHUNK]].tolist())
+        self._array = self._buf[:end]
+        return off
 
     def gather(self, offs: np.ndarray, lens: np.ndarray) -> np.ndarray:
         """Flat per-visit edge ids for parallel ``(offset, length)`` views.
@@ -117,8 +185,8 @@ class PathArena:
         Returns one ``int32`` array concatenating the paths in order —
         the canonical hot-loop input of the vectorized kernels (visit
         ``k`` of packet ``i`` sits at ``cumsum(lens)[i-1] + k``). Call
-        *after* all lookups: :meth:`as_array` snapshots the arena as it
-        is now, and lookups may still grow it.
+        *after* all lookups: it reads :meth:`as_array`, which mirrors the
+        arena as it is now, and lookups may still grow it.
         """
         offs = np.asarray(offs, dtype=np.int64)
         lens = np.asarray(lens, dtype=np.int64)
@@ -155,14 +223,15 @@ class PathArena:
         interpreter loops index is materialised once per worker
         (``tolist`` — the only copy in the hand-off). Must be called on
         an empty arena; the arena keeps its append-only contract, so
-        later misses extend ``edges`` past the snapshot and the next
-        :meth:`as_array` call rebuilds the (then private) array.
+        later misses extend ``edges`` past the snapshot, and the first
+        growth copies the snapshot into a private buffer — nothing is
+        ever written into ``edges``' memory.
         """
         if self.edges:
             raise ValueError("adopt_array requires an empty arena")
         self.edges = edges.tolist()
+        self._buf = np.empty(0, dtype=np.int32)
         self._array = edges
-        self._array_len = len(self.edges)
 
     def __len__(self) -> int:
         return len(self.edges)
@@ -181,6 +250,12 @@ class PathCache:
         Optional replacement for ``router.path`` used to build a missing
         path (the cached-leg composers use this). Must return the exact
         same edge sequence ``router.path`` would.
+    batch_builder:
+        Optional vectorized builder ``(srcs, dsts) -> (flat, lens)`` for
+        many missing paths at once (:func:`_mesh_batch_builder`): ``flat``
+        concatenates the paths' edge ids, ``lens`` holds one length per
+        pair. When given, :meth:`offlen_batch` fills dense-table misses in
+        bulk; scalar lookups keep ``builder``.
     precompute:
         Eagerly build all ``n * n`` pairs up front. Default is lazy
         memoization; precomputing is only worthwhile when a long run will
@@ -196,6 +271,7 @@ class PathCache:
         *,
         arena: PathArena | None = None,
         builder: Callable[[int, int], Sequence[int]] | None = None,
+        batch_builder: BatchBuilder | None = None,
         precompute: bool = False,
     ) -> None:
         self.router = router
@@ -203,6 +279,7 @@ class PathCache:
         self.num_nodes = int(self.topology.num_nodes)
         self.arena = arena if arena is not None else PathArena()
         self._build_path = builder if builder is not None else router.path
+        self._build_batch = batch_builder
         self.table: dict[int, tuple[int, int]] = {}
         n = self.num_nodes
         if n <= DENSE_NODE_LIMIT:
@@ -249,23 +326,17 @@ class PathCache:
         """Vectorized ``(offsets, lengths)`` for parallel ``(src, dst)`` arrays.
 
         With dense tables this is one NumPy gather (misses are filled
-        first); dict-only caches fall back to a Python loop, still one
-        dict probe per pair.
+        first, in bulk when the cache has a batch builder); dict-only
+        caches fall back to a Python loop, still one dict probe per pair.
         """
         srcs = np.asarray(srcs, dtype=np.int64)
         dsts = np.asarray(dsts, dtype=np.int64)
         if self._dense_off is not None:
             keys = srcs * self.num_nodes + dsts
             offs = self._dense_off[keys]
-            if (offs < 0).any():
-                table = self.table
-                n = self.num_nodes
-                for s, d in zip(srcs[offs < 0].tolist(), dsts[offs < 0].tolist()):
-                    # Re-check per pair: a batch may repeat a missing
-                    # pair, and a duplicate ensure() would append a dead
-                    # copy of the path to the append-only shared arena.
-                    if s * n + d not in table:
-                        self.ensure(s, d)
+            miss = offs < 0
+            if miss.any():
+                self._fill(keys[miss])
                 offs = self._dense_off[keys]
             return offs, self._dense_len[keys]
         offs = np.empty(srcs.size, dtype=np.int64)
@@ -315,6 +386,30 @@ class PathCache:
             for dst in range(n):
                 if base + dst not in table:
                     self.ensure(src, dst)
+
+    def _fill(self, keys: np.ndarray) -> None:
+        """Build and memoize the missing pairs ``keys`` (``src * n + dst``
+        in lookup order, repeats allowed), each exactly once and in
+        first-occurrence order, so the arena is laid out as a scalar
+        fill of the same pairs would lay it out."""
+        n = self.num_nodes
+        if self._build_batch is None:
+            table = self.table
+            for key in keys.tolist():
+                # Re-check per pair: a batch may repeat a missing pair,
+                # and a duplicate ensure() would append a dead copy of
+                # the path to the append-only shared arena.
+                if key not in table:
+                    self.ensure(*divmod(key, n))
+            return
+        uniq, first = np.unique(keys, return_index=True)
+        keys = uniq[np.argsort(first)]
+        flat, lens = self._build_batch(*np.divmod(keys, n))
+        offs = self.arena.extend_array(flat) + np.cumsum(lens) - lens
+        self.table.update(zip(keys.tolist(), zip(offs.tolist(), lens.tolist())))
+        if self._dense_off is not None:
+            self._dense_off[keys] = offs
+            self._dense_len[keys] = lens
 
     # -- shared-memory snapshot hand-off -------------------------------
     @property
@@ -431,9 +526,10 @@ class RandomizedGreedyPathCache:
     """Cached-leg path cache for the Section 6 randomized greedy scheme.
 
     Holds two :class:`PathCache` tables — row-first and column-first — on
-    one shared arena. Each table composes its paths from the same
+    one shared arena. Each table composes its scalar misses from the same
     :class:`MeshLegCache` instead of re-walking the direction grids for
-    both orders. ``sample_offlen`` draws exactly the one coin
+    both orders, and fills batch misses with the closed-form mesh
+    builder of its order. ``sample_offlen`` draws exactly the one coin
     ``RandomizedGreedyArrayRouter.sample_path`` draws, keeping same-seed
     runs bit-identical to the uncached scheme.
     """
@@ -455,10 +551,16 @@ class RandomizedGreedyPathCache:
             self.legs, router.mesh.node_coords
         )
         self.row_first = PathCache(
-            router._row_first, arena=self.arena, builder=build_row_first
+            router._row_first,
+            arena=self.arena,
+            builder=build_row_first,
+            batch_builder=_mesh_batch_builder(router._row_first),
         )
         self.col_first = PathCache(
-            router._col_first, arena=self.arena, builder=build_col_first
+            router._col_first,
+            arena=self.arena,
+            builder=build_col_first,
+            batch_builder=_mesh_batch_builder(router._col_first),
         )
 
     def sample_offlen(
@@ -567,6 +669,58 @@ def _torus_builder(router: GreedyTorusRouter):
         return first + second
 
     return build_torus_path
+
+
+def _mesh_batch_builder(router: GreedyArrayRouter) -> BatchBuilder:
+    """Closed-form batch builder for both greedy mesh orders.
+
+    On :class:`~repro.topology.array_mesh.ArrayMesh`'s edge-id layout a
+    greedy path is two arithmetic runs: the row leg steps by ``±1``
+    through the RIGHT or LEFT block, the column leg by ``±cols`` through
+    the DOWN or UP block. All pairs' runs are laid out with one
+    ``repeat`` and one ``cumsum`` — the edge sequences ``router.path``
+    walks hop by hop.
+    """
+    mesh = router.mesh
+    cols = mesh.cols
+    h = mesh.horizontal_edge_count()
+    v = mesh.vertical_edge_count()
+    column_first = router.column_first
+
+    def build_mesh_paths(
+        srcs: np.ndarray, dsts: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        i1, j1 = np.divmod(srcs, cols)
+        i2, j2 = np.divmod(dsts, cols)
+        di, dj = i2 - i1, j2 - j1
+        # The row leg runs along row r, the column leg along column c.
+        r, c = (i2, j1) if column_first else (i1, j2)
+        row_start = np.where(
+            dj > 0, r * (cols - 1) + j1, h + r * (cols - 1) + j1 - 1
+        )
+        col_start = np.where(
+            di > 0, 2 * h + i1 * cols + c, 2 * h + v + (i1 - 1) * cols + c
+        )
+        row = (row_start, np.sign(dj), np.abs(dj))
+        col = (col_start, np.sign(di) * cols, np.abs(di))
+        first, second = (col, row) if column_first else (row, col)
+        # Runs interleaved per pair (first leg, second leg), empty ones
+        # dropped.
+        start, step, size = (np.column_stack(p).ravel() for p in zip(first, second))
+        lens = first[2] + second[2]
+        keep = size > 0
+        start, step, size = start[keep], step[keep], size[keep]
+        if size.size == 0:
+            return np.empty(0, dtype=np.int32), lens
+        # Pointer walk: +step inside a run, and a jump from the previous
+        # run's last edge to each run's first.
+        flat = np.repeat(step.astype(np.int32), size)
+        heads = np.cumsum(size) - size
+        flat[0] = start[0]
+        flat[heads[1:]] = start[1:] - (start[:-1] + step[:-1] * (size[:-1] - 1))
+        return np.cumsum(flat, out=flat), lens
+
+    return build_mesh_paths
 
 
 def _hypercube_builder(router: GreedyHypercubeRouter):
@@ -715,6 +869,14 @@ def _deterministic_builder(router: Router):
     return None
 
 
+def _batch_builder(router: Router) -> BatchBuilder | None:
+    """The vectorized miss-path builder for ``router``, or ``None`` when
+    batch misses build pair by pair."""
+    if isinstance(router, GreedyArrayRouter):
+        return _mesh_batch_builder(router)
+    return None
+
+
 class SampledPathInterner:
     """Uncached adapter: per-packet rebuild, arena-interned records.
 
@@ -766,9 +928,10 @@ def path_cache_for(
     Deterministic routers (any :class:`BaseRouter` subclass that does not
     override ``sample_path``) get a :class:`PathCache` — with a
     specialised miss-path builder where one exists (leg-composed for the
-    torus and k-d arrays, closed-form for the hypercube and butterfly;
-    the mesh routers' per-direction grid walk is already leg-shaped).
-    The randomized greedy scheme gets its cached-leg
+    torus and k-d arrays, closed-form for the hypercube and butterfly),
+    and for the greedy mesh routers a closed-form batch builder that
+    fills batch-lookup misses in bulk (their scalar misses keep the
+    router's grid walk). The randomized greedy scheme gets its cached-leg
     :class:`RandomizedGreedyPathCache`; anything else falls back to the
     :class:`SampledPathInterner`, which preserves pre-cache behaviour
     exactly.
@@ -781,6 +944,7 @@ def path_cache_for(
             router,
             arena=arena,
             builder=_deterministic_builder(router),
+            batch_builder=_batch_builder(router),
             precompute=precompute,
         )
     return SampledPathInterner(router, arena=arena)

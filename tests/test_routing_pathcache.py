@@ -16,7 +16,9 @@ from repro.routing.pathcache import (
     RandomizedGreedyPathCache,
     SampledPathInterner,
     TorusLegCache,
+    _batch_builder,
     _deterministic_builder,
+    _mesh_batch_builder,
     path_cache_for,
 )
 from repro.routing.randomized_greedy import RandomizedGreedyArrayRouter
@@ -51,7 +53,72 @@ class TestPathArena:
         arena = PathArena()
         ref = arena.edges
         arena.add(list(range(100)))
-        assert ref is arena.edges and len(ref) == 100
+        arena.extend_array(np.arange(5000, dtype=np.int32))
+        assert ref is arena.edges and len(ref) == 5100
+
+    def test_as_array_after_mixed_growth_equals_edges(self):
+        arena = PathArena()
+        rng = np.random.default_rng(1)
+        for step in range(40):
+            if step % 3:
+                arena.add(rng.integers(0, 900, size=step).tolist())
+            else:
+                arena.extend_array(rng.integers(0, 900, size=50 * step))
+            arr = arena.as_array()
+            assert arr.dtype == np.int32 and arr.tolist() == arena.edges
+
+    def test_extend_array_returns_offsets(self):
+        arena = PathArena()
+        arena.add([1, 2])
+        assert arena.extend_array(np.array([3, 4, 5])) == 2
+        assert arena.extend_array(np.array([], dtype=np.int32)) == 5
+        assert arena.add([6]) == 5
+        assert arena.view(2, 3) == (3, 4, 5) and len(arena) == 6
+
+    def test_as_array_without_growth_does_not_copy(self):
+        arena = PathArena()
+        arena.add([7, 8, 9])
+        a = arena.as_array()
+        assert arena.as_array() is a
+
+    def test_as_array_snapshot_survives_growth(self):
+        """An exported mirror stays a valid prefix snapshot: growth only
+        writes past it (or into a new buffer)."""
+        arena = PathArena()
+        arena.add([5, 6])
+        snap = arena.as_array()
+        arena.extend_array(np.arange(3000, dtype=np.int32))
+        arena.add([1])
+        assert snap.tolist() == [5, 6]
+        assert arena.as_array().tolist() == arena.edges
+
+    def test_bulk_fill_shares_edge_int_objects(self):
+        """A bulk fill's list entries reference one int object per edge
+        id, not a fresh int per entry (the memory contract)."""
+        router = GreedyArrayRouter(ArrayMesh(12))
+        cache = path_cache_for(router)
+        n = cache.num_nodes
+        srcs, dsts = np.divmod(np.arange(n * n), n)
+        cache.offlen_batch(srcs, dsts)
+        edges = cache.arena.edges
+        assert len(edges) > 10 * router.topology.num_edges
+        assert {type(e) for e in edges} == {int}
+        assert len({id(e) for e in edges}) <= router.topology.num_edges
+
+    def test_growth_after_adopt_array_leaves_snapshot_untouched(self):
+        """A worker's adopted (shared, read-only) snapshot is never
+        written: the first growth copies it into a private buffer."""
+        snap = np.arange(10, dtype=np.int32)
+        snap.setflags(write=False)
+        arena = PathArena()
+        arena.adopt_array(snap)
+        assert arena.as_array() is snap
+        arena.add([40, 41])
+        arena.extend_array(np.array([42, 43], dtype=np.int32))
+        grown = arena.as_array()
+        assert grown.tolist() == list(range(10)) + [40, 41, 42, 43]
+        assert not np.shares_memory(grown, snap)
+        assert snap.tolist() == list(range(10))
 
 
 @pytest.mark.parametrize(
@@ -111,10 +178,25 @@ class TestSpecialisedBuilders:
         assert cache._build_path != router.path  # not the generic walk
 
     def test_mesh_router_keeps_its_grid_walk(self):
-        """The mesh routers' per-direction grid walk is already leg-shaped;
-        no specialised builder overrides it."""
+        """Scalar mesh misses keep the router's per-direction grid walk;
+        batch misses use the closed-form builder."""
         router = GreedyArrayRouter(ArrayMesh(4))
         assert _deterministic_builder(router) is None
+        assert path_cache_for(router)._build_batch is not None
+
+    @pytest.mark.parametrize(
+        "router_factory",
+        [
+            lambda: GreedyTorusRouter(Torus(4)),
+            lambda: GreedyHypercubeRouter(Hypercube(3)),
+            lambda: ButterflyRouter(Butterfly(2)),
+            lambda: GreedyKDRouter(KDArray((3, 3, 3))),
+        ],
+    )
+    def test_other_routers_keep_the_per_pair_miss_loop(self, router_factory):
+        router = router_factory()
+        assert _batch_builder(router) is None
+        assert path_cache_for(router)._build_batch is None
 
     def test_torus_leg_cache_memoizes(self):
         router = GreedyTorusRouter(Torus(5))
@@ -212,6 +294,76 @@ class TestPathCache:
         assert cache.path(src, dst) == router.path(src, dst)
         with pytest.raises(ValueError):
             cache.path(dst, src)  # invalid pairs still raise via the router
+
+
+class TestMeshBatchBuilder:
+    """The closed-form mesh builder against the router's hop-by-hop walk."""
+
+    @pytest.mark.parametrize("shape", [(4, 4), (3, 5), (6, 3)])
+    @pytest.mark.parametrize("column_first", [False, True])
+    def test_matches_router_on_every_pair(self, shape, column_first):
+        router = GreedyArrayRouter(ArrayMesh(*shape), column_first=column_first)
+        n = router.topology.num_nodes
+        srcs, dsts = np.divmod(np.arange(n * n, dtype=np.int64), n)
+        flat, lens = _mesh_batch_builder(router)(srcs, dsts)
+        assert flat.dtype == np.int32
+        paths = [router.path(s, d) for s, d in zip(srcs.tolist(), dsts.tolist())]
+        assert lens.tolist() == [len(p) for p in paths]
+        assert flat.tolist() == [e for p in paths for e in p]
+
+    def test_all_empty_paths(self):
+        router = GreedyArrayRouter(ArrayMesh(3))
+        flat, lens = _mesh_batch_builder(router)(np.array([4, 0]), np.array([4, 0]))
+        assert flat.size == 0 and lens.tolist() == [0, 0]
+
+    @staticmethod
+    def _pair(column_first=False):
+        """A bulk-filling cache and a scalar-only cache on one router."""
+        router = GreedyArrayRouter(ArrayMesh(5), column_first=column_first)
+        return path_cache_for(router), PathCache(router)
+
+    @staticmethod
+    def _assert_same_fill(bulk, scalar):
+        assert len(bulk) == len(scalar)
+        assert len(bulk.arena) == len(scalar.arena)
+        assert bulk.arena.edges == scalar.arena.edges
+        assert bulk.table == scalar.table
+        assert bulk.arena.as_array().tolist() == scalar.arena.edges
+
+    @pytest.mark.parametrize("column_first", [False, True])
+    def test_mixed_scalar_and_bulk_fills_share_one_arena(self, column_first):
+        """Scalar ensure() misses and bulk fills interleave on one arena
+        and lay it out exactly as a scalar-only fill of the same pairs."""
+        bulk, scalar = self._pair(column_first)
+        assert bulk._build_batch is not None and scalar._build_batch is None
+        rng = np.random.default_rng(5)
+        for _ in range(12):
+            for s, d in rng.integers(0, 25, size=(4, 2)).tolist():
+                assert bulk.offlen(s, d) == scalar.offlen(s, d)
+            srcs = rng.integers(0, 25, size=30)
+            dsts = rng.integers(0, 25, size=30)
+            ob, lb = bulk.offlen_batch(srcs, dsts)
+            os_, ls = scalar.offlen_batch(srcs, dsts)
+            assert ob.tolist() == os_.tolist() and lb.tolist() == ls.tolist()
+        self._assert_same_fill(bulk, scalar)
+        for s in range(25):
+            for d in range(25):
+                assert bulk.path(s, d) == bulk.router.path(s, d)
+
+    def test_repeated_missing_keys_intern_once(self):
+        bulk, scalar = self._pair()
+        srcs = np.array([0, 3, 0, 24, 3, 0, 12, 12])
+        dsts = np.array([24, 7, 24, 0, 7, 24, 12, 12])
+        offs, lens = bulk.offlen_batch(srcs, dsts)
+        scalar.offlen_batch(srcs, dsts)
+        self._assert_same_fill(bulk, scalar)
+        assert len(bulk) == 4
+        assert offs[0] == offs[2] == offs[5] and offs[1] == offs[4]
+
+    def test_randomized_tables_fill_in_bulk(self):
+        cache = RandomizedGreedyPathCache(RandomizedGreedyArrayRouter(ArrayMesh(4)))
+        assert cache.row_first._build_batch is not None
+        assert cache.col_first._build_batch is not None
 
 
 class TestMeshLegCache:
