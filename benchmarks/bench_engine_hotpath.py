@@ -49,6 +49,10 @@ tracemalloc peak per visit (``peak_bytes_per_visit``), which
 ``scripts/perf_gate.py`` compares against the baseline like a median.
 ``test_event_32x32_numpy_cold`` runs the same fifo cell on a fresh path
 cache every round, so it also times the bulk fill of the cache's misses.
+It misses thousands of pairs per batch lookup, above the bulk fill's
+threshold (``BULK_MIN_MISSES``); ``test_slotted_8x8_cold`` times the
+other side, the python slot kernel's per-slot lookups that fill pair by
+pair.
 
 Two numpy cells time the kernel's options on 16x16 configurations the
 report runs, each against the python loops on the identical warm cell:
@@ -386,6 +390,15 @@ def test_slotted_32x32(best_of, benchmark):
     res = best_of(sim.run, int(WARMUP), int(HORIZON))
     _record(benchmark, res, PRE_PR_SLOTTED[32])
     assert res.generated > 10_000
+
+
+def test_slotted_8x8_cold(best_of, benchmark):
+    """The python slot kernel on a fresh path cache every round. A
+    slot's batch lookup misses 16 pairs in the median and never more
+    than ~45, below ``BULK_MIN_MISSES``, so misses fill pair by pair."""
+    res = best_of(lambda: _slotted_cell(8).run(int(WARMUP), int(HORIZON)))
+    _record(benchmark, res, PRE_PR_SLOTTED[8])
+    assert res.generated > 2000
 
 
 def _numpy_vs_python(benchmark, best_of, build):

@@ -10,11 +10,11 @@ which is the natural higher-dimensional analogue from Section 5.2.
 Implementation note: the simulators do not call ``path`` per packet; they
 look paths up in a :mod:`repro.routing.pathcache` memo. ``path`` builds a
 scalar miss from precomputed per-direction edge-id grids, one Python loop
-iteration per hop with no hashing. Batch lookups (the numpy kernels) build
-their misses with the cache's closed-form mesh builder instead, which
-relies on :class:`~repro.topology.array_mesh.ArrayMesh`'s edge-id layout:
-each leg is an arithmetic run of ids (step ``±1`` along a row, ``±cols``
-along a column).
+iteration per hop with no hashing. Batch lookups with many misses (the
+numpy kernels) build them with the cache's closed-form mesh builder
+instead: it takes each leg's first edge from the same grids and relies on
+:class:`~repro.topology.array_mesh.ArrayMesh`'s edge-id layout only for
+the step along a leg (``±1`` along a row, ``±cols`` along a column).
 """
 
 from __future__ import annotations

@@ -19,9 +19,9 @@ arena*:
   build the path once via the router (or a custom ``builder``) and append
   it to the arena. For small networks — and on request of the numpy
   kernels — a dense ``offset``/``length`` pair of arrays is kept
-  alongside the dict so batch lookups are a single NumPy gather; with a
-  ``batch_builder`` the batch's misses are built in one vectorized call
-  and appended to the arena at once.
+  alongside the dict so batch lookups are a single NumPy gather; on the
+  greedy mesh routers a batch with many misses builds them in one
+  vectorized call and appends them to the arena at once.
 * :class:`RandomizedGreedyPathCache` — the per-scheme cached-leg variant
   for :class:`~repro.routing.randomized_greedy.RandomizedGreedyArrayRouter`:
   two tables (row-first / column-first) share one arena, and each table's
@@ -37,7 +37,8 @@ arena*:
   walk on those networks. The greedy mesh routers keep their grid walk
   for scalar misses and add a closed-form *batch* builder
   (:func:`_mesh_batch_builder`: each path is two arithmetic runs of edge
-  ids), which fills a batch lookup's misses in bulk.
+  ids), which fills a batch lookup's misses in bulk once there are at
+  least :data:`BULK_MIN_MISSES` of them.
 * :class:`SampledPathInterner` — the no-memo fallback for routers the
   cache layer does not recognise (and the ``use_path_cache=False``
   baseline): it rebuilds the sampled path per packet, exactly like the
@@ -71,9 +72,6 @@ from repro.routing.hypercube_greedy import GreedyHypercubeRouter
 from repro.routing.randomized_greedy import RandomizedGreedyArrayRouter
 from repro.routing.torus_greedy import GreedyTorusRouter
 
-#: ``(srcs, dsts) -> (flat int32 edge ids, int64 path lengths)``.
-BatchBuilder = Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]
-
 #: Below this many nodes a cache also maintains dense ``n*n`` offset and
 #: length arrays (1 MiB at the limit), enabling single-gather batch
 #: lookups; larger networks stay dict-only to keep memory proportional to
@@ -85,6 +83,16 @@ DENSE_NODE_LIMIT = 256
 #: dense tables explicitly and 4M pairs caps the two ``int64`` arrays at
 #: 64 MiB; beyond it batch lookups keep the dict fallback.
 DENSE_PAIR_LIMIT = 4_194_304
+
+#: Fewest misses in one batch lookup that are built in bulk. The bulk
+#: fill has a fixed cost of ~50-100 us (unique keys, the builder's array
+#: ops, the arena append) against ~2-10 us per pair for the ``ensure``
+#: loop. Alone, on 12x12-32x32 meshes, it costs 1.5-1.9x the loop at 16
+#: misses, the same at 32 and 0.5-0.6x at 96. Interleaved with per-pair
+#: fills, as in the python slot kernel's per-slot lookups, it still lost
+#: at 32 (16x16 at load 0.5: 1.13-1.2x the loop's time) and broke even
+#: at 64, so below 64 misses a batch fills pair by pair.
+BULK_MIN_MISSES = 64
 
 #: Edges per object gather in :meth:`PathArena.extend_array`: bounds the
 #: fill's two pointer-sized temporaries at 512 KiB each.
@@ -249,13 +257,10 @@ class PathCache:
     builder:
         Optional replacement for ``router.path`` used to build a missing
         path (the cached-leg composers use this). Must return the exact
-        same edge sequence ``router.path`` would.
-    batch_builder:
-        Optional vectorized builder ``(srcs, dsts) -> (flat, lens)`` for
-        many missing paths at once (:func:`_mesh_batch_builder`): ``flat``
-        concatenates the paths' edge ids, ``lens`` holds one length per
-        pair. When given, :meth:`offlen_batch` fills dense-table misses in
-        bulk; scalar lookups keep ``builder``.
+        same edge sequence ``router.path`` would. Greedy mesh routers
+        also get the closed-form :func:`_mesh_batch_builder`, which
+        :meth:`offlen_batch` uses for batches with many dense-table
+        misses; scalar lookups always use ``builder``.
     precompute:
         Eagerly build all ``n * n`` pairs up front. Default is lazy
         memoization; precomputing is only worthwhile when a long run will
@@ -271,7 +276,6 @@ class PathCache:
         *,
         arena: PathArena | None = None,
         builder: Callable[[int, int], Sequence[int]] | None = None,
-        batch_builder: BatchBuilder | None = None,
         precompute: bool = False,
     ) -> None:
         self.router = router
@@ -279,7 +283,11 @@ class PathCache:
         self.num_nodes = int(self.topology.num_nodes)
         self.arena = arena if arena is not None else PathArena()
         self._build_path = builder if builder is not None else router.path
-        self._build_batch = batch_builder
+        self._build_batch = (
+            _mesh_batch_builder(router)
+            if isinstance(router, GreedyArrayRouter)
+            else None
+        )
         self.table: dict[int, tuple[int, int]] = {}
         n = self.num_nodes
         if n <= DENSE_NODE_LIMIT:
@@ -326,8 +334,8 @@ class PathCache:
         """Vectorized ``(offsets, lengths)`` for parallel ``(src, dst)`` arrays.
 
         With dense tables this is one NumPy gather (misses are filled
-        first, in bulk when the cache has a batch builder); dict-only
-        caches fall back to a Python loop, still one dict probe per pair.
+        first, see :meth:`_fill`); dict-only caches fall back to a Python
+        loop, still one dict probe per pair.
         """
         srcs = np.asarray(srcs, dtype=np.int64)
         dsts = np.asarray(dsts, dtype=np.int64)
@@ -391,9 +399,11 @@ class PathCache:
         """Build and memoize the missing pairs ``keys`` (``src * n + dst``
         in lookup order, repeats allowed), each exactly once and in
         first-occurrence order, so the arena is laid out as a scalar
-        fill of the same pairs would lay it out."""
+        fill of the same pairs would lay it out. With a batch builder and
+        at least :data:`BULK_MIN_MISSES` keys they are built in one call;
+        otherwise pair by pair."""
         n = self.num_nodes
-        if self._build_batch is None:
+        if self._build_batch is None or keys.size < BULK_MIN_MISSES:
             table = self.table
             for key in keys.tolist():
                 # Re-check per pair: a batch may repeat a missing pair,
@@ -528,8 +538,9 @@ class RandomizedGreedyPathCache:
     Holds two :class:`PathCache` tables — row-first and column-first — on
     one shared arena. Each table composes its scalar misses from the same
     :class:`MeshLegCache` instead of re-walking the direction grids for
-    both orders, and fills batch misses with the closed-form mesh
-    builder of its order. ``sample_offlen`` draws exactly the one coin
+    both orders, and fills large batches of misses with the closed-form
+    mesh builder of its order (see :meth:`PathCache._fill`).
+    ``sample_offlen`` draws exactly the one coin
     ``RandomizedGreedyArrayRouter.sample_path`` draws, keeping same-seed
     runs bit-identical to the uncached scheme.
     """
@@ -554,13 +565,11 @@ class RandomizedGreedyPathCache:
             router._row_first,
             arena=self.arena,
             builder=build_row_first,
-            batch_builder=_mesh_batch_builder(router._row_first),
         )
         self.col_first = PathCache(
             router._col_first,
             arena=self.arena,
             builder=build_col_first,
-            batch_builder=_mesh_batch_builder(router._col_first),
         )
 
     def sample_offlen(
@@ -671,20 +680,19 @@ def _torus_builder(router: GreedyTorusRouter):
     return build_torus_path
 
 
-def _mesh_batch_builder(router: GreedyArrayRouter) -> BatchBuilder:
+def _mesh_batch_builder(router: GreedyArrayRouter):
     """Closed-form batch builder for both greedy mesh orders.
 
     On :class:`~repro.topology.array_mesh.ArrayMesh`'s edge-id layout a
     greedy path is two arithmetic runs: the row leg steps by ``±1``
     through the RIGHT or LEFT block, the column leg by ``±cols`` through
-    the DOWN or UP block. All pairs' runs are laid out with one
+    the DOWN or UP block. Each run's first edge comes from the router's
+    per-direction grids, and all pairs' runs are laid out with one
     ``repeat`` and one ``cumsum`` — the edge sequences ``router.path``
     walks hop by hop.
     """
-    mesh = router.mesh
-    cols = mesh.cols
-    h = mesh.horizontal_edge_count()
-    v = mesh.vertical_edge_count()
+    cols = router.mesh.cols
+    right, left, down, up = router._right, router._left, router._down, router._up
     column_first = router.column_first
 
     def build_mesh_paths(
@@ -695,12 +703,8 @@ def _mesh_batch_builder(router: GreedyArrayRouter) -> BatchBuilder:
         di, dj = i2 - i1, j2 - j1
         # The row leg runs along row r, the column leg along column c.
         r, c = (i2, j1) if column_first else (i1, j2)
-        row_start = np.where(
-            dj > 0, r * (cols - 1) + j1, h + r * (cols - 1) + j1 - 1
-        )
-        col_start = np.where(
-            di > 0, 2 * h + i1 * cols + c, 2 * h + v + (i1 - 1) * cols + c
-        )
+        row_start = np.where(dj > 0, right[r, j1], left[r, j1])
+        col_start = np.where(di > 0, down[i1, c], up[i1, c])
         row = (row_start, np.sign(dj), np.abs(dj))
         col = (col_start, np.sign(di) * cols, np.abs(di))
         first, second = (col, row) if column_first else (row, col)
@@ -869,14 +873,6 @@ def _deterministic_builder(router: Router):
     return None
 
 
-def _batch_builder(router: Router) -> BatchBuilder | None:
-    """The vectorized miss-path builder for ``router``, or ``None`` when
-    batch misses build pair by pair."""
-    if isinstance(router, GreedyArrayRouter):
-        return _mesh_batch_builder(router)
-    return None
-
-
 class SampledPathInterner:
     """Uncached adapter: per-packet rebuild, arena-interned records.
 
@@ -930,7 +926,7 @@ def path_cache_for(
     specialised miss-path builder where one exists (leg-composed for the
     torus and k-d arrays, closed-form for the hypercube and butterfly),
     and for the greedy mesh routers a closed-form batch builder that
-    fills batch-lookup misses in bulk (their scalar misses keep the
+    fills large batches of misses in bulk (their scalar misses keep the
     router's grid walk). The randomized greedy scheme gets its cached-leg
     :class:`RandomizedGreedyPathCache`; anything else falls back to the
     :class:`SampledPathInterner`, which preserves pre-cache behaviour
@@ -944,7 +940,6 @@ def path_cache_for(
             router,
             arena=arena,
             builder=_deterministic_builder(router),
-            batch_builder=_batch_builder(router),
             precompute=precompute,
         )
     return SampledPathInterner(router, arena=arena)

@@ -8,6 +8,7 @@ from repro.routing.butterfly_routing import ButterflyRouter
 from repro.routing.greedy import GreedyArrayRouter, GreedyKDRouter
 from repro.routing.hypercube_greedy import GreedyHypercubeRouter
 from repro.routing.pathcache import (
+    BULK_MIN_MISSES,
     DENSE_NODE_LIMIT,
     KDLegCache,
     MeshLegCache,
@@ -16,7 +17,6 @@ from repro.routing.pathcache import (
     RandomizedGreedyPathCache,
     SampledPathInterner,
     TorusLegCache,
-    _batch_builder,
     _deterministic_builder,
     _mesh_batch_builder,
     path_cache_for,
@@ -194,9 +194,7 @@ class TestSpecialisedBuilders:
         ],
     )
     def test_other_routers_keep_the_per_pair_miss_loop(self, router_factory):
-        router = router_factory()
-        assert _batch_builder(router) is None
-        assert path_cache_for(router)._build_batch is None
+        assert path_cache_for(router_factory())._build_batch is None
 
     def test_torus_leg_cache_memoizes(self):
         router = GreedyTorusRouter(Torus(5))
@@ -318,9 +316,20 @@ class TestMeshBatchBuilder:
 
     @staticmethod
     def _pair(column_first=False):
-        """A bulk-filling cache and a scalar-only cache on one router."""
-        router = GreedyArrayRouter(ArrayMesh(5), column_first=column_first)
-        return path_cache_for(router), PathCache(router)
+        """A bulk-filling cache, whose batch builder counts its calls, and
+        a scalar-only reference cache on one 8x8 router."""
+        router = GreedyArrayRouter(ArrayMesh(8), column_first=column_first)
+        bulk, scalar = path_cache_for(router), PathCache(router)
+        scalar._build_batch = None
+        build = bulk._build_batch
+        bulk.bulk_calls = []
+
+        def counted(srcs, dsts):
+            bulk.bulk_calls.append(srcs.size)
+            return build(srcs, dsts)
+
+        bulk._build_batch = counted
+        return bulk, scalar
 
     @staticmethod
     def _assert_same_fill(bulk, scalar):
@@ -335,30 +344,49 @@ class TestMeshBatchBuilder:
         """Scalar ensure() misses and bulk fills interleave on one arena
         and lay it out exactly as a scalar-only fill of the same pairs."""
         bulk, scalar = self._pair(column_first)
-        assert bulk._build_batch is not None and scalar._build_batch is None
         rng = np.random.default_rng(5)
-        for _ in range(12):
-            for s, d in rng.integers(0, 25, size=(4, 2)).tolist():
+        for size in [BULK_MIN_MISSES + 10, 8] * 6:
+            for s, d in rng.integers(0, 64, size=(4, 2)).tolist():
                 assert bulk.offlen(s, d) == scalar.offlen(s, d)
-            srcs = rng.integers(0, 25, size=30)
-            dsts = rng.integers(0, 25, size=30)
+            srcs = rng.integers(0, 64, size=size)
+            dsts = rng.integers(0, 64, size=size)
             ob, lb = bulk.offlen_batch(srcs, dsts)
             os_, ls = scalar.offlen_batch(srcs, dsts)
             assert ob.tolist() == os_.tolist() and lb.tolist() == ls.tolist()
+        assert len(bulk.bulk_calls) >= 3
         self._assert_same_fill(bulk, scalar)
-        for s in range(25):
-            for d in range(25):
+        for s in range(64):
+            for d in range(64):
                 assert bulk.path(s, d) == bulk.router.path(s, d)
 
     def test_repeated_missing_keys_intern_once(self):
         bulk, scalar = self._pair()
-        srcs = np.array([0, 3, 0, 24, 3, 0, 12, 12])
-        dsts = np.array([24, 7, 24, 0, 7, 24, 12, 12])
+        keys = np.random.default_rng(2).choice(64 * 64, size=30, replace=False)
+        # Each key twice, in both orders, plus a repeated self pair.
+        keys = np.concatenate([keys, keys[::-1], [12 * 65] * 4])
+        assert keys.size >= BULK_MIN_MISSES
+        srcs, dsts = np.divmod(keys, 64)
         offs, lens = bulk.offlen_batch(srcs, dsts)
         scalar.offlen_batch(srcs, dsts)
+        assert bulk.bulk_calls == [31]
         self._assert_same_fill(bulk, scalar)
-        assert len(bulk) == 4
-        assert offs[0] == offs[2] == offs[5] and offs[1] == offs[4]
+        assert len(bulk) == 31
+        assert offs[:30].tolist() == offs[59::-1][:30].tolist()
+
+    def test_small_miss_batches_fill_pair_by_pair(self):
+        """Below BULK_MIN_MISSES misses the per-pair ensure() loop is
+        cheaper than the bulk fill's fixed cost; at the threshold the
+        batch builder takes over. Both lay the arena out identically."""
+        bulk, scalar = self._pair()
+        keys = np.random.default_rng(3).choice(
+            64 * 64, size=2 * BULK_MIN_MISSES - 1, replace=False
+        )
+        for batch in (keys[: BULK_MIN_MISSES - 1], keys[BULK_MIN_MISSES - 1 :]):
+            srcs, dsts = np.divmod(batch, 64)
+            bulk.offlen_batch(srcs, dsts)
+            scalar.offlen_batch(srcs, dsts)
+        assert bulk.bulk_calls == [BULK_MIN_MISSES]
+        self._assert_same_fill(bulk, scalar)
 
     def test_randomized_tables_fill_in_bulk(self):
         cache = RandomizedGreedyPathCache(RandomizedGreedyArrayRouter(ArrayMesh(4)))
