@@ -101,6 +101,12 @@ def _encode(res) -> dict:
         out["number_dist_max_n"] = int(ks[-1])
         out["number_dist_mass"] = _hex(sum(dist[k] for k in ks))
         out["number_dist_mean"] = _hex(sum(k * dist[k] for k in ks))
+    if res.delays is not None:
+        # Cells collecting raw delays: pin the count and an exact
+        # checksum (np.sum over the completion-order array). Absent on
+        # every cell that does not collect them.
+        out["delays_len"] = len(res.delays)
+        out["delays_sum"] = _hex(float(res.delays.sum()))
     return out
 
 
@@ -152,7 +158,8 @@ def build_cases() -> dict:
     def event(name, router, dests, rate, seed, *, service="deterministic",
               warmup=15.0, horizon=150.0, track_maxima=False,
               saturated_mask=None, service_rates=1.0,
-              track_utilization=False):
+              track_utilization=False, track_number_distribution=False,
+              collect_delays=False):
         def run():
             sim = NetworkSimulation(
                 router, dests, rate, service=service, seed=seed,
@@ -161,6 +168,8 @@ def build_cases() -> dict:
             return sim.run(
                 warmup, horizon, track_maxima=track_maxima,
                 track_utilization=track_utilization,
+                track_number_distribution=track_number_distribution,
+                collect_delays=collect_delays,
             )
         _capture(cases, name, run)
 
@@ -343,6 +352,11 @@ def build_cases() -> dict:
           UniformDestinations(25), 0.10, 20,
           service="exponential", track_utilization=True,
           saturated_mask=sat_mask(e5))
+    # The dominance section's FIFO configuration: the N-distribution and
+    # raw delay collection on the general merge loop.
+    event("event_ndist_delays", GreedyArrayRouter(m5),
+          UniformDestinations(25), 0.12, 29,
+          track_number_distribution=True, collect_delays=True)
     slotted("slotted_sat", GreedyArrayRouter(m5),
             UniformDestinations(25), 0.10, 21,
             saturated_mask=sat_mask(e5))

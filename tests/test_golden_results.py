@@ -81,8 +81,18 @@ def test_fixture_covers_all_five_engines(golden):
         "api_ps_hotspot",
         "api_slotted_uniform",
         "api_finite_hotspot_k1",
+        "event_ndist_delays",
     ):
         assert required in names
+
+
+def test_delay_checksum_only_on_collecting_cells(golden):
+    """The raw-delay checksum appears only on the cell that collects
+    delays, and it holds one delay per measured completion."""
+    collecting = [name for name, cell in golden.items() if "delays_len" in cell]
+    assert collecting == ["event_ndist_delays"]
+    cell = golden["event_ndist_delays"]
+    assert cell["delays_len"] == cell["completed"]
 
 
 def test_api_cells_match_direct_cells(golden):
