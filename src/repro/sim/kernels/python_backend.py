@@ -11,19 +11,33 @@ engines, and the golden fixtures (``tests/golden/``) pass unchanged:
 this module *is* the same-seed bit-identity reference that the numpy
 backend's distribution-parity tests compare against.
 
+Two more choices keep the loops fast without moving a bit. The RNG
+blocks are drawn as numpy arrays and converted with ``.tolist()``, the
+exponential block like the id block: the draws and their order are
+unchanged, and the clocks, heap keys and integrals become builtin
+floats, whose IEEE double arithmetic gives the same results as
+``np.float64``'s. And each measured completion appends its ``(birth,
+delay)`` pair to two ``array('d')`` buffers instead of calling
+:meth:`~repro.sim.measurement.TimeBatchAccumulator.add`; the buffers
+fold into the accumulator every ``measurement.FOLD_PAIRS`` pairs and
+once after the loop. ``np.add.at`` scatters in order, so the batch sums
+equal one ``add`` per completion, and the buffers' memory stays bounded
+however long the horizon.
+
 The engines keep argument validation; kernels receive validated state
 and own only the hot loop plus the result assembly.
 """
 
 from __future__ import annotations
 
+from array import array
 from collections import deque
 from heapq import heappop, heappush
 from typing import Any
 
 import numpy as np
 
-from repro.sim.measurement import TimeBatchAccumulator
+from repro.sim import measurement
 from repro.sim.result import SimResult
 from repro.sim.rng import make_rng
 
@@ -85,8 +99,9 @@ def run_fifo(
 
     seq = 0
 
-    # Block RNG: exponential(1) variates and uniform source/dest ids.
-    exp_block = rng.exponential(size=_BLOCK)
+    # Block RNG: exponential(1) variates and uniform source/dest ids,
+    # both as lists of builtin numbers (see the module docstring).
+    exp_block = rng.exponential(size=_BLOCK).tolist()
     exp_i = 0
     sources = sim.source_nodes
     nsrc = len(sources)
@@ -112,36 +127,21 @@ def run_fifo(
     generated = completed = zero_hop = 0
     dropped = 0
     node_drops = [0] * num_nodes
-    delay_acc = TimeBatchAccumulator(warmup, t_end, delay_batches)
+    delay_acc = measurement.TimeBatchAccumulator(warmup, t_end, delay_batches)
+    # Measured (birth, delay) pairs in completion order, folded into
+    # delay_acc every fold_max pairs and once after the loop.
+    fold_births = array("d")
+    fold_delays = array("d")
+    add_birth = fold_births.append
+    add_delay = fold_delays.append
+    fold_max = measurement.FOLD_PAIRS
     delays: list[float] | None = [] if collect_delays else None
-    util = np.zeros(num_edges) if track_utilization else None
+    util: list[float] | None = [0.0] * num_edges if track_utilization else None
     ndist: dict[int, float] | None = {} if track_number_distribution else None
     max_delay = 0.0
     max_queue = 0
     searchsorted = np.searchsorted
     dest_sample = destinations.sample
-
-    def service_sample(e: int) -> float:
-        nonlocal exp_i, exp_block
-        if not exponential:
-            return st[e]
-        if exp_i >= _BLOCK:
-            exp_block = rng.exponential(size=_BLOCK)
-            exp_i = 0
-        v = exp_block[exp_i] * st[e]
-        exp_i += 1
-        return v
-
-    def start_service_heap(e: int, t: float, pkt: list) -> None:
-        nonlocal seq
-        s = service_sample(e)
-        heappush(heap, (t + s, seq, e, pkt))
-        seq += 1
-        if util is not None:
-            lo = t if t > warmup else warmup
-            hi = t + s if t + s < t_end else t_end
-            if hi > lo:
-                util[e] += hi - lo
 
     # First arrival (the merged-Poisson sentinel).
     first_gap = exp_block[exp_i] * gap_scale
@@ -250,7 +250,10 @@ def run_fifo(
                     if measured:
                         zero_hop += 1
                         completed += 1
-                        delay_acc.add(t, 0.0)
+                        add_birth(t)
+                        add_delay(0.0)
+                        if len(fold_births) >= fold_max:
+                            delay_acc.fold(fold_births, fold_delays)
                         if delays is not None:
                             delays.append(0.0)
                 else:
@@ -275,7 +278,7 @@ def run_fifo(
                         seq += 1
                 # Next arrival.
                 if exp_i >= BLK:
-                    exp_block = rng.exponential(size=BLK)
+                    exp_block = rng.exponential(size=BLK).tolist()
                     exp_i = 0
                 arr_t = t + exp_block[exp_i] * gap_scale
                 exp_i += 1
@@ -290,7 +293,10 @@ def run_fifo(
                     if pkt[4]:
                         completed += 1
                         d = t - pkt[0]
-                        delay_acc.add(pkt[0], d)
+                        add_birth(pkt[0])
+                        add_delay(d)
+                        if len(fold_births) >= fold_max:
+                            delay_acc.fold(fold_births, fold_delays)
                         if delays is not None:
                             delays.append(d)
                 else:
@@ -409,7 +415,10 @@ def run_fifo(
                     if measured:
                         zero_hop += 1
                         completed += 1
-                        delay_acc.add(t, 0.0)
+                        add_birth(t)
+                        add_delay(0.0)
+                        if len(fold_births) >= fold_max:
+                            delay_acc.fold(fold_births, fold_delays)
                         if delays is not None:
                             delays.append(0.0)
                 else:
@@ -461,7 +470,7 @@ def run_fifo(
                                     util[f] += hi - lo
                 # Next arrival.
                 if exp_i >= BLK:
-                    exp_block = rng.exponential(size=BLK)
+                    exp_block = rng.exponential(size=BLK).tolist()
                     exp_i = 0
                 arr_t = t + exp_block[exp_i] * gap_scale
                 exp_i += 1
@@ -478,7 +487,10 @@ def run_fifo(
                     if pkt[4]:
                         completed += 1
                         d = t - pkt[0]
-                        delay_acc.add(pkt[0], d)
+                        add_birth(pkt[0])
+                        add_delay(d)
+                        if len(fold_births) >= fold_max:
+                            delay_acc.fold(fold_births, fold_delays)
                         if track_maxima and d > max_delay:
                             max_delay = d
                         if delays is not None:
@@ -541,11 +553,12 @@ def run_fifo(
         # Exponential or per-edge deterministic service: departure
         # times are not monotone, so a binary heap orders them (by
         # the unique (time, seq) prefix), with the arrival sentinel
-        # merged in.
+        # merged in. Each of the three service starts draws its time
+        # inline, from the same exponential block as the arrival gaps,
+        # and clips it into util there.
         heap: list[tuple] = []
         heappush(heap, (first_gap, seq, -1, None))
         seq += 1
-        fast_service = not exponential and util is None
         while heap:
             t, _s, e, pkt = heappop(heap)
             if not maxima_seeded and t >= warmup:
@@ -611,7 +624,10 @@ def run_fifo(
                     if measured:
                         zero_hop += 1
                         completed += 1
-                        delay_acc.add(t, 0.0)
+                        add_birth(t)
+                        add_delay(0.0)
+                        if len(fold_births) >= fold_max:
+                            delay_acc.fold(fold_births, fold_delays)
                         if delays is not None:
                             delays.append(0.0)
                 else:
@@ -651,14 +667,26 @@ def run_fifo(
                                 max_queue = len(q)
                         else:
                             busy[f] = 1
-                            if fast_service:
-                                heappush(heap, (t + st[f], seq, f, new_pkt))
-                                seq += 1
+                            if exponential:
+                                if exp_i >= BLK:
+                                    exp_block = rng.exponential(size=BLK).tolist()
+                                    exp_i = 0
+                                s = exp_block[exp_i] * st[f]
+                                exp_i += 1
                             else:
-                                start_service_heap(f, t, new_pkt)
+                                s = st[f]
+                            heappush(heap, (t + s, seq, f, new_pkt))
+                            seq += 1
+                            if util is not None:
+                                lo = t if t > warmup else warmup
+                                hi = t + s
+                                if hi > t_end:
+                                    hi = t_end
+                                if hi > lo:
+                                    util[f] += hi - lo
                 # Next arrival.
                 if exp_i >= BLK:
-                    exp_block = rng.exponential(size=BLK)
+                    exp_block = rng.exponential(size=BLK).tolist()
                     exp_i = 0
                 heappush(heap, (t + exp_block[exp_i] * gap_scale, seq, -1, None))
                 exp_i += 1
@@ -674,7 +702,10 @@ def run_fifo(
                     if pkt[4]:
                         completed += 1
                         d = t - pkt[0]
-                        delay_acc.add(pkt[0], d)
+                        add_birth(pkt[0])
+                        add_delay(d)
+                        if len(fold_births) >= fold_max:
+                            delay_acc.fold(fold_births, fold_delays)
                         if track_maxima and d > max_delay:
                             max_delay = d
                         if delays is not None:
@@ -708,19 +739,43 @@ def run_fifo(
                                 max_queue = len(qf)
                         else:
                             busy[f] = 1
-                            if fast_service:
-                                heappush(heap, (t + st[f], seq, f, pkt))
-                                seq += 1
+                            if exponential:
+                                if exp_i >= BLK:
+                                    exp_block = rng.exponential(size=BLK).tolist()
+                                    exp_i = 0
+                                s = exp_block[exp_i] * st[f]
+                                exp_i += 1
                             else:
-                                start_service_heap(f, t, pkt)
+                                s = st[f]
+                            heappush(heap, (t + s, seq, f, pkt))
+                            seq += 1
+                            if util is not None:
+                                lo = t if t > warmup else warmup
+                                hi = t + s
+                                if hi > t_end:
+                                    hi = t_end
+                                if hi > lo:
+                                    util[f] += hi - lo
                 q = queues[e]
                 if q:
                     nxt = q.popleft()
-                    if fast_service:
-                        heappush(heap, (t + st[e], seq, e, nxt))
-                        seq += 1
+                    if exponential:
+                        if exp_i >= BLK:
+                            exp_block = rng.exponential(size=BLK).tolist()
+                            exp_i = 0
+                        s = exp_block[exp_i] * st[e]
+                        exp_i += 1
                     else:
-                        start_service_heap(e, t, nxt)
+                        s = st[e]
+                    heappush(heap, (t + s, seq, e, nxt))
+                    seq += 1
+                    if util is not None:
+                        lo = t if t > warmup else warmup
+                        hi = t + s
+                        if hi > t_end:
+                            hi = t_end
+                        if hi > lo:
+                            util[e] += hi - lo
                 else:
                     busy[e] = 0
 
@@ -735,6 +790,7 @@ def run_fifo(
         if ndist is not None:
             ndist[in_system] = ndist.get(in_system, 0.0) + dt
 
+    delay_acc.fold(fold_births, fold_delays)
     mean_number = int_n / horizon
     summary = delay_acc.summary()
     if ndist is not None:
@@ -757,7 +813,7 @@ def run_fifo(
         delay_half_width=summary.half_width,
         mean_delay_littles=mean_number / sim.total_rate,
         total_rate=sim.total_rate,
-        utilization=util / horizon if util is not None else None,
+        utilization=np.asarray(util) / horizon if util is not None else None,
         delays=np.asarray(delays) if delays is not None else None,
         number_distribution=ndist,
         max_delay=max_delay if track_maxima else float("nan"),
@@ -811,7 +867,13 @@ def run_slotted(
     int_n = int_r = int_rs = 0.0
     generated = completed = zero_hop = 0
     in_flight_at_horizon = 0
-    delay_acc = TimeBatchAccumulator(warmup, warmup + horizon, delay_batches)
+    delay_acc = measurement.TimeBatchAccumulator(
+        warmup, warmup + horizon, delay_batches
+    )
+    # Measured (birth, delay) pairs, folded as in run_fifo.
+    fold_births = array("d")
+    fold_delays = array("d")
+    fold_max = measurement.FOLD_PAIRS
     delays: list[float] | None = [] if collect_delays else None
     max_delay = 0.0
     max_queue = 0
@@ -887,7 +949,10 @@ def run_slotted(
                         if measuring:
                             zero_hop += 1
                             completed += 1
-                            delay_acc.add(t, 0.0)
+                            fold_births.append(t)
+                            fold_delays.append(0.0)
+                            if len(fold_births) >= fold_max:
+                                delay_acc.fold(fold_births, fold_delays)
                             if delays is not None:
                                 delays.append(0.0)
                         continue
@@ -939,7 +1004,10 @@ def run_slotted(
                 if pkt[4]:
                     completed += 1
                     d = arrive_t - pkt[0]
-                    delay_acc.add(pkt[0], d)
+                    fold_births.append(pkt[0])
+                    fold_delays.append(d)
+                    if len(fold_births) >= fold_max:
+                        delay_acc.fold(fold_births, fold_delays)
                     if track_maxima and d > max_delay:
                         max_delay = d
                     if delays is not None:
@@ -954,6 +1022,7 @@ def run_slotted(
                     max_queue = len(qf)
         slot += 1
 
+    delay_acc.fold(fold_births, fold_delays)
     mean_number = int_n / horizon
     summary = delay_acc.summary()
     return SimResult(

@@ -40,7 +40,11 @@ CDF with ``side='right'`` so a boundary draw can never select a
 zero-rate source. The per-packet RNG draw order is unchanged from the
 pre-cache engine, and the PS golden cells in ``tests/golden/`` pin the
 outputs (``ps_loaded_peredge`` at a load where queues regularly hold
-several customers).
+several customers). Measured ``(birth, delay)`` pairs are buffered and
+fold into the delay batches in completion order every
+``measurement.FOLD_PAIRS`` pairs and once after the loop, like the
+other interpreted engines: the same sums as one ``add`` per
+completion, in bounded memory.
 """
 
 from __future__ import annotations
@@ -58,7 +62,7 @@ from repro.sim.enginecommon import (
     EngineCommon,
     resolve_service_rates,
 )
-from repro.sim.measurement import TimeBatchAccumulator
+from repro.sim import measurement
 from repro.sim.result import SimResult
 from repro.sim.rng import make_rng
 from repro.util.validation import check_positive
@@ -161,11 +165,14 @@ class PSNetworkSimulation:
         last_t = 0.0
         generated = completed = zero_hop = 0
         in_flight_at_horizon = 0
-        delay_acc = TimeBatchAccumulator(warmup, t_end, delay_batches)
+        delay_acc = measurement.TimeBatchAccumulator(warmup, t_end, delay_batches)
         # Measured (birth time, delay) pairs in completion order, folded
-        # into delay_acc after the loop.
+        # into delay_acc every fold_max pairs and once after the loop;
+        # collected keeps every delay when the caller asks for them.
         births = array("d")
         delays = array("d")
+        fold_max = measurement.FOLD_PAIRS
+        collected = array("d") if collect_delays else None
         ndist: dict[int, float] | None = {} if track_number_distribution else None
 
         # PS replans one exponential arrival gap per event; the scalar
@@ -225,6 +232,10 @@ class PSNetworkSimulation:
                         completed += 1
                         births.append(t)
                         delays.append(0.0)
+                        if len(births) >= fold_max:
+                            if collected is not None:
+                                collected.extend(delays)
+                            delay_acc.fold(births, delays)
                 else:
                     if det_get is not None:
                         ol = det_get(src * num_nodes + dst)
@@ -266,6 +277,10 @@ class PSNetworkSimulation:
                         completed += 1
                         births.append(pkt[0])
                         delays.append(t - pkt[0])
+                        if len(births) >= fold_max:
+                            if collected is not None:
+                                collected.extend(delays)
+                            delay_acc.fold(births, delays)
                 else:
                     nxt = arena[pkt[1] + hop]
 
@@ -309,9 +324,9 @@ class PSNetworkSimulation:
             if ndist is not None:
                 ndist[in_system] = ndist.get(in_system, 0.0) + dt
 
-        # np.add.at scatters in order: the same float sums as one add()
-        # per completion.
-        delay_acc.add_batch(np.frombuffer(births), np.frombuffer(delays))
+        if collected is not None:
+            collected.extend(delays)
+        delay_acc.fold(births, delays)
         mean_number = int_n / horizon
         summary = delay_acc.summary()
         if ndist is not None:
@@ -332,6 +347,6 @@ class PSNetworkSimulation:
             delay_half_width=summary.half_width,
             mean_delay_littles=mean_number / self.total_rate,
             total_rate=self.total_rate,
-            delays=np.array(delays) if collect_delays else None,
+            delays=np.array(collected) if collected is not None else None,
             number_distribution=ndist,
         )

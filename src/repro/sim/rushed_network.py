@@ -26,12 +26,19 @@ record stores an ``(arena_offset, length)`` view; exponential gaps and
 uniform id pairs are drawn in 8192-size blocks; uniform deterministic
 service (the standard model) runs the monotone-merge event loop, and
 per-edge deterministic service runs on a plain ``heapq`` event list.
-The same-seed bit-identity contract applies: the
-rushed golden cells in ``tests/golden/`` pin this engine's outputs.
+As in the FIFO kernel (see :mod:`repro.sim.kernels.python_backend`),
+the exponential block is a list of builtin floats, the per-edge
+occupancy integral is updated inline in a Python list (converted to an
+array once, for ``utilization``), and the makespans fold into the
+delay batches in completion order every ``measurement.FOLD_PAIRS``
+pairs; none of this moves a bit. The same-seed bit-identity contract
+applies: the rushed golden cells in ``tests/golden/`` pin this
+engine's outputs.
 """
 
 from __future__ import annotations
 
+from array import array
 from collections import deque
 from heapq import heappop, heappush
 from typing import Sequence
@@ -46,7 +53,7 @@ from repro.sim.enginecommon import (
     resolve_saturated_mask,
     resolve_service_rates,
 )
-from repro.sim.measurement import TimeBatchAccumulator
+from repro.sim import measurement
 from repro.sim.result import SimResult
 from repro.sim.rng import make_rng
 from repro.util.validation import check_positive
@@ -157,8 +164,9 @@ class RushedNetworkSimulation:
             det_build = cache.ensure
             sample_offlen = None
 
-        # Block RNG: exponential(1) variates and uniform source/dest ids.
-        exp_block = rng.exponential(size=_BLOCK)
+        # Block RNG: exponential(1) variates and uniform source/dest ids,
+        # both as lists of builtin numbers (see the module docstring).
+        exp_block = rng.exponential(size=_BLOCK).tolist()
         exp_i = 0
         sources = self.source_nodes
         nsrc = len(sources)
@@ -181,26 +189,25 @@ class RushedNetworkSimulation:
         int_copies = 0.0
         int_rs = 0.0
         remaining_sat = 0  # copies currently at saturated edges
-        int_per_edge = np.zeros(num_edges)
+        int_per_edge = [0.0] * num_edges
         occupancy = [0] * num_edges  # current copies at each edge
         edge_last = [0.0] * num_edges  # lazy per-edge integration cursor
         last_t = 0.0
         generated = completed = zero_hop = 0
         in_flight_at_horizon = 0
-        delay_acc = TimeBatchAccumulator(warmup, t_end, delay_batches)
+        delay_acc = measurement.TimeBatchAccumulator(warmup, t_end, delay_batches)
+        # Measured (birth, makespan) pairs in completion order, folded
+        # into delay_acc every fold_max pairs and once after the loop.
+        fold_births = array("d")
+        fold_delays = array("d")
+        add_birth = fold_births.append
+        add_delay = fold_delays.append
+        fold_max = measurement.FOLD_PAIRS
         max_delay = 0.0
         max_queue = 0
         # Queues standing when the warmup ends are part of the measurement
         # window (same convention as the FIFO engine).
         maxima_seeded = not track_maxima or warmup == 0.0
-
-        def bump_edge(e: int, t: float) -> None:
-            """Accumulate edge e's occupancy integral up to time t."""
-            lo = edge_last[e] if edge_last[e] > warmup else warmup
-            hi = t if t < t_end else t_end
-            if hi > lo and occupancy[e]:
-                int_per_edge[e] += occupancy[e] * (hi - lo)
-            edge_last[e] = t
 
         first_gap = exp_block[exp_i] * gap_scale
         exp_i += 1
@@ -292,7 +299,10 @@ class RushedNetworkSimulation:
                         if measured:
                             zero_hop += 1
                             completed += 1
-                            delay_acc.add(t, 0.0)
+                            add_birth(t)
+                            add_delay(0.0)
+                            if len(fold_births) >= fold_max:
+                                delay_acc.fold(fold_births, fold_delays)
                     else:
                         if det_get is not None:
                             ol = det_get(src * num_nodes + dst)
@@ -305,10 +315,20 @@ class RushedNetworkSimulation:
                         # (fresh per-packet record — mutated in place)
                         parent = [t, ln, measured]  # replint: disable=hot-loop-alloc
                         copies_in_system += ln
+                        # Edge f's occupancy integral up to t (the lazy
+                        # per-edge cursor), then the new copy.
+                        hi = t if t < t_end else t_end
                         for k in range(off, off + ln):
                             f = arena[k]
-                            bump_edge(f, t)
-                            occupancy[f] += 1
+                            occ = occupancy[f]
+                            if occ:
+                                lo = edge_last[f]
+                                if lo <= warmup:
+                                    lo = warmup
+                                if hi > lo:
+                                    int_per_edge[f] += occ * (hi - lo)
+                            edge_last[f] = t
+                            occupancy[f] = occ + 1
                             if sat is not None and sat[f]:
                                 remaining_sat += 1
                             if busy[f]:
@@ -327,7 +347,7 @@ class RushedNetworkSimulation:
                                 seq += 1
                     # Next arrival.
                     if exp_i >= BLK:
-                        exp_block = rng.exponential(size=BLK)
+                        exp_block = rng.exponential(size=BLK).tolist()
                         exp_i = 0
                     arr_t = t + exp_block[exp_i] * gap_scale
                     exp_i += 1
@@ -336,15 +356,27 @@ class RushedNetworkSimulation:
                 else:
                     # ----- copy finished service at edge e -----
                     copies_in_system -= 1
-                    bump_edge(e, t)
-                    occupancy[e] -= 1
+                    # Edge e's occupancy integral up to t; e holds the
+                    # departing copy, so occ >= 1.
+                    occ = occupancy[e]
+                    lo = edge_last[e]
+                    if lo <= warmup:
+                        lo = warmup
+                    hi = t if t < t_end else t_end
+                    if hi > lo:
+                        int_per_edge[e] += occ * (hi - lo)
+                    edge_last[e] = t
+                    occupancy[e] = occ - 1
                     if sat is not None and sat[e]:
                         remaining_sat -= 1
                     parent[1] -= 1
                     if parent[1] == 0 and parent[2]:
                         completed += 1
                         d = t - parent[0]
-                        delay_acc.add(parent[0], d)
+                        add_birth(parent[0])
+                        add_delay(d)
+                        if len(fold_births) >= fold_max:
+                            delay_acc.fold(fold_births, fold_delays)
                         if track_maxima and d > max_delay:
                             max_delay = d
                     q = queues[e]
@@ -418,7 +450,10 @@ class RushedNetworkSimulation:
                         if measured:
                             zero_hop += 1
                             completed += 1
-                            delay_acc.add(t, 0.0)
+                            add_birth(t)
+                            add_delay(0.0)
+                            if len(fold_births) >= fold_max:
+                                delay_acc.fold(fold_births, fold_delays)
                     else:
                         if det_get is not None:
                             ol = det_get(src * num_nodes + dst)
@@ -430,10 +465,20 @@ class RushedNetworkSimulation:
                         # (fresh per-packet record — mutated in place)
                         parent = [t, ln, measured]  # replint: disable=hot-loop-alloc
                         copies_in_system += ln
+                        # Edge f's occupancy integral up to t (the lazy
+                        # per-edge cursor), then the new copy.
+                        hi = t if t < t_end else t_end
                         for k in range(off, off + ln):
                             f = arena[k]
-                            bump_edge(f, t)
-                            occupancy[f] += 1
+                            occ = occupancy[f]
+                            if occ:
+                                lo = edge_last[f]
+                                if lo <= warmup:
+                                    lo = warmup
+                                if hi > lo:
+                                    int_per_edge[f] += occ * (hi - lo)
+                            edge_last[f] = t
+                            occupancy[f] = occ + 1
                             if sat is not None and sat[f]:
                                 remaining_sat += 1
                             if busy[f]:
@@ -451,7 +496,7 @@ class RushedNetworkSimulation:
                                 heappush(heap, (t + st[f], seq, f, parent))
                                 seq += 1
                     if exp_i >= BLK:
-                        exp_block = rng.exponential(size=BLK)
+                        exp_block = rng.exponential(size=BLK).tolist()
                         exp_i = 0
                     heappush(heap, (t + exp_block[exp_i] * gap_scale, seq, -1, None))
                     exp_i += 1
@@ -459,15 +504,27 @@ class RushedNetworkSimulation:
                 else:
                     # ----- copy finished service at edge e -----
                     copies_in_system -= 1
-                    bump_edge(e, t)
-                    occupancy[e] -= 1
+                    # Edge e's occupancy integral up to t; e holds the
+                    # departing copy, so occ >= 1.
+                    occ = occupancy[e]
+                    lo = edge_last[e]
+                    if lo <= warmup:
+                        lo = warmup
+                    hi = t if t < t_end else t_end
+                    if hi > lo:
+                        int_per_edge[e] += occ * (hi - lo)
+                    edge_last[e] = t
+                    occupancy[e] = occ - 1
                     if sat is not None and sat[e]:
                         remaining_sat -= 1
                     parent[1] -= 1
                     if parent[1] == 0 and parent[2]:
                         completed += 1
                         d = t - parent[0]
-                        delay_acc.add(parent[0], d)
+                        add_birth(parent[0])
+                        add_delay(d)
+                        if len(fold_births) >= fold_max:
+                            delay_acc.fold(fold_births, fold_delays)
                         if track_maxima and d > max_delay:
                             max_delay = d
                     q = queues[e]
@@ -483,9 +540,17 @@ class RushedNetworkSimulation:
             int_copies += copies_in_system * dt
             int_rs += remaining_sat * dt
             last_t = t_end
+        # Close every edge's occupancy integral at the horizon.
         for eid in range(num_edges):
-            bump_edge(eid, t_end)
+            occ = occupancy[eid]
+            if occ:
+                lo = edge_last[eid]
+                if lo <= warmup:
+                    lo = warmup
+                if t_end > lo:
+                    int_per_edge[eid] += occ * (t_end - lo)
 
+        delay_acc.fold(fold_births, fold_delays)
         mean_copies = int_copies / horizon
         summary = delay_acc.summary()
         return SimResult(
@@ -505,7 +570,7 @@ class RushedNetworkSimulation:
             delay_half_width=summary.half_width,
             mean_delay_littles=mean_copies / self.total_rate,
             total_rate=self.total_rate,
-            utilization=int_per_edge / horizon,
+            utilization=np.asarray(int_per_edge) / horizon,
             max_delay=max_delay if track_maxima else float("nan"),
             max_queue_length=max_queue if track_maxima else -1,
         )

@@ -338,8 +338,8 @@ def build_cases() -> dict:
 
     # Bookkeeping branches the uniform cells never touch: saturated-mask
     # accounting, utilization accumulation (three inlined sites in the
-    # merge loop), and per-edge deterministic service (the heap loop's
-    # fast_service path).
+    # merge loop and the heap loop's service starts), and per-edge
+    # deterministic service on the heap loop.
     e5 = m5.num_edges
     event("event_sat_util", GreedyArrayRouter(m5),
           UniformDestinations(25), 0.12, 18,

@@ -3,6 +3,7 @@ two-backend contract (seed stability + distribution-level parity with the
 python reference), its validation errors, the optional-dependency
 boundary, and the level cache / arena gather machinery it rides on."""
 
+import math
 import subprocess
 import sys
 import tracemalloc
@@ -25,6 +26,7 @@ from repro.routing.randomized_greedy import RandomizedGreedyArrayRouter
 from repro.routing.torus_greedy import GreedyTorusRouter
 from repro.sim.fifo_network import NetworkSimulation
 from repro.sim.finite_buffer import FiniteBufferNetworkSimulation
+from repro.sim import measurement
 from repro.sim.kernels import (
     FIFO_KERNEL,
     KERNEL_BACKENDS,
@@ -35,7 +37,9 @@ from repro.sim.kernels import (
     numpy_available,
 )
 from repro.sim.replication import CellSpec, replicate
+from repro.sim.ps_network import PSNetworkSimulation
 from repro.sim.registry import get_engine
+from repro.sim.rushed_network import RushedNetworkSimulation
 from repro.sim.slotted import SlottedNetworkSimulation
 from repro.topology.array_mesh import ArrayMesh
 from repro.topology.linear import LinearArray
@@ -723,6 +727,152 @@ class TestKernelMemory:
             tracemalloc.stop()
         assert visits[0] > 300_000
         assert peak / visits[0] <= 40.0
+
+
+# ----------------------------------------------------------------------
+# The interpreted kernels' clocks and deferred delay folds.
+
+
+def _per_edge_rates(mesh):
+    return 1.0 + 0.5 * (np.arange(mesh.num_edges) % 4 == 0)
+
+
+def _interpreted_runs():
+    """One small cell per interpreted loop: name -> thunk returning a
+    SimResult (python backend throughout)."""
+    m = ArrayMesh(4)
+    dests = UniformDestinations(16)
+    sat = np.arange(m.num_edges) % 3 == 0
+    window = (5.0, 120.0)
+
+    def fifo(rate=0.15, run_kw=(), **kw):
+        sim = NetworkSimulation(GreedyArrayRouter(m), dests, rate, seed=3, **kw)
+        return lambda: sim.run(*window, **dict(run_kw))
+
+    return {
+        "fifo-plain-merge": fifo(),
+        "fifo-general-merge": fifo(
+            saturated_mask=sat,
+            run_kw=dict(
+                track_number_distribution=True,
+                track_utilization=True,
+                track_maxima=True,
+            ),
+        ),
+        "fifo-heap-exponential": fifo(
+            0.10, service="exponential", run_kw=dict(track_utilization=True)
+        ),
+        "fifo-heap-peredge": fifo(service_rates=_per_edge_rates(m)),
+        "finite-caps": lambda: FiniteBufferNetworkSimulation(
+            GreedyArrayRouter(m), dests, 0.2, seed=4, buffer_size=1
+        ).run(*window),
+        "rushed-merge": lambda: RushedNetworkSimulation(
+            GreedyArrayRouter(m), dests, 0.12, seed=5
+        ).run(*window),
+        "rushed-heap": lambda: RushedNetworkSimulation(
+            GreedyArrayRouter(m), dests, 0.12, seed=6,
+            service_rates=_per_edge_rates(m),
+        ).run(*window),
+        "slotted": lambda: SlottedNetworkSimulation(
+            GreedyArrayRouter(m), dests, 0.12, seed=7
+        ).run(5, 120),
+        "ps": lambda: PSNetworkSimulation(
+            GreedyArrayRouter(m), dests, 0.12, seed=8
+        ).run(*window),
+    }
+
+
+_INTERPRETED = sorted(_interpreted_runs())
+
+
+class TestInterpretedFloats:
+    @pytest.mark.parametrize("name", _INTERPRETED)
+    def test_clock_is_a_python_float(self, name):
+        """The interpreted loops keep their clocks, heap keys and
+        integrals as builtin floats: an RNG block indexed as a numpy
+        array again would turn these into np.float64."""
+        res = _interpreted_runs()[name]()
+        assert res.completed > 0
+        assert type(res.mean_number) is float
+        assert type(res.mean_delay) is float
+
+
+def _hex(v):
+    return float(v).hex()
+
+
+class TestDeferredDelayFold:
+    """Folding the buffered (birth, delay) pairs every few pairs gives
+    the same batch sums as one fold after the loop."""
+
+    @pytest.fixture
+    def small_folds(self, monkeypatch):
+        """Fold every 7 pairs and record each fold's size."""
+        sizes = []
+        fold = measurement.TimeBatchAccumulator.fold
+
+        def counting_fold(acc, ts, values):
+            sizes.append(len(ts))
+            fold(acc, ts, values)
+
+        def use():
+            monkeypatch.setattr(measurement, "FOLD_PAIRS", 7)
+            monkeypatch.setattr(
+                measurement.TimeBatchAccumulator, "fold", counting_fold
+            )
+            return sizes
+
+        return use
+
+    @pytest.mark.parametrize(
+        "name",
+        ["fifo-plain-merge", "fifo-heap-exponential", "rushed-merge",
+         "slotted", "ps"],
+    )
+    def test_chunked_fold_matches_default(self, name, small_folds):
+        want = _interpreted_runs()[name]()
+        sizes = small_folds()
+        got = _interpreted_runs()[name]()
+        assert len(sizes) > 10  # many flush boundaries crossed
+        assert max(sizes) <= 7
+        assert sum(sizes) == got.completed == want.completed
+        assert _hex(got.mean_delay) == _hex(want.mean_delay)
+        assert _hex(got.delay_half_width) == _hex(want.delay_half_width)
+
+    @pytest.mark.parametrize("engine", ["fifo", "ps"])
+    def test_chunked_fold_keeps_collected_delays(self, engine, small_folds):
+        m = ArrayMesh(4)
+        cls = NetworkSimulation if engine == "fifo" else PSNetworkSimulation
+
+        def run():
+            sim = cls(GreedyArrayRouter(m), UniformDestinations(16), 0.12, seed=9)
+            return sim.run(5.0, 120.0, collect_delays=True)
+
+        want = run()
+        small_folds()
+        got = run()
+        assert got.delays.size == got.completed
+        assert got.delays.tobytes() == want.delays.tobytes()
+
+    @pytest.mark.parametrize(
+        "cls", [NetworkSimulation, RushedNetworkSimulation, PSNetworkSimulation]
+    )
+    def test_empty_delay_window(self, cls, small_folds):
+        """No packet is born in the window: every fold is empty and the
+        delay estimate is nan, as with the default chunk."""
+        m = ArrayMesh(3)
+
+        def run():
+            sim = cls(GreedyArrayRouter(m), UniformDestinations(9), 1e-6, seed=2)
+            return sim.run(1.0, 2.0)
+
+        want = run()
+        sizes = small_folds()
+        got = run()
+        assert got.completed == want.completed == 0
+        assert sizes and set(sizes) == {0}
+        assert math.isnan(got.mean_delay) and math.isnan(want.mean_delay)
+        assert _hex(got.delay_half_width) == _hex(want.delay_half_width)
 
 
 # ----------------------------------------------------------------------
