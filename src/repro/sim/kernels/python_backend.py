@@ -17,10 +17,12 @@ exponential block like the id block: the draws and their order are
 unchanged, and the clocks, heap keys and integrals become builtin
 floats, whose IEEE double arithmetic gives the same results as
 ``np.float64``'s. And each measured completion appends its ``(birth,
-delay)`` pair to two ``array('d')`` buffers instead of calling
+delay)`` pair to the accumulator's two pending ``array('d')`` buffers
+instead of calling
 :meth:`~repro.sim.measurement.TimeBatchAccumulator.add`; the buffers
-fold into the accumulator every ``measurement.FOLD_PAIRS`` pairs and
-once after the loop. ``np.add.at`` scatters in order, so the batch sums
+fold into the batches every ``measurement.FOLD_PAIRS`` pairs and once
+after the loop, and ``collect_delays`` reads the folded delays back in
+the same order. ``np.add.at`` scatters in order, so the batch sums
 equal one ``add`` per completion, and the buffers' memory stays bounded
 however long the horizon.
 
@@ -30,7 +32,6 @@ and own only the hot loop plus the result assembly.
 
 from __future__ import annotations
 
-from array import array
 from collections import deque
 from heapq import heappop, heappush
 from typing import Any
@@ -127,15 +128,15 @@ def run_fifo(
     generated = completed = zero_hop = 0
     dropped = 0
     node_drops = [0] * num_nodes
-    delay_acc = measurement.TimeBatchAccumulator(warmup, t_end, delay_batches)
-    # Measured (birth, delay) pairs in completion order, folded into
-    # delay_acc every fold_max pairs and once after the loop.
-    fold_births = array("d")
-    fold_delays = array("d")
+    delay_acc = measurement.TimeBatchAccumulator(
+        warmup, t_end, delay_batches, keep_values=collect_delays
+    )
+    # Measured (birth, delay) pairs in completion order, folded into the
+    # batches every fold_max pairs and once after the loop.
+    fold_births = delay_acc.pending_times
     add_birth = fold_births.append
-    add_delay = fold_delays.append
+    add_delay = delay_acc.pending_values.append
     fold_max = measurement.FOLD_PAIRS
-    delays: list[float] | None = [] if collect_delays else None
     util: list[float] | None = [0.0] * num_edges if track_utilization else None
     ndist: dict[int, float] | None = {} if track_number_distribution else None
     max_delay = 0.0
@@ -253,9 +254,7 @@ def run_fifo(
                         add_birth(t)
                         add_delay(0.0)
                         if len(fold_births) >= fold_max:
-                            delay_acc.fold(fold_births, fold_delays)
-                        if delays is not None:
-                            delays.append(0.0)
+                            delay_acc.fold()
                 else:
                     if det_get is not None:
                         ol = det_get(src * num_nodes + dst)
@@ -296,9 +295,7 @@ def run_fifo(
                         add_birth(pkt[0])
                         add_delay(d)
                         if len(fold_births) >= fold_max:
-                            delay_acc.fold(fold_births, fold_delays)
-                        if delays is not None:
-                            delays.append(d)
+                            delay_acc.fold()
                 else:
                     pkt[3] = hop
                     f = arena[pkt[1] + hop]
@@ -418,9 +415,7 @@ def run_fifo(
                         add_birth(t)
                         add_delay(0.0)
                         if len(fold_births) >= fold_max:
-                            delay_acc.fold(fold_births, fold_delays)
-                        if delays is not None:
-                            delays.append(0.0)
+                            delay_acc.fold()
                 else:
                     if det_get is not None:
                         ol = det_get(src * num_nodes + dst)
@@ -490,11 +485,9 @@ def run_fifo(
                         add_birth(pkt[0])
                         add_delay(d)
                         if len(fold_births) >= fold_max:
-                            delay_acc.fold(fold_births, fold_delays)
+                            delay_acc.fold()
                         if track_maxima and d > max_delay:
                             max_delay = d
-                        if delays is not None:
-                            delays.append(d)
                 else:
                     f = arena[pkt[1] + hop]
                     if busy[f] and capped and len(queues[f]) >= cap[f]:
@@ -627,9 +620,7 @@ def run_fifo(
                         add_birth(t)
                         add_delay(0.0)
                         if len(fold_births) >= fold_max:
-                            delay_acc.fold(fold_births, fold_delays)
-                        if delays is not None:
-                            delays.append(0.0)
+                            delay_acc.fold()
                 else:
                     if det_get is not None:
                         ol = det_get(src * num_nodes + dst)
@@ -705,11 +696,9 @@ def run_fifo(
                         add_birth(pkt[0])
                         add_delay(d)
                         if len(fold_births) >= fold_max:
-                            delay_acc.fold(fold_births, fold_delays)
+                            delay_acc.fold()
                         if track_maxima and d > max_delay:
                             max_delay = d
-                        if delays is not None:
-                            delays.append(d)
                 else:
                     f = arena[pkt[1] + hop]
                     if busy[f] and capped and len(queues[f]) >= cap[f]:
@@ -790,7 +779,7 @@ def run_fifo(
         if ndist is not None:
             ndist[in_system] = ndist.get(in_system, 0.0) + dt
 
-    delay_acc.fold(fold_births, fold_delays)
+    delay_acc.fold()
     mean_number = int_n / horizon
     summary = delay_acc.summary()
     if ndist is not None:
@@ -814,7 +803,7 @@ def run_fifo(
         mean_delay_littles=mean_number / sim.total_rate,
         total_rate=sim.total_rate,
         utilization=np.asarray(util) / horizon if util is not None else None,
-        delays=np.asarray(delays) if delays is not None else None,
+        delays=np.array(delay_acc.kept) if collect_delays else None,
         number_distribution=ndist,
         max_delay=max_delay if track_maxima else float("nan"),
         max_queue_length=max_queue if track_maxima else -1,
@@ -868,13 +857,12 @@ def run_slotted(
     generated = completed = zero_hop = 0
     in_flight_at_horizon = 0
     delay_acc = measurement.TimeBatchAccumulator(
-        warmup, warmup + horizon, delay_batches
+        warmup, warmup + horizon, delay_batches, keep_values=collect_delays
     )
     # Measured (birth, delay) pairs, folded as in run_fifo.
-    fold_births = array("d")
-    fold_delays = array("d")
+    fold_births = delay_acc.pending_times
+    fold_delays = delay_acc.pending_values
     fold_max = measurement.FOLD_PAIRS
-    delays: list[float] | None = [] if collect_delays else None
     max_delay = 0.0
     max_queue = 0
     maxima_seeded = not track_maxima or warmup_slots == 0
@@ -952,9 +940,7 @@ def run_slotted(
                             fold_births.append(t)
                             fold_delays.append(0.0)
                             if len(fold_births) >= fold_max:
-                                delay_acc.fold(fold_births, fold_delays)
-                            if delays is not None:
-                                delays.append(0.0)
+                                delay_acc.fold()
                         continue
                     off = offs[at]
                     ln = lens[at]
@@ -1007,11 +993,9 @@ def run_slotted(
                     fold_births.append(pkt[0])
                     fold_delays.append(d)
                     if len(fold_births) >= fold_max:
-                        delay_acc.fold(fold_births, fold_delays)
+                        delay_acc.fold()
                     if track_maxima and d > max_delay:
                         max_delay = d
-                    if delays is not None:
-                        delays.append(d)
             else:
                 pkt[3] = hop
                 f = arena[pkt[1] + hop]
@@ -1022,7 +1006,7 @@ def run_slotted(
                     max_queue = len(qf)
         slot += 1
 
-    delay_acc.fold(fold_births, fold_delays)
+    delay_acc.fold()
     mean_number = int_n / horizon
     summary = delay_acc.summary()
     return SimResult(
@@ -1042,7 +1026,7 @@ def run_slotted(
         delay_half_width=summary.half_width,
         mean_delay_littles=mean_number / sim.total_rate,
         total_rate=sim.total_rate,
-        delays=np.asarray(delays) if delays is not None else None,
+        delays=np.array(delay_acc.kept) if collect_delays else None,
         max_delay=max_delay if track_maxima else float("nan"),
         max_queue_length=max_queue if track_maxima else -1,
     )

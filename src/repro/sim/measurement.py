@@ -16,9 +16,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-#: Most measured ``(birth, delay)`` pairs an interpreted kernel buffers
-#: before it folds them into its accumulator with
-#: :meth:`TimeBatchAccumulator.fold`. Bounds the buffers' memory however
+#: Most pending pairs an interpreted kernel lets a
+#: :class:`TimeBatchAccumulator` hold before it calls
+#: :meth:`~TimeBatchAccumulator.fold`. Bounds the buffers' memory however
 #: long the horizon; the fold order, not this size, fixes the sums.
 FOLD_PAIRS = 8192
 
@@ -78,9 +78,21 @@ class TimeBatchAccumulator:
     window ``[start, end)`` is split into ``num_batches`` equal slots.
     Used for per-packet delays (sum of delays / packet counts per batch)
     and equally applicable to any event-indexed series.
+
+    The interpreted kernels append each ``(time, value)`` pair to
+    ``pending_times`` / ``pending_values`` and :meth:`fold` them in
+    bulk; with ``keep_values`` the folded values also collect, in
+    order, in ``kept`` (the engines' ``collect_delays``).
     """
 
-    def __init__(self, start: float, end: float, num_batches: int = 32) -> None:
+    def __init__(
+        self,
+        start: float,
+        end: float,
+        num_batches: int = 32,
+        *,
+        keep_values: bool = False,
+    ) -> None:
         if end <= start:
             raise ValueError(f"empty window [{start}, {end})")
         if num_batches < 1:
@@ -91,6 +103,9 @@ class TimeBatchAccumulator:
         self._width = (self.end - self.start) / self.num_batches
         self.sums = np.zeros(self.num_batches)
         self.weights = np.zeros(self.num_batches)
+        self.pending_times = array("d")
+        self.pending_values = array("d")
+        self.kept: array | None = array("d") if keep_values else None
 
     def add(self, t: float, value: float, weight: float = 1.0) -> None:
         """Record ``value`` (with ``weight``) at time ``t``."""
@@ -126,8 +141,11 @@ class TimeBatchAccumulator:
         np.add.at(self.sums, idx, values[inside])
         np.add.at(self.weights, idx, weight)
 
-    def fold(self, ts: array, values: array) -> None:
-        """:meth:`add_batch` two ``array('d')`` buffers, then empty them."""
+    def fold(self) -> None:
+        """:meth:`add_batch` the pending pairs in order, then clear them."""
+        ts, values = self.pending_times, self.pending_values
+        if self.kept is not None:
+            self.kept.extend(values)
         self.add_batch(np.frombuffer(ts), np.frombuffer(values))
         del ts[:]
         del values[:]

@@ -49,7 +49,6 @@ completion, in bounded memory.
 
 from __future__ import annotations
 
-from array import array
 from heapq import heappop, heappush
 from typing import Sequence
 
@@ -165,14 +164,14 @@ class PSNetworkSimulation:
         last_t = 0.0
         generated = completed = zero_hop = 0
         in_flight_at_horizon = 0
-        delay_acc = measurement.TimeBatchAccumulator(warmup, t_end, delay_batches)
+        delay_acc = measurement.TimeBatchAccumulator(
+            warmup, t_end, delay_batches, keep_values=collect_delays
+        )
         # Measured (birth time, delay) pairs in completion order, folded
-        # into delay_acc every fold_max pairs and once after the loop;
-        # collected keeps every delay when the caller asks for them.
-        births = array("d")
-        delays = array("d")
+        # into the batches every fold_max pairs and once after the loop.
+        births = delay_acc.pending_times
+        delays = delay_acc.pending_values
         fold_max = measurement.FOLD_PAIRS
-        collected = array("d") if collect_delays else None
         ndist: dict[int, float] | None = {} if track_number_distribution else None
 
         # PS replans one exponential arrival gap per event; the scalar
@@ -233,9 +232,7 @@ class PSNetworkSimulation:
                         births.append(t)
                         delays.append(0.0)
                         if len(births) >= fold_max:
-                            if collected is not None:
-                                collected.extend(delays)
-                            delay_acc.fold(births, delays)
+                            delay_acc.fold()
                 else:
                     if det_get is not None:
                         ol = det_get(src * num_nodes + dst)
@@ -278,9 +275,7 @@ class PSNetworkSimulation:
                         births.append(pkt[0])
                         delays.append(t - pkt[0])
                         if len(births) >= fold_max:
-                            if collected is not None:
-                                collected.extend(delays)
-                            delay_acc.fold(births, delays)
+                            delay_acc.fold()
                 else:
                     nxt = arena[pkt[1] + hop]
 
@@ -324,9 +319,7 @@ class PSNetworkSimulation:
             if ndist is not None:
                 ndist[in_system] = ndist.get(in_system, 0.0) + dt
 
-        if collected is not None:
-            collected.extend(delays)
-        delay_acc.fold(births, delays)
+        delay_acc.fold()
         mean_number = int_n / horizon
         summary = delay_acc.summary()
         if ndist is not None:
@@ -347,6 +340,6 @@ class PSNetworkSimulation:
             delay_half_width=summary.half_width,
             mean_delay_littles=mean_number / self.total_rate,
             total_rate=self.total_rate,
-            delays=np.array(collected) if collected is not None else None,
+            delays=np.array(delay_acc.kept) if collect_delays else None,
             number_distribution=ndist,
         )

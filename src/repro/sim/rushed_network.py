@@ -38,7 +38,6 @@ engine's outputs.
 
 from __future__ import annotations
 
-from array import array
 from collections import deque
 from heapq import heappop, heappush
 from typing import Sequence
@@ -197,11 +196,10 @@ class RushedNetworkSimulation:
         in_flight_at_horizon = 0
         delay_acc = measurement.TimeBatchAccumulator(warmup, t_end, delay_batches)
         # Measured (birth, makespan) pairs in completion order, folded
-        # into delay_acc every fold_max pairs and once after the loop.
-        fold_births = array("d")
-        fold_delays = array("d")
+        # into the batches every fold_max pairs and once after the loop.
+        fold_births = delay_acc.pending_times
         add_birth = fold_births.append
-        add_delay = fold_delays.append
+        add_delay = delay_acc.pending_values.append
         fold_max = measurement.FOLD_PAIRS
         max_delay = 0.0
         max_queue = 0
@@ -302,7 +300,7 @@ class RushedNetworkSimulation:
                             add_birth(t)
                             add_delay(0.0)
                             if len(fold_births) >= fold_max:
-                                delay_acc.fold(fold_births, fold_delays)
+                                delay_acc.fold()
                     else:
                         if det_get is not None:
                             ol = det_get(src * num_nodes + dst)
@@ -376,7 +374,7 @@ class RushedNetworkSimulation:
                         add_birth(parent[0])
                         add_delay(d)
                         if len(fold_births) >= fold_max:
-                            delay_acc.fold(fold_births, fold_delays)
+                            delay_acc.fold()
                         if track_maxima and d > max_delay:
                             max_delay = d
                     q = queues[e]
@@ -453,7 +451,7 @@ class RushedNetworkSimulation:
                             add_birth(t)
                             add_delay(0.0)
                             if len(fold_births) >= fold_max:
-                                delay_acc.fold(fold_births, fold_delays)
+                                delay_acc.fold()
                     else:
                         if det_get is not None:
                             ol = det_get(src * num_nodes + dst)
@@ -524,7 +522,7 @@ class RushedNetworkSimulation:
                         add_birth(parent[0])
                         add_delay(d)
                         if len(fold_births) >= fold_max:
-                            delay_acc.fold(fold_births, fold_delays)
+                            delay_acc.fold()
                         if track_maxima and d > max_delay:
                             max_delay = d
                     q = queues[e]
@@ -550,7 +548,7 @@ class RushedNetworkSimulation:
                 if t_end > lo:
                     int_per_edge[eid] += occ * (t_end - lo)
 
-        delay_acc.fold(fold_births, fold_delays)
+        delay_acc.fold()
         mean_copies = int_copies / horizon
         summary = delay_acc.summary()
         return SimResult(

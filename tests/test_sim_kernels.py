@@ -811,9 +811,9 @@ class TestDeferredDelayFold:
         sizes = []
         fold = measurement.TimeBatchAccumulator.fold
 
-        def counting_fold(acc, ts, values):
-            sizes.append(len(ts))
-            fold(acc, ts, values)
+        def counting_fold(acc):
+            sizes.append(len(acc.pending_times))
+            fold(acc)
 
         def use():
             monkeypatch.setattr(measurement, "FOLD_PAIRS", 7)

@@ -83,3 +83,31 @@ class TestTimeBatchAccumulator:
     def test_invalid_batches(self):
         with pytest.raises(ValueError):
             TimeBatchAccumulator(0.0, 1.0, num_batches=0)
+
+    def test_fold_matches_add_in_order(self):
+        """Folding pending pairs in chunks gives the bit-identical sums
+        of one add() per pair in the same order; out-of-window times are
+        dropped, kept values are not, and the buffers end empty."""
+        rng = np.random.default_rng(5)
+        ts = rng.uniform(-1.0, 11.0, size=500).tolist()
+        vs = rng.exponential(3.0, size=500).tolist()
+        ref = TimeBatchAccumulator(0.0, 10.0, num_batches=7)
+        for t, v in zip(ts, vs):
+            ref.add(t, v)
+        acc = TimeBatchAccumulator(0.0, 10.0, num_batches=7, keep_values=True)
+        for i, (t, v) in enumerate(zip(ts, vs)):
+            acc.pending_times.append(t)
+            acc.pending_values.append(v)
+            if i % 13 == 12:
+                acc.fold()
+        acc.fold()
+        assert acc.sums.tobytes() == ref.sums.tobytes()
+        assert acc.weights.tobytes() == ref.weights.tobytes()
+        assert acc.kept.tolist() == vs
+        assert len(acc.pending_times) == len(acc.pending_values) == 0
+
+    def test_fold_without_pending_pairs(self):
+        acc = TimeBatchAccumulator(0.0, 1.0)
+        acc.fold()
+        assert acc.kept is None
+        assert acc.weights.sum() == 0.0
