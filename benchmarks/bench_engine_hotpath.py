@@ -33,8 +33,9 @@ departures are not monotone and so pop from a plain ``heapq`` list in
 pre-port baseline via the merge loop + arena + blocked draws. The PS
 cell (8x8) times the inlined event loop: the queue head is the next
 customer to complete (arrival order is remaining-work order), so no
-event scans for a minimum, and an event costs one subtraction per other
-customer at its queue.
+event scans for a minimum, an event costs one subtraction per other
+customer at its queue, and arrivals draw their gaps and ids from
+blocks.
 
 PR 6 extracted the hot loops into the kernels layer and added the
 vectorized ``backend="numpy"`` whole-trajectory solver; the two
@@ -51,8 +52,8 @@ tracemalloc peak per visit (``peak_bytes_per_visit``), which
 cache every round, so it also times the bulk fill of the cache's misses.
 It misses thousands of pairs per batch lookup, above the bulk fill's
 threshold (``BULK_MIN_MISSES``); ``test_slotted_8x8_cold`` times the
-other side, the python slot kernel's per-slot lookups that fill pair by
-pair.
+other side, the python slot kernel's per-packet lookups, whose misses
+fill pair by pair.
 
 Two numpy cells time the kernel's options on 16x16 configurations the
 report runs, each against the python loops on the identical warm cell:
@@ -377,7 +378,8 @@ def test_finite_32x32_numpy_warm(best_of, benchmark):
 
 
 def test_slotted_8x8(best_of, benchmark):
-    """The python slot kernel (blocked Poisson counts, batched ids)."""
+    """The python slot kernel (blocked Poisson counts, batched ids,
+    per-packet path lookups)."""
     sim = _slotted_cell(8)
     res = best_of(sim.run, int(WARMUP), int(HORIZON))
     _record(benchmark, res, PRE_PR_SLOTTED[8])
@@ -393,9 +395,9 @@ def test_slotted_32x32(best_of, benchmark):
 
 
 def test_slotted_8x8_cold(best_of, benchmark):
-    """The python slot kernel on a fresh path cache every round. A
-    slot's batch lookup misses 16 pairs in the median and never more
-    than ~45, below ``BULK_MIN_MISSES``, so misses fill pair by pair."""
+    """The python slot kernel on a fresh path cache every round. Each
+    packet probes the table for its pair, and a miss builds that one
+    path with ``PathCache.ensure``, so misses fill pair by pair."""
     res = best_of(lambda: _slotted_cell(8).run(int(WARMUP), int(HORIZON)))
     _record(benchmark, res, PRE_PR_SLOTTED[8])
     assert res.generated > 2000

@@ -14,8 +14,7 @@ three RNG conventions that used to live only in review memory:
   ``rng.poisson(...)`` / ``rng.exponential(...)`` / ``rng.normal(...)``
   (no ``size=``) bypass the blocked-draw helpers that make draw order
   reproducible and cheap. A pinned stream that must keep a scalar draw
-  (the PS engine's re-planned exponential gap) carries a
-  ``# replint: disable=rng-discipline`` with the reason. Both checks
+  carries a ``# replint: disable=rng-discipline`` with the reason. Both checks
   read the call site, so a draw method must be called in place: an
   uncalled reference (``draw = rng.exponential``, or ``rng.random``
   passed as a callback) is itself a finding, because calls through the

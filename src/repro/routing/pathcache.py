@@ -89,9 +89,13 @@ DENSE_PAIR_LIMIT = 4_194_304
 #: ops, the arena append) against ~2-10 us per pair for the ``ensure``
 #: loop. Alone, on 12x12-32x32 meshes, it costs 1.5-1.9x the loop at 16
 #: misses, the same at 32 and 0.5-0.6x at 96. Interleaved with per-pair
-#: fills, as in the python slot kernel's per-slot lookups, it still lost
-#: at 32 (16x16 at load 0.5: 1.13-1.2x the loop's time) and broke even
-#: at 64, so below 64 misses a batch fills pair by pair.
+#: fills (per-slot batch lookups on a 16x16 mesh at load 0.5) it still
+#: lost at 32 (1.13-1.2x the loop's time) and broke even at 64, so below
+#: 64 misses a batch fills pair by pair. The python kernels make no batch
+#: lookups on deterministic caches; the numpy kernels do, and the
+#: randomized cache does per table. A cold numpy lookup misses thousands
+#: of pairs, but the quick report also makes fills of 1-63 misses, and
+#: those keep the per-pair loop.
 BULK_MIN_MISSES = 64
 
 #: Edges per object gather in :meth:`PathArena.extend_array`: bounds the
@@ -401,7 +405,9 @@ class PathCache:
         first-occurrence order, so the arena is laid out as a scalar
         fill of the same pairs would lay it out. With a batch builder and
         at least :data:`BULK_MIN_MISSES` keys they are built in one call;
-        otherwise pair by pair."""
+        otherwise pair by pair. The callers are the numpy kernels' batch
+        lookups and the randomized cache's per-table batches; the python
+        kernels fill scalar misses with :meth:`ensure`."""
         n = self.num_nodes
         if self._build_batch is None or keys.size < BULK_MIN_MISSES:
             table = self.table

@@ -110,9 +110,7 @@ All four engines resolve their constructor arguments through
 :class:`repro.sim.enginecommon.EngineCommon`: source-node list, per-node
 rate validation, the pinned source CDF behind the boundary-safe
 ``side='right'`` draw, the uniform fast-id predicate and the shared path
-cache. The one deliberate asymmetry is the fast-id mode: the fifo,
-rushed and slotted engines accept any full source set (``SORTED_IDS``)
-and PS opts out (``NO_FAST_IDS``).
+cache.
 
 The kernels layer and the two-backend contract
 ----------------------------------------------
@@ -205,15 +203,16 @@ the same heap.
 
 **Blocked and batched draws.** NumPy ``Generator`` array fills are
 stream-identical to the same number of consecutive scalar draws of the
-same kind. The engines exploit that: the event engine consumes
-exponential gaps and uniform id pairs from 8192-size blocks (ids refill
-exactly when all ``2 * 8192`` are consumed); the slotted engine draws its
-per-slot Poisson counts from 8192-size blocks too, then samples a whole
-slot with single vectorized calls: one uniform id-pair block where the
-fast-id predicate holds over an RNG-free path cache, else a source
-batch, a destination ``sample_batch`` and a batched path lookup (router
-coins included), so data-dependent laws (hot-spot, geometric) vectorize
-as well.
+same kind. The engines exploit that: the fifo, rushed and PS engines
+consume exponential gaps and uniform id pairs from 8192-size blocks (ids
+refill exactly when all ``2 * 8192`` are consumed); the slotted engine
+draws its per-slot Poisson counts from 8192-size blocks too, then
+samples a whole slot with single vectorized calls: one uniform id-pair
+block where the fast-id predicate holds over an RNG-free path cache,
+else a source batch and a destination ``sample_batch``, so
+data-dependent laws (hot-spot, geometric) vectorize as well. A path
+cache that draws router coins is looked up once per slot, so the coins
+come in one batch too; an RNG-free cache is probed per packet.
 
 Statically enforced invariants
 ------------------------------
@@ -248,8 +247,8 @@ repro.analysis``), which CI runs as a merge gate next to the tests
   contract of the replication fan-out, statically.
 
 Intentional exceptions carry a ``# replint: disable=RULE`` comment with
-a reason (the PS re-planned exponential gap is the shipped example —
-its scalar draw order *is* the pinned stream). A strict mypy tier (see ``pyproject.toml``) covers
+a reason (the slotted kernel's per-slot staging lists are shipped
+``hot-loop-alloc`` examples). A strict mypy tier (see ``pyproject.toml``) covers
 the kernels, registry, shared-cells, pool and sweep modules for the
 same reason: those carry the cross-process contracts.
 

@@ -11,14 +11,10 @@ draw, decide whether the uniform fast-id block draw applies, and resolve
 the shared path cache (:func:`~repro.routing.pathcache.resolve_path_cache`).
 :class:`EngineCommon` is that block, written once.
 
-The one difference between the copies is whether the engine has a
-fast-id path at all, expressed as the ``fast_id_order`` mode:
-
-* the fifo, rushed and slotted engines draw fast ids as node ids
-  directly (``rng.integers(0, num_nodes)``), so any ordering of a full
-  source set works — they require only **sorted** equality with
-  ``range(num_nodes)`` (:data:`SORTED_IDS`);
-* the PS engine has no fast-id path (:data:`NO_FAST_IDS`).
+Every engine draws fast ids as node ids directly
+(``rng.integers(0, num_nodes)``), so any ordering of a full source set
+qualifies: the source list need only equal ``range(num_nodes)`` once
+sorted.
 
 The remaining shared validation — per-edge service rates and the
 saturated-edge mask — lives here too (:func:`resolve_service_rates`,
@@ -36,9 +32,6 @@ from repro.routing.destinations import DestinationDistribution, UniformDestinati
 from repro.routing.pathcache import resolve_path_cache
 from repro.util.validation import check_node_rates, check_positive, pinned_cdf
 
-#: Fast-id source-order requirements (see module docstring).
-SORTED_IDS, NO_FAST_IDS = "sorted", "none"
-
 
 class EngineCommon:
     """The source-rate / fast-id / path-cache policy all engines share.
@@ -54,10 +47,6 @@ class EngineCommon:
         a sequence must align with ``source_nodes``.
     source_nodes:
         Generating nodes (default: all nodes).
-    fast_id_order:
-        Which source ordering the engine's fast-id block draw requires:
-        :data:`SORTED_IDS` (fifo, rushed, slotted) or :data:`NO_FAST_IDS`
-        (PS).
     path_cache, use_path_cache:
         Passed to :func:`~repro.routing.pathcache.resolve_path_cache`.
 
@@ -77,8 +66,8 @@ class EngineCommon:
         The destination law is :class:`UniformDestinations`.
     fast_ids:
         The engine may draw ``(src, dst)`` id pairs from a single uniform
-        integer block (requires a :data:`SORTED_IDS` engine, uniform
-        sources over *all* nodes in any order, and uniform destinations).
+        integer block (requires uniform sources over *all* nodes in any
+        order, and uniform destinations).
     path_cache:
         The resolved shared path cache.
     """
@@ -90,15 +79,9 @@ class EngineCommon:
         node_rate: float | Sequence[float],
         *,
         source_nodes: Sequence[int] | None = None,
-        fast_id_order: str = SORTED_IDS,
         path_cache=None,
         use_path_cache: bool = True,
     ) -> None:
-        if fast_id_order not in (SORTED_IDS, NO_FAST_IDS):
-            raise ValueError(
-                f"fast_id_order must be '{SORTED_IDS}' or '{NO_FAST_IDS}', "
-                f"got {fast_id_order!r}"
-            )
         self.router = router
         self.topology = router.topology
         self.destinations = destinations
@@ -124,8 +107,7 @@ class EngineCommon:
         self.uniform_dests = isinstance(destinations, UniformDestinations)
         all_nodes = list(range(self.topology.num_nodes))
         self.fast_ids = (
-            fast_id_order == SORTED_IDS
-            and self.uniform_sources
+            self.uniform_sources
             and self.uniform_dests
             and sorted(self.source_nodes) == all_nodes
         )

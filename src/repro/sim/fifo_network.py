@@ -50,7 +50,6 @@ from typing import Sequence
 from repro.routing.base import Router
 from repro.routing.destinations import DestinationDistribution
 from repro.sim.enginecommon import (
-    SORTED_IDS,
     EngineCommon,
     resolve_saturated_mask,
     resolve_service_rates,
@@ -165,14 +164,13 @@ class NetworkSimulation:
         # Shared constructor policy (sources, rates, pinned source CDF,
         # fast-id predicate, path cache). The batched id draw samples over
         # *all* nodes, so it is only valid when every node generates (at
-        # equal rate) in any order — SORTED_IDS — and destinations are
-        # uniform over all nodes.
+        # equal rate) in any order, and destinations are uniform over all
+        # nodes.
         EngineCommon(
             router,
             destinations,
             node_rate,
             source_nodes=source_nodes,
-            fast_id_order=SORTED_IDS,
             path_cache=path_cache,
             use_path_cache=use_path_cache,
         ).install(self)

@@ -839,10 +839,18 @@ def run_slotted(
     dest_sample = destinations.sample
     dest_sample_batch = getattr(destinations, "sample_batch", None)
 
+    # Path cache bindings. RNG-free caches get run_fifo's inlined dict
+    # probe per packet; RNG-consuming caches draw each slot's coins in
+    # one sample_offlen_batch call.
     cache = sim.path_cache
     arena = cache.arena.edges  # extended in place; safe to bind once
     cache_rng_free = not cache.consumes_rng
-    offlen_batch = cache.offlen_batch if cache_rng_free else None
+    if cache_rng_free:
+        det_get = cache.table.get
+        det_build = cache.ensure
+    else:
+        det_get = None
+        det_build = None
     sample_offlen_batch = cache.sample_offlen_batch
     # Uniform sources over all nodes, uniform destinations and an RNG-free
     # path cache: draw each slot's (src, dst) pairs as one flat id block.
@@ -894,12 +902,12 @@ def run_slotted(
             k = count_block[count_i]
             count_i += 1
             if k:
-                # Draw the slot's sources, destinations and paths as
-                # batches; packets are enqueued in draw order.
+                # Draw the slot's sources and destinations as batches;
+                # packets are enqueued in draw order.
                 if uniform_id_pairs:
-                    ids = rng.integers(0, num_nodes, size=2 * k)
-                    srcs_a = ids[0::2]
-                    dsts_a = ids[1::2]
+                    ids = rng.integers(0, num_nodes, size=2 * k).tolist()
+                    srcs = ids[0::2]
+                    dsts = ids[1::2]
                 else:
                     if uniform_sources:
                         srcs_a = source_arr[rng.integers(0, nsrc, size=k)]
@@ -919,18 +927,18 @@ def run_slotted(
                         dsts_a = np.asarray(  # replint: disable=hot-loop-alloc
                             [dest_sample(int(s), rng) for s in srcs_a.tolist()]  # replint: disable=hot-loop-alloc
                         )
-                nz = srcs_a != dsts_a
-                if nz.any():
-                    if offlen_batch is not None:
-                        offs_a, lens_a = offlen_batch(srcs_a[nz], dsts_a[nz])
-                    else:
-                        offs_a, lens_a = sample_offlen_batch(
-                            srcs_a[nz], dsts_a[nz], rng
-                        )
-                    offs = offs_a.tolist()
-                    lens = lens_a.tolist()
+                    if det_get is None:
+                        nz = srcs_a != dsts_a
+                        if nz.any():
+                            offs_a, lens_a = sample_offlen_batch(
+                                srcs_a[nz], dsts_a[nz], rng
+                            )
+                            offs = offs_a.tolist()
+                            lens = lens_a.tolist()
+                    srcs = srcs_a.tolist()
+                    dsts = dsts_a.tolist()
                 at = 0  # index into offs/lens (non-zero-hop packets)
-                for src, dst in zip(srcs_a.tolist(), dsts_a.tolist()):
+                for src, dst in zip(srcs, dsts):
                     if measuring:
                         generated += 1
                     if src == dst:
@@ -942,9 +950,15 @@ def run_slotted(
                             if len(fold_births) >= fold_max:
                                 delay_acc.fold()
                         continue
-                    off = offs[at]
-                    ln = lens[at]
-                    at += 1
+                    if det_get is not None:
+                        ol = det_get(src * num_nodes + dst)
+                        if ol is None:
+                            ol = det_build(src, dst)
+                        off, ln = ol
+                    else:
+                        off = offs[at]
+                        ln = lens[at]
+                        at += 1
                     in_system += 1
                     remaining += ln
                     if sat is not None:

@@ -35,13 +35,17 @@ pops ``(time, seq)``-ordered events from a plain ``heapq`` list, like
 the FIFO/rushed/finite stochastic loops. It shares the rest of the
 hot-path architecture: paths come from the shared
 :mod:`repro.routing.pathcache` arena, packet records store
-``(arena_offset, length)`` views, and the source draw uses the pinned
-CDF with ``side='right'`` so a boundary draw can never select a
-zero-rate source. The per-packet RNG draw order is unchanged from the
-pre-cache engine, and the PS golden cells in ``tests/golden/`` pin the
-outputs (``ps_loaded_peredge`` at a load where queues regularly hold
-several customers). Measured ``(birth, delay)`` pairs are buffered and
-fold into the delay batches in completion order every
+``(arena_offset, length)`` views, and a non-uniform source draw uses
+the pinned CDF with ``side='right'`` so a boundary draw can never
+select a zero-rate source. Arrivals draw from RNG blocks the way the
+python fifo kernel does: exponential gaps come from 8192-draw blocks
+and, when the fast-id predicate holds (uniform sources over every node,
+uniform destinations), the ``(src, dst)`` pairs come from 16384-id
+blocks; otherwise sources and destinations are the fifo kernel's scalar
+draws. The PS golden cells in ``tests/golden/`` pin this stream
+(``ps_loaded_peredge`` at a load where queues regularly hold several
+customers). Measured ``(birth, delay)`` pairs are buffered and fold
+into the delay batches in completion order every
 ``measurement.FOLD_PAIRS`` pairs and once after the loop, like the
 other interpreted engines: the same sums as one ``add`` per
 completion, in bounded memory.
@@ -56,15 +60,13 @@ import numpy as np
 
 from repro.routing.base import Router
 from repro.routing.destinations import DestinationDistribution
-from repro.sim.enginecommon import (
-    NO_FAST_IDS,
-    EngineCommon,
-    resolve_service_rates,
-)
+from repro.sim.enginecommon import EngineCommon, resolve_service_rates
 from repro.sim import measurement
 from repro.sim.result import SimResult
 from repro.sim.rng import make_rng
 from repro.util.validation import check_positive
+
+_BLOCK = 8192
 
 
 class PSNetworkSimulation:
@@ -90,15 +92,13 @@ class PSNetworkSimulation:
         self.seed = int(seed)
         phi = resolve_service_rates(service_rates, router.topology.num_edges)
         self._phi = phi.tolist()
-        # Shared constructor policy. PS has no fast-id block draw
-        # (NO_FAST_IDS): every source is drawn through the pinned CDF
-        # with side='right', the boundary-safe discipline.
+        # Shared constructor policy (fast ids, the pinned source CDF and
+        # the path cache), as in the other engines.
         EngineCommon(
             router,
             destinations,
             node_rate,
             source_nodes=source_nodes,
-            fast_id_order=NO_FAST_IDS,
             path_cache=path_cache,
             use_path_cache=use_path_cache,
         ).install(self)
@@ -150,12 +150,26 @@ class PSNetworkSimulation:
         # is the next external arrival.
         heap: list[tuple] = []
         seq = 0
+        # Block RNG, drawn as in run_fifo: exponential(1) gaps and, with
+        # fast ids, uniform (src, dst) id pairs, as lists of builtin
+        # numbers. Otherwise sources and destinations are scalar draws.
+        BLK = _BLOCK
+        TWO_BLOCK = 2 * _BLOCK
+        exp_block = rng.exponential(size=BLK).tolist()
+        exp_i = 0
+        fast_ids = self._fast_ids
+        id_block = (
+            rng.integers(0, num_nodes, size=TWO_BLOCK).tolist() if fast_ids else []
+        )
+        id_i = 0
+        gap_scale = 1.0 / self.total_rate
         # The ndarray method skips numpy's dispatch wrapper; same result.
         searchsorted = np.ndarray.searchsorted
         sources = self.source_nodes
+        nsrc = len(sources)
+        uniform_sources = self._uniform_sources
         source_cdf = self._source_cdf
         dest_sample = self.destinations.sample
-        mean_gap = 1.0 / self.total_rate
 
         in_system = 0
         remaining = 0
@@ -174,10 +188,8 @@ class PSNetworkSimulation:
         fold_max = measurement.FOLD_PAIRS
         ndist: dict[int, float] | None = {} if track_number_distribution else None
 
-        # PS replans one exponential arrival gap per event; the scalar
-        # draw order *is* the engine's pinned bit-identity stream (golden
-        # ps_* cells), so the blocked-draw convention does not apply.
-        heappush(heap, (rng.exponential(mean_gap), seq, -1, 0))  # replint: disable=rng-discipline
+        heappush(heap, (exp_block[exp_i] * gap_scale, seq, -1, 0))
+        exp_i += 1
         seq += 1
 
         draining = False
@@ -214,13 +226,30 @@ class PSNetworkSimulation:
                 # ----- external arrival -----
                 if draining:
                     continue
-                # side="right" so a draw landing exactly on a CDF boundary
-                # (e.g. u = 0.0 with a leading zero-rate source) never
-                # selects a zero-rate source.
-                src = sources[
-                    int(searchsorted(source_cdf, rng.random(), side="right"))
-                ]
-                dst = dest_sample(src, rng)
+                if fast_ids:
+                    if id_i >= TWO_BLOCK:
+                        id_block = rng.integers(
+                            0, num_nodes, size=TWO_BLOCK
+                        ).tolist()
+                        id_i = 0
+                    src = id_block[id_i]
+                    dst = id_block[id_i + 1]
+                    id_i += 2
+                else:
+                    if uniform_sources:
+                        src = sources[int(rng.integers(nsrc))]
+                    else:
+                        # side="right" so a draw landing exactly on a CDF
+                        # boundary (e.g. u = 0.0 with a leading zero-rate
+                        # source) never selects a zero-rate source.
+                        src = sources[
+                            int(
+                                searchsorted(
+                                    source_cdf, rng.random(), side="right"
+                                )
+                            )
+                        ]
+                    dst = dest_sample(src, rng)
                 measured = t >= warmup
                 if measured:
                     generated += 1
@@ -299,8 +328,12 @@ class PSNetworkSimulation:
                 seq += 1
 
             if e < 0:
-                # Same pinned per-event scalar stream as the initial draw.
-                heappush(heap, (t + rng.exponential(mean_gap), seq, -1, 0))  # replint: disable=rng-discipline
+                # Next arrival.
+                if exp_i >= BLK:
+                    exp_block = rng.exponential(size=BLK).tolist()
+                    exp_i = 0
+                heappush(heap, (t + exp_block[exp_i] * gap_scale, seq, -1, 0))
+                exp_i += 1
                 seq += 1
             else:
                 # Re-plan queue e's next completion.

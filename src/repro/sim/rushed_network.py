@@ -47,7 +47,6 @@ import numpy as np
 from repro.routing.base import Router
 from repro.routing.destinations import DestinationDistribution
 from repro.sim.enginecommon import (
-    SORTED_IDS,
     EngineCommon,
     resolve_saturated_mask,
     resolve_service_rates,
@@ -110,14 +109,13 @@ class RushedNetworkSimulation:
             == len(self._service_times)
         )
         # Shared constructor policy: same discipline as the event engine
-        # (SORTED_IDS fast ids; side='right' pinned-CDF draws can never
-        # pick a zero-rate source).
+        # (side='right' pinned-CDF draws can never pick a zero-rate
+        # source).
         EngineCommon(
             router,
             destinations,
             node_rate,
             source_nodes=source_nodes,
-            fast_id_order=SORTED_IDS,
             path_cache=path_cache,
             use_path_cache=use_path_cache,
         ).install(self)

@@ -25,7 +25,8 @@ Implementation notes:
   are drawn as batches: one ``integers(0, n, 2k)`` id-pair block when
   every node sources at equal rate to uniform destinations over an
   RNG-free path cache, else a source batch, a ``sample_batch``
-  destination batch and a batched path lookup (router coins included).
+  destination batch and, when the path cache draws router coins, a
+  batched path lookup. An RNG-free cache is probed once per packet.
   The draw order is seed-stable and pinned by the ``slotted_*`` golden
   cells.
 """
@@ -36,11 +37,7 @@ from typing import Sequence
 
 from repro.routing.base import Router
 from repro.routing.destinations import DestinationDistribution
-from repro.sim.enginecommon import (
-    SORTED_IDS,
-    EngineCommon,
-    resolve_saturated_mask,
-)
+from repro.sim.enginecommon import EngineCommon, resolve_saturated_mask
 from repro.sim.kernels import SLOTTED_KERNEL, PYTHON_BACKEND, check_backend, get_kernel
 from repro.sim.result import SimResult
 from repro.util.validation import check_positive
@@ -84,7 +81,6 @@ class SlottedNetworkSimulation:
             destinations,
             node_rate,
             source_nodes=source_nodes,
-            fast_id_order=SORTED_IDS,
             path_cache=path_cache,
             use_path_cache=use_path_cache,
         ).install(self)

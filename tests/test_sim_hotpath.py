@@ -1,17 +1,24 @@
 """Engine-level tests for the hot-path overhaul: fast-id block discipline,
-slotted option parity, the batched slot kernel, and replication-level
-cache sharing."""
+PS block draws, slotted option parity, the batched slot kernel and its
+per-packet path lookups, and replication-level cache sharing."""
 
 import math
 
 import numpy as np
 import pytest
 
+from repro.analysis import rngsan
 from repro.routing.destinations import HotSpotDestinations, UniformDestinations
 from repro.routing.greedy import GreedyArrayRouter
+from repro.routing.pathcache import (
+    PathCache,
+    RandomizedGreedyPathCache,
+    path_cache_for,
+)
 from repro.routing.randomized_greedy import RandomizedGreedyArrayRouter
 from repro.sim.fifo_network import NetworkSimulation
 from repro.sim.kernels.python_backend import _BLOCK
+from repro.sim.ps_network import PSNetworkSimulation
 from repro.sim.replication import CellSpec, replicate
 from repro.sim.sharedcells import cell_network
 from repro.sim.slotted import SlottedNetworkSimulation
@@ -129,6 +136,91 @@ class TestSlottedOptionParity:
     def test_delays_with_warmup_exclude_warmup_packets(self):
         res = self._sim().run(50, 100, collect_delays=True)
         assert len(res.delays) == res.completed == res.generated
+
+
+class TestPSBlockDraws:
+    """PS draws its arrivals from blocks, like the python fifo kernel: an
+    8192-gap exponential block and a 16384-id block, refilled when spent.
+    A scalar per-arrival draw would show up as a size-None call, and the
+    call count would grow with every arrival."""
+
+    def test_uniform_run_makes_only_block_draws(self):
+        sim = PSNetworkSimulation(
+            GreedyArrayRouter(ArrayMesh(4)), UniformDestinations(16), 0.5,
+            seed=3,
+        )
+        assert sim._fast_ids
+        with rngsan.trace() as tracer:
+            res = sim.run(0.0, 2500.0)
+        arrivals = res.generated
+        assert arrivals > 2 * _BLOCK  # both blocks are refilled
+        kinds = [(kind, size) for kind, size, _site in tracer.draws]
+        assert set(kinds) <= {
+            ("exponential", _BLOCK), ("integers", 2 * _BLOCK)
+        }
+        bound = math.ceil(arrivals / _BLOCK) + 2
+        assert kinds.count(("exponential", _BLOCK)) <= bound
+        assert kinds.count(("integers", 2 * _BLOCK)) <= bound
+
+
+class TestSlottedPathLookup:
+    """The python slot kernel probes the path cache per packet when the
+    cache consumes no randomness; RNG-consuming caches keep the per-slot
+    batch call, which draws the slot's coins."""
+
+    def test_rng_free_cache_never_batch_looks_up(self, monkeypatch):
+        def boom(*args, **kwargs):
+            raise AssertionError("offlen_batch called")
+
+        monkeypatch.setattr(PathCache, "offlen_batch", boom)
+        router = GreedyArrayRouter(ArrayMesh(4))
+        for dests in (
+            UniformDestinations(16),
+            HotSpotDestinations(16, hot_node=5, h=0.3),
+        ):
+            res = SlottedNetworkSimulation(router, dests, 0.3, seed=2).run(
+                10, 200
+            )
+            assert res.completed > 0
+
+    def test_cold_cache_matches_pair_by_pair_fill(self):
+        """A cold dense-table cache ends with the arena a scalar fill of
+        the same pairs, in first-lookup order, lays out; and the run's
+        result equals a run on that pre-filled cache."""
+        router = GreedyArrayRouter(ArrayMesh(8))
+        dests = UniformDestinations(64)
+        cold = path_cache_for(router)
+        assert cold._dense_off is not None
+        a = SlottedNetworkSimulation(
+            router, dests, 0.3, seed=4, path_cache=cold
+        ).run(20, 300)
+        filled = path_cache_for(router)
+        for key in cold.table:  # insertion order = first-lookup order
+            filled.ensure(*divmod(key, 64))
+        b = SlottedNetworkSimulation(
+            router, dests, 0.3, seed=4, path_cache=filled
+        ).run(20, 300)
+        assert cold.arena.edges == filled.arena.edges
+        assert np.array_equal(cold._dense_off, filled._dense_off)
+        assert repr(a) == repr(b)
+
+    def test_randomized_greedy_draws_coins_per_slot(self, monkeypatch):
+        calls = []
+        real = RandomizedGreedyPathCache.sample_offlen_batch
+
+        def counted(self, srcs, dsts, rng):
+            calls.append(len(srcs))
+            return real(self, srcs, dsts, rng)
+
+        monkeypatch.setattr(
+            RandomizedGreedyPathCache, "sample_offlen_batch", counted
+        )
+        router = RandomizedGreedyArrayRouter(ArrayMesh(4))
+        res = SlottedNetworkSimulation(
+            router, UniformDestinations(16), 0.3, seed=6
+        ).run(0, 200)
+        assert calls
+        assert sum(calls) == res.generated - res.zero_hop
 
 
 class TestSlottedBatchRng:

@@ -11,12 +11,15 @@ from repro.queueing.mm1 import MM1Queue
 from repro.routing.base import TabulatedRouter
 from repro.routing.destinations import UniformDestinations
 from repro.routing.greedy import GreedyArrayRouter
-from repro.sim.fifo_network import NetworkSimulation
+from repro.sim.fifo_network import DETERMINISTIC, NetworkSimulation
 from repro.sim.ps_network import PSNetworkSimulation
+from repro.sim.replication import CellSpec, ReplicationEngine
 from repro.sim.rushed_network import RushedNetworkSimulation
 from repro.sim.slotted import SlottedNetworkSimulation
 from repro.topology.array_mesh import ArrayMesh
 from repro.topology.linear import LinearArray
+from repro.validation.checks_closedform import MESH, _mesh_product_form
+from repro.validation.framework import Z_GATE, z_score
 
 from _helpers import AlwaysNodeZero, BoundaryRNG
 
@@ -72,6 +75,25 @@ class TestPSSimulator:
         fifo = NetworkSimulation(router, dests, lam, seed=13).run(300, 4000)
         ps = PSNetworkSimulation(router, dests, lam, seed=14).run(300, 4000)
         assert fifo.mean_number <= ps.mean_number * 1.05
+
+    @pytest.mark.slow
+    def test_block_stream_matches_product_form_on_fresh_seeds(self):
+        """The blocked arrival stream on the validation mesh cell, over 48
+        seeds disjoint from the quick tier's 0-5, sits within the z-gate
+        of the Jackson product form for both scored metrics."""
+        pf, total_rate = _mesh_product_form()
+        cell = dict(MESH, seeds=tuple(range(100, 148)))
+        res = ReplicationEngine(processes=1).run(
+            CellSpec(engine="ps", service=DETERMINISTIC, **cell)
+        )
+        z_number = z_score(
+            res.mean_number, pf.mean_number(), res.number_half_width
+        )
+        z_delay = z_score(
+            res.mean_delay, pf.mean_delay(total_rate), res.delay_half_width
+        )
+        assert z_number < Z_GATE
+        assert z_delay < Z_GATE
 
     def test_conservation_and_littles(self):
         mesh = ArrayMesh(3)

@@ -4,7 +4,7 @@ Covers the three regression surfaces the registry redesign introduced:
 
 * :class:`repro.sim.enginecommon.EngineCommon` — the shared source-rate /
   fast-id / pinned-CDF policy block, including the fast-id source-order
-  modes and the boundary-safe source-CDF draw;
+  predicate and the boundary-safe source-CDF draw;
 * :mod:`repro.sim.registry` — name/alias resolution and the typed
   ``engine_params`` metadata;
 * the facade round trip — every registered engine runs end-to-end through
@@ -17,8 +17,6 @@ import pytest
 from repro.routing.destinations import HotSpotDestinations, UniformDestinations
 from repro.routing.greedy import GreedyArrayRouter
 from repro.sim.enginecommon import (
-    NO_FAST_IDS,
-    SORTED_IDS,
     EngineCommon,
     resolve_saturated_mask,
     resolve_service_rates,
@@ -42,28 +40,20 @@ def _mesh(n=4):
 
 
 class TestFastIdOrdering:
-    """The fifo, rushed and slotted engines draw fast ids as node ids, so
-    any full source set in any order qualifies (sorted order); PS has no
-    fast-id path."""
+    """Every engine draws fast ids as node ids, so any full source set in
+    any order qualifies (sorted order)."""
 
     PERMUTED = [1, 0] + list(range(2, 16))  # full node set, not identity
 
     def test_sorted_mode_accepts_permuted_full_set(self):
         c = EngineCommon(
-            _mesh(), UniformDestinations(16), 0.2,
-            source_nodes=self.PERMUTED, fast_id_order=SORTED_IDS,
+            _mesh(), UniformDestinations(16), 0.2, source_nodes=self.PERMUTED
         )
         assert c.fast_ids
 
-    def test_no_fast_ids_mode(self):
-        c = EngineCommon(
-            _mesh(), UniformDestinations(16), 0.2, fast_id_order=NO_FAST_IDS
-        )
-        assert not c.fast_ids
-
     def test_engines_wire_their_required_order(self):
         """End to end: a permuted full source list keeps the fast-id path
-        on every engine that has one."""
+        on every engine."""
         router = _mesh()
         dests = UniformDestinations(16)
         fifo = NetworkSimulation(router, dests, 0.2, source_nodes=self.PERMUTED)
@@ -73,10 +63,9 @@ class TestFastIdOrdering:
         slotted = SlottedNetworkSimulation(
             router, dests, 0.2, source_nodes=self.PERMUTED
         )
+        ps = PSNetworkSimulation(router, dests, 0.2, source_nodes=self.PERMUTED)
         assert fifo._fast_ids and rushed._fast_ids and slotted._fast_ids
-        assert not PSNetworkSimulation(
-            router, dests, 0.2, source_nodes=self.PERMUTED
-        )._fast_ids
+        assert ps._fast_ids
 
     def test_non_uniform_dests_disable_fast_ids(self):
         c = EngineCommon(
@@ -89,12 +78,6 @@ class TestFastIdOrdering:
             _mesh(), UniformDestinations(16), 0.2, source_nodes=[0, 1, 2]
         )
         assert not c.fast_ids
-
-    def test_unknown_mode_rejected(self):
-        with pytest.raises(ValueError):
-            EngineCommon(
-                _mesh(), UniformDestinations(16), 0.2, fast_id_order="best"
-            )
 
 
 class TestSourceCdfBoundary:
