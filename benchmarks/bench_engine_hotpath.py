@@ -69,7 +69,7 @@ from repro.core.optimization import optimal_service_rates, standard_capacity
 from repro.core.rates import array_edge_rates, lambda_for_load
 from repro.routing.destinations import UniformDestinations
 from repro.routing.greedy import GreedyArrayRouter
-from repro.routing.pathcache import PathArena, path_cache_for
+from repro.routing.pathcache import PathArena, SampledPathInterner, path_cache_for
 from repro.sim.fifo_network import NetworkSimulation
 from repro.sim.ps_network import PSNetworkSimulation
 from repro.sim.rushed_network import RushedNetworkSimulation
@@ -90,10 +90,15 @@ PRE_PR_RUSHED_16 = 36_411.0
 PRE_PR_PS_8 = 34_545.0
 
 
-def _event_cell(n, *, seed=3, **kwargs):
+def _event_cell(n, *, seed=3, uncached=False, **kwargs):
+    """The event engine on the n x n cell; ``uncached=True`` hands it the
+    per-packet :class:`SampledPathInterner` instead of a path cache."""
     mesh = ArrayMesh(n)
+    router = GreedyArrayRouter(mesh)
+    if uncached:
+        kwargs["path_cache"] = SampledPathInterner(router)
     return NetworkSimulation(
-        GreedyArrayRouter(mesh),
+        router,
         UniformDestinations(mesh.num_nodes),
         lambda_for_load(n, RHO, "table1"),
         seed=seed,
@@ -132,7 +137,7 @@ def test_event_8x8_cached(best_of, benchmark):
 
 def test_event_8x8_uncached(best_of, benchmark):
     """Per-packet path rebuild (the pre-cache behaviour) for contrast."""
-    sim = _event_cell(8, use_path_cache=False)
+    sim = _event_cell(8, uncached=True)
     res = best_of(sim.run, WARMUP, HORIZON)
     _record(benchmark, res, PRE_PR_EVENT[8])
     assert res.generated > 2000
@@ -170,7 +175,7 @@ def test_event_32x32_cached_cold(once, benchmark):
 
 
 def test_event_32x32_uncached(best_of, benchmark):
-    sim = _event_cell(32, use_path_cache=False)
+    sim = _event_cell(32, uncached=True)
     res = best_of(sim.run, WARMUP, HORIZON)
     _record(benchmark, res, PRE_PR_EVENT[32])
     assert res.generated > 10_000
@@ -184,7 +189,7 @@ def test_event_32x32_cached_beats_uncached(once, benchmark):
         t0 = time.perf_counter()
         cached.run(WARMUP, HORIZON)
         t_cached = time.perf_counter() - t0
-        uncached = _event_cell(32, use_path_cache=False)
+        uncached = _event_cell(32, uncached=True)
         t0 = time.perf_counter()
         uncached.run(WARMUP, HORIZON)
         return t_cached, time.perf_counter() - t0

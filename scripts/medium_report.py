@@ -70,13 +70,13 @@ def main() -> None:
     stamp("Figure 2", f2e.render() + "\n\n" + f2o.render(), [])
     sw = bounds_sweep.run(MEDIUM_SWEEP, processes=1)
     stamp("Bounds sweep", sw.render(), bounds_sweep.shape_checks(sw))
-    oc = optimal_config.run(MEDIUM_OPT)
+    oc = optimal_config.run(MEDIUM_OPT, processes=1)
     stamp("Optimal configuration (Section 5.1)", oc.render(),
           optimal_config.shape_checks(oc))
     hc = hypercube_bounds.run(MEDIUM_HC)
     stamp("Hypercube / butterfly (Section 4.5)", hc.render(),
           hypercube_bounds.shape_checks(hc))
-    dm = dominance.run(MEDIUM_DOM)
+    dm = dominance.run(MEDIUM_DOM, processes=1)
     stamp("Theorem 5 dominance", dm.render(), dominance.shape_checks(dm))
     rg = randomized_greedy.run(MEDIUM_RAND, processes=1)
     stamp("Randomized greedy (Section 6)", rg.render(),

@@ -43,8 +43,7 @@ rule                   invariant
 ``shm-hygiene``        every ``SharedMemory(create=True)`` /
                        ``publish_cells`` site has a close+unlink owner
 ``mutable-default``    no mutable default arguments
-``dead-import``        no unused module-level imports (autofixable
-                       with ``--fix``)
+``dead-import``        no unused module-level imports
 =====================  ==================================================
 
 Run it as ``python -m repro.analysis [paths]`` (defaults to the
@@ -52,9 +51,9 @@ installed ``repro`` package tree); ``--json`` emits a machine-readable
 report (``--json-file`` also writes it for CI artifacts — each finding
 carries the rule's one-line doc and a content-stable ``fingerprint`` so
 reports diff cleanly across runs), ``--select`` narrows to specific
-rules, ``--list-rules`` prints the table above, ``--fix`` applies the
-mechanical ``dead-import`` rewrite. Results are memoized in
-``.replint_cache.json`` keyed by file mtimes (``--no-cache`` bypasses).
+rules and ``--list-rules`` prints the table above. Results are memoized
+in ``.replint_cache.json`` keyed by file mtimes (``--no-cache``
+bypasses).
 Exit status is 0 on a clean tree, 1 when findings survive, 2 on usage
 errors. Suppress a documented exception with ``# replint: disable=RULE``
 (same line), ``disable-next=RULE`` or ``disable-file=RULE`` — always

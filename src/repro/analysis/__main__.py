@@ -8,7 +8,7 @@ from pathlib import Path
 from typing import Sequence
 
 from repro.analysis import RULES, analyze_paths, render_report
-from repro.analysis import autofix, cache
+from repro.analysis import cache
 from repro.analysis.core import iter_python_files
 
 
@@ -48,11 +48,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="run only these rules (see --list-rules)",
     )
     parser.add_argument(
-        "--fix",
-        action="store_true",
-        help="apply mechanical fixes first (dead-import), then analyze",
-    )
-    parser.add_argument(
         "--no-cache",
         action="store_true",
         help="ignore and do not update the result cache",
@@ -81,13 +76,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         if args.select
         else None
     )
-    # --fix rewrites the files the cache key is built from, so it always
-    # runs (and analyzes) uncached.
-    use_cache = not args.no_cache and not args.fix
+    use_cache = not args.no_cache
     try:
-        if args.fix:
-            for fix in autofix.fix_paths(paths):
-                print(fix.render())
         cached = (
             cache.load(args.cache_file, paths, select) if use_cache else None
         )

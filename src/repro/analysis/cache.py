@@ -16,8 +16,7 @@ On a hit the stored findings are replayed without opening a single
 analyzed file. The cache lives in ``.replint_cache.json`` next to the
 working directory by default (``--cache-file`` moves it, ``--no-cache``
 bypasses); a corrupt or alien cache file is treated as a miss, never an
-error. ``--fix`` runs always bypass the cache — they exist to change
-the files the key is built from.
+error.
 """
 
 from __future__ import annotations

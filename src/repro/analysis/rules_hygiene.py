@@ -64,10 +64,9 @@ class MutableDefaultRule(Rule):
 def dead_imports(src: SourceFile) -> list[tuple[str, ast.stmt]]:
     """``(bound name, import statement)`` pairs for unused imports.
 
-    Shared between the ``dead-import`` rule and the ``--fix`` rewriter
-    so both agree exactly on what counts as dead. Exemptions:
-    ``__init__.py`` files (imports are their API), ``from __future__``,
-    explicit re-exports (``import x as x``), and ``__all__`` names.
+    Exemptions: ``__init__.py`` files (imports are their API), ``from
+    __future__``, explicit re-exports (``import x as x``), and ``__all__``
+    names.
     """
     if src.path.name == "__init__.py":
         return []

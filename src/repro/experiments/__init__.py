@@ -8,16 +8,14 @@ benchmark-friendly) and FULL (paper-scale) horizon presets.
 """
 
 from repro.experiments.configs import QUICK, FULL, GridConfig
-from repro.experiments.grid import CellSpec, CellResult, simulate_cell, run_grid
+from repro.experiments.grid import CellResult, run_grid
 from repro.experiments.sweeps import SweepRun, load_sweep_spec, run_sweep
 
 __all__ = [
     "QUICK",
     "FULL",
     "GridConfig",
-    "CellSpec",
     "CellResult",
-    "simulate_cell",
     "run_grid",
     "SweepRun",
     "load_sweep_spec",

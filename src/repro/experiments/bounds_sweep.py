@@ -19,8 +19,8 @@ from dataclasses import dataclass
 
 from repro.core.lower_bounds import BoundSummary, asymptotic_gap, bound_summary
 from repro.core.rates import lambda_for_load
-from repro.experiments.grid import CellSpec, cell_result
-from repro.sim.replication import ReplicationEngine
+from repro.experiments.backends import with_budget_backend
+from repro.sim.replication import CellSpec, ReplicationEngine
 from repro.util.tables import Table
 
 
@@ -101,13 +101,16 @@ class SweepResult:
 
 def _cell_spec(n: int, rho: float, cfg: SweepConfig) -> CellSpec:
     scale = min(1.0 / (1.0 - rho), cfg.congestion_cap)
-    return CellSpec(
-        n=n,
-        rho=rho,
-        warmup=cfg.base_warmup * scale,
-        horizon=cfg.base_horizon * scale,
-        seed=(cfg.seed * 65537 + n * 101 + int(rho * 1000)) % 2**31,
-        convention="exact",  # the bounds are parity-aware; match them
+    return with_budget_backend(
+        CellSpec(
+            scenario="uniform",
+            n=n,
+            rho=rho,
+            convention="exact",  # the bounds are parity-aware; match them
+            warmup=cfg.base_warmup * scale,
+            horizon=cfg.base_horizon * scale,
+            seeds=((cfg.seed * 65537 + n * 101 + int(rho * 1000)) % 2**31,),
+        )
     )
 
 
@@ -116,11 +119,9 @@ def run(config: SweepConfig = QUICK_SWEEP, *, processes: int | None = None) -> S
     combos = [(n, rho) for n in config.ns for rho in config.rhos]
     sims: list = [None] * len(combos)
     if config.simulate:
-        specs = [_cell_spec(n, rho, config) for n, rho in combos]
-        pooled = ReplicationEngine(processes=processes).run_many(
-            [s.to_replication() for s in specs]
+        sims = ReplicationEngine(processes=processes).run_many(
+            [_cell_spec(n, rho, config) for n, rho in combos]
         )
-        sims = [cell_result(s, p) for s, p in zip(specs, pooled)]
     points = []
     for (n, rho), sim in zip(combos, sims):
         lam = lambda_for_load(n, rho, "exact")
@@ -128,8 +129,8 @@ def run(config: SweepConfig = QUICK_SWEEP, *, processes: int | None = None) -> S
         points.append(
             SweepPoint(
                 bounds=b,
-                t_sim=None if sim is None else sim.t_sim,
-                t_ci=None if sim is None else sim.t_ci,
+                t_sim=None if sim is None else sim.mean_delay,
+                t_ci=None if sim is None else sim.delay_half_width,
             )
         )
     return SweepResult(points=points)

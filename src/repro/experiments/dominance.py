@@ -1,6 +1,8 @@
 """Theorem 5 dominance, checked in simulation: FIFO <= PS = Jackson.
 
-Three simulators on the identical array/greedy/uniform workload:
+Three cells of the ``uniform`` scenario (the array/greedy/uniform
+workload), run as one :class:`~repro.sim.replication.ReplicationEngine`
+batch at seeds ``seed``, ``seed + 1`` and ``seed + 2``:
 
 * FIFO deterministic service (the standard model),
 * PS unit-work service (Theorem 1's comparator),
@@ -21,17 +23,14 @@ asserted to vanish.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from repro.core.rates import lambda_for_load
 from repro.core.upper_bound import number_upper_bound
-from repro.routing.destinations import UniformDestinations
-from repro.routing.greedy import GreedyArrayRouter
-from repro.sim.fifo_network import NetworkSimulation
-from repro.sim.ps_network import PSNetworkSimulation
-from repro.topology.array_mesh import ArrayMesh
+from repro.queueing.dominance import dominance_violation
+from repro.sim.replication import CellSpec, ReplicationEngine
 from repro.util.tables import Table
 
 
@@ -110,28 +109,41 @@ class DominanceResult:
         )
 
 
-def run(config: DominanceConfig = QUICK_DOM) -> DominanceResult:
+def run(
+    config: DominanceConfig = QUICK_DOM, *, processes: int | None = None
+) -> DominanceResult:
     """Run the three-way comparison."""
     n, rho = config.n, config.rho
     lam = lambda_for_load(n, rho, "exact")
-    mesh = ArrayMesh(n)
-    router = GreedyArrayRouter(mesh)
-    dests = UniformDestinations(mesh.num_nodes)
-    fifo = NetworkSimulation(router, dests, lam, seed=config.seed).run(
-        config.warmup,
-        config.horizon,
-        track_number_distribution=True,
-        collect_delays=True,
+    cell = CellSpec(
+        scenario="uniform",
+        n=n,
+        rho=rho,
+        warmup=config.warmup,
+        horizon=config.horizon,
+        seeds=(config.seed,),
     )
-    ps = PSNetworkSimulation(router, dests, lam, seed=config.seed + 1).run(
-        config.warmup, config.horizon, track_number_distribution=True
+    fifo, ps, jackson = (
+        pooled.replications[0]
+        for pooled in ReplicationEngine(processes=processes).run_many(
+            [
+                replace(cell, collect_delays=True, track_number_distribution=True),
+                replace(
+                    cell,
+                    engine="ps",
+                    seeds=(config.seed + 1,),
+                    track_number_distribution=True,
+                ),
+                replace(
+                    cell,
+                    service="exponential",
+                    seeds=(config.seed + 2,),
+                    collect_delays=True,
+                ),
+            ]
+        )
     )
-    jackson = NetworkSimulation(
-        router, dests, lam, service="exponential", seed=config.seed + 2
-    ).run(config.warmup, config.horizon, collect_delays=True)
     closed = number_upper_bound(n, lam)
-    from repro.queueing.dominance import dominance_violation as _dv
-
     return DominanceResult(
         n=n,
         rho=rho,
@@ -143,7 +155,9 @@ def run(config: DominanceConfig = QUICK_DOM) -> DominanceResult:
         tail_violation_fifo_vs_ps=_weighted_tail_violation(
             fifo.number_distribution, ps.number_distribution
         ),
-        delay_violation_fifo_vs_jackson=_dv(fifo.delays, jackson.delays),
+        delay_violation_fifo_vs_jackson=dominance_violation(
+            fifo.delays, jackson.delays
+        ),
         t_fifo=fifo.mean_delay,
         t_jackson=jackson.mean_delay,
     )

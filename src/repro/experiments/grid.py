@@ -3,18 +3,20 @@
 One simulated cell yields everything the three tables need — the mean
 delay T (Table I), the ratio r = E[R]/E[N] (Table II) and
 r_s = E[R_s]/E[N] (Table III) — because the engine integrates N(t), R(t)
-and R_s(t) in a single pass. Cells run through the
-:class:`~repro.sim.replication.ReplicationEngine`: every (cell, seed)
-pair fans out over one flat process-pool map, and with
-``config.replications > 1`` each grid point reports across-replication
-means and CIs instead of single-trajectory point estimates.
+and R_s(t) in a single pass. Each grid point is a
+:class:`~repro.sim.replication.CellSpec` on the ``uniform`` scenario
+(the standard model) with the saturated-edge mask tracked, and the whole
+grid runs as one :class:`~repro.sim.replication.ReplicationEngine` batch:
+every (cell, seed) pair fans out over one flat process-pool map, and
+with ``config.replications > 1`` each grid point reports
+across-replication means and CIs instead of single-trajectory point
+estimates.
 
-Every grid cell is the standard model (uniform traffic, row-first
-greedy routing, unit deterministic service), which the vectorized
-``backend="numpy"`` kernel solves, so cells run there unless their
-expected visit count exceeds the budget every report section shares
-(:func:`repro.experiments.backends.budget_backend`). The numbers are
-therefore seed-stable and statistically equivalent to a direct
+The vectorized ``backend="numpy"`` kernel solves the standard model, so
+cells run there unless their expected visit count exceeds the budget
+every report section shares
+(:func:`repro.experiments.backends.with_budget_backend`). The numbers
+are therefore seed-stable and statistically equivalent to a direct
 :class:`~repro.sim.NetworkSimulation` run at the cell's seed, not
 bit-identical to it (the two-backend contract in :mod:`repro.sim`).
 """
@@ -23,57 +25,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.core.distances import mean_distance
 from repro.core.md1_approx import delay_md1_estimate
-from repro.core.rates import lambda_for_load, total_external_rate
+from repro.core.rates import lambda_for_load
 from repro.core.upper_bound import delay_upper_bound
-from repro.experiments.backends import budget_backend
+from repro.experiments.backends import with_budget_backend
 from repro.experiments.configs import GridConfig
-from repro.sim.replication import CellSpec as ReplicationSpec
-from repro.sim.replication import ReplicatedResult, ReplicationEngine
-
-
-@dataclass(frozen=True)
-class CellSpec:
-    """One simulation cell: an (n, rho) grid point with its window/seed."""
-
-    n: int
-    rho: float
-    warmup: float
-    horizon: float
-    seed: int
-    convention: str = "table1"
-    replications: int = 1
-
-    def expected_visits(self) -> float:
-        """Expected edge visits of one replication: total arrival rate x
-        (warmup + horizon) x mean hops per packet."""
-        lam = lambda_for_load(self.n, self.rho, self.convention)
-        return (
-            total_external_rate(self.n, lam)
-            * (self.warmup + self.horizon)
-            * mean_distance(self.n)
-        )
-
-    def to_replication(self) -> ReplicationSpec:
-        """View as a replication-engine spec (standard-model scenario).
-
-        Replication seeds step by 1 from the cell seed. The kernel
-        backend is the one :func:`~repro.experiments.backends.budget_backend`
-        picks for :meth:`expected_visits`.
-        """
-        backend = budget_backend(self.expected_visits())
-        return ReplicationSpec(
-            scenario="uniform",
-            n=self.n,
-            rho=self.rho,
-            convention=self.convention,
-            warmup=self.warmup,
-            horizon=self.horizon,
-            seeds=tuple(self.seed + k for k in range(self.replications)),
-            track_saturated=True,
-            engine_params=(("backend", backend),),
-        )
+from repro.sim.replication import CellSpec, ReplicatedResult, ReplicationEngine
 
 
 @dataclass(frozen=True)
@@ -103,8 +60,10 @@ class CellResult:
     t_upper: float
 
 
-def cell_result(spec: CellSpec, pooled: ReplicatedResult) -> CellResult:
-    """Pair one cell's pooled simulation outcome with the analytic values."""
+def cell_result(pooled: ReplicatedResult) -> CellResult:
+    """Pair one standard-model cell's pooled simulation outcome with the
+    analytic values at its load."""
+    spec = pooled.spec
     lam = lambda_for_load(spec.n, spec.rho, spec.convention)
     return CellResult(
         spec=spec,
@@ -122,28 +81,23 @@ def cell_result(spec: CellSpec, pooled: ReplicatedResult) -> CellResult:
     )
 
 
-def simulate_cell(spec: CellSpec) -> CellResult:
-    """Simulate one (n, rho) cell of the paper's grid, in-process.
-
-    The standard model — n-by-n mesh, greedy row-first routing, uniform
-    destinations, unit service — at ``lam = lambda_for_load(n, rho,
-    convention)`` with the saturated-edge mask tracked.
-    """
-    pooled = ReplicationEngine(processes=1).run(spec.to_replication())
-    return cell_result(spec, pooled)
-
-
 def grid_specs(config: GridConfig) -> list[CellSpec]:
-    """Materialise every cell spec of a grid config."""
+    """Materialise every cell spec of a grid config (replication seeds
+    step by 1 from the cell seed)."""
     return [
-        CellSpec(
-            n=n,
-            rho=rho,
-            warmup=config.warmup_for(rho),
-            horizon=config.horizon_for(rho),
-            seed=config.cell_seed(n, rho),
-            convention=config.convention,
-            replications=config.replications,
+        with_budget_backend(
+            CellSpec(
+                scenario="uniform",
+                n=n,
+                rho=rho,
+                convention=config.convention,
+                warmup=config.warmup_for(rho),
+                horizon=config.horizon_for(rho),
+                seeds=tuple(
+                    config.cell_seed(n, rho) + k for k in range(config.replications)
+                ),
+                track_saturated=True,
+            )
         )
         for n in config.ns
         for rho in config.rhos
@@ -152,7 +106,5 @@ def grid_specs(config: GridConfig) -> list[CellSpec]:
 
 def run_grid(config: GridConfig, *, processes: int | None = None) -> list[CellResult]:
     """Simulate the whole grid, (cell, seed) pairs fanned across a pool."""
-    specs = grid_specs(config)
-    engine = ReplicationEngine(processes=processes)
-    pooled = engine.run_many([s.to_replication() for s in specs])
-    return [cell_result(s, p) for s, p in zip(specs, pooled)]
+    pooled = ReplicationEngine(processes=processes).run_many(grid_specs(config))
+    return [cell_result(p) for p in pooled]

@@ -32,10 +32,8 @@ from repro.core.optimization import (
 )
 from repro.core.rates import array_edge_rates
 from repro.core.upper_bound import delay_upper_bound
-from repro.experiments.backends import budget_backend
-from repro.routing.destinations import UniformDestinations
-from repro.routing.greedy import GreedyArrayRouter
-from repro.sim.fifo_network import NetworkSimulation
+from repro.experiments.backends import with_budget_backend
+from repro.sim.replication import CellSpec, ReplicationEngine
 from repro.topology.array_mesh import ArrayMesh
 from repro.util.tables import Table
 
@@ -118,55 +116,61 @@ class OptimalResult:
         return t.render() + extra
 
 
-def _optimal_sim(n: int, lam: float, budget: float, warmup: float, horizon: float, seed: int):
-    """Simulate the deterministic-service mesh with Theorem 15 rates
-    (per-edge service, which the numpy kernel solves within the budget)."""
-    mesh = ArrayMesh(n)
-    router = GreedyArrayRouter(mesh)
-    rates = array_edge_rates(mesh, lam)
-    phis = optimal_service_rates(rates, 1.0, budget)
-    sim = NetworkSimulation(
-        router,
-        UniformDestinations(mesh.num_nodes),
-        lam,
-        service_rates=phis,
-        seed=seed,
-        backend=budget_backend(float(rates.sum()) * (warmup + horizon)),
+def _optimal_cell(
+    mesh: ArrayMesh, lam: float, budget: float, config: OptimalConfig, seed: int
+) -> CellSpec:
+    """The deterministic-service mesh at per-node rate ``lam`` with the
+    Theorem 15 per-edge rates (which the numpy kernel solves within the
+    visit budget)."""
+    phis = optimal_service_rates(array_edge_rates(mesh, lam), 1.0, budget)
+    return with_budget_backend(
+        CellSpec(
+            scenario="uniform",
+            n=config.n,
+            node_rate=lam,
+            warmup=config.warmup,
+            horizon=config.horizon,
+            seeds=(seed,),
+            engine_params=(("service_rates", tuple(phis.tolist())),),
+        )
     )
-    return sim.run(warmup, horizon)
 
 
-def run(config: OptimalConfig = QUICK_OPT) -> OptimalResult:
-    """Run the Section 5.1 experiment."""
+def run(
+    config: OptimalConfig = QUICK_OPT, *, processes: int | None = None
+) -> OptimalResult:
+    """Run the Section 5.1 experiment: every simulated point (the delay
+    curve at seeds ``seed + k`` and the beyond-capacity point at
+    ``seed + 99``) runs as one batch."""
     n = config.n
     budget = 4.0 * n * (n - 1)  # the standard array's total service budget
     cap_std = standard_capacity(n)
     cap_opt = optimal_capacity(n)
     mesh = ArrayMesh(n)
+    lams = [frac * cap_std for frac in config.load_fractions]
+    # Beyond the standard capacity, inside the optimal one.
+    beyond_lam = cap_std + config.beyond_standard_fraction * (cap_opt - cap_std)
+    cells = [
+        _optimal_cell(mesh, lam, budget, config, config.seed + k)
+        for k, lam in enumerate(lams)
+    ]
+    cells.append(_optimal_cell(mesh, beyond_lam, budget, config, config.seed + 99))
+    *sims, beyond = ReplicationEngine(processes=processes).run_many(cells)
     points: list[DelayPoint] = []
-    for k, frac in enumerate(config.load_fractions):
-        lam = frac * cap_std
+    for lam, res in zip(lams, sims):
         rates = array_edge_rates(mesh, lam)
-        t_std = delay_upper_bound(n, lam)
-        t_opt = optimal_delay(rates, 1.0, budget, lam * n * n)
-        res = _optimal_sim(n, lam, budget, config.warmup, config.horizon, config.seed + k)
         points.append(
             DelayPoint(
                 lam=lam,
-                t_standard_jackson=t_std,
-                t_optimal_jackson=t_opt,
+                t_standard_jackson=delay_upper_bound(n, lam),
+                t_optimal_jackson=optimal_delay(rates, 1.0, budget, lam * n * n),
                 t_optimal_sim=res.mean_delay,
                 t_optimal_sim_ci=res.delay_half_width,
             )
         )
-    # Beyond the standard capacity, inside the optimal one.
-    beyond_lam = cap_std + config.beyond_standard_fraction * (cap_opt - cap_std)
     rates = array_edge_rates(mesh, beyond_lam)
     dstar = budget_surplus(rates, 1.0, budget)
     t_opt_beyond = optimal_delay(rates, 1.0, budget, beyond_lam * n * n)
-    res = _optimal_sim(
-        n, beyond_lam, budget, config.warmup, config.horizon, config.seed + 99
-    )
     return OptimalResult(
         n=n,
         standard_capacity=cap_std,
@@ -174,7 +178,7 @@ def run(config: OptimalConfig = QUICK_OPT) -> OptimalResult:
         budget=budget,
         points=points,
         beyond_lam=beyond_lam,
-        beyond_optimal_sim=res.mean_delay,
+        beyond_optimal_sim=beyond.mean_delay,
         beyond_optimal_jackson=t_opt_beyond,
         beyond_dstar=dstar,
     )

@@ -72,7 +72,7 @@ def run_all(*, full: bool = False, processes: int | None = None) -> list[ReportS
     )
 
     oc_cfg = optimal_config.FULL_OPT if full else optimal_config.QUICK_OPT
-    oc = optimal_config.run(oc_cfg)
+    oc = optimal_config.run(oc_cfg, processes=processes)
     sections.append(
         ReportSection(
             "Optimal configuration (Section 5.1)",
@@ -92,7 +92,7 @@ def run_all(*, full: bool = False, processes: int | None = None) -> list[ReportS
     )
 
     dm_cfg = dominance.FULL_DOM if full else dominance.QUICK_DOM
-    dm = dominance.run(dm_cfg)
+    dm = dominance.run(dm_cfg, processes=processes)
     sections.append(
         ReportSection(
             "Theorem 5 dominance", dm.render(), dominance.shape_checks(dm)
@@ -120,7 +120,7 @@ def run_all(*, full: bool = False, processes: int | None = None) -> list[ReportS
     )
 
     to_cfg = torus.FULL_TORUS if full else torus.QUICK_TORUS
-    to = torus.run(to_cfg)
+    to = torus.run(to_cfg, processes=processes)
     sections.append(
         ReportSection(
             "Torus (Section 6)", to.render(), torus.shape_checks(to)

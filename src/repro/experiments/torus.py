@@ -17,16 +17,13 @@ applies. This experiment regenerates all three facts:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from repro.core.generic_bounds import GenericBounds, generic_bounds
 from repro.core.layering import find_layering_obstruction
-from repro.core.rates import edge_rates_from_routing
-from repro.experiments.grid import CellSpec, simulate_cell
-from repro.routing.destinations import UniformDestinations
-from repro.routing.torus_greedy import GreedyTorusRouter
-from repro.sim.fifo_network import NetworkSimulation
-from repro.topology.torus import Torus
+from repro.experiments.backends import with_budget_backend
+from repro.scenarios import build_network
+from repro.sim.replication import CellSpec, ReplicationEngine
 from repro.util.tables import Table
 
 
@@ -74,29 +71,32 @@ class TorusResult:
         return t.render()
 
 
-def run(config: TorusConfig = QUICK_TORUS) -> TorusResult:
-    """Regenerate the Section 6 torus observations."""
+def run(config: TorusConfig = QUICK_TORUS, *, processes: int | None = None) -> TorusResult:
+    """Regenerate the Section 6 torus observations.
+
+    The torus cell and the open-array cell run as one batch at the same
+    network load (the ``torus`` scenario scales its rate so the busiest
+    edge carries ``rho``), at seeds ``seed`` and ``seed + 1``.
+    """
     n, rho = config.n, config.rho
-    torus = Torus(n)
-    router = GreedyTorusRouter(torus)
-    dests = UniformDestinations(torus.num_nodes)
-    cycle = find_layering_obstruction(router)
-    # Match the network load: scale lam so max edge rate = rho.
-    unit_rates = edge_rates_from_routing(router, dests, 1.0)
-    lam = rho / float(unit_rates.max())
-    gb = generic_bounds(router, dests, lam, layered=False, markovian=False)
-    res = NetworkSimulation(router, dests, lam, seed=config.seed).run(
-        config.warmup, config.horizon
+    torus_cell = CellSpec(
+        scenario="torus",
+        n=n,
+        rho=rho,
+        warmup=config.warmup,
+        horizon=config.horizon,
+        seeds=(config.seed,),
     )
-    array_cell = simulate_cell(
-        CellSpec(
-            n=n,
-            rho=rho,
-            warmup=config.warmup,
-            horizon=config.horizon,
-            seed=config.seed + 1,
-            convention="exact",
-        )
+    array_cell = with_budget_backend(
+        replace(torus_cell, scenario="uniform", seeds=(config.seed + 1,))
+    )
+    res, array_res = ReplicationEngine(processes=processes).run_many(
+        [torus_cell, array_cell]
+    )
+    net = build_network("torus", n)
+    cycle = find_layering_obstruction(net.router)
+    gb = generic_bounds(
+        net.router, net.destinations, res.node_rate, layered=False, markovian=False
     )
     return TorusResult(
         n=n,
@@ -105,7 +105,7 @@ def run(config: TorusConfig = QUICK_TORUS) -> TorusResult:
         bounds=gb,
         t_sim=res.mean_delay,
         t_ci=res.delay_half_width,
-        t_array_sim=array_cell.t_sim,
+        t_array_sim=array_res.mean_delay,
     )
 
 

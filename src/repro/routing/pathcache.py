@@ -40,10 +40,11 @@ arena*:
   ids), which fills a batch lookup's misses in bulk once there are at
   least :data:`BULK_MIN_MISSES` of them.
 * :class:`SampledPathInterner` — the no-memo fallback for routers the
-  cache layer does not recognise (and the ``use_path_cache=False``
-  baseline): it rebuilds the sampled path per packet, exactly like the
-  pre-cache engines, but still interns the result into an arena so the
-  engines can keep uniform ``(offset, length)`` packet records.
+  cache layer does not recognise (and the uncached baseline, passed to
+  an engine as its ``path_cache``): it rebuilds the sampled path per
+  packet, exactly like the pre-cache engines, but still interns the
+  result into an arena so the engines can keep uniform ``(offset,
+  length)`` packet records.
 
 Engines never call ``Router.sample_path`` directly any more; they go
 through :func:`path_cache_for`, which picks the right flavour. Caches only
@@ -883,7 +884,7 @@ class SampledPathInterner:
     """Uncached adapter: per-packet rebuild, arena-interned records.
 
     Used for routers :func:`path_cache_for` does not recognise, and as the
-    engines' ``use_path_cache=False`` baseline. Every lookup calls
+    engines' uncached baseline (``path_cache=SampledPathInterner(router)``). Every lookup calls
     ``router.sample_path`` — identical RNG consumption and per-packet cost
     to the pre-cache engines — then interns the resulting edge tuple so
     packet records stay ``(offset, length)``. Interning bounds arena
@@ -951,7 +952,7 @@ def path_cache_for(
     return SampledPathInterner(router, arena=arena)
 
 
-def resolve_path_cache(router: Router, *, path_cache=None, use_path_cache=True):
+def resolve_path_cache(router: Router, *, path_cache=None):
     """Resolve an engine's path cache — the one constructor policy all four
     simulators share.
 
@@ -959,8 +960,8 @@ def resolve_path_cache(router: Router, *, path_cache=None, use_path_cache=True):
     very ``router`` *instance*: an equal-sized topology is not enough,
     since a cache built for a different scheme (say the column-first
     mesh order) would silently simulate the wrong routing. Otherwise
-    build the right flavour via :func:`path_cache_for`, or the
-    per-packet :class:`SampledPathInterner` when caching is disabled.
+    build the right flavour via :func:`path_cache_for`. Passing a
+    :class:`SampledPathInterner` selects the uncached per-packet rebuild.
     """
     if path_cache is not None:
         if path_cache.router is not router:
@@ -969,6 +970,4 @@ def resolve_path_cache(router: Router, *, path_cache=None, use_path_cache=True):
                 "share the router object along with its cache"
             )
         return path_cache
-    if use_path_cache:
-        return path_cache_for(router)
-    return SampledPathInterner(router)
+    return path_cache_for(router)

@@ -153,12 +153,17 @@ rather than degrading silently.
 
 Every engine defaults to ``backend="python"``. The paper report runs
 every cell the numpy kernels can solve there — the shared (n, rho)
-grid (:mod:`repro.experiments.grid`: Tables I–III, the bounds sweep),
-the Section 4.5 / 5.1 / 5.2 validation points, the finite-buffer sweep
-and the layered scenario-sweep cells — while its expected visit count
-fits ``NUMPY_VISIT_BUDGET``, and on ``python`` above it; the rule lives
-in :mod:`repro.experiments.backends` (the whole-trajectory solve holds
-about 30 bytes per visit).
+grid (:mod:`repro.experiments.grid`: Tables I–III), the bounds sweep,
+the open-array cell beside the torus, the Section 4.5 / 5.1 / 5.2
+validation points, the finite-buffer sweep and the layered
+scenario-sweep cells — while its expected visit count fits
+``NUMPY_VISIT_BUDGET``, and on ``python`` above it; the rule lives in
+:mod:`repro.experiments.backends` (the whole-trajectory solve holds
+about 30 bytes per visit). Apart from the hand-built Section 4.5 / 5.2
+simulators, every report cell — the torus and Theorem 5 dominance cells
+too, which stay on python by design (cyclic routes, exponential service,
+the N distribution) — is a :class:`~repro.sim.replication.CellSpec` run
+through the :class:`~repro.sim.replication.ReplicationEngine`.
 
 Hot-path architecture
 ---------------------
@@ -185,8 +190,8 @@ All four simulators resolve paths through one cache built by
 ``path_cache_for`` — which now has a specialised miss-path builder for
 every shipped deterministic topology (leg-composed for mesh, torus and
 k-d arrays; closed-form for hypercube and butterfly) — so no engine and
-no topology falls back to per-packet path building unless explicitly
-asked to (``use_path_cache=False``).
+no topology falls back to per-packet path building unless handed a
+``path_cache=SampledPathInterner(router)``.
 
 **Monotone merge where service is uniform deterministic; a binary heap
 where it is not.** With one deterministic service time everywhere

@@ -47,7 +47,7 @@ class EngineCommon:
         a sequence must align with ``source_nodes``.
     source_nodes:
         Generating nodes (default: all nodes).
-    path_cache, use_path_cache:
+    path_cache:
         Passed to :func:`~repro.routing.pathcache.resolve_path_cache`.
 
     Attributes
@@ -80,7 +80,6 @@ class EngineCommon:
         *,
         source_nodes: Sequence[int] | None = None,
         path_cache=None,
-        use_path_cache: bool = True,
     ) -> None:
         self.router = router
         self.topology = router.topology
@@ -111,9 +110,7 @@ class EngineCommon:
             and self.uniform_dests
             and sorted(self.source_nodes) == all_nodes
         )
-        self.path_cache = resolve_path_cache(
-            router, path_cache=path_cache, use_path_cache=use_path_cache
-        )
+        self.path_cache = resolve_path_cache(router, path_cache=path_cache)
 
     def install(self, sim) -> None:
         """Install the shared attribute surface on an engine instance.

@@ -73,8 +73,8 @@ class PSNetworkSimulation:
     """Event-driven processor-sharing network simulation.
 
     Parameters mirror :class:`repro.sim.NetworkSimulation` (service is
-    always unit-work PS; ``use_path_cache`` / ``path_cache`` control the
-    shared path-cache arena exactly as there).
+    always unit-work PS; ``path_cache`` controls the shared path-cache
+    arena exactly as there).
     """
 
     def __init__(
@@ -86,7 +86,6 @@ class PSNetworkSimulation:
         service_rates: float | Sequence[float] = 1.0,
         source_nodes: Sequence[int] | None = None,
         seed: int = 0,
-        use_path_cache: bool = True,
         path_cache=None,
     ) -> None:
         self.seed = int(seed)
@@ -100,7 +99,6 @@ class PSNetworkSimulation:
             node_rate,
             source_nodes=source_nodes,
             path_cache=path_cache,
-            use_path_cache=use_path_cache,
         ).install(self)
 
     def run(

@@ -63,9 +63,9 @@ class RushedNetworkSimulation:
     """Simulate Q1: immediate copies at every queue on the route.
 
     Parameters mirror :class:`repro.sim.NetworkSimulation` (FIFO servers,
-    deterministic service ``1/phi_e``; ``use_path_cache`` / ``path_cache``
-    / ``saturated_mask`` control the hot path and the optional R_s(t)
-    tracking exactly as there).
+    deterministic service ``1/phi_e``; ``path_cache`` / ``saturated_mask``
+    control the hot path and the optional R_s(t) tracking exactly as
+    there).
 
     Notes
     -----
@@ -92,7 +92,6 @@ class RushedNetworkSimulation:
         source_nodes: Sequence[int] | None = None,
         saturated_mask: Sequence[bool] | None = None,
         seed: int = 0,
-        use_path_cache: bool = True,
         path_cache=None,
     ) -> None:
         self.seed = int(seed)
@@ -117,7 +116,6 @@ class RushedNetworkSimulation:
             node_rate,
             source_nodes=source_nodes,
             path_cache=path_cache,
-            use_path_cache=use_path_cache,
         ).install(self)
 
     def run(

@@ -1,8 +1,8 @@
 """CLI tests for ``python -m repro.analysis``.
 
 Exit codes, JSON report shape (version 2: rule docs + stable
-fingerprints), rule listing, the ``--fix`` autofixer against the
-before/after fixtures, and the mtime-keyed result cache.
+fingerprints), rule listing, read-only analysis, and the mtime-keyed
+result cache.
 """
 
 import json
@@ -150,34 +150,10 @@ def test_module_invocation_on_real_tree():
     assert "clean" in proc.stdout
 
 
-# -- --fix (dead-import autofixer) --------------------------------------
-
-def test_fix_rewrites_before_fixture_to_after(tmp_path, capsys):
+def test_analysis_leaves_files_untouched(tmp_path):
+    """replint only reads: a file with findings is left byte-identical."""
     target = tmp_path / "mod.py"
-    shutil.copy(FIXTURES / "autofix_before.py", target)
-    # After fixing, the file is clean (the remaining suppressed import is
-    # consumed), so the run exits 0.
-    assert main([str(target), "--fix", "--no-cache"]) == 0
-    assert target.read_text() == (FIXTURES / "autofix_after.py").read_text()
-    out = capsys.readouterr().out
-    assert "removed dead import(s): os" in out
-    assert "system" in out  # `import sys as system` reported by binding
-    assert "OrderedDict" in out
-    assert "deque" not in out.split("clean")[0]  # live alias untouched
-
-
-def test_fix_is_idempotent(tmp_path, capsys):
-    target = tmp_path / "mod.py"
-    shutil.copy(FIXTURES / "autofix_before.py", target)
-    assert main([str(target), "--fix", "--no-cache"]) == 0
-    capsys.readouterr()
-    assert main([str(target), "--fix", "--no-cache"]) == 0
-    assert "removed" not in capsys.readouterr().out
-
-
-def test_fix_without_flag_leaves_file_alone(tmp_path):
-    target = tmp_path / "mod.py"
-    shutil.copy(FIXTURES / "autofix_before.py", target)
+    shutil.copy(FIXTURES / "hygiene_bad.py", target)
     original = target.read_text()
     assert main([str(target), "--select", "dead-import", "--no-cache"]) == 1
     assert target.read_text() == original
@@ -250,14 +226,5 @@ def test_no_cache_never_touches_cache_file(tmp_path):
     assert main(
         [str(target), "--select", "mutable-default",
          "--cache-file", str(cache_file), "--no-cache"]
-    ) == 1
-    assert not cache_file.exists()
-
-
-def test_fix_bypasses_cache(tmp_path):
-    target, cache_file = _seed_tree(tmp_path)
-    assert main(
-        [str(target), "--fix", "--select", "mutable-default",
-         "--cache-file", str(cache_file)]
     ) == 1
     assert not cache_file.exists()

@@ -165,10 +165,11 @@ def test_fixture_floats_are_exact_hex(golden):
 
 
 def test_cached_and_uncached_engines_agree():
-    """use_path_cache=False replays the pre-cache per-packet rebuild and
-    must produce the exact same trajectory."""
+    """The uncached SampledPathInterner replays the pre-cache per-packet
+    rebuild and must produce the exact same trajectory."""
     from repro.routing.destinations import HotSpotDestinations
     from repro.routing.greedy import GreedyArrayRouter
+    from repro.routing.pathcache import SampledPathInterner
     from repro.sim.fifo_network import NetworkSimulation
     from repro.topology.array_mesh import ArrayMesh
 
@@ -177,9 +178,9 @@ def test_cached_and_uncached_engines_agree():
     dests = HotSpotDestinations(16, hot_node=5, h=0.3)
     runs = [
         NetworkSimulation(
-            router, dests, 0.1, seed=3, use_path_cache=flag
+            router, dests, 0.1, seed=3, path_cache=cache
         ).run(10, 120, track_maxima=True)
-        for flag in (True, False)
+        for cache in (None, SampledPathInterner(router))
     ]
     a, b = runs
     for field in ("generated", "completed", "zero_hop", "mean_number",

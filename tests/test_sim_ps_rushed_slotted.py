@@ -289,13 +289,16 @@ class TestEngineParityValidation:
         assert res.zero_hop == 0
 
     def test_uncached_run_matches_cached_run(self, engine):
-        """use_path_cache=False (per-packet rebuild) is output-neutral."""
+        """The uncached SampledPathInterner (per-packet rebuild) is
+        output-neutral."""
+        from repro.routing.pathcache import SampledPathInterner
+
         mesh = ArrayMesh(3)
         router = GreedyArrayRouter(mesh)
         dests = UniformDestinations(9)
         cached = engine(router, dests, 0.3, seed=41).run(20, 300)
         uncached = engine(
-            router, dests, 0.3, seed=41, use_path_cache=False
+            router, dests, 0.3, seed=41, path_cache=SampledPathInterner(router)
         ).run(20, 300)
         assert cached.mean_number == uncached.mean_number
         assert cached.mean_delay == uncached.mean_delay

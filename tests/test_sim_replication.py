@@ -221,3 +221,26 @@ class TestCrossEngineParity:
         pooled = replicate(spec, processes=1)
         assert pooled.mean_delay > 0
         assert all(r.completed == r.generated for r in pooled.replications)
+
+    @pytest.mark.parametrize("seed", [3, 7, 1234])
+    @pytest.mark.parametrize(
+        "scenario, params",
+        [("uniform", ()), ("hotspot", (("h", 0.25),))],
+        ids=["uniform", "hotspot"],
+    )
+    def test_fifo_ps_rushed_share_the_arrival_path(self, scenario, params, seed):
+        """Same-seed fifo, ps and rushed cells draw one arrival sample
+        path: equal packet counts and equal zero-hop counts."""
+        base = CellSpec(
+            scenario=scenario, n=4, rho=0.7, params=params,
+            warmup=300, horizon=1000, seeds=(seed,),
+        )
+        runs = [
+            pooled.replications[0]
+            for pooled in ReplicationEngine(processes=1).run_many(
+                [dataclasses.replace(base, engine=e) for e in ("fifo", "ps", "rushed")]
+            )
+        ]
+        assert runs[0].generated > 0 and runs[0].zero_hop > 0
+        assert len({r.generated for r in runs}) == 1
+        assert len({r.zero_hop for r in runs}) == 1
