@@ -7,7 +7,7 @@ engine throughput trajectory is recorded across PRs
 (``BENCH_engine_hotpath.json``); the warn-only gate in the same script
 flags any cell that regresses >25% against the committed baseline.
 
-Every cell is the paper's standard model (uniform traffic, row-first
+Every cell but one is the paper's standard model (uniform traffic, row-first
 greedy, deterministic unit service) at rho = 0.8 under the Table I load
 convention, window (warmup=20, horizon=120), the same configuration the
 frozen pre-PR baselines below were measured with.
@@ -55,6 +55,14 @@ threshold (``BULK_MIN_MISSES``); ``test_slotted_8x8_cold`` times the
 other side, the python slot kernel's per-packet lookups, whose misses
 fill pair by pair.
 
+``test_event_8x8_geometric`` is the one cell off the standard model: the
+python fifo kernel under Section 5.2's distance-biased law (the
+``geometric`` scenario, rho = 0.8 under the generic calibration), so the
+non-uniform arrival path, whose ids come in blocks from
+``enginecommon.draw_ids`` with one ``sample_batch`` per block, is
+covered too. No frozen ``PRE_PR_*`` constant exists for it, so it
+records packets/s only.
+
 Two numpy cells time the kernel's options on 16x16 configurations the
 report runs, each against the python loops on the identical warm cell:
 tail-drop admission (finite engine, rho = 0.9, ``buffer_size=2`` — the
@@ -70,8 +78,10 @@ from repro.core.rates import array_edge_rates, lambda_for_load
 from repro.routing.destinations import UniformDestinations
 from repro.routing.greedy import GreedyArrayRouter
 from repro.routing.pathcache import PathArena, SampledPathInterner, path_cache_for
+from repro.scenarios import build_network, resolve_cell
 from repro.sim.fifo_network import NetworkSimulation
 from repro.sim.ps_network import PSNetworkSimulation
+from repro.sim.replication import CellSpec
 from repro.sim.rushed_network import RushedNetworkSimulation
 from repro.sim.slotted import SlottedNetworkSimulation
 from repro.topology.array_mesh import ArrayMesh
@@ -141,6 +151,19 @@ def test_event_8x8_uncached(best_of, benchmark):
     res = best_of(sim.run, WARMUP, HORIZON)
     _record(benchmark, res, PRE_PR_EVENT[8])
     assert res.generated > 2000
+
+
+def test_event_8x8_geometric(best_of, benchmark):
+    """Non-uniform destinations: the distance-biased ``geometric`` law."""
+    spec = CellSpec(scenario="geometric", n=8, rho=RHO)
+    node_rate, _ = resolve_cell(spec)
+    net = build_network("geometric", 8)
+    sim = NetworkSimulation(net.router, net.destinations, node_rate, seed=3)
+    res = best_of(sim.run, WARMUP, HORIZON)
+    dt = benchmark.stats.stats.min
+    benchmark.extra_info["packets_per_second"] = round(res.generated / dt)
+    assert res.generated > 2000
+    assert res.littles_law_gap < 0.15
 
 
 def test_event_32x32_cached_warm(best_of, benchmark):

@@ -3,10 +3,12 @@
 Every distribution exposes three views of the same law:
 
 * :meth:`~DestinationDistribution.sample` — draw one destination for a
-  packet born at ``src`` (used by the simulators' scalar paths);
+  packet born at ``src``: the protocol every law must implement, and the
+  engines' fallback for a law that has no batch draw;
 * ``sample_batch(srcs, rng)`` — draw one destination per entry of a source
-  array with vectorized NumPy calls (used by the slotted engine's batch
-  kernel and anywhere a whole Poisson batch is sampled at once);
+  array with vectorized NumPy calls. Every engine uses it: the shared
+  arrival-id draw (:func:`repro.sim.enginecommon.draw_ids`) samples each
+  block of sources' destinations in one call;
 * :meth:`~DestinationDistribution.pmf` — the exact probability vector over
   all nodes (used by the analytic traffic solver and by tests, which check
   the views agree).
@@ -44,7 +46,8 @@ class DestinationDistribution(Protocol):
     """Protocol: a per-source law over destination nodes.
 
     Built-in laws additionally provide ``sample_batch(srcs, rng)`` (see
-    the module docstring); the engines probe for it with ``getattr`` so
+    the module docstring); the engines' id draw probes for it with
+    ``getattr`` and falls back to one ``sample`` call per packet, so
     ad-hoc laws that only implement the scalar protocol keep working.
     """
 

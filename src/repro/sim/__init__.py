@@ -110,7 +110,8 @@ All four engines resolve their constructor arguments through
 :class:`repro.sim.enginecommon.EngineCommon`: source-node list, per-node
 rate validation, the pinned source CDF behind the boundary-safe
 ``side='right'`` draw, the uniform fast-id predicate and the shared path
-cache.
+cache. The same module holds the arrival-id draw every kernel uses
+(:func:`~repro.sim.enginecommon.draw_ids`).
 
 The kernels layer and the two-backend contract
 ----------------------------------------------
@@ -206,18 +207,27 @@ payload. PS has no monotone structure to exploit (completions are
 re-planned on every queue change), so its versioned-event loop uses
 the same heap.
 
-**Blocked and batched draws.** NumPy ``Generator`` array fills are
+**Blocked and batched draws.** Every kernel draws the ``(src, dst)``
+ids of its arrivals through one helper,
+:func:`repro.sim.enginecommon.draw_ids`. Where the fast-id predicate
+holds it draws one uniform block of ``2 * m`` node ids, read as
+interleaved pairs. Otherwise it draws a source block (uniform, or the
+pinned-CDF ``side='right'`` bisection for unequal rates) and then one
+destination ``sample_batch`` call, so data-dependent laws (hot-spot,
+geometric) are blocked as well; a law with only the scalar ``sample``
+gets one call per packet inside the block. The fifo, rushed and PS
+loops refill 8192 id pairs per call and 8192 exponential gaps per
+block, and read both inline. NumPy ``Generator`` array fills are
 stream-identical to the same number of consecutive scalar draws of the
-same kind. The engines exploit that: the fifo, rushed and PS engines
-consume exponential gaps and uniform id pairs from 8192-size blocks (ids
-refill exactly when all ``2 * 8192`` are consumed); the slotted engine
-draws its per-slot Poisson counts from 8192-size blocks too, then
-samples a whole slot with single vectorized calls: one uniform id-pair
-block where the fast-id predicate holds over an RNG-free path cache,
-else a source batch and a destination ``sample_batch``, so
-data-dependent laws (hot-spot, geometric) vectorize as well. A path
-cache that draws router coins is looked up once per slot, so the coins
-come in one batch too; an RNG-free cache is probed per packet.
+same kind, so a fast-id block equals the per-pair draws. The
+source-then-destination blocks of the other networks are pinned by the
+golden cells and, in distribution, by ``tests/test_sim_arrival_ids.py``.
+The slotted engine draws its per-slot Poisson counts from 8192-size
+blocks too, then makes one helper call per slot. Over an RNG-consuming
+path cache it forces the source-then-destination order even for fast
+ids, the order its golden cell pins. A path cache that draws router
+coins is looked up once per slot, so the coins come in one batch too;
+an RNG-free cache is probed per packet.
 
 Statically enforced invariants
 ------------------------------

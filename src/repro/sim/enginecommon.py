@@ -1,4 +1,4 @@
-"""Shared constructor policy for the four simulation engines.
+"""Shared constructor policy and arrival-id draw for the simulation engines.
 
 Before this module, :class:`~repro.sim.fifo_network.NetworkSimulation`,
 :class:`~repro.sim.slotted.SlottedNetworkSimulation`,
@@ -15,6 +15,13 @@ Every engine draws fast ids as node ids directly
 (``rng.integers(0, num_nodes)``), so any ordering of a full source set
 qualifies: the source list need only equal ``range(num_nodes)`` once
 sorted.
+
+:func:`draw_ids` is the one definition of the arrival stream's
+``(src, dst)`` ids. Every kernel, interpreted or vectorized, draws its
+ids through it in blocks: the interpreted event loops take 8192 pairs
+per call (as builtin-int lists, :func:`draw_id_lists`) and read them
+inline, the python slot kernel one slot's batch, the numpy kernels the
+whole run.
 
 The remaining shared validation — per-edge service rates and the
 saturated-edge mask — lives here too (:func:`resolve_service_rates`,
@@ -56,14 +63,14 @@ class EngineCommon:
         The validated source set and its rates.
     uniform_sources:
         Every listed source generates at (numerically) the same rate.
+    source_array:
+        ``source_nodes`` as an int64 array, for the blocked source draw.
     source_cdf:
         Pinned CDF over ``node_rates`` for the ``side='right'`` draw — a
         draw landing exactly on a CDF boundary (e.g. ``u = 0.0`` with a
         leading zero-rate source) can never select a zero-rate source.
         Always built (it is RNG-free and cheap), even on paths that only
         consult it for non-uniform rates.
-    uniform_dests:
-        The destination law is :class:`UniformDestinations`.
     fast_ids:
         The engine may draw ``(src, dst)`` id pairs from a single uniform
         integer block (requires uniform sources over *all* nodes in any
@@ -98,16 +105,16 @@ class EngineCommon:
             self.node_rates = check_node_rates(
                 node_rate, len(self.source_nodes), "node_rate"
             )
+        self.source_array = np.asarray(self.source_nodes, dtype=np.int64)
         self.total_rate = float(self.node_rates.sum())
         self.uniform_sources = bool(
             np.allclose(self.node_rates, self.node_rates[0])
         )
         self.source_cdf = pinned_cdf(self.node_rates)
-        self.uniform_dests = isinstance(destinations, UniformDestinations)
         all_nodes = list(range(self.topology.num_nodes))
         self.fast_ids = (
             self.uniform_sources
-            and self.uniform_dests
+            and isinstance(destinations, UniformDestinations)
             and sorted(self.source_nodes) == all_nodes
         )
         self.path_cache = resolve_path_cache(router, path_cache=path_cache)
@@ -126,10 +133,56 @@ class EngineCommon:
         sim.node_rates = self.node_rates
         sim.total_rate = self.total_rate
         sim._uniform_sources = self.uniform_sources
+        sim._source_array = self.source_array
         sim._source_cdf = self.source_cdf
-        sim._uniform_dests = self.uniform_dests
         sim._fast_ids = self.fast_ids
         sim.path_cache = self.path_cache
+
+
+def draw_ids(
+    sim, m: int, rng: np.random.Generator, *, fast_ids: bool | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """Draw ``m`` arrivals' ``(src, dst)`` ids as two int64 arrays.
+
+    ``sim`` is an engine carrying :meth:`EngineCommon.install`'s
+    attributes. With fast ids (default: ``sim._fast_ids``) the pairs are
+    one uniform block of ``2 * m`` node ids read interleaved, source
+    first. Otherwise a source block comes first, uniform over the source
+    list or bisected from the pinned CDF with ``side="right"`` (a draw
+    landing exactly on a boundary never selects a zero-rate source),
+    then the destinations: one ``sample_batch`` call, or, for a law that
+    implements only ``sample``, one scalar call per packet in source
+    order. ``fast_ids=False`` forces that second order where the fast
+    draw would apply.
+    """
+    if sim._fast_ids if fast_ids is None else fast_ids:
+        ids = rng.integers(0, sim.topology.num_nodes, size=2 * m)
+        return ids[0::2], ids[1::2]
+    source_arr = sim._source_array
+    if sim._uniform_sources:
+        srcs = source_arr[rng.integers(0, source_arr.size, size=m)]
+    else:
+        srcs = source_arr[
+            np.searchsorted(sim._source_cdf, rng.random(m), side="right")
+        ]
+    law = sim.destinations
+    sample_batch = getattr(law, "sample_batch", None)
+    if sample_batch is not None:
+        dsts = np.asarray(sample_batch(srcs, rng), dtype=np.int64)
+    else:
+        sample = law.sample
+        dsts = np.asarray(
+            [sample(s, rng) for s in srcs.tolist()], dtype=np.int64
+        )
+    return srcs, dsts
+
+
+def draw_id_lists(
+    sim, m: int, rng: np.random.Generator
+) -> tuple[list[int], list[int]]:
+    """:func:`draw_ids` as lists of builtin ints, for the interpreted loops."""
+    srcs, dsts = draw_ids(sim, m, rng)
+    return srcs.tolist(), dsts.tolist()
 
 
 def resolve_service_rates(

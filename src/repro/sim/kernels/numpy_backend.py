@@ -45,10 +45,10 @@ per slot); parity is pinned at distribution level — see the two-backend
 contract in :mod:`repro.sim`. The draw order, for regression pinning:
 
 * fifo: exponential gap blocks (cumulative arrival times) until the
-  horizon is passed; then one id-pair block (fast-id networks) or one
-  source block (uniform integers, or one ``random(m)`` + CDF
-  ``searchsorted(..., side="right")``) followed by one destination
-  ``sample_batch``; then one batch path lookup for the routed pairs.
+  horizon is passed; then one :func:`~repro.sim.enginecommon.draw_ids`
+  call for all arrivals (an id-pair block on fast-id networks, else a
+  source block followed by one destination ``sample_batch``); then one
+  batch path lookup for the routed pairs.
 * slotted: per-slot Poisson counts in 8192-size blocks (the same block
   discipline as the python backend), then the same id/source/
   destination/path batches as fifo, once for all slots.
@@ -85,6 +85,7 @@ from typing import Any, Callable, NamedTuple
 
 import numpy as np
 
+from repro.sim.enginecommon import draw_ids
 from repro.sim.measurement import TimeBatchAccumulator
 from repro.sim.result import SimResult
 from repro.sim.rng import make_rng
@@ -603,7 +604,7 @@ def run_fifo(
     r_t = np.concatenate(blocks)
     del blocks
     r_t = r_t[r_t < t_end]  # arrivals at/after the horizon are discarded
-    srcs, dsts = _draw_ids(sim, r_t.size, num_nodes, rng)
+    srcs, dsts = draw_ids(sim, r_t.size, rng)
 
     measured = r_t >= warmup
     generated = int(measured.sum())
@@ -718,7 +719,6 @@ def run_slotted(
     horizon = horizon_slots * tau
     t_end_slot = warmup_slots + horizon_slots
     batch_mean = sim.total_rate * tau
-    num_nodes = sim.topology.num_nodes
     num_edges = sim.topology.num_edges
     sat = sim._sat
     sat_arr = None if sat is None else np.asarray(sat, dtype=bool)
@@ -732,7 +732,7 @@ def run_slotted(
         drawn += size
     slots = np.repeat(np.arange(t_end_slot, dtype=np.int32), counts)
     del counts
-    srcs, dsts = _draw_ids(sim, slots.size, num_nodes, rng)
+    srcs, dsts = draw_ids(sim, slots.size, rng)
 
     measured = slots >= warmup_slots
     generated = int(measured.sum())
@@ -817,34 +817,6 @@ def run_slotted(
         total_rate=sim.total_rate,
         delays=delays,
     )
-
-
-def _draw_ids(
-    sim: Any, m: int, num_nodes: int, rng: np.random.Generator
-) -> tuple[np.ndarray, np.ndarray]:
-    """One blocked source/destination draw for the whole run."""
-    if sim._fast_ids:
-        ids = rng.integers(0, num_nodes, size=2 * m)
-        return ids[0::2], ids[1::2]
-    source_arr = np.asarray(sim.source_nodes, dtype=np.int64)
-    if sim._uniform_sources:
-        srcs = source_arr[rng.integers(0, source_arr.size, size=m)]
-    else:
-        # side="right": a draw landing exactly on a CDF boundary must
-        # not select a zero-rate source (the reference loops' contract).
-        srcs = source_arr[
-            np.searchsorted(sim._source_cdf, rng.random(m), side="right")
-        ]
-    law = sim.destinations
-    sample_batch = getattr(law, "sample_batch", None)
-    if sample_batch is not None:
-        dsts = np.asarray(sample_batch(srcs, rng), dtype=np.int64)
-    else:
-        dsts = np.asarray(
-            [law.sample(int(s), rng) for s in srcs.tolist()],
-            dtype=np.int64,
-        )
-    return srcs, dsts
 
 
 def _draw_paths(

@@ -11,6 +11,13 @@ engines, and the golden fixtures (``tests/golden/``) pass unchanged:
 this module *is* the same-seed bit-identity reference that the numpy
 backend's distribution-parity tests compare against.
 
+Arrival ids come from :func:`repro.sim.enginecommon.draw_ids`, the one
+definition of the arrival stream's ids. ``run_fifo``'s three loops take
+8192 pairs per call (:func:`~repro.sim.enginecommon.draw_id_lists`),
+the slot kernel one slot's batch. Fast-id networks draw uniform
+interleaved pairs; every other network draws a source block and then
+one ``sample_batch`` call, so no loop draws an id per packet.
+
 Two more choices keep the loops fast without moving a bit. The RNG
 blocks are drawn as numpy arrays and converted with ``.tolist()``, the
 exponential block like the id block: the draws and their order are
@@ -39,6 +46,7 @@ from typing import Any
 import numpy as np
 
 from repro.sim import measurement
+from repro.sim.enginecommon import draw_id_lists, draw_ids
 from repro.sim.result import SimResult
 from repro.sim.rng import make_rng
 
@@ -72,7 +80,6 @@ def run_fifo(
     )
     t_end = warmup + horizon
 
-    destinations = sim.destinations
     exponential = sim.service == EXPONENTIAL
     st = sim._service_times
     sat = sim._sat
@@ -100,21 +107,13 @@ def run_fifo(
 
     seq = 0
 
-    # Block RNG: exponential(1) variates and uniform source/dest ids,
-    # both as lists of builtin numbers (see the module docstring).
+    # Block RNG: exponential(1) variates, then the (src, dst) id blocks
+    # of draw_id_lists, all as lists of builtin numbers (see the module
+    # docstring).
     exp_block = rng.exponential(size=_BLOCK).tolist()
     exp_i = 0
-    sources = sim.source_nodes
-    nsrc = len(sources)
-    uniform_fast = sim._fast_ids
-    uniform_sources = sim._uniform_sources
-    source_cdf = None if uniform_sources else sim._source_cdf
-    if uniform_fast:
-        id_block = rng.integers(0, num_nodes, size=2 * _BLOCK).tolist()
-        id_i = 0
-    else:
-        id_block = None
-        id_i = 0
+    src_block, dst_block = draw_id_lists(sim, _BLOCK, rng)
+    id_i = 0
     gap_scale = 1.0 / sim.total_rate
 
     # Statistics.
@@ -141,8 +140,6 @@ def run_fifo(
     ndist: dict[int, float] | None = {} if track_number_distribution else None
     max_delay = 0.0
     max_queue = 0
-    searchsorted = np.searchsorted
-    dest_sample = destinations.sample
 
     # First arrival (the merged-Poisson sentinel).
     first_gap = exp_block[exp_i] * gap_scale
@@ -155,7 +152,6 @@ def run_fifo(
     # later updates only excludes growth that ended before the window.
     maxima_seeded = not track_maxima or warmup == 0.0
     BLK = _BLOCK
-    TWO_BLOCK = 2 * _BLOCK
     # The common standard-model configuration (infinite buffers, no
     # saturation mask, no N-distribution, no maxima, no utilization) gets
     # a lean loop with every untracked branch removed; the arithmetic
@@ -223,27 +219,12 @@ def run_fifo(
                 if draining:
                     have_arrival = False  # no arrivals past the horizon
                     continue
-                if uniform_fast:
-                    if id_i >= TWO_BLOCK:
-                        id_block = rng.integers(
-                            0, num_nodes, size=TWO_BLOCK
-                        ).tolist()
-                        id_i = 0
-                    src = id_block[id_i]
-                    dst = id_block[id_i + 1]
-                    id_i += 2
-                else:
-                    if uniform_sources:
-                        src = sources[int(rng.integers(nsrc))]
-                    else:
-                        src = sources[
-                            int(
-                                searchsorted(
-                                    source_cdf, rng.random(), side="right"
-                                )
-                            )
-                        ]
-                    dst = dest_sample(src, rng)
+                if id_i >= BLK:
+                    src_block, dst_block = draw_id_lists(sim, BLK, rng)
+                    id_i = 0
+                src = src_block[id_i]
+                dst = dst_block[id_i]
+                id_i += 1
                 measured = t >= warmup
                 if measured:
                     generated += 1
@@ -380,31 +361,12 @@ def run_fifo(
                 if draining:
                     have_arrival = False  # no arrivals past the horizon
                     continue
-                if uniform_fast:
-                    if id_i >= TWO_BLOCK:
-                        id_block = rng.integers(
-                            0, num_nodes, size=TWO_BLOCK
-                        ).tolist()
-                        id_i = 0
-                    src = id_block[id_i]
-                    dst = id_block[id_i + 1]
-                    id_i += 2
-                else:
-                    if uniform_sources:
-                        src = sources[int(rng.integers(nsrc))]
-                    else:
-                        # side="right" so a draw that lands exactly on
-                        # a CDF boundary (e.g. u = 0.0 with a leading
-                        # zero-rate source) never selects a zero-rate
-                        # source.
-                        src = sources[
-                            int(
-                                searchsorted(
-                                    source_cdf, rng.random(), side="right"
-                                )
-                            )
-                        ]
-                    dst = dest_sample(src, rng)
+                if id_i >= BLK:
+                    src_block, dst_block = draw_id_lists(sim, BLK, rng)
+                    id_i = 0
+                src = src_block[id_i]
+                dst = dst_block[id_i]
+                id_i += 1
                 measured = t >= warmup
                 if measured:
                     generated += 1
@@ -589,27 +551,12 @@ def run_fifo(
                 # ----- external arrival -----
                 if draining:
                     continue  # no arrivals past the horizon
-                if uniform_fast:
-                    if id_i >= TWO_BLOCK:
-                        id_block = rng.integers(
-                            0, num_nodes, size=TWO_BLOCK
-                        ).tolist()
-                        id_i = 0
-                    src = id_block[id_i]
-                    dst = id_block[id_i + 1]
-                    id_i += 2
-                else:
-                    if uniform_sources:
-                        src = sources[int(rng.integers(nsrc))]
-                    else:
-                        src = sources[
-                            int(
-                                searchsorted(
-                                    source_cdf, rng.random(), side="right"
-                                )
-                            )
-                        ]
-                    dst = dest_sample(src, rng)
+                if id_i >= BLK:
+                    src_block, dst_block = draw_id_lists(sim, BLK, rng)
+                    id_i = 0
+                src = src_block[id_i]
+                dst = dst_block[id_i]
+                id_i += 1
                 measured = t >= warmup
                 if measured:
                     generated += 1
@@ -831,14 +778,6 @@ def run_slotted(
     num_nodes = sim.topology.num_nodes
     sat = sim._sat
 
-    uniform_sources = sim._uniform_sources
-    source_arr = np.asarray(sim.source_nodes, dtype=np.int64)
-    nsrc = len(source_arr)
-    source_cdf = sim._source_cdf
-    destinations = sim.destinations
-    dest_sample = destinations.sample
-    dest_sample_batch = getattr(destinations, "sample_batch", None)
-
     # Path cache bindings. RNG-free caches get run_fifo's inlined dict
     # probe per packet; RNG-consuming caches draw each slot's coins in
     # one sample_offlen_batch call.
@@ -852,8 +791,10 @@ def run_slotted(
         det_get = None
         det_build = None
     sample_offlen_batch = cache.sample_offlen_batch
-    # Uniform sources over all nodes, uniform destinations and an RNG-free
-    # path cache: draw each slot's (src, dst) pairs as one flat id block.
+    # Each slot's (src, dst) pairs come from one draw_ids call: one
+    # interleaved id block where the fast-id predicate holds over an
+    # RNG-free path cache, else a source block and then a destination
+    # block (the order slotted_randomized pins).
     uniform_id_pairs = sim._fast_ids and cache_rng_free
 
     queues: list[deque] = [deque() for _ in range(sim.topology.num_edges)]
@@ -904,39 +845,17 @@ def run_slotted(
             if k:
                 # Draw the slot's sources and destinations as batches;
                 # packets are enqueued in draw order.
-                if uniform_id_pairs:
-                    ids = rng.integers(0, num_nodes, size=2 * k).tolist()
-                    srcs = ids[0::2]
-                    dsts = ids[1::2]
-                else:
-                    if uniform_sources:
-                        srcs_a = source_arr[rng.integers(0, nsrc, size=k)]
-                    else:
-                        # side="right": a boundary draw must not pick a
-                        # zero-rate source (see the event engine).
-                        srcs_a = source_arr[
-                            np.searchsorted(
-                                source_cdf, rng.random(k), side="right"
-                            )
-                        ]
-                    # Batch boundary: the per-slot destination batch is
-                    # drawn (and boxed) once per slot, not per packet.
-                    if dest_sample_batch is not None:
-                        dsts_a = np.asarray(dest_sample_batch(srcs_a, rng))  # replint: disable=hot-loop-alloc
-                    else:
-                        dsts_a = np.asarray(  # replint: disable=hot-loop-alloc
-                            [dest_sample(int(s), rng) for s in srcs_a.tolist()]  # replint: disable=hot-loop-alloc
+                srcs_a, dsts_a = draw_ids(sim, k, rng, fast_ids=uniform_id_pairs)
+                if det_get is None:
+                    nz = srcs_a != dsts_a
+                    if nz.any():
+                        offs_a, lens_a = sample_offlen_batch(
+                            srcs_a[nz], dsts_a[nz], rng
                         )
-                    if det_get is None:
-                        nz = srcs_a != dsts_a
-                        if nz.any():
-                            offs_a, lens_a = sample_offlen_batch(
-                                srcs_a[nz], dsts_a[nz], rng
-                            )
-                            offs = offs_a.tolist()
-                            lens = lens_a.tolist()
-                    srcs = srcs_a.tolist()
-                    dsts = dsts_a.tolist()
+                        offs = offs_a.tolist()
+                        lens = lens_a.tolist()
+                srcs = srcs_a.tolist()
+                dsts = dsts_a.tolist()
                 at = 0  # index into offs/lens (non-zero-hop packets)
                 for src, dst in zip(srcs, dsts):
                     if measuring:

@@ -38,11 +38,11 @@ hot-path architecture: paths come from the shared
 ``(arena_offset, length)`` views, and a non-uniform source draw uses
 the pinned CDF with ``side='right'`` so a boundary draw can never
 select a zero-rate source. Arrivals draw from RNG blocks the way the
-python fifo kernel does: exponential gaps come from 8192-draw blocks
-and, when the fast-id predicate holds (uniform sources over every node,
-uniform destinations), the ``(src, dst)`` pairs come from 16384-id
-blocks; otherwise sources and destinations are the fifo kernel's scalar
-draws. The PS golden cells in ``tests/golden/`` pin this stream
+python fifo kernel does: exponential gaps come from 8192-draw blocks,
+and the ``(src, dst)`` pairs come 8192 at a time from
+:func:`~repro.sim.enginecommon.draw_ids` (one uniform id block when the
+fast-id predicate holds, else a source block and one destination
+``sample_batch``). The PS golden cells in ``tests/golden/`` pin this stream
 (``ps_loaded_peredge`` at a load where queues regularly hold several
 customers). Measured ``(birth, delay)`` pairs are buffered and fold
 into the delay batches in completion order every
@@ -60,7 +60,11 @@ import numpy as np
 
 from repro.routing.base import Router
 from repro.routing.destinations import DestinationDistribution
-from repro.sim.enginecommon import EngineCommon, resolve_service_rates
+from repro.sim.enginecommon import (
+    EngineCommon,
+    draw_id_lists,
+    resolve_service_rates,
+)
 from repro.sim import measurement
 from repro.sim.result import SimResult
 from repro.sim.rng import make_rng
@@ -148,26 +152,15 @@ class PSNetworkSimulation:
         # is the next external arrival.
         heap: list[tuple] = []
         seq = 0
-        # Block RNG, drawn as in run_fifo: exponential(1) gaps and, with
-        # fast ids, uniform (src, dst) id pairs, as lists of builtin
-        # numbers. Otherwise sources and destinations are scalar draws.
+        # Block RNG, drawn as in run_fifo: exponential(1) gaps, then the
+        # (src, dst) id blocks of draw_id_lists, all as lists of builtin
+        # numbers.
         BLK = _BLOCK
-        TWO_BLOCK = 2 * _BLOCK
         exp_block = rng.exponential(size=BLK).tolist()
         exp_i = 0
-        fast_ids = self._fast_ids
-        id_block = (
-            rng.integers(0, num_nodes, size=TWO_BLOCK).tolist() if fast_ids else []
-        )
+        src_block, dst_block = draw_id_lists(self, BLK, rng)
         id_i = 0
         gap_scale = 1.0 / self.total_rate
-        # The ndarray method skips numpy's dispatch wrapper; same result.
-        searchsorted = np.ndarray.searchsorted
-        sources = self.source_nodes
-        nsrc = len(sources)
-        uniform_sources = self._uniform_sources
-        source_cdf = self._source_cdf
-        dest_sample = self.destinations.sample
 
         in_system = 0
         remaining = 0
@@ -224,30 +217,12 @@ class PSNetworkSimulation:
                 # ----- external arrival -----
                 if draining:
                     continue
-                if fast_ids:
-                    if id_i >= TWO_BLOCK:
-                        id_block = rng.integers(
-                            0, num_nodes, size=TWO_BLOCK
-                        ).tolist()
-                        id_i = 0
-                    src = id_block[id_i]
-                    dst = id_block[id_i + 1]
-                    id_i += 2
-                else:
-                    if uniform_sources:
-                        src = sources[int(rng.integers(nsrc))]
-                    else:
-                        # side="right" so a draw landing exactly on a CDF
-                        # boundary (e.g. u = 0.0 with a leading zero-rate
-                        # source) never selects a zero-rate source.
-                        src = sources[
-                            int(
-                                searchsorted(
-                                    source_cdf, rng.random(), side="right"
-                                )
-                            )
-                        ]
-                    dst = dest_sample(src, rng)
+                if id_i >= BLK:
+                    src_block, dst_block = draw_id_lists(self, BLK, rng)
+                    id_i = 0
+                src = src_block[id_i]
+                dst = dst_block[id_i]
+                id_i += 1
                 measured = t >= warmup
                 if measured:
                     generated += 1

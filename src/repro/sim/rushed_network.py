@@ -23,7 +23,8 @@ The engine shares the hot-path architecture of
 :class:`repro.sim.NetworkSimulation` (see :mod:`repro.sim` docs): paths
 come from the shared :mod:`repro.routing.pathcache` arena and the packet
 record stores an ``(arena_offset, length)`` view; exponential gaps and
-uniform id pairs are drawn in 8192-size blocks; uniform deterministic
+``(src, dst)`` id pairs are drawn in 8192-size blocks, the pairs through
+:func:`~repro.sim.enginecommon.draw_ids`; uniform deterministic
 service (the standard model) runs the monotone-merge event loop, and
 per-edge deterministic service runs on a plain ``heapq`` event list.
 As in the FIFO kernel (see :mod:`repro.sim.kernels.python_backend`),
@@ -48,6 +49,7 @@ from repro.routing.base import Router
 from repro.routing.destinations import DestinationDistribution
 from repro.sim.enginecommon import (
     EngineCommon,
+    draw_id_lists,
     resolve_saturated_mask,
     resolve_service_rates,
 )
@@ -138,7 +140,6 @@ class RushedNetworkSimulation:
             raise ValueError(f"warmup must be >= 0, got {warmup}")
         rng = make_rng(self.seed, engine="rushed")
         t_end = warmup + horizon
-        destinations = self.destinations
         st = self._service_times
         sat = self._sat
         num_nodes = self.topology.num_nodes
@@ -159,26 +160,15 @@ class RushedNetworkSimulation:
             det_build = cache.ensure
             sample_offlen = None
 
-        # Block RNG: exponential(1) variates and uniform source/dest ids,
-        # both as lists of builtin numbers (see the module docstring).
+        # Block RNG: exponential(1) variates, then the (src, dst) id blocks
+        # of draw_id_lists, all as lists of builtin numbers (see the module
+        # docstring).
         exp_block = rng.exponential(size=_BLOCK).tolist()
         exp_i = 0
-        sources = self.source_nodes
-        nsrc = len(sources)
-        uniform_fast = self._fast_ids
-        uniform_sources = self._uniform_sources
-        source_cdf = None if uniform_sources else self._source_cdf
-        if uniform_fast:
-            id_block = rng.integers(0, num_nodes, size=2 * _BLOCK).tolist()
-            id_i = 0
-        else:
-            id_block = None
-            id_i = 0
+        src_block, dst_block = draw_id_lists(self, _BLOCK, rng)
+        id_i = 0
         gap_scale = 1.0 / self.total_rate
-        searchsorted = np.searchsorted
-        dest_sample = destinations.sample
         BLK = _BLOCK
-        TWO_BLOCK = 2 * _BLOCK
 
         copies_in_system = 0
         int_copies = 0.0
@@ -265,27 +255,12 @@ class RushedNetworkSimulation:
                     if draining:
                         have_arrival = False
                         continue
-                    if uniform_fast:
-                        if id_i >= TWO_BLOCK:
-                            id_block = rng.integers(
-                                0, num_nodes, size=TWO_BLOCK
-                            ).tolist()
-                            id_i = 0
-                        src = id_block[id_i]
-                        dst = id_block[id_i + 1]
-                        id_i += 2
-                    else:
-                        if uniform_sources:
-                            src = sources[int(rng.integers(nsrc))]
-                        else:
-                            src = sources[
-                                int(
-                                    searchsorted(
-                                        source_cdf, rng.random(), side="right"
-                                    )
-                                )
-                            ]
-                        dst = dest_sample(src, rng)
+                    if id_i >= BLK:
+                        src_block, dst_block = draw_id_lists(self, BLK, rng)
+                        id_i = 0
+                    src = src_block[id_i]
+                    dst = dst_block[id_i]
+                    id_i += 1
                     measured = t >= warmup
                     if measured:
                         generated += 1
@@ -416,27 +391,12 @@ class RushedNetworkSimulation:
                     # ----- external packet generation: copies everywhere -----
                     if draining:
                         continue
-                    if uniform_fast:
-                        if id_i >= TWO_BLOCK:
-                            id_block = rng.integers(
-                                0, num_nodes, size=TWO_BLOCK
-                            ).tolist()
-                            id_i = 0
-                        src = id_block[id_i]
-                        dst = id_block[id_i + 1]
-                        id_i += 2
-                    else:
-                        if uniform_sources:
-                            src = sources[int(rng.integers(nsrc))]
-                        else:
-                            src = sources[
-                                int(
-                                    searchsorted(
-                                        source_cdf, rng.random(), side="right"
-                                    )
-                                )
-                            ]
-                        dst = dest_sample(src, rng)
+                    if id_i >= BLK:
+                        src_block, dst_block = draw_id_lists(self, BLK, rng)
+                        id_i = 0
+                    src = src_block[id_i]
+                    dst = dst_block[id_i]
+                    id_i += 1
                     measured = t >= warmup
                     if measured:
                         generated += 1

@@ -225,12 +225,20 @@ class TestCrossEngineParity:
     @pytest.mark.parametrize("seed", [3, 7, 1234])
     @pytest.mark.parametrize(
         "scenario, params",
-        [("uniform", ()), ("hotspot", (("h", 0.25),))],
-        ids=["uniform", "hotspot"],
+        [
+            ("uniform", ()),
+            ("hotspot", (("h", 0.25),)),
+            ("geometric", ()),
+            ("transpose", ()),
+            ("bitreversal", ()),
+        ],
+        ids=["uniform", "hotspot", "geometric", "transpose", "bitreversal"],
     )
     def test_fifo_ps_rushed_share_the_arrival_path(self, scenario, params, seed):
         """Same-seed fifo, ps and rushed cells draw one arrival sample
-        path: equal packet counts and equal zero-hop counts."""
+        path: equal packet counts and equal zero-hop counts. All three
+        draw their ids through ``enginecommon.draw_ids``, so this holds
+        for every destination law."""
         base = CellSpec(
             scenario=scenario, n=4, rho=0.7, params=params,
             warmup=300, horizon=1000, seeds=(seed,),
