@@ -17,6 +17,8 @@ module                     paper content
 ``hypercube_bounds``       Section 4.5 hypercube/butterfly gap analysis
 ``kd_bounds``              Section 5.2 higher-dimensional arrays
 ``generic_bounds``         topology-generic bound assembly (torus etc.)
+``routetable``             all pairs' canonical routes, flat: the exact route
+                           ingredients of the generic bounds as numpy reductions
 ``rectangular``            rectangular meshes (Section 2.1's remark)
 ``stability``              capacity predicates per topology and parity
 =========================  =====================================================

@@ -8,7 +8,8 @@ coordinates, doubled across the two dimensions.
 
 :func:`mean_route_length` computes the same quantity for any router and
 destination law by direct expectation, which the tests compare against the
-closed forms.
+closed forms; it and :func:`max_route_length` reduce the route lengths of
+one :class:`~repro.core.routetable.RouteTable`.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
+from repro.core.routetable import RouteTable, node_mask, pmf_matrix
 from repro.routing.base import Router
 from repro.routing.destinations import DestinationDistribution
 from repro.util.validation import check_side
@@ -52,6 +54,9 @@ def mean_route_length(
 ) -> float:
     """Exact mean canonical-route length under any routing system.
 
+    Sums ``w_src * P(dst | src) * len(path)`` over the pairs with
+    ``P(dst | src) > 0`` sequentially, in pair order.
+
     Parameters
     ----------
     router, destinations:
@@ -74,15 +79,9 @@ def mean_route_length(
         if weights.sum() <= 0:
             raise ValueError("source_weights must have positive total")
         weights = weights / weights.sum()
-    total = 0.0
-    for src, w in zip(sources, weights):
-        pmf = destinations.pmf(src)
-        for dst in range(topo.num_nodes):
-            p = pmf[dst]
-            if p == 0.0 or dst == src:
-                continue
-            total += w * p * len(router.path(src, dst))
-    return total
+    pmf = pmf_matrix(destinations, sources, topo.num_nodes)
+    table = RouteTable.build(router, sources, pmf != 0)
+    return table.mean_length(weights[table.row] * table.gather(pmf))
 
 
 def max_route_length(
@@ -100,11 +99,5 @@ def max_route_length(
     sources = (
         list(range(topo.num_nodes)) if source_nodes is None else list(source_nodes)
     )
-    dests = list(range(topo.num_nodes)) if dest_nodes is None else list(dest_nodes)
-    best = 0
-    for src in sources:
-        for dst in dests:
-            if dst == src:
-                continue
-            best = max(best, len(router.path(src, dst)))
-    return best
+    dests = node_mask(topo.num_nodes, dest_nodes)
+    return RouteTable.build(router, sources, dests).max_length()

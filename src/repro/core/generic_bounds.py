@@ -9,11 +9,15 @@ how the paper extends its results to the torus (Theorem 10 "also holds for
 non-Markovian systems, such as toroidal meshes"), the hypercube, the
 butterfly, and higher-dimensional arrays (Section 5.2).
 
-Everything here is exact but enumeration-based (O(nodes^2 * path)); for
-the square array prefer the closed forms, which the tests verify agree.
-Each of the six ingredient helpers walks every (src, dst) pair, so one
-:func:`generic_bounds` call routes each pair once through a memoizing
-wrapper and hands the helpers the stored paths.
+Everything here is exact: every ingredient is a sum or maximum over the
+canonical routes of all routed (src, dst) pairs. One :func:`generic_bounds`
+call routes each pair once into a :class:`~repro.core.routetable.RouteTable`
+(one vectorized call on greedy mesh and k-d arrays), reads the destination
+pmf matrix once, and computes every ingredient as an ordered numpy
+reduction over the table — bit-identical to the standalone helpers
+(:func:`~repro.core.rates.edge_rates_from_routing` and the others), each
+of which builds its own table. For the square array prefer the closed
+forms, which the tests verify agree.
 """
 
 from __future__ import annotations
@@ -23,36 +27,13 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.core.distances import max_route_length, mean_route_length
 from repro.core.md1_approx import md1_network_number
-from repro.core.rates import edge_rates_from_routing
-from repro.core.remaining_distance import expected_remaining_distances
-from repro.core.saturation import (
-    max_saturated_on_route,
-    saturated_edge_mask,
-    saturated_remaining_expectations,
-)
+from repro.core.routetable import RouteTable, pmf_matrix
+from repro.core.saturation import saturated_edge_mask
 from repro.core.upper_bound import delay_upper_bound_generic
-from repro.routing.base import BaseRouter, Router
+from repro.routing.base import Router
 from repro.routing.destinations import DestinationDistribution
 from repro.util.validation import check_positive
-
-
-class _RoutedOnce(BaseRouter):
-    """``router``'s canonical paths, each computed once and then looked
-    up (lives for one :func:`generic_bounds` call)."""
-
-    def __init__(self, router: Router) -> None:
-        super().__init__(router.topology)
-        self._route = router.path
-        self._paths: dict[tuple[int, int], tuple[int, ...]] = {}
-
-    def path(self, src: int, dst: int) -> tuple[int, ...]:
-        key = (src, dst)
-        found = self._paths.get(key)
-        if found is None:
-            found = self._paths[key] = self._route(src, dst)
-        return found
 
 
 @dataclass(frozen=True)
@@ -139,7 +120,6 @@ def generic_bounds(
     scheme — they cannot be fully decided from samples. For layeredness
     there is a checker: :func:`repro.core.layering.find_layering_obstruction`.
     """
-    routed = _RoutedOnce(router)
     topo = router.topology
     sources = (
         list(range(topo.num_nodes)) if source_nodes is None else list(source_nodes)
@@ -155,15 +135,16 @@ def generic_bounds(
     if total_rate <= 0:
         raise ValueError("total arrival rate must be positive")
 
-    rates = edge_rates_from_routing(
-        routed, destinations, weights, source_nodes=sources
-    )
     # Only destinations the law can actually produce participate in the
-    # route-structure maxima (the butterfly, e.g., only routes to outputs).
-    support = np.zeros(topo.num_nodes, dtype=bool)
-    for src in sources:
-        support |= destinations.pmf(src) > 0
-    dest_nodes = [int(v) for v in np.nonzero(support)[0]]
+    # route-structure maxima (the butterfly, e.g., only routes to outputs),
+    # so the table holds every source's routes to the law's support.
+    pmf = pmf_matrix(destinations, sources, topo.num_nodes)
+    table = RouteTable.build(router, sources, (pmf > 0).any(axis=0))
+    pmf_at = table.gather(pmf)
+    lam = np.array(weights)
+    w = lam[table.row] * pmf_at  # rate(src) * P(dst | src) per pair
+
+    rates = table.edge_rates(w)
     phi = (
         np.full_like(rates, float(service_rates))
         if np.isscalar(service_rates)
@@ -174,12 +155,7 @@ def generic_bounds(
     if rho >= 1.0:
         raise ValueError(f"unstable system: network load {rho} >= 1")
 
-    nbar = mean_route_length(
-        routed,
-        destinations,
-        source_nodes=sources,
-        source_weights=weights,
-    )
+    nbar = table.mean_length((lam / lam.sum())[table.row] * pmf_at)
     upper = (
         delay_upper_bound_generic(rates, total_rate, phi) if layered else None
     )
@@ -190,35 +166,23 @@ def generic_bounds(
     # scale each queue's count — the M/D/1 mean number depends only on
     # rho_e, not on the time unit.)
     md1_total = md1_network_number(loads, variant="pk")
-    d_max = max_route_length(
-        routed, source_nodes=sources, dest_nodes=dest_nodes
-    )
+    d_max = table.max_length()
     lower_copy = md1_total / (d_max * total_rate)
 
     d_bar = None
     lower_markov = None
     if markovian:
-        d_e = expected_remaining_distances(
-            routed, destinations, source_nodes=sources, source_weights=weights
-        )
+        d_e = table.remaining_distances(w)
         d_bar = float(np.nanmax(d_e))
         lower_markov = md1_total / (d_bar * total_rate)
 
     # Theorem 14: saturated queues only.
     mask = saturated_edge_mask(rates, phi)
     sat_total = md1_network_number(loads[mask], variant="pk")
-    s_max = max_saturated_on_route(
-        routed, mask, source_nodes=sources, dest_nodes=dest_nodes
-    )
+    s_max = table.max_saturated(mask)
     s_bar_val = None
     if markovian:
-        s_e = saturated_remaining_expectations(
-            routed,
-            destinations,
-            mask,
-            source_nodes=sources,
-            source_weights=weights,
-        )
+        s_e = table.saturated_remaining(w, mask)
         finite = s_e[np.isfinite(s_e)]
         s_bar_val = float(finite.max()) if finite.size else float(s_max)
         lower_saturated = sat_total / (s_bar_val * total_rate)

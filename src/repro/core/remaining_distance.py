@@ -14,7 +14,9 @@ Closed forms implemented:
 
 :func:`expected_remaining_distances` computes ``d_e`` exactly for *any*
 router/destination law by conditional expectation over the traffic mix
-crossing each edge, which is how the tests validate both closed forms.
+crossing each edge (two weighted counts over a
+:class:`~repro.core.routetable.RouteTable`), which is how the tests
+validate both closed forms.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ from typing import Sequence
 
 import numpy as np
 
+from repro.core.routetable import RouteTable, pmf_matrix
 from repro.routing.base import Router
 from repro.routing.destinations import DestinationDistribution
 from repro.util.validation import check_probability, check_side
@@ -51,25 +54,10 @@ def expected_remaining_distances(
         weights = [float(w) for w in source_weights]
         if len(weights) != len(sources):
             raise ValueError("source_weights must match source_nodes in length")
-    numer = np.zeros(topo.num_edges)
-    denom = np.zeros(topo.num_edges)
-    for src, w_src in zip(sources, weights):
-        if w_src == 0.0:
-            continue
-        pmf = destinations.pmf(src)
-        for dst in range(topo.num_nodes):
-            w = w_src * pmf[dst]
-            if w == 0.0 or dst == src:
-                continue
-            path = router.path(src, dst)
-            length = len(path)
-            for pos, e in enumerate(path):
-                numer[e] += w * (length - pos)
-                denom[e] += w
-    out = np.full(topo.num_edges, np.nan)
-    crossed = denom > 0
-    out[crossed] = numer[crossed] / denom[crossed]
-    return out
+    pmf = pmf_matrix(destinations, sources, topo.num_nodes)
+    w = np.array(weights)[:, None] * pmf
+    table = RouteTable.build(router, sources, w != 0)
+    return table.remaining_distances(table.gather(w))
 
 
 def max_expected_remaining_distance(

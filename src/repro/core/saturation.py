@@ -16,14 +16,21 @@ saturated services for a packet queued at a saturated edge: exactly
 ``3/2`` for even n, and below 3 (tending to 3) for odd n. Theorem 14 then
 gives the headline constant-factor gap: 3 (even) / at most 6 (odd) between
 the upper and lower bounds as ``rho -> 1``.
+
+The exact ``s`` and ``s_e`` for any routing system
+(:func:`max_saturated_on_route`, :func:`saturated_remaining_expectations`)
+are counts over the saturated visits of one
+:class:`~repro.core.routetable.RouteTable`.
 """
 
 from __future__ import annotations
 
+from functools import cache
 from typing import Sequence
 
 import numpy as np
 
+from repro.core.routetable import RouteTable, node_mask, pmf_matrix
 from repro.routing.base import Router
 from repro.routing.destinations import DestinationDistribution
 from repro.routing.greedy import GreedyArrayRouter
@@ -83,15 +90,8 @@ def max_saturated_on_route(
     sources = (
         list(range(topo.num_nodes)) if source_nodes is None else list(source_nodes)
     )
-    dests = list(range(topo.num_nodes)) if dest_nodes is None else list(dest_nodes)
-    best = 0
-    for src in sources:
-        for dst in dests:
-            if dst == src:
-                continue
-            count = sum(1 for e in router.path(src, dst) if mask[e])
-            best = max(best, count)
-    return best
+    dests = node_mask(topo.num_nodes, dest_nodes)
+    return RouteTable.build(router, sources, dests).max_saturated(mask)
 
 
 def array_max_saturated_on_route(n: int) -> int:
@@ -124,27 +124,10 @@ def saturated_remaining_expectations(
         weights = [float(w) for w in source_weights]
         if len(weights) != len(sources):
             raise ValueError("source_weights must match source_nodes in length")
-    numer = np.zeros(topo.num_edges)
-    denom = np.zeros(topo.num_edges)
-    for src, w_src in zip(sources, weights):
-        if w_src == 0.0:
-            continue
-        pmf = destinations.pmf(src)
-        for dst in range(topo.num_nodes):
-            w = w_src * pmf[dst]
-            if w == 0.0 or dst == src:
-                continue
-            path = router.path(src, dst)
-            sat_positions = [pos for pos, e in enumerate(path) if mask[e]]
-            total_sat = len(sat_positions)
-            for rank, pos in enumerate(sat_positions):
-                e = path[pos]
-                numer[e] += w * (total_sat - rank)  # remaining incl. this one
-                denom[e] += w
-    out = np.full(topo.num_edges, np.nan)
-    crossed = (denom > 0) & np.asarray(mask, dtype=bool)
-    out[crossed] = numer[crossed] / denom[crossed]
-    return out
+    pmf = pmf_matrix(destinations, sources, topo.num_nodes)
+    w = np.array(weights)[:, None] * pmf
+    table = RouteTable.build(router, sources, w != 0)
+    return table.saturated_remaining(table.gather(w), mask)
 
 
 def s_bar(n: int) -> float:
@@ -160,9 +143,11 @@ def s_bar(n: int) -> float:
     return s_bar_exact(n)
 
 
+@cache
 def s_bar_exact(n: int) -> float:
     """``s-bar`` by exact enumeration (any parity; used to test the even
-    closed form and to evaluate odd n)."""
+    closed form and to evaluate odd n). Memoized: a pure function of
+    ``n``."""
     mesh = ArrayMesh(n)
     router = GreedyArrayRouter(mesh)
     dests = UniformDestinations(mesh.num_nodes)

@@ -35,10 +35,12 @@ arena*:
   the hypercube and butterfly use closed-form edge-id arithmetic — so a
   cache miss never falls back to the generic hop-by-hop ``router.path``
   walk on those networks. The greedy mesh routers keep their grid walk
-  for scalar misses and add a closed-form *batch* builder
-  (:func:`_mesh_batch_builder`: each path is two arithmetic runs of edge
-  ids), which fills a batch lookup's misses in bulk once there are at
-  least :data:`BULK_MIN_MISSES` of them.
+  for scalar misses. Greedy mesh and k-d arrays also have a closed-form
+  *batch* builder (:func:`_mesh_batch_builder`, :func:`_kd_batch_builder`:
+  each path is one arithmetic run of edge ids per axis), which fills a
+  batch lookup's misses in bulk once there are at least
+  :data:`BULK_MIN_MISSES` of them. :class:`repro.core.routetable.RouteTable`
+  builds its all-pairs routes with the same builders.
 * :class:`SampledPathInterner` — the no-memo fallback for routers the
   cache layer does not recognise (and the uncached baseline, passed to
   an engine as its ``path_cache``): it rebuilds the sampled path per
@@ -62,6 +64,7 @@ coin the uncached scheme drew. The golden-result tests
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import Callable, Sequence
 
 import numpy as np
@@ -98,6 +101,11 @@ DENSE_PAIR_LIMIT = 4_194_304
 #: of pairs, but the quick report also makes fills of 1-63 misses, and
 #: those keep the per-pair loop.
 BULK_MIN_MISSES = 64
+
+#: Pairs per batch-builder call in :func:`build_paths`: bounds the
+#: builders' per-leg temporaries (a few int64 arrays per pair and leg) at
+#: a few MiB, where one call on the ~1M pairs of a 4^5 array held ~300 MiB.
+BUILD_BLOCK_PAIRS = 1 << 16
 
 #: Edges per object gather in :meth:`PathArena.extend_array`: bounds the
 #: fill's two pointer-sized temporaries at 512 KiB each.
@@ -262,10 +270,11 @@ class PathCache:
     builder:
         Optional replacement for ``router.path`` used to build a missing
         path (the cached-leg composers use this). Must return the exact
-        same edge sequence ``router.path`` would. Greedy mesh routers
-        also get the closed-form :func:`_mesh_batch_builder`, which
-        :meth:`offlen_batch` uses for batches with many dense-table
-        misses; scalar lookups always use ``builder``.
+        same edge sequence ``router.path`` would. Greedy mesh and k-d
+        routers also get a closed-form batch builder
+        (:func:`_batch_builder`), which :meth:`offlen_batch` uses for
+        batches with many dense-table misses; scalar lookups always use
+        ``builder``.
     precompute:
         Eagerly build all ``n * n`` pairs up front. Default is lazy
         memoization; precomputing is only worthwhile when a long run will
@@ -288,11 +297,7 @@ class PathCache:
         self.num_nodes = int(self.topology.num_nodes)
         self.arena = arena if arena is not None else PathArena()
         self._build_path = builder if builder is not None else router.path
-        self._build_batch = (
-            _mesh_batch_builder(router)
-            if isinstance(router, GreedyArrayRouter)
-            else None
-        )
+        self._build_batch = _batch_builder(router)
         self.table: dict[int, tuple[int, int]] = {}
         n = self.num_nodes
         if n <= DENSE_NODE_LIMIT:
@@ -687,6 +692,30 @@ def _torus_builder(router: GreedyTorusRouter):
     return build_torus_path
 
 
+def _lay_out_runs(legs) -> tuple[np.ndarray, np.ndarray]:
+    """Flat ``int32`` edge ids and per-pair lengths of paths made of
+    arithmetic runs.
+
+    ``legs`` lists one ``(start, step, size)`` triple of per-pair arrays
+    per leg, in path order: leg ``l`` of pair ``p`` is the ``size[p]``
+    edges ``start[p] + step[p] * t``. Runs are interleaved per pair,
+    empty ones dropped, and laid out with one ``repeat`` and one
+    ``cumsum``: ``+step`` inside a run, and a jump from the previous
+    run's last edge to each run's first.
+    """
+    start, step, size = (np.column_stack(p).ravel() for p in zip(*legs))
+    lens = sum(leg[2] for leg in legs)
+    keep = size > 0
+    start, step, size = start[keep], step[keep], size[keep]
+    if size.size == 0:
+        return np.empty(0, dtype=np.int32), lens
+    flat = np.repeat(step.astype(np.int32), size)
+    heads = np.cumsum(size) - size
+    flat[0] = start[0]
+    flat[heads[1:]] = start[1:] - (start[:-1] + step[:-1] * (size[:-1] - 1))
+    return np.cumsum(flat, out=flat), lens
+
+
 def _mesh_batch_builder(router: GreedyArrayRouter):
     """Closed-form batch builder for both greedy mesh orders.
 
@@ -694,9 +723,8 @@ def _mesh_batch_builder(router: GreedyArrayRouter):
     greedy path is two arithmetic runs: the row leg steps by ``±1``
     through the RIGHT or LEFT block, the column leg by ``±cols`` through
     the DOWN or UP block. Each run's first edge comes from the router's
-    per-direction grids, and all pairs' runs are laid out with one
-    ``repeat`` and one ``cumsum`` — the edge sequences ``router.path``
-    walks hop by hop.
+    per-direction grids, and :func:`_lay_out_runs` lays all pairs' runs
+    out — the edge sequences ``router.path`` walks hop by hop.
     """
     cols = router.mesh.cols
     right, left, down, up = router._right, router._left, router._down, router._up
@@ -714,24 +742,60 @@ def _mesh_batch_builder(router: GreedyArrayRouter):
         col_start = np.where(di > 0, down[i1, c], up[i1, c])
         row = (row_start, np.sign(dj), np.abs(dj))
         col = (col_start, np.sign(di) * cols, np.abs(di))
-        first, second = (col, row) if column_first else (row, col)
-        # Runs interleaved per pair (first leg, second leg), empty ones
-        # dropped.
-        start, step, size = (np.column_stack(p).ravel() for p in zip(first, second))
-        lens = first[2] + second[2]
-        keep = size > 0
-        start, step, size = start[keep], step[keep], size[keep]
-        if size.size == 0:
-            return np.empty(0, dtype=np.int32), lens
-        # Pointer walk: +step inside a run, and a jump from the previous
-        # run's last edge to each run's first.
-        flat = np.repeat(step.astype(np.int32), size)
-        heads = np.cumsum(size) - size
-        flat[0] = start[0]
-        flat[heads[1:]] = start[1:] - (start[:-1] + step[:-1] * (size[:-1] - 1))
-        return np.cumsum(flat, out=flat), lens
+        return _lay_out_runs((col, row) if column_first else (row, col))
 
     return build_mesh_paths
+
+
+def _kd_batch_builder(router: GreedyKDRouter):
+    """Closed-form batch builder for dimension-order k-d walks.
+
+    On :class:`~repro.topology.array_mesh.KDArray`'s edge-id layout the
+    leg correcting one axis is one arithmetic run inside that axis's
+    ``(axis, +)`` or ``(axis, -)`` block: both blocks list their edges in
+    node order, so consecutive edges of a leg differ by the axis's
+    node-id stride, ``±strides[axis]``. Each leg's first edge comes from
+    per-block tables of the edge leaving every node, and
+    :func:`_lay_out_runs` lays the legs out in ``dimension_order`` — the
+    edge sequences ``router.path`` walks hop by hop.
+    """
+    array = router.array
+    n = array.num_nodes
+    order = router.dimension_order
+    out_edge = {}
+    for axis in order:
+        for sign in (+1, -1):
+            lo, hi = array.block(axis, sign)
+            table = np.full(n, -1, dtype=np.int64)
+            table[array.edge_source[lo:hi]] = np.arange(lo, hi)
+            out_edge[axis, sign] = table
+    axes = [(axis, array.strides[axis], array.dims[axis]) for axis in order]
+
+    def build_kd_paths(
+        srcs: np.ndarray, dsts: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        at = np.array(srcs, dtype=np.int64)
+        legs = []
+        for axis, stride, side in axes:
+            delta = dsts // stride % side - srcs // stride % side
+            start = np.where(
+                delta > 0, out_edge[axis, +1][at], out_edge[axis, -1][at]
+            )
+            legs.append((start, np.sign(delta) * stride, np.abs(delta)))
+            at += delta * stride
+        return _lay_out_runs(legs)
+
+    return build_kd_paths
+
+
+def _batch_builder(router: Router):
+    """The closed-form batch builder for ``router`` (greedy mesh and k-d
+    arrays), or ``None`` when paths can only be built pair by pair."""
+    if isinstance(router, GreedyArrayRouter):
+        return _mesh_batch_builder(router)
+    if isinstance(router, GreedyKDRouter):
+        return _kd_batch_builder(router)
+    return None
 
 
 def _hypercube_builder(router: GreedyHypercubeRouter):
@@ -880,6 +944,36 @@ def _deterministic_builder(router: Router):
     return None
 
 
+def build_paths(
+    router: Router, srcs: np.ndarray, dsts: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """The canonical paths of the pairs ``(srcs[i], dsts[i])``, flat.
+
+    Returns ``(edges, lens)``: the paths' edge ids concatenated in pair
+    order and each path's length. Built by the closed-form batch builder
+    where one exists (greedy mesh and k-d arrays), one call per
+    :data:`BUILD_BLOCK_PAIRS` pairs, else pair by pair with the
+    specialised builder or ``router.path``. Nothing is memoized, and
+    randomized routers contribute their canonical ``path``.
+    """
+    srcs = np.asarray(srcs, dtype=np.int64)
+    dsts = np.asarray(dsts, dtype=np.int64)
+    batch = _batch_builder(router)
+    if batch is not None:
+        blocks = [
+            batch(srcs[lo : lo + BUILD_BLOCK_PAIRS], dsts[lo : lo + BUILD_BLOCK_PAIRS])
+            for lo in range(0, max(srcs.size, 1), BUILD_BLOCK_PAIRS)
+        ]
+        return tuple(np.concatenate(part) for part in zip(*blocks))
+    build = _deterministic_builder(router) or router.path
+    paths = [build(s, d) for s, d in zip(srcs.tolist(), dsts.tolist())]
+    lens = np.fromiter(map(len, paths), dtype=np.int64, count=len(paths))
+    edges = np.fromiter(
+        chain.from_iterable(paths), dtype=np.int64, count=int(lens.sum())
+    )
+    return edges, lens
+
+
 class SampledPathInterner:
     """Uncached adapter: per-packet rebuild, arena-interned records.
 
@@ -932,9 +1026,9 @@ def path_cache_for(
     override ``sample_path``) get a :class:`PathCache` — with a
     specialised miss-path builder where one exists (leg-composed for the
     torus and k-d arrays, closed-form for the hypercube and butterfly),
-    and for the greedy mesh routers a closed-form batch builder that
-    fills large batches of misses in bulk (their scalar misses keep the
-    router's grid walk). The randomized greedy scheme gets its cached-leg
+    and for the greedy mesh and k-d routers a closed-form batch builder
+    that fills large batches of misses in bulk (scalar mesh misses keep
+    the router's grid walk). The randomized greedy scheme gets its cached-leg
     :class:`RandomizedGreedyPathCache`; anything else falls back to the
     :class:`SampledPathInterner`, which preserves pre-cache behaviour
     exactly.

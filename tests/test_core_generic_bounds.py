@@ -138,7 +138,7 @@ class TestValidation:
 
 
 class TestRoutesEachPairOnce:
-    """The six ingredient helpers share one memoized routing pass."""
+    """generic_bounds routes each pair once, into one route table."""
 
     class CountingRouter:
         def __init__(self, router):

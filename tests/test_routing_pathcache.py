@@ -18,7 +18,9 @@ from repro.routing.pathcache import (
     SampledPathInterner,
     TorusLegCache,
     _deterministic_builder,
+    _kd_batch_builder,
     _mesh_batch_builder,
+    build_paths,
     path_cache_for,
 )
 from repro.routing.randomized_greedy import RandomizedGreedyArrayRouter
@@ -184,13 +186,19 @@ class TestSpecialisedBuilders:
         assert _deterministic_builder(router) is None
         assert path_cache_for(router)._build_batch is not None
 
+    def test_kd_router_fills_misses_in_bulk(self):
+        """k-d scalar misses keep the leg-composed builder; batch misses
+        use the closed-form k-d batch builder."""
+        cache = path_cache_for(GreedyKDRouter(KDArray((3, 3, 3))))
+        assert cache._build_path.__name__ == "build_kd_path"
+        assert cache._build_batch.__name__ == "build_kd_paths"
+
     @pytest.mark.parametrize(
         "router_factory",
         [
             lambda: GreedyTorusRouter(Torus(4)),
             lambda: GreedyHypercubeRouter(Hypercube(3)),
             lambda: ButterflyRouter(Butterfly(2)),
-            lambda: GreedyKDRouter(KDArray((3, 3, 3))),
         ],
     )
     def test_other_routers_keep_the_per_pair_miss_loop(self, router_factory):
@@ -392,6 +400,83 @@ class TestMeshBatchBuilder:
         cache = RandomizedGreedyPathCache(RandomizedGreedyArrayRouter(ArrayMesh(4)))
         assert cache.row_first._build_batch is not None
         assert cache.col_first._build_batch is not None
+
+
+class TestKDBatchBuilder:
+    """The closed-form k-d builder against the router's hop-by-hop walk."""
+
+    @pytest.mark.parametrize(
+        ("dims", "order"),
+        [
+            ((4, 4), None),
+            ((4, 4), (1, 0)),
+            ((3, 5, 2), None),
+            ((3, 5, 2), (2, 0, 1)),
+            ((2, 3, 2, 3), (3, 1, 0, 2)),
+            ((6,), None),
+        ],
+    )
+    def test_matches_router_on_every_pair(self, dims, order):
+        router = GreedyKDRouter(KDArray(dims), order)
+        n = router.topology.num_nodes
+        srcs, dsts = np.divmod(np.arange(n * n, dtype=np.int64), n)
+        flat, lens = _kd_batch_builder(router)(srcs, dsts)
+        assert flat.dtype == np.int32
+        paths = [router.path(s, d) for s, d in zip(srcs.tolist(), dsts.tolist())]
+        assert lens.tolist() == [len(p) for p in paths]
+        assert flat.tolist() == [e for p in paths for e in p]
+
+    def test_all_empty_paths(self):
+        router = GreedyKDRouter(KDArray((3, 2, 2)))
+        flat, lens = _kd_batch_builder(router)(np.array([5, 0]), np.array([5, 0]))
+        assert flat.size == 0 and lens.tolist() == [0, 0]
+        none = np.array([], dtype=np.int64)
+        flat, lens = _kd_batch_builder(router)(none, none)
+        assert flat.size == 0 and lens.size == 0
+
+    def test_bulk_fill_lays_the_arena_out_like_a_scalar_fill(self):
+        router = GreedyKDRouter(KDArray((4, 3, 4)), (1, 2, 0))
+        bulk, scalar = path_cache_for(router), PathCache(router)
+        scalar._build_batch = None
+        n = router.topology.num_nodes
+        keys = np.random.default_rng(4).integers(0, n * n, size=3 * BULK_MIN_MISSES)
+        srcs, dsts = np.divmod(keys, n)
+        ob, lb = bulk.offlen_batch(srcs, dsts)
+        os_, ls = scalar.offlen_batch(srcs, dsts)
+        assert ob.tolist() == os_.tolist() and lb.tolist() == ls.tolist()
+        assert bulk.table == scalar.table
+        assert bulk.arena.edges == scalar.arena.edges
+
+
+class TestBuildPaths:
+    """build_paths: flat canonical paths, batched or pair by pair."""
+
+    @pytest.mark.parametrize(
+        "router_factory",
+        [
+            lambda: GreedyArrayRouter(ArrayMesh(3, 4), column_first=True),
+            lambda: GreedyKDRouter(KDArray((2, 3, 2))),
+            lambda: GreedyTorusRouter(Torus(4)),
+            lambda: GreedyHypercubeRouter(Hypercube(3)),
+            lambda: RandomizedGreedyArrayRouter(ArrayMesh(3)),
+        ],
+    )
+    def test_matches_router_path(self, router_factory):
+        router = router_factory()
+        n = router.topology.num_nodes
+        srcs, dsts = np.divmod(np.arange(n * n, dtype=np.int64)[::-1], n)
+        edges, lens = build_paths(router, srcs, dsts)
+        paths = [router.path(s, d) for s, d in zip(srcs.tolist(), dsts.tolist())]
+        assert lens.tolist() == [len(p) for p in paths]
+        assert edges.tolist() == [e for p in paths for e in p]
+
+    def test_butterfly_rejects_a_pair_outside_its_levels(self):
+        b = Butterfly(2)
+        router = ButterflyRouter(b)
+        with pytest.raises(ValueError):
+            build_paths(
+                router, np.array([b.node_id(1, 0)]), np.array([b.node_id(2, 0)])
+            )
 
 
 class TestMeshLegCache:
