@@ -41,7 +41,7 @@ cd "$(dirname "$0")/.."
 export PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}"
 
 sweep_smoke() {
-    # End-to-end `repro sweep` smoke: a tiny 2-cell spec, run twice into
+    # End-to-end `repro sweep` smoke: a tiny 4-cell spec, run twice into
     # one directory — the rerun must resume every cell from checkpoint.
     local dir
     dir=$(mktemp -d)
@@ -50,13 +50,13 @@ sweep_smoke() {
 {
   "defaults": {"scenario": "uniform", "n": 4,
                "warmup": 20, "horizon": 120, "seeds": [0, 1]},
-  "grid": {"rho": [0.4, 0.7]}
+  "grid": {"rho": [0.4, 0.7], "scenario": ["uniform", "randomized"]}
 }
 SPEC
     python -m repro sweep "$dir/spec.json" -o "$dir/out" \
-        | grep -q "2 ran, 0 resumed"
+        | grep -q "4 ran, 0 resumed"
     python -m repro sweep "$dir/spec.json" -o "$dir/out" \
-        | grep -q "0 ran, 2 resumed"
+        | grep -q "0 ran, 4 resumed"
 }
 
 run_lint() {

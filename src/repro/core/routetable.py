@@ -24,8 +24,7 @@ bit-identical to that loop's float accumulation. Pair weights are
 
 Routes come from :func:`repro.routing.pathcache.build_paths`: the
 closed-form batch builders where one exists (greedy mesh and k-d arrays:
-one vectorized call), else the specialised scalar builder or
-``router.path``, pair by pair. The table does not go through a
+one vectorized call), else ``router.path``, pair by pair. The table does not go through a
 :class:`~repro.routing.pathcache.PathCache`: the randomized router's
 cache samples coins while these ingredients use its canonical ``path``,
 and a one-shot build has no use for the memo.
@@ -118,7 +117,7 @@ class RouteTable:
     def mean_length(self, w: np.ndarray) -> float:
         """``sum_pairs w * len``, summed in pair order."""
         terms = w * self.lens
-        return np.add.accumulate(terms)[-1] if terms.size else 0.0
+        return float(np.add.accumulate(terms)[-1]) if terms.size else 0.0
 
     def max_length(self) -> int:
         """The longest route (0 without pairs)."""

@@ -11,8 +11,8 @@ Implementation note: the simulators do not call ``path`` per packet; they
 look paths up in a :mod:`repro.routing.pathcache` memo. ``path`` builds a
 scalar miss from precomputed per-direction edge-id grids, one Python loop
 iteration per hop with no hashing. Batch lookups with many misses (the
-numpy kernels) build them with the cache's closed-form mesh builder
-instead: it takes each leg's first edge from the same grids and relies on
+numpy kernels) and a cache's ``precompute_all`` build them with the
+cache's closed-form mesh builder instead: it takes each leg's first edge from the same grids and relies on
 :class:`~repro.topology.array_mesh.ArrayMesh`'s edge-id layout only for
 the step along a leg (``±1`` along a row, ``±cols`` along a column).
 """
@@ -71,10 +71,10 @@ class GreedyArrayRouter(BaseRouter):
                     self._down[i, j] = mesh.directed_edge_id(i, j, DOWN)
                 if i > 0:
                     self._up[i, j] = mesh.directed_edge_id(i, j, UP)
-        # Nested-list mirrors of the grids for the leg builders: Python
-        # list indexing is ~10x faster than NumPy scalar indexing, and the
-        # builders are the path cache's miss path (hot at large meshes
-        # where most (src, dst) pairs are seen once).
+        # Nested-list mirrors of the grids for the leg walks of ``path``:
+        # Python list indexing is ~10x faster than NumPy scalar indexing,
+        # and ``path`` is the path cache's scalar miss path (hot at large
+        # meshes where most (src, dst) pairs are seen once).
         self._right_rows: list[list[int]] = self._right.tolist()
         self._left_rows: list[list[int]] = self._left.tolist()
         self._down_rows: list[list[int]] = self._down.tolist()

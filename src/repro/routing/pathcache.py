@@ -15,32 +15,26 @@ arena*:
   copies only the edges appended since its last call) is what the numpy
   kernels gather their visits from.
 * :class:`PathCache` — a ``(src, dst) -> (offset, length)`` memo over an
-  arena for deterministic routers. Lookups are one dict probe; misses
-  build the path once via the router (or a custom ``builder``) and append
-  it to the arena. For small networks — and on request of the numpy
-  kernels — a dense ``offset``/``length`` pair of arrays is kept
-  alongside the dict so batch lookups are a single NumPy gather; on the
-  greedy mesh routers a batch with many misses builds them in one
-  vectorized call and appends them to the arena at once.
-* :class:`RandomizedGreedyPathCache` — the per-scheme cached-leg variant
-  for :class:`~repro.routing.randomized_greedy.RandomizedGreedyArrayRouter`:
-  two tables (row-first / column-first) share one arena, and each table's
-  paths are *composed from memoized row/column legs* (via
-  :class:`MeshLegCache`) instead of re-walking the direction grids for
-  both orders. The per-packet coin is the same single ``rng.random()``
-  draw the uncached router makes, so same-seed runs are bit-identical.
-* Specialised miss-path builders for every shipped deterministic
-  topology: the torus and k-d arrays compose paths from memoized
-  single-axis legs (:class:`TorusLegCache`, :class:`KDLegCache`), and
-  the hypercube and butterfly use closed-form edge-id arithmetic — so a
-  cache miss never falls back to the generic hop-by-hop ``router.path``
-  walk on those networks. The greedy mesh routers keep their grid walk
-  for scalar misses. Greedy mesh and k-d arrays also have a closed-form
-  *batch* builder (:func:`_mesh_batch_builder`, :func:`_kd_batch_builder`:
-  each path is one arithmetic run of edge ids per axis), which fills a
-  batch lookup's misses in bulk once there are at least
-  :data:`BULK_MIN_MISSES` of them. :class:`repro.core.routetable.RouteTable`
-  builds its all-pairs routes with the same builders.
+  arena for deterministic routers. Lookups are one dict probe; a scalar
+  miss builds the path once with ``router.path`` — the one scalar
+  definition of each scheme's walk — and appends it to the arena. For
+  small networks — and on request of the numpy kernels — a dense
+  ``offset``/``length`` pair of arrays is kept alongside the dict so
+  batch lookups are a single NumPy gather.
+* Closed-form *batch* builders for the greedy mesh and k-d arrays
+  (:func:`_mesh_batch_builder`, :func:`_kd_batch_builder`: each path is
+  one arithmetic run of edge ids per axis). :meth:`PathCache._fill`, the
+  one miss-fill routine behind batch lookups and
+  :meth:`PathCache.precompute_all`, builds misses with them in bulk once
+  there are at least :data:`BULK_MIN_MISSES`, and otherwise pair by pair
+  with ``router.path``. :class:`repro.core.routetable.RouteTable` builds
+  its all-pairs routes through :func:`build_paths`, on the same builders.
+* :class:`RandomizedGreedyPathCache` — the cache for
+  :class:`~repro.routing.randomized_greedy.RandomizedGreedyArrayRouter`:
+  two :class:`PathCache` tables over the router's row-first and
+  column-first greedy routers, on one arena. The per-packet coin is the
+  same single ``rng.random()`` draw the uncached router makes, so
+  same-seed runs are bit-identical.
 * :class:`SampledPathInterner` — the no-memo fallback for routers the
   cache layer does not recognise (and the uncached baseline, passed to
   an engine as its ``path_cache``): it rebuilds the sampled path per
@@ -65,16 +59,13 @@ coin the uncached scheme drew. The golden-result tests
 from __future__ import annotations
 
 from itertools import chain
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from repro.routing.base import BaseRouter, Router
-from repro.routing.butterfly_routing import ButterflyRouter
 from repro.routing.greedy import GreedyArrayRouter, GreedyKDRouter
-from repro.routing.hypercube_greedy import GreedyHypercubeRouter
 from repro.routing.randomized_greedy import RandomizedGreedyArrayRouter
-from repro.routing.torus_greedy import GreedyTorusRouter
 
 #: Below this many nodes a cache also maintains dense ``n*n`` offset and
 #: length arrays (1 MiB at the limit), enabling single-gather batch
@@ -96,10 +87,11 @@ DENSE_PAIR_LIMIT = 4_194_304
 #: fills (per-slot batch lookups on a 16x16 mesh at load 0.5) it still
 #: lost at 32 (1.13-1.2x the loop's time) and broke even at 64, so below
 #: 64 misses a batch fills pair by pair. The python kernels make no batch
-#: lookups on deterministic caches; the numpy kernels do, and the
-#: randomized cache does per table. A cold numpy lookup misses thousands
-#: of pairs, but the quick report also makes fills of 1-63 misses, and
-#: those keep the per-pair loop.
+#: lookups on deterministic caches; the numpy kernels do, the randomized
+#: cache does per table, and :meth:`PathCache.precompute_all` fills a
+#: whole table through the same rule. A cold numpy lookup misses
+#: thousands of pairs, but the quick report also makes fills of 1-63
+#: misses, and those keep the per-pair loop.
 BULK_MIN_MISSES = 64
 
 #: Pairs per batch-builder call in :func:`build_paths`: bounds the
@@ -267,36 +259,21 @@ class PathCache:
         A deterministic router (``sample_path`` must not consume RNG).
     arena:
         Shared :class:`PathArena`; a private one is created if omitted.
-    builder:
-        Optional replacement for ``router.path`` used to build a missing
-        path (the cached-leg composers use this). Must return the exact
-        same edge sequence ``router.path`` would. Greedy mesh and k-d
-        routers also get a closed-form batch builder
-        (:func:`_batch_builder`), which :meth:`offlen_batch` uses for
-        batches with many dense-table misses; scalar lookups always use
-        ``builder``.
-    precompute:
-        Eagerly build all ``n * n`` pairs up front. Default is lazy
-        memoization; precomputing is only worthwhile when a long run will
-        touch most pairs anyway and first-hit jitter matters.
+
+    Scalar misses are built with ``router.path``. Greedy mesh and k-d
+    routers also get a closed-form batch builder (:func:`_batch_builder`),
+    which :meth:`_fill` uses for large batches of dense-table misses.
+    Lookups memoize lazily; :meth:`precompute_all` builds every pair.
     """
 
     #: Engines check this to decide whether lookups need the packet RNG.
     consumes_rng = False
 
-    def __init__(
-        self,
-        router: Router,
-        *,
-        arena: PathArena | None = None,
-        builder: Callable[[int, int], Sequence[int]] | None = None,
-        precompute: bool = False,
-    ) -> None:
+    def __init__(self, router: Router, *, arena: PathArena | None = None) -> None:
         self.router = router
         self.topology = router.topology
         self.num_nodes = int(self.topology.num_nodes)
         self.arena = arena if arena is not None else PathArena()
-        self._build_path = builder if builder is not None else router.path
         self._build_batch = _batch_builder(router)
         self.table: dict[int, tuple[int, int]] = {}
         n = self.num_nodes
@@ -305,13 +282,11 @@ class PathCache:
             self._dense_len: np.ndarray | None = np.zeros(n * n, dtype=np.int64)
         else:
             self._dense_off = self._dense_len = None
-        if precompute:
-            self.precompute_all()
 
     # -- scalar lookups (the event-engine hot path) --------------------
     def ensure(self, src: int, dst: int) -> tuple[int, int]:
         """Miss handler: build, append to the arena, memoize."""
-        path = self._build_path(src, dst)
+        path = self.router.path(src, dst)
         off = self.arena.add(path)
         ol = (off, len(path))
         key = src * self.num_nodes + dst
@@ -396,14 +371,15 @@ class PathCache:
         return True
 
     def precompute_all(self) -> None:
-        """Materialise every ``(src, dst)`` pair (small networks only)."""
-        n = self.num_nodes
+        """Materialise every ``(src, dst)`` pair (small networks only).
+
+        One :meth:`_fill` over the missing keys in ascending order, so the
+        arena is laid out as a pair-by-pair fill in ``(src, dst)`` order
+        lays it out; meshes and k-d arrays build in bulk.
+        """
         table = self.table
-        for src in range(n):
-            base = src * n
-            for dst in range(n):
-                if base + dst not in table:
-                    self.ensure(src, dst)
+        missing = [key for key in range(self.num_nodes**2) if key not in table]
+        self._fill(np.array(missing, dtype=np.int64))
 
     def _fill(self, keys: np.ndarray) -> None:
         """Build and memoize the missing pairs ``keys`` (``src * n + dst``
@@ -411,9 +387,10 @@ class PathCache:
         first-occurrence order, so the arena is laid out as a scalar
         fill of the same pairs would lay it out. With a batch builder and
         at least :data:`BULK_MIN_MISSES` keys they are built in one call;
-        otherwise pair by pair. The callers are the numpy kernels' batch
-        lookups and the randomized cache's per-table batches; the python
-        kernels fill scalar misses with :meth:`ensure`."""
+        otherwise pair by pair with :meth:`ensure`. The callers are the
+        numpy kernels' batch lookups, the randomized cache's per-table
+        batches and :meth:`precompute_all`; the python kernels fill
+        scalar misses with :meth:`ensure`."""
         n = self.num_nodes
         if self._build_batch is None or keys.size < BULK_MIN_MISSES:
             table = self.table
@@ -486,73 +463,14 @@ class PathCache:
         return len(self.table)
 
 
-class MeshLegCache:
-    """Memoized row/column legs of greedy mesh walks.
-
-    A greedy mesh path is one row leg plus one column leg; the randomized
-    scheme needs *both* orders per pair, but the legs themselves are
-    shared (``n^3`` legs cover all ``2 n^4`` order/pair combinations). The
-    cache memoizes each leg once, built via the greedy router's own
-    per-direction grids.
-    """
-
-    def __init__(self, greedy_router) -> None:
-        self._router = greedy_router
-        self._rows: dict[tuple[int, int, int], list[int]] = {}
-        self._cols: dict[tuple[int, int, int], list[int]] = {}
-
-    def row_leg(self, i: int, j1: int, j2: int) -> list[int]:
-        """Edges along row ``i`` from column ``j1`` to ``j2`` (memoized)."""
-        key = (i, j1, j2)
-        leg = self._rows.get(key)
-        if leg is None:
-            leg = self._rows[key] = self._router._row_leg(i, j1, j2)
-        return leg
-
-    def col_leg(self, i1: int, i2: int, j: int) -> list[int]:
-        """Edges along column ``j`` from row ``i1`` to ``i2`` (memoized)."""
-        key = (i1, i2, j)
-        leg = self._cols.get(key)
-        if leg is None:
-            leg = self._cols[key] = self._router._col_leg(i1, i2, j)
-        return leg
-
-
-def _mesh_builders(legs: MeshLegCache, coords):
-    """Leg-composed builders for the two greedy mesh orders.
-
-    The randomized scheme needs both orders per pair; one shared leg memo
-    makes each table's miss two dict probes plus a list concatenation
-    (instead of a second hop-by-hop grid walk), and warm legs build a
-    path ~3x faster than ``GreedyArrayRouter.path``.
-    """
-
-    def build_row_first(src: int, dst: int) -> list[int]:
-        i1, j1 = coords(src)
-        i2, j2 = coords(dst)
-        first = legs.row_leg(i1, j1, j2) if j1 != j2 else []
-        second = legs.col_leg(i1, i2, j2) if i1 != i2 else []
-        return first + second
-
-    def build_col_first(src: int, dst: int) -> list[int]:
-        i1, j1 = coords(src)
-        i2, j2 = coords(dst)
-        first = legs.col_leg(i1, i2, j1) if i1 != i2 else []
-        second = legs.row_leg(i2, j1, j2) if j1 != j2 else []
-        return first + second
-
-    return build_row_first, build_col_first
-
-
 class RandomizedGreedyPathCache:
-    """Cached-leg path cache for the Section 6 randomized greedy scheme.
+    """Path cache for the Section 6 randomized greedy scheme.
 
-    Holds two :class:`PathCache` tables — row-first and column-first — on
-    one shared arena. Each table composes its scalar misses from the same
-    :class:`MeshLegCache` instead of re-walking the direction grids for
-    both orders, and fills large batches of misses with the closed-form
-    mesh builder of its order (see :meth:`PathCache._fill`).
-    ``sample_offlen`` draws exactly the one coin
+    Holds two :class:`PathCache` tables on one shared arena, over the
+    router's row-first and column-first greedy routers: each table builds
+    its scalar misses with that router's ``path`` and fills large batches
+    of misses with the closed-form mesh builder of its order (see
+    :meth:`PathCache._fill`). ``sample_offlen`` draws exactly the one coin
     ``RandomizedGreedyArrayRouter.sample_path`` draws, keeping same-seed
     runs bit-identical to the uncached scheme.
     """
@@ -569,20 +487,8 @@ class RandomizedGreedyPathCache:
         self.topology = router.topology
         self.arena = arena if arena is not None else PathArena()
         self.row_first_probability = router.row_first_probability
-        self.legs = MeshLegCache(router._row_first)
-        build_row_first, build_col_first = _mesh_builders(
-            self.legs, router.mesh.node_coords
-        )
-        self.row_first = PathCache(
-            router._row_first,
-            arena=self.arena,
-            builder=build_row_first,
-        )
-        self.col_first = PathCache(
-            router._col_first,
-            arena=self.arena,
-            builder=build_col_first,
-        )
+        self.row_first = PathCache(router._row_first, arena=self.arena)
+        self.col_first = PathCache(router._col_first, arena=self.arena)
 
     def sample_offlen(
         self, src: int, dst: int, rng: np.random.Generator
@@ -598,7 +504,7 @@ class RandomizedGreedyPathCache:
         """Batch coins, then gather from the two tables.
 
         The coins are one ``rng.random(k)`` call — bit-identical to the
-        per-packet scalar coins because path composition consumes no RNG
+        per-packet scalar coins because building paths consumes no RNG
         between them.
         """
         srcs = np.asarray(srcs, dtype=np.int64)
@@ -633,63 +539,6 @@ class RandomizedGreedyPathCache:
     def path(self, src: int, dst: int) -> tuple[int, ...]:
         """Canonical (row-first) cached path."""
         return self.row_first.path(src, dst)
-
-
-class TorusLegCache:
-    """Memoized wraparound row/column legs of greedy torus walks.
-
-    Same idea as :class:`MeshLegCache`: a greedy torus path is one
-    horizontal leg plus one vertical leg, and ``n^3`` legs cover all
-    pairs of either dimension order, so the legs are the right memo
-    granularity. Legs are built once via the torus router's own
-    ``_leg`` walk (shorter-way-around with the deterministic tie rule).
-    """
-
-    def __init__(self, torus_router: GreedyTorusRouter) -> None:
-        self._router = torus_router
-        self._rows: dict[tuple[int, int, int], list[int]] = {}
-        self._cols: dict[tuple[int, int, int], list[int]] = {}
-
-    def row_leg(self, i: int, j1: int, j2: int) -> list[int]:
-        """Edges along row ``i`` from column ``j1`` to ``j2`` (memoized)."""
-        key = (i, j1, j2)
-        leg = self._rows.get(key)
-        if leg is None:
-            leg, _, _ = self._router._leg(i, j1, j2, horizontal=True)
-            self._rows[key] = leg
-        return leg
-
-    def col_leg(self, i1: int, i2: int, j: int) -> list[int]:
-        """Edges along column ``j`` from row ``i1`` to ``i2`` (memoized)."""
-        key = (i1, i2, j)
-        leg = self._cols.get(key)
-        if leg is None:
-            leg, _, _ = self._router._leg(i1, j, i2, horizontal=False)
-            self._cols[key] = leg
-        return leg
-
-
-def _torus_builder(router: GreedyTorusRouter):
-    """Leg-composed builder reproducing ``GreedyTorusRouter.path`` exactly."""
-    legs = TorusLegCache(router)
-    coords = router.torus.node_coords
-    column_first = router.column_first
-    row_leg, col_leg = legs.row_leg, legs.col_leg
-
-    def build_torus_path(src: int, dst: int) -> list[int]:
-        if src == dst:
-            return []
-        i1, j1 = coords(src)
-        i2, j2 = coords(dst)
-        if column_first:
-            first = col_leg(i1, i2, j1) if i1 != i2 else []
-            second = row_leg(i2, j1, j2) if j1 != j2 else []
-        else:
-            first = row_leg(i1, j1, j2) if j1 != j2 else []
-            second = col_leg(i1, i2, j2) if i1 != i2 else []
-        return first + second
-
-    return build_torus_path
 
 
 def _lay_out_runs(legs) -> tuple[np.ndarray, np.ndarray]:
@@ -798,152 +647,6 @@ def _batch_builder(router: Router):
     return None
 
 
-def _hypercube_builder(router: GreedyHypercubeRouter):
-    """Closed-form builder for the canonical-order hypercube walk.
-
-    Dimension ``k``'s edge block starts at ``k * 2^d`` and the edge out
-    of node ``v`` sits at offset ``v``, so the whole path is integer
-    arithmetic — no per-hop method calls or range checks (the cache only
-    ever asks for valid node ids).
-    """
-    n = int(router.cube.num_nodes)
-
-    def build_hypercube_path(src: int, dst: int) -> list[int]:
-        at = int(src)
-        diff = at ^ int(dst)
-        out: list[int] = []
-        base = 0
-        bit = 1
-        while diff:
-            if diff & 1:
-                out.append(base + at)
-                at ^= bit
-            diff >>= 1
-            base += n
-            bit <<= 1
-        return out
-
-    return build_hypercube_path
-
-
-def _butterfly_builder(router: ButterflyRouter):
-    """Level-composed builder for the unique butterfly path.
-
-    Per level the two candidate edges are ``base + row`` (straight) and
-    ``base + rows + row`` (cross) with ``base = level * 2 * rows``; the
-    builder walks the row bits directly. Invalid (non input-to-output)
-    pairs still raise ``ValueError`` via ``node_coords``-style checks,
-    matching the router's contract.
-    """
-    b = router.butterfly
-    rows = b.rows
-    d = b.d
-    node_coords = b.node_coords
-
-    def build_butterfly_path(src: int, dst: int) -> list[int]:
-        level_s, row = node_coords(src)
-        level_d, row_d = node_coords(dst)
-        if level_s != 0:
-            raise ValueError(
-                f"butterfly sources must be level-0 nodes, got level {level_s}"
-            )
-        if level_d != d:
-            raise ValueError(
-                f"butterfly destinations must be level-{d} nodes, got level {level_d}"
-            )
-        out: list[int] = []
-        need = row ^ row_d
-        base = 0
-        bit = 1
-        for _level in range(d):
-            if need & bit:
-                out.append(base + rows + row)
-                row ^= bit
-            else:
-                out.append(base + row)
-            base += 2 * rows
-            bit <<= 1
-        return out
-
-    return build_butterfly_path
-
-
-class KDLegCache:
-    """Memoized single-axis legs of dimension-order walks on a k-d array.
-
-    A leg is the edge run correcting one axis from one node; it is keyed
-    by ``(start node, axis, target coordinate)`` and shared by every
-    ``(src, dst)`` pair whose walk passes through that node with that
-    correction — the k-d analogue of the mesh/torus row-column legs.
-    """
-
-    def __init__(self, array) -> None:
-        self._array = array
-        self._legs: dict[tuple[int, int, int], tuple[list[int], int]] = {}
-
-    def leg(self, at: int, axis: int, cur: int, target: int) -> tuple[list[int], int]:
-        """Edges correcting ``axis`` from ``cur`` to ``target`` starting at
-        node ``at``; returns ``(edges, end_node)`` (memoized)."""
-        key = (at, axis, target)
-        hit = self._legs.get(key)
-        if hit is not None:
-            return hit
-        array = self._array
-        step = array.strides[axis]
-        edges: list[int] = []
-        node = at
-        while cur < target:
-            nxt = node + step
-            edges.append(array.edge_id(node, nxt))
-            node = nxt
-            cur += 1
-        while cur > target:
-            nxt = node - step
-            edges.append(array.edge_id(node, nxt))
-            node = nxt
-            cur -= 1
-        self._legs[key] = (edges, node)
-        return edges, node
-
-
-def _kd_builder(router: GreedyKDRouter):
-    """Leg-composed builder reproducing ``GreedyKDRouter.path`` exactly."""
-    legs = KDLegCache(router.array)
-    node_coords = router.array.node_coords
-    order = router.dimension_order
-    leg = legs.leg
-
-    def build_kd_path(src: int, dst: int) -> list[int]:
-        if src == dst:
-            return []
-        coord = node_coords(src)
-        target = node_coords(dst)
-        at = src
-        out: list[int] = []
-        for axis in order:
-            c, g = coord[axis], target[axis]
-            if c != g:
-                edges, at = leg(at, axis, c, g)
-                out.extend(edges)
-        return out
-
-    return build_kd_path
-
-
-def _deterministic_builder(router: Router):
-    """The specialised (leg-composed / closed-form) builder for ``router``,
-    or ``None`` when only the generic ``router.path`` is available."""
-    if isinstance(router, GreedyTorusRouter):
-        return _torus_builder(router)
-    if isinstance(router, GreedyHypercubeRouter):
-        return _hypercube_builder(router)
-    if isinstance(router, ButterflyRouter):
-        return _butterfly_builder(router)
-    if isinstance(router, GreedyKDRouter):
-        return _kd_builder(router)
-    return None
-
-
 def build_paths(
     router: Router, srcs: np.ndarray, dsts: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -952,9 +655,9 @@ def build_paths(
     Returns ``(edges, lens)``: the paths' edge ids concatenated in pair
     order and each path's length. Built by the closed-form batch builder
     where one exists (greedy mesh and k-d arrays), one call per
-    :data:`BUILD_BLOCK_PAIRS` pairs, else pair by pair with the
-    specialised builder or ``router.path``. Nothing is memoized, and
-    randomized routers contribute their canonical ``path``.
+    :data:`BUILD_BLOCK_PAIRS` pairs, else pair by pair with
+    ``router.path``. Nothing is memoized, and randomized routers
+    contribute their canonical ``path``.
     """
     srcs = np.asarray(srcs, dtype=np.int64)
     dsts = np.asarray(dsts, dtype=np.int64)
@@ -965,8 +668,7 @@ def build_paths(
             for lo in range(0, max(srcs.size, 1), BUILD_BLOCK_PAIRS)
         ]
         return tuple(np.concatenate(part) for part in zip(*blocks))
-    build = _deterministic_builder(router) or router.path
-    paths = [build(s, d) for s, d in zip(srcs.tolist(), dsts.tolist())]
+    paths = [router.path(s, d) for s, d in zip(srcs.tolist(), dsts.tolist())]
     lens = np.fromiter(map(len, paths), dtype=np.int64, count=len(paths))
     edges = np.fromiter(
         chain.from_iterable(paths), dtype=np.int64, count=int(lens.sum())
@@ -1014,36 +716,24 @@ class SampledPathInterner:
         return offs, lens
 
 
-def path_cache_for(
-    router: Router,
-    *,
-    arena: PathArena | None = None,
-    precompute: bool = False,
-):
+def path_cache_for(router: Router):
     """Build the right cache flavour for ``router``.
 
     Deterministic routers (any :class:`BaseRouter` subclass that does not
-    override ``sample_path``) get a :class:`PathCache` — with a
-    specialised miss-path builder where one exists (leg-composed for the
-    torus and k-d arrays, closed-form for the hypercube and butterfly),
-    and for the greedy mesh and k-d routers a closed-form batch builder
-    that fills large batches of misses in bulk (scalar mesh misses keep
-    the router's grid walk). The randomized greedy scheme gets its cached-leg
+    override ``sample_path``) get a :class:`PathCache`, which builds its
+    misses with ``router.path`` — and, for the greedy mesh and k-d
+    routers, large batches of misses in bulk with a closed-form batch
+    builder. The randomized greedy scheme gets its two-table
     :class:`RandomizedGreedyPathCache`; anything else falls back to the
     :class:`SampledPathInterner`, which preserves pre-cache behaviour
     exactly.
     """
     if isinstance(router, RandomizedGreedyArrayRouter):
-        return RandomizedGreedyPathCache(router, arena=arena)
+        return RandomizedGreedyPathCache(router)
     sample = getattr(type(router), "sample_path", None)
     if isinstance(router, BaseRouter) and sample is BaseRouter.sample_path:
-        return PathCache(
-            router,
-            arena=arena,
-            builder=_deterministic_builder(router),
-            precompute=precompute,
-        )
-    return SampledPathInterner(router, arena=arena)
+        return PathCache(router)
+    return SampledPathInterner(router)
 
 
 def resolve_path_cache(router: Router, *, path_cache=None):

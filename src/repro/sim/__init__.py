@@ -178,8 +178,8 @@ store (a Python list the interpreter loops index directly, with an
 edge tuple — and "which edge next" is ``arena[offset + hop]``, one list
 index. Deterministic routers resolve a packet's path with a single dict
 probe; the Section 6 randomized scheme keeps two tables (row-first /
-column-first) on one arena, composed from a shared memoized leg store,
-and draws exactly the one coin the uncached scheme drew. Caches only
+column-first) on one arena and draws exactly the one coin the uncached
+scheme drew. Caches only
 grow and never influence outputs, so the replication engine shares one
 ``(network, cache)`` per cell across all of the cell's seeded
 replications (per worker process) instead of rebuilding per task — and
@@ -188,10 +188,10 @@ shared memory (:mod:`repro.sim.sharedcells`) when the network is small
 enough to publish in full.
 
 All four simulators resolve paths through one cache built by
-``path_cache_for`` — which now has a specialised miss-path builder for
-every shipped deterministic topology (leg-composed for mesh, torus and
-k-d arrays; closed-form for hypercube and butterfly) — so no engine and
-no topology falls back to per-packet path building unless handed a
+``path_cache_for``, which builds each pair's path once — with the
+router's own ``path``, or in bulk with a closed-form batch builder on
+mesh and k-d arrays — so no engine and no topology falls back to
+per-packet path building unless handed a
 ``path_cache=SampledPathInterner(router)``.
 
 **Monotone merge where service is uniform deterministic; a binary heap

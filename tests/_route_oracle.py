@@ -134,7 +134,7 @@ def mean_route_length(
             if p == 0.0 or dst == src:
                 continue
             total += w * p * len(router.path(src, dst))
-    return total
+    return float(total)
 
 
 def max_route_length(

@@ -171,10 +171,9 @@ class TestHelpersMatchTheReferenceLoops:
     def test_mean_route_length(self, system):
         router, dests, sources, weights, _, _, _ = system
         kw = dict(source_nodes=sources, source_weights=weights)
-        _same(
-            mean_route_length(router, dests, **kw),
-            oracle.mean_route_length(router, dests, **kw),
-        )
+        got = mean_route_length(router, dests, **kw)
+        assert type(got) is float
+        _same(got, oracle.mean_route_length(router, dests, **kw))
 
     def test_max_route_length(self, system):
         router, _, sources, _, _, _, dest_nodes = system
@@ -212,10 +211,10 @@ class TestHelpersMatchTheReferenceLoops:
         scale = 0.8 / rates.max()  # network load 0.8
         node_rate = scale if weights is None else [scale * w for w in weights]
         kw = dict(source_nodes=sources, layered=layered)
-        _same(
-            generic_bounds(router, dests, node_rate, **kw),
-            oracle.reference_bounds(router, dests, node_rate, **kw),
-        )
+        got = generic_bounds(router, dests, node_rate, **kw)
+        assert type(got.mean_distance) is float
+        assert type(got.lower_trivial) is float
+        _same(got, oracle.reference_bounds(router, dests, node_rate, **kw))
 
 
 class TestFourDimensionalArray:
@@ -230,17 +229,15 @@ class TestFourDimensionalArray:
     def test_generic_bounds(self, kd4):
         router, dests = kd4
         lam = 0.9 * 4 / 4**4
-        _same(
-            generic_bounds(router, dests, lam),
-            oracle.reference_bounds(router, dests, lam),
-        )
+        got = generic_bounds(router, dests, lam)
+        assert type(got.mean_distance) is type(got.lower_trivial) is float
+        _same(got, oracle.reference_bounds(router, dests, lam))
 
     def test_mean_route_length(self, kd4):
         router, dests = kd4
-        _same(
-            mean_route_length(router, dests),
-            oracle.mean_route_length(router, dests),
-        )
+        got = mean_route_length(router, dests)
+        assert type(got) is float
+        _same(got, oracle.mean_route_length(router, dests))
 
 
 class TestRouteTable:
@@ -262,6 +259,8 @@ class TestRouteTable:
         assert table.pos.tolist() == [k for p in paths for k in range(len(p))]
         columns = (table.row, table.dst, table.lens, table.edges, table.pair, table.pos)
         assert {arr.dtype for arr in columns} == {np.dtype(np.int32)}
+        total = table.mean_length(np.ones(len(pairs)))
+        assert type(total) is float and total == sum(map(len, paths))
 
     def test_routes_only_kept_off_diagonal_pairs(self):
         """The butterfly router raises outside level 0 -> level d, so the
@@ -281,6 +280,7 @@ class TestRouteTable:
         assert table.max_length() == 0
         assert table.max_saturated(np.ones(router.topology.num_edges, bool)) == 0
         assert table.mean_length(np.zeros(0)) == 0.0
+        assert type(table.mean_length(np.zeros(0))) is float
         assert np.isnan(table.remaining_distances(np.zeros(0))).all()
 
 

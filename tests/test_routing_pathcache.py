@@ -10,14 +10,10 @@ from repro.routing.hypercube_greedy import GreedyHypercubeRouter
 from repro.routing.pathcache import (
     BULK_MIN_MISSES,
     DENSE_NODE_LIMIT,
-    KDLegCache,
-    MeshLegCache,
     PathArena,
     PathCache,
     RandomizedGreedyPathCache,
     SampledPathInterner,
-    TorusLegCache,
-    _deterministic_builder,
     _kd_batch_builder,
     _mesh_batch_builder,
     build_paths,
@@ -138,12 +134,20 @@ class TestPathArena:
     ],
 )
 def test_cache_matches_router_on_all_pairs(router_factory):
+    """Pair-by-pair lookups return the router's paths, and a
+    ``precompute_all`` fill lays the cache out exactly as they do."""
     router = router_factory()
     cache = path_cache_for(router)
     n = router.topology.num_nodes
     for s in range(n):
         for d in range(n):
             assert cache.path(s, d) == router.path(s, d), (s, d)
+    filled = path_cache_for(router)
+    filled.precompute_all()
+    assert filled.arena.edges == cache.arena.edges
+    assert filled.table == cache.table
+    for got, want in zip(filled.table_snapshot(), cache.table_snapshot()):
+        assert got.tolist() == want.tolist()
 
 
 def test_butterfly_cache_matches_router_on_all_valid_pairs():
@@ -159,38 +163,43 @@ def test_butterfly_cache_matches_router_on_all_valid_pairs():
 
 
 class TestSpecialisedBuilders:
-    """path_cache_for must resolve a real specialised miss-path builder —
-    not the generic router.path walk — for every shipped deterministic
-    topology."""
+    """Scalar misses are built by the router's own ``path`` on every
+    topology; only the greedy mesh and k-d routers get a closed-form
+    batch builder for bulk fills."""
 
     @pytest.mark.parametrize(
         "router_factory",
         [
+            lambda: GreedyArrayRouter(ArrayMesh(4)),
             lambda: GreedyTorusRouter(Torus(4)),
             lambda: GreedyHypercubeRouter(Hypercube(3)),
             lambda: ButterflyRouter(Butterfly(2)),
             lambda: GreedyKDRouter(KDArray((3, 3, 3))),
         ],
     )
-    def test_specialised_builder_is_wired(self, router_factory):
+    def test_scalar_misses_call_router_path(self, router_factory):
         router = router_factory()
-        assert _deterministic_builder(router) is not None
         cache = path_cache_for(router)
-        assert isinstance(cache, PathCache)
-        assert cache._build_path != router.path  # not the generic walk
+        walk, calls = router.path, []
+
+        def counted(src, dst):
+            calls.append((src, dst))
+            return walk(src, dst)
+
+        router.path = counted
+        src, dst = 0, router.topology.num_nodes - 1
+        assert cache.path(src, dst) == walk(src, dst)
+        assert cache.path(src, dst) == walk(src, dst)  # memo hit
+        assert calls == [(src, dst)]
 
     def test_mesh_router_keeps_its_grid_walk(self):
-        """Scalar mesh misses keep the router's per-direction grid walk;
-        batch misses use the closed-form builder."""
+        """Greedy mesh batch misses use the closed-form mesh builder."""
         router = GreedyArrayRouter(ArrayMesh(4))
-        assert _deterministic_builder(router) is None
         assert path_cache_for(router)._build_batch is not None
 
     def test_kd_router_fills_misses_in_bulk(self):
-        """k-d scalar misses keep the leg-composed builder; batch misses
-        use the closed-form k-d batch builder."""
+        """k-d batch misses use the closed-form k-d batch builder."""
         cache = path_cache_for(GreedyKDRouter(KDArray((3, 3, 3))))
-        assert cache._build_path.__name__ == "build_kd_path"
         assert cache._build_batch.__name__ == "build_kd_paths"
 
     @pytest.mark.parametrize(
@@ -203,28 +212,6 @@ class TestSpecialisedBuilders:
     )
     def test_other_routers_keep_the_per_pair_miss_loop(self, router_factory):
         assert path_cache_for(router_factory())._build_batch is None
-
-    def test_torus_leg_cache_memoizes(self):
-        router = GreedyTorusRouter(Torus(5))
-        legs = TorusLegCache(router)
-        leg = legs.row_leg(2, 0, 4)  # wraps the short way
-        assert leg == router._leg(2, 0, 4, horizontal=True)[0]
-        assert legs.row_leg(2, 0, 4) is leg  # memoized object
-        col = legs.col_leg(1, 4, 3)
-        assert col == router._leg(1, 3, 4, horizontal=False)[0]
-
-    def test_kd_leg_cache_memoizes_and_tracks_end_node(self):
-        arr = KDArray((3, 4, 2))
-        router = GreedyKDRouter(arr)
-        legs = KDLegCache(arr)
-        src = 0
-        coords = arr.node_coords(src)
-        edges, end = legs.leg(src, 1, coords[1], 3)
-        assert arr.node_coords(end)[1] == 3
-        assert legs.leg(src, 1, coords[1], 3) == (edges, end)  # memo hit
-        # Leg edges agree with the router walking only that axis.
-        dst = end
-        assert tuple(edges) == router.path(src, dst)
 
 
 class TestPathCache:
@@ -241,7 +228,8 @@ class TestPathCache:
 
     def test_precompute_all(self):
         router = GreedyArrayRouter(ArrayMesh(3))
-        cache = PathCache(router, precompute=True)
+        cache = PathCache(router)
+        cache.precompute_all()
         assert len(cache) == 81
         assert cache.path(2, 7) == router.path(2, 7)
 
@@ -323,21 +311,27 @@ class TestMeshBatchBuilder:
         assert flat.size == 0 and lens.tolist() == [0, 0]
 
     @staticmethod
-    def _pair(column_first=False):
+    def _count_bulk_calls(cache):
+        """Make ``cache``'s batch builder record each call's pair count in
+        ``cache.bulk_calls``."""
+        build = cache._build_batch
+        cache.bulk_calls = []
+
+        def counted(srcs, dsts):
+            cache.bulk_calls.append(srcs.size)
+            return build(srcs, dsts)
+
+        cache._build_batch = counted
+        return cache
+
+    @classmethod
+    def _pair(cls, column_first=False):
         """A bulk-filling cache, whose batch builder counts its calls, and
         a scalar-only reference cache on one 8x8 router."""
         router = GreedyArrayRouter(ArrayMesh(8), column_first=column_first)
         bulk, scalar = path_cache_for(router), PathCache(router)
         scalar._build_batch = None
-        build = bulk._build_batch
-        bulk.bulk_calls = []
-
-        def counted(srcs, dsts):
-            bulk.bulk_calls.append(srcs.size)
-            return build(srcs, dsts)
-
-        bulk._build_batch = counted
-        return bulk, scalar
+        return cls._count_bulk_calls(bulk), scalar
 
     @staticmethod
     def _assert_same_fill(bulk, scalar):
@@ -400,6 +394,35 @@ class TestMeshBatchBuilder:
         cache = RandomizedGreedyPathCache(RandomizedGreedyArrayRouter(ArrayMesh(4)))
         assert cache.row_first._build_batch is not None
         assert cache.col_first._build_batch is not None
+
+    @pytest.mark.parametrize("column_first", [False, True])
+    def test_precompute_all_builds_in_one_bulk_call(self, column_first):
+        """precompute_all builds every missing pair in one batch-builder
+        call and lays the arena out as the pair-by-pair fill does."""
+        bulk, scalar = self._pair(column_first)
+        for s, d in [(3, 60), (0, 0), (63, 1)]:
+            assert bulk.offlen(s, d) == scalar.offlen(s, d)
+        bulk.precompute_all()
+        scalar.precompute_all()
+        assert bulk.bulk_calls == [64 * 64 - 3]
+        assert bulk.complete
+        self._assert_same_fill(bulk, scalar)
+        for got, want in zip(bulk.table_snapshot(), scalar.table_snapshot()):
+            assert got.tolist() == want.tolist()
+
+    def test_randomized_precompute_builds_each_table_in_one_bulk_call(self):
+        router = RandomizedGreedyArrayRouter(ArrayMesh(8))
+        bulk, scalar = RandomizedGreedyPathCache(router), RandomizedGreedyPathCache(router)
+        for table in (bulk.row_first, bulk.col_first):
+            self._count_bulk_calls(table)
+        scalar.row_first._build_batch = scalar.col_first._build_batch = None
+        bulk.precompute_all()
+        scalar.precompute_all()
+        assert bulk.row_first.bulk_calls == bulk.col_first.bulk_calls == [64 * 64]
+        assert bulk.complete
+        assert bulk.arena.edges == scalar.arena.edges
+        assert bulk.row_first.table == scalar.row_first.table
+        assert bulk.col_first.table == scalar.col_first.table
 
 
 class TestKDBatchBuilder:
@@ -477,17 +500,6 @@ class TestBuildPaths:
             build_paths(
                 router, np.array([b.node_id(1, 0)]), np.array([b.node_id(2, 0)])
             )
-
-
-class TestMeshLegCache:
-    def test_legs_match_router_legs(self):
-        router = GreedyArrayRouter(ArrayMesh(4, 6))
-        legs = MeshLegCache(router)
-        assert legs.row_leg(2, 1, 5) == router._row_leg(2, 1, 5)
-        assert legs.row_leg(2, 5, 1) == router._row_leg(2, 5, 1)
-        assert legs.col_leg(0, 3, 2) == router._col_leg(0, 3, 2)
-        # Memoized: the same list object comes back.
-        assert legs.row_leg(2, 1, 5) is legs.row_leg(2, 1, 5)
 
 
 class TestRandomizedGreedyPathCache:
