@@ -62,10 +62,10 @@ def test_replication_serial_32x32(once):
 
 def test_replication_warm_pool_32x32(once):
     """The same 32x32 workload on the warm shared-memory pool: workers
-    are started and the per-cell memo warmed *before* the timed region
-    (the steady-state of a sweep), so the cell times the shared-memory
-    publish, the token-sized job dispatch and the streaming fold —
-    not pool start-up."""
+    are started *before* the timed region (the steady-state of a sweep),
+    so the cell times the registry publish, the token-sized job
+    dispatch, each worker's lazy 32x32 path cache and the streaming
+    fold — not pool start-up."""
     engine = ReplicationEngine()  # all cores (REPRO_PROCESSES honoured)
     engine.run(
         CellSpec(
@@ -79,8 +79,8 @@ def test_replication_warm_pool_32x32(once):
 
 def test_sharedcells_publish(benchmark):
     """Parent-side shared-memory publish/unlink for a mixed 3-cell batch
-    (arena + dense path tables + mask packing; the per-batch overhead
-    the token-sized job payloads buy)."""
+    (pickling the ``(spec, node_rate, mask)`` registry; the per-batch
+    overhead the token-sized job payloads buy)."""
     specs = [
         CellSpec(scenario="uniform", n=8, rho=0.6, warmup=100, horizon=1000),
         CellSpec(

@@ -122,9 +122,7 @@ class PathArena:
 
     def __init__(self) -> None:
         self.edges: list[int] = []
-        #: Private, writable backing store; ``_array`` is its synced prefix
-        #: (or, after :meth:`adopt_array`, the adopted snapshot itself,
-        #: with an empty ``_buf`` so that the next growth copies it).
+        #: Private, writable backing store; ``_array`` is its synced prefix.
         self._buf = np.empty(0, dtype=np.int32)
         self._array = self._buf
         #: ``_ints[e] is`` the one int object every bulk-filled ``edges``
@@ -139,9 +137,9 @@ class PathArena:
 
     def _sync(self, extra: int = 0) -> None:
         """Mirror the list's unsynced tail into the buffer, leaving room
-        for ``extra`` more edges. Growth reallocates geometrically into a
-        private buffer, so an adopted (possibly shared, read-only)
-        snapshot is copied, never written."""
+        for ``extra`` more edges. Growth reallocates geometrically and
+        copies the synced prefix, so an array :meth:`as_array` returned
+        earlier is never written."""
         done = self._array.size
         n = len(self.edges)
         buf = self._buf
@@ -226,25 +224,6 @@ class PathArena:
     def view(self, offset: int, length: int) -> tuple[int, ...]:
         """Materialise one ``(offset, length)`` slice as an edge tuple."""
         return tuple(self.edges[offset : offset + length])
-
-    def adopt_array(self, edges: np.ndarray) -> None:
-        """Adopt a published ``int32`` edge snapshot as the arena contents.
-
-        Used by the shared-memory fan-out (:mod:`repro.sim.sharedcells`):
-        a worker attaches the parent's arena snapshot zero-copy and binds
-        it as :meth:`as_array` directly; the Python list mirror the
-        interpreter loops index is materialised once per worker
-        (``tolist`` — the only copy in the hand-off). Must be called on
-        an empty arena; the arena keeps its append-only contract, so
-        later misses extend ``edges`` past the snapshot, and the first
-        growth copies the snapshot into a private buffer — nothing is
-        ever written into ``edges``' memory.
-        """
-        if self.edges:
-            raise ValueError("adopt_array requires an empty arena")
-        self.edges = edges.tolist()
-        self._buf = np.empty(0, dtype=np.int32)
-        self._array = edges
 
     def __len__(self) -> int:
         return len(self.edges)
@@ -410,54 +389,11 @@ class PathCache:
             self._dense_off[keys] = offs
             self._dense_len[keys] = lens
 
-    # -- shared-memory snapshot hand-off -------------------------------
     @property
     def complete(self) -> bool:
         """Every ``(src, dst)`` pair is cached (nothing left to build)."""
         n = self.num_nodes
         return len(self.table) == n * n
-
-    def table_snapshot(self) -> tuple[np.ndarray, np.ndarray] | None:
-        """Dense ``(offsets, lengths)`` export for *complete* caches.
-
-        The shared-memory fan-out (:mod:`repro.sim.sharedcells`) publishes
-        this pair next to the arena's ``int32`` snapshot so pool workers
-        can adopt a fully built cache instead of re-routing every path.
-        Only complete dense caches export: a partial table would leave
-        workers writing misses into memory shared across processes.
-        """
-        if self._dense_off is None or not self.complete:
-            return None
-        return self._dense_off, self._dense_len
-
-    def adopt_table(self, dense_off: np.ndarray, dense_len: np.ndarray) -> None:
-        """Adopt a published complete dense table (worker side).
-
-        ``dense_off``/``dense_len`` may live in shared memory: they are
-        bound read-only as the batch-lookup tables (misses cannot happen
-        on a complete cache, so nothing ever writes to them). The dict
-        used by the scalar hot path is rebuilt privately — plain dict
-        probes stay the fastest per-packet lookup. The arena must have
-        adopted the matching edge snapshot first
-        (:meth:`PathArena.adopt_array`).
-        """
-        if self.table:
-            raise ValueError("adopt_table requires an empty cache")
-        n = self.num_nodes
-        if dense_off.shape != (n * n,) or dense_len.shape != (n * n,):
-            raise ValueError(
-                f"dense table shape {dense_off.shape} does not match "
-                f"{n}x{n} nodes"
-            )
-        offs = dense_off.tolist()
-        lens = dense_len.tolist()
-        self.table = {k: (offs[k], lens[k]) for k in range(n * n)}
-        dense_off = dense_off.view()
-        dense_len = dense_len.view()
-        dense_off.setflags(write=False)
-        dense_len.setflags(write=False)
-        self._dense_off = dense_off
-        self._dense_len = dense_len
 
     def __len__(self) -> int:
         return len(self.table)
@@ -477,15 +413,10 @@ class RandomizedGreedyPathCache:
 
     consumes_rng = True
 
-    def __init__(
-        self,
-        router: RandomizedGreedyArrayRouter,
-        *,
-        arena: PathArena | None = None,
-    ) -> None:
+    def __init__(self, router: RandomizedGreedyArrayRouter) -> None:
         self.router = router
         self.topology = router.topology
-        self.arena = arena if arena is not None else PathArena()
+        self.arena = PathArena()
         self.row_first_probability = router.row_first_probability
         self.row_first = PathCache(router._row_first, arena=self.arena)
         self.col_first = PathCache(router._col_first, arena=self.arena)
@@ -689,10 +620,10 @@ class SampledPathInterner:
 
     consumes_rng = True
 
-    def __init__(self, router: Router, *, arena: PathArena | None = None) -> None:
+    def __init__(self, router: Router) -> None:
         self.router = router
         self.topology = router.topology
-        self.arena = arena if arena is not None else PathArena()
+        self.arena = PathArena()
         self._seen: dict[tuple[int, ...], tuple[int, int]] = {}
 
     def sample_offlen(

@@ -74,19 +74,19 @@ pieces, each independently pinned by tests:
   keyed by worker count in a shared registry (``get_pool``), created
   lazily, and *reused* across ``run_many`` calls and whole sweeps —
   worker processes keep their imports, their per-cell ``(network,
-  cache)`` memo and their attached shared-memory segments warm instead
+  cache)`` memo and the batch registries they have read warm instead
   of paying pool start-up per call. ``REPRO_PROCESSES`` overrides the
   default worker count everywhere.
-* **Shared-memory cell snapshots** (:mod:`repro.sim.sharedcells`). Per
-  batch, the parent publishes the read-only cell state — the path
-  arena's ``int32`` edge table plus complete dense path tables (warmed
-  by parent-side precompute up to 128 nodes), pinned per-source rates
-  and their CDF, the saturated-edge mask — into one
-  ``multiprocessing.shared_memory`` block that workers attach
-  zero-copy. A job payload is a ``(token, cell_index, position,
-  seed_chunk)`` tuple of scalars — no network, no arena, no spec copies
-  per seed. The parent closes *and unlinks* every block when its batch
-  ends, so nothing leaks (and the resource tracker stays quiet).
+* **Shared-memory cell registries** (:mod:`repro.sim.sharedcells`).
+  Per batch, the parent pickles the resolved cells — one ``(spec,
+  node_rate, mask)`` tuple per cell — into one
+  ``multiprocessing.shared_memory`` block. A job payload is a
+  ``(token, cell_index, position, seed_chunk)`` tuple of scalars — no
+  spec copies or rate arrays per seed. A worker copies the registry out
+  of the block once per batch and warms each cell's path cache itself
+  (routed in full up to 128 nodes, in a few milliseconds). The parent
+  closes *and unlinks* every block when its batch ends, so nothing
+  leaks (and the resource tracker stays quiet).
 * **Streaming aggregation.** Seed chunks are tagged and fanned through
   ``imap_unordered``; finished replications fold into their cell's slot
   as they arrive, each completed cell is surfaced through the optional
@@ -182,10 +182,9 @@ column-first) on one arena and draws exactly the one coin the uncached
 scheme drew. Caches only
 grow and never influence outputs, so the replication engine shares one
 ``(network, cache)`` per cell across all of the cell's seeded
-replications (per worker process) instead of rebuilding per task — and
-pool workers adopt the parent's precomputed cache straight out of
-shared memory (:mod:`repro.sim.sharedcells`) when the network is small
-enough to publish in full.
+replications (per worker process) instead of rebuilding per task; pool
+workers route small networks in full on first use
+(:func:`repro.sim.sharedcells.warm_cell`).
 
 All four simulators resolve paths through one cache built by
 ``path_cache_for``, which builds each pair's path once — with the

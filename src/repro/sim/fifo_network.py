@@ -184,7 +184,6 @@ class NetworkSimulation:
         collect_delays: bool = False,
         track_number_distribution: bool = False,
         track_maxima: bool = False,
-        delay_batches: int = 32,
     ) -> SimResult:
         """Simulate ``warmup + horizon`` time units and drain.
 
@@ -207,8 +206,6 @@ class NetworkSimulation:
             observed in the measurement window — the quantities Leighton's
             combinatorial analyses bound (the paper's Section 1.2 contrast
             with this paper's average-case results).
-        delay_batches:
-            Number of time batches for the delay confidence interval.
         """
         check_positive(horizon, "horizon")
         if warmup < 0:
@@ -221,5 +218,4 @@ class NetworkSimulation:
             collect_delays=collect_delays,
             track_number_distribution=track_number_distribution,
             track_maxima=track_maxima,
-            delay_batches=delay_batches,
         )

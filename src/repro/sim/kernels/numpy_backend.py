@@ -552,7 +552,6 @@ def run_fifo(
     collect_delays: bool = False,
     track_number_distribution: bool = False,
     track_maxima: bool = False,
-    delay_batches: int = 32,
 ) -> SimResult:
     """Vectorized deterministic FIFO kernel (max-plus solve), with
     per-edge service, utilization and tail-drop caps as options."""
@@ -663,7 +662,7 @@ def run_fifo(
         ).astype(np.int64)
         dropped = int(edge_drops.sum())
 
-    delay_acc = TimeBatchAccumulator(warmup, t_end, delay_batches)
+    delay_acc = TimeBatchAccumulator(warmup, t_end)
     routed_delay = d_final - a_t
     delay_acc.add_batch(a_t[done], routed_delay[done])
     delay_acc.add_batch(zero_ts, np.zeros(zero_ts.size))
@@ -706,7 +705,6 @@ def run_slotted(
     warmup_slots: int,
     horizon_slots: int,
     *,
-    delay_batches: int = 32,
     track_maxima: bool = False,
     collect_delays: bool = False,
 ) -> SimResult:
@@ -784,7 +782,7 @@ def run_slotted(
     )
     in_flight = int((d_final >= last).sum())
 
-    delay_acc = TimeBatchAccumulator(warmup, warmup + horizon, delay_batches)
+    delay_acc = TimeBatchAccumulator(warmup, warmup + horizon)
     birth_t = a_s * tau
     routed_delay = (d_final + 1 - a_s) * tau  # arrival is end of slot d
     delay_acc.add_batch(birth_t[mr], routed_delay[mr])

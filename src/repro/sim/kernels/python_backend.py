@@ -64,7 +64,6 @@ def run_fifo(
     collect_delays: bool = False,
     track_number_distribution: bool = False,
     track_maxima: bool = False,
-    delay_batches: int = 32,
 ) -> SimResult:
     """The FIFO event-driven loops (monotone merge + binary heap).
 
@@ -128,7 +127,7 @@ def run_fifo(
     dropped = 0
     node_drops = [0] * num_nodes
     delay_acc = measurement.TimeBatchAccumulator(
-        warmup, t_end, delay_batches, keep_values=collect_delays
+        warmup, t_end, keep_values=collect_delays
     )
     # Measured (birth, delay) pairs in completion order, folded into the
     # batches every fold_max pairs and once after the loop.
@@ -764,7 +763,6 @@ def run_slotted(
     warmup_slots: int,
     horizon_slots: int,
     *,
-    delay_batches: int = 32,
     track_maxima: bool = False,
     collect_delays: bool = False,
 ) -> SimResult:
@@ -806,7 +804,7 @@ def run_slotted(
     generated = completed = zero_hop = 0
     in_flight_at_horizon = 0
     delay_acc = measurement.TimeBatchAccumulator(
-        warmup, warmup + horizon, delay_batches, keep_values=collect_delays
+        warmup, warmup + horizon, keep_values=collect_delays
     )
     # Measured (birth, delay) pairs, folded as in run_fifo.
     fold_births = delay_acc.pending_times

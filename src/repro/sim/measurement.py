@@ -71,6 +71,10 @@ def batch_means(sums: np.ndarray, weights: np.ndarray) -> BatchMeans:
     return BatchMeans(mean=mean, half_width=1.96 * se, batches=k)
 
 
+#: Time batches of every engine's within-run delay confidence interval.
+DELAY_BATCHES = 32
+
+
 class TimeBatchAccumulator:
     """Accumulate a per-event quantity into fixed time batches.
 
@@ -89,7 +93,7 @@ class TimeBatchAccumulator:
         self,
         start: float,
         end: float,
-        num_batches: int = 32,
+        num_batches: int = DELAY_BATCHES,
         *,
         keep_values: bool = False,
     ) -> None:

@@ -112,7 +112,6 @@ class PSNetworkSimulation:
         *,
         collect_delays: bool = False,
         track_number_distribution: bool = False,
-        delay_batches: int = 32,
     ) -> SimResult:
         """Simulate ``warmup + horizon`` time units and drain (see
         :meth:`repro.sim.NetworkSimulation.run` for parameter meanings)."""
@@ -170,7 +169,7 @@ class PSNetworkSimulation:
         generated = completed = zero_hop = 0
         in_flight_at_horizon = 0
         delay_acc = measurement.TimeBatchAccumulator(
-            warmup, t_end, delay_batches, keep_values=collect_delays
+            warmup, t_end, keep_values=collect_delays
         )
         # Measured (birth time, delay) pairs in completion order, folded
         # into the batches every fold_max pairs and once after the loop.

@@ -20,16 +20,16 @@ single substrate for that pattern:
   CI uses (each replication is one "batch" of weight 1).
 
 Replications are embarrassingly parallel — a cell is a pure function of
-``(spec, seed)``. The parallel fan-out publishes each batch's read-only
-cell state (path arena and dense path tables, pinned rates and CDF,
-saturation mask) into shared memory once via
-:mod:`repro.sim.sharedcells`, then streams tagged seed *chunks* through
-``imap_unordered`` on a persistent warm pool, folding finished
-replications back into ``spec.seeds`` order as they arrive. The serial
-path (``processes=1``) never touches a pool or shared memory and is
-bit-identical to the parallel path. The engine works identically for all
-registered simulators; the slotted engine interprets the window in units
-of ``tau``-slots.
+``(spec, seed)``. The parallel fan-out publishes each batch's resolved
+cells (spec, calibrated rates, saturation mask) into shared memory once
+via :mod:`repro.sim.sharedcells`, then streams tagged seed *chunks*
+through ``imap_unordered`` on a persistent warm pool, whose workers
+build and warm each cell's network and path cache themselves, folding
+finished replications back into ``spec.seeds`` order as they arrive.
+The serial path (``processes=1``) never touches a pool or shared memory
+and is bit-identical to the parallel path. The engine works identically
+for all registered simulators; the slotted engine interprets the window
+in units of ``tau``-slots.
 """
 
 from __future__ import annotations
@@ -444,11 +444,12 @@ class ReplicationEngine:
         Flattening the batch before the pool sees it keeps the pool busy
         even when cells have very different lengths (the heavy rho = 0.99
         cells of Table III would otherwise serialise behind each other).
-        The parallel path publishes the batch's cell state into shared
-        memory once (:mod:`repro.sim.sharedcells`) and streams tagged
-        seed chunks through ``imap_unordered``, folding replications into
-        their cells incrementally; returned results (and each cell's
-        replications) always follow input/``spec.seeds`` order.
+        The parallel path publishes the batch's resolved cells into
+        shared memory once (:mod:`repro.sim.sharedcells`) and streams
+        tagged seed chunks through ``imap_unordered``; each worker warms
+        its own per-cell path caches. Replications fold into their cells
+        incrementally; returned results (and each cell's replications)
+        always follow input/``spec.seeds`` order.
 
         Parameters
         ----------

@@ -126,7 +126,6 @@ class RushedNetworkSimulation:
         horizon: float,
         *,
         track_maxima: bool = False,
-        delay_batches: int = 32,
     ) -> SimResult:
         """Simulate ``warmup + horizon`` time units and drain.
 
@@ -180,7 +179,7 @@ class RushedNetworkSimulation:
         last_t = 0.0
         generated = completed = zero_hop = 0
         in_flight_at_horizon = 0
-        delay_acc = measurement.TimeBatchAccumulator(warmup, t_end, delay_batches)
+        delay_acc = measurement.TimeBatchAccumulator(warmup, t_end)
         # Measured (birth, makespan) pairs in completion order, folded
         # into the batches every fold_max pairs and once after the loop.
         fold_births = delay_acc.pending_times

@@ -90,7 +90,6 @@ class SlottedNetworkSimulation:
         warmup_slots: int,
         horizon_slots: int,
         *,
-        delay_batches: int = 32,
         track_maxima: bool = False,
         collect_delays: bool = False,
     ) -> SimResult:
@@ -100,8 +99,6 @@ class SlottedNetworkSimulation:
 
         Parameters
         ----------
-        delay_batches:
-            Number of time batches for the delay confidence interval.
         track_maxima:
             Also record the worst per-packet delay of measured packets and
             the longest queue observed during measurement-window slots;
@@ -118,7 +115,6 @@ class SlottedNetworkSimulation:
             self,
             warmup_slots,
             horizon_slots,
-            delay_batches=delay_batches,
             track_maxima=track_maxima,
             collect_delays=collect_delays,
         )

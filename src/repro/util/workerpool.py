@@ -8,10 +8,10 @@ keeps pools *warm*:
 * :class:`WorkerPool` — a lazily created, reusable process pool. The
   underlying ``multiprocessing.Pool`` is built on first parallel use and
   then reused for every subsequent ``map`` / ``imap_unordered`` call, so
-  worker-local state (the replication layer's per-cell network memo, the
-  attached shared-memory snapshots of :mod:`repro.sim.sharedcells`)
-  survives across calls. Context-managed; also usable as a long-lived
-  module-level pool.
+  worker-local state (the replication layer's per-cell network and
+  path-cache memo, the batch registries read by
+  :mod:`repro.sim.sharedcells`) survives across calls. Context-managed;
+  also usable as a long-lived module-level pool.
 * :func:`get_pool` — the shared warm-pool registry, keyed by worker
   count. ``ReplicationEngine`` draws from here, so one warm
   pool serves a whole sweep. All registered pools are shut down at
@@ -94,9 +94,9 @@ class WorkerPool:
         processes — every call runs serially in-process.
 
     The pool is created on the first parallel call and reused afterwards;
-    worker processes stay alive (warm imports, warm per-cell memos,
-    attached shared-memory segments) until :meth:`shutdown` or interpreter
-    exit. Safe to use as a context manager for scoped lifetimes.
+    worker processes stay alive (warm imports, warm per-cell memos and
+    batch registries) until :meth:`shutdown` or interpreter exit. Safe
+    to use as a context manager for scoped lifetimes.
     """
 
     def __init__(self, processes: int | None = None) -> None:

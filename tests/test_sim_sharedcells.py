@@ -30,30 +30,23 @@ def _resolved(spec):
 
 
 class TestPublish:
-    def test_snapshot_published_for_small_network(self):
+    def test_block_holds_only_the_pickled_registry(self):
         spec = CellSpec(scenario="uniform", n=4, rho=0.5, **WINDOW)
-        with publish_cells([_resolved(spec)]) as batch:
-            meta = pickle.loads(
-                bytes(
-                    batch._shm.buf[batch.token[1] : batch.token[1] + batch.token[2]]
-                )
-            )["cells"][0]
-            assert "cache" in meta
-            assert meta["cache"]["kind"] == "deterministic"
-            assert meta["node_rate"] == pytest.approx(resolve_cell(spec)[0])
+        entry = _resolved(spec)
+        with publish_cells([entry]) as batch:
+            name, reg_off, reg_len = batch.token
+            assert reg_off == 0
+            cells = pickle.loads(bytes(batch._shm.buf[:reg_len]))
+        assert cells == [entry]
 
-    def test_randomized_cache_publishes_both_orders(self):
-        spec = CellSpec(scenario="randomized", n=4, rho=0.5, **WINDOW)
-        with publish_cells([_resolved(spec)]) as batch:
-            meta = pickle.loads(
-                bytes(
-                    batch._shm.buf[batch.token[1] : batch.token[1] + batch.token[2]]
-                )
-            )["cells"][0]
-            assert meta["cache"]["kind"] == "randomized"
-            assert {"row_off", "row_len", "col_off", "col_len"} <= set(
-                meta["cache"]
-            )
+    def test_publish_builds_no_cache_in_the_parent(self):
+        sharedcells._NETWORK_MEMO.clear()
+        specs = [
+            CellSpec(scenario="uniform", n=4, rho=0.5, **WINDOW),
+            CellSpec(scenario="randomized", n=4, rho=0.5, **WINDOW),
+        ]
+        with publish_cells([_resolved(spec) for spec in specs]):
+            assert not sharedcells._NETWORK_MEMO
 
     def test_job_payload_is_token_sized(self):
         """The acceptance criterion: no network/arena in the pickled job."""
@@ -96,49 +89,35 @@ class TestRunSeedChunk:
             r.mean_delay for r in serial.replications
         ]
 
-    def test_adopted_cache_is_complete_readonly_snapshot(self):
-        spec = CellSpec(scenario="uniform", n=4, rho=0.6, **WINDOW)
-        with publish_cells([_resolved(spec)]) as batch:
-            # Clear the in-process memo so adoption actually runs (in a
-            # real pool the worker process starts with its own memo).
-            sharedcells._NETWORK_MEMO.clear()
-            attached = sharedcells._AttachedBatch(batch.token)
-            try:
-                meta = attached.registry["cells"][0]
-                _net, cache = sharedcells._adopt_cell(
-                    meta["spec"], meta, attached
-                )
-                assert cache.complete
-                assert not cache._dense_off.flags.writeable
-                # The adopted arena view is the shared block itself.
-                assert cache.arena.as_array().dtype == np.int32
-            finally:
-                # Drop the adopted views before closing the attachment so
-                # the shared block releases cleanly.
-                sharedcells._NETWORK_MEMO.clear()
-                del cache
-                attached.release()
-
-    def test_release_forgets_cells_adopted_from_the_block(self):
-        """Closing an attachment unmaps its pages under any live numpy
-        view, so the memoized cells adopted from it go first — a later
-        cell with the same key would otherwise read unmapped memory."""
-        spec = CellSpec(scenario="uniform", n=4, rho=0.6, **WINDOW)
+    def test_worker_warms_a_private_complete_cache(self):
+        """A worker starting from an empty memo routes the cell itself:
+        the cache it runs on is complete, writeable and outlives the
+        unlinked block."""
+        spec = CellSpec(scenario="uniform", n=4, rho=0.6, seeds=(1,), **WINDOW)
         with publish_cells([_resolved(spec)]) as batch:
             sharedcells._NETWORK_MEMO.clear()
-            attached = sharedcells._AttachedBatch(batch.token)
-            meta = attached.registry["cells"][0]
-            sharedcells._adopt_cell(meta["spec"], meta, attached)
-            key = sharedcells.cell_key(meta["spec"])
-            assert key in sharedcells._NETWORK_MEMO
-            attached.release()
-            assert key not in sharedcells._NETWORK_MEMO
+            run_seed_chunk((batch.token, 0, 0, spec.seeds))
+        ((net, cache),) = sharedcells._NETWORK_MEMO.values()
+        assert cache.complete
+        assert cache._dense_off.flags.writeable
+        assert cache.arena.as_array().flags.writeable
+        assert cache.arena.as_array().tolist() == cache.arena.edges
+        assert cache.path(0, 15) == net.router.path(0, 15)
 
 
-@pytest.mark.parametrize("engine", ["fifo", "slotted", "rushed", "finite", "ps"])
+def _assert_parity(serial, parallel):
+    for s, p in zip(serial.replications, parallel.replications):
+        assert s.mean_delay == p.mean_delay
+        assert s.mean_number == p.mean_number
+        assert s.generated == p.generated
+        assert s.zero_hop == p.zero_hop
+        assert s.r == p.r or (np.isnan(s.r) and np.isnan(p.r))
+
+
 class TestParallelBitIdentity:
     """Same seeds, shared-memory pool vs serial: bit-identical results."""
 
+    @pytest.mark.parametrize("engine", ["fifo", "slotted", "rushed", "finite", "ps"])
     def test_engine_parity(self, engine):
         spec = CellSpec(
             scenario="uniform", n=4, rho=0.6, engine=engine,
@@ -146,11 +125,29 @@ class TestParallelBitIdentity:
         )
         serial = ReplicationEngine(processes=1).run(spec)
         parallel = ReplicationEngine(processes=2).run(spec)
-        for s, p in zip(serial.replications, parallel.replications):
-            assert s.mean_delay == p.mean_delay
-            assert s.mean_number == p.mean_number
-            assert s.generated == p.generated
-            assert s.r == p.r or (np.isnan(s.r) and np.isnan(p.r))
+        _assert_parity(serial, parallel)
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            # Two order tables; the coin per packet consumes RNG.
+            CellSpec(scenario="randomized", n=4, rho=0.6, **WINDOW),
+            # Workers warm these caches pair by pair.
+            CellSpec(scenario="torus", n=4, rho=0.6, **WINDOW),
+            CellSpec(scenario="bitreversal", n=4, rho=0.6, **WINDOW),
+            CellSpec(
+                scenario="uniform", n=4,
+                node_rate=tuple(0.02 * (1 + i % 3) for i in range(16)), **WINDOW,
+            ),
+            # 144 nodes: above PRECOMPUTE_NODE_LIMIT, the cache stays lazy.
+            CellSpec(scenario="uniform", n=12, rho=0.6, **WINDOW),
+        ],
+        ids=["randomized", "torus", "bitreversal", "tuple-node-rate", "mesh-12x12"],
+    )
+    def test_scenario_parity(self, spec):
+        serial = ReplicationEngine(processes=1).run(spec)
+        parallel = ReplicationEngine(processes=2).run(spec)
+        _assert_parity(serial, parallel)
 
 
 class TestStreamingFold:
