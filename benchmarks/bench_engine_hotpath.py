@@ -48,12 +48,13 @@ floors sit well under the measured ratios, same discipline as the 1.5x
 floor on the python cells. The fifo cell also records the kernel's
 tracemalloc peak per visit (``peak_bytes_per_visit``), which
 ``scripts/perf_gate.py`` compares against the baseline like a median.
-``test_event_32x32_numpy_cold`` runs the same fifo cell on a fresh path
-cache every round, so it also times the bulk fill of the cache's misses.
-It misses thousands of pairs per batch lookup, above the bulk fill's
-threshold (``BULK_MIN_MISSES``); ``test_slotted_8x8_cold`` times the
-other side, the python slot kernel's per-packet lookups, whose misses
-fill pair by pair.
+The numpy kernels route every run's packets straight from the router
+(``route_packets``) and never fill the path cache, so a "warm" numpy
+cell differs from a cold one only by the kernel level memo kept on the
+cache: ``test_event_32x32_numpy_cold`` runs the same fifo cell on a
+fresh cache every round, so it also times the level assignment.
+``test_slotted_8x8_cold`` times the python slot kernel's per-packet
+lookups on a cold cache, whose misses fill pair by pair.
 
 ``test_event_8x8_geometric`` is the one cell off the standard model: the
 python fifo kernel under Section 5.2's distance-biased law (the
@@ -77,7 +78,7 @@ from repro.core.optimization import optimal_service_rates, standard_capacity
 from repro.core.rates import array_edge_rates, lambda_for_load
 from repro.routing.destinations import UniformDestinations
 from repro.routing.greedy import GreedyArrayRouter
-from repro.routing.pathcache import PathArena, SampledPathInterner, path_cache_for
+from repro.routing.pathcache import SampledPathInterner, path_cache_for
 from repro.scenarios import build_network, resolve_cell
 from repro.sim.fifo_network import NetworkSimulation
 from repro.sim.ps_network import PSNetworkSimulation
@@ -273,17 +274,19 @@ def _best_seconds(fn, *args, rounds=3, **kwargs):
 
 def _peak_bytes_per_visit(monkeypatch, run, *args):
     """tracemalloc peak of one kernel run over the visits it solved
-    (counted at the arena gather, the numpy kernels' only one)."""
-    visits = []
-    gather = PathArena.gather
+    (counted where the numpy kernels route their packets)."""
+    from repro.sim.kernels import numpy_backend
 
-    def counting_gather(arena, offs, lens):
-        out = gather(arena, offs, lens)
-        visits.append(out.size)
+    visits = []
+    route = numpy_backend.route_packets
+
+    def counting_route(*route_args):
+        out = route(*route_args)
+        visits.append(out[0].size)
         return out
 
     with monkeypatch.context() as patch:
-        patch.setattr(PathArena, "gather", counting_gather)
+        patch.setattr(numpy_backend, "route_packets", counting_route)
         tracemalloc.start()
         try:
             run(*args)
@@ -295,8 +298,9 @@ def _peak_bytes_per_visit(monkeypatch, run, *args):
 
 def test_event_32x32_numpy_warm(best_of, benchmark, monkeypatch):
     """The PR-6 vectorized kernel on the acceptance cell (32x32 uniform
-    deterministic, warm shared cache — the same configuration as
-    ``test_event_32x32_cached_warm``). The interleaved reference timing
+    deterministic, warm kernel level memo), against the python kernel
+    on a warm shared cache — the configuration of
+    ``test_event_32x32_cached_warm``. The interleaved reference timing
     pins the backend-vs-backend ratio within one process, immune to
     cross-run machine drift."""
     mesh_router = GreedyArrayRouter(ArrayMesh(32))
@@ -305,7 +309,7 @@ def test_event_32x32_numpy_warm(best_of, benchmark, monkeypatch):
     lam = lambda_for_load(32, RHO, "table1")
     NetworkSimulation(
         mesh_router, dests, lam, seed=3, path_cache=cache, backend="numpy"
-    ).run(WARMUP, HORIZON)  # warm the arena + kernel level cache
+    ).run(WARMUP, HORIZON)  # warm the kernel level cache
     t_python = _best_seconds(
         NetworkSimulation(mesh_router, dests, lam, seed=3, path_cache=cache).run,
         WARMUP,
@@ -330,8 +334,8 @@ def test_event_32x32_numpy_warm(best_of, benchmark, monkeypatch):
 
 def test_event_32x32_numpy_cold(best_of, benchmark):
     """The numpy kernel on the acceptance cell with a fresh path cache
-    every round, so each round also times the bulk miss fill (the
-    closed-form mesh builder and the arena's append-only int32 mirror)."""
+    every round, so each round also assigns the edge levels from
+    scratch (a warm cache only revalidates its memo)."""
     mesh_router = GreedyArrayRouter(ArrayMesh(32))
     dests = UniformDestinations(1024)
     lam = lambda_for_load(32, RHO, "table1")
@@ -350,14 +354,14 @@ def test_event_32x32_numpy_cold(best_of, benchmark):
 
 def test_slotted_32x32_numpy_warm(best_of, benchmark):
     """The vectorized slot kernel on the 32x32 acceptance cell, against
-    the python kernel on the identical warm cell."""
+    the python kernel on a warm shared cache."""
     mesh_router = GreedyArrayRouter(ArrayMesh(32))
     cache = path_cache_for(mesh_router)
     dests = UniformDestinations(1024)
     lam = lambda_for_load(32, RHO, "table1")
     SlottedNetworkSimulation(
         mesh_router, dests, lam, seed=4, path_cache=cache, backend="numpy"
-    ).run(int(WARMUP), int(HORIZON))  # warm the arena + kernel level cache
+    ).run(int(WARMUP), int(HORIZON))  # warm the kernel level cache
     t_python = _best_seconds(
         SlottedNetworkSimulation(
             mesh_router, dests, lam, seed=4, path_cache=cache
@@ -393,7 +397,7 @@ def test_finite_32x32_numpy_warm(best_of, benchmark):
     lam = lambda_for_load(32, RHO, "table1")
     FiniteBufferNetworkSimulation(
         mesh_router, dests, lam, seed=3, path_cache=cache, backend="numpy"
-    ).run(WARMUP, HORIZON)  # warm the arena + kernel level cache
+    ).run(WARMUP, HORIZON)  # warm the kernel level cache
     sim = FiniteBufferNetworkSimulation(
         mesh_router, dests, lam, seed=3, path_cache=cache, backend="numpy"
     )
@@ -435,7 +439,7 @@ def _numpy_vs_python(benchmark, best_of, build):
     """Time ``build(backend).run`` on numpy (best of 3) after one warming
     run, record packets/s and the ratio to the python loops on the
     identical warm cell; returns the numpy result and that ratio."""
-    build("numpy").run(WARMUP, HORIZON)  # warm the arena + level cache
+    build("numpy").run(WARMUP, HORIZON)  # warm the kernel level cache
     t_python = _best_seconds(build("python").run, WARMUP, HORIZON)
     res = best_of(build("numpy").run, WARMUP, HORIZON)
     dt = benchmark.stats.stats.min

@@ -22,7 +22,7 @@ of side at least 4): its route legs chain around directed rings — e.g. on
 a 4-ring the legs 0->1->2, 1->2->3, 2->3->0, 3->0->1 force the cyclic
 precedence e01 < e12 < e23 < e30 < e01 — so a strictly-increasing
 labelling cannot exist. :func:`find_layering_obstruction` finds such a
-cycle constructively in the "follows" digraph of consecutively-used edge
+cycle constructively in the "follows" relation of consecutively-used edge
 pairs, which is the machine-checkable form of the paper's Section 6
 remark. (Degenerate exception, found by this reproduction's tests: on the
 3x3 torus shortest-way greedy legs are at most one edge, so no two
@@ -33,6 +33,7 @@ rings.)
 
 from __future__ import annotations
 
+from collections import Counter
 from typing import Sequence
 
 import numpy as np
@@ -62,6 +63,21 @@ def array_layering_labels(mesh: ArrayMesh) -> np.ndarray:
     return labels
 
 
+def _routes(
+    router: Router,
+    source_nodes: Sequence[int] | None,
+    dest_nodes: Sequence[int] | None,
+):
+    """The canonical route of every listed ``src != dst`` pair (all nodes
+    when a list is ``None``), sources outermost."""
+    nodes = range(router.topology.num_nodes)
+    dests = list(nodes if dest_nodes is None else dest_nodes)
+    for src in nodes if source_nodes is None else source_nodes:
+        for dst in dests:
+            if dst != src:
+                yield router.path(src, dst)
+
+
 def verify_layering(
     router: Router,
     labels: np.ndarray,
@@ -77,19 +93,29 @@ def verify_layering(
             f"labels must have one entry per edge ({topo.num_edges}), "
             f"got shape {labels.shape}"
         )
-    sources = (
-        list(range(topo.num_nodes)) if source_nodes is None else list(source_nodes)
-    )
-    dests = list(range(topo.num_nodes)) if dest_nodes is None else list(dest_nodes)
-    for src in sources:
-        for dst in dests:
-            if dst == src:
-                continue
-            path = router.path(src, dst)
-            for a, b in zip(path, path[1:]):
-                if labels[b] <= labels[a]:
-                    return False
+    for path in _routes(router, source_nodes, dest_nodes):
+        for a, b in zip(path, path[1:]):
+            if labels[b] <= labels[a]:
+                return False
     return True
+
+
+def _follows(
+    router: Router,
+    source_nodes: Sequence[int] | None = None,
+    dest_nodes: Sequence[int] | None = None,
+) -> dict[int, dict[int, None]]:
+    """The "follows" relation on edge ids as an adjacency map: ``b`` is in
+    ``succ[a]`` iff some canonical route crosses ``b`` immediately after
+    ``a``. Each edge's successors keep the order routes first cross
+    them."""
+    succ: dict[int, dict[int, None]] = {
+        e: {} for e in range(router.topology.num_edges)
+    }
+    for path in _routes(router, source_nodes, dest_nodes):
+        for a, b in zip(path, path[1:]):
+            succ[int(a)][int(b)] = None
+    return succ
 
 
 def follows_digraph(
@@ -103,20 +129,10 @@ def follows_digraph(
     digraph is acyclic (labels = any topological order)."""
     import networkx as nx
 
-    topo = router.topology
     g = nx.DiGraph()
-    g.add_nodes_from(range(topo.num_edges))
-    sources = (
-        list(range(topo.num_nodes)) if source_nodes is None else list(source_nodes)
-    )
-    dests = list(range(topo.num_nodes)) if dest_nodes is None else list(dest_nodes)
-    for src in sources:
-        for dst in dests:
-            if dst == src:
-                continue
-            path = router.path(src, dst)
-            for a, b in zip(path, path[1:]):
-                g.add_edge(int(a), int(b))
+    succ = _follows(router, source_nodes, dest_nodes)
+    g.add_nodes_from(succ)
+    g.add_edges_from((a, b) for a, nbrs in succ.items() for b in nbrs)
     return g
 
 
@@ -128,19 +144,34 @@ def find_layering_obstruction(
 ) -> list[int] | None:
     """A cycle of edge ids witnessing that no layering exists, or None.
 
-    Returns None exactly when a layering exists (the follows digraph is
+    Returns None exactly when a layering exists (the follows relation is
     acyclic). On the greedy torus this returns a directed ring of edges,
     mechanising the paper's "any network containing a ring of directed
     edges cannot be layered" for the concrete routing scheme in use.
+    The cycle is the first one an iterative depth-first search meets,
+    taking edges and their successors in ascending id and first-crossing
+    order.
     """
-    import networkx as nx
-
-    g = follows_digraph(router, source_nodes=source_nodes, dest_nodes=dest_nodes)
-    try:
-        cycle = nx.find_cycle(g)
-    except nx.NetworkXNoCycle:
-        return None
-    return [a for a, _b in cycle]
+    succ = _follows(router, source_nodes, dest_nodes)
+    state = dict.fromkeys(succ, 0)  # 0 unseen, 1 on the path, 2 done
+    for root in succ:
+        if state[root]:
+            continue
+        state[root] = 1
+        path, todo = [root], [iter(succ[root])]
+        while todo:
+            for nxt in todo[-1]:
+                if state[nxt] == 1:
+                    return path[path.index(nxt) :]
+                if state[nxt] == 0:
+                    state[nxt] = 1
+                    path.append(nxt)
+                    todo.append(iter(succ[nxt]))
+                    break
+            else:
+                state[path.pop()] = 2
+                todo.pop()
+    return None
 
 
 def layering_from_follows(router: Router) -> np.ndarray | None:
@@ -148,16 +179,20 @@ def layering_from_follows(router: Router) -> np.ndarray | None:
 
     This gives an alternative, machine-generated labelling for any layered
     scheme (tests check it validates alongside Lemma 2's hand labelling).
+    Kahn's order: an edge is labelled once every edge it follows is.
     """
-    import networkx as nx
-
-    g = follows_digraph(router)
-    if not nx.is_directed_acyclic_graph(g):
+    succ = _follows(router)
+    waiting = Counter(b for nbrs in succ.values() for b in nbrs)
+    order = [e for e in succ if not waiting[e]]
+    for e in order:  # grows while it is walked
+        for b in succ[e]:
+            waiting[b] -= 1
+            if not waiting[b]:
+                order.append(b)
+    if len(order) < len(succ):
         return None
-    order = list(nx.topological_sort(g))
-    labels = np.zeros(router.topology.num_edges, dtype=np.int64)
-    for rank, e in enumerate(order):
-        labels[e] = rank + 1
+    labels = np.zeros(len(succ), dtype=np.int64)
+    labels[order] = np.arange(1, len(order) + 1)
     return labels
 
 

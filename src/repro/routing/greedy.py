@@ -7,14 +7,16 @@ order (row edges first); :class:`GreedyKDRouter` generalises to
 k-dimensional arrays, correcting dimensions in a fixed canonical order,
 which is the natural higher-dimensional analogue from Section 5.2.
 
-Implementation note: the simulators do not call ``path`` per packet; they
-look paths up in a :mod:`repro.routing.pathcache` memo. ``path`` builds a
-scalar miss from precomputed per-direction edge-id grids, one Python loop
-iteration per hop with no hashing. Batch lookups with many misses (the
-numpy kernels) and a cache's ``precompute_all`` build them with the
-cache's closed-form mesh builder instead: it takes each leg's first edge from the same grids and relies on
-:class:`~repro.topology.array_mesh.ArrayMesh`'s edge-id layout only for
-the step along a leg (``±1`` along a row, ``±cols`` along a column).
+Implementation note: the simulators do not call ``path`` per packet; the
+interpreted loops look paths up in a :mod:`repro.routing.pathcache` memo.
+``path`` builds a scalar miss from precomputed per-direction edge-id
+grids, one Python loop iteration per hop with no hashing. The numpy
+kernels' direct routing (``route_packets``), batch lookups with many
+misses and a cache's ``precompute_all`` build paths with the closed-form
+mesh builder instead: it takes each leg's first edge from the same grids
+and relies on :class:`~repro.topology.array_mesh.ArrayMesh`'s edge-id
+layout only for the step along a leg (``±1`` along a row, ``±cols`` along
+a column).
 """
 
 from __future__ import annotations

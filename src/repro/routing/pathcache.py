@@ -1,4 +1,4 @@
-"""Shared path-cache arena: the per-packet routing hot path.
+"""Shared path-cache arena and direct routing: the per-packet routing hot path.
 
 Both simulation engines used to rebuild every packet's path hop by hop
 (``GreedyArrayRouter.path`` does one NumPy scalar index per hop), which at
@@ -6,21 +6,18 @@ Both simulation engines used to rebuild every packet's path hop by hop
 are pure functions of ``(src, dst)`` for every deterministic router, and a
 mixture of two such functions for the Section 6 randomized scheme — so the
 work is memoizable. This module provides that memo as a *flat shared
-arena*:
+arena* for the interpreted loops, and a memo-free batch router for the
+vectorized kernels:
 
 * :class:`PathArena` — an append-only flat edge-id store. The engines
-  bind the plain Python list mirror (:attr:`PathArena.edges`), where list
-  indexing beats NumPy scalar indexing by an order of magnitude; the
-  ``int32`` mirror (:meth:`PathArena.as_array`, a growable buffer that
-  copies only the edges appended since its last call) is what the numpy
-  kernels gather their visits from.
+  bind its plain Python list (:attr:`PathArena.edges`), where list
+  indexing beats NumPy scalar indexing by an order of magnitude.
 * :class:`PathCache` — a ``(src, dst) -> (offset, length)`` memo over an
   arena for deterministic routers. Lookups are one dict probe; a scalar
   miss builds the path once with ``router.path`` — the one scalar
   definition of each scheme's walk — and appends it to the arena. For
-  small networks — and on request of the numpy kernels — a dense
-  ``offset``/``length`` pair of arrays is kept alongside the dict so
-  batch lookups are a single NumPy gather.
+  small networks a dense ``offset``/``length`` pair of arrays is kept
+  alongside the dict so batch lookups are a single NumPy gather.
 * Closed-form *batch* builders for the greedy mesh and k-d arrays
   (:func:`_mesh_batch_builder`, :func:`_kd_batch_builder`: each path is
   one arithmetic run of edge ids per axis). :meth:`PathCache._fill`, the
@@ -41,8 +38,11 @@ arena*:
   packet, exactly like the pre-cache engines, but still interns the
   result into an arena so the engines can keep uniform ``(offset,
   length)`` packet records.
+* :func:`route_packets` — the vectorized kernels' memo-free router: one
+  run's packets straight to a flat ``int32`` visit array, drawing exactly
+  what the caches above draw.
 
-Engines never call ``Router.sample_path`` directly any more; they go
+The interpreted loops never call ``Router.sample_path`` directly; they go
 through :func:`path_cache_for`, which picks the right flavour. Caches only
 ever *grow* and cache state never influences results, so one cache can be
 shared freely across the replications of a cell (see
@@ -73,12 +73,6 @@ from repro.routing.randomized_greedy import RandomizedGreedyArrayRouter
 #: the pairs actually routed.
 DENSE_NODE_LIMIT = 256
 
-#: Ceiling on ``n*n`` for *on-demand* dense promotion
-#: (:meth:`PathCache.promote_dense`) — the vectorized kernels ask for
-#: dense tables explicitly and 4M pairs caps the two ``int64`` arrays at
-#: 64 MiB; beyond it batch lookups keep the dict fallback.
-DENSE_PAIR_LIMIT = 4_194_304
-
 #: Fewest misses in one batch lookup that are built in bulk. The bulk
 #: fill has a fixed cost of ~50-100 us (unique keys, the builder's array
 #: ops, the arena append) against ~2-10 us per pair for the ``ensure``
@@ -87,11 +81,12 @@ DENSE_PAIR_LIMIT = 4_194_304
 #: fills (per-slot batch lookups on a 16x16 mesh at load 0.5) it still
 #: lost at 32 (1.13-1.2x the loop's time) and broke even at 64, so below
 #: 64 misses a batch fills pair by pair. The python kernels make no batch
-#: lookups on deterministic caches; the numpy kernels do, the randomized
-#: cache does per table, and :meth:`PathCache.precompute_all` fills a
-#: whole table through the same rule. A cold numpy lookup misses
-#: thousands of pairs, but the quick report also makes fills of 1-63
-#: misses, and those keep the per-pair loop.
+#: lookups on deterministic caches; the randomized cache does per table
+#: (the slotted kernel's per-slot batches), and
+#: :meth:`PathCache.precompute_all` fills a whole table through the same
+#: rule. Per-slot batches make fills of 1-63 misses, and those keep the
+#: per-pair loop. The numpy kernels route through :func:`route_packets`
+#: and never fill a cache.
 BULK_MIN_MISSES = 64
 
 #: Pairs per batch-builder call in :func:`build_paths`: bounds the
@@ -109,22 +104,14 @@ class PathArena:
 
     The arena is shared: several caches (e.g. the two tables of the
     randomized scheme) may append to one arena. ``edges`` is the Python
-    list mirror used by the engines' interpreter loops and is only ever
-    extended in place — engines may safely bind it to a local once.
-
-    Alongside it the arena keeps an ``int32`` mirror in a growable
-    private buffer: :meth:`as_array` copies only the edges appended since
-    its last call, and :meth:`extend_array` appends a vectorized bulk
-    fill to both mirrors at once.
+    list the engines' interpreter loops index and is only ever extended
+    in place — engines may safely bind it to a local once.
     """
 
-    __slots__ = ("edges", "_buf", "_array", "_ints")
+    __slots__ = ("edges", "_ints")
 
     def __init__(self) -> None:
         self.edges: list[int] = []
-        #: Private, writable backing store; ``_array`` is its synced prefix.
-        self._buf = np.empty(0, dtype=np.int32)
-        self._array = self._buf
         #: ``_ints[e] is`` the one int object every bulk-filled ``edges``
         #: entry ``e`` references (grown on demand, never rebuilt).
         self._ints = np.empty(0, dtype=object)
@@ -135,91 +122,26 @@ class PathArena:
         self.edges.extend(path)
         return off
 
-    def _sync(self, extra: int = 0) -> None:
-        """Mirror the list's unsynced tail into the buffer, leaving room
-        for ``extra`` more edges. Growth reallocates geometrically and
-        copies the synced prefix, so an array :meth:`as_array` returned
-        earlier is never written."""
-        done = self._array.size
-        n = len(self.edges)
-        buf = self._buf
-        if n + extra > buf.size:
-            buf = np.empty(max(2 * (n + extra), 1024), dtype=np.int32)
-            buf[:done] = self._array
-            self._buf = buf
-        if n > done:
-            buf[done:n] = self.edges[done:n]
-        self._array = buf[:n]
-
-    def as_array(self) -> np.ndarray:
-        """``int32`` mirror of the whole arena.
-
-        The engines themselves index :attr:`edges`; this view is for
-        NumPy-side consumers that want the whole arena at once. Only the
-        edges appended since the previous call are copied; without growth
-        the same array object comes back. The returned array stays a
-        valid snapshot of the arena's prefix after later growth.
-        """
-        if self._array.size != len(self.edges):
-            self._sync()
-        return self._array
-
     def extend_array(self, flat: np.ndarray) -> int:
         """Append a bulk fill of edge ids and return its offset.
 
-        ``flat`` goes straight into the ``int32`` mirror; the list mirror
-        gets references to one shared int object per edge id (an object
-        gather), so a large fill costs a list slot per edge, not a fresh
-        int.
+        ``edges`` gets references to one shared int object per edge id
+        (an object gather), so a large fill costs a list slot per edge,
+        not a fresh int.
         """
         off = len(self.edges)
-        flat = np.asarray(flat, dtype=np.int32)
+        flat = np.asarray(flat)
         if flat.size == 0:
             return off
-        self._sync(flat.size)
         top = int(flat.max()) + 1
         if top > self._ints.size:
             self._ints = np.concatenate(
                 [self._ints, np.arange(self._ints.size, top, dtype=object)]
             )
-        end = off + flat.size
-        self._buf[off:end] = flat
         ints, edges = self._ints, self.edges
         for lo in range(0, flat.size, _GATHER_CHUNK):
             edges.extend(ints[flat[lo : lo + _GATHER_CHUNK]].tolist())
-        self._array = self._buf[:end]
         return off
-
-    def gather(self, offs: np.ndarray, lens: np.ndarray) -> np.ndarray:
-        """Flat per-visit edge ids for parallel ``(offset, length)`` views.
-
-        Returns one ``int32`` array concatenating the paths in order —
-        the canonical hot-loop input of the vectorized kernels (visit
-        ``k`` of packet ``i`` sits at ``cumsum(lens)[i-1] + k``). Call
-        *after* all lookups: it reads :meth:`as_array`, which mirrors the
-        arena as it is now, and lookups may still grow it.
-        """
-        offs = np.asarray(offs, dtype=np.int64)
-        lens = np.asarray(lens, dtype=np.int64)
-        arr = self.as_array()
-        if offs.size == 0:
-            return np.empty(0, dtype=np.int32)
-        cum = np.cumsum(lens)
-        total = int(cum[-1])
-        if bool(np.all(lens > 0)):
-            # Pointer walk: +1 inside a path, jump at each boundary —
-            # one cumsum instead of two repeats (needs non-empty paths),
-            # in place and in int32 while the arena's indices fit.
-            dtype = np.int32 if arr.size < 2**31 else np.int64
-            step = np.ones(total, dtype=dtype)
-            step[0] = offs[0]
-            step[cum[:-1]] = offs[1:] - offs[:-1] - lens[:-1] + 1
-            return arr[np.cumsum(step, dtype=dtype, out=step)]
-        seg = np.repeat(np.arange(offs.size, dtype=np.int64), lens)
-        within = np.arange(total, dtype=np.int64) - np.repeat(
-            cum - lens, lens
-        )
-        return arr[offs[seg] + within]
 
     def view(self, offset: int, length: int) -> tuple[int, ...]:
         """Materialise one ``(offset, length)`` slice as an edge tuple."""
@@ -291,7 +213,7 @@ class PathCache:
         off, length = self.offlen(src, dst)
         return self.arena.view(off, length)
 
-    # -- batch lookups (the slotted-engine vectorized kernel) ----------
+    # -- batch lookups (randomized per-slot batches, bulk fills) --------
     def offlen_batch(
         self, srcs: np.ndarray, dsts: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray]:
@@ -324,31 +246,6 @@ class PathCache:
         """Uniform batch interface; deterministic caches ignore ``rng``."""
         return self.offlen_batch(srcs, dsts)
 
-    def promote_dense(self) -> bool:
-        """Adopt dense ``n*n`` tables on demand (vectorized-kernel path).
-
-        Networks above :data:`DENSE_NODE_LIMIT` are dict-only by default;
-        the numpy kernels, whose batch lookups would otherwise loop a
-        dict probe per pair, request promotion explicitly. Existing
-        entries are backfilled, after which :meth:`offlen_batch` is a
-        single gather. Returns whether dense tables are (now) active;
-        above :data:`DENSE_PAIR_LIMIT` promotion is declined and batch
-        lookups keep the fallback loop.
-        """
-        if self._dense_off is not None:
-            return True
-        n = self.num_nodes
-        if n * n > DENSE_PAIR_LIMIT:
-            return False
-        self._dense_off = np.full(n * n, -1, dtype=np.int64)
-        self._dense_len = np.zeros(n * n, dtype=np.int64)
-        if self.table:
-            keys = np.fromiter(self.table, dtype=np.int64, count=len(self.table))
-            ols = np.array(list(self.table.values()), dtype=np.int64)
-            self._dense_off[keys] = ols[:, 0]
-            self._dense_len[keys] = ols[:, 1]
-        return True
-
     def precompute_all(self) -> None:
         """Materialise every ``(src, dst)`` pair (small networks only).
 
@@ -366,10 +263,10 @@ class PathCache:
         first-occurrence order, so the arena is laid out as a scalar
         fill of the same pairs would lay it out. With a batch builder and
         at least :data:`BULK_MIN_MISSES` keys they are built in one call;
-        otherwise pair by pair with :meth:`ensure`. The callers are the
-        numpy kernels' batch lookups, the randomized cache's per-table
-        batches and :meth:`precompute_all`; the python kernels fill
-        scalar misses with :meth:`ensure`."""
+        otherwise pair by pair with :meth:`ensure`. The callers are
+        batch lookups (the randomized cache's per-table batches) and
+        :meth:`precompute_all`; the python kernels fill scalar misses
+        with :meth:`ensure`."""
         n = self.num_nodes
         if self._build_batch is None or keys.size < BULK_MIN_MISSES:
             table = self.table
@@ -450,12 +347,6 @@ class RandomizedGreedyPathCache:
             if mask.any():
                 offs[mask], lens[mask] = table.offlen_batch(srcs[mask], dsts[mask])
         return offs, lens
-
-    def promote_dense(self) -> bool:
-        """Promote both order tables (see :meth:`PathCache.promote_dense`)."""
-        row = self.row_first.promote_dense()
-        col = self.col_first.promote_dense()
-        return row and col
 
     def precompute_all(self) -> None:
         """Materialise both order tables for every pair (small meshes)."""
@@ -583,8 +474,8 @@ def build_paths(
 ) -> tuple[np.ndarray, np.ndarray]:
     """The canonical paths of the pairs ``(srcs[i], dsts[i])``, flat.
 
-    Returns ``(edges, lens)``: the paths' edge ids concatenated in pair
-    order and each path's length. Built by the closed-form batch builder
+    Returns ``(edges, lens)``: the paths' ``int32`` edge ids concatenated
+    in pair order and each path's length. Built by the closed-form batch builder
     where one exists (greedy mesh and k-d arrays), one call per
     :data:`BUILD_BLOCK_PAIRS` pairs, else pair by pair with
     ``router.path``. Nothing is memoized, and randomized routers
@@ -599,12 +490,115 @@ def build_paths(
             for lo in range(0, max(srcs.size, 1), BUILD_BLOCK_PAIRS)
         ]
         return tuple(np.concatenate(part) for part in zip(*blocks))
-    paths = [router.path(s, d) for s, d in zip(srcs.tolist(), dsts.tolist())]
+    return _flatten([router.path(s, d) for s, d in zip(srcs.tolist(), dsts.tolist())])
+
+
+def _flatten(paths: list[Sequence[int]]) -> tuple[np.ndarray, np.ndarray]:
+    """The ``int32`` edge ids of ``paths`` concatenated, and their lengths."""
     lens = np.fromiter(map(len, paths), dtype=np.int64, count=len(paths))
     edges = np.fromiter(
-        chain.from_iterable(paths), dtype=np.int64, count=int(lens.sum())
+        chain.from_iterable(paths), dtype=np.int32, count=int(lens.sum())
     )
     return edges, lens
+
+
+def gather_paths(
+    edges: np.ndarray, offs: np.ndarray, lens: np.ndarray
+) -> np.ndarray:
+    """Flat per-visit edge ids for parallel ``(offset, length)`` views
+    into the flat edge array ``edges``.
+
+    Returns one array (of ``edges``' dtype) concatenating the viewed
+    paths in order: visit ``k`` of path ``i`` sits at
+    ``cumsum(lens)[i-1] + k``.
+    """
+    offs = np.asarray(offs, dtype=np.int64)
+    lens = np.asarray(lens, dtype=np.int64)
+    if offs.size == 0:
+        return edges[:0].copy()
+    cum = np.cumsum(lens)
+    total = int(cum[-1])
+    if bool(np.all(lens > 0)):
+        # Pointer walk: +1 inside a path, jump at each boundary — one
+        # cumsum instead of two repeats (needs non-empty paths), in
+        # place and in int32 while the indices fit.
+        dtype = np.int32 if edges.size < 2**31 else np.int64
+        step = np.ones(total, dtype=dtype)
+        step[0] = offs[0]
+        step[cum[:-1]] = offs[1:] - offs[:-1] - lens[:-1] + 1
+        return edges[np.cumsum(step, dtype=dtype, out=step)]
+    seg = np.repeat(np.arange(offs.size, dtype=np.int64), lens)
+    within = np.arange(total, dtype=np.int64) - np.repeat(cum - lens, lens)
+    return edges[offs[seg] + within]
+
+
+def route_packets(
+    router: Router,
+    srcs: np.ndarray,
+    dsts: np.ndarray,
+    rng: np.random.Generator,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Route packets ``(srcs[i], dsts[i])`` directly, with no memo.
+
+    Returns ``(visits, lens)``: the packets' paths as one flat ``int32``
+    edge-id array in packet order, and each path's length — the visits
+    a cache lookup gathered from the arena would produce, from the same
+    RNG draws:
+
+    * greedy mesh and k-d routers: with at least as many packets as
+      ``n*n`` pairs, each distinct pair is built once (a dense slot map
+      over the pair keys) and expanded with :func:`gather_paths`;
+      otherwise the batch builder builds every packet's path;
+    * other deterministic routers: each distinct pair is routed once
+      with ``router.path``, then expanded;
+    * the randomized greedy scheme: one ``rng.random(len(srcs))`` coin block
+      (the draw :meth:`RandomizedGreedyPathCache.sample_offlen_batch`
+      makes), each order's packets routed as above, then merged back
+      into packet order;
+    * any other router: ``router.sample_path`` per packet, in packet
+      order (the draws :class:`SampledPathInterner` makes).
+    """
+    srcs = np.asarray(srcs, dtype=np.int64)
+    dsts = np.asarray(dsts, dtype=np.int64)
+    if isinstance(router, RandomizedGreedyArrayRouter):
+        heads = rng.random(srcs.size) < router.row_first_probability
+        lens = np.empty(srcs.size, dtype=np.int64)
+        offs = np.empty(srcs.size, dtype=np.int64)
+        parts, base = [], 0
+        for order, mask in ((router._row_first, heads), (router._col_first, ~heads)):
+            part, part_lens = route_packets(order, srcs[mask], dsts[mask], rng)
+            lens[mask] = part_lens
+            offs[mask] = base + np.cumsum(part_lens) - part_lens
+            base += part.size
+            parts.append(part)
+        return gather_paths(np.concatenate(parts), offs, lens), lens
+    if not _is_deterministic(router):
+        ids = zip(srcs.tolist(), dsts.tolist())
+        return _flatten([router.sample_path(s, d, rng) for s, d in ids])
+    n = int(router.topology.num_nodes)
+    keys = srcs * n + dsts
+    if isinstance(router, (GreedyArrayRouter, GreedyKDRouter)):
+        if n * n > srcs.size:
+            return build_paths(router, srcs, dsts)
+        present = np.bincount(keys, minlength=n * n) > 0
+        slot = np.cumsum(present) - 1
+        inverse = slot[keys]
+        pairs = np.flatnonzero(present)
+        del present, slot
+    else:
+        pairs, inverse = np.unique(keys, return_inverse=True)
+    del keys
+    edges, pair_lens = build_paths(router, *np.divmod(pairs, n))
+    lens = pair_lens[inverse]
+    pair_offs = np.cumsum(pair_lens) - pair_lens
+    return gather_paths(edges, pair_offs[inverse], lens), lens
+
+
+def _is_deterministic(router: Router) -> bool:
+    """A :class:`BaseRouter` that does not override ``sample_path``: its
+    packets' paths are ``router.path`` and consume no RNG."""
+    sample = getattr(type(router), "sample_path", None)
+    return isinstance(router, BaseRouter) and sample is BaseRouter.sample_path
 
 
 class SampledPathInterner:
@@ -661,8 +655,7 @@ def path_cache_for(router: Router):
     """
     if isinstance(router, RandomizedGreedyArrayRouter):
         return RandomizedGreedyPathCache(router)
-    sample = getattr(type(router), "sample_path", None)
-    if isinstance(router, BaseRouter) and sample is BaseRouter.sample_path:
+    if _is_deterministic(router):
         return PathCache(router)
     return SampledPathInterner(router)
 

@@ -139,8 +139,8 @@ The contract has two tiers. ``backend="python"`` is the extracted
 reference: *bit-identical* to the pre-extraction engines, bound by the
 same-seed golden fixtures, and it never imports the vectorized module
 (the optional-dependency boundary the ``fast`` extra documents).
-``backend="numpy"`` solves whole trajectories over the path arena's
-``int32`` snapshot — blocked draws first, then a feedforward max-plus
+``backend="numpy"`` solves whole trajectories over each run's routed
+visits — blocked draws first, then a feedforward max-plus
 sweep over edge-precedence levels — and is *seed-stable* (same seed,
 same result) and *statistically equivalent*, but not
 draw-order-identical: blocked draws interleave differently once a run
@@ -172,8 +172,7 @@ The per-packet work of all four engines is built around four ideas:
 
 **Shared path-cache arena** (:mod:`repro.routing.pathcache`). Paths are
 memoized once per ``(src, dst)`` pair into one flat append-only edge-id
-store (a Python list the interpreter loops index directly, with an
-``int32`` snapshot view for NumPy-side consumers). A packet record is
+store (a Python list the interpreter loops index directly). A packet record is
 ``[t0, arena_offset, length, hops_done, measured]`` — five scalars, no
 edge tuple — and "which edge next" is ``arena[offset + hop]``, one list
 index. Deterministic routers resolve a packet's path with a single dict
@@ -186,12 +185,15 @@ replications (per worker process) instead of rebuilding per task; pool
 workers route small networks in full on first use
 (:func:`repro.sim.sharedcells.warm_cell`).
 
-All four simulators resolve paths through one cache built by
-``path_cache_for``, which builds each pair's path once — with the
-router's own ``path``, or in bulk with a closed-form batch builder on
-mesh and k-d arrays — so no engine and no topology falls back to
+All four simulators' interpreted loops resolve paths through one cache
+built by ``path_cache_for``, which builds each pair's path once — with
+the router's own ``path``, or in bulk with a closed-form batch builder
+on mesh and k-d arrays — so no engine and no topology falls back to
 per-packet path building unless handed a
-``path_cache=SampledPathInterner(router)``.
+``path_cache=SampledPathInterner(router)``. The numpy kernels skip the
+memo: each run routes its packets directly
+(:func:`repro.routing.pathcache.route_packets`) and keeps only its
+edge-level memo on the cache.
 
 **Monotone merge where service is uniform deterministic; a binary heap
 where it is not.** With one deterministic service time everywhere

@@ -15,7 +15,7 @@ kernel, which applies tail-drop admission when the caps are set.
     unchanged.
 ``"numpy"``
     Vectorized kernels (:mod:`repro.sim.kernels.numpy_backend`) that
-    solve the whole trajectory over the path arena's ``int32`` snapshot
+    solve the whole trajectory over each run's directly routed visits
     with batched draws and a feedforward max-plus level sweep. Not
     draw-order-identical — pinned by distribution-level parity tests
     instead (see the two-backend contract in :mod:`repro.sim`).

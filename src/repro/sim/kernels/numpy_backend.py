@@ -26,12 +26,13 @@ wraparound or mixed-order randomized routes create precedence cycles;
 the kernels detect that and raise a ``ValueError`` pointing back to
 ``backend='python'``.
 
-The arena's ``int32`` snapshot (``PathArena.gather``) is the canonical
-input: visits are the concatenation of every routed packet's path. Both
-kernels share one memory layout (:func:`_sweep_levels`): the visits'
-edge ids and next-hop positions as ``int16``/``int32`` arrays in level
-order, plus one value buffer whose slice for a level holds the
-eligibility values until the level is solved and its departures after.
+Visits come straight from the router
+(:func:`~repro.routing.pathcache.route_packets`, no path cache): the
+concatenation of every routed packet's path. Both kernels share one
+memory layout (:func:`_sweep_levels`): the visits' edge ids and next-hop
+positions as ``int16``/``int32`` arrays in level order, plus one value
+buffer whose slice for a level holds the eligibility values until the
+level is solved and its departures after.
 All statistics (occupancy/remaining-work integrals, delay batch means,
 in-flight counts) are exact window-overlap reductions — the same
 integrals the reference loops accumulate incrementally — taken level by
@@ -47,8 +48,8 @@ contract in :mod:`repro.sim`. The draw order, for regression pinning:
 * fifo: exponential gap blocks (cumulative arrival times) until the
   horizon is passed; then one :func:`~repro.sim.enginecommon.draw_ids`
   call for all arrivals (an id-pair block on fast-id networks, else a
-  source block followed by one destination ``sample_batch``); then one
-  batch path lookup for the routed pairs.
+  source block followed by one destination ``sample_batch``); then the
+  routed pairs' path draws, if the router makes any (``route_packets``).
 * slotted: per-slot Poisson counts in 8192-size blocks (the same block
   discipline as the python backend), then the same id/source/
   destination/path batches as fifo, once for all slots.
@@ -85,6 +86,7 @@ from typing import Any, Callable, NamedTuple
 
 import numpy as np
 
+from repro.routing.pathcache import route_packets
 from repro.sim.enginecommon import draw_ids
 from repro.sim.measurement import TimeBatchAccumulator
 from repro.sim.result import SimResult
@@ -92,14 +94,8 @@ from repro.sim.rng import make_rng
 
 _BLOCK = 8192
 
-#: Cells above this in a level's (segments x max-run) cummax rectangle
-#: switch to the per-segment loop to bound memory.
-_RECT_LIMIT = 1 << 25
-
 #: Visits per chunk of the level sort (bounds its int64 temporaries).
 _SORT_CHUNK = 1 << 16
-
-_NEG = np.iinfo(np.int32).min // 2
 
 _I16_MAX = np.iinfo(np.int16).max
 
@@ -148,8 +144,8 @@ def _levels_for(
     ``breaks`` are the visits ``b`` whose pair ``(b, b + 1)`` straddles
     two packets. A level assignment is valid for a run iff
     ``lvl[f] > lvl[e]`` for every consecutive visit pair ``e -> f`` the
-    run actually uses, so a cached assignment (computed from an earlier
-    run over the same arena) is revalidated with one vectorized pass
+    run actually uses, so a cached assignment (computed by an earlier
+    run on the same network and cache) is revalidated with one vectorized pass
     and only recomputed when a new seed routes a pair the old
     assignment does not cover.
     """
@@ -183,43 +179,19 @@ def _levels_for(
     return lvl[visit_edge]
 
 
-def _rectangle_cummax(
-    seg_id: np.ndarray,
-    idx: np.ndarray,
-    shifted: np.ndarray,
-    sentinel: float,
-) -> np.ndarray:
-    """Segmented cumulative max via one (segments x max-run) rectangle."""
-    n_seg = int(seg_id[-1]) + 1
-    width = int(idx.max()) + 1
-    mat = np.full((n_seg, width), sentinel, dtype=shifted.dtype)
-    mat[seg_id, idx] = shifted
-    np.maximum.accumulate(mat, axis=1, out=mat)
-    return mat[seg_id, idx]
-
-
-def _loop_cummax(starts: np.ndarray, shifted: np.ndarray) -> np.ndarray:
-    """Segmented cumulative max via a per-segment loop (memory fallback)."""
-    out = shifted.copy()
-    bounds = np.append(starts, shifted.size)
-    for s0, s1 in zip(bounds[:-1], bounds[1:]):
-        np.maximum.accumulate(out[s0:s1], out=out[s0:s1])
-    return out
-
-
 def _solve_runs(
     e_sorted: np.ndarray,
     shifted: np.ndarray,
     scale: float | np.ndarray,
     lag: int,
-    sentinel: float,
 ) -> np.ndarray:
     """Max-plus solve of one level's visits, sorted by edge and then by
     queue order, with ``shifted`` holding their eligibility values: the
     ``k``-th visit of an edge's run leaves at
     ``(k + lag) * scale + cummax_j<=k (shifted_j - j * scale)``.
     ``scale`` is a scalar, or per visit (constant along each run).
-    Overwrites ``shifted``."""
+    Solved in place: returns ``shifted``, overwritten. The cummax runs
+    once per edge; a level holds a few hundred edges at most."""
     n = e_sorted.size
     diff = e_sorted[1:] != e_sorted[:-1]
     seg_id = np.zeros(n, dtype=np.int32)
@@ -227,12 +199,12 @@ def _solve_runs(
     starts = np.flatnonzero(np.concatenate(([True], diff)))
     idx = np.arange(n, dtype=np.int32) - starts.astype(np.int32)[seg_id]
     shifted -= idx * scale
-    if len(starts) * (int(idx.max()) + 1) <= _RECT_LIMIT:
-        cm = _rectangle_cummax(seg_id, idx, shifted, sentinel)
-    else:
-        cm = _loop_cummax(starts, shifted)
-    cm += (idx + lag) * scale
-    return cm
+    ends = np.append(starts[1:], n)
+    for s0, s1 in zip(starts.tolist(), ends.tolist()):
+        run = shifted[s0:s1]
+        np.maximum.accumulate(run, out=run)
+    shifted += (idx + lag) * scale
+    return shifted
 
 
 def _sorted_by_edge_then(
@@ -268,10 +240,10 @@ def _fifo_departures(
     e_o = e_s[order]
     scale = c[e_o] if isinstance(c, np.ndarray) else c
     if cap is None:
-        x_s[order] = _solve_runs(e_o, x_s[order], scale, 1, -np.inf)
+        x_s[order] = _solve_runs(e_o, x_s[order], scale, 1)
         return None
     x_o = x_s[order]
-    d = _solve_runs(e_o, x_o.copy(), scale, 1, -np.inf)
+    d = _solve_runs(e_o, x_o.copy(), scale, 1)
     dropped = _tail_drop(e_o, x_o, d, scale, cap[e_o] * scale)
     x_s[order] = d
     if dropped is None:
@@ -362,7 +334,7 @@ def _slot_departures(e_s: np.ndarray, k_s: np.ndarray, e_span: int) -> None:
         key = key.astype(np.int16)
     order = _sorted_by_edge_then(key, e_s, e_span, kind="stable")
     del key
-    k_s[order] = _solve_runs(e_s[order], k_s[order] >> 1, 1, 0, _NEG)
+    k_s[order] = _solve_runs(e_s[order], k_s[order] >> 1, 1, 0)
 
 
 def _level_order(lvl_vis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -449,7 +421,7 @@ class _Sweep(NamedTuple):
 
 def _sweep_levels(
     sim: Any,
-    offs: np.ndarray,
+    visits: list[np.ndarray],
     lens: np.ndarray,
     seed: np.ndarray,
     solve: Callable[[np.ndarray, np.ndarray], np.ndarray | None],
@@ -461,9 +433,10 @@ def _sweep_levels(
 ) -> _Sweep:
     """The level sweep both kernels share.
 
-    Gathers the routed packets' visits, lays them out by level and
-    solves level by level in one buffer of ``seed``'s dtype. A level's
-    slice holds its visits' eligibility values — ``seed`` on first
+    Takes the routed packets' visits out of their one-element list (see
+    :func:`_draw_paths`), lays them out by level, freeing the visit
+    array, and solves level by level in one buffer of ``seed``'s dtype.
+    A level's slice holds its visits' eligibility values — ``seed`` on first
     hops, ``forward(d)`` after the previous hop departed at ``d`` —
     until ``solve(edges, slice)`` overwrites it with their departures.
     Next hops always sit in later levels (last hops forward into one
@@ -478,6 +451,7 @@ def _sweep_levels(
     is where its remaining hop units end in the window sums.
     """
     num_edges = sim.topology.num_edges
+    visit_edge = visits.pop()
     edge_drops = np.zeros(num_edges, dtype=np.int64)
     if lens.size == 0:
         sat_hops = None if sat_arr is None else np.zeros(0, dtype=np.int64)
@@ -485,8 +459,6 @@ def _sweep_levels(
         if measured is not None:
             drops = (np.zeros(0, dtype=bool), edge_drops)
         return _Sweep(np.empty(0, dtype=seed.dtype), 0.0, 0.0, sat_hops, drops)
-    cache = sim.path_cache
-    visit_edge = cache.arena.gather(offs, lens)
     ends = np.cumsum(lens)
     sat_hops = None
     if sat_arr is not None:
@@ -494,7 +466,7 @@ def _sweep_levels(
         sat_hops = np.diff(cum_sat[ends - 1], prepend=0)
         del cum_sat
     bounds, e_lv, nxt_lv, first_lv, last_lv = _level_layout(
-        cache, num_edges, visit_edge, ends
+        sim.path_cache, num_edges, visit_edge, ends
     )
     del visit_edge, ends
     buf = np.empty(nxt_lv.size + 1, dtype=seed.dtype)
@@ -615,13 +587,13 @@ def run_fifo(
     mr = measured[nz]
     srcs, dsts = srcs[nz], dsts[nz]
     del r_t, measured, zero, nz
-    offs, lens = _draw_paths(sim, srcs, dsts, rng)
+    visits, lens = _draw_paths(sim, srcs, dsts, rng)
     del srcs, dsts
 
     # ---- solve ----
     sweep = _sweep_levels(
         sim,
-        offs,
+        visits,
         lens,
         a_t,
         solve,
@@ -742,7 +714,7 @@ def run_slotted(
     mr = measured[nz]
     srcs, dsts = srcs[nz], dsts[nz]
     del slots, measured, zero, nz
-    offs, lens = _draw_paths(sim, srcs, dsts, rng)
+    visits, lens = _draw_paths(sim, srcs, dsts, rng)
     del srcs, dsts
 
     # ---- solve ----
@@ -753,7 +725,7 @@ def run_slotted(
     last = t_end_slot - 1
     d_final, sum_r, sum_rs, sat_hops = _sweep_levels(
         sim,
-        offs,
+        visits,
         lens,
         2 * a_s + 1,
         lambda e, k: _slot_departures(e, k, num_edges),
@@ -822,16 +794,8 @@ def _draw_paths(
     srcs: np.ndarray,
     dsts: np.ndarray,
     rng: np.random.Generator,
-) -> tuple[np.ndarray, np.ndarray]:
-    """One batch path lookup; returns the ``(offs, lens)`` arena views.
-    Gather the visits only after it returns: the lookup may still grow
-    the arena."""
-    cache = sim.path_cache
-    if cache.consumes_rng:
-        offs, lens = cache.sample_offlen_batch(srcs, dsts, rng)
-    else:
-        promote = getattr(cache, "promote_dense", None)
-        if promote is not None:
-            promote()  # dict-only caches would loop a probe per pair
-        offs, lens = cache.offlen_batch(srcs, dsts)
-    return np.asarray(offs, dtype=np.int64), np.asarray(lens, dtype=np.int64)
+) -> tuple[list[np.ndarray], np.ndarray]:
+    """The packets' visit array, in a one-element list that hands its only
+    reference to :func:`_sweep_levels`, and their path lengths."""
+    visit_edge, lens = route_packets(sim.router, srcs, dsts, rng)
+    return [visit_edge], lens

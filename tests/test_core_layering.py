@@ -1,6 +1,11 @@
 """Tests for Lemma 2 layering, the generic validator, and the torus
 obstruction (Section 6)."""
 
+import subprocess
+import sys
+from pathlib import Path
+
+import networkx as nx
 import numpy as np
 import pytest
 
@@ -13,10 +18,10 @@ from repro.core.layering import (
     verify_layering,
 )
 from repro.routing.butterfly_routing import ButterflyRouter
-from repro.routing.greedy import GreedyArrayRouter
+from repro.routing.greedy import GreedyArrayRouter, GreedyKDRouter
 from repro.routing.hypercube_greedy import GreedyHypercubeRouter
 from repro.routing.torus_greedy import GreedyTorusRouter
-from repro.topology.array_mesh import ArrayMesh
+from repro.topology.array_mesh import ArrayMesh, KDArray
 from repro.topology.butterfly import Butterfly
 from repro.topology.hypercube import Hypercube
 from repro.topology.torus import Torus
@@ -120,3 +125,68 @@ class TestFollowsDigraphAndObstruction:
         for a, b in g.edges():
             # consecutive edges must share the intermediate node
             assert mesh4.edge_endpoints(a)[1] == mesh4.edge_endpoints(b)[0]
+
+
+class TestObstructionWithoutNetworkx:
+    """The obstruction and topological-order searches run on a plain
+    adjacency map; networkx is only the test oracle."""
+
+    @pytest.mark.parametrize("n", [4, 5, 6])
+    def test_torus_cycle_is_a_directed_cycle_of_the_relation(self, n):
+        router = GreedyTorusRouter(Torus(n))
+        cycle = find_layering_obstruction(router)
+        g = follows_digraph(router)
+        assert len(set(cycle)) == len(cycle) >= 2
+        for a, b in zip(cycle, cycle[1:] + cycle[:1]):
+            assert g.has_edge(a, b)
+
+    @pytest.mark.parametrize(
+        "router_factory",
+        [
+            lambda: GreedyArrayRouter(ArrayMesh(4)),
+            lambda: GreedyArrayRouter(ArrayMesh(3, 5), column_first=True),
+            lambda: GreedyKDRouter(KDArray((3, 2, 3))),
+            lambda: GreedyHypercubeRouter(Hypercube(3)),
+            lambda: ButterflyRouter(Butterfly(2)),
+            lambda: GreedyTorusRouter(Torus(3)),
+            lambda: GreedyTorusRouter(Torus(4)),
+            lambda: GreedyTorusRouter(Torus(5), column_first=True),
+            lambda: GreedyTorusRouter(Torus(6)),
+        ],
+    )
+    def test_agrees_with_networkx(self, router_factory):
+        router = router_factory()
+        kw = {}
+        if isinstance(router, ButterflyRouter):
+            b = router.topology
+            kw = dict(
+                source_nodes=[b.node_id(0, r) for r in range(b.rows)],
+                dest_nodes=[b.node_id(b.d, r) for r in range(b.rows)],
+            )
+        g = follows_digraph(router, **kw)
+        try:
+            want = [a for a, _b in nx.find_cycle(g)]
+        except nx.NetworkXNoCycle:
+            want = None
+        assert find_layering_obstruction(router, **kw) == want
+        if not kw:
+            labels = layering_from_follows(router)
+            assert (labels is None) == (want is not None)
+            if labels is not None:
+                assert verify_layering(router, labels)
+
+    def test_torus_experiment_never_imports_networkx(self):
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        code = f"""
+import sys
+sys.path.insert(0, {src!r})
+from repro.experiments import torus
+cfg = torus.TorusConfig(n=4, rho=0.5, warmup=5.0, horizon=20.0)
+assert torus.run(cfg, processes=1).obstruction_cycle_len >= 2
+print("networkx" in sys.modules)
+"""
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, timeout=120
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"

@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
-from repro.routing.base import TabulatedRouter
+from repro.routing.base import BaseRouter, TabulatedRouter
 from repro.routing.butterfly_routing import ButterflyRouter
+from repro.routing.destinations import PBiasedHypercubeDestinations
 from repro.routing.greedy import GreedyArrayRouter, GreedyKDRouter
 from repro.routing.hypercube_greedy import GreedyHypercubeRouter
 from repro.routing.pathcache import (
@@ -17,7 +18,9 @@ from repro.routing.pathcache import (
     _kd_batch_builder,
     _mesh_batch_builder,
     build_paths,
+    gather_paths,
     path_cache_for,
+    route_packets,
 )
 from repro.routing.randomized_greedy import RandomizedGreedyArrayRouter
 from repro.routing.torus_greedy import GreedyTorusRouter
@@ -45,14 +48,6 @@ class TestPathArena:
         assert arena.view(o2, 2) == (1, 5)
         assert len(arena) == 5
 
-    def test_as_array_tracks_growth(self):
-        arena = PathArena()
-        arena.add([7, 8])
-        a = arena.as_array()
-        assert a.dtype == np.int32 and a.tolist() == [7, 8]
-        arena.add([9])
-        assert arena.as_array().tolist() == [7, 8, 9]
-
     def test_edges_list_identity_is_stable(self):
         """Engines bind arena.edges once; growth must happen in place."""
         arena = PathArena()
@@ -61,16 +56,20 @@ class TestPathArena:
         arena.extend_array(np.arange(5000, dtype=np.int32))
         assert ref is arena.edges and len(ref) == 5100
 
-    def test_as_array_after_mixed_growth_equals_edges(self):
+    def test_mixed_growth_appends_in_order(self):
         arena = PathArena()
         rng = np.random.default_rng(1)
+        want = []
         for step in range(40):
             if step % 3:
-                arena.add(rng.integers(0, 900, size=step).tolist())
+                path = rng.integers(0, 900, size=step).tolist()
+                assert arena.add(path) == len(want)
             else:
-                arena.extend_array(rng.integers(0, 900, size=50 * step))
-            arr = arena.as_array()
-            assert arr.dtype == np.int32 and arr.tolist() == arena.edges
+                path = rng.integers(0, 900, size=50 * step)
+                assert arena.extend_array(path) == len(want)
+                path = path.tolist()
+            want += path
+            assert arena.edges == want
 
     def test_extend_array_returns_offsets(self):
         arena = PathArena()
@@ -79,23 +78,6 @@ class TestPathArena:
         assert arena.extend_array(np.array([], dtype=np.int32)) == 5
         assert arena.add([6]) == 5
         assert arena.view(2, 3) == (3, 4, 5) and len(arena) == 6
-
-    def test_as_array_without_growth_does_not_copy(self):
-        arena = PathArena()
-        arena.add([7, 8, 9])
-        a = arena.as_array()
-        assert arena.as_array() is a
-
-    def test_as_array_snapshot_survives_growth(self):
-        """An exported mirror stays a valid prefix snapshot: growth only
-        writes past it (or into a new buffer)."""
-        arena = PathArena()
-        arena.add([5, 6])
-        snap = arena.as_array()
-        arena.extend_array(np.arange(3000, dtype=np.int32))
-        arena.add([1])
-        assert snap.tolist() == [5, 6]
-        assert arena.as_array().tolist() == arena.edges
 
     def test_bulk_fill_shares_edge_int_objects(self):
         """A bulk fill's list entries reference one int object per edge
@@ -331,7 +313,6 @@ class TestMeshBatchBuilder:
         assert len(bulk.arena) == len(scalar.arena)
         assert bulk.arena.edges == scalar.arena.edges
         assert bulk.table == scalar.table
-        assert bulk.arena.as_array().tolist() == scalar.arena.edges
 
     @pytest.mark.parametrize("column_first", [False, True])
     def test_mixed_scalar_and_bulk_fills_share_one_arena(self, column_first):
@@ -595,3 +576,136 @@ class TestPathCacheFor:
         cache = path_cache_for(router)
         assert isinstance(cache, PathCache)
         assert cache.path(0, 1) == (0,)
+
+
+def _cached_visits(cache, offs, lens):
+    """Visits of ``(offset, length)`` views into ``cache``'s arena."""
+    return gather_paths(np.array(cache.arena.edges, dtype=np.int32), offs, lens)
+
+
+def _butterfly_pairs(b, rng, size):
+    """Level-0 sources to last-level destinations (the routed pairs)."""
+    srcs = [b.node_id(0, r) for r in rng.integers(0, b.rows, size=size)]
+    dsts = [b.node_id(b.d, r) for r in rng.integers(0, b.rows, size=size)]
+    return np.array(srcs), np.array(dsts)
+
+
+def _uniform_pairs(n, rng, size):
+    return rng.integers(0, n, size=size), rng.integers(0, n, size=size)
+
+
+def _p_biased_pairs(cube, rng, size):
+    srcs = rng.integers(0, cube.num_nodes, size=size)
+    return srcs, PBiasedHypercubeDestinations(cube, 0.3).sample_batch(srcs, rng)
+
+
+class TestRoutePackets:
+    """route_packets: the vectorized kernels' memo-free router against
+    the cache lookup plus arena gather it replaces."""
+
+    @pytest.mark.parametrize(
+        ("router_factory", "pairs"),
+        [
+            (lambda: GreedyArrayRouter(ArrayMesh(5)), _uniform_pairs),
+            (
+                lambda: GreedyArrayRouter(ArrayMesh(4, 6), column_first=True),
+                _uniform_pairs,
+            ),
+            (
+                lambda: GreedyKDRouter(KDArray((3, 5, 2)), dimension_order=(2, 0, 1)),
+                _uniform_pairs,
+            ),
+            (lambda: GreedyHypercubeRouter(Hypercube(4)), None),
+            (lambda: ButterflyRouter(Butterfly(3)), None),
+            (
+                lambda: TabulatedRouter(
+                    ArrayMesh(2, 3),
+                    GreedyArrayRouter(
+                        ArrayMesh(2, 3), column_first=True
+                    ).all_pairs_paths(),
+                ),
+                _uniform_pairs,
+            ),
+        ],
+        ids=["mesh", "mesh-column-first", "kd", "hypercube", "butterfly", "tabulated"],
+    )
+    @pytest.mark.parametrize("size", [7, 1024], ids=["few", "many"])
+    def test_matches_cache_lookup_and_gather(self, router_factory, pairs, size):
+        """Both sides of the ``n*n <= P`` rule: 7 packets are fewer than
+        the pairs of these networks, 1024 at least as many."""
+        router = router_factory()
+        topo = router.topology
+        rng = np.random.default_rng(size)
+        if isinstance(topo, Butterfly):
+            srcs, dsts = _butterfly_pairs(topo, rng, size)
+        elif isinstance(topo, Hypercube):
+            srcs, dsts = _p_biased_pairs(topo, rng, size)
+        else:
+            srcs, dsts = pairs(topo.num_nodes, rng, size)
+        assert (topo.num_nodes**2 <= size) == (size == 1024)
+        cache = path_cache_for(router)
+        want = _cached_visits(cache, *cache.offlen_batch(srcs, dsts))
+        visits, lens = route_packets(router, srcs, dsts, None)
+        assert visits.dtype == np.int32 and lens.dtype == np.int64
+        assert visits.tolist() == want.tolist()
+        assert lens.tolist() == [len(router.path(s, d)) for s, d in zip(srcs, dsts)]
+
+    def test_dict_only_cache_agrees(self):
+        """A network past the dense limit: the dict-probe batch lookup."""
+        router = GreedyArrayRouter(ArrayMesh(17))
+        assert router.topology.num_nodes > DENSE_NODE_LIMIT
+        srcs, dsts = _uniform_pairs(289, np.random.default_rng(1), 500)
+        cache = path_cache_for(router)
+        want = _cached_visits(cache, *cache.offlen_batch(srcs, dsts))
+        assert route_packets(router, srcs, dsts, None)[0].tolist() == want.tolist()
+
+    def test_no_packets(self):
+        for router in (
+            GreedyArrayRouter(ArrayMesh(3)),
+            GreedyHypercubeRouter(Hypercube(2)),
+        ):
+            none = np.array([], dtype=np.int64)
+            visits, lens = route_packets(router, none, none, None)
+            assert visits.size == 0 and lens.size == 0
+
+    @pytest.mark.parametrize("p", [0.0, 0.3, 1.0])
+    @pytest.mark.parametrize("size", [5, 300])
+    def test_randomized_draws_the_cache_batch_coins(self, p, size):
+        router = RandomizedGreedyArrayRouter(ArrayMesh(4), row_first_probability=p)
+        srcs, dsts = _uniform_pairs(16, np.random.default_rng(9), size)
+        cache = RandomizedGreedyPathCache(router)
+        a, b = np.random.default_rng(4), np.random.default_rng(4)
+        want = _cached_visits(cache, *cache.sample_offlen_batch(srcs, dsts, a))
+        visits, lens = route_packets(router, srcs, dsts, b)
+        assert visits.tolist() == want.tolist()
+        assert a.random() == b.random()  # streams advanced identically
+
+    def test_rng_router_draws_the_interner_stream(self):
+        """An unrecognised RNG-consuming router: one ``sample_path`` per
+        packet, in packet order, as the interner draws them."""
+
+        class CoinRouter(BaseRouter):
+            """Row-first or column-first by a per-packet coin."""
+
+            def __init__(self, mesh):
+                super().__init__(mesh)
+                self.orders = (
+                    GreedyArrayRouter(mesh),
+                    GreedyArrayRouter(mesh, column_first=True),
+                )
+
+            def path(self, src, dst):
+                return self.orders[0].path(src, dst)
+
+            def sample_path(self, src, dst, rng):
+                return self.orders[int(rng.integers(2))].path(src, dst)
+
+        router = CoinRouter(ArrayMesh(4))
+        interner = path_cache_for(router)
+        assert isinstance(interner, SampledPathInterner)
+        srcs, dsts = _uniform_pairs(16, np.random.default_rng(2), 200)
+        a, b = np.random.default_rng(6), np.random.default_rng(6)
+        want = _cached_visits(interner, *interner.sample_offlen_batch(srcs, dsts, a))
+        visits, lens = route_packets(router, srcs, dsts, b)
+        assert visits.tolist() == want.tolist()
+        assert a.random() == b.random()

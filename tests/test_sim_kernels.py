@@ -1,7 +1,7 @@
 """Tests for the kernels layer: backend selection, the numpy backend's
 two-backend contract (seed stability + distribution-level parity with the
 python reference), its validation errors, the optional-dependency
-boundary, and the level cache / arena gather machinery it rides on."""
+boundary, and the level cache / path gather machinery it rides on."""
 
 import math
 import subprocess
@@ -21,7 +21,7 @@ from repro.routing.destinations import (
     UniformDestinations,
 )
 from repro.routing.greedy import GreedyArrayRouter
-from repro.routing.pathcache import PathArena, path_cache_for
+from repro.routing.pathcache import gather_paths, path_cache_for
 from repro.routing.randomized_greedy import RandomizedGreedyArrayRouter
 from repro.routing.torus_greedy import GreedyTorusRouter
 from repro.sim.fifo_network import NetworkSimulation
@@ -241,6 +241,7 @@ class TestNumpyFifoOptions:
         at 0.5 with no waiting room, so the only visit of edge 1 belongs
         to a dropped packet and that level has nothing to solve."""
         from repro.sim.kernels.numpy_backend import (
+            _draw_paths,
             _fifo_departures,
             _sweep_levels,
         )
@@ -253,10 +254,10 @@ class TestNumpyFifoOptions:
             router, AlwaysNodeZero(), [1.0, 0.0, 0.0],
             buffer_size=0, backend=NUMPY_BACKEND,
         )
-        offs, lens = sim.path_cache.offlen_batch([0, 0], [1, 2])
+        visits, lens = _draw_paths(sim, np.array([0, 0]), np.array([1, 2]), None)
         cap = np.zeros(line.num_edges)
         sweep = _sweep_levels(
-            sim, np.asarray(offs), np.asarray(lens), np.array([0.0, 0.5]),
+            sim, visits, lens, np.array([0.0, 0.5]),
             lambda e, x: _fifo_departures(e, x, 1.0, line.num_edges, cap),
             lambda d: d, 0.0, 10.0, None, np.array([True, True]),
         )
@@ -612,7 +613,7 @@ class TestBatchedSourceDrawBoundary:
 
 
 # ----------------------------------------------------------------------
-# Level cache and arena gather.
+# Level cache, direct routing and path gather.
 
 
 class TestKernelLevelCache:
@@ -663,32 +664,64 @@ class TestKernelLevelCache:
         assert grown.generated == fresh.generated
 
 
-class TestPathArenaGather:
-    def _arena_with(self, paths):
-        arena = PathArena()
-        offlens = [(arena.add(p), len(p)) for p in paths]
-        return arena, offlens
+class TestNumpyRunsLeaveThePathCacheEmpty:
+    """The numpy kernels route each run straight from the router: the
+    shared path cache (the interpreted loops' memo) is neither read nor
+    grown, and only the kernel level memo lands on it."""
+
+    @pytest.mark.parametrize("engine", ["fifo", "slotted"])
+    def test_deterministic_cache_stays_empty(self, engine):
+        router = GreedyArrayRouter(ArrayMesh(5))
+        cache = path_cache_for(router)
+        args = (router, UniformDestinations(25), 0.2)
+        kw = dict(seed=3, path_cache=cache, backend=NUMPY_BACKEND)
+        if engine == "fifo":
+            res = NetworkSimulation(*args, **kw).run(5.0, 100.0)
+        else:
+            res = SlottedNetworkSimulation(*args, **kw).run(5, 100)
+        assert res.generated > 0
+        assert len(cache) == 0 and len(cache.arena) == 0
+        assert cache._kernel_levels is not None
+
+    def test_randomized_cache_stays_empty(self):
+        router = RandomizedGreedyArrayRouter(ArrayMesh(3), row_first_probability=1.0)
+        cache = path_cache_for(router)
+        res = NetworkSimulation(
+            router, UniformDestinations(9), 0.2, seed=3,
+            path_cache=cache, backend=NUMPY_BACKEND,
+        ).run(5.0, 100.0)
+        assert res.generated > 0
+        assert len(cache.arena) == 0
+        assert len(cache.row_first) == len(cache.col_first) == 0
+
+
+class TestGatherPaths:
+    @staticmethod
+    def _flat_with(paths):
+        """The paths concatenated as one int32 array, and their offsets."""
+        flat = np.array([e for p in paths for e in p], dtype=np.int32)
+        offs = np.cumsum([0] + [len(p) for p in paths])[:-1]
+        return flat, offs
 
     def test_fast_path_matches_concatenation(self):
-        arena, offlens = self._arena_with([[3, 1, 4], [1, 5], [9, 2, 6, 5]])
-        offs = np.array([o for o, _ in offlens], dtype=np.int64)
-        lens = np.array([ln for _, ln in offlens], dtype=np.int64)
-        got = arena.gather(offs, lens)
+        flat, offs = self._flat_with([[3, 1, 4], [1, 5], [9, 2, 6, 5]])
+        got = gather_paths(flat, offs, np.array([3, 2, 4]))
+        assert got.dtype == np.int32
         assert got.tolist() == [3, 1, 4, 1, 5, 9, 2, 6, 5]
 
     def test_zero_length_paths_use_fallback(self):
-        arena, offlens = self._arena_with([[3, 1, 4], [1, 5]])
-        offs = np.array([offlens[0][0], offlens[1][0], offlens[0][0]])
-        lens = np.array([3, 0, 2])
-        got = arena.gather(offs, lens)
+        flat, offs = self._flat_with([[3, 1, 4], [1, 5]])
+        got = gather_paths(flat, [offs[0], offs[1], offs[0]], np.array([3, 0, 2]))
         assert got.tolist() == [3, 1, 4, 3, 1]
 
     def test_repeated_and_out_of_order_views(self):
-        arena, offlens = self._arena_with([[7, 8], [2, 4, 6]])
-        offs = np.array([offlens[1][0], offlens[0][0], offlens[1][0]])
-        lens = np.array([3, 2, 3])
-        got = arena.gather(offs, lens)
+        flat, offs = self._flat_with([[7, 8], [2, 4, 6]])
+        got = gather_paths(flat, [offs[1], offs[0], offs[1]], np.array([3, 2, 3]))
         assert got.tolist() == [2, 4, 6, 7, 8, 2, 4, 6]
+
+    def test_no_views(self):
+        got = gather_paths(np.arange(4, dtype=np.int32), [], [])
+        assert got.dtype == np.int32 and got.size == 0
 
 
 class TestKernelMemory:
@@ -698,15 +731,17 @@ class TestKernelMemory:
         per visit: an int16/int32 level layout, one value buffer and
         per-level window sums (the full-size departure, arrival and
         overlap arrays of the earlier layout took ~93)."""
-        visits = []
-        gather = PathArena.gather
+        from repro.sim.kernels import numpy_backend
 
-        def counting_gather(arena, offs, lens):
-            out = gather(arena, offs, lens)
-            visits.append(out.size)
+        visits = []
+        route = numpy_backend.route_packets
+
+        def counting_route(*args):
+            out = route(*args)
+            visits.append(out[0].size)
             return out
 
-        monkeypatch.setattr(PathArena, "gather", counting_gather)
+        monkeypatch.setattr(numpy_backend, "route_packets", counting_route)
         mesh = ArrayMesh(8)
         lam = lambda_for_load(8, 0.9)
         sim = NetworkSimulation(
@@ -717,7 +752,7 @@ class TestKernelMemory:
             backend=NUMPY_BACKEND,
             saturated_mask=saturated_edge_mask(array_edge_rates(mesh, lam)),
         )
-        sim.run(0.0, 100.0)  # build the path cache and its level cache
+        sim.run(0.0, 100.0)  # build the kernel level cache
         visits.clear()
         tracemalloc.start()
         try:
