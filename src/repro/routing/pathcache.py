@@ -545,12 +545,10 @@ def route_packets(
     a cache lookup gathered from the arena would produce, from the same
     RNG draws:
 
-    * greedy mesh and k-d routers: with at least as many packets as
-      ``n*n`` pairs, each distinct pair is built once (a dense slot map
-      over the pair keys) and expanded with :func:`gather_paths`;
-      otherwise the batch builder builds every packet's path;
-    * other deterministic routers: each distinct pair is routed once
-      with ``router.path``, then expanded;
+    * deterministic routers: each distinct pair is built once with
+      :func:`build_paths` (the closed-form batch builder for greedy mesh
+      and k-d arrays, else ``router.path``) and expanded with
+      :func:`gather_paths`;
     * the randomized greedy scheme: one ``rng.random(len(srcs))`` coin block
       (the draw :meth:`RandomizedGreedyPathCache.sample_offlen_batch`
       makes), each order's packets routed as above, then merged back
@@ -576,18 +574,7 @@ def route_packets(
         ids = zip(srcs.tolist(), dsts.tolist())
         return _flatten([router.sample_path(s, d, rng) for s, d in ids])
     n = int(router.topology.num_nodes)
-    keys = srcs * n + dsts
-    if isinstance(router, (GreedyArrayRouter, GreedyKDRouter)):
-        if n * n > srcs.size:
-            return build_paths(router, srcs, dsts)
-        present = np.bincount(keys, minlength=n * n) > 0
-        slot = np.cumsum(present) - 1
-        inverse = slot[keys]
-        pairs = np.flatnonzero(present)
-        del present, slot
-    else:
-        pairs, inverse = np.unique(keys, return_inverse=True)
-    del keys
+    pairs, inverse = np.unique(srcs * n + dsts, return_inverse=True)
     edges, pair_lens = build_paths(router, *np.divmod(pairs, n))
     lens = pair_lens[inverse]
     pair_offs = np.cumsum(pair_lens) - pair_lens

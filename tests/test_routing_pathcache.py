@@ -631,8 +631,8 @@ class TestRoutePackets:
     )
     @pytest.mark.parametrize("size", [7, 1024], ids=["few", "many"])
     def test_matches_cache_lookup_and_gather(self, router_factory, pairs, size):
-        """Both sides of the ``n*n <= P`` rule: 7 packets are fewer than
-        the pairs of these networks, 1024 at least as many."""
+        """7 packets are fewer than the pairs of these networks; 1024 are
+        more, so the deduplication must expand repeated pairs."""
         router = router_factory()
         topo = router.topology
         rng = np.random.default_rng(size)
