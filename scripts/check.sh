@@ -10,7 +10,8 @@
 # uploads the fresh BENCH_*.json as artifacts — see
 # .github/workflows/ci.yml; `scripts/perf_gate.py --strict --json-out`
 # gives CI a hard exit and a machine-readable summary, while this local
-# gate stays warn-only.)
+# gate stays warn-only.) Last, one traced perfbench pass on mesh32 must
+# report `correct: true` (the same smoke CI's bench job runs).
 #
 # Fast lane: FAST=1 ./scripts/check.sh deselects the tests marked
 # `slow` (the heavy statistical/cross-engine cells; see pytest.ini) and
@@ -59,6 +60,15 @@ SPEC
         | grep -q "6 ran, 0 resumed"
     python -m repro sweep "$dir/spec.json" -o "$dir/out" \
         | grep -q "0 ran, 6 resumed"
+}
+
+perfbench_smoke() {
+    # One traced perfbench pass on mesh32. The tracer patches names in
+    # repro (sharedcells.warm_cell, SharedCellBatch.__init__,
+    # PathCache.__init__, PathArena.__init__), so a rename there breaks
+    # traced runs; the result line must report correct: true.
+    python3 perfbench/run.py --workload mesh32 --seed 0 --seconds 0 \
+        --trace 1 | tail -n 1 | grep -q '^{"correct": true, '
 }
 
 run_lint() {
@@ -131,5 +141,6 @@ run_bench() {
 
 run_bench replication
 run_bench engine_hotpath
+perfbench_smoke
 
-echo "check.sh: tests green, benches written to BENCH_*.json"
+echo "check.sh: tests green, benches written to BENCH_*.json (perfbench smoke OK)"

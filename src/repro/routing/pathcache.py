@@ -44,9 +44,10 @@ vectorized kernels:
 
 The interpreted loops never call ``Router.sample_path`` directly; they go
 through :func:`path_cache_for`, which picks the right flavour. Caches only
-ever *grow* and cache state never influences results, so one cache can be
-shared freely across the replications of a cell (see
-:mod:`repro.sim.replication`).
+ever *grow* and cache state never influences results, so one cache can
+serve many runs; :func:`repro.sim.sharedcells.cell_network` shares one
+across a cell's replications on networks of at most 128 nodes, where
+runs revisit their pairs, and on larger ones lets each run build its own.
 
 Bit-identity contract
 ---------------------
@@ -94,8 +95,8 @@ BULK_MIN_MISSES = 64
 #: a few MiB, where one call on the ~1M pairs of a 4^5 array held ~300 MiB.
 BUILD_BLOCK_PAIRS = 1 << 16
 
-#: Edges per object gather in :meth:`PathArena.extend_array`: bounds the
-#: fill's two pointer-sized temporaries at 512 KiB each.
+#: Edges per object gather in :meth:`PathArena.extend_array`, and about
+#: the visits per block of :func:`gather_paths`: bounds their temporaries.
 _GATHER_CHUNK = 65_536
 
 
@@ -202,12 +203,6 @@ class PathCache:
         ol = self.table.get(src * self.num_nodes + dst)
         return ol if ol is not None else self.ensure(src, dst)
 
-    def sample_offlen(
-        self, src: int, dst: int, rng: np.random.Generator
-    ) -> tuple[int, int]:
-        """Uniform engine interface; deterministic caches ignore ``rng``."""
-        return self.offlen(src, dst)
-
     def path(self, src: int, dst: int) -> tuple[int, ...]:
         """The cached path as an edge tuple (tests / analysis)."""
         off, length = self.offlen(src, dst)
@@ -239,12 +234,6 @@ class PathCache:
         for i, (s, d) in enumerate(zip(srcs.tolist(), dsts.tolist())):
             offs[i], lens[i] = offlen(s, d)
         return offs, lens
-
-    def sample_offlen_batch(
-        self, srcs: np.ndarray, dsts: np.ndarray, rng: np.random.Generator
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Uniform batch interface; deterministic caches ignore ``rng``."""
-        return self.offlen_batch(srcs, dsts)
 
     def precompute_all(self) -> None:
         """Materialise every ``(src, dst)`` pair (small networks only).
@@ -510,26 +499,28 @@ def gather_paths(
 
     Returns one array (of ``edges``' dtype) concatenating the viewed
     paths in order: visit ``k`` of path ``i`` sits at
-    ``cumsum(lens)[i-1] + k``.
+    ``cumsum(lens)[i-1] + k``. The output is filled a block of whole
+    paths at a time, about :data:`_GATHER_CHUNK` visits each, so the
+    index temporaries never span the whole output.
     """
     offs = np.asarray(offs, dtype=np.int64)
     lens = np.asarray(lens, dtype=np.int64)
-    if offs.size == 0:
-        return edges[:0].copy()
     cum = np.cumsum(lens)
-    total = int(cum[-1])
-    if bool(np.all(lens > 0)):
-        # Pointer walk: +1 inside a path, jump at each boundary — one
-        # cumsum instead of two repeats (needs non-empty paths), in
-        # place and in int32 while the indices fit.
-        dtype = np.int32 if edges.size < 2**31 else np.int64
-        step = np.ones(total, dtype=dtype)
-        step[0] = offs[0]
-        step[cum[:-1]] = offs[1:] - offs[:-1] - lens[:-1] + 1
-        return edges[np.cumsum(step, dtype=dtype, out=step)]
-    seg = np.repeat(np.arange(offs.size, dtype=np.int64), lens)
-    within = np.arange(total, dtype=np.int64) - np.repeat(cum - lens, lens)
-    return edges[offs[seg] + within]
+    out = np.empty(int(cum[-1]) if cum.size else 0, dtype=edges.dtype)
+    # Output slot v of path i reads edges[v + shift[i]].
+    shift = offs - cum + lens
+    cuts = np.searchsorted(
+        cum, np.arange(_GATHER_CHUNK, out.size, _GATHER_CHUNK), side="right"
+    )
+    lo = 0
+    for hi in [*cuts.tolist(), offs.size]:
+        if hi > lo:
+            start, stop = int(cum[lo] - lens[lo]), int(cum[hi - 1])
+            index = np.repeat(shift[lo:hi], lens[lo:hi])
+            index += np.arange(start, stop)
+            out[start:stop] = edges[index]
+            lo = hi
+    return out
 
 
 def route_packets(

@@ -183,7 +183,8 @@ grow and never influence outputs, so the replication engine shares one
 ``(network, cache)`` per cell across all of the cell's seeded
 replications (per worker process) instead of rebuilding per task; pool
 workers route small networks in full on first use
-(:func:`repro.sim.sharedcells.warm_cell`).
+(:func:`repro.sim.sharedcells.warm_cell`). Past 128 nodes a cell
+shares only its network; each run builds a private cache.
 
 All four simulators' interpreted loops resolve paths through one cache
 built by ``path_cache_for``, which builds each pair's path once — with
@@ -192,8 +193,8 @@ on mesh and k-d arrays — so no engine and no topology falls back to
 per-packet path building unless handed a
 ``path_cache=SampledPathInterner(router)``. The numpy kernels skip the
 memo: each run routes its packets directly
-(:func:`repro.routing.pathcache.route_packets`) and keeps only its
-edge-level memo on the cache.
+(:func:`repro.routing.pathcache.route_packets`) and keep only an
+edge-level memo per router.
 
 **Monotone merge where service is uniform deterministic; a binary heap
 where it is not.** With one deterministic service time everywhere

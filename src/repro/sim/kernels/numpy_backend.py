@@ -29,10 +29,10 @@ the kernels detect that and raise a ``ValueError`` pointing back to
 Visits come straight from the router
 (:func:`~repro.routing.pathcache.route_packets`, no path cache): the
 concatenation of every routed packet's path. Both kernels share one
-memory layout (:func:`_sweep_levels`): the visits' edge ids and next-hop
-positions as ``int16``/``int32`` arrays in level order, plus one value
-buffer whose slice for a level holds the eligibility values until the
-level is solved and its departures after.
+memory layout (:func:`_sweep_levels`): per visit, only its edge id and
+its packet id, as ``int16``/``int32`` arrays in level order; per packet,
+the eligibility value of its next hop, which each level gathers for its
+visits and overwrites once they are solved.
 All statistics (occupancy/remaining-work integrals, delay batch means,
 in-flight counts) are exact window-overlap reductions — the same
 integrals the reference loops accumulate incrementally — taken level by
@@ -82,6 +82,7 @@ construction).
 
 from __future__ import annotations
 
+import weakref
 from typing import Any, Callable, NamedTuple
 
 import numpy as np
@@ -94,7 +95,8 @@ from repro.sim.rng import make_rng
 
 _BLOCK = 8192
 
-#: Visits per chunk of the level sort (bounds its int64 temporaries).
+#: Visits per chunk of the level sort and the precedence-pair dedup
+#: (bounds their temporaries).
 _SORT_CHUNK = 1 << 16
 
 _I16_MAX = np.iinfo(np.int16).max
@@ -136,21 +138,25 @@ def _edge_levels(
     )
 
 
-def _levels_for(
-    cache: Any, num_edges: int, visit_edge: np.ndarray, breaks: np.ndarray
-) -> np.ndarray:
-    """Per-visit edge levels for this run, memoized on the path cache.
+#: Each router's last edge-level assignment (see :func:`_levels_for`).
+_LEVEL_MEMO: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
-    ``breaks`` are the visits ``b`` whose pair ``(b, b + 1)`` straddles
-    two packets. A level assignment is valid for a run iff
+
+def _levels_for(
+    router: Any, num_edges: int, visit_edge: np.ndarray, breaks: np.ndarray
+) -> np.ndarray:
+    """Per-visit edge levels for this run, memoized per router.
+
+    ``breaks`` are the sorted visits ``b`` whose pair ``(b, b + 1)``
+    straddles two packets. A level assignment is valid for a run iff
     ``lvl[f] > lvl[e]`` for every consecutive visit pair ``e -> f`` the
-    run actually uses, so a cached assignment (computed by an earlier
-    run on the same network and cache) is revalidated with one vectorized pass
-    and only recomputed when a new seed routes a pair the old
-    assignment does not cover.
+    run actually uses, so an assignment memoized by an earlier run on the
+    same router (a cell's seeds share one) is revalidated with one
+    vectorized pass and only recomputed, from the run's distinct pairs
+    found chunk by chunk, when a new seed routes a pair it does not cover.
     """
-    cached = getattr(cache, "_kernel_levels", None)
-    if cached is not None and cached.size == num_edges:
+    cached = _LEVEL_MEMO.get(router)
+    if cached is not None:
         lvl_vis = cached[visit_edge]
         ok = lvl_vis[1:] > lvl_vis[:-1]
         ok[breaks] = True
@@ -159,23 +165,24 @@ def _levels_for(
         del lvl_vis, ok
     # Distinct precedence pairs as keys e * E + f (int32 while E^2
     # fits); the pairs that straddle two packets are masked out as -1.
-    key = visit_edge[:-1].astype(
-        np.int32 if num_edges * num_edges < 2**31 else np.int64
-    )
-    key *= num_edges
-    key += visit_edge[1:]
-    key[breaks] = -1
-    pairs = np.unique(key)
-    del key
+    dtype = np.int32 if num_edges * num_edges < 2**31 else np.int64
+    found = [np.empty(0, dtype=dtype)]
+    last = visit_edge.size - 1
+    for lo in range(0, last, _SORT_CHUNK):
+        hi = min(lo + _SORT_CHUNK, last)
+        key = visit_edge[lo:hi].astype(dtype)
+        key *= num_edges
+        key += visit_edge[lo + 1 : hi + 1]
+        b0, b1 = np.searchsorted(breaks, (lo, hi))
+        key[breaks[b0:b1] - lo] = -1
+        found.append(np.unique(key))
+    pairs = np.unique(np.concatenate(found))
     pairs = pairs[pairs >= 0].astype(np.int64)
     lvl = _edge_levels(num_edges, pairs // num_edges, pairs % num_edges)
     if int(lvl.max()) < _I16_MAX:
         # int16 levels: the level sort's radix pass then needs no cast.
         lvl = lvl.astype(np.int16)
-    try:
-        cache._kernel_levels = lvl
-    except AttributeError:  # slotted storage without a cache attribute
-        pass
+    _LEVEL_MEMO[router] = lvl
     return lvl[visit_edge]
 
 
@@ -337,16 +344,22 @@ def _slot_departures(e_s: np.ndarray, k_s: np.ndarray, e_span: int) -> None:
     k_s[order] = _solve_runs(e_s[order], k_s[order] >> 1, 1, 0)
 
 
-def _level_order(lvl_vis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Stable level sort of the visits (``int32``) plus per-level slice
-    bounds.
+def _level_layout(
+    router: Any, num_edges: int, visit_edge: np.ndarray, ends: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Static per-run structure of the level sweep, in *level layout*
+    (visits stably sorted by level), so the solve loop reads it as
+    contiguous slices. ``ends`` are the packets' cumulative path lengths.
 
-    The stable sort keeps visits in generation order inside each level
-    (each packet appears at most once per level, so this is also packet
-    order — the slotted tie-break relies on it). It runs as a chunked
-    counting sort: each chunk is radix-sorted on its own and scattered
-    to its levels' next free slots, so no full-size ``int64`` index
-    array is ever allocated."""
+    Returns ``(bounds, e_lv, pk_lv)`` — per-level slice bounds and, per
+    visit in level layout, its edge id (``int16`` where edge ids fit) and
+    its packet id (``int32``). The stable sort keeps visits in generation
+    order inside each level (each packet appears at most once per level,
+    so this is also packet order — the slotted tie-break relies on it).
+    It runs as a chunked counting sort: each chunk is radix-sorted on its
+    own and its visits' edge and packet ids are scattered to their
+    levels' next free slots, so no full-size index array is built."""
+    lvl_vis = _levels_for(router, num_edges, visit_edge, ends[:-1] - 1)
     nvis = lvl_vis.size
     n_lvl = int(lvl_vis.max()) + 1
     cuts = range(0, nvis, _SORT_CHUNK)
@@ -357,57 +370,37 @@ def _level_order(lvl_vis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     np.cumsum(counts.sum(axis=0), out=bounds[1:])
     # Level-layout slot of each chunk's first visit on each level.
     base = bounds[:-1] + np.cumsum(counts, axis=0) - counts
-    order = np.empty(nvis, dtype=np.int32)
+    e_lv = np.empty(nvis, dtype=np.int16 if num_edges < _I16_MAX else np.int32)
+    pk_lv = np.empty(nvis, dtype=np.int32)
     for k, i in enumerate(cuts):
         chunk = lvl_vis[i : i + _SORT_CHUNK]
+        j = i + chunk.size
         o = np.argsort(chunk, kind="stable")
         first = np.cumsum(counts[k]) - counts[k]  # in the sorted chunk
-        order[(base[k] - first)[chunk[o]] + np.arange(o.size)] = o + i
-    return order, bounds
+        slot = (base[k] - first).astype(np.int32)[chunk[o]]
+        slot += np.arange(o.size, dtype=np.int32)
+        e_lv[slot] = visit_edge[i:j][o]
+        # The chunk's packet ids: one more after each packet's last visit
+        # (paths are non-empty, so packet ends are distinct).
+        p0, p1 = np.searchsorted(ends, (i, j - 1), side="right")
+        pk = np.zeros(chunk.size, dtype=np.int32)
+        pk[ends[p0:p1] - i] = 1
+        np.cumsum(pk, out=pk)
+        pk += p0
+        pk_lv[slot] = pk[o]
+    return bounds, e_lv, pk_lv
 
 
-def _level_layout(
-    cache: Any, num_edges: int, visit_edge: np.ndarray, ends: np.ndarray
-) -> tuple[np.ndarray, ...]:
-    """Static per-run structure of the level sweep, in *level layout*
-    (visits stably sorted by level): the solve loop then reads its
-    static inputs as contiguous slices and only the value buffer needs
-    scattered writes. ``ends`` are the packets' cumulative path lengths.
-
-    Returns ``(bounds, e_lv, nxt_lv, first_lv, last_lv)`` — per-level
-    slice bounds; per visit in level layout, its edge id (``int16``
-    where edge ids fit) and its next hop's position (``nvis``, one past
-    the end, on a packet's last hop); and each packet's first-hop and
-    last-hop positions. Full-size temporaries are freed as soon as they
-    are dead."""
-    nvis = visit_edge.size
-    lvl_vis = _levels_for(cache, num_edges, visit_edge, ends[:-1] - 1)
-    order, bounds = _level_order(lvl_vis)
-    del lvl_vis
-    e_lv = visit_edge[order].astype(
-        np.int16 if num_edges < _I16_MAX else np.int32, copy=False
-    )
-    inv = np.empty(nvis, dtype=np.int32)
-    inv[order] = np.arange(nvis, dtype=np.int32)
-    first_lv = inv[np.concatenate(([0], ends[:-1]))]
-    last_lv = inv[ends - 1]
-    order += 1  # each visit's successor; last hops are patched below
-    np.minimum(order, nvis - 1, out=order)
-    nxt_lv = inv[order]
-    del order, inv
-    nxt_lv[last_lv] = nvis
-    return bounds, e_lv, nxt_lv, first_lv, last_lv
-
-
-#: Tail-drop visit state bit: the packet was dropped here or earlier.
+#: Tail-drop packet state bit: the packet was dropped.
 _DROPPED = 2
 
 
 class _Sweep(NamedTuple):
     """What :func:`_sweep_levels` returns."""
 
-    #: Each packet's last-hop departure (its drop time if dropped).
-    d_final: np.ndarray
+    #: Each packet's ``forward(d)`` of its last-hop departure ``d`` (of
+    #: its drop time if dropped).
+    final: np.ndarray
     #: Window sums of the clipped departures over all visits and over
     #: saturated-edge visits.
     sum_all: float
@@ -435,20 +428,22 @@ def _sweep_levels(
 
     Takes the routed packets' visits out of their one-element list (see
     :func:`_draw_paths`), lays them out by level, freeing the visit
-    array, and solves level by level in one buffer of ``seed``'s dtype.
-    A level's slice holds its visits' eligibility values — ``seed`` on first
-    hops, ``forward(d)`` after the previous hop departed at ``d`` —
-    until ``solve(edges, slice)`` overwrites it with their departures.
-    Next hops always sit in later levels (last hops forward into one
-    spare slot), so the buffer ends up holding every departure. Each
+    array, and solves level by level over one per-packet array ``cur``
+    of ``seed``'s dtype: the eligibility value of each packet's next hop,
+    ``seed`` before its first hop and ``forward(d)`` after a hop departed
+    at ``d``. A packet visits each level at most once, and its next hop
+    always sits in a later level, so each level gathers ``cur`` for its
+    visits, ``solve(edges, values)`` overwrites the gathered values with
+    their departures, and ``forward`` of those is written back. ``cur``
+    ends up holding ``forward`` of every packet's last departure. Each
     solved level adds its visits' clipped departures
     ``max(min(d, clip_hi) - clip_lo, 0)`` to the window sums.
 
     Tail-drop runs pass each routed packet's ``measured`` flag, and
     ``solve`` returns the mask of the visits it dropped (or ``None``).
-    A dropped packet's later visits are retired: they skip every later
-    solve and carry the drop time forward as their "departure", which
-    is where its remaining hop units end in the window sums.
+    A dropped packet is retired: its later visits skip every solve and
+    carry the drop time forward as their "departure", which is where its
+    remaining hop units end in the window sums.
     """
     num_edges = sim.topology.num_edges
     visit_edge = visits.pop()
@@ -465,30 +460,25 @@ def _sweep_levels(
         cum_sat = np.cumsum(sat_arr[visit_edge], dtype=np.int32)
         sat_hops = np.diff(cum_sat[ends - 1], prepend=0)
         del cum_sat
-    bounds, e_lv, nxt_lv, first_lv, last_lv = _level_layout(
-        sim.path_cache, num_edges, visit_edge, ends
-    )
+    bounds, e_lv, pk_lv = _level_layout(sim.router, num_edges, visit_edge, ends)
     del visit_edge, ends
-    buf = np.empty(nxt_lv.size + 1, dtype=seed.dtype)
-    buf[first_lv] = seed
+    cur = seed.copy()
     state: np.ndarray | None = None
     if measured is not None:
-        # Per visit: bit 0 = measured packet, plus the _DROPPED bit;
-        # forwarded hop to hop alongside the values.
-        state = np.zeros(buf.size, dtype=np.int8)
-        state[first_lv] = measured
-    del first_lv
+        # Per packet: bit 0 = measured, plus the _DROPPED bit.
+        state = measured.astype(np.int8)
     sum_all = sum_sat = 0.0
     for lev in range(bounds.size - 1):
         lo, hi = int(bounds[lev]), int(bounds[lev + 1])
         if lo == hi:
             continue
         e = e_lv[lo:hi]
-        d = buf[lo:hi]
+        pk = pk_lv[lo:hi]
+        d = cur[pk]
         if state is None:
             solve(e, d)
         else:
-            st = state[lo:hi]
+            st = state[pk]
             live = np.flatnonzero(st < _DROPPED)
             lost: np.ndarray | None = None
             if live.size:  # a level may hold only retired visits
@@ -500,9 +490,8 @@ def _sweep_levels(
                 edge_drops += np.bincount(
                     e[hit[st[hit] == 1]], minlength=num_edges
                 )
-                st[hit] |= _DROPPED
-            state[nxt_lv[lo:hi]] = st
-        buf[nxt_lv[lo:hi]] = forward(d)
+                state[pk[hit]] |= _DROPPED
+        cur[pk] = forward(d)
         clipped = np.minimum(d, clip_hi)
         clipped -= clip_lo
         np.maximum(clipped, 0, out=clipped)
@@ -511,8 +500,8 @@ def _sweep_levels(
             sum_sat += clipped[sat_arr[e]].sum().item()
     drops = None
     if state is not None:
-        drops = (state[last_lv] < _DROPPED, edge_drops)
-    return _Sweep(buf[last_lv], sum_all, sum_sat, sat_hops, drops)
+        drops = (state < _DROPPED, edge_drops)
+    return _Sweep(cur, sum_all, sum_sat, sat_hops, drops)
 
 
 def run_fifo(
@@ -718,12 +707,12 @@ def run_slotted(
     del srcs, dsts
 
     # ---- solve ----
-    # The buffer carries join keys 2 * slot + is_new: a packet joins its
+    # The sweep carries join keys 2 * slot + is_new: a packet joins its
     # first edge in its generation slot as a new arrival; a hop
     # delivered at the end of slot d makes the next one a mover
-    # eligible in slot d + 1.
+    # eligible in slot d + 1, key 2 * d + 2.
     last = t_end_slot - 1
-    d_final, sum_r, sum_rs, sat_hops = _sweep_levels(
+    keys, sum_r, sum_rs, sat_hops = _sweep_levels(
         sim,
         visits,
         lens,
@@ -734,6 +723,7 @@ def run_slotted(
         last,
         sat_arr,
     )[:4]
+    d_final = (keys >> 1) - 1  # the last hop's key is 2 * d_final + 2
 
     # ---- inclusive-slot window statistics ----
     # A packet occupies the system during slots [a, d_final] (it leaves

@@ -785,10 +785,11 @@ def run_slotted(
     if cache_rng_free:
         det_get = cache.table.get
         det_build = cache.ensure
+        sample_offlen_batch = None
     else:
         det_get = None
         det_build = None
-    sample_offlen_batch = cache.sample_offlen_batch
+        sample_offlen_batch = cache.sample_offlen_batch
     # Each slot's (src, dst) pairs come from one draw_ids call: one
     # interleaved id block where the fast-id predicate holds over an
     # RNG-free path cache, else a source block and then a destination

@@ -149,7 +149,8 @@ class Engine:
 
     ``run_cell(spec, seed, node_rate, mask, net, cache)`` builds the
     simulator for one resolved cell (scenario network ``net``, calibrated
-    ``node_rate``, optional saturation ``mask``, shared path ``cache``)
+    ``node_rate``, optional saturation ``mask``, shared path ``cache``,
+    or ``None`` for a private one per run)
     and runs the single replication for ``seed``, returning a
     :class:`~repro.sim.result.SimResult`. ``supports_saturated`` /
     ``supports_maxima`` gate the :class:`CellSpec` tracking flags;

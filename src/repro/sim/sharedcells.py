@@ -15,7 +15,7 @@ cache)`` through its per-process memo with :func:`warm_cell`, which
 routes every pair in bulk for networks up to
 :data:`PRECOMPUTE_NODE_LIMIT` nodes — a few milliseconds per cell, paid
 once per worker and cell, so no routed cache crosses the process
-boundary.
+boundary. Larger networks share no cache (see :func:`cell_network`).
 
 Cleanup contract
 ----------------
@@ -49,11 +49,11 @@ from repro.routing.pathcache import (
 from repro.sim.registry import get_engine
 from repro.sim.result import SimResult
 
-#: Largest network (node count) whose path cache :func:`warm_cell`
-#: precomputes in full. ``n*n`` dense tables plus the arena stay small
-#: here (a 128-node mesh is ~16k pairs); larger networks keep the lazy
-#: cache — their simulations touch a vanishing fraction of the pair
-#: space, so eager routing would cost more than it saves.
+#: Largest network (node count) whose cell shares a path cache, which
+#: :func:`warm_cell` precomputes in full. ``n*n`` dense tables plus the
+#: arena stay small here (a 128-node mesh is ~16k pairs); larger networks
+#: share none — their runs touch a vanishing fraction of the pair space,
+#: so a shared memo mostly holds pairs no later run looks up.
 PRECOMPUTE_NODE_LIMIT = 128
 
 
@@ -82,7 +82,9 @@ def cell_network(spec: Any) -> tuple:
     path from scratch. A path cache only grows and never influences
     results, so sharing it across same-cell replications — and across
     the engines and engine params of one scenario (:func:`cell_key`) —
-    is safe.
+    is safe. Past :data:`PRECOMPUTE_NODE_LIMIT` nodes the cache is
+    ``None``: each run's engine resolves a private one, freed with the
+    run, and only the network is shared.
     """
     from repro.scenarios import build_network  # late: scenarios imports sim
 
@@ -90,7 +92,8 @@ def cell_network(spec: Any) -> tuple:
     ent = _NETWORK_MEMO.get(key)
     if ent is None:
         net = build_network(spec.scenario, spec.n, **spec.params_dict)
-        ent = (net, path_cache_for(net.router))
+        small = net.router.topology.num_nodes <= PRECOMPUTE_NODE_LIMIT
+        ent = (net, path_cache_for(net.router) if small else None)
         _NETWORK_MEMO[key] = ent
         if len(_NETWORK_MEMO) > _NETWORK_MEMO_MAX:
             _NETWORK_MEMO.popitem(last=False)
@@ -102,16 +105,16 @@ def cell_network(spec: Any) -> tuple:
 def warm_cell(spec: Any) -> tuple:
     """Build the cell and precompute its path cache (pool workers).
 
-    Precomputation is bounded by :data:`PRECOMPUTE_NODE_LIMIT` and only
-    attempted on caches that support it; topologies whose pair space is
-    partial (e.g. butterfly input-to-output routing) raise out of
-    ``precompute_all`` and simply stay lazy.
+    Precomputation is bounded by :data:`PRECOMPUTE_NODE_LIMIT` (larger
+    cells share no cache) and only attempted on caches that support it;
+    topologies whose pair space is partial (e.g. butterfly
+    input-to-output routing) raise out of ``precompute_all`` and simply
+    stay lazy.
     """
     net, cache = cell_network(spec)
     if (
         isinstance(cache, (PathCache, RandomizedGreedyPathCache))
         and not cache.complete
-        and net.router.topology.num_nodes <= PRECOMPUTE_NODE_LIMIT
     ):
         try:
             cache.precompute_all()

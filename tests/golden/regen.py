@@ -38,6 +38,7 @@ from repro.routing.randomized_greedy import RandomizedGreedyArrayRouter
 from repro.routing.torus_greedy import GreedyTorusRouter
 from repro.sim.fifo_network import NetworkSimulation
 from repro.sim.finite_buffer import FiniteBufferNetworkSimulation
+from repro.sim.kernels import NUMPY_BACKEND, PYTHON_BACKEND
 from repro.sim.ps_network import PSNetworkSimulation
 from repro.sim.rushed_network import RushedNetworkSimulation
 from repro.sim.slotted import SlottedNetworkSimulation
@@ -159,11 +160,12 @@ def build_cases() -> dict:
               warmup=15.0, horizon=150.0, track_maxima=False,
               saturated_mask=None, service_rates=1.0,
               track_utilization=False, track_number_distribution=False,
-              collect_delays=False):
+              collect_delays=False, backend=PYTHON_BACKEND):
         def run():
             sim = NetworkSimulation(
                 router, dests, rate, service=service, seed=seed,
                 saturated_mask=saturated_mask, service_rates=service_rates,
+                backend=backend,
             )
             return sim.run(
                 warmup, horizon, track_maxima=track_maxima,
@@ -175,11 +177,13 @@ def build_cases() -> dict:
 
     def slotted(name, router, dests, rate, seed, *, warmup_slots=10,
                 horizon_slots=150, tau=1.0, saturated_mask=None,
-                track_maxima=False):
+                track_maxima=False, collect_delays=False,
+                backend=PYTHON_BACKEND):
         _capture(cases, name, lambda: SlottedNetworkSimulation(
             router, dests, rate, tau=tau, seed=seed,
-            saturated_mask=saturated_mask,
-        ).run(warmup_slots, horizon_slots, track_maxima=track_maxima))
+            saturated_mask=saturated_mask, backend=backend,
+        ).run(warmup_slots, horizon_slots, track_maxima=track_maxima,
+              collect_delays=collect_delays))
 
     m5 = ArrayMesh(5)
     m4 = ArrayMesh(4)
@@ -268,11 +272,12 @@ def build_cases() -> dict:
     # both uniform and data-dependent laws.
     def finite(name, router, dests, rate, seed, *, buffer_size,
                service="deterministic", service_rates=1.0, warmup=15.0,
-               horizon=150.0, track_maxima=False, saturated_mask=None):
+               horizon=150.0, track_maxima=False, saturated_mask=None,
+               backend=PYTHON_BACKEND):
         _capture(cases, name, lambda: FiniteBufferNetworkSimulation(
             router, dests, rate, seed=seed, buffer_size=buffer_size,
             service=service, service_rates=service_rates,
-            saturated_mask=saturated_mask,
+            saturated_mask=saturated_mask, backend=backend,
         ).run(warmup, horizon, track_maxima=track_maxima))
 
     e5 = m5.num_edges
@@ -364,6 +369,30 @@ def build_cases() -> dict:
     # registry advertises for it that no other cell exercised).
     slotted("slotted_maxima", GreedyArrayRouter(m5),
             UniformDestinations(25), 0.10, 22, track_maxima=True)
+
+    # The vectorized kernels (backend="numpy"): their level sweep's
+    # window sums, saturated-hop counts, per-edge service and
+    # utilization, tail-drop retirement and slotted join keys, pinned
+    # bit-exactly on loaded cells (distribution parity with the python
+    # loops is pinned elsewhere; these pin the kernels against
+    # themselves).
+    m6 = ArrayMesh(6)
+    e6 = m6.num_edges
+    event("numpy_fifo_sat", GreedyArrayRouter(m6),
+          UniformDestinations(36), 0.2, 41, horizon=400.0,
+          saturated_mask=sat_mask(e6), backend=NUMPY_BACKEND)
+    event("numpy_fifo_peredge_util", GreedyArrayRouter(m6),
+          UniformDestinations(36), 0.15, 42, horizon=400.0,
+          service_rates=per_edge_rates(e6), track_utilization=True,
+          backend=NUMPY_BACKEND)
+    finite("numpy_finite_sat_k1", GreedyArrayRouter(m6),
+           HotSpotDestinations(36, hot_node=14, h=0.3), 0.2, 43,
+           buffer_size=1, horizon=400.0, saturated_mask=sat_mask(e6),
+           backend=NUMPY_BACKEND)
+    slotted("numpy_slotted_sat_delays", GreedyArrayRouter(m6),
+            UniformDestinations(36), 0.15, 44, horizon_slots=400,
+            saturated_mask=sat_mask(e6), collect_delays=True,
+            backend=NUMPY_BACKEND)
     return cases
 
 

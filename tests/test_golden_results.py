@@ -56,7 +56,8 @@ def test_fixture_covers_all_five_engines(golden):
     """The acceptance scenarios are pinned for every engine, including
     the PR-3-ported rushed and PS simulators, the finite-buffer loss
     engine (both the buffer_size=None fifo-identity cells and nonzero
-    drop cells) and the declarative facade path (the api_* cells)."""
+    drop cells), the declarative facade path (the api_* cells) and the
+    vectorized numpy kernels (the numpy_* cells)."""
     names = set(golden)
     for required in (
         "event_uniform_det",
@@ -82,17 +83,22 @@ def test_fixture_covers_all_five_engines(golden):
         "api_slotted_uniform",
         "api_finite_hotspot_k1",
         "event_ndist_delays",
+        "numpy_fifo_sat",
+        "numpy_fifo_peredge_util",
+        "numpy_finite_sat_k1",
+        "numpy_slotted_sat_delays",
     ):
         assert required in names
 
 
 def test_delay_checksum_only_on_collecting_cells(golden):
-    """The raw-delay checksum appears only on the cell that collects
-    delays, and it holds one delay per measured completion."""
+    """The raw-delay checksum appears only on the cells that collect
+    delays, and each holds one delay per measured completion."""
     collecting = [name for name, cell in golden.items() if "delays_len" in cell]
-    assert collecting == ["event_ndist_delays"]
-    cell = golden["event_ndist_delays"]
-    assert cell["delays_len"] == cell["completed"]
+    assert collecting == ["event_ndist_delays", "numpy_slotted_sat_delays"]
+    for name in collecting:
+        cell = golden[name]
+        assert cell["delays_len"] == cell["completed"], name
 
 
 def test_api_cells_match_direct_cells(golden):

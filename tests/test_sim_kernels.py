@@ -263,7 +263,7 @@ class TestNumpyFifoOptions:
         )
         survived, edge_drops = sweep.drops
         assert survived.tolist() == [True, False]
-        assert sweep.d_final.tolist() == [1.0, 0.5]
+        assert sweep.final.tolist() == [1.0, 0.5]
         assert edge_drops.tolist() == [1, 0, 0, 0]
         # Units of packet 1's two hops end at its drop time 0.5.
         assert sweep.sum_all == pytest.approx(1.0 + 2 * 0.5)
@@ -618,27 +618,29 @@ class TestBatchedSourceDrawBoundary:
 
 class TestKernelLevelCache:
     def test_levels_cached_and_reused(self):
+        """The level memo is per router: a second run on the same router
+        reuses the assignment whether or not it shares a path cache."""
+        from repro.sim.kernels import numpy_backend
+
         mesh = ArrayMesh(4)
         router = GreedyArrayRouter(mesh)
-        cache = path_cache_for(router)
         sim = NetworkSimulation(
-            router, UniformDestinations(16), 0.2, seed=1,
-            path_cache=cache, backend=NUMPY_BACKEND,
+            router, UniformDestinations(16), 0.2, seed=1, backend=NUMPY_BACKEND,
         )
         sim.run(0.0, 200.0)
-        lvl = cache._kernel_levels
-        assert lvl is not None
-        NetworkSimulation(
-            router, UniformDestinations(16), 0.2, seed=2,
-            path_cache=cache, backend=NUMPY_BACKEND,
-        ).run(0.0, 200.0)
-        # Second run revalidates and keeps the cached assignment.
-        assert cache._kernel_levels is lvl
+        lvl = numpy_backend._LEVEL_MEMO[router]
+        for cache in (sim.path_cache, path_cache_for(router)):
+            NetworkSimulation(
+                router, UniformDestinations(16), 0.2, seed=2,
+                path_cache=cache, backend=NUMPY_BACKEND,
+            ).run(0.0, 200.0)
+            # Later runs revalidate and keep the memoized assignment.
+            assert numpy_backend._LEVEL_MEMO[router] is lvl
 
     def test_cache_growth_matches_fresh_cache(self):
-        """A shared cache that grew (new pairs, stale level vector) must
-        produce the same trajectory as a fresh cache — revalidation, not
-        staleness."""
+        """A router whose level memo is stale (an earlier run routed
+        fewer pairs) must produce the same trajectory as a fresh router —
+        revalidation, not staleness."""
         mesh = ArrayMesh(5)
         router = GreedyArrayRouter(mesh)
         shared = path_cache_for(router)
@@ -656,8 +658,8 @@ class TestKernelLevelCache:
             path_cache=shared, backend=NUMPY_BACKEND,
         ).run(10.0, 300.0)
         fresh = NetworkSimulation(
-            router, UniformDestinations(25), 0.2, seed=4,
-            path_cache=path_cache_for(router), backend=NUMPY_BACKEND,
+            GreedyArrayRouter(mesh), UniformDestinations(25), 0.2, seed=4,
+            backend=NUMPY_BACKEND,
         ).run(10.0, 300.0)
         assert grown.mean_delay == fresh.mean_delay
         assert grown.mean_number == fresh.mean_number
@@ -667,10 +669,12 @@ class TestKernelLevelCache:
 class TestNumpyRunsLeaveThePathCacheEmpty:
     """The numpy kernels route each run straight from the router: the
     shared path cache (the interpreted loops' memo) is neither read nor
-    grown, and only the kernel level memo lands on it."""
+    grown, and the kernel level memo is kept per router, not on it."""
 
     @pytest.mark.parametrize("engine", ["fifo", "slotted"])
     def test_deterministic_cache_stays_empty(self, engine):
+        from repro.sim.kernels import numpy_backend
+
         router = GreedyArrayRouter(ArrayMesh(5))
         cache = path_cache_for(router)
         args = (router, UniformDestinations(25), 0.2)
@@ -681,7 +685,8 @@ class TestNumpyRunsLeaveThePathCacheEmpty:
             res = SlottedNetworkSimulation(*args, **kw).run(5, 100)
         assert res.generated > 0
         assert len(cache) == 0 and len(cache.arena) == 0
-        assert cache._kernel_levels is not None
+        assert not hasattr(cache, "_kernel_levels")
+        assert numpy_backend._LEVEL_MEMO[router].size == router.topology.num_edges
 
     def test_randomized_cache_stays_empty(self):
         router = RandomizedGreedyArrayRouter(ArrayMesh(3), row_first_probability=1.0)
@@ -723,14 +728,31 @@ class TestGatherPaths:
         got = gather_paths(np.arange(4, dtype=np.int32), [], [])
         assert got.dtype == np.int32 and got.size == 0
 
+    def test_many_blocks_match_concatenation(self):
+        """An output of several blocks, with empty paths and one path
+        longer than a block, matches plain concatenation."""
+        from repro.routing.pathcache import _GATHER_CHUNK
+
+        rng = np.random.default_rng(5)
+        flat = rng.integers(0, 1000, 100_000).astype(np.int32)
+        lens = rng.integers(0, 40, 8000)
+        lens[[0, 3000]] = 0
+        lens[5000] = _GATHER_CHUNK + 7
+        offs = rng.integers(0, flat.size - lens + 1)
+        got = gather_paths(flat, offs, lens)
+        assert got.size > 3 * _GATHER_CHUNK
+        want = np.concatenate([flat[o : o + n] for o, n in zip(offs, lens)])
+        assert got.tolist() == want.tolist()
+
 
 class TestKernelMemory:
-    def test_fifo_peak_stays_within_40_bytes_per_visit(self, monkeypatch):
+    def test_fifo_peak_stays_within_25_bytes_per_visit(self, monkeypatch):
         """The numpy fifo kernel's traced peak on a fixed 8x8, rho=0.9
-        grid-style cell (saturated edges tracked) stays within 40 bytes
-        per visit: an int16/int32 level layout, one value buffer and
-        per-level window sums (the full-size departure, arrival and
-        overlap arrays of the earlier layout took ~93)."""
+        grid-style cell (saturated edges tracked) stays within 25 bytes
+        per visit: an int16/int32 level layout of edge and packet ids,
+        one value per packet and per-level window sums (a per-visit value
+        buffer with next-hop positions took ~26; the full-size departure,
+        arrival and overlap arrays before it ~93)."""
         from repro.sim.kernels import numpy_backend
 
         visits = []
@@ -761,7 +783,7 @@ class TestKernelMemory:
         finally:
             tracemalloc.stop()
         assert visits[0] > 300_000
-        assert peak / visits[0] <= 40.0
+        assert peak / visits[0] <= 25.0
 
 
 # ----------------------------------------------------------------------

@@ -7,7 +7,10 @@ in-process path for every registered engine — while the per-job payload
 shrinks to a token-sized tuple and every shared block is unlinked.
 """
 
+import gc
+import math
 import pickle
+import weakref
 
 import numpy as np
 import pytest
@@ -72,10 +75,56 @@ class TestPublish:
         assert cache.complete
 
     def test_warm_cell_skips_large_networks(self):
-        side = sharedcells.PRECOMPUTE_NODE_LIMIT  # side**2 nodes >> limit
+        """Past the precompute limit a cell shares no path cache at all."""
+        side = math.isqrt(sharedcells.PRECOMPUTE_NODE_LIMIT) + 1
         spec = CellSpec(scenario="uniform", n=side, rho=0.5, **WINDOW)
         _net, cache = warm_cell(spec)
-        assert not cache.complete
+        assert cache is None
+
+
+class TestLargeCells:
+    """A 12x12 mesh (144 nodes) is past PRECOMPUTE_NODE_LIMIT: its cell
+    shares the network but no path cache."""
+
+    def test_runs_free_their_private_caches(self, monkeypatch):
+        from repro.sim import enginecommon
+
+        caches = []
+        resolve = enginecommon.resolve_path_cache
+
+        def tracked(router, *, path_cache=None):
+            cache = resolve(router, path_cache=path_cache)
+            caches.append(weakref.ref(cache))
+            return cache
+
+        monkeypatch.setattr(enginecommon, "resolve_path_cache", tracked)
+        sharedcells._NETWORK_MEMO.clear()
+        spec = CellSpec(scenario="uniform", n=12, rho=0.6, seeds=(0, 1), **WINDOW)
+        (result,) = ReplicationEngine(processes=1).run_many([spec])
+        assert result.replications[0].generated > 0
+        assert sharedcells.cell_network(spec)[1] is None
+        gc.collect()
+        assert len(caches) == 2
+        assert all(ref() is None for ref in caches)
+
+    def test_numpy_seeds_share_one_level_assignment(self, monkeypatch):
+        from repro.sim.kernels import numpy_backend
+
+        calls = []
+        edge_levels = numpy_backend._edge_levels
+
+        def counted(*args):
+            calls.append(1)
+            return edge_levels(*args)
+
+        monkeypatch.setattr(numpy_backend, "_edge_levels", counted)
+        sharedcells._NETWORK_MEMO.clear()
+        spec = CellSpec(
+            scenario="uniform", n=12, rho=0.6, seeds=(0, 1, 2),
+            engine_params=(("backend", "numpy"),), **WINDOW,
+        )
+        ReplicationEngine(processes=1).run(spec)
+        assert len(calls) == 1
 
 
 class TestRunSeedChunk:
