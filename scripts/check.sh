@@ -17,6 +17,7 @@
 # `slow` (the heavy statistical/cross-engine cells; see pytest.ini) and
 # skips the benchmark stages — the same selection CI's tier-1 job runs
 # on every push/PR. The default full run still executes everything.
+# Both run the topology and routing doctests after the suite.
 #
 # Validation lane: VALIDATE=1 ./scripts/check.sh runs the statistical
 # validation harness (`python -m repro validate --strict`) — every
@@ -71,6 +72,12 @@ perfbench_smoke() {
         --trace 1 | tail -n 1 | grep -q '^{"correct": true, '
 }
 
+run_doctests() {
+    # The topology and routing docstrings pin edge ids (ArrayMesh,
+    # LinearArray, GreedyArrayRouter); pytest's testpaths cover tests/ only.
+    python -m pytest -q --doctest-modules src/repro/topology src/repro/routing
+}
+
 run_lint() {
     # replint memoizes in .replint_cache.json keyed by file mtimes, so
     # repeat runs on an unchanged tree replay without re-parsing.
@@ -118,6 +125,7 @@ fi
 if [ "${FAST:-0}" = "1" ]; then
     run_lint
     python -m pytest -x -q -m "not slow"
+    run_doctests
     sweep_smoke
     echo "check.sh: fast lane green (sweep smoke OK; slow tests and benches skipped)"
     exit 0
@@ -125,6 +133,7 @@ fi
 
 run_lint
 python -m pytest -x -q
+run_doctests
 
 run_bench() {
     local stage=$1

@@ -1,8 +1,8 @@
 """Shared path-cache arena and direct routing: the per-packet routing hot path.
 
-Both simulation engines used to rebuild every packet's path hop by hop
-(``GreedyArrayRouter.path`` does one NumPy scalar index per hop), which at
-32x32 mesh sizes is a noticeable slice of the whole run. Paths, however,
+Both simulation engines used to rebuild every packet's path from the
+router, which at 32x32 mesh sizes is a noticeable slice of the whole
+run. Paths, however,
 are pure functions of ``(src, dst)`` for every deterministic router, and a
 mixture of two such functions for the Section 6 randomized scheme — so the
 work is memoizable. This module provides that memo as a *flat shared
@@ -18,14 +18,14 @@ vectorized kernels:
   definition of each scheme's walk — and appends it to the arena. For
   small networks a dense ``offset``/``length`` pair of arrays is kept
   alongside the dict so batch lookups are a single NumPy gather.
-* Closed-form *batch* builders for the greedy mesh and k-d arrays
-  (:func:`_mesh_batch_builder`, :func:`_kd_batch_builder`: each path is
-  one arithmetic run of edge ids per axis). :meth:`PathCache._fill`, the
-  one miss-fill routine behind batch lookups and
-  :meth:`PathCache.precompute_all`, builds misses with them in bulk once
-  there are at least :data:`BULK_MIN_MISSES`, and otherwise pair by pair
-  with ``router.path``. :class:`repro.core.routetable.RouteTable` builds
-  its all-pairs routes through :func:`build_paths`, on the same builders.
+* A closed-form *batch* builder for greedy walks on any array, meshes
+  included (:func:`_kd_batch_builder`: each path is one arithmetic run
+  of edge ids per axis). :meth:`PathCache._fill`, the one miss-fill
+  routine behind batch lookups and :meth:`PathCache.precompute_all`,
+  builds misses with it in bulk once there are at least
+  :data:`BULK_MIN_MISSES`, and otherwise pair by pair with
+  ``router.path``. :class:`repro.core.routetable.RouteTable` builds its
+  all-pairs routes through :func:`build_paths`, on the same builder.
 * :class:`RandomizedGreedyPathCache` — the cache for
   :class:`~repro.routing.randomized_greedy.RandomizedGreedyArrayRouter`:
   two :class:`PathCache` tables over the router's row-first and
@@ -65,7 +65,7 @@ from typing import Sequence
 import numpy as np
 
 from repro.routing.base import BaseRouter, Router
-from repro.routing.greedy import GreedyArrayRouter, GreedyKDRouter
+from repro.routing.greedy import GreedyKDRouter
 from repro.routing.randomized_greedy import RandomizedGreedyArrayRouter
 
 #: Below this many nodes a cache also maintains dense ``n*n`` offset and
@@ -162,9 +162,10 @@ class PathCache:
     arena:
         Shared :class:`PathArena`; a private one is created if omitted.
 
-    Scalar misses are built with ``router.path``. Greedy mesh and k-d
-    routers also get a closed-form batch builder (:func:`_batch_builder`),
-    which :meth:`_fill` uses for large batches of dense-table misses.
+    Scalar misses are built with ``router.path``. Greedy array routers
+    (meshes included) also get a closed-form batch builder
+    (:func:`_batch_builder`), which :meth:`_fill` uses for large batches
+    of dense-table misses.
     Lookups memoize lazily; :meth:`precompute_all` builds every pair.
     """
 
@@ -291,7 +292,7 @@ class RandomizedGreedyPathCache:
     Holds two :class:`PathCache` tables on one shared arena, over the
     router's row-first and column-first greedy routers: each table builds
     its scalar misses with that router's ``path`` and fills large batches
-    of misses with the closed-form mesh builder of its order (see
+    of misses with the closed-form batch builder of its order (see
     :meth:`PathCache._fill`). ``sample_offlen`` draws exactly the one coin
     ``RandomizedGreedyArrayRouter.sample_path`` draws, keeping same-seed
     runs bit-identical to the uncached scheme.
@@ -376,37 +377,6 @@ def _lay_out_runs(legs) -> tuple[np.ndarray, np.ndarray]:
     return np.cumsum(flat, out=flat), lens
 
 
-def _mesh_batch_builder(router: GreedyArrayRouter):
-    """Closed-form batch builder for both greedy mesh orders.
-
-    On :class:`~repro.topology.array_mesh.ArrayMesh`'s edge-id layout a
-    greedy path is two arithmetic runs: the row leg steps by ``±1``
-    through the RIGHT or LEFT block, the column leg by ``±cols`` through
-    the DOWN or UP block. Each run's first edge comes from the router's
-    per-direction grids, and :func:`_lay_out_runs` lays all pairs' runs
-    out — the edge sequences ``router.path`` walks hop by hop.
-    """
-    cols = router.mesh.cols
-    right, left, down, up = router._right, router._left, router._down, router._up
-    column_first = router.column_first
-
-    def build_mesh_paths(
-        srcs: np.ndarray, dsts: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
-        i1, j1 = np.divmod(srcs, cols)
-        i2, j2 = np.divmod(dsts, cols)
-        di, dj = i2 - i1, j2 - j1
-        # The row leg runs along row r, the column leg along column c.
-        r, c = (i2, j1) if column_first else (i1, j2)
-        row_start = np.where(dj > 0, right[r, j1], left[r, j1])
-        col_start = np.where(di > 0, down[i1, c], up[i1, c])
-        row = (row_start, np.sign(dj), np.abs(dj))
-        col = (col_start, np.sign(di) * cols, np.abs(di))
-        return _lay_out_runs((col, row) if column_first else (row, col))
-
-    return build_mesh_paths
-
-
 def _kd_batch_builder(router: GreedyKDRouter):
     """Closed-form batch builder for dimension-order k-d walks.
 
@@ -415,21 +385,17 @@ def _kd_batch_builder(router: GreedyKDRouter):
     ``(axis, +)`` or ``(axis, -)`` block: both blocks list their edges in
     node order, so consecutive edges of a leg differ by the axis's
     node-id stride, ``±strides[axis]``. Each leg's first edge comes from
-    per-block tables of the edge leaving every node, and
-    :func:`_lay_out_runs` lays the legs out in ``dimension_order`` — the
-    edge sequences ``router.path`` walks hop by hop.
+    the router's :attr:`~repro.routing.greedy.GreedyKDRouter.out_edges`
+    tables, and :func:`_lay_out_runs` lays the legs out in
+    ``dimension_order`` — the runs ``router.path`` emits one pair at a
+    time.
     """
     array = router.array
-    n = array.num_nodes
-    order = router.dimension_order
-    out_edge = {}
-    for axis in order:
-        for sign in (+1, -1):
-            lo, hi = array.block(axis, sign)
-            table = np.full(n, -1, dtype=np.int64)
-            table[array.edge_source[lo:hi]] = np.arange(lo, hi)
-            out_edge[axis, sign] = table
-    axes = [(axis, array.strides[axis], array.dims[axis]) for axis in order]
+    out_edge = router.out_edges
+    axes = [
+        (axis, array.strides[axis], array.dims[axis])
+        for axis in router.dimension_order
+    ]
 
     def build_kd_paths(
         srcs: np.ndarray, dsts: np.ndarray
@@ -449,10 +415,9 @@ def _kd_batch_builder(router: GreedyKDRouter):
 
 
 def _batch_builder(router: Router):
-    """The closed-form batch builder for ``router`` (greedy mesh and k-d
-    arrays), or ``None`` when paths can only be built pair by pair."""
-    if isinstance(router, GreedyArrayRouter):
-        return _mesh_batch_builder(router)
+    """The closed-form batch builder for ``router`` (greedy walks on any
+    array, meshes included), or ``None`` when paths can only be built
+    pair by pair."""
     if isinstance(router, GreedyKDRouter):
         return _kd_batch_builder(router)
     return None
@@ -465,7 +430,7 @@ def build_paths(
 
     Returns ``(edges, lens)``: the paths' ``int32`` edge ids concatenated
     in pair order and each path's length. Built by the closed-form batch builder
-    where one exists (greedy mesh and k-d arrays), one call per
+    where one exists (greedy walks on arrays), one call per
     :data:`BUILD_BLOCK_PAIRS` pairs, else pair by pair with
     ``router.path``. Nothing is memoized, and randomized routers
     contribute their canonical ``path``.
@@ -537,8 +502,8 @@ def route_packets(
     RNG draws:
 
     * deterministic routers: each distinct pair is built once with
-      :func:`build_paths` (the closed-form batch builder for greedy mesh
-      and k-d arrays, else ``router.path``) and expanded with
+      :func:`build_paths` (the closed-form batch builder for greedy
+      walks on arrays, else ``router.path``) and expanded with
       :func:`gather_paths`;
     * the randomized greedy scheme: one ``rng.random(len(srcs))`` coin block
       (the draw :meth:`RandomizedGreedyPathCache.sample_offlen_batch`
@@ -624,8 +589,8 @@ def path_cache_for(router: Router):
 
     Deterministic routers (any :class:`BaseRouter` subclass that does not
     override ``sample_path``) get a :class:`PathCache`, which builds its
-    misses with ``router.path`` — and, for the greedy mesh and k-d
-    routers, large batches of misses in bulk with a closed-form batch
+    misses with ``router.path`` — and, for the greedy array routers,
+    large batches of misses in bulk with a closed-form batch
     builder. The randomized greedy scheme gets its two-table
     :class:`RandomizedGreedyPathCache`; anything else falls back to the
     :class:`SampledPathInterner`, which preserves pre-cache behaviour

@@ -9,7 +9,10 @@ topology-agnostic.
 The paper's primary object is the :class:`ArrayMesh` (an n-by-n array with
 a pair of directed edges between each neighbouring pair of nodes); the
 torus, hypercube, butterfly, and linear array support the extensions in
-Sections 4.5, 5, and 6.
+Sections 4.5, 5, and 6. The arrays are one family: :class:`KDArray` is the
+k-dimensional array of Section 5.2, and :class:`ArrayMesh` and
+:class:`LinearArray` are its 2-D and 1-D cases, with the same edge ids
+their own edge loops once gave them.
 """
 
 from repro.topology.base import Topology

@@ -23,7 +23,9 @@ UP        ``((i+1, j), (i, j))``      ``2H+V .. 2H+2V-1``
 with ``H = rows * (cols - 1)`` horizontal edges per direction and
 ``V = (rows - 1) * cols`` vertical edges per direction.
 
-:class:`KDArray` generalises to k dimensions for the Section 5.2 extension.
+Each block lists its edges in row-major order of their source node.
+:class:`ArrayMesh` is the 2-D :class:`KDArray`, the k-dimensional array of
+the Section 5.2 extension, with the column axis's blocks first.
 """
 
 from __future__ import annotations
@@ -41,8 +43,100 @@ RIGHT, LEFT, DOWN, UP = "right", "left", "down", "up"
 DIRECTIONS = (RIGHT, LEFT, DOWN, UP)
 
 
-class ArrayMesh(Topology):
+class KDArray(Topology):
+    """A k-dimensional array with both directed edges along every dimension.
+
+    Supports the "higher dimensions" extension of Section 5.2, and is the
+    one array topology: :class:`ArrayMesh` is the 2-D case and
+    :class:`~repro.topology.linear.LinearArray` the 1-D one. Node ids use
+    row-major (C) order over the coordinate tuple. Edge ids are grouped by
+    ``(axis, sign)`` block, ``(axis, +)`` then ``(axis, -)`` for each axis
+    in ``block_order``, so that per-dimension rate maps can be assembled
+    independently. Each block lists its edges in source-node order, so
+    along one axis consecutive edges of a walk differ by that axis's
+    node-id stride.
+
+    Parameters
+    ----------
+    dims:
+        Side length per dimension, each an int of at least 2.
+    block_order:
+        The axes in edge-block order, a permutation of ``0..k-1``
+        (default ascending). ``ArrayMesh(rows, cols)`` is
+        ``KDArray((rows, cols), block_order=(1, 0))`` edge for edge.
+    """
+
+    def __init__(
+        self, dims: tuple[int, ...], block_order: tuple[int, ...] | None = None
+    ) -> None:
+        if len(dims) < 1:
+            raise ValueError("dims must have at least one dimension")
+        dims = tuple(check_side(d, f"dims[{axis}]") for axis, d in enumerate(dims))
+        k = len(dims)
+        order = tuple(range(k)) if block_order is None else tuple(block_order)
+        if sorted(order) != list(range(k)):
+            raise ValueError(f"block_order must permute 0..{k - 1}, got {order}")
+        self.dims = dims
+        num_nodes = int(np.prod(dims))
+        strides: list[int] = []
+        acc = 1
+        for d in reversed(dims):
+            strides.append(acc)
+            acc *= d
+        self.strides = tuple(reversed(strides))  # row-major strides
+        nodes = np.arange(num_nodes, dtype=np.int64)
+        sources: list[np.ndarray] = []
+        targets: list[np.ndarray] = []
+        self._block_slices: dict[tuple[int, int], tuple[int, int]] = {}
+        start = 0
+        for axis in order:
+            stride, side = self.strides[axis], dims[axis]
+            coord = nodes // stride % side
+            for sign, has_edge in ((+1, coord < side - 1), (-1, coord > 0)):
+                u = nodes[has_edge]
+                sources.append(u)
+                targets.append(u + sign * stride)
+                self._block_slices[axis, sign] = (start, start + u.size)
+                start += u.size
+        edges = zip(np.concatenate(sources).tolist(), np.concatenate(targets).tolist())
+        super().__init__(num_nodes, list(edges), name=f"kdarray{dims}")
+
+    def node_id(self, coord: tuple[int, ...]) -> int:
+        """Node id of a coordinate tuple."""
+        if len(coord) != len(self.dims):
+            raise ValueError(f"coordinate {coord} has wrong dimensionality")
+        v = 0
+        for c, d, s in zip(coord, self.dims, self.strides):
+            if not 0 <= c < d:
+                raise ValueError(f"coordinate {coord} outside dims {self.dims}")
+            v += c * s
+        return v
+
+    def node_coords(self, v: int) -> tuple[int, ...]:
+        """Coordinate tuple of node id ``v``."""
+        if not 0 <= v < self.num_nodes:
+            raise ValueError(f"node {v} outside 0..{self.num_nodes - 1}")
+        v = int(v)
+        out = []
+        for s in self.strides:
+            out.append(v // s)
+            v %= s
+        return tuple(out)
+
+    def block(self, axis: int, sign: int) -> tuple[int, int]:
+        """Half-open edge-id range for the ``(axis, sign)`` direction block."""
+        if sign not in (+1, -1):
+            raise ValueError("sign must be +1 or -1")
+        return self._block_slices[axis, sign]
+
+
+class ArrayMesh(KDArray):
     """An ``rows x cols`` array mesh with directed edges in both directions.
+
+    The 2-D :class:`KDArray` ``(rows, cols)`` with its column axis's blocks
+    first (``block_order=(1, 0)``): RIGHT and LEFT are axis 1's ``+`` and
+    ``-`` blocks, DOWN and UP axis 0's. On top of the k-d interface it
+    keeps the paper's ``(i, j)`` node API and the direction labels.
 
     Parameters
     ----------
@@ -64,27 +158,10 @@ class ArrayMesh(Topology):
     def __init__(self, rows: int, cols: int | None = None) -> None:
         rows = check_side(rows, "rows")
         cols = rows if cols is None else check_side(cols, "cols")
+        super().__init__((rows, cols), block_order=(1, 0))
+        self.name = f"array({rows}x{cols})"
         self.rows = rows
         self.cols = cols
-        edges: list[tuple[int, int]] = []
-        nid = lambda i, j: i * cols + j  # noqa: E731 - local helper
-        # RIGHT block: row-major over (i, j) with j in 0..cols-2.
-        for i in range(rows):
-            for j in range(cols - 1):
-                edges.append((nid(i, j), nid(i, j + 1)))
-        # LEFT block.
-        for i in range(rows):
-            for j in range(cols - 1):
-                edges.append((nid(i, j + 1), nid(i, j)))
-        # DOWN block: row-major over (i, j) with i in 0..rows-2.
-        for i in range(rows - 1):
-            for j in range(cols):
-                edges.append((nid(i, j), nid(i + 1, j)))
-        # UP block.
-        for i in range(rows - 1):
-            for j in range(cols):
-                edges.append((nid(i + 1, j), nid(i, j)))
-        super().__init__(rows * cols, edges, name=f"array({rows}x{cols})")
         self._h = rows * (cols - 1)
         self._v = (rows - 1) * cols
 
@@ -92,16 +169,11 @@ class ArrayMesh(Topology):
     # Node coordinates
     # ------------------------------------------------------------------
     def node_id(self, i: int, j: int) -> int:
-        """Node id of row ``i``, column ``j`` (0-based)."""
+        """Node id of row ``i``, column ``j`` (0-based); the paper's form
+        of :meth:`KDArray.node_id`, which takes the tuple ``(i, j)``."""
         if not (0 <= i < self.rows and 0 <= j < self.cols):
             raise ValueError(f"({i}, {j}) outside {self.rows}x{self.cols} mesh")
         return i * self.cols + j
-
-    def node_coords(self, v: int) -> tuple[int, int]:
-        """Row/column (0-based) of node id ``v``."""
-        if not 0 <= v < self.num_nodes:
-            raise ValueError(f"node {v} outside 0..{self.num_nodes - 1}")
-        return divmod(int(v), self.cols)
 
     def iter_nodes(self) -> Iterator[tuple[int, int, int]]:
         """Iterate ``(node_id, row, col)``."""
@@ -181,79 +253,3 @@ class ArrayMesh(Topology):
         if not self.is_square:
             raise ValueError("side is only defined for square meshes")
         return self.rows
-
-
-class KDArray(Topology):
-    """A k-dimensional array with both directed edges along every dimension.
-
-    Supports the "higher dimensions" extension of Section 5.2. Node ids use
-    row-major (C) order over the coordinate tuple; edge ids are grouped by
-    ``(dimension, sign)`` block in the order ``(0,+), (0,-), (1,+), (1,-),
-    ...`` so that per-dimension rate maps can be assembled independently.
-
-    Parameters
-    ----------
-    dims:
-        Side length per dimension, each at least 2. ``KDArray((n, n))`` is
-        graph-isomorphic to ``ArrayMesh(n)`` (edge ids differ).
-    """
-
-    def __init__(self, dims: tuple[int, ...]) -> None:
-        if len(dims) < 1:
-            raise ValueError("dims must have at least one dimension")
-        dims = tuple(int(d) for d in dims)
-        for d in dims:
-            if d < 2:
-                raise ValueError(f"every dimension must be >= 2, got {dims}")
-        self.dims = dims
-        num_nodes = int(np.prod(dims))
-        strides: list[int] = []
-        acc = 1
-        for d in reversed(dims):
-            strides.append(acc)
-            acc *= d
-        self.strides = tuple(reversed(strides))  # row-major strides
-        edges: list[tuple[int, int]] = []
-        block_slices: list[tuple[int, int]] = []
-        for axis in range(len(dims)):
-            for sign in (+1, -1):
-                start = len(edges)
-                for v in range(num_nodes):
-                    coord = self.node_coords(v, _nodes=num_nodes)
-                    c = coord[axis]
-                    if sign == +1 and c < dims[axis] - 1:
-                        edges.append((v, v + self.strides[axis]))
-                    elif sign == -1 and c > 0:
-                        edges.append((v, v - self.strides[axis]))
-                block_slices.append((start, len(edges)))
-        self._block_slices = tuple(block_slices)
-        super().__init__(num_nodes, edges, name=f"kdarray{dims}")
-
-    def node_id(self, coord: tuple[int, ...]) -> int:
-        """Node id of a coordinate tuple."""
-        if len(coord) != len(self.dims):
-            raise ValueError(f"coordinate {coord} has wrong dimensionality")
-        v = 0
-        for c, d, s in zip(coord, self.dims, self.strides):
-            if not 0 <= c < d:
-                raise ValueError(f"coordinate {coord} outside dims {self.dims}")
-            v += c * s
-        return v
-
-    def node_coords(self, v: int, *, _nodes: int | None = None) -> tuple[int, ...]:
-        """Coordinate tuple of node id ``v``."""
-        total = self.num_nodes if _nodes is None else _nodes
-        if not 0 <= v < total:
-            raise ValueError(f"node {v} outside 0..{total - 1}")
-        out = []
-        for s in self.strides:
-            out.append(v // s)
-            v %= s
-        return tuple(out)
-
-    def block(self, axis: int, sign: int) -> tuple[int, int]:
-        """Half-open edge-id range for the ``(axis, sign)`` direction block."""
-        if sign not in (+1, -1):
-            raise ValueError("sign must be +1 or -1")
-        idx = 2 * axis + (0 if sign == +1 else 1)
-        return self._block_slices[idx]

@@ -17,6 +17,9 @@ from repro.topology.array_mesh import DOWN, LEFT, RIGHT, UP
 from repro.topology.base import Topology
 from repro.util.validation import check_side
 
+#: Edge-block index of each direction.
+_BLOCK = {RIGHT: 0, LEFT: 1, DOWN: 2, UP: 3}
+
 
 class Torus(Topology):
     """An ``rows x cols`` torus with directed edges both ways per dimension.
@@ -62,10 +65,9 @@ class Torus(Topology):
     def directed_edge_id(self, i: int, j: int, direction: str) -> int:
         """Edge id of the edge leaving ``(i, j)`` in ``direction``."""
         base = (i % self.rows) * self.cols + (j % self.cols)
-        block = {RIGHT: 0, LEFT: 1, DOWN: 2, UP: 3}
-        if direction not in block:
+        if direction not in _BLOCK:
             raise ValueError(f"unknown direction {direction!r}")
-        return block[direction] * self.num_nodes + base
+        return _BLOCK[direction] * self.num_nodes + base
 
     def edge_direction(self, e: int) -> str:
         """Direction label of edge ``e``."""

@@ -9,6 +9,15 @@ them bit for bit (``tests/test_core_routetable.py``).
 :func:`reference_bounds` assembles :class:`GenericBounds` from them the
 way :func:`repro.core.generic_bounds.generic_bounds` did, routing each
 pair once through :class:`MemoRouter`.
+
+The array topologies and greedy walks get the same treatment: the
+explicit edge loops :class:`~repro.topology.array_mesh.ArrayMesh` and
+:class:`~repro.topology.linear.LinearArray` built before they became
+:class:`~repro.topology.array_mesh.KDArray` subclasses
+(:func:`mesh_edges`, :func:`linear_edges`), the per-direction-grid mesh
+walk (:class:`ReferenceMeshRouter`) and the per-hop ``edge_id`` k-d walk
+(:func:`reference_kd_path`) that :class:`~repro.routing.greedy.GreedyKDRouter`
+replaced (``tests/test_routing_greedy.py``).
 """
 
 from __future__ import annotations
@@ -23,7 +32,127 @@ from repro.core.saturation import saturated_edge_mask
 from repro.core.upper_bound import delay_upper_bound_generic
 from repro.routing.base import Router
 from repro.routing.destinations import DestinationDistribution
+from repro.topology.array_mesh import DOWN, LEFT, RIGHT, UP
 from repro.util.validation import check_positive
+
+
+def mesh_edges(rows: int, cols: int) -> list[tuple[int, int]]:
+    """``ArrayMesh(rows, cols)``'s edges in id order: RIGHT, LEFT, DOWN and
+    UP blocks, each row-major over its source node."""
+    edges: list[tuple[int, int]] = []
+    nid = lambda i, j: i * cols + j  # noqa: E731 - local helper
+    # RIGHT block: row-major over (i, j) with j in 0..cols-2.
+    for i in range(rows):
+        for j in range(cols - 1):
+            edges.append((nid(i, j), nid(i, j + 1)))
+    # LEFT block.
+    for i in range(rows):
+        for j in range(cols - 1):
+            edges.append((nid(i, j + 1), nid(i, j)))
+    # DOWN block: row-major over (i, j) with i in 0..rows-2.
+    for i in range(rows - 1):
+        for j in range(cols):
+            edges.append((nid(i, j), nid(i + 1, j)))
+    # UP block.
+    for i in range(rows - 1):
+        for j in range(cols):
+            edges.append((nid(i + 1, j), nid(i, j)))
+    return edges
+
+
+def linear_edges(n: int) -> list[tuple[int, int]]:
+    """``LinearArray(n)``'s edges in id order: rightward, then leftward."""
+    edges = [(j, j + 1) for j in range(n - 1)]
+    edges += [(j + 1, j) for j in range(n - 1)]
+    return edges
+
+
+class ReferenceMeshRouter:
+    """Greedy mesh routing from per-direction edge-id grids.
+
+    Row-first (or, with ``column_first``, column-first) greedy walks on an
+    :class:`~repro.topology.array_mesh.ArrayMesh`: each leg reads its
+    edges hop by hop from a ``rows x cols`` grid of the edge leaving every
+    node in that direction.
+    """
+
+    def __init__(self, mesh, *, column_first: bool = False) -> None:
+        self.topology = self.mesh = mesh
+        self.column_first = column_first
+        rows, cols = mesh.rows, mesh.cols
+        # Per-direction edge-id grids; -1 marks a missing edge at a border.
+        right = np.full((rows, cols), -1, dtype=np.int64)
+        left = np.full((rows, cols), -1, dtype=np.int64)
+        down = np.full((rows, cols), -1, dtype=np.int64)
+        up = np.full((rows, cols), -1, dtype=np.int64)
+        for i in range(rows):
+            for j in range(cols):
+                if j < cols - 1:
+                    right[i, j] = mesh.directed_edge_id(i, j, RIGHT)
+                if j > 0:
+                    left[i, j] = mesh.directed_edge_id(i, j, LEFT)
+                if i < rows - 1:
+                    down[i, j] = mesh.directed_edge_id(i, j, DOWN)
+                if i > 0:
+                    up[i, j] = mesh.directed_edge_id(i, j, UP)
+        self._right_rows: list[list[int]] = right.tolist()
+        self._left_rows: list[list[int]] = left.tolist()
+        self._down_rows: list[list[int]] = down.tolist()
+        self._up_rows: list[list[int]] = up.tolist()
+
+    def _row_leg(self, i: int, j: int, j2: int) -> list[int]:
+        """Edges walking along row ``i`` from column ``j`` to ``j2``."""
+        if j2 > j:
+            row = self._right_rows[i]
+            return row[j:j2]
+        row = self._left_rows[i]
+        return [row[c] for c in range(j, j2, -1)]
+
+    def _col_leg(self, i: int, i2: int, j: int) -> list[int]:
+        """Edges walking along column ``j`` from row ``i`` to ``i2``."""
+        if i2 > i:
+            grid = self._down_rows
+            return [grid[r][j] for r in range(i, i2)]
+        grid = self._up_rows
+        return [grid[r][j] for r in range(i, i2, -1)]
+
+    def path(self, src: int, dst: int) -> tuple[int, ...]:
+        """Greedy path from ``src`` to ``dst``; empty when they coincide."""
+        if src == dst:
+            return ()
+        i1, j1 = self.mesh.node_coords(src)
+        i2, j2 = self.mesh.node_coords(dst)
+        if self.column_first:
+            first = self._col_leg(i1, i2, j1) if i1 != i2 else []
+            second = self._row_leg(i2, j1, j2) if j1 != j2 else []
+        else:
+            first = self._row_leg(i1, j1, j2) if j1 != j2 else []
+            second = self._col_leg(i1, i2, j2) if i1 != i2 else []
+        return tuple(first + second)
+
+
+def reference_kd_path(array, order: Sequence[int], src: int, dst: int) -> tuple[int, ...]:
+    """Dimension-order greedy path on ``array``, one ``edge_id`` lookup
+    per hop: each axis of ``order`` corrected fully, in turn."""
+    if src == dst:
+        return ()
+    coord = list(array.node_coords(src))
+    target = array.node_coords(dst)
+    at = src
+    out: list[int] = []
+    for axis in order:
+        step = array.strides[axis]
+        while coord[axis] < target[axis]:
+            nxt = at + step
+            out.append(array.edge_id(at, nxt))
+            at = nxt
+            coord[axis] += 1
+        while coord[axis] > target[axis]:
+            nxt = at - step
+            out.append(array.edge_id(at, nxt))
+            at = nxt
+            coord[axis] -= 1
+    return tuple(out)
 
 
 class MemoRouter:

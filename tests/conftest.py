@@ -2,6 +2,12 @@
 
 from __future__ import annotations
 
+import contextlib
+import io
+import json
+from pathlib import Path
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -44,3 +50,19 @@ def uniform4(mesh4) -> UniformDestinations:
 def rng() -> np.random.Generator:
     """A deterministic RNG for sampling tests."""
     return np.random.default_rng(12345)
+
+
+@pytest.fixture(scope="session")
+def replint_real_tree(tmp_path_factory) -> SimpleNamespace:
+    """One uncached in-process replint run over the real ``src/repro``
+    tree, shared by the tests that assert it is clean: the CLI's exit
+    ``code``, its ``stdout`` and the ``findings`` of its JSON report."""
+    from repro.analysis.__main__ import main
+
+    src_repro = Path(__file__).parent.parent / "src" / "repro"
+    report = tmp_path_factory.mktemp("replint") / "report.json"
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main([str(src_repro), "--no-cache", "--json-file", str(report)])
+    findings = json.loads(report.read_text())["findings"]
+    return SimpleNamespace(code=code, stdout=out.getvalue(), findings=findings)

@@ -21,10 +21,9 @@ FIXTURES = Path(__file__).parent / "analysis_fixtures"
 SRC_REPRO = Path(__file__).parent.parent / "src" / "repro"
 
 
-def test_clean_tree_exits_zero(capsys):
-    assert main([str(SRC_REPRO), "--no-cache"]) == 0
-    out = capsys.readouterr().out
-    assert "clean" in out
+def test_clean_tree_exits_zero(replint_real_tree):
+    assert replint_real_tree.code == 0
+    assert "clean" in replint_real_tree.stdout
 
 
 def test_bad_fixture_exits_one(capsys):

@@ -587,9 +587,8 @@ def test_stale_suppression_opt_out(tmp_path):
 
 # -- the real tree -----------------------------------------------------
 
-def test_real_repro_tree_is_clean():
-    src_repro = Path(__file__).parent.parent / "src" / "repro"
-    assert run([src_repro]) == []
+def test_real_repro_tree_is_clean(replint_real_tree):
+    assert replint_real_tree.findings == []
 
 
 def test_parse_error_becomes_finding(tmp_path):

@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 from repro.routing.greedy import GreedyArrayRouter, GreedyKDRouter
 from repro.topology.array_mesh import ArrayMesh, KDArray
 
+from _route_oracle import ReferenceMeshRouter, reference_kd_path
+
 
 class TestGreedyArrayRouter:
     def test_empty_path_for_same_node(self, router4):
@@ -107,3 +109,61 @@ class TestGreedyKDRouter:
         router = GreedyKDRouter(kd)
         got = mean_route_length(router, UniformDestinations(kd.num_nodes))
         assert np.isclose(got, mean_distance(4))
+
+
+def _all_pairs(n):
+    return [(s, t) for s in range(n) for t in range(n)]
+
+
+class TestGreedyWalkParity:
+    """The one greedy walk against the test oracle's two walks: the
+    per-direction-grid mesh walk and the per-hop ``edge_id`` k-d walk."""
+
+    @pytest.mark.parametrize("shape", [(3, 3), (4, 6), (5, 2), (8, 8)])
+    @pytest.mark.parametrize("column_first", [False, True])
+    def test_mesh_orders_on_every_pair(self, shape, column_first):
+        mesh = ArrayMesh(*shape)
+        router = GreedyArrayRouter(mesh, column_first=column_first)
+        oracle = ReferenceMeshRouter(mesh, column_first=column_first)
+        order = (0, 1) if column_first else (1, 0)
+        assert router.dimension_order == order
+        kd = GreedyKDRouter(KDArray(shape), order)
+        for s, t in _all_pairs(mesh.num_nodes):
+            path = router.path(s, t)
+            assert path == oracle.path(s, t)
+            assert path == reference_kd_path(mesh, order, s, t)
+            assert kd.path(s, t) == reference_kd_path(kd.array, order, s, t)
+
+    @pytest.mark.parametrize("column_first", [False, True])
+    def test_random_pairs_on_32x32(self, column_first):
+        mesh = ArrayMesh(32)
+        router = GreedyArrayRouter(mesh, column_first=column_first)
+        oracle = ReferenceMeshRouter(mesh, column_first=column_first)
+        order = router.dimension_order
+        pairs = np.random.default_rng(30).integers(0, mesh.num_nodes, size=(20_000, 2))
+        for s, t in pairs.tolist():
+            path = router.path(s, t)
+            assert path == oracle.path(s, t)
+            assert path == reference_kd_path(mesh, order, s, t)
+
+    @pytest.mark.parametrize("order", [(2, 0, 3, 1), (0, 1, 2, 3)])
+    def test_4d_array_on_every_pair(self, order):
+        array = KDArray((4,) * 4)
+        router = GreedyKDRouter(array, order)
+        for s, t in _all_pairs(array.num_nodes):
+            assert router.path(s, t) == reference_kd_path(array, order, s, t)
+
+    @pytest.mark.parametrize("src, dst", [(0, 1023), (1023, 0), (40, 977)])
+    def test_paths_share_int_objects(self, src, dst):
+        """Every path reuses one int object per edge id, so a path cache's
+        arena costs a list slot per entry, not a fresh int."""
+        router = GreedyArrayRouter(ArrayMesh(32))
+        first, again = router.path(src, dst), router.path(src, dst)
+        assert len(first) > 30 and max(first) > 256
+        assert all(a is b for a, b in zip(first, again))
+
+    def test_mesh_router_keeps_its_attributes(self):
+        mesh = ArrayMesh(4, 6)
+        router = GreedyArrayRouter(mesh, column_first=True)
+        assert router.mesh is mesh and router.array is mesh
+        assert router.topology is mesh and router.column_first

@@ -16,7 +16,6 @@ from repro.routing.pathcache import (
     RandomizedGreedyPathCache,
     SampledPathInterner,
     _kd_batch_builder,
-    _mesh_batch_builder,
     build_paths,
     gather_paths,
     path_cache_for,
@@ -29,6 +28,8 @@ from repro.topology.butterfly import Butterfly
 from repro.topology.hypercube import Hypercube
 from repro.topology.linear import LinearArray
 from repro.topology.torus import Torus
+
+from _route_oracle import ReferenceMeshRouter
 
 
 def _all_offlens(cache):
@@ -167,9 +168,9 @@ class TestSpecialisedBuilders:
         assert calls == [(src, dst)]
 
     def test_mesh_router_keeps_its_grid_walk(self):
-        """Greedy mesh batch misses use the closed-form mesh builder."""
+        """Greedy mesh batch misses use the closed-form k-d batch builder."""
         router = GreedyArrayRouter(ArrayMesh(4))
-        assert path_cache_for(router)._build_batch is not None
+        assert path_cache_for(router)._build_batch.__name__ == "build_kd_paths"
 
     def test_kd_router_fills_misses_in_bulk(self):
         """k-d batch misses use the closed-form k-d batch builder."""
@@ -265,23 +266,26 @@ class TestPathCache:
 
 
 class TestMeshBatchBuilder:
-    """The closed-form mesh builder against the router's hop-by-hop walk."""
+    """The closed-form batch builder on both greedy mesh orders, against
+    the per-direction-grid mesh walk of the test oracle."""
 
     @pytest.mark.parametrize("shape", [(4, 4), (3, 5), (6, 3)])
     @pytest.mark.parametrize("column_first", [False, True])
     def test_matches_router_on_every_pair(self, shape, column_first):
-        router = GreedyArrayRouter(ArrayMesh(*shape), column_first=column_first)
+        mesh = ArrayMesh(*shape)
+        router = GreedyArrayRouter(mesh, column_first=column_first)
+        oracle = ReferenceMeshRouter(mesh, column_first=column_first)
         n = router.topology.num_nodes
         srcs, dsts = np.divmod(np.arange(n * n, dtype=np.int64), n)
-        flat, lens = _mesh_batch_builder(router)(srcs, dsts)
+        flat, lens = _kd_batch_builder(router)(srcs, dsts)
         assert flat.dtype == np.int32
-        paths = [router.path(s, d) for s, d in zip(srcs.tolist(), dsts.tolist())]
+        paths = [oracle.path(s, d) for s, d in zip(srcs.tolist(), dsts.tolist())]
         assert lens.tolist() == [len(p) for p in paths]
         assert flat.tolist() == [e for p in paths for e in p]
 
     def test_all_empty_paths(self):
         router = GreedyArrayRouter(ArrayMesh(3))
-        flat, lens = _mesh_batch_builder(router)(np.array([4, 0]), np.array([4, 0]))
+        flat, lens = _kd_batch_builder(router)(np.array([4, 0]), np.array([4, 0]))
         assert flat.size == 0 and lens.tolist() == [0, 0]
 
     @staticmethod

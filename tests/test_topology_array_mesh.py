@@ -6,6 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.topology.array_mesh import DOWN, LEFT, RIGHT, UP, ArrayMesh, KDArray
+from repro.topology.linear import LinearArray
+
+from _route_oracle import linear_edges, mesh_edges
 
 
 class TestArrayMeshStructure:
@@ -156,3 +159,58 @@ class TestKDArray:
             cu, cv = kd.node_coords(u), kd.node_coords(v)
             diffs = [abs(a - b) for a, b in zip(cu, cv)]
             assert sum(diffs) == 1 and max(diffs) == 1
+
+    @pytest.mark.parametrize("dims", [(2.7, 3), (True, 2), (3, np.int64(3)), ("3",)])
+    def test_rejects_non_int_sides(self, dims):
+        """Sides are validated, not truncated: ``(2.7, 3)`` is no 2x3 array."""
+        with pytest.raises(TypeError, match="dims"):
+            KDArray(dims)
+
+    @pytest.mark.parametrize("order", [(0,), (0, 0), (1, 2), (0, 1, 2)])
+    def test_rejects_bad_block_order(self, order):
+        with pytest.raises(ValueError, match="block_order"):
+            KDArray((3, 3), block_order=order)
+
+    def test_block_order_places_blocks(self):
+        kd = KDArray((3, 4, 2), block_order=(2, 0, 1))
+        spans = [kd.block(a, s) for a in (2, 0, 1) for s in (+1, -1)]
+        assert [lo for lo, _ in spans] == [0] + [hi for _, hi in spans[:-1]]
+        assert spans[-1][1] == kd.num_edges
+
+
+class TestArrayFamilyParity:
+    """ArrayMesh and LinearArray are KDArrays with the explicit edge loops'
+    edge ids and names."""
+
+    @pytest.mark.parametrize("shape", [(3, 3), (4, 6), (5, 2), (8, 8), (32, 32)])
+    def test_mesh_edges_match_explicit_loops(self, shape):
+        mesh = ArrayMesh(*shape)
+        src, dst = zip(*mesh_edges(*shape))
+        assert mesh.edge_source.tolist() == list(src)
+        assert mesh.edge_target.tolist() == list(dst)
+        assert mesh.name == f"array({shape[0]}x{shape[1]})"
+        kd = KDArray(shape, block_order=(1, 0))
+        assert np.array_equal(kd.edge_source, mesh.edge_source)
+        assert np.array_equal(kd.edge_target, mesh.edge_target)
+
+    @pytest.mark.parametrize("n", [2, 3, 7])
+    def test_linear_edges_match_explicit_loops(self, n):
+        line = LinearArray(n)
+        src, dst = zip(*linear_edges(n))
+        assert line.edge_source.tolist() == list(src)
+        assert line.edge_target.tolist() == list(dst)
+        assert line.name == f"linear({n})"
+        kd = KDArray((n,))
+        assert np.array_equal(kd.edge_source, line.edge_source)
+        assert np.array_equal(kd.edge_target, line.edge_target)
+
+    def test_mesh_blocks_are_its_directions(self):
+        mesh = ArrayMesh(4, 6)
+        for (axis, sign), direction in {
+            (1, +1): RIGHT,
+            (1, -1): LEFT,
+            (0, +1): DOWN,
+            (0, -1): UP,
+        }.items():
+            lo, hi = mesh.block(axis, sign)
+            assert {mesh.edge_direction(e) for e in range(lo, hi)} == {direction}
