@@ -17,7 +17,7 @@
 # `slow` (the heavy statistical/cross-engine cells; see pytest.ini) and
 # skips the benchmark stages — the same selection CI's tier-1 job runs
 # on every push/PR. The default full run still executes everything.
-# Both run the topology and routing doctests after the suite.
+# Both run every src doctest after the suite.
 #
 # Validation lane: VALIDATE=1 ./scripts/check.sh runs the statistical
 # validation harness (`python -m repro validate --strict`) — every
@@ -73,9 +73,9 @@ perfbench_smoke() {
 }
 
 run_doctests() {
-    # The topology and routing docstrings pin edge ids (ArrayMesh,
-    # LinearArray, GreedyArrayRouter); pytest's testpaths cover tests/ only.
-    python -m pytest -q --doctest-modules src/repro/topology src/repro/routing
+    # Every docstring example under src/repro (the topology and routing
+    # ones pin edge ids); pytest's testpaths cover tests/ only.
+    python -m pytest -q --doctest-modules src/repro
 }
 
 run_lint() {

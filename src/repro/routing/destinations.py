@@ -379,7 +379,3 @@ class PermutationDestinations:
         out[self._perm[src]] = 1.0
         return out
 
-
-def uniform_for(topology) -> UniformDestinations:
-    """Uniform destinations sized for ``topology`` (convenience factory)."""
-    return UniformDestinations(topology.num_nodes)

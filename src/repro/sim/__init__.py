@@ -199,13 +199,14 @@ edge-level memo per router.
 **Monotone merge where service is uniform deterministic; a binary heap
 where it is not.** With one deterministic service time everywhere
 (the standard model), departures are pushed in nondecreasing time
-order, so the FIFO kernel (which the finite-buffer engine shares: drops
-never schedule events) and the rushed engine replace the priority queue
-with an O(1) merge of a departure deque and the pending arrival. The
-stochastic-service cases (exponential service, per-edge rates) push
-``(time, seq, ...)`` event tuples onto a plain ``heapq`` list; ``seq``
-is unique per run, so the pop order is total and never compares the
-payload. PS has no monotone structure to exploit (completions are
+order, so the FIFO kernel's plain-stats loop (no tracking, no caps)
+and the rushed engine replace the priority queue with an O(1) merge of
+a departure deque and the pending arrival. Every other interpreted
+FIFO run (exponential service, per-edge rates, any tracking, or the
+finite-buffer engine's caps) pushes ``(time, seq, ...)`` event tuples
+onto a plain ``heapq`` list; ``seq`` is unique per run, so the pop
+order is total, never compares the payload, and is the very order the
+merge replays. PS has no monotone structure to exploit (completions are
 re-planned on every queue change), so its versioned-event loop uses
 the same heap.
 

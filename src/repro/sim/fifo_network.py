@@ -62,7 +62,7 @@ from repro.sim.kernels import (
     get_kernel,
 )
 from repro.sim.result import SimResult
-from repro.util.validation import check_positive
+from repro.util.validation import check_window
 
 DETERMINISTIC, EXPONENTIAL = "deterministic", "exponential"
 
@@ -207,9 +207,7 @@ class NetworkSimulation:
             combinatorial analyses bound (the paper's Section 1.2 contrast
             with this paper's average-case results).
         """
-        check_positive(horizon, "horizon")
-        if warmup < 0:
-            raise ValueError(f"warmup must be >= 0, got {warmup}")
+        check_window(warmup, horizon)
         return get_kernel(FIFO_KERNEL, self.backend)(
             self,
             warmup,

@@ -30,16 +30,16 @@ Hot path and bit-identity
 This class adds no loop of its own. It sets ``_edge_caps`` and
 inherits :meth:`NetworkSimulation.run`, so every run executes the FIFO
 kernel of the selected backend. On ``backend="python"``
-(:func:`repro.sim.kernels.python_backend.run_fifo`) the kernel's
-general merge and heap loops apply tail-drop admission at each enqueue
-onto a busy edge and count the drops. With ``buffer_size=None`` there
-are no caps, so the run *is* a FIFO run, bit-identical to
-``engine="fifo"`` and pinned by the ``finite_none_*`` golden cells.
-With buffers too large to ever fill, the capped loops perform the
-exact same draws, event ordering and float accumulation as the
-uncapped ones (the admission test consumes no randomness), which the
-regression tests pin as well. A capped run records ``engine="finite"``
-in its rngsan trace.
+(:func:`repro.sim.kernels.python_backend.run_fifo`) every capped run
+takes the kernel's heap loop, which applies tail-drop admission at each
+enqueue onto a busy edge and counts the drops. With
+``buffer_size=None`` there are no caps, so the run *is* a FIFO run,
+bit-identical to ``engine="fifo"`` and pinned by the ``finite_none_*``
+golden cells. With buffers too large to ever fill, the capped heap loop
+performs the exact same draws, event ordering and float accumulation
+as an uncapped run on either loop (the admission test consumes no
+randomness), which the regression tests pin as well. A capped run
+records ``engine="finite"`` in its rngsan trace.
 
 On ``backend="numpy"`` (deterministic service, feedforward routes)
 the max-plus kernel (:func:`repro.sim.kernels.numpy_backend.run_fifo`)

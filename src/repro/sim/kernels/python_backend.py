@@ -2,8 +2,8 @@
 
 Each ``run_*`` function is the body of the corresponding engine's
 ``run`` loop with ``self`` renamed to ``sim``. :func:`run_fifo` also
-serves the finite-buffer engine: given per-edge caps, its general loops
-drop a packet that finds its next edge busy and the waiting room full.
+serves the finite-buffer engine: given per-edge caps, its heap loop
+drops a packet that finds its next edge busy and the waiting room full.
 The admission test consumes no randomness and drops never schedule
 events, so the RNG draw order, the event pop order and the
 floating-point accumulation order are exactly those of the pre-kernels
@@ -12,7 +12,7 @@ this module *is* the same-seed bit-identity reference that the numpy
 backend's distribution-parity tests compare against.
 
 Arrival ids come from :func:`repro.sim.enginecommon.draw_ids`, the one
-definition of the arrival stream's ids. ``run_fifo``'s three loops take
+definition of the arrival stream's ids. ``run_fifo``'s two loops take
 8192 pairs per call (:func:`~repro.sim.enginecommon.draw_id_lists`),
 the slot kernel one slot's batch. Fast-id networks draw uniform
 interleaved pairs; every other network draws a source block and then
@@ -67,9 +67,12 @@ def run_fifo(
 ) -> SimResult:
     """The FIFO event-driven loops (monotone merge + binary heap).
 
-    With per-edge waiting-room caps (``sim._edge_caps``, set by the
-    finite-buffer engine) the general loops apply tail-drop admission at
-    every enqueue onto a busy edge and count the drops. An uncapped run
+    Uniform deterministic service with no tracking and no caps runs the
+    plain-stats monotone-merge loop; every other run takes the heap
+    loop, which replays the same ``(time, seq)`` pop order. With
+    per-edge waiting-room caps (``sim._edge_caps``, set by the
+    finite-buffer engine) the heap loop applies tail-drop admission at
+    every enqueue onto a busy edge and counts the drops. An uncapped run
     pays one local truth test per enqueue onto a busy edge for that.
     """
     cap = sim._edge_caps
@@ -151,21 +154,30 @@ def run_fifo(
     # later updates only excludes growth that ended before the window.
     maxima_seeded = not track_maxima or warmup == 0.0
     BLK = _BLOCK
-    # The common standard-model configuration (infinite buffers, no
-    # saturation mask, no N-distribution, no maxima, no utilization) gets
-    # a lean loop with every untracked branch removed; the arithmetic
-    # that remains is identical, so results are bit-identical across
-    # loop variants.
+    # The common standard-model configuration (uniform deterministic
+    # service, infinite buffers, no saturation mask, no N-distribution,
+    # no maxima, no utilization) gets a lean loop with every untracked
+    # branch removed; everything else takes the heap loop.
     plain_stats = (
-        not capped
+        sim._uniform_service
+        and not capped
         and sat is None
         and ndist is None
         and not track_maxima
         and util is None
     )
 
-    if sim._uniform_service and plain_stats:
+    if plain_stats:
         # -------- monotone-merge event loop, plain statistics --------
+        # All service times equal => departures are pushed with
+        # nondecreasing times, so a FIFO deque plus the single pending
+        # arrival replays the heap's (time, seq) pop order exactly, with
+        # the same arithmetic: results are bit-identical to the heap
+        # loop's. Measured against it on the same runs (median of 7
+        # alternating passes): the quick report's 8 runs took 2.06 s
+        # against 3.27 s, the quick validation tier's 22 runs 0.82 s
+        # against 1.19 s. A tracked or capped merge loop saved far less
+        # (about 1% of the report's wall time, 3% of a sweep's CPU).
         service_c = st[0]
         dep_q: deque = deque()
         dep_pop = dep_q.popleft
@@ -291,225 +303,15 @@ def run_fifo(
                     seq += 1
                 else:
                     busy[e] = 0
-    elif sim._uniform_service:
-        # ---------------- monotone-merge event loop ----------------
-        # All service times equal => departures are pushed with
-        # nondecreasing times, so a FIFO deque plus the single pending
-        # arrival replays the heap's (time, seq) pop order exactly.
-        # Drops never schedule events, so this holds with caps too.
-        service_c = st[0]
-        dep_q: deque = deque()
-        dep_pop = dep_q.popleft
-        dep_append = dep_q.append
-        arr_t = first_gap
-        arr_seq = seq
-        seq += 1
-        have_arrival = True
-        while True:
-            if dep_q:
-                head = dep_q[0]
-                if have_arrival:
-                    ht = head[0]
-                    if arr_t < ht or (arr_t == ht and arr_seq < head[1]):
-                        is_arrival = True
-                        t = arr_t
-                    else:
-                        is_arrival = False
-                        t, _s, e, pkt = dep_pop()
-                else:
-                    is_arrival = False
-                    t, _s, e, pkt = dep_pop()
-            elif have_arrival:
-                is_arrival = True
-                t = arr_t
-            else:
-                break
-            if not maxima_seeded and t >= warmup:
-                maxima_seeded = True
-                for q in queues:
-                    if len(q) > max_queue:
-                        max_queue = len(q)
-            if t >= t_end and not draining:
-                draining = True
-                in_flight_at_horizon = in_system
-                # Close the integrals exactly at the horizon boundary.
-                lo = last_t if last_t > warmup else warmup
-                if t_end > lo:
-                    dt = t_end - lo
-                    int_n += in_system * dt
-                    int_r += remaining * dt
-                    int_rs += remaining_sat * dt
-                    if ndist is not None:
-                        ndist[in_system] = ndist.get(in_system, 0.0) + dt
-                last_t = t_end
-            if not draining and t > warmup:
-                lo = last_t if last_t > warmup else warmup
-                dt = t - lo
-                if dt > 0.0:
-                    int_n += in_system * dt
-                    int_r += remaining * dt
-                    int_rs += remaining_sat * dt
-                    if ndist is not None:
-                        ndist[in_system] = ndist.get(in_system, 0.0) + dt
-                last_t = t
-            elif not draining:
-                last_t = t
-
-            if is_arrival:
-                # ----- external arrival -----
-                if draining:
-                    have_arrival = False  # no arrivals past the horizon
-                    continue
-                if id_i >= BLK:
-                    src_block, dst_block = draw_id_lists(sim, BLK, rng)
-                    id_i = 0
-                src = src_block[id_i]
-                dst = dst_block[id_i]
-                id_i += 1
-                measured = t >= warmup
-                if measured:
-                    generated += 1
-                if src == dst:
-                    if measured:
-                        zero_hop += 1
-                        completed += 1
-                        add_birth(t)
-                        add_delay(0.0)
-                        if len(fold_births) >= fold_max:
-                            delay_acc.fold()
-                else:
-                    if det_get is not None:
-                        ol = det_get(src * num_nodes + dst)
-                        if ol is None:
-                            ol = det_build(src, dst)
-                        off, ln = ol
-                    else:
-                        off, ln = sample_offlen(src, dst, rng)
-                    f = arena[off]
-                    if busy[f] and capped and len(queues[f]) >= cap[f]:
-                        # Entry buffer full: the packet never enters.
-                        if measured:
-                            dropped += 1
-                            node_drops[tail[f]] += 1
-                    else:
-                        in_system += 1
-                        remaining += ln
-                        if sat is not None:
-                            nsat = 0
-                            for k in range(off, off + ln):
-                                if sat[arena[k]]:
-                                    nsat += 1
-                            remaining_sat += nsat
-                        # Fresh per-packet record: the queues mutate it
-                        # in place, so it cannot be pooled.
-                        new_pkt = [t, off, ln, 0, measured]  # replint: disable=hot-loop-alloc
-                        if busy[f]:
-                            q = queues[f]
-                            q.append(new_pkt)
-                            if (
-                                track_maxima
-                                and measured
-                                and not draining
-                                and len(q) > max_queue
-                            ):
-                                max_queue = len(q)
-                        else:
-                            busy[f] = 1
-                            dep_append((t + service_c, seq, f, new_pkt))
-                            seq += 1
-                            if util is not None:
-                                lo = t if t > warmup else warmup
-                                hi = t + service_c
-                                if hi > t_end:
-                                    hi = t_end
-                                if hi > lo:
-                                    util[f] += hi - lo
-                # Next arrival.
-                if exp_i >= BLK:
-                    exp_block = rng.exponential(size=BLK).tolist()
-                    exp_i = 0
-                arr_t = t + exp_block[exp_i] * gap_scale
-                exp_i += 1
-                arr_seq = seq
-                seq += 1
-            else:
-                # ----- departure: pkt finished service at edge e -----
-                remaining -= 1
-                if sat is not None and sat[e]:
-                    remaining_sat -= 1
-                hop = pkt[3] + 1
-                if hop == pkt[2]:
-                    in_system -= 1
-                    if pkt[4]:
-                        completed += 1
-                        d = t - pkt[0]
-                        add_birth(pkt[0])
-                        add_delay(d)
-                        if len(fold_births) >= fold_max:
-                            delay_acc.fold()
-                        if track_maxima and d > max_delay:
-                            max_delay = d
-                else:
-                    f = arena[pkt[1] + hop]
-                    if busy[f] and capped and len(queues[f]) >= cap[f]:
-                        # Mid-route drop: the packet leaves with its
-                        # unserved hops still on the books.
-                        in_system -= 1
-                        remaining -= pkt[2] - hop
-                        if sat is not None:
-                            nsat = 0
-                            for k in range(pkt[1] + hop, pkt[1] + pkt[2]):
-                                if sat[arena[k]]:
-                                    nsat += 1
-                            remaining_sat -= nsat
-                        if pkt[4]:
-                            dropped += 1
-                            node_drops[tail[f]] += 1
-                    else:
-                        pkt[3] = hop
-                        if busy[f]:
-                            qf = queues[f]
-                            qf.append(pkt)
-                            if (
-                                track_maxima
-                                and not draining
-                                and t >= warmup
-                                and len(qf) > max_queue
-                            ):
-                                max_queue = len(qf)
-                        else:
-                            busy[f] = 1
-                            dep_append((t + service_c, seq, f, pkt))
-                            seq += 1
-                            if util is not None:
-                                lo = t if t > warmup else warmup
-                                hi = t + service_c
-                                if hi > t_end:
-                                    hi = t_end
-                                if hi > lo:
-                                    util[f] += hi - lo
-                q = queues[e]
-                if q:
-                    nxt = q.popleft()
-                    dep_append((t + service_c, seq, e, nxt))
-                    seq += 1
-                    if util is not None:
-                        lo = t if t > warmup else warmup
-                        hi = t + service_c
-                        if hi > t_end:
-                            hi = t_end
-                        if hi > lo:
-                            util[e] += hi - lo
-                else:
-                    busy[e] = 0
     else:
         # ------------------ event-queue loop ------------------
-        # Exponential or per-edge deterministic service: departure
-        # times are not monotone, so a binary heap orders them (by
-        # the unique (time, seq) prefix), with the arrival sentinel
-        # merged in. Each of the three service starts draws its time
-        # inline, from the same exponential block as the arrival gaps,
-        # and clips it into util there.
+        # A binary heap orders departures by the unique (time, seq)
+        # prefix, with the arrival sentinel merged in: exponential or
+        # per-edge service (departure times are not monotone), and
+        # every tracked or capped run. Each of the three service starts
+        # draws its time inline (exponential service), from the same
+        # block as the arrival gaps, and clips it into util there.
+        # Drops never schedule events.
         heap: list[tuple] = []
         heappush(heap, (first_gap, seq, -1, None))
         seq += 1
@@ -577,7 +379,7 @@ def run_fifo(
                         off, ln = sample_offlen(src, dst, rng)
                     f = arena[off]
                     if busy[f] and capped and len(queues[f]) >= cap[f]:
-                        # Entry buffer full (see the merge loop).
+                        # Entry buffer full: the packet never enters.
                         if measured:
                             dropped += 1
                             node_drops[tail[f]] += 1
@@ -590,7 +392,8 @@ def run_fifo(
                                 if sat[arena[k]]:
                                     nsat += 1
                             remaining_sat += nsat
-                        # Fresh per-packet record (see the merge loop).
+                        # Fresh per-packet record: the queues mutate it
+                        # in place, so it cannot be pooled.
                         new_pkt = [t, off, ln, 0, measured]  # replint: disable=hot-loop-alloc
                         if busy[f]:
                             q = queues[f]
@@ -648,7 +451,8 @@ def run_fifo(
                 else:
                     f = arena[pkt[1] + hop]
                     if busy[f] and capped and len(queues[f]) >= cap[f]:
-                        # Mid-route drop (see the merge loop).
+                        # Mid-route drop: the packet leaves with its
+                        # unserved hops still on the books.
                         in_system -= 1
                         remaining -= pkt[2] - hop
                         if sat is not None:

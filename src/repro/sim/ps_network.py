@@ -68,7 +68,7 @@ from repro.sim.enginecommon import (
 from repro.sim import measurement
 from repro.sim.result import SimResult
 from repro.sim.rng import make_rng
-from repro.util.validation import check_positive
+from repro.util.validation import check_window
 
 _BLOCK = 8192
 
@@ -115,9 +115,7 @@ class PSNetworkSimulation:
     ) -> SimResult:
         """Simulate ``warmup + horizon`` time units and drain (see
         :meth:`repro.sim.NetworkSimulation.run` for parameter meanings)."""
-        check_positive(horizon, "horizon")
-        if warmup < 0:
-            raise ValueError(f"warmup must be >= 0, got {warmup}")
+        check_window(warmup, horizon)
         rng = make_rng(self.seed, engine="ps")
         t_end = warmup + horizon
         num_nodes = self.topology.num_nodes

@@ -45,6 +45,7 @@ from repro.sim.registry import FIFO, canonical_engine, get_engine
 from repro.sim.result import SimResult
 from repro.sim.sharedcells import cell_network, publish_cells, run_seed_chunk
 from repro.util.tables import Table
+from repro.util.validation import check_finite_positive, check_window
 from repro.util.workerpool import get_pool, resolve_processes
 
 
@@ -203,6 +204,10 @@ class CellSpec:
             )
         if self.rho is None and self.node_rate is None:
             raise ValueError("one of rho or node_rate is required")
+        # A NaN or infinite window never lets an event loop end: fail
+        # here, naming the field, not inside a worker.
+        check_window(self.warmup, self.horizon)
+        check_finite_positive(self.tau, "tau")
         if not self.seeds:
             raise ValueError("at least one replication seed is required")
         if len(set(self.seeds)) != len(self.seeds):

@@ -30,8 +30,6 @@ the Section 5.2 extension, with the column axis's blocks first.
 
 from __future__ import annotations
 
-from typing import Iterator
-
 import numpy as np
 
 from repro.topology.base import Topology
@@ -175,12 +173,6 @@ class ArrayMesh(KDArray):
             raise ValueError(f"({i}, {j}) outside {self.rows}x{self.cols} mesh")
         return i * self.cols + j
 
-    def iter_nodes(self) -> Iterator[tuple[int, int, int]]:
-        """Iterate ``(node_id, row, col)``."""
-        for v in range(self.num_nodes):
-            i, j = self.node_coords(v)
-            yield v, i, j
-
     # ------------------------------------------------------------------
     # Direction-structured edge access
     # ------------------------------------------------------------------
@@ -231,10 +223,6 @@ class ArrayMesh(KDArray):
     def horizontal_edge_count(self) -> int:
         """Number of edges per horizontal direction block."""
         return self._h
-
-    def vertical_edge_count(self) -> int:
-        """Number of edges per vertical direction block."""
-        return self._v
 
     @property
     def is_square(self) -> bool:

@@ -8,6 +8,7 @@ or an analytic formula.
 
 from __future__ import annotations
 
+import math
 from numbers import Real
 
 import numpy as np
@@ -43,6 +44,29 @@ def check_positive(value: float, name: str = "value", *, strict: bool = True) ->
     if not strict and x < 0:
         raise ValueError(f"{name} must be >= 0, got {x}")
     return x
+
+
+def check_finite_positive(
+    value: float, name: str = "value", *, strict: bool = True
+) -> float:
+    """:func:`check_positive` that also rejects ``nan`` and ``inf``."""
+    x = check_positive(value, name, strict=strict)
+    if not math.isfinite(x):
+        raise ValueError(f"{name} must be finite, got {x}")
+    return x
+
+
+def check_window(warmup: float, horizon: float) -> None:
+    """Validate a measurement window: finite ``horizon > 0`` and finite
+    ``warmup >= 0``.
+
+    Shared by the event engines and ``CellSpec``. A NaN ``warmup``
+    passes a bare ``warmup < 0`` test and an infinite bound is positive,
+    yet either keeps an event loop from ever reaching ``warmup +
+    horizon``, so the run would never end.
+    """
+    check_finite_positive(horizon, "horizon")
+    check_finite_positive(warmup, "warmup", strict=False)
 
 
 def check_node_rates(rates, count: int, name: str = "node_rate"):

@@ -4,6 +4,16 @@ from __future__ import annotations
 
 import numpy as np
 
+#: ``(warmup, horizon, field)`` windows an event engine must reject,
+#: naming ``field``: a NaN warmup passes a bare ``warmup < 0`` test and
+#: an infinite bound is positive, yet either keeps the loop from ending.
+NON_FINITE_WINDOWS = (
+    (float("nan"), 100.0, "warmup"),
+    (float("inf"), 100.0, "warmup"),
+    (10.0, float("inf"), "horizon"),
+    (10.0, float("nan"), "horizon"),
+)
+
 
 class AlwaysNodeZero:
     """Destination law sending every packet to node 0 (src 0 is zero-hop)."""

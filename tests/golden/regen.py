@@ -342,9 +342,9 @@ def build_cases() -> dict:
              engine_params=(("buffer_size", 1),))
 
     # Bookkeeping branches the uniform cells never touch: saturated-mask
-    # accounting, utilization accumulation (three inlined sites in the
-    # merge loop and the heap loop's service starts), and per-edge
-    # deterministic service on the heap loop.
+    # accounting, utilization accumulation (inlined at the heap loop's
+    # three service starts), and per-edge deterministic service. Every
+    # tracked run takes the heap loop, uniform service included.
     e5 = m5.num_edges
     event("event_sat_util", GreedyArrayRouter(m5),
           UniformDestinations(25), 0.12, 18,
@@ -358,7 +358,7 @@ def build_cases() -> dict:
           service="exponential", track_utilization=True,
           saturated_mask=sat_mask(e5))
     # The dominance section's FIFO configuration: the N-distribution and
-    # raw delay collection on the general merge loop.
+    # raw delay collection on the heap loop under uniform service.
     event("event_ndist_delays", GreedyArrayRouter(m5),
           UniformDestinations(25), 0.12, 29,
           track_number_distribution=True, collect_delays=True)

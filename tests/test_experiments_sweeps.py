@@ -84,6 +84,14 @@ class TestSpecLoading:
         with pytest.raises(ValueError, match="bad sweep cell"):
             load_sweep_spec(path)
 
+    def test_non_finite_window_rejected_at_load(self, tmp_path):
+        """json.loads accepts NaN and Infinity; the cell must fail at
+        load, not hang a worker."""
+        path = tmp_path / "spec.json"
+        path.write_text('{"cells": [{"rho": 0.5, "n": 4, "horizon": Infinity}]}')
+        with pytest.raises(ValueError, match="horizon must be finite"):
+            load_sweep_spec(path)
+
 
 class TestCellId:
     def test_deterministic(self):

@@ -20,7 +20,7 @@ from repro.sim.fifo_network import NetworkSimulation
 from repro.topology.array_mesh import ArrayMesh
 from repro.topology.linear import LinearArray
 
-from _helpers import AlwaysNodeZero, BoundaryRNG
+from _helpers import NON_FINITE_WINDOWS, AlwaysNodeZero, BoundaryRNG
 
 
 class AcrossOnly:
@@ -292,3 +292,6 @@ class TestDeterminismAndOptions:
             sim.run(-1.0, 100)
         with pytest.raises(ValueError):
             sim.run(10, 0)
+        for warmup, horizon, field in NON_FINITE_WINDOWS:
+            with pytest.raises(ValueError, match=field):
+                sim.run(warmup, horizon)

@@ -55,8 +55,8 @@ def _same(a, b):
 
 def _tracked_inputs(router):
     """``(constructor kwargs, run kwargs)`` covering every tracked branch
-    of the general loops: maxima, utilization plus the N distribution,
-    and the saturated-edge count."""
+    of the heap loop: maxima, utilization plus the N distribution, and
+    the saturated-edge count."""
     mask = np.arange(router.topology.num_edges) % 3 == 0
     return [
         ({}, {"track_maxima": True}),
@@ -80,9 +80,9 @@ class TestFifoIdentity:
     def test_huge_buffer_runs_finite_loop_bit_identically(
         self, router4, uniform4
     ):
-        """The capped merge loop performs the uncapped loop's exact
-        arithmetic when nothing drops (the admission test consumes no
-        randomness), for every tracked statistic."""
+        """Under uniform service the capped heap loop performs the
+        uncapped run's exact arithmetic when nothing drops (the admission
+        test consumes no randomness), for every tracked statistic."""
         for sim_kw, run_kw in _tracked_inputs(router4):
             fifo = NetworkSimulation(
                 router4, uniform4, 0.2, seed=3, **sim_kw

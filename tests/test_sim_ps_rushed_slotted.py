@@ -21,7 +21,7 @@ from repro.topology.linear import LinearArray
 from repro.validation.checks_closedform import MESH, _mesh_product_form
 from repro.validation.framework import Z_GATE, z_score
 
-from _helpers import AlwaysNodeZero, BoundaryRNG
+from _helpers import NON_FINITE_WINDOWS, AlwaysNodeZero, BoundaryRNG
 
 
 class AcrossOnly:
@@ -271,6 +271,9 @@ class TestEngineParityValidation:
             sim.run(-1.0, 100)
         with pytest.raises(ValueError):
             sim.run(10, 0)
+        for warmup, horizon, field in NON_FINITE_WINDOWS:
+            with pytest.raises(ValueError, match=field):
+                sim.run(warmup, horizon)
 
     def test_zero_rate_source_never_generates(self, engine, monkeypatch):
         """node_rate=[0.0, 1.0] regression for the side='left' source draw

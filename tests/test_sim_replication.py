@@ -68,6 +68,24 @@ class TestCellSpecValidation:
         with pytest.raises(ValueError):
             CellSpec(rho=0.5, seeds=(3, 3))
 
+    @pytest.mark.parametrize("field, value", [
+        ("warmup", float("nan")),
+        ("warmup", float("inf")),
+        ("warmup", -1.0),
+        ("horizon", float("inf")),
+        ("horizon", float("nan")),
+        ("horizon", 0.0),
+        ("tau", float("inf")),
+        ("tau", float("nan")),
+        ("tau", 0.0),
+    ])
+    def test_rejects_bad_window_at_construction(self, field, value):
+        """A NaN or infinite window would never let an event loop end:
+        the spec fails at construction, naming the field, before any
+        worker sees it."""
+        with pytest.raises(ValueError, match=field):
+            CellSpec(n=4, rho=0.5, seeds=(0,), **{field: value})
+
     def test_with_params_merges(self):
         spec = CellSpec(scenario="hotspot", rho=0.5, params=(("h", 0.2),))
         spec2 = spec.with_params(h=0.4, hot_node=3)
