@@ -29,8 +29,10 @@ perf gate, not to hard asserts.
 
 The exponential 32x32 cell times the stochastic-service loop, whose
 departures are not monotone and so pop from a plain ``heapq`` list in
-``(time, seq)`` order. The rushed cell (16x16) runs ~1.25-1.45x its
-pre-port baseline via the merge loop + arena + blocked draws. The PS
+``(time, seq)`` order. The rushed cell (16x16) times the engine's
+closed-form solve: per 8192-arrival block, one Lindley cummax per edge
+and no event loop (12.7 ms median against the former merge loop's
+94.4 ms on a 2-vCPU Xeon). The PS
 cell (8x8) times the inlined event loop: the queue head is the next
 customer to complete (arrival order is remaining-work order), so no
 event scans for a minimum, an event costs one subtraction per other
@@ -232,8 +234,8 @@ def test_event_32x32_exponential(best_of, benchmark):
 
 
 def test_rushed_16x16(best_of, benchmark):
-    """The PR-3-ported rushed engine (Theorem 10 copies) on its
-    monotone-merge loop with the shared path-cache arena."""
+    """The rushed engine (Theorem 10 copies): the block-streamed
+    closed-form FIFO solve over directly routed packets."""
     mesh = ArrayMesh(16)
     sim = RushedNetworkSimulation(
         GreedyArrayRouter(mesh),

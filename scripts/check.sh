@@ -43,10 +43,10 @@ cd "$(dirname "$0")/.."
 export PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}"
 
 sweep_smoke() {
-    # End-to-end `repro sweep` smoke: a tiny 6-cell spec (the torus cells
-    # warm their path caches pair by pair in the pool workers), run twice
-    # into one directory — the rerun must resume every cell from
-    # checkpoint.
+    # End-to-end `repro sweep` smoke: a tiny 12-cell spec on the fifo and
+    # rushed engines (the torus cells warm their path caches pair by pair
+    # in the pool workers), run twice into one directory — the rerun must
+    # resume every cell from checkpoint.
     local dir
     dir=$(mktemp -d)
     trap 'rm -rf "$dir"' RETURN
@@ -54,13 +54,14 @@ sweep_smoke() {
 {
   "defaults": {"scenario": "uniform", "n": 4,
                "warmup": 20, "horizon": 120, "seeds": [0, 1]},
-  "grid": {"rho": [0.4, 0.7], "scenario": ["uniform", "randomized", "torus"]}
+  "grid": {"rho": [0.4, 0.7], "scenario": ["uniform", "randomized", "torus"],
+           "engine": ["fifo", "rushed"]}
 }
 SPEC
     python -m repro sweep "$dir/spec.json" -o "$dir/out" \
-        | grep -q "6 ran, 0 resumed"
+        | grep -q "12 ran, 0 resumed"
     python -m repro sweep "$dir/spec.json" -o "$dir/out" \
-        | grep -q "0 ran, 6 resumed"
+        | grep -q "0 ran, 12 resumed"
 }
 
 perfbench_smoke() {

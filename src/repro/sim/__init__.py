@@ -131,7 +131,8 @@ engine     ``backend="python"``         ``backend="numpy"``
 ``finite`` fifo loop with tail-drop     the fifo sweep plus a
            admission (default)          vectorized tail-drop scan
 ``slotted``reference loop (default)     batched slot kernel
-``rushed`` reference loop               —
+``rushed`` block-streamed closed-form   —
+           FIFO solve (no event loop)
 ``ps``     reference loop               —
 ========== ============================ ==============================
 
@@ -186,22 +187,23 @@ workers route small networks in full on first use
 (:func:`repro.sim.sharedcells.warm_cell`). Past 128 nodes a cell
 shares only its network; each run builds a private cache.
 
-All four simulators' interpreted loops resolve paths through one cache
-built by ``path_cache_for``, which builds each pair's path once — with
-the router's own ``path``, or in bulk with a closed-form batch builder
-on mesh and k-d arrays — so no engine and no topology falls back to
-per-packet path building unless handed a
-``path_cache=SampledPathInterner(router)``. The numpy kernels skip the
-memo: each run routes its packets directly
-(:func:`repro.routing.pathcache.route_packets`) and keep only an
+The interpreted fifo, slotted and PS loops resolve paths through one
+cache built by ``path_cache_for``, which builds each pair's path once —
+with the router's own ``path``, or in bulk with a closed-form batch
+builder on mesh and k-d arrays — so no loop and no topology falls back
+to per-packet path building unless handed a
+``path_cache=SampledPathInterner(router)``. The numpy kernels and the
+rushed engine skip the memo: each run routes its packets directly
+(:func:`repro.routing.pathcache.route_packets`, a block of arrivals at
+a time for the rushed engine), and the numpy kernels keep only an
 edge-level memo per router.
 
 **Monotone merge where service is uniform deterministic; a binary heap
 where it is not.** With one deterministic service time everywhere
 (the standard model), departures are pushed in nondecreasing time
 order, so the FIFO kernel's plain-stats loop (no tracking, no caps)
-and the rushed engine replace the priority queue with an O(1) merge of
-a departure deque and the pending arrival. Every other interpreted
+replaces the priority queue with an O(1) merge of a departure deque
+and the pending arrival. Every other interpreted
 FIFO run (exponential service, per-edge rates, any tracking, or the
 finite-buffer engine's caps) pushes ``(time, seq, ...)`` event tuples
 onto a plain ``heapq`` list; ``seq`` is unique per run, so the pop
@@ -218,9 +220,12 @@ interleaved pairs. Otherwise it draws a source block (uniform, or the
 pinned-CDF ``side='right'`` bisection for unequal rates) and then one
 destination ``sample_batch`` call, so data-dependent laws (hot-spot,
 geometric) are blocked as well; a law with only the scalar ``sample``
-gets one call per packet inside the block. The fifo, rushed and PS
-loops refill 8192 id pairs per call and 8192 exponential gaps per
-block, and read both inline. NumPy ``Generator`` array fills are
+gets one call per packet inside the block. The fifo and PS loops
+refill 8192 id pairs per call and 8192 exponential gaps per block, and
+read both inline; the rushed engine draws the same blocks in the same
+order and solves each block whole, each edge's copies by the closed-form
+Lindley recursion with its last departure carried to the next block
+(see :mod:`repro.sim.rushed_network`). NumPy ``Generator`` array fills are
 stream-identical to the same number of consecutive scalar draws of the
 same kind, so a fast-id block equals the per-pair draws. The
 source-then-destination blocks of the other networks are pinned by the

@@ -20,8 +20,8 @@ sorted.
 ``(src, dst)`` ids. Every kernel, interpreted or vectorized, draws its
 ids through it in blocks: the interpreted event loops take 8192 pairs
 per call (as builtin-int lists, :func:`draw_id_lists`) and read them
-inline, the python slot kernel one slot's batch, the numpy kernels the
-whole run.
+inline, the rushed engine 8192 per call as arrays, the python slot
+kernel one slot's batch, the numpy kernels the whole run.
 
 The remaining shared validation — per-edge service rates and the
 saturated-edge mask — lives here too (:func:`resolve_service_rates`,

@@ -130,10 +130,11 @@ class TimeBatchAccumulator:
         every kept element carries ``weight`` — in two scatter-adds
         (the numpy kernels' bulk path). ``np.add.at`` scatters in
         element order, so the float sums equal one :meth:`add` per
-        element in the same order. The four interpreted engines (fifo,
-        slotted, rushed and PS) rely on that: they buffer their
-        completions and fold them here in completion order
-        (:meth:`fold`), bit-identical to an ``add`` per completion.
+        element in the same order. The three interpreted engines (fifo,
+        slotted and PS) rely on that: they buffer their completions and
+        fold them here in completion order (:meth:`fold`), bit-identical
+        to an ``add`` per completion. The rushed engine adds each
+        arrival block's makespans in one call, in birth order.
         """
         ts = np.asarray(ts, dtype=float)
         values = np.asarray(values, dtype=float)

@@ -32,7 +32,7 @@ other customer at that queue; nothing scans for a minimum.
 Because completions are re-planned (truly stochastic event times), this
 engine needs a priority queue — the merge loop does not apply — so it
 pops ``(time, seq)``-ordered events from a plain ``heapq`` list, like
-the FIFO/rushed/finite stochastic loops. It shares the rest of the
+the FIFO/finite stochastic loops. It shares the rest of the
 hot-path architecture: paths come from the shared
 :mod:`repro.routing.pathcache` arena, packet records store
 ``(arena_offset, length)`` views, and a non-uniform source draw uses

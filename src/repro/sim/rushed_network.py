@@ -19,41 +19,55 @@ It also reports the "makespan" delay — the time until *all* copies of a
 packet are served — which lower-bounds the original packet's delay on
 matched sample paths (the rushed system is the faster one).
 
-The engine shares the hot-path architecture of
-:class:`repro.sim.NetworkSimulation` (see :mod:`repro.sim` docs): paths
-come from the shared :mod:`repro.routing.pathcache` arena and the packet
-record stores an ``(arena_offset, length)`` view; exponential gaps and
-``(src, dst)`` id pairs are drawn in 8192-size blocks, the pairs through
-:func:`~repro.sim.enginecommon.draw_ids`; uniform deterministic
-service (the standard model) runs the monotone-merge event loop, and
-per-edge deterministic service runs on a plain ``heapq`` event list.
-As in the FIFO kernel (see :mod:`repro.sim.kernels.python_backend`),
-the exponential block is a list of builtin floats, the per-edge
-occupancy integral is updated inline in a Python list (converted to an
-array once, for ``utilization``), and the makespans fold into the
-delay batches in completion order every ``measurement.FOLD_PAIRS``
-pairs; none of this moves a bit. The same-seed bit-identity contract
-applies: the rushed golden cells in ``tests/golden/`` pin this
-engine's outputs.
+Every copy joins its queue at its packet's birth, so each edge is an
+isolated FIFO queue fed at birth times: its ``k``-th copy in birth order
+leaves at the Lindley recursion ``d_k = max(x_k, d_{k-1}) + c_e``, and
+no event interleaving is needed. The engine walks the arrivals in
+blocks of 8192. For block ``k`` it
+
+* draws exponential gap block ``k`` (arrival times are the sequential
+  sums ``t + gap``) and id block ``k``
+  (:func:`~repro.sim.enginecommon.draw_ids`), then routes the packets
+  with hops born before the horizon directly, with no memo
+  (:func:`~repro.routing.pathcache.route_packets`: for the randomized
+  scheme one coin block, the values of per-packet scalar coins). A
+  block straddling the end of a tracked warmup is routed in two parts,
+  which draws the same stream;
+* solves each edge's copies in closed form,
+  ``d_k = (k+1) c_e + max(last_e, cummax_{j<=k} (x_j - j c_e))``, with
+  ``k`` counted within the block and ``last_e`` the edge's latest
+  departure, carried from block to block;
+* reduces the block on the spot: window overlaps of the copies'
+  sojourns ``[x, d)`` give N1, the per-edge occupancy and R_s; each
+  packet's latest copy departure gives its makespan; with
+  ``track_maxima``, a copy arriving at ``x`` behind a departure at
+  ``d_prev`` finds ``ceil((d_prev - x) / c_e)`` copies waiting, since
+  departures within a busy period are ``c_e`` apart.
+
+``path_cache=`` is validated against the router, as for every engine,
+but not consulted. Same-seed runs draw every arrival, id and path the
+former event loop drew (``tests/_rushed_oracle.py`` keeps it); the
+closed form rounds differently from its recursion, so floats agree to
+about 1e-13 relative. The rushed golden cells pin this engine's outputs.
 """
 
 from __future__ import annotations
 
-from collections import deque
-from heapq import heappop, heappush
+import math
 from typing import Sequence
 
 import numpy as np
 
 from repro.routing.base import Router
 from repro.routing.destinations import DestinationDistribution
+from repro.routing.pathcache import route_packets
 from repro.sim.enginecommon import (
     EngineCommon,
-    draw_id_lists,
+    draw_ids,
     resolve_saturated_mask,
     resolve_service_rates,
 )
-from repro.sim import measurement
+from repro.sim.measurement import TimeBatchAccumulator
 from repro.sim.result import SimResult
 from repro.sim.rng import make_rng
 from repro.util.validation import check_window
@@ -65,9 +79,9 @@ class RushedNetworkSimulation:
     """Simulate Q1: immediate copies at every queue on the route.
 
     Parameters mirror :class:`repro.sim.NetworkSimulation` (FIFO servers,
-    deterministic service ``1/phi_e``; ``path_cache`` / ``saturated_mask``
-    control the hot path and the optional R_s(t) tracking exactly as
-    there).
+    deterministic service ``1/phi_e``; ``saturated_mask`` controls the
+    optional R_s(t) tracking exactly as there, and ``path_cache`` is
+    validated as there).
 
     Notes
     -----
@@ -97,21 +111,10 @@ class RushedNetworkSimulation:
         path_cache=None,
     ) -> None:
         self.seed = int(seed)
-        self._sat = resolve_saturated_mask(
-            saturated_mask, router.topology.num_edges
-        )
-        phi = resolve_service_rates(service_rates, router.topology.num_edges)
-        self._service_times: list[float] = (1.0 / phi).tolist()
-        # Uniform deterministic service enables the monotone-merge event
-        # loop (copies start service at the event time, so departures are
-        # pushed with nondecreasing times).
-        self._uniform_service = (
-            self._service_times.count(self._service_times[0])
-            == len(self._service_times)
-        )
-        # Shared constructor policy: same discipline as the event engine
-        # (side='right' pinned-CDF draws can never pick a zero-rate
-        # source).
+        num_edges = router.topology.num_edges
+        self._sat = resolve_saturated_mask(saturated_mask, num_edges)
+        self._service_times = 1.0 / resolve_service_rates(service_rates, num_edges)
+        # The constructor policy every engine shares.
         EngineCommon(
             router,
             destinations,
@@ -121,411 +124,135 @@ class RushedNetworkSimulation:
         ).install(self)
 
     def run(
-        self,
-        warmup: float,
-        horizon: float,
-        *,
-        track_maxima: bool = False,
+        self, warmup: float, horizon: float, *, track_maxima: bool = False
     ) -> SimResult:
         """Simulate ``warmup + horizon`` time units and drain.
 
-        ``track_maxima`` additionally records the worst per-packet
-        makespan and the longest copy queue observed in the measurement
-        window (the FIFO engine's option, for the same Leighton-contrast
-        purpose).
-        """
+        ``track_maxima`` also records the worst per-packet makespan and
+        the longest copy queue in the measurement window (the FIFO
+        engine's option, for the same Leighton-contrast purpose)."""
         check_window(warmup, horizon)
         rng = make_rng(self.seed, engine="rushed")
         t_end = warmup + horizon
-        st = self._service_times
-        sat = self._sat
-        num_nodes = self.topology.num_nodes
-        num_edges = self.topology.num_edges
-        queues: list[deque] = [deque() for _ in range(num_edges)]
-        busy = bytearray(num_edges)
-        seq = 0
-
-        # Path cache bindings (see NetworkSimulation.run).
-        cache = self.path_cache
-        arena = cache.arena.edges  # extended in place; safe to bind once
-        if cache.consumes_rng:
-            det_get = None
-            det_build = None
-            sample_offlen = cache.sample_offlen
-        else:
-            det_get = cache.table.get
-            det_build = cache.ensure
-            sample_offlen = None
-
-        # Block RNG: exponential(1) variates, then the (src, dst) id blocks
-        # of draw_id_lists, all as lists of builtin numbers (see the module
-        # docstring).
-        exp_block = rng.exponential(size=_BLOCK).tolist()
-        exp_i = 0
-        src_block, dst_block = draw_id_lists(self, _BLOCK, rng)
-        id_i = 0
+        tally = _Tally(self, warmup, t_end, track_maxima)
         gap_scale = 1.0 / self.total_rate
-        BLK = _BLOCK
-
-        copies_in_system = 0
-        int_copies = 0.0
-        int_rs = 0.0
-        remaining_sat = 0  # copies currently at saturated edges
-        int_per_edge = [0.0] * num_edges
-        occupancy = [0] * num_edges  # current copies at each edge
-        edge_last = [0.0] * num_edges  # lazy per-edge integration cursor
-        last_t = 0.0
-        generated = completed = zero_hop = 0
-        in_flight_at_horizon = 0
-        delay_acc = measurement.TimeBatchAccumulator(warmup, t_end)
-        # Measured (birth, makespan) pairs in completion order, folded
-        # into the batches every fold_max pairs and once after the loop.
-        fold_births = delay_acc.pending_times
-        add_birth = fold_births.append
-        add_delay = delay_acc.pending_values.append
-        fold_max = measurement.FOLD_PAIRS
-        max_delay = 0.0
-        max_queue = 0
+        t = 0.0
+        while t < t_end:
+            births = rng.exponential(size=_BLOCK) * gap_scale
+            births[0] += t
+            np.cumsum(births, out=births)
+            t = float(births[-1])
+            srcs, dsts = draw_ids(self, _BLOCK, rng)
+            cut = int(np.count_nonzero(births < t_end))
+            tally.add(births[:cut], srcs[:cut], dsts[:cut], rng)
         # Queues standing when the warmup ends are part of the measurement
-        # window (same convention as the FIFO engine).
-        maxima_seeded = not track_maxima or warmup == 0.0
-
-        first_gap = exp_block[exp_i] * gap_scale
-        exp_i += 1
-        draining = False
-
-        if self._uniform_service:
-            # -------- monotone-merge event loop (standard model) --------
-            # Replays the heap loop's (time, seq) pop order exactly. On
-            # the quick validation tier's six rushed runs it took 0.69 s
-            # against the heap loop's 0.94 s (outputs identical), so the
-            # engine keeps both loops.
-            service_c = st[0]
-            dep_q: deque = deque()
-            dep_pop = dep_q.popleft
-            dep_append = dep_q.append
-            arr_t = first_gap
-            arr_seq = seq
-            seq += 1
-            have_arrival = True
-            while True:
-                if dep_q:
-                    head = dep_q[0]
-                    if have_arrival:
-                        ht = head[0]
-                        if arr_t < ht or (arr_t == ht and arr_seq < head[1]):
-                            is_arrival = True
-                            t = arr_t
-                        else:
-                            is_arrival = False
-                            t, _s, e, parent = dep_pop()
-                    else:
-                        is_arrival = False
-                        t, _s, e, parent = dep_pop()
-                elif have_arrival:
-                    is_arrival = True
-                    t = arr_t
-                else:
-                    break
-                if not maxima_seeded and t >= warmup:
-                    maxima_seeded = True
-                    for q in queues:
-                        if len(q) > max_queue:
-                            max_queue = len(q)
-                if t >= t_end and not draining:
-                    draining = True
-                    in_flight_at_horizon = copies_in_system
-                    lo = last_t if last_t > warmup else warmup
-                    if t_end > lo:
-                        dt = t_end - lo
-                        int_copies += copies_in_system * dt
-                        int_rs += remaining_sat * dt
-                    last_t = t_end
-                if not draining and t > warmup:
-                    lo = last_t if last_t > warmup else warmup
-                    dt = t - lo
-                    if dt > 0.0:
-                        int_copies += copies_in_system * dt
-                        int_rs += remaining_sat * dt
-                    last_t = t
-                elif not draining:
-                    last_t = t
-
-                if is_arrival:
-                    # ----- external packet generation: copies everywhere -----
-                    if draining:
-                        have_arrival = False
-                        continue
-                    if id_i >= BLK:
-                        src_block, dst_block = draw_id_lists(self, BLK, rng)
-                        id_i = 0
-                    src = src_block[id_i]
-                    dst = dst_block[id_i]
-                    id_i += 1
-                    measured = t >= warmup
-                    if measured:
-                        generated += 1
-                    if src == dst:
-                        if measured:
-                            zero_hop += 1
-                            completed += 1
-                            add_birth(t)
-                            add_delay(0.0)
-                            if len(fold_births) >= fold_max:
-                                delay_acc.fold()
-                    else:
-                        if det_get is not None:
-                            ol = det_get(src * num_nodes + dst)
-                            if ol is None:
-                                ol = det_build(src, dst)
-                            off, ln = ol
-                        else:
-                            off, ln = sample_offlen(src, dst, rng)
-                        # parent record: [birth, copies_left, measured]
-                        # (fresh per-packet record — mutated in place)
-                        parent = [t, ln, measured]  # replint: disable=hot-loop-alloc
-                        copies_in_system += ln
-                        # Edge f's occupancy integral up to t (the lazy
-                        # per-edge cursor), then the new copy.
-                        hi = t if t < t_end else t_end
-                        for k in range(off, off + ln):
-                            f = arena[k]
-                            occ = occupancy[f]
-                            if occ:
-                                lo = edge_last[f]
-                                if lo <= warmup:
-                                    lo = warmup
-                                if hi > lo:
-                                    int_per_edge[f] += occ * (hi - lo)
-                            edge_last[f] = t
-                            occupancy[f] = occ + 1
-                            if sat is not None and sat[f]:
-                                remaining_sat += 1
-                            if busy[f]:
-                                q = queues[f]
-                                q.append(parent)
-                                if (
-                                    track_maxima
-                                    and measured
-                                    and not draining
-                                    and len(q) > max_queue
-                                ):
-                                    max_queue = len(q)
-                            else:
-                                busy[f] = 1
-                                dep_append((t + service_c, seq, f, parent))
-                                seq += 1
-                    # Next arrival.
-                    if exp_i >= BLK:
-                        exp_block = rng.exponential(size=BLK).tolist()
-                        exp_i = 0
-                    arr_t = t + exp_block[exp_i] * gap_scale
-                    exp_i += 1
-                    arr_seq = seq
-                    seq += 1
-                else:
-                    # ----- copy finished service at edge e -----
-                    copies_in_system -= 1
-                    # Edge e's occupancy integral up to t; e holds the
-                    # departing copy, so occ >= 1.
-                    occ = occupancy[e]
-                    lo = edge_last[e]
-                    if lo <= warmup:
-                        lo = warmup
-                    hi = t if t < t_end else t_end
-                    if hi > lo:
-                        int_per_edge[e] += occ * (hi - lo)
-                    edge_last[e] = t
-                    occupancy[e] = occ - 1
-                    if sat is not None and sat[e]:
-                        remaining_sat -= 1
-                    parent[1] -= 1
-                    if parent[1] == 0 and parent[2]:
-                        completed += 1
-                        d = t - parent[0]
-                        add_birth(parent[0])
-                        add_delay(d)
-                        if len(fold_births) >= fold_max:
-                            delay_acc.fold()
-                        if track_maxima and d > max_delay:
-                            max_delay = d
-                    q = queues[e]
-                    if q:
-                        dep_append((t + service_c, seq, e, q.popleft()))
-                        seq += 1
-                    else:
-                        busy[e] = 0
-        else:
-            # ------------- event-queue loop (per-edge service) -------------
-            # Per-edge deterministic service times break the monotone push
-            # order, so a binary heap orders the departures.
-            heap: list[tuple] = []
-            heappush(heap, (first_gap, seq, -1, None))
-            seq += 1
-            while heap:
-                t, _s, e, parent = heappop(heap)
-                if not maxima_seeded and t >= warmup:
-                    maxima_seeded = True
-                    for q in queues:
-                        if len(q) > max_queue:
-                            max_queue = len(q)
-                if t >= t_end and not draining:
-                    draining = True
-                    in_flight_at_horizon = copies_in_system
-                    lo = last_t if last_t > warmup else warmup
-                    if t_end > lo:
-                        dt = t_end - lo
-                        int_copies += copies_in_system * dt
-                        int_rs += remaining_sat * dt
-                    last_t = t_end
-                if not draining and t > warmup:
-                    lo = last_t if last_t > warmup else warmup
-                    dt = t - lo
-                    if dt > 0.0:
-                        int_copies += copies_in_system * dt
-                        int_rs += remaining_sat * dt
-                    last_t = t
-                elif not draining:
-                    last_t = t
-
-                if e < 0:
-                    # ----- external packet generation: copies everywhere -----
-                    if draining:
-                        continue
-                    if id_i >= BLK:
-                        src_block, dst_block = draw_id_lists(self, BLK, rng)
-                        id_i = 0
-                    src = src_block[id_i]
-                    dst = dst_block[id_i]
-                    id_i += 1
-                    measured = t >= warmup
-                    if measured:
-                        generated += 1
-                    if src == dst:
-                        if measured:
-                            zero_hop += 1
-                            completed += 1
-                            add_birth(t)
-                            add_delay(0.0)
-                            if len(fold_births) >= fold_max:
-                                delay_acc.fold()
-                    else:
-                        if det_get is not None:
-                            ol = det_get(src * num_nodes + dst)
-                            if ol is None:
-                                ol = det_build(src, dst)
-                            off, ln = ol
-                        else:
-                            off, ln = sample_offlen(src, dst, rng)
-                        # (fresh per-packet record — mutated in place)
-                        parent = [t, ln, measured]  # replint: disable=hot-loop-alloc
-                        copies_in_system += ln
-                        # Edge f's occupancy integral up to t (the lazy
-                        # per-edge cursor), then the new copy.
-                        hi = t if t < t_end else t_end
-                        for k in range(off, off + ln):
-                            f = arena[k]
-                            occ = occupancy[f]
-                            if occ:
-                                lo = edge_last[f]
-                                if lo <= warmup:
-                                    lo = warmup
-                                if hi > lo:
-                                    int_per_edge[f] += occ * (hi - lo)
-                            edge_last[f] = t
-                            occupancy[f] = occ + 1
-                            if sat is not None and sat[f]:
-                                remaining_sat += 1
-                            if busy[f]:
-                                q = queues[f]
-                                q.append(parent)
-                                if (
-                                    track_maxima
-                                    and measured
-                                    and not draining
-                                    and len(q) > max_queue
-                                ):
-                                    max_queue = len(q)
-                            else:
-                                busy[f] = 1
-                                heappush(heap, (t + st[f], seq, f, parent))
-                                seq += 1
-                    if exp_i >= BLK:
-                        exp_block = rng.exponential(size=BLK).tolist()
-                        exp_i = 0
-                    heappush(heap, (t + exp_block[exp_i] * gap_scale, seq, -1, None))
-                    exp_i += 1
-                    seq += 1
-                else:
-                    # ----- copy finished service at edge e -----
-                    copies_in_system -= 1
-                    # Edge e's occupancy integral up to t; e holds the
-                    # departing copy, so occ >= 1.
-                    occ = occupancy[e]
-                    lo = edge_last[e]
-                    if lo <= warmup:
-                        lo = warmup
-                    hi = t if t < t_end else t_end
-                    if hi > lo:
-                        int_per_edge[e] += occ * (hi - lo)
-                    edge_last[e] = t
-                    occupancy[e] = occ - 1
-                    if sat is not None and sat[e]:
-                        remaining_sat -= 1
-                    parent[1] -= 1
-                    if parent[1] == 0 and parent[2]:
-                        completed += 1
-                        d = t - parent[0]
-                        add_birth(parent[0])
-                        add_delay(d)
-                        if len(fold_births) >= fold_max:
-                            delay_acc.fold()
-                        if track_maxima and d > max_delay:
-                            max_delay = d
-                    q = queues[e]
-                    if q:
-                        heappush(heap, (t + st[e], seq, e, q.popleft()))
-                        seq += 1
-                    else:
-                        busy[e] = 0
-
-        if last_t < t_end:
-            lo = last_t if last_t > warmup else warmup
-            dt = t_end - lo
-            int_copies += copies_in_system * dt
-            int_rs += remaining_sat * dt
-            last_t = t_end
-        # Close every edge's occupancy integral at the horizon.
-        for eid in range(num_edges):
-            occ = occupancy[eid]
-            if occ:
-                lo = edge_last[eid]
-                if lo <= warmup:
-                    lo = warmup
-                if t_end > lo:
-                    int_per_edge[eid] += occ * (t_end - lo)
-
-        delay_acc.fold()
-        mean_copies = int_copies / horizon
-        summary = delay_acc.summary()
+        # window (as in the FIFO engine): an edge whose copies born before
+        # it leave by d holds floor((d - warmup) / c_e) waiting copies then.
+        standing = np.floor((tally.pre_last - warmup) / tally.c).max()
+        max_queue = max(tally.max_queue, int(standing))
+        mean_copies = float(tally.occupancy.sum()) / horizon
+        summary = tally.delays.summary()
         return SimResult(
             warmup=warmup,
             horizon=horizon,
             seed=self.seed,
-            generated=generated,
-            completed=completed,
-            zero_hop=zero_hop,
-            in_flight_at_end=in_flight_at_horizon,
+            generated=tally.generated,
+            # Every measured packet completes once the queues drain.
+            completed=tally.generated,
+            zero_hop=tally.zero_hop,
+            in_flight_at_end=tally.in_flight,
             mean_number=mean_copies,
             mean_remaining=mean_copies,
             mean_remaining_saturated=(
-                int_rs / horizon if sat is not None else float("nan")
+                tally.int_rs / horizon if self._sat is not None else float("nan")
             ),
             mean_delay=summary.mean,
             delay_half_width=summary.half_width,
             mean_delay_littles=mean_copies / self.total_rate,
             total_rate=self.total_rate,
-            utilization=np.asarray(int_per_edge) / horizon,
-            max_delay=max_delay if track_maxima else float("nan"),
+            utilization=tally.occupancy / horizon,
+            max_delay=tally.max_delay if track_maxima else float("nan"),
             max_queue_length=max_queue if track_maxima else -1,
         )
+
+
+class _Tally:
+    """One run's carried per-edge state and running totals, fed the
+    arrivals a block at a time (see the module docstring)."""
+
+    def __init__(self, sim, warmup: float, t_end: float, track_maxima: bool):
+        self.router = sim.router
+        self.c = sim._service_times
+        self.sat = None if sim._sat is None else np.asarray(sim._sat)
+        self.warmup, self.t_end, self.track_maxima = warmup, t_end, track_maxima
+        self.last = np.zeros(self.c.size)  # each edge's latest departure
+        self.pre_last = np.zeros(self.c.size)  # ... of copies born pre-warmup
+        self.occupancy = np.zeros(self.c.size)  # copy-time in the window
+        self.int_rs = self.max_delay = 0.0
+        self.generated = self.zero_hop = self.in_flight = self.max_queue = 0
+        self.delays = TimeBatchAccumulator(warmup, t_end)
+
+    def add(self, x: np.ndarray, srcs, dsts, rng: np.random.Generator) -> None:
+        """Admit arrivals born at ``x`` (ascending, before the horizon)."""
+        w, t_end = self.warmup, self.t_end
+        zero = srcs == dsts
+        measured = x >= w
+        self.generated += int(np.count_nonzero(measured))
+        zero_births = x[zero & measured]
+        self.zero_hop += zero_births.size
+        self.delays.add_batch(zero_births, np.zeros(zero_births.size))
+        born = x[~zero]
+        if not born.size:
+            return
+        visits, lens = route_packets(self.router, srcs[~zero], dsts[~zero], rng)
+        # Copies by edge, each edge's in birth order, as (edge, packet).
+        order = np.argsort(visits, kind="stable")
+        e = visits[order]
+        pk = np.repeat(np.arange(born.size, dtype=np.int32), lens)[order]
+        del visits, order
+        m0 = int(np.count_nonzero(born < w))  # packets born before the warmup
+        starts = np.flatnonzero(np.diff(e, prepend=-1))
+        ends = np.append(starts[1:], e.size)
+        prev = self.last[e[starts]]
+        # d_k = (k+1) c + max(prev, cummax(x_j - j c)), k the rank at the edge.
+        kc = np.arange(e.size, dtype=float)
+        kc -= np.repeat(starts, ends - starts)
+        kc *= self.c[e]
+        d = born[pk]
+        d -= kc
+        d[starts] = np.maximum(d[starts], prev)
+        for s0, s1 in zip(starts.tolist(), ends.tolist()):
+            run = d[s0:s1]
+            np.maximum.accumulate(run, out=run)
+        kc += self.c[e]
+        d += kc
+        del kc
+        if self.track_maxima and m0:
+            pre = np.add.reduceat(pk < m0, starts)
+            hit = pre > 0
+            self.pre_last[e[starts[hit]]] = d[starts[hit] + pre[hit] - 1]
+        self.last[e[starts]] = d[ends - 1]
+        self.in_flight += int(np.count_nonzero(d >= t_end))
+
+        span = np.zeros(born.size)
+        np.maximum.at(span, pk, d)
+        span -= born
+        self.delays.add_batch(born[m0:], span[m0:])
+        if self.track_maxima and m0 < born.size:
+            self.max_delay = max(self.max_delay, float(span[m0:].max()))
+            # A copy arriving at x behind a departure at d_prev finds
+            # ceil((d_prev - x) / c) copies waiting.
+            ahead = np.roll(d, 1)
+            ahead[starts] = prev
+            ahead -= born[pk]
+            ahead /= self.c[e]
+            self.max_queue = max(self.max_queue, math.ceil(ahead[pk >= m0].max()))
+
+        # d becomes each copy's overlap with the window.
+        np.minimum(d, t_end, out=d)
+        x = born[pk]
+        d -= np.maximum(x, w, out=x)
+        np.maximum(d, 0.0, out=d)
+        self.occupancy += np.bincount(e, d, self.c.size)
+        if self.sat is not None:
+            self.int_rs += float(d[self.sat[e]].sum())

@@ -23,9 +23,11 @@ The parent is the single owner: :class:`SharedCellBatch` creates the
 block and must be closed via :meth:`SharedCellBatch.close` (or the
 :func:`publish_cells` context manager), which closes *and unlinks* it.
 Workers only ever attach, copy the registry out and close; no worker
-object holds a view into the block. Because the parent unlinks every
-published name, no resource-tracker "leaked shared_memory" warnings are
-emitted at exit.
+object holds a view into the block. The parent unlinks every published
+name, and the workers register their attaches with the parent's
+resource tracker (:class:`~repro.util.workerpool.WorkerPool` starts it
+before it forks them), so the unlink reaches the one tracker that saw
+the name and no "leaked shared_memory" warning is emitted at exit.
 
 Path-cache state never changes simulation output (the path-cache
 bit-identity contract), so a worker running on the cache it warmed

@@ -41,7 +41,7 @@ def check_positive(value: float, name: str = "value", *, strict: bool = True) ->
     x = _as_real(value, name)
     if strict and not x > 0:
         raise ValueError(f"{name} must be > 0, got {x}")
-    if not strict and x < 0:
+    if not strict and not x >= 0:
         raise ValueError(f"{name} must be >= 0, got {x}")
     return x
 

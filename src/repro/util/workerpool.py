@@ -43,6 +43,7 @@ import multiprocessing as mp
 # the type checker; `mp` is the name the code uses.
 import multiprocessing.pool  # replint: disable=dead-import
 import os
+from multiprocessing import resource_tracker
 from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 
 T = TypeVar("T")
@@ -106,6 +107,12 @@ class WorkerPool:
     # -- lifecycle -----------------------------------------------------
     def _ensure_pool(self) -> mp.pool.Pool:
         if self._pool is None:
+            # Forked workers share the parent's resource tracker only if
+            # it runs before they fork; otherwise each shared-memory
+            # attach starts a tracker of its own, which the parent's
+            # unlink never reaches, and it warns of a "leak" at exit.
+            if _START_METHOD == "fork":
+                resource_tracker.ensure_running()
             ctx = mp.get_context(_START_METHOD)
             self._pool = ctx.Pool(processes=self.processes)
         return self._pool

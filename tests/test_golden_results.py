@@ -229,32 +229,6 @@ def test_shared_cache_state_does_not_leak_into_results():
     assert warm_s.mean_number == cold_s.mean_number
 
 
-def test_rushed_merge_loop_matches_event_queue_loop_exactly():
-    """The rushed engine's monotone-merge loop replays the event-queue
-    loop's (time, seq) order exactly (same contract as the FIFO engine)."""
-    from repro.routing.destinations import UniformDestinations
-    from repro.routing.greedy import GreedyArrayRouter
-    from repro.sim.rushed_network import RushedNetworkSimulation
-    from repro.topology.array_mesh import ArrayMesh
-
-    mesh = ArrayMesh(4)
-    router = GreedyArrayRouter(mesh)
-    dests = UniformDestinations(16)
-
-    merge = RushedNetworkSimulation(router, dests, 0.25, seed=11)
-    assert merge._uniform_service
-    res_merge = merge.run(10, 150)
-
-    forced = RushedNetworkSimulation(router, dests, 0.25, seed=11)
-    forced._uniform_service = False  # force the event-queue loop
-    res = forced.run(10, 150)
-
-    assert res_merge.mean_number == res.mean_number
-    assert res_merge.mean_delay == res.mean_delay
-    assert res_merge.delay_half_width == res.delay_half_width
-    assert res_merge.utilization.tolist() == res.utilization.tolist()
-
-
 def test_merge_loop_matches_heap_loop_exactly():
     """The plain-stats monotone-merge loop is a pure data-structure swap:
     forcing the same untracked workload through the heap loop reproduces

@@ -823,10 +823,10 @@ def _interpreted_runs():
         "finite-caps": lambda: FiniteBufferNetworkSimulation(
             GreedyArrayRouter(m), dests, 0.2, seed=4, buffer_size=1
         ).run(*window),
-        "rushed-merge": lambda: RushedNetworkSimulation(
+        "rushed-uniform": lambda: RushedNetworkSimulation(
             GreedyArrayRouter(m), dests, 0.12, seed=5
         ).run(*window),
-        "rushed-heap": lambda: RushedNetworkSimulation(
+        "rushed-peredge": lambda: RushedNetworkSimulation(
             GreedyArrayRouter(m), dests, 0.12, seed=6,
             service_rates=_per_edge_rates(m),
         ).run(*window),
@@ -883,8 +883,7 @@ class TestDeferredDelayFold:
 
     @pytest.mark.parametrize(
         "name",
-        ["fifo-plain-merge", "fifo-heap-exponential", "rushed-merge",
-         "slotted", "ps"],
+        ["fifo-plain-merge", "fifo-heap-exponential", "slotted", "ps"],
     )
     def test_chunked_fold_matches_default(self, name, small_folds):
         want = _interpreted_runs()[name]()
@@ -911,9 +910,7 @@ class TestDeferredDelayFold:
         assert got.delays.size == got.completed
         assert got.delays.tobytes() == want.delays.tobytes()
 
-    @pytest.mark.parametrize(
-        "cls", [NetworkSimulation, RushedNetworkSimulation, PSNetworkSimulation]
-    )
+    @pytest.mark.parametrize("cls", [NetworkSimulation, PSNetworkSimulation])
     def test_empty_delay_window(self, cls, small_folds):
         """No packet is born in the window: every fold is empty and the
         delay estimate is nan, as with the default chunk."""
@@ -965,6 +962,7 @@ from repro.routing.destinations import UniformDestinations
 from repro.sim.fifo_network import NetworkSimulation
 from repro.sim.slotted import SlottedNetworkSimulation
 from repro.sim.finite_buffer import FiniteBufferNetworkSimulation
+from repro.sim.rushed_network import RushedNetworkSimulation
 from repro.topology.array_mesh import ArrayMesh
 
 mesh = ArrayMesh(4)
@@ -972,6 +970,7 @@ args = (GreedyArrayRouter(mesh), UniformDestinations(16), 0.2)
 assert NetworkSimulation(*args, seed=1).run(0, 100).generated > 0
 assert SlottedNetworkSimulation(*args, seed=1).run(0, 100).generated > 0
 assert FiniteBufferNetworkSimulation(*args, buffer_size=2, seed=1).run(0, 100).generated > 0
+assert RushedNetworkSimulation(*args, seed=1).run(0, 100).generated > 0
 assert "repro.sim.kernels.numpy_backend" not in sys.modules
 print("BOUNDARY-OK")
 """

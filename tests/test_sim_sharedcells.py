@@ -10,7 +10,10 @@ shrinks to a token-sized tuple and every shared block is unlinked.
 import gc
 import math
 import pickle
+import subprocess
+import sys
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -227,3 +230,43 @@ class TestStreamingFold:
         )
         assert sorted(seen) == [0.4, 0.6]
         assert [o.spec.rho for o in out] == [0.4, 0.6]
+
+
+class TestResourceTracker:
+    """Every published block is unlinked by the parent, and its workers
+    share the parent's resource tracker, so a pooled batch leaves no
+    "leaked shared_memory" warning at exit, whether the pool started
+    before or after the first publish."""
+
+    SCRIPT = """
+import sys
+sys.path.insert(0, {src!r})
+from repro.sim.replication import CellSpec, ReplicationEngine
+from repro.util.workerpool import get_pool
+
+if {pool_first}:
+    get_pool(2).map(abs, [0, 1])
+specs = [
+    CellSpec(scenario="uniform", n=3, rho=rho, warmup=5, horizon=30, seeds=(1, 2))
+    for rho in (0.5, 0.6)
+]
+ReplicationEngine(processes=2).run_many(specs)
+print("RAN")
+"""
+
+    @pytest.mark.parametrize(
+        "pool_first", [True, False], ids=["pool-first", "publish-first"]
+    )
+    def test_no_leak_warning_at_exit(self, pool_first):
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        code = self.SCRIPT.format(src=src, pool_first=pool_first)
+        proc = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert "RAN" in proc.stdout
+        assert "leaked shared_memory" not in proc.stderr, proc.stderr
+        assert "resource_tracker" not in proc.stderr, proc.stderr

@@ -26,6 +26,17 @@ class TestCheckPositive:
         with pytest.raises(ValueError, match="must be >= 0"):
             check_positive(-1.0, strict=False)
 
+    @pytest.mark.parametrize("strict", [True, False])
+    def test_rejects_nan(self, strict):
+        with pytest.raises(ValueError, match="must be"):
+            check_positive(float("nan"), strict=strict)
+
+    def test_non_strict_callers_reject_nan(self):
+        from repro.queueing.md1 import MD1Queue
+
+        with pytest.raises(ValueError, match="lam"):
+            MD1Queue(float("nan"))
+
     def test_rejects_non_numeric(self):
         with pytest.raises(TypeError):
             check_positive("3")
