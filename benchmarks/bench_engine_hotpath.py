@@ -66,6 +66,16 @@ non-uniform arrival path, whose ids come in blocks from
 covered too. No frozen ``PRE_PR_*`` constant exists for it, so it
 records packets/s only.
 
+Which path of the python fifo kernel each cell times: the 8x8 cached
+and geometric cells are layered plain runs within the visit budget, so
+they time the *level path* (the merge loop's draws solved level by
+level). ``test_event_8x8_uncached`` hands the run an RNG-drawing
+``SampledPathInterner`` and the 32x32 cells exceed the budget, so they
+time the *merge loop*; so does ``test_event_8x8_torus``, whose cyclic
+torus routes the level path rejects after drawing and routing them, and
+which therefore also pays for that check. The exponential cell times
+the heap loop.
+
 Two numpy cells time the kernel's options on 16x16 configurations the
 report runs, each against the python loops on the identical warm cell:
 tail-drop admission (finite engine, rho = 0.9, ``buffer_size=2`` — the
@@ -81,6 +91,7 @@ from repro.core.rates import array_edge_rates, lambda_for_load
 from repro.routing.destinations import UniformDestinations
 from repro.routing.greedy import GreedyArrayRouter
 from repro.routing.pathcache import SampledPathInterner, path_cache_for
+from repro.routing.torus_greedy import GreedyTorusRouter
 from repro.scenarios import build_network, resolve_cell
 from repro.sim.fifo_network import NetworkSimulation
 from repro.sim.ps_network import PSNetworkSimulation
@@ -88,6 +99,7 @@ from repro.sim.replication import CellSpec
 from repro.sim.rushed_network import RushedNetworkSimulation
 from repro.sim.slotted import SlottedNetworkSimulation
 from repro.topology.array_mesh import ArrayMesh
+from repro.topology.torus import Torus
 
 WARMUP, HORIZON = 20.0, 120.0
 RHO = 0.8
@@ -162,6 +174,23 @@ def test_event_8x8_geometric(best_of, benchmark):
     node_rate, _ = resolve_cell(spec)
     net = build_network("geometric", 8)
     sim = NetworkSimulation(net.router, net.destinations, node_rate, seed=3)
+    res = best_of(sim.run, WARMUP, HORIZON)
+    dt = benchmark.stats.stats.min
+    benchmark.extra_info["packets_per_second"] = round(res.generated / dt)
+    assert res.generated > 2000
+    assert res.littles_law_gap < 0.15
+
+
+def test_event_8x8_torus(best_of, benchmark):
+    """The merge loop on cyclic routes: the 8x8 greedy torus at the mesh
+    cell's node rate, after the level path's cycle check gives up."""
+    torus = Torus(8)
+    sim = NetworkSimulation(
+        GreedyTorusRouter(torus),
+        UniformDestinations(torus.num_nodes),
+        lambda_for_load(8, RHO, "table1"),
+        seed=3,
+    )
     res = best_of(sim.run, WARMUP, HORIZON)
     dt = benchmark.stats.stats.min
     benchmark.extra_info["packets_per_second"] = round(res.generated / dt)

@@ -17,8 +17,9 @@ matter:
 
 Scope is deliberately narrow so the rule stays high-signal: only files
 under ``sim/`` are checked, and only ``for``/``while`` bodies inside the
-run-loop functions — ``run*`` functions in kernels modules (``run_fifo``,
-``run_slotted``, ...), ``run`` / ``_run*`` methods elsewhere. Loop
+run-loop functions — ``run*`` and ``_run*`` functions in kernels modules
+(``run_fifo``, ``run_slotted``, the fifo kernel's ``_run_events``, ...),
+``run`` / ``_run*`` methods elsewhere. Loop
 *setup* (the iterable expression of a ``for``) is exempt: hoisting an
 allocation into the iterator is exactly the fix this rule asks for.
 
@@ -69,7 +70,7 @@ def _is_hot_function(src: SourceFile, node: ast.AST) -> bool:
     if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
         return False
     if _is_kernels_module(src):
-        return node.name.startswith("run")
+        return node.name.startswith(("run", "_run"))
     return node.name == "run" or node.name.startswith("_run")
 
 

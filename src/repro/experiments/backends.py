@@ -7,25 +7,19 @@ kernels can solve — deterministic service on feedforward (layered)
 routes: the (n, rho) grid, the Section 4.5 / 5.1 / 5.2 validation
 points, the finite-buffer sweep and the layered scenario-sweep cells —
 picks the backend through :func:`budget_backend`: ``numpy`` while the
-cell's expected visit count fits :data:`NUMPY_VISIT_BUDGET`, ``python``
-above it. A replication's expected visit count is
+cell's expected visit count fits
+:data:`~repro.sim.kernels.NUMPY_VISIT_BUDGET`, ``python`` above
+it. A replication's expected visit count is
 ``sum_e lam_e * (warmup + horizon)``: every packet visits each edge of
-its route once, and the warmup is simulated too.
+its route once, and the warmup is simulated too. The python fifo kernel
+applies the same budget to decide which runs it solves level by level.
 """
 
 from __future__ import annotations
 
 from repro.scenarios import cell_edge_rates
-from repro.sim.kernels import NUMPY_BACKEND, PYTHON_BACKEND
+from repro.sim.kernels import NUMPY_BACKEND, NUMPY_VISIT_BUDGET, PYTHON_BACKEND
 from repro.sim.replication import CellSpec
-
-#: Largest expected visit count (packets x hops, warmup included) of one
-#: replication that still runs on the numpy kernel. Its whole-trajectory
-#: solve holds about 30 bytes per visit, so this caps it near 130 MB; the
-#: QUICK presets peak at 2.3M visits, while the FULL table1 n=20,
-#: rho=0.99 cell needs ~348M and runs on the python loop, whose memory
-#: does not grow with the run.
-NUMPY_VISIT_BUDGET = 1 << 22
 
 
 def budget_backend(expected_visits: float) -> str:

@@ -529,12 +529,26 @@ def route_packets(
     if not _is_deterministic(router):
         ids = zip(srcs.tolist(), dsts.tolist())
         return _flatten([router.sample_path(s, d, rng) for s, d in ids])
-    n = int(router.topology.num_nodes)
-    pairs, inverse = np.unique(srcs * n + dsts, return_inverse=True)
-    edges, pair_lens = build_paths(router, *np.divmod(pairs, n))
+    edges, pair_lens, inverse = route_pairs(router, srcs, dsts)
     lens = pair_lens[inverse]
     pair_offs = np.cumsum(pair_lens) - pair_lens
     return gather_paths(edges, pair_offs[inverse], lens), lens
+
+
+def route_pairs(
+    router: Router, srcs: np.ndarray, dsts: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """A deterministic router's packets ``(srcs[i], dsts[i])`` (int64
+    arrays), routed once per distinct pair.
+
+    Returns ``(edges, pair_lens, inverse)``: the distinct pairs' paths
+    from :func:`build_paths` (in ascending ``src * n + dst`` order), their
+    lengths, and each packet's index into them.
+    """
+    n = int(router.topology.num_nodes)
+    pairs, inverse = np.unique(srcs * n + dsts, return_inverse=True)
+    edges, pair_lens = build_paths(router, *np.divmod(pairs, n))
+    return edges, pair_lens, inverse
 
 
 def _is_deterministic(router: Router) -> bool:

@@ -125,11 +125,13 @@ backends apply tail-drop admission.
 ========== ============================ ==============================
 engine     ``backend="python"``         ``backend="numpy"``
 ========== ============================ ==============================
-``fifo``   reference loop (default)     max-plus level sweep;
-                                        deterministic service (uniform
-                                        or per-edge), utilization
-``finite`` fifo loop with tail-drop     the fifo sweep plus a
-           admission (default)          vectorized tail-drop scan
+``fifo``   level sweep on the merge     max-plus level sweep;
+           loop's draws for layered     deterministic service (uniform
+           plain runs; reference loops  or per-edge), utilization
+           otherwise (default)
+``finite`` fifo kernel; tail-drop       the fifo sweep plus a
+           admission in the heap loop   vectorized tail-drop scan
+           when capped (default)
 ``slotted``reference loop (default)     batched slot kernel
 ``rushed`` block-streamed closed-form   —
            FIFO solve (no event loop)
@@ -137,9 +139,16 @@ engine     ``backend="python"``         ``backend="numpy"``
 ========== ============================ ==============================
 
 The contract has two tiers. ``backend="python"`` is the extracted
-reference: *bit-identical* to the pre-extraction engines, bound by the
-same-seed golden fixtures, and it never imports the vectorized module
-(the optional-dependency boundary the ``fast`` extra documents).
+reference: bound by the same-seed golden fixtures, and it never imports
+the vectorized module (the optional-dependency boundary the ``fast``
+extra documents). Its loops are *bit-identical* to the pre-extraction
+engines. Its fifo kernel solves layered plain runs — uniform
+deterministic service, no caps, nothing tracked or collected, an
+RNG-free path cache, within the visit budget — on the merge loop's own
+draws with the shared level sweep (:mod:`repro.sim.kernels.levels`):
+every arrival, id, path and integer field is the loop's, and the floats
+move only by rounding (pinned against the loop by
+``tests/test_sim_level_path.py``).
 ``backend="numpy"`` solves whole trajectories over each run's routed
 visits — blocked draws first, then a feedforward max-plus
 sweep over edge-precedence levels — and is *seed-stable* (same seed,
@@ -160,8 +169,10 @@ the open-array cell beside the torus, the Section 4.5 / 5.1 / 5.2
 validation points, the finite-buffer sweep and the layered
 scenario-sweep cells — while its expected visit count fits
 ``NUMPY_VISIT_BUDGET``, and on ``python`` above it; the rule lives in
-:mod:`repro.experiments.backends` (the whole-trajectory solve holds
-about 30 bytes per visit). Apart from the hand-built Section 4.5 / 5.2
+:mod:`repro.experiments.backends` and the budget in
+:mod:`repro.sim.kernels` (the whole-trajectory solve holds about 30
+bytes per visit), where the python fifo kernel's level path reads it
+too. Apart from the hand-built Section 4.5 / 5.2
 simulators, every report cell — the torus and Theorem 5 dominance cells
 too, which stay on python by design (cyclic routes, exponential service,
 the N distribution) — is a :class:`~repro.sim.replication.CellSpec` run
@@ -183,8 +194,8 @@ scheme drew. Caches only
 grow and never influence outputs, so the replication engine shares one
 ``(network, cache)`` per cell across all of the cell's seeded
 replications (per worker process) instead of rebuilding per task; pool
-workers route small networks in full on first use
-(:func:`repro.sim.sharedcells.warm_cell`). Past 128 nodes a cell
+workers route small networks in full on first use when some run of the
+cell reads the cache (:func:`repro.sim.sharedcells.warm_cell`). Past 128 nodes a cell
 shares only its network; each run builds a private cache.
 
 The interpreted fifo, slotted and PS loops resolve paths through one
@@ -192,11 +203,12 @@ cache built by ``path_cache_for``, which builds each pair's path once —
 with the router's own ``path``, or in bulk with a closed-form batch
 builder on mesh and k-d arrays — so no loop and no topology falls back
 to per-packet path building unless handed a
-``path_cache=SampledPathInterner(router)``. The numpy kernels and the
-rushed engine skip the memo: each run routes its packets directly
+``path_cache=SampledPathInterner(router)``. The numpy kernels, the
+python fifo kernel's level path and the rushed engine skip the memo:
+each run routes its packets directly
 (:func:`repro.routing.pathcache.route_packets`, a block of arrivals at
-a time for the rushed engine), and the numpy kernels keep only an
-edge-level memo per router.
+a time for the rushed engine, once per distinct pair on the level
+path), and the numpy kernels keep only an edge-level memo per router.
 
 **Monotone merge where service is uniform deterministic; a binary heap
 where it is not.** With one deterministic service time everywhere

@@ -31,12 +31,13 @@ The loops themselves live in the kernels layer
 (:mod:`repro.sim.kernels`): this class owns configuration and validation
 and dispatches ``run`` to the kernel selected by the ``backend`` knob.
 The default ``backend="python"`` kernel is the extracted reference loop,
-bound by the *same-seed bit-identity contract* (see :mod:`repro.sim`
-docs): the RNG draw order, the event pop order and the floating-point
-accumulation order are all observable through the golden-result tests,
-and no optimisation may change them. ``backend="numpy"`` trades that
-contract for vectorization and is pinned by distribution-level parity
-tests instead.
+bound by the *same-seed contract* (see :mod:`repro.sim` docs): the RNG
+draw order, the event pop order and the floating-point accumulation
+order are all observable through the golden-result tests. Layered plain
+runs take its level path, which makes the loop's draws and solves them
+in closed form: the same arrivals, paths and integer fields, floats
+equal to rounding. ``backend="numpy"`` trades that contract for
+vectorization and is pinned by distribution-level parity tests instead.
 
 Statistics are exact time integrals (see :mod:`repro.sim` docs). After the
 horizon the run *drains* (no further arrivals, events keep processing) so
@@ -109,7 +110,8 @@ class NetworkSimulation:
     backend:
         Kernel backend for the hot loop (see :mod:`repro.sim.kernels`):
         ``"python"`` (the default) runs the extracted reference loops
-        under the same-seed bit-identity contract; ``"numpy"`` runs the
+        (or, for layered plain runs, their level path) under the
+        same-seed contract; ``"numpy"`` runs the
         vectorized max-plus kernel — distribution-identical, not
         draw-order-identical, for deterministic service (uniform or
         per-edge rates, with utilization and tail-drop caps) on

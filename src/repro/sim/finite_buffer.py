@@ -37,8 +37,10 @@ enqueue onto a busy edge and counts the drops. With
 bit-identical to ``engine="fifo"`` and pinned by the ``finite_none_*``
 golden cells. With buffers too large to ever fill, the capped heap loop
 performs the exact same draws, event ordering and float accumulation
-as an uncapped run on either loop (the admission test consumes no
-randomness), which the regression tests pin as well. A capped run
+as an uncapped run on either event loop (the admission test consumes no
+randomness), which the regression tests pin as well; an uncapped plain
+run solved on the kernel's level path makes the same draws and agrees
+with it to rounding. A capped run
 records ``engine="finite"`` in its rngsan trace.
 
 On ``backend="numpy"`` (deterministic service, feedforward routes)

@@ -8,15 +8,17 @@ is the FIFO engine with per-edge waiting-room caps, and runs the ``fifo``
 kernel, which applies tail-drop admission when the caps are set.
 
 ``"python"`` (the default)
-    The extracted reference loops (:mod:`repro.sim.kernels.python_backend`)
-    — the pre-extraction engine bodies plus the finite engine's tail-drop
-    admission test, which draws nothing, so they remain bound by the
-    same-seed bit-identity contract and the golden fixtures pass
-    unchanged.
+    The reference kernels (:mod:`repro.sim.kernels.python_backend`): the
+    extracted engine loops plus the finite engine's tail-drop admission
+    test, which draws nothing, bound by the same-seed contract the
+    golden fixtures pin. Layered plain FIFO runs take its *level path*:
+    the merge loop's own draws, solved edge level by edge level by the
+    shared sweep (:mod:`repro.sim.kernels.levels`), with every arrival,
+    id, path and integer field the loop's and floats equal to rounding.
 ``"numpy"``
     Vectorized kernels (:mod:`repro.sim.kernels.numpy_backend`) that
     solve the whole trajectory over each run's directly routed visits
-    with batched draws and a feedforward max-plus level sweep. Not
+    with batched draws and the same level sweep. Not
     draw-order-identical — pinned by distribution-level parity tests
     instead (see the two-backend contract in :mod:`repro.sim`).
 
@@ -24,11 +26,13 @@ Optional-dependency boundary
 ----------------------------
 This selection module is deliberately **numpy-free**: it probes numpy
 availability through ``importlib.util.find_spec`` without importing it,
-and :mod:`repro.sim.kernels.numpy_backend` is imported only when a run
-actually selects ``backend="numpy"``. The honest statement of the
-boundary: the engines (and therefore the python backend) require numpy
-like the rest of the package, but the *vectorized backend module* is
-never touched by ``backend="python"`` runs — a subprocess test pins
+and :mod:`repro.sim.kernels.numpy_backend` — the vectorized kernels'
+own draws and entry points — is imported only when a run actually
+selects ``backend="numpy"``. The honest statement of the boundary: the
+engines require numpy like the rest of the package, and python runs may
+use the shared level solver (:mod:`repro.sim.kernels.levels`), which
+needs numpy too; but ``backend="python"`` runs never load
+``numpy_backend`` and never make its draws — a subprocess test pins
 that, and a second one pins that this module still imports, reports
 unavailability and raises the clear validation error when numpy itself
 is absent. The ``fast`` extra in ``setup.py`` documents the same
@@ -46,6 +50,15 @@ KERNEL_BACKENDS = (PYTHON_BACKEND, NUMPY_BACKEND)
 
 #: Kernel entry points every backend module may provide (``run_<name>``).
 FIFO_KERNEL, SLOTTED_KERNEL = "fifo", "slotted"
+
+#: Largest expected visit count (packets x hops, warmup included) of one
+#: run the level sweep (:mod:`repro.sim.kernels.levels`) solves: the
+#: report's numpy cells, and the python fifo runs that take the level
+#: path. The sweep holds about 30 bytes per visit, so this caps it near
+#: 130 MB. The report's numpy cells peak at 2.3M visits, while the FULL
+#: table1 n=20, rho=0.99 cell needs ~348M and runs on the python loop,
+#: whose memory does not grow with the run.
+NUMPY_VISIT_BUDGET = 1 << 22
 
 
 def numpy_available() -> bool:

@@ -1,18 +1,48 @@
 """The reference (interpreted) kernels, extracted from the engines.
 
-Each ``run_*`` function is the body of the corresponding engine's
-``run`` loop with ``self`` renamed to ``sim``. :func:`run_fifo` also
-serves the finite-buffer engine: given per-edge caps, its heap loop
-drops a packet that finds its next edge busy and the waiting room full.
-The admission test consumes no randomness and drops never schedule
-events, so the RNG draw order, the event pop order and the
-floating-point accumulation order are exactly those of the pre-kernels
-engines, and the golden fixtures (``tests/golden/``) pass unchanged:
-this module *is* the same-seed bit-identity reference that the numpy
-backend's distribution-parity tests compare against.
+:func:`run_slotted` and the FIFO event loops (:func:`_run_events`) are
+the bodies of the corresponding engines' ``run`` loops with ``self``
+renamed to ``sim``. The event loops also serve the finite-buffer engine:
+given per-edge caps, the heap loop drops a packet that finds its next
+edge busy and the waiting room full. The admission test consumes no
+randomness and drops never schedule events, so the RNG draw order, the
+event pop order and the floating-point accumulation order are exactly
+those of the pre-kernels engines: this module is the same-seed
+reference that the golden fixtures (``tests/golden/``) pin and that the
+numpy backend's distribution-parity tests compare against.
+
+The level path
+--------------
+Greedy routing on the array is layered (Lemma 2), so a deterministic
+FIFO run needs no event loop: :func:`run_fifo` solves it one edge level
+at a time with the closed-form Lindley recurrence
+(:mod:`repro.sim.kernels.levels`, the sweep the numpy kernel uses) on
+the merge loop's own draws. A run takes this path when
+
+1. the merge loop would serve it (uniform deterministic service, no
+   caps, nothing tracked) and it does not ``collect_delays``;
+2. its path cache draws no randomness (no randomized router, no
+   per-packet ``SampledPathInterner``);
+3. its expected visits, total rate x (warmup + horizon) x
+   (``num_nodes - 1``), fit
+   :data:`~repro.sim.kernels.NUMPY_VISIT_BUDGET`;
+4. its own routes are layered: the edge-precedence pairs they use have
+   no cycle. Otherwise (torus wraparound) the event loops run it from a
+   fresh generator of the same seed.
+
+:func:`takes_level_path` is conditions 1-3; condition 4 is checked on
+the run's routes, so a result never depends on the runs made before it.
+The draws are the merge loop's, in its order
+(:func:`_loop_arrivals`): an exponential block, an id block, and then
+one more of each as the loop would consume them, the arrival times
+being the loop's sequential sums of the scaled gaps. So the arrivals,
+their ids and their paths are the loop's, and so is every integer
+field of the result; the floats agree to rounding (the closed form and
+the window-overlap statistics sum in another order), as the parity
+tests in ``tests/test_sim_level_path.py`` pin.
 
 Arrival ids come from :func:`repro.sim.enginecommon.draw_ids`, the one
-definition of the arrival stream's ids. ``run_fifo``'s two loops take
+definition of the arrival stream's ids. The two FIFO loops take
 8192 pairs per call (:func:`~repro.sim.enginecommon.draw_id_lists`),
 the slot kernel one slot's batch. Fast-id networks draw uniform
 interleaved pairs; every other network draws a source block and then
@@ -45,8 +75,11 @@ from typing import Any
 
 import numpy as np
 
+from repro.routing.pathcache import gather_paths, route_pairs
 from repro.sim import measurement
 from repro.sim.enginecommon import draw_id_lists, draw_ids
+from repro.sim.kernels import NUMPY_VISIT_BUDGET
+from repro.sim.kernels.levels import CyclicRoutes, _precedence_levels, solve_fifo
 from repro.sim.result import SimResult
 from repro.sim.rng import make_rng
 
@@ -55,7 +88,135 @@ _BLOCK = 8192
 EXPONENTIAL = "exponential"
 
 
+def _plain_stats(
+    sim: Any,
+    track_utilization: bool,
+    track_number_distribution: bool,
+    track_maxima: bool,
+) -> bool:
+    """Uniform deterministic service with no caps and nothing tracked
+    (saturated hops, utilization, the N distribution, maxima): the runs
+    the merge loop serves."""
+    return bool(
+        sim._uniform_service
+        and sim._edge_caps is None
+        and sim._sat is None
+        and not (track_utilization or track_number_distribution or track_maxima)
+    )
+
+
+def takes_level_path(
+    sim: Any,
+    warmup: float,
+    horizon: float,
+    *,
+    track_utilization: bool = False,
+    collect_delays: bool = False,
+    track_number_distribution: bool = False,
+    track_maxima: bool = False,
+) -> bool:
+    """Whether :func:`run_fifo` tries the level path for this run: a
+    merge-loop run without ``collect_delays``, on a path cache that
+    draws nothing, whose expected visits fit :data:`NUMPY_VISIT_BUDGET`
+    (``num_nodes - 1`` bounds every path's hop count). It then takes the
+    path unless its own routes have a precedence cycle. Every condition
+    depends on the run alone, never on runs made before it."""
+    return (
+        _plain_stats(sim, track_utilization, track_number_distribution, track_maxima)
+        and not collect_delays
+        and not sim.path_cache.consumes_rng
+        and sim.total_rate * (warmup + horizon) * (sim.topology.num_nodes - 1)
+        <= NUMPY_VISIT_BUDGET
+    )
+
+
 def run_fifo(
+    sim: Any,
+    warmup: float,
+    horizon: float,
+    *,
+    track_utilization: bool = False,
+    collect_delays: bool = False,
+    track_number_distribution: bool = False,
+    track_maxima: bool = False,
+) -> SimResult:
+    """The FIFO kernel: the level path (:func:`_run_levels`) where
+    :func:`takes_level_path` holds and the run's routes are layered, the
+    event loops (:func:`_run_events`) everywhere else."""
+    flags = dict(
+        track_utilization=track_utilization,
+        collect_delays=collect_delays,
+        track_number_distribution=track_number_distribution,
+        track_maxima=track_maxima,
+    )
+    if takes_level_path(sim, warmup, horizon, **flags):
+        res = _run_levels(sim, warmup, horizon)
+        if res is not None:
+            return res
+    return _run_events(sim, warmup, horizon, **flags)
+
+
+def _loop_arrivals(
+    sim: Any, t_end: float, rng: np.random.Generator
+) -> list[np.ndarray]:
+    """The merge loop's arrivals before ``t_end``, from its own draws.
+
+    Blocks are drawn in the loop's order: an exponential block, an id
+    block (:func:`~repro.sim.enginecommon.draw_ids`), and then another
+    exponential block whenever every arrival of the last one came before
+    ``t_end``, followed by an id block when its first arrival did too.
+    Arrival times are the loop's sequential sums of the scaled gaps.
+    Returns ``[times, srcs, dsts]``.
+    """
+    scale = 1.0 / sim.total_rate
+    times: list[np.ndarray] = []
+    srcs: list[np.ndarray] = []
+    dsts: list[np.ndarray] = []
+    offset = 0.0
+    while True:
+        t = rng.exponential(size=_BLOCK)
+        t *= scale
+        t[0] += offset
+        np.cumsum(t, out=t)
+        k = int(np.searchsorted(t, t_end))  # arrivals with t < t_end
+        if k or not times:
+            s, d = draw_ids(sim, _BLOCK, rng)
+            srcs.append(s[:k])
+            dsts.append(d[:k])
+        times.append(t[:k])
+        if k < _BLOCK:
+            break
+        offset = float(t[-1])
+    return [np.concatenate(times), np.concatenate(srcs), np.concatenate(dsts)]
+
+
+def _run_levels(sim: Any, warmup: float, horizon: float) -> SimResult | None:
+    """The level path: the merge loop's draws (:func:`_loop_arrivals`),
+    routed once per distinct pair and solved by the level sweep
+    (:func:`~repro.sim.kernels.levels.solve_fifo`) on levels computed
+    from this run's own routes. ``None`` when those routes have a
+    precedence cycle."""
+    rng = make_rng(sim.seed, engine="fifo", backend="python")
+    arrivals = _loop_arrivals(sim, warmup + horizon, rng)
+    num_edges = sim.topology.num_edges
+
+    def route(
+        srcs: np.ndarray, dsts: np.ndarray
+    ) -> tuple[list[np.ndarray], np.ndarray, np.ndarray]:
+        edges, pair_lens, inverse = route_pairs(sim.router, srcs, dsts)
+        ends = np.cumsum(pair_lens)
+        edge_lvl = _precedence_levels(num_edges, edges, ends[:-1] - 1)
+        lens = pair_lens[inverse]
+        visits = gather_paths(edges, (ends - pair_lens)[inverse], lens)
+        return [visits], lens, edge_lvl
+
+    try:
+        return solve_fifo(sim, warmup, horizon, arrivals, route)
+    except CyclicRoutes:
+        return None
+
+
+def _run_events(
     sim: Any,
     warmup: float,
     horizon: float,
@@ -158,13 +319,8 @@ def run_fifo(
     # service, infinite buffers, no saturation mask, no N-distribution,
     # no maxima, no utilization) gets a lean loop with every untracked
     # branch removed; everything else takes the heap loop.
-    plain_stats = (
-        sim._uniform_service
-        and not capped
-        and sat is None
-        and ndist is None
-        and not track_maxima
-        and util is None
+    plain_stats = _plain_stats(
+        sim, track_utilization, track_number_distribution, track_maxima
     )
 
     if plain_stats:

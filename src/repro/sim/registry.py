@@ -143,6 +143,14 @@ class EngineParam:
         return f"{self.name}={self.default!r}{opts}"
 
 
+def _python_runs_read_cache(
+    spec: Any, node_rate: Any, mask: Any, net: Any, cache: Any
+) -> bool:
+    """Python-kernel runs look their paths up in the cell's path cache;
+    numpy runs route straight from the router."""
+    return spec.engine_params_dict.get("backend", PYTHON_BACKEND) == PYTHON_BACKEND
+
+
 @dataclass(frozen=True)
 class Engine:
     """A registry entry: metadata plus the cell-replication entry point.
@@ -163,6 +171,9 @@ class Engine:
     Theorem 7 sandwich brackets; ``backends`` lists the kernel backends
     the engine's hot loop can run on (every engine has the reference
     ``"python"``; only kernel-layer engines also offer ``"numpy"``).
+    ``reads_path_cache(spec, node_rate, mask, net, cache)`` tells
+    whether the cell's runs look paths up in its shared cache, so a pool
+    worker warms only the caches some run reads.
     """
 
     name: str
@@ -178,6 +189,7 @@ class Engine:
     littles_law: bool = True
     bound_sandwich: bool = False
     backends: tuple[str, ...] = (PYTHON_BACKEND,)
+    reads_path_cache: Callable[..., bool] = _python_runs_read_cache
 
     def param(self, name: str) -> EngineParam:
         for p in self.params:
@@ -262,13 +274,14 @@ _BACKEND_PARAM = EngineParam(
 )
 
 
-def _fifo_cell(
+def _event_args(
     spec: Any, seed: int, node_rate: Any, mask: Any, net: Any, cache: Any
-) -> SimResult:
-    sim = NetworkSimulation(
-        net.router,
-        net.destinations,
-        node_rate,
+) -> dict:
+    """Constructor arguments of a fifo or finite cell's simulator."""
+    return dict(
+        router=net.router,
+        destinations=net.destinations,
+        node_rate=node_rate,
         service=spec.service,
         source_nodes=net.source_nodes,
         saturated_mask=mask,
@@ -276,13 +289,37 @@ def _fifo_cell(
         path_cache=cache,
         **spec.engine_params_dict,
     )
-    return sim.run(
-        spec.warmup,
-        spec.horizon,
+
+
+def _event_flags(spec: Any) -> dict:
+    """``run`` options of a fifo or finite cell."""
+    return dict(
         track_maxima=spec.track_maxima,
         collect_delays=spec.collect_delays,
         track_number_distribution=spec.track_number_distribution,
     )
+
+
+def _fifo_cell(
+    spec: Any, seed: int, node_rate: Any, mask: Any, net: Any, cache: Any
+) -> SimResult:
+    sim = NetworkSimulation(**_event_args(spec, seed, node_rate, mask, net, cache))
+    return sim.run(spec.warmup, spec.horizon, **_event_flags(spec))
+
+
+def _event_reads_cache(
+    spec: Any, node_rate: Any, mask: Any, net: Any, cache: Any
+) -> bool:
+    """A python fifo or finite cell's runs read the path cache unless the
+    kernel's level path serves them (the seed plays no part in that)."""
+    # Late: the kernel module is otherwise loaded with a cell's first run.
+    from repro.sim.kernels.python_backend import takes_level_path
+
+    if not _python_runs_read_cache(spec, node_rate, mask, net, cache):
+        return False
+    cls = FiniteBufferNetworkSimulation if spec.engine == FINITE else NetworkSimulation
+    sim = cls(**_event_args(spec, 0, node_rate, mask, net, cache))
+    return not takes_level_path(sim, spec.warmup, spec.horizon, **_event_flags(spec))
 
 
 def _slotted_cell(
@@ -329,23 +366,16 @@ def _finite_cell(
     spec: Any, seed: int, node_rate: Any, mask: Any, net: Any, cache: Any
 ) -> SimResult:
     sim = FiniteBufferNetworkSimulation(
-        net.router,
-        net.destinations,
-        node_rate,
-        service=spec.service,
-        source_nodes=net.source_nodes,
-        saturated_mask=mask,
-        seed=seed,
-        path_cache=cache,
-        **spec.engine_params_dict,
+        **_event_args(spec, seed, node_rate, mask, net, cache)
     )
-    return sim.run(
-        spec.warmup,
-        spec.horizon,
-        track_maxima=spec.track_maxima,
-        collect_delays=spec.collect_delays,
-        track_number_distribution=spec.track_number_distribution,
-    )
+    return sim.run(spec.warmup, spec.horizon, **_event_flags(spec))
+
+
+def _never_reads_cache(
+    spec: Any, node_rate: Any, mask: Any, net: Any, cache: Any
+) -> bool:
+    """The rushed engine routes every block of arrivals directly."""
+    return False
 
 
 def _ps_cell(
@@ -379,6 +409,7 @@ register_engine(
         services=(DETERMINISTIC, EXPONENTIAL),
         params=(_SERVICE_RATES_PARAM, _BACKEND_PARAM),
         run_cell=_fifo_cell,
+        reads_path_cache=_event_reads_cache,
         supports_saturated=True,
         supports_maxima=True,
         supports_delays=True,
@@ -414,6 +445,7 @@ register_engine(
         services=(DETERMINISTIC,),
         params=(_SERVICE_RATES_PARAM,),
         run_cell=_rushed_cell,
+        reads_path_cache=_never_reads_cache,
         supports_saturated=True,
         supports_maxima=True,
         littles_law=False,  # makespan, not a Little's-Law sojourn time
@@ -441,6 +473,7 @@ register_engine(
             _BACKEND_PARAM,
         ),
         run_cell=_finite_cell,
+        reads_path_cache=_event_reads_cache,
         supports_saturated=True,
         supports_maxima=True,
         supports_delays=True,

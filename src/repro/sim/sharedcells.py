@@ -13,9 +13,10 @@ it unpickles the registry, closes it at once and keeps the few most
 recent registries by token. It then builds each cell's ``(network, path
 cache)`` through its per-process memo with :func:`warm_cell`, which
 routes every pair in bulk for networks up to
-:data:`PRECOMPUTE_NODE_LIMIT` nodes — a few milliseconds per cell, paid
-once per worker and cell, so no routed cache crosses the process
-boundary. Larger networks share no cache (see :func:`cell_network`).
+:data:`PRECOMPUTE_NODE_LIMIT` nodes whose runs read the cache — a few
+milliseconds per cell, paid once per worker and cell, so no routed cache
+crosses the process boundary. Larger networks share no cache (see
+:func:`cell_network`).
 
 Cleanup contract
 ----------------
@@ -104,19 +105,23 @@ def cell_network(spec: Any) -> tuple:
     return ent
 
 
-def warm_cell(spec: Any) -> tuple:
+def warm_cell(spec: Any, node_rate: Any, mask: Any) -> tuple:
     """Build the cell and precompute its path cache (pool workers).
 
     Precomputation is bounded by :data:`PRECOMPUTE_NODE_LIMIT` (larger
-    cells share no cache) and only attempted on caches that support it;
-    topologies whose pair space is partial (e.g. butterfly
-    input-to-output routing) raise out of ``precompute_all`` and simply
-    stay lazy.
+    cells share no cache), only attempted on caches that support it, and
+    skipped for cells whose runs never read the cache (the engine's
+    ``reads_path_cache``: rushed cells, numpy cells and python fifo cells
+    the level path solves); a run that does read it after all, such as a
+    cyclic fallback, fills it lazily. Topologies whose pair space is
+    partial (e.g. butterfly input-to-output routing) raise out of
+    ``precompute_all`` and simply stay lazy.
     """
     net, cache = cell_network(spec)
     if (
         isinstance(cache, (PathCache, RandomizedGreedyPathCache))
         and not cache.complete
+        and get_engine(spec.engine).reads_path_cache(spec, node_rate, mask, net, cache)
     ):
         try:
             cache.precompute_all()
@@ -214,7 +219,7 @@ def run_seed_chunk(job: tuple) -> tuple[int, int, list[SimResult]]:
     """
     token, cell_idx, pos, seeds = job
     spec, node_rate, mask = _registry(token)[cell_idx]
-    net, cache = warm_cell(spec)
+    net, cache = warm_cell(spec, node_rate, mask)
     run_cell = get_engine(spec.engine).run_cell
     return (
         cell_idx,

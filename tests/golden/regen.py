@@ -19,6 +19,12 @@ Run from the repo root (only when an *intentional*, documented behaviour
 change requires re-pinning)::
 
     PYTHONPATH=src python tests/golden/regen.py
+
+``--drift`` writes nothing: it re-runs every cell and validation row and
+prints each field that differs from the committed fixtures, with the old
+and new values and the relative change — the table a re-pin documents::
+
+    PYTHONPATH=src python tests/golden/regen.py --drift
 """
 
 from __future__ import annotations
@@ -26,6 +32,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import sys
 
 from repro.routing.destinations import (
     GeometricStopDestinations,
@@ -204,6 +211,11 @@ def build_cases() -> dict:
           PermutationDestinations.transpose(m4), 0.10, 13)
     event("event_geometric", GreedyArrayRouter(m4),
           GeometricStopDestinations(m4, stop=0.5), 0.20, 16)
+    # A plain run on fast ids (uniform sources and destinations): the
+    # python kernel's level path on the interleaved id-pair blocks. The
+    # maxima of event_uniform_det keep that cell on the heap loop.
+    event("event_uniform_plain", GreedyArrayRouter(m5),
+          UniformDestinations(25), 0.12, 7)
 
     # The slotted cells cover the kernel's draw shapes: fast-id pairs,
     # an RNG-free permutation law, data-dependent laws (hot-spot,
@@ -412,10 +424,55 @@ def _dump(obj, path: str) -> None:
         fh.write("\n")
 
 
+def _value(v):
+    """A fixture value as a number (floats are stored as hex strings)."""
+    return float.fromhex(v) if isinstance(v, str) and v != "nan" else v
+
+
+def _change(old, new) -> str:
+    a, b = _value(old), _value(new)
+    if not all(isinstance(x, (int, float)) for x in (a, b)):
+        return "n/a"
+    if a == 0:
+        return "inf"
+    return f"{abs(b - a) / abs(a):.2g}"
+
+
+def drift_lines(cases: dict, rows: list[list]) -> list[str]:
+    """``name.field: old -> new (relative change)`` for every fixture field
+    whose fresh value differs from the committed one."""
+    out = []
+    with open(OUT) as fh:
+        old_cases = json.load(fh)
+    for name in sorted(set(old_cases) | set(cases)):
+        old, new = old_cases.get(name, {}), cases.get(name, {})
+        for field in sorted(set(old) | set(new)):
+            a, b = old.get(field), new.get(field)
+            if a != b:
+                out.append(f"{name}.{field}: {a} -> {b} ({_change(a, b)})")
+    with open(VALIDATION_OUT) as fh:
+        old_rows = {tuple(r[:3]): r[3:] for r in json.load(fh)}
+    new_rows = {tuple(r[:3]): r[3:] for r in rows}
+    cols = ("observed", "expected", "statistic")
+    for key in sorted(set(old_rows) | set(new_rows)):
+        a_row = old_rows.get(key, [None] * 3)
+        b_row = new_rows.get(key, [None] * 3)
+        for col, a, b in zip(cols, a_row, b_row):
+            if a != b:
+                out.append(
+                    f"{'/'.join(key)}.{col}: {a} -> {b} ({_change(a, b)})"
+                )
+    return out
+
+
 if __name__ == "__main__":
     from repro.validation import run_validation
 
     cases = build_cases()
+    if "--drift" in sys.argv[1:]:
+        lines = drift_lines(cases, validation_rows(run_validation(processes=1)))
+        print("\n".join(lines) if lines else "no drift")
+        sys.exit(0)
     _dump(cases, OUT)
     print(f"wrote {len(cases)} golden cells to {OUT}")
     rows = validation_rows(run_validation(processes=1))

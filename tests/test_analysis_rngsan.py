@@ -106,6 +106,31 @@ def test_injected_divergence_localized_to_callsite(monkeypatch, tmp_path):
     assert "exponential" in rendered and "python_backend.py" in rendered
 
 
+@pytest.mark.parametrize("block", [5, 16, 64])
+@pytest.mark.parametrize("law", ["fast-ids", "hotspot"])
+def test_level_path_draws_the_merge_loops_stream(monkeypatch, block, law):
+    """The python kernel's level path makes the merge loop's draws: the
+    same ``(method, size)`` sequence, across many block refills, on
+    fast-id pairs and on source-then-destination blocks."""
+    from repro.routing.destinations import HotSpotDestinations
+
+    monkeypatch.setattr(python_backend, "_BLOCK", block)
+    dests = (
+        UniformDestinations(25)
+        if law == "fast-ids"
+        else HotSpotDestinations(25, hot_node=12, h=0.3)
+    )
+    sim = NetworkSimulation(GreedyArrayRouter(ArrayMesh(5)), dests, 0.12, seed=7)
+    with rngsan.trace() as level:
+        assert python_backend._run_levels(sim, 5.0, 60.0) is not None
+    with rngsan.trace() as loop:
+        python_backend._run_events(sim, 5.0, 60.0)
+    a = [tuple(d[:2]) for d in level.to_trace().draws]
+    b = [tuple(d[:2]) for d in loop.to_trace().draws]
+    assert len(b) >= 2 * (150 // block)
+    assert a == b
+
+
 def test_length_only_divergence_reported_at_stream_end():
     a = rngsan.Trace(draws=[["random", None, "x.py:1"]])
     b = rngsan.Trace(draws=[])

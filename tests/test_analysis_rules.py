@@ -361,6 +361,31 @@ def test_hotloop_rule_ignores_non_sim_paths(tmp_path):
     assert run([path], select=["hot-loop-alloc"]) == []
 
 
+def test_hotloop_rule_polices_private_run_loops_in_kernels(tmp_path):
+    """A kernels module's ``_run*`` helpers (the fifo kernel's event
+    loops live in ``_run_events``) are run loops too."""
+    (tmp_path / "sim" / "kernels").mkdir(parents=True)
+    path = _write(
+        tmp_path,
+        "sim/kernels/mod.py",
+        """
+        def _run_events(events):
+            out = []
+            for t in events:
+                out.append([t, 0])
+            return out
+
+        def _helper(events):
+            out = []
+            for t in events:
+                out.append([t, 0])
+            return out
+        """,
+    )
+    findings = run([path], select=["hot-loop-alloc"])
+    assert [f.line for f in findings] == [5]
+
+
 # -- golden-coverage / bench-coverage ----------------------------------
 
 def _register_synthetic_engine(monkeypatch, name="priority", **overrides):

@@ -128,6 +128,19 @@ def test_finite_none_cells_match_fifo_cells(golden):
         assert golden[fin] == golden[fifo], (fin, fifo)
 
 
+def test_level_path_cell_shares_its_tracked_twins_draws(golden):
+    """event_uniform_plain runs event_uniform_det's workload without the
+    maxima, so the python kernel solves it on the level path while the
+    twin stays on the heap loop: same draws, so every integer field but
+    the maxima agrees, and the floats agree to rounding."""
+    plain, tracked = golden["event_uniform_plain"], golden["event_uniform_det"]
+    for field in ("generated", "completed", "zero_hop", "in_flight_at_end"):
+        assert plain[field] == tracked[field], field
+    for field in ("mean_number", "mean_remaining", "mean_delay"):
+        a, b = (float.fromhex(c[field]) for c in (plain, tracked))
+        assert a == pytest.approx(b, rel=1e-12), field
+
+
 def test_finite_cells_pin_nonzero_drops(golden):
     """At least two scenarios (uniform and hotspot) pin nonzero drop
     counts, and every finite cell conserves packets:

@@ -21,7 +21,11 @@ from repro.routing.destinations import (
     UniformDestinations,
 )
 from repro.routing.greedy import GreedyArrayRouter
-from repro.routing.pathcache import gather_paths, path_cache_for
+from repro.routing.pathcache import (
+    SampledPathInterner,
+    gather_paths,
+    path_cache_for,
+)
 from repro.routing.randomized_greedy import RandomizedGreedyArrayRouter
 from repro.routing.torus_greedy import GreedyTorusRouter
 from repro.sim.fifo_network import NetworkSimulation
@@ -240,11 +244,8 @@ class TestNumpyFifoOptions:
         (0 -> 1) holds edge 0 over [0, 1]; packet 1 (0 -> 2) reaches it
         at 0.5 with no waiting room, so the only visit of edge 1 belongs
         to a dropped packet and that level has nothing to solve."""
-        from repro.sim.kernels.numpy_backend import (
-            _draw_paths,
-            _fifo_departures,
-            _sweep_levels,
-        )
+        from repro.sim.kernels.levels import _fifo_departures, _sweep_levels
+        from repro.sim.kernels.numpy_backend import _draw_paths
 
         line = LinearArray(3)
         router = TabulatedRouter(
@@ -316,7 +317,7 @@ class TestTailDropAdmission:
     )
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_matches_scalar_reference(self, caps, seed):
-        from repro.sim.kernels.numpy_backend import _fifo_departures
+        from repro.sim.kernels.levels import _fifo_departures
 
         rng = np.random.default_rng(seed)
         n_edges, n_visits = 5, 600
@@ -620,7 +621,7 @@ class TestKernelLevelCache:
     def test_levels_cached_and_reused(self):
         """The level memo is per router: a second run on the same router
         reuses the assignment whether or not it shares a path cache."""
-        from repro.sim.kernels import numpy_backend
+        from repro.sim.kernels import levels
 
         mesh = ArrayMesh(4)
         router = GreedyArrayRouter(mesh)
@@ -628,14 +629,14 @@ class TestKernelLevelCache:
             router, UniformDestinations(16), 0.2, seed=1, backend=NUMPY_BACKEND,
         )
         sim.run(0.0, 200.0)
-        lvl = numpy_backend._LEVEL_MEMO[router]
+        lvl = levels._LEVEL_MEMO[router]
         for cache in (sim.path_cache, path_cache_for(router)):
             NetworkSimulation(
                 router, UniformDestinations(16), 0.2, seed=2,
                 path_cache=cache, backend=NUMPY_BACKEND,
             ).run(0.0, 200.0)
             # Later runs revalidate and keep the memoized assignment.
-            assert numpy_backend._LEVEL_MEMO[router] is lvl
+            assert levels._LEVEL_MEMO[router] is lvl
 
     def test_cache_growth_matches_fresh_cache(self):
         """A router whose level memo is stale (an earlier run routed
@@ -673,7 +674,7 @@ class TestNumpyRunsLeaveThePathCacheEmpty:
 
     @pytest.mark.parametrize("engine", ["fifo", "slotted"])
     def test_deterministic_cache_stays_empty(self, engine):
-        from repro.sim.kernels import numpy_backend
+        from repro.sim.kernels import levels
 
         router = GreedyArrayRouter(ArrayMesh(5))
         cache = path_cache_for(router)
@@ -686,7 +687,7 @@ class TestNumpyRunsLeaveThePathCacheEmpty:
         assert res.generated > 0
         assert len(cache) == 0 and len(cache.arena) == 0
         assert not hasattr(cache, "_kernel_levels")
-        assert numpy_backend._LEVEL_MEMO[router].size == router.topology.num_edges
+        assert levels._LEVEL_MEMO[router].size == router.topology.num_edges
 
     def test_randomized_cache_stays_empty(self):
         router = RandomizedGreedyArrayRouter(ArrayMesh(3), row_first_probability=1.0)
@@ -802,12 +803,15 @@ def _interpreted_runs():
     sat = np.arange(m.num_edges) % 3 == 0
     window = (5.0, 120.0)
 
-    def fifo(rate=0.15, run_kw=(), **kw):
-        sim = NetworkSimulation(GreedyArrayRouter(m), dests, rate, seed=3, **kw)
+    def fifo(rate=0.15, run_kw=(), router=None, **kw):
+        router = router or GreedyArrayRouter(m)
+        sim = NetworkSimulation(router, dests, rate, seed=3, **kw)
         return lambda: sim.run(*window, **dict(run_kw))
 
     return {
-        "fifo-plain-merge": fifo(),
+        # Torus routes are cyclic, so the plain run stays on the merge
+        # loop rather than the python kernel's level path.
+        "fifo-plain-merge": fifo(router=GreedyTorusRouter(Torus(4))),
         "fifo-general-merge": fifo(
             saturated_mask=sat,
             run_kw=dict(
@@ -913,11 +917,15 @@ class TestDeferredDelayFold:
     @pytest.mark.parametrize("cls", [NetworkSimulation, PSNetworkSimulation])
     def test_empty_delay_window(self, cls, small_folds):
         """No packet is born in the window: every fold is empty and the
-        delay estimate is nan, as with the default chunk."""
-        m = ArrayMesh(3)
+        delay estimate is nan, as with the default chunk. (The uncached
+        interner keeps the fifo run on the merge loop.)"""
+        router = GreedyArrayRouter(ArrayMesh(3))
 
         def run():
-            sim = cls(GreedyArrayRouter(m), UniformDestinations(9), 1e-6, seed=2)
+            sim = cls(
+                router, UniformDestinations(9), 1e-6, seed=2,
+                path_cache=SampledPathInterner(router),
+            )
             return sim.run(1.0, 2.0)
 
         want = run()

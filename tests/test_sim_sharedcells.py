@@ -73,16 +73,83 @@ class TestPublish:
             shared_memory.SharedMemory(name=name)
 
     def test_warm_cell_precomputes_small_networks(self):
-        spec = CellSpec(scenario="uniform", n=4, rho=0.5, **WINDOW)
-        _net, cache = warm_cell(spec)
+        spec = CellSpec(scenario="uniform", n=4, rho=0.5, engine="slotted", **WINDOW)
+        _net, cache = warm_cell(*_resolved(spec))
         assert cache.complete
 
     def test_warm_cell_skips_large_networks(self):
         """Past the precompute limit a cell shares no path cache at all."""
         side = math.isqrt(sharedcells.PRECOMPUTE_NODE_LIMIT) + 1
         spec = CellSpec(scenario="uniform", n=side, rho=0.5, **WINDOW)
-        _net, cache = warm_cell(spec)
+        _net, cache = warm_cell(*_resolved(spec))
         assert cache is None
+
+
+class TestWarmOnlyCachesRunsRead:
+    """warm_cell precomputes a cell's path cache only when some run of
+    the cell looks paths up in it: not for rushed or numpy cells, nor for
+    python fifo cells the kernel's level path solves."""
+
+    @pytest.mark.parametrize(
+        "kw",
+        [
+            dict(),
+            dict(engine="finite"),
+            dict(engine="rushed"),
+            dict(engine_params=(("backend", "numpy"),)),
+            dict(engine="slotted", engine_params=(("backend", "numpy"),)),
+        ],
+        ids=["fifo-level-path", "finite-unbounded", "rushed", "numpy", "slotted-numpy"],
+    )
+    def test_cache_left_cold(self, kw):
+        sharedcells._NETWORK_MEMO.clear()
+        spec = CellSpec(scenario="uniform", n=4, rho=0.5, **WINDOW, **kw)
+        _net, cache = warm_cell(*_resolved(spec))
+        assert len(cache) == 0
+
+    @pytest.mark.parametrize(
+        "kw",
+        [
+            dict(track_maxima=True),
+            dict(collect_delays=True),
+            dict(engine="finite", engine_params=(("buffer_size", 2),)),
+            dict(engine="slotted"),
+            dict(engine="ps"),
+            dict(scenario="randomized"),
+            dict(service="exponential"),
+        ],
+        ids=["maxima", "delays", "capped", "slotted", "ps", "randomized", "exponential"],
+    )
+    def test_cache_warmed(self, kw):
+        sharedcells._NETWORK_MEMO.clear()
+        spec = CellSpec(**{"scenario": "uniform", **kw}, n=4, rho=0.5, **WINDOW)
+        _net, cache = warm_cell(*_resolved(spec))
+        assert cache.complete
+
+    def test_over_budget_cell_is_warmed(self, monkeypatch):
+        from repro.sim.kernels import python_backend
+
+        monkeypatch.setattr(python_backend, "NUMPY_VISIT_BUDGET", 10)
+        sharedcells._NETWORK_MEMO.clear()
+        spec = CellSpec(scenario="uniform", n=4, rho=0.5, **WINDOW)
+        _net, cache = warm_cell(*_resolved(spec))
+        assert cache.complete
+
+    def test_cyclic_fallback_fills_the_cache_lazily(self):
+        """A torus run passes every cheap check, so its cell is not
+        warmed; its routes are cyclic, so it runs on the merge loop,
+        which routes its pairs into the cache as it meets them."""
+        sharedcells._NETWORK_MEMO.clear()
+        spec = CellSpec(scenario="torus", n=4, rho=0.5, seeds=(0,), **WINDOW)
+        entry = _resolved(spec)
+        _net, cache = warm_cell(*entry)
+        assert len(cache) == 0
+        serial = ReplicationEngine(processes=1).run(spec)
+        assert 0 < len(cache) < 16 * 16
+        with publish_cells([entry]) as batch:
+            sharedcells._NETWORK_MEMO.clear()
+            _idx, _pos, (res,) = run_seed_chunk((batch.token, 0, 0, spec.seeds))
+        assert res.mean_delay == serial.replications[0].mean_delay
 
 
 class TestLargeCells:
@@ -111,16 +178,16 @@ class TestLargeCells:
         assert all(ref() is None for ref in caches)
 
     def test_numpy_seeds_share_one_level_assignment(self, monkeypatch):
-        from repro.sim.kernels import numpy_backend
+        from repro.sim.kernels import levels
 
         calls = []
-        edge_levels = numpy_backend._edge_levels
+        edge_levels = levels._edge_levels
 
         def counted(*args):
             calls.append(1)
             return edge_levels(*args)
 
-        monkeypatch.setattr(numpy_backend, "_edge_levels", counted)
+        monkeypatch.setattr(levels, "_edge_levels", counted)
         sharedcells._NETWORK_MEMO.clear()
         spec = CellSpec(
             scenario="uniform", n=12, rho=0.6, seeds=(0, 1, 2),
@@ -145,7 +212,9 @@ class TestRunSeedChunk:
         """A worker starting from an empty memo routes the cell itself:
         the cache it runs on is complete, writeable and outlives the
         unlinked block."""
-        spec = CellSpec(scenario="uniform", n=4, rho=0.6, seeds=(1,), **WINDOW)
+        spec = CellSpec(
+            scenario="uniform", n=4, rho=0.6, engine="slotted", seeds=(1,), **WINDOW
+        )
         with publish_cells([_resolved(spec)]) as batch:
             sharedcells._NETWORK_MEMO.clear()
             run_seed_chunk((batch.token, 0, 0, spec.seeds))
