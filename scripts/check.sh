@@ -43,10 +43,12 @@ cd "$(dirname "$0")/.."
 export PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}"
 
 sweep_smoke() {
-    # End-to-end `repro sweep` smoke: a tiny 12-cell spec on the fifo and
-    # rushed engines (the torus cells warm their path caches pair by pair
-    # in the pool workers), run twice into one directory — the rerun must
-    # resume every cell from checkpoint.
+    # End-to-end `repro sweep` smoke: a tiny 18-cell spec on the fifo,
+    # rushed and ps engines (the torus cells warm their path caches pair
+    # by pair in the pool workers; uniform ps cells take the level path,
+    # randomized ones the heap loop and torus ones the cyclic fallback),
+    # run twice into one directory — the rerun must resume every cell
+    # from checkpoint.
     local dir
     dir=$(mktemp -d)
     trap 'rm -rf "$dir"' RETURN
@@ -55,13 +57,13 @@ sweep_smoke() {
   "defaults": {"scenario": "uniform", "n": 4,
                "warmup": 20, "horizon": 120, "seeds": [0, 1]},
   "grid": {"rho": [0.4, 0.7], "scenario": ["uniform", "randomized", "torus"],
-           "engine": ["fifo", "rushed"]}
+           "engine": ["fifo", "rushed", "ps"]}
 }
 SPEC
     python -m repro sweep "$dir/spec.json" -o "$dir/out" \
-        | grep -q "12 ran, 0 resumed"
+        | grep -q "18 ran, 0 resumed"
     python -m repro sweep "$dir/spec.json" -o "$dir/out" \
-        | grep -q "0 ran, 12 resumed"
+        | grep -q "0 ran, 18 resumed"
 }
 
 perfbench_smoke() {

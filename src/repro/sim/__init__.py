@@ -135,7 +135,11 @@ engine     ``backend="python"``         ``backend="numpy"``
 ``slotted``reference loop (default)     batched slot kernel
 ``rushed`` block-streamed closed-form   —
            FIFO solve (no event loop)
-``ps``     reference loop               —
+``ps``     level sweep with a lockstep  —
+           PS solve on the heap loop's
+           draws for layered runs;
+           reference heap loop
+           otherwise (default)
 ========== ============================ ==============================
 
 The contract has two tiers. ``backend="python"`` is the extracted
@@ -148,7 +152,11 @@ RNG-free path cache, within the visit budget — on the merge loop's own
 draws with the shared level sweep (:mod:`repro.sim.kernels.levels`):
 every arrival, id, path and integer field is the loop's, and the floats
 move only by rounding (pinned against the loop by
-``tests/test_sim_level_path.py``).
+``tests/test_sim_level_path.py``). The PS engine does the same for every
+run on an RNG-free path cache within the visit budget, tracked or not,
+on its heap loop's draws: the sweep solves each level's PS queues by
+advancing all their busy periods together in virtual time
+(``tests/test_sim_ps_level_path.py`` pins it against the heap loop).
 ``backend="numpy"`` solves whole trajectories over each run's routed
 visits — blocked draws first, then a feedforward max-plus
 sweep over edge-precedence levels — and is *seed-stable* (same seed,
@@ -204,7 +212,7 @@ with the router's own ``path``, or in bulk with a closed-form batch
 builder on mesh and k-d arrays — so no loop and no topology falls back
 to per-packet path building unless handed a
 ``path_cache=SampledPathInterner(router)``. The numpy kernels, the
-python fifo kernel's level path and the rushed engine skip the memo:
+python fifo and PS level paths and the rushed engine skip the memo:
 each run routes its packets directly
 (:func:`repro.routing.pathcache.route_packets`, a block of arrivals at
 a time for the rushed engine, once per distinct pair on the level
@@ -222,7 +230,7 @@ onto a plain ``heapq`` list; ``seq`` is unique per run, so the pop
 order is total, never compares the payload, and is the very order the
 merge replays. PS has no monotone structure to exploit (completions are
 re-planned on every queue change), so its versioned-event loop uses
-the same heap.
+the same heap; layered PS runs skip it for the level sweep.
 
 **Blocked and batched draws.** Every kernel draws the ``(src, dst)``
 ids of its arrivals through one helper,

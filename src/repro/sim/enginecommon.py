@@ -22,6 +22,8 @@ ids through it in blocks: the interpreted event loops take 8192 pairs
 per call (as builtin-int lists, :func:`draw_id_lists`) and read them
 inline, the rushed engine 8192 per call as arrays, the python slot
 kernel one slot's batch, the numpy kernels the whole run.
+:func:`loop_arrivals` replays the event loops' whole arrival stream as
+arrays, for the level paths that solve those loops' layered runs.
 
 The remaining shared validation — per-edge service rates and the
 saturated-edge mask — lives here too (:func:`resolve_service_rates`,
@@ -175,6 +177,42 @@ def draw_ids(
             [sample(s, rng) for s in srcs.tolist()], dtype=np.int64
         )
     return srcs, dsts
+
+
+def loop_arrivals(
+    sim, t_end: float, rng: np.random.Generator, block: int
+) -> list[np.ndarray]:
+    """An event loop's arrivals before ``t_end``, from its own draws.
+
+    The python fifo merge loop and the PS heap loop draw their arrivals
+    the same way, ``block`` values at a time: an exponential block, an
+    id block (:func:`draw_ids`), and then another exponential block
+    whenever every arrival of the last one came before ``t_end``,
+    followed by an id block when its first arrival did too. Arrival
+    times are the loops' sequential sums of the scaled gaps. Returns
+    ``[times, srcs, dsts]``, for the level paths that solve those loops'
+    runs without an event loop.
+    """
+    scale = 1.0 / sim.total_rate
+    times: list[np.ndarray] = []
+    srcs: list[np.ndarray] = []
+    dsts: list[np.ndarray] = []
+    offset = 0.0
+    while True:
+        t = rng.exponential(size=block)
+        t *= scale
+        t[0] += offset
+        np.cumsum(t, out=t)
+        k = int(np.searchsorted(t, t_end))  # arrivals with t < t_end
+        if k or not times:
+            s, d = draw_ids(sim, block, rng)
+            srcs.append(s[:k])
+            dsts.append(d[:k])
+        times.append(t[:k])
+        if k < block:
+            break
+        offset = float(t[-1])
+    return [np.concatenate(times), np.concatenate(srcs), np.concatenate(dsts)]
 
 
 def draw_id_lists(

@@ -1,4 +1,4 @@
-"""The level sweep: the deterministic FIFO solve both kernels share.
+"""The level sweep: the layered solve the FIFO kernels and PS share.
 
 At a single FIFO server with constant service time ``c_e`` the departure
 of the ``k``-th arrival (in arrival order) is the Lindley recurrence
@@ -14,13 +14,17 @@ departures become the eligibility times of the next hops, and so on.
 Torus wraparound or mixed-order randomized routes make precedence
 cycles, which :func:`_edge_levels` detects (:class:`CyclicRoutes`).
 
-Both kernels solve here: the numpy kernel
-(:mod:`repro.sim.kernels.numpy_backend`) on its own blocked draws, and
-the python kernel's level path
-(:mod:`repro.sim.kernels.python_backend`) on the merge loop's draws.
-:func:`solve_fifo` takes a run's arrivals and a routing callback and
-returns its :class:`~repro.sim.result.SimResult`; the slotted numpy
-kernel uses :func:`_sweep_levels` directly with integer join keys.
+Three solvers run here: the numpy FIFO kernel
+(:mod:`repro.sim.kernels.numpy_backend`) on its own blocked draws, the
+python FIFO kernel's level path
+(:mod:`repro.sim.kernels.python_backend`) on the merge loop's draws, and
+the PS engine's level path (:mod:`repro.sim.ps_network`) on its heap
+loop's draws. :func:`solve_levels` takes a run's arrivals, a routing
+callback (:func:`pair_routes` for the level paths) and a per-level
+departure solver, and returns its :class:`~repro.sim.result.SimResult`
+from the statistics all of them share; :func:`solve_fifo` passes it the
+Lindley solve above, PS its lockstep solve (see below). The slotted
+numpy kernel uses :func:`_sweep_levels` directly with integer join keys.
 
 Memory layout (:func:`_sweep_levels`): per visit, only its edge id and
 its packet id, as ``int16``/``int32`` arrays in level order; per packet,
@@ -52,6 +56,33 @@ FIFO options
   units end at the drop time in the N and R integrals, as in the
   reference loop. ``dropped`` and ``node_drops`` count measured packets
   only.
+
+Processor sharing
+-----------------
+:func:`_ps_departures` solves one level of unit-work PS queues. PS is
+work-conserving, so an edge's busy periods are those of the FIFO solve
+with service time ``1 / phi_e``, and equal work means customers leave in
+arrival order. Each busy period keeps its attained service ``S`` (what
+every present customer has received; it grows at ``phi / N`` with ``N``
+present) and ``N``; a customer arriving when ``S = S(a)`` leaves when
+``S`` reaches ``T = S(a) + 1``, so the period's next event is its next
+arrival or its head's departure at ``t + (T_head - S) N / phi``. All
+busy periods of a level advance one event per step together, so a level
+takes twice its longest busy period in steps, not its event count.
+Rounding may put a period's last departure after the next period's
+first arrival on its edge; those two are merged and the level solved
+again. The PS heap loop drains each customer's remaining work instead,
+so the two round differently: means agree to about 1e-13 relative, while a
+single delay at high load (long busy periods, where a rounding error in
+``S`` is multiplied by ``N``) may move by up to about 1e-11 of the
+run's length.
+
+The statistics (:func:`solve_levels`) are exact window-overlap
+reductions over each packet's birth, final departure and per-hop
+departures: the occupancy and remaining-work integrals, in-flight
+counts, delay batches and collected delays (ordered by completion
+time), and the time-weighted distribution of the number in the network
+(``+1`` at each routed birth, ``-1`` at each final departure).
 """
 
 from __future__ import annotations
@@ -61,6 +92,7 @@ from typing import Any, Callable, NamedTuple
 
 import numpy as np
 
+from repro.routing.pathcache import gather_paths, route_pairs
 from repro.sim.measurement import TimeBatchAccumulator
 from repro.sim.result import SimResult
 
@@ -259,6 +291,93 @@ def _fifo_departures(
     mask = np.zeros(e_s.size, dtype=bool)
     mask[order[dropped]] = True
     return mask
+
+
+def _ps_departures(
+    e_s: np.ndarray, x_s: np.ndarray, phi: float | np.ndarray, e_span: int
+) -> None:
+    """Solve one level of unit-work processor-sharing queues in place:
+    ``x_s`` holds its visits' arrival times on entry and their departure
+    times on return. ``phi`` is the service rate, uniform or per edge.
+
+    PS is work-conserving, so its busy periods are those of the FIFO
+    solve with service time ``1 / phi``, and every customer needs the same
+    work, so customers leave in arrival order. Each busy period is then
+    advanced in *virtual time*: ``S``, the service each present customer
+    has received, grows at ``phi / N`` with ``N`` customers present, and
+    the customer arriving when it reads ``S(a)`` leaves when it reaches
+    ``S(a) + 1``. The next event of a period is its next arrival, or the
+    departure of its head at ``t + (T_head - S) * N / phi``. Every busy
+    period of the level advances one event per step, all at once
+    (:func:`_ps_periods`), so a level takes twice its longest busy
+    period in steps. Where rounding puts a period's last departure after
+    the next period's first arrival on its edge, the two periods are
+    merged and the level is solved again."""
+    order = _sorted_by_edge_then(x_s, e_s, e_span)
+    e_o = e_s[order]
+    a = x_s[order]
+    rate = phi[e_o] if isinstance(phi, np.ndarray) else phi
+    d = _solve_runs(e_o, a.copy(), 1.0 / rate, 1)
+    new_edge = np.ones(a.size, dtype=bool)
+    new_edge[1:] = e_o[1:] != e_o[:-1]
+    opens = new_edge.copy()
+    opens[1:] |= a[1:] >= d[:-1]
+    while True:
+        starts = np.flatnonzero(opens)
+        d = _ps_periods(a, starts, rate)
+        nxt = starts[1:]
+        late = nxt[(d[nxt - 1] > a[nxt]) & ~new_edge[nxt]]
+        if late.size == 0:
+            break
+        opens[late] = False
+    x_s[order] = d
+
+
+def _ps_periods(
+    a: np.ndarray, starts: np.ndarray, phi: float | np.ndarray
+) -> np.ndarray:
+    """Departures of unit-work PS busy periods: ``a[starts[i]:starts[i +
+    1]]`` (the last running to the end) are one period's arrival times,
+    ascending, and ``phi`` is the service rate, a scalar or per visit
+    (constant along a period). A period of ``L`` customers has ``2L - 1``
+    events after its first arrival opens it; all periods step together,
+    longest first, so the periods still running at a step are a prefix.
+    A period that empties before its next arrival (rounding can make
+    one) idles: ``S`` holds until that arrival."""
+    n = a.size
+    ends = np.append(starts[1:], n)
+    by_len = np.argsort(starts - ends, kind="stable")
+    head = starts[by_len]  # each period's next departure
+    end = ends[by_len]
+    steps = 2 * (end - head) - 1
+    active = np.searchsorted(-steps, -np.arange(int(steps[0])), side="left")
+    rate = np.broadcast_to(phi, n)[head]
+    t = a[head]
+    nxt = head + 1  # each period's next arrival
+    served = np.zeros(head.size)  # S
+    count = np.ones(head.size)  # N
+    target = np.zeros(n)  # T_j = S(a_j) + 1
+    target[head] = 1.0
+    d = np.empty(n)
+    for m in active.tolist():
+        h, j, k, t_m, s_m, f = (
+            head[:m], nxt[:m], count[:m], t[:m], served[:m], rate[:m]
+        )
+        t_arr = np.where(j < end[:m], a[np.minimum(j, n - 1)], np.inf)
+        busy = k > 0.0
+        t_dep = np.where(busy, t_m + (target[h] - s_m) * k / f, np.inf)
+        arr = t_arr < t_dep
+        dep = ~arr
+        gain = np.where(busy, (t_arr - t_m) * (f / np.maximum(k, 1.0)), 0.0)
+        s_new = np.where(arr, s_m + gain, target[h])
+        target[j[arr]] = s_new[arr] + 1.0
+        d[h[dep]] = t_dep[dep]
+        t[:m] = np.where(arr, t_arr, t_dep)
+        served[:m] = s_new
+        count[:m] += np.where(arr, 1.0, -1.0)
+        nxt[:m] += arr
+        head[:m] += dep
+    return d
 
 
 def _tail_drop(
@@ -501,6 +620,28 @@ Route = Callable[
 ]
 
 
+def pair_routes(router: Any) -> Route:
+    """The level paths' routing callback for a deterministic router:
+    each distinct ``(src, dst)`` pair is routed once
+    (:func:`~repro.routing.pathcache.route_pairs`), and the levels come
+    from the precedence pairs of these routes alone, never from a memo,
+    so a result depends only on its run. Raises :class:`CyclicRoutes`
+    when the routes have a precedence cycle."""
+    num_edges = router.topology.num_edges
+
+    def route(
+        srcs: np.ndarray, dsts: np.ndarray
+    ) -> tuple[list[np.ndarray], np.ndarray, np.ndarray]:
+        edges, pair_lens, inverse = route_pairs(router, srcs, dsts)
+        ends = np.cumsum(pair_lens)
+        edge_lvl = _precedence_levels(num_edges, edges, ends[:-1] - 1)
+        lens = pair_lens[inverse]
+        visits = gather_paths(edges, (ends - pair_lens)[inverse], lens)
+        return [visits], lens, edge_lvl
+
+    return route
+
+
 def solve_fifo(
     sim: Any,
     warmup: float,
@@ -511,18 +652,11 @@ def solve_fifo(
     track_utilization: bool = False,
     collect_delays: bool = False,
 ) -> SimResult:
-    """A deterministic-service FIFO run, solved level by level.
-
-    ``arrivals`` holds the run's arrival times (ascending, all before
-    ``warmup + horizon``) and their ``src`` and ``dst`` ids, in a list
-    this function empties, so the arrays are freed as it goes. ``route``
-    routes the packets with ``src != dst``. Service times, waiting-room
-    caps and the saturated-edge mask come from ``sim``.
-    """
+    """A deterministic-service FIFO run, solved level by level
+    (:func:`solve_levels` with :func:`_fifo_departures`). Service times,
+    waiting-room caps and the saturated-edge mask come from ``sim``."""
     caps = sim._edge_caps
-    capped = caps is not None
     t_end = warmup + horizon
-    num_nodes = sim.topology.num_nodes
     num_edges = sim.topology.num_edges
     # Uniform service keeps the scalar solve; per-edge service times are
     # gathered per visit.
@@ -531,9 +665,8 @@ def solve_fifo(
         if sim._uniform_service
         else np.asarray(sim._service_times)
     )
-    cap = np.asarray(caps, dtype=np.float64) if capped else None
+    cap = None if caps is None else np.asarray(caps, dtype=np.float64)
     sat = sim._sat
-    sat_arr = None if sat is None else np.asarray(sat, dtype=bool)
     util = np.zeros(num_edges) if track_utilization else None
 
     def solve(e: np.ndarray, x: np.ndarray) -> np.ndarray | None:
@@ -548,6 +681,50 @@ def solve_fifo(
             np.maximum(busy, 0.0, out=busy)
             util[:] += np.bincount(e, weights=busy, minlength=num_edges)
         return lost
+
+    return solve_levels(
+        sim,
+        warmup,
+        horizon,
+        arrivals,
+        route,
+        solve,
+        capped=caps is not None,
+        sat_arr=None if sat is None else np.asarray(sat, dtype=bool),
+        util=util,
+        collect_delays=collect_delays,
+    )
+
+
+def solve_levels(
+    sim: Any,
+    warmup: float,
+    horizon: float,
+    arrivals: list[np.ndarray],
+    route: Route,
+    solve: Callable[[np.ndarray, np.ndarray], np.ndarray | None],
+    *,
+    capped: bool = False,
+    sat_arr: np.ndarray | None = None,
+    util: np.ndarray | None = None,
+    collect_delays: bool = False,
+    track_number_distribution: bool = False,
+) -> SimResult:
+    """A run solved level by level, given its per-level departure solver.
+
+    ``arrivals`` holds the run's arrival times (ascending, all before
+    ``warmup + horizon``) and their ``src`` and ``dst`` ids, in a list
+    this function empties, so the arrays are freed as it goes. ``route``
+    routes the packets with ``src != dst``. ``solve(edges, times)``
+    overwrites one level's eligibility times with its departures (see
+    :func:`_sweep_levels`); a ``capped`` solver returns the mask of the
+    visits it dropped. ``sat_arr`` is the saturated-edge mask and
+    ``util`` a per-edge busy-time array the solver fills, reported over
+    the horizon. Every statistic is an exact window-overlap reduction
+    over the solved departures, so FIFO and PS share all of them.
+    """
+    t_end = warmup + horizon
+    num_nodes = sim.topology.num_nodes
 
     r_t, srcs, dsts = arrivals
     arrivals.clear()
@@ -642,6 +819,43 @@ def solve_fifo(
         total_rate=sim.total_rate,
         utilization=util / horizon if util is not None else None,
         delays=delays,
+        number_distribution=(
+            _number_distribution(a_t, d_final, warmup, t_end)
+            if track_number_distribution
+            else None
+        ),
         dropped=dropped,
         node_drops=node_drops,
     )
+
+
+def _number_distribution(
+    born: np.ndarray, left: np.ndarray, warmup: float, t_end: float
+) -> dict[int, float]:
+    """The time-weighted distribution of the number of routed packets in
+    the network over ``[warmup, t_end]``, as the event loops keep it:
+    ``+1`` at each routed birth ``born``, ``-1`` at each final departure
+    ``left``, and only the counts held for a positive time as keys, in
+    ascending order."""
+    if born.size == 0:
+        return {0: 1.0}
+    times = np.concatenate((born, left))
+    step = np.ones(times.size, dtype=np.int64)
+    step[born.size :] = -1
+    # Births sort before departures at equal times, so the count never
+    # dips below zero; such ties hold their count for no time.
+    order = np.argsort(times, kind="stable")
+    times = times[order]
+    count = np.cumsum(step[order])
+    # count[i] holds over [times[i], times[i + 1]), and the empty network
+    # before the first event.
+    hi = np.append(times[1:], t_end)
+    np.minimum(hi, t_end, out=hi)
+    span = hi - np.maximum(times, warmup)
+    np.maximum(span, 0.0, out=span)
+    held = np.bincount(count, weights=span)
+    held[0] += max(min(times[0], t_end) - warmup, 0.0)
+    keys = np.flatnonzero(held > 0.0)
+    held = held[keys]
+    held /= held.sum()
+    return dict(zip(keys.tolist(), held.tolist()))

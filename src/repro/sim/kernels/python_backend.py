@@ -33,13 +33,13 @@ the merge loop's own draws. A run takes this path when
 :func:`takes_level_path` is conditions 1-3; condition 4 is checked on
 the run's routes, so a result never depends on the runs made before it.
 The draws are the merge loop's, in its order
-(:func:`_loop_arrivals`): an exponential block, an id block, and then
-one more of each as the loop would consume them, the arrival times
-being the loop's sequential sums of the scaled gaps. So the arrivals,
-their ids and their paths are the loop's, and so is every integer
-field of the result; the floats agree to rounding (the closed form and
-the window-overlap statistics sum in another order), as the parity
-tests in ``tests/test_sim_level_path.py`` pin.
+(:func:`~repro.sim.enginecommon.loop_arrivals`): an exponential block,
+an id block, and then one more of each as the loop would consume them,
+the arrival times being the loop's sequential sums of the scaled gaps.
+So the arrivals, their ids and their paths are the loop's, and so is
+every integer field of the result; the floats agree to rounding (the
+closed form and the window-overlap statistics sum in another order), as
+the parity tests in ``tests/test_sim_level_path.py`` pin.
 
 Arrival ids come from :func:`repro.sim.enginecommon.draw_ids`, the one
 definition of the arrival stream's ids. The two FIFO loops take
@@ -75,11 +75,10 @@ from typing import Any
 
 import numpy as np
 
-from repro.routing.pathcache import gather_paths, route_pairs
 from repro.sim import measurement
-from repro.sim.enginecommon import draw_id_lists, draw_ids
+from repro.sim.enginecommon import draw_id_lists, draw_ids, loop_arrivals
 from repro.sim.kernels import NUMPY_VISIT_BUDGET
-from repro.sim.kernels.levels import CyclicRoutes, _precedence_levels, solve_fifo
+from repro.sim.kernels.levels import CyclicRoutes, pair_routes, solve_fifo
 from repro.sim.result import SimResult
 from repro.sim.rng import make_rng
 
@@ -156,62 +155,17 @@ def run_fifo(
     return _run_events(sim, warmup, horizon, **flags)
 
 
-def _loop_arrivals(
-    sim: Any, t_end: float, rng: np.random.Generator
-) -> list[np.ndarray]:
-    """The merge loop's arrivals before ``t_end``, from its own draws.
-
-    Blocks are drawn in the loop's order: an exponential block, an id
-    block (:func:`~repro.sim.enginecommon.draw_ids`), and then another
-    exponential block whenever every arrival of the last one came before
-    ``t_end``, followed by an id block when its first arrival did too.
-    Arrival times are the loop's sequential sums of the scaled gaps.
-    Returns ``[times, srcs, dsts]``.
-    """
-    scale = 1.0 / sim.total_rate
-    times: list[np.ndarray] = []
-    srcs: list[np.ndarray] = []
-    dsts: list[np.ndarray] = []
-    offset = 0.0
-    while True:
-        t = rng.exponential(size=_BLOCK)
-        t *= scale
-        t[0] += offset
-        np.cumsum(t, out=t)
-        k = int(np.searchsorted(t, t_end))  # arrivals with t < t_end
-        if k or not times:
-            s, d = draw_ids(sim, _BLOCK, rng)
-            srcs.append(s[:k])
-            dsts.append(d[:k])
-        times.append(t[:k])
-        if k < _BLOCK:
-            break
-        offset = float(t[-1])
-    return [np.concatenate(times), np.concatenate(srcs), np.concatenate(dsts)]
-
-
 def _run_levels(sim: Any, warmup: float, horizon: float) -> SimResult | None:
-    """The level path: the merge loop's draws (:func:`_loop_arrivals`),
-    routed once per distinct pair and solved by the level sweep
+    """The level path: the merge loop's draws
+    (:func:`~repro.sim.enginecommon.loop_arrivals`), routed once per
+    distinct pair and solved by the level sweep
     (:func:`~repro.sim.kernels.levels.solve_fifo`) on levels computed
     from this run's own routes. ``None`` when those routes have a
     precedence cycle."""
     rng = make_rng(sim.seed, engine="fifo", backend="python")
-    arrivals = _loop_arrivals(sim, warmup + horizon, rng)
-    num_edges = sim.topology.num_edges
-
-    def route(
-        srcs: np.ndarray, dsts: np.ndarray
-    ) -> tuple[list[np.ndarray], np.ndarray, np.ndarray]:
-        edges, pair_lens, inverse = route_pairs(sim.router, srcs, dsts)
-        ends = np.cumsum(pair_lens)
-        edge_lvl = _precedence_levels(num_edges, edges, ends[:-1] - 1)
-        lens = pair_lens[inverse]
-        visits = gather_paths(edges, (ends - pair_lens)[inverse], lens)
-        return [visits], lens, edge_lvl
-
+    arrivals = loop_arrivals(sim, warmup + horizon, rng, _BLOCK)
     try:
-        return solve_fifo(sim, warmup, horizon, arrivals, route)
+        return solve_fifo(sim, warmup, horizon, arrivals, pair_routes(sim.router))
     except CyclicRoutes:
         return None
 

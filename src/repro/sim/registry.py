@@ -71,7 +71,10 @@ from typing import Any, Callable, Mapping
 from repro.sim.fifo_network import DETERMINISTIC, EXPONENTIAL, NetworkSimulation
 from repro.sim.kernels import KERNEL_BACKENDS, PYTHON_BACKEND
 from repro.sim.finite_buffer import FiniteBufferNetworkSimulation
-from repro.sim.ps_network import PSNetworkSimulation
+from repro.sim.ps_network import (
+    PSNetworkSimulation,
+    takes_level_path as ps_takes_level_path,
+)
 from repro.sim.result import SimResult
 from repro.sim.rushed_network import RushedNetworkSimulation
 from repro.sim.slotted import SlottedNetworkSimulation
@@ -378,24 +381,38 @@ def _never_reads_cache(
     return False
 
 
-def _ps_cell(
-    spec: Any, seed: int, node_rate: Any, mask: Any, net: Any, cache: Any
-) -> SimResult:
-    sim = PSNetworkSimulation(
-        net.router,
-        net.destinations,
-        node_rate,
+def _ps_args(spec: Any, seed: int, node_rate: Any, net: Any, cache: Any) -> dict:
+    """Constructor arguments of a PS cell's simulator."""
+    return dict(
+        router=net.router,
+        destinations=net.destinations,
+        node_rate=node_rate,
         source_nodes=net.source_nodes,
         seed=seed,
         path_cache=cache,
         **spec.engine_params_dict,
     )
+
+
+def _ps_cell(
+    spec: Any, seed: int, node_rate: Any, mask: Any, net: Any, cache: Any
+) -> SimResult:
+    sim = PSNetworkSimulation(**_ps_args(spec, seed, node_rate, net, cache))
     return sim.run(
         spec.warmup,
         spec.horizon,
         collect_delays=spec.collect_delays,
         track_number_distribution=spec.track_number_distribution,
     )
+
+
+def _ps_reads_cache(
+    spec: Any, node_rate: Any, mask: Any, net: Any, cache: Any
+) -> bool:
+    """A PS cell's runs read the path cache unless the engine's level
+    path serves them (the seed plays no part in that)."""
+    sim = PSNetworkSimulation(**_ps_args(spec, 0, node_rate, net, cache))
+    return not ps_takes_level_path(sim, spec.warmup, spec.horizon)
 
 
 register_engine(
@@ -497,6 +514,7 @@ register_engine(
         services=(DETERMINISTIC,),
         params=(_SERVICE_RATES_PARAM,),
         run_cell=_ps_cell,
+        reads_path_cache=_ps_reads_cache,
         supports_delays=True,
         supports_number_distribution=True,
     )

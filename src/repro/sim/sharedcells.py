@@ -111,9 +111,9 @@ def warm_cell(spec: Any, node_rate: Any, mask: Any) -> tuple:
     Precomputation is bounded by :data:`PRECOMPUTE_NODE_LIMIT` (larger
     cells share no cache), only attempted on caches that support it, and
     skipped for cells whose runs never read the cache (the engine's
-    ``reads_path_cache``: rushed cells, numpy cells and python fifo cells
-    the level path solves); a run that does read it after all, such as a
-    cyclic fallback, fills it lazily. Topologies whose pair space is
+    ``reads_path_cache``: rushed cells, numpy cells, and python fifo and
+    PS cells their level paths solve); a run that does read it after
+    all, such as a cyclic fallback, fills it lazily. Topologies whose pair space is
     partial (e.g. butterfly input-to-output routing) raise out of
     ``precompute_all`` and simply stay lazy.
     """

@@ -90,7 +90,8 @@ def test_identical_runs_have_no_divergence():
 def test_injected_divergence_localized_to_callsite(monkeypatch, tmp_path):
     """The acceptance check: shrink the kernel's RNG block size in one of
     two otherwise-identical runs and rngsan must name the first divergent
-    draw — an exponential block drawn inside python_backend.py."""
+    draw — an exponential block drawn inside enginecommon.py (the level
+    path's ``loop_arrivals``, with the kernel's block size)."""
     with rngsan.trace() as ta:
         _run_cell()
     monkeypatch.setattr(python_backend, "_BLOCK", 512)
@@ -101,9 +102,9 @@ def test_injected_divergence_localized_to_callsite(monkeypatch, tmp_path):
     assert div is not None
     assert div.a[0] == "exponential" and div.b[0] == "exponential"
     assert {div.a[1], div.b[1]} == {8192, 512}
-    assert "python_backend.py" in div.a[2]
+    assert "enginecommon.py" in div.a[2]
     rendered = div.render()
-    assert "exponential" in rendered and "python_backend.py" in rendered
+    assert "exponential" in rendered and "enginecommon.py" in rendered
 
 
 @pytest.mark.parametrize("block", [5, 16, 64])
@@ -129,6 +130,55 @@ def test_level_path_draws_the_merge_loops_stream(monkeypatch, block, law):
     b = [tuple(d[:2]) for d in loop.to_trace().draws]
     assert len(b) >= 2 * (150 // block)
     assert a == b
+
+
+@pytest.mark.parametrize("block", [5, 16, 64])
+@pytest.mark.parametrize("law", ["fast-ids", "hotspot"])
+def test_ps_level_path_draws_the_heap_loops_stream(monkeypatch, block, law):
+    """The PS level path makes the heap loop's draws: the same
+    ``(method, size)`` sequence, across many block refills, on fast-id
+    pairs and on source-then-destination blocks."""
+    from repro.routing.destinations import HotSpotDestinations
+    from repro.sim import ps_network
+
+    monkeypatch.setattr(ps_network, "_BLOCK", block)
+    dests = (
+        UniformDestinations(25)
+        if law == "fast-ids"
+        else HotSpotDestinations(25, hot_node=12, h=0.3)
+    )
+    sim = ps_network.PSNetworkSimulation(
+        GreedyArrayRouter(ArrayMesh(5)), dests, 0.12, seed=7
+    )
+    flags = dict(collect_delays=False, track_number_distribution=False)
+    with rngsan.trace() as level:
+        assert ps_network._run_levels(sim, 5.0, 60.0, **flags) is not None
+    with rngsan.trace() as loop:
+        ps_network._run_heap(sim, 5.0, 60.0, **flags)
+    a = [tuple(d[:2]) for d in level.to_trace().draws]
+    b = [tuple(d[:2]) for d in loop.to_trace().draws]
+    assert len(b) >= 2 * (150 // block)
+    assert a == b
+
+
+def test_ps_level_path_draws_ids_for_a_run_without_arrivals():
+    """The heap loop draws its first id block before its first arrival,
+    even when no arrival comes before the horizon; so does the level
+    path."""
+    from repro.sim import ps_network
+
+    sim = ps_network.PSNetworkSimulation(
+        GreedyArrayRouter(ArrayMesh(3)), UniformDestinations(9), 1e-6, seed=2
+    )
+    flags = dict(collect_delays=False, track_number_distribution=False)
+    with rngsan.trace() as level:
+        res = ps_network._run_levels(sim, 1.0, 2.0, **flags)
+    with rngsan.trace() as loop:
+        ps_network._run_heap(sim, 1.0, 2.0, **flags)
+    assert res.generated == 0
+    a = [tuple(d[:2]) for d in level.to_trace().draws]
+    b = [tuple(d[:2]) for d in loop.to_trace().draws]
+    assert len(b) == 2 and a == b
 
 
 def test_length_only_divergence_reported_at_stream_end():
@@ -175,7 +225,7 @@ def test_diff_cli_divergence_exits_one_and_names_callsite(
     out = capsys.readouterr().out
     assert "streams diverge" in out
     assert "exponential" in out
-    assert "python_backend.py" in out
+    assert "enginecommon.py" in out
 
 
 def test_diff_cli_json(tmp_path, monkeypatch, capsys):

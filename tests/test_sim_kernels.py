@@ -837,8 +837,10 @@ def _interpreted_runs():
         "slotted": lambda: SlottedNetworkSimulation(
             GreedyArrayRouter(m), dests, 0.12, seed=7
         ).run(5, 120),
+        # Torus routes are cyclic, so the run stays on the heap loop
+        # rather than the PS level path.
         "ps": lambda: PSNetworkSimulation(
-            GreedyArrayRouter(m), dests, 0.12, seed=8
+            GreedyTorusRouter(Torus(4)), dests, 0.12, seed=8
         ).run(*window),
     }
 
@@ -903,9 +905,14 @@ class TestDeferredDelayFold:
     def test_chunked_fold_keeps_collected_delays(self, engine, small_folds):
         m = ArrayMesh(4)
         cls = NetworkSimulation if engine == "fifo" else PSNetworkSimulation
+        # collect_delays keeps a fifo run on its loops; a torus keeps a PS
+        # run on the heap loop.
+        router = (
+            GreedyArrayRouter(m) if engine == "fifo" else GreedyTorusRouter(Torus(4))
+        )
 
         def run():
-            sim = cls(GreedyArrayRouter(m), UniformDestinations(16), 0.12, seed=9)
+            sim = cls(router, UniformDestinations(16), 0.12, seed=9)
             return sim.run(5.0, 120.0, collect_delays=True)
 
         want = run()

@@ -98,8 +98,16 @@ class TestWarmOnlyCachesRunsRead:
             dict(engine="rushed"),
             dict(engine_params=(("backend", "numpy"),)),
             dict(engine="slotted", engine_params=(("backend", "numpy"),)),
+            dict(engine="ps"),
         ],
-        ids=["fifo-level-path", "finite-unbounded", "rushed", "numpy", "slotted-numpy"],
+        ids=[
+            "fifo-level-path",
+            "finite-unbounded",
+            "rushed",
+            "numpy",
+            "slotted-numpy",
+            "ps-level-path",
+        ],
     )
     def test_cache_left_cold(self, kw):
         sharedcells._NETWORK_MEMO.clear()
@@ -114,11 +122,19 @@ class TestWarmOnlyCachesRunsRead:
             dict(collect_delays=True),
             dict(engine="finite", engine_params=(("buffer_size", 2),)),
             dict(engine="slotted"),
-            dict(engine="ps"),
             dict(scenario="randomized"),
+            dict(engine="ps", scenario="randomized"),
             dict(service="exponential"),
         ],
-        ids=["maxima", "delays", "capped", "slotted", "ps", "randomized", "exponential"],
+        ids=[
+            "maxima",
+            "delays",
+            "capped",
+            "slotted",
+            "randomized",
+            "ps-randomized",
+            "exponential",
+        ],
     )
     def test_cache_warmed(self, kw):
         sharedcells._NETWORK_MEMO.clear()
@@ -135,12 +151,16 @@ class TestWarmOnlyCachesRunsRead:
         _net, cache = warm_cell(*_resolved(spec))
         assert cache.complete
 
-    def test_cyclic_fallback_fills_the_cache_lazily(self):
+    @pytest.mark.parametrize("engine", ["fifo", "ps"])
+    def test_cyclic_fallback_fills_the_cache_lazily(self, engine):
         """A torus run passes every cheap check, so its cell is not
-        warmed; its routes are cyclic, so it runs on the merge loop,
-        which routes its pairs into the cache as it meets them."""
+        warmed; its routes are cyclic, so it runs on the event loop (the
+        fifo merge loop, the PS heap loop), which routes its pairs into
+        the cache as it meets them."""
         sharedcells._NETWORK_MEMO.clear()
-        spec = CellSpec(scenario="torus", n=4, rho=0.5, seeds=(0,), **WINDOW)
+        spec = CellSpec(
+            scenario="torus", engine=engine, n=4, rho=0.5, seeds=(0,), **WINDOW
+        )
         entry = _resolved(spec)
         _net, cache = warm_cell(*entry)
         assert len(cache) == 0
