@@ -36,8 +36,8 @@ and no event loop (12.7 ms median against the former merge loop's
 cell (8x8) times the engine's level path: the heap loop's draws, solved
 edge level by edge level, with every busy period of a level advancing
 one event per step. ``test_ps_8x8_torus`` times the heap loop itself
-(the 8x8 greedy torus, whose cyclic routes the level path rejects after
-drawing and routing them): the queue head is the next customer to
+(the 8x8 greedy torus, whose router has no closed-form levels, so its
+runs go straight to the loop): the queue head is the next customer to
 complete (arrival order is remaining-work order), so no event scans for
 a minimum, an event costs one subtraction per other customer at its
 queue, and arrivals draw their gaps and ids from blocks.
@@ -54,10 +54,10 @@ floor on the python cells. The fifo cell also records the kernel's
 tracemalloc peak per visit (``peak_bytes_per_visit``), which
 ``scripts/perf_gate.py`` compares against the baseline like a median.
 The numpy kernels route every run's packets straight from the router
-(``route_packets``) and never fill the path cache, so a "warm" numpy
-cell differs from a cold one only by the kernel level memo kept on the
-cache: ``test_event_32x32_numpy_cold`` runs the same fifo cell on a
-fresh cache every round, so it also times the level assignment.
+(``route_packets``), read the edge levels from the router's closed
+form and keep nothing between runs, so a "warm" numpy cell times
+exactly what a cold one would; its untimed first run only keeps
+first-call costs out of the timing.
 ``test_slotted_8x8_cold`` times the python slot kernel's per-packet
 lookups on a cold cache, whose misses fill pair by pair.
 
@@ -74,10 +74,9 @@ and geometric cells are layered plain runs within the visit budget, so
 they time the *level path* (the merge loop's draws solved level by
 level). ``test_event_8x8_uncached`` hands the run an RNG-drawing
 ``SampledPathInterner`` and the 32x32 cells exceed the budget, so they
-time the *merge loop*; so does ``test_event_8x8_torus``, whose cyclic
-torus routes the level path rejects after drawing and routing them, and
-which therefore also pays for that check. The exponential cell times
-the heap loop.
+time the *merge loop*; so does ``test_event_8x8_torus``, whose router
+has no closed-form levels, so its runs go straight to the loop. The
+exponential cell times the heap loop.
 
 Two numpy cells time the kernel's options on 16x16 configurations the
 report runs, each against the python loops on the identical warm cell:
@@ -187,7 +186,7 @@ def test_event_8x8_geometric(best_of, benchmark):
 
 def test_event_8x8_torus(best_of, benchmark):
     """The merge loop on cyclic routes: the 8x8 greedy torus at the mesh
-    cell's node rate, after the level path's cycle check gives up."""
+    cell's node rate (a router without closed-form levels)."""
     torus = Torus(8)
     sim = NetworkSimulation(
         GreedyTorusRouter(torus),
@@ -308,7 +307,7 @@ def test_ps_8x8(best_of, benchmark):
 
 def test_ps_8x8_torus(best_of, benchmark):
     """The PS heap loop on cyclic routes: the 8x8 greedy torus at the
-    mesh cell's node rate, after the level path's cycle check gives up."""
+    mesh cell's node rate (a router without closed-form levels)."""
     torus = Torus(8)
     sim = PSNetworkSimulation(
         GreedyTorusRouter(torus),
@@ -359,7 +358,7 @@ def _peak_bytes_per_visit(monkeypatch, run, *args):
 
 def test_event_32x32_numpy_warm(best_of, benchmark, monkeypatch):
     """The PR-6 vectorized kernel on the acceptance cell (32x32 uniform
-    deterministic, warm kernel level memo), against the python kernel
+    deterministic, after one untimed run), against the python kernel
     on a warm shared cache — the configuration of
     ``test_event_32x32_cached_warm``. The interleaved reference timing
     pins the backend-vs-backend ratio within one process, immune to
@@ -370,7 +369,7 @@ def test_event_32x32_numpy_warm(best_of, benchmark, monkeypatch):
     lam = lambda_for_load(32, RHO, "table1")
     NetworkSimulation(
         mesh_router, dests, lam, seed=3, path_cache=cache, backend="numpy"
-    ).run(WARMUP, HORIZON)  # warm the kernel level cache
+    ).run(WARMUP, HORIZON)  # first-call costs, untimed
     t_python = _best_seconds(
         NetworkSimulation(mesh_router, dests, lam, seed=3, path_cache=cache).run,
         WARMUP,
@@ -393,26 +392,6 @@ def test_event_32x32_numpy_warm(best_of, benchmark, monkeypatch):
     assert ratio > 2.5
 
 
-def test_event_32x32_numpy_cold(best_of, benchmark):
-    """The numpy kernel on the acceptance cell with a fresh path cache
-    every round, so each round also assigns the edge levels from
-    scratch (a warm cache only revalidates its memo)."""
-    mesh_router = GreedyArrayRouter(ArrayMesh(32))
-    dests = UniformDestinations(1024)
-    lam = lambda_for_load(32, RHO, "table1")
-
-    def cold_run():
-        cache = path_cache_for(mesh_router)
-        return NetworkSimulation(
-            mesh_router, dests, lam, seed=3, path_cache=cache, backend="numpy"
-        ).run(WARMUP, HORIZON)
-
-    res = best_of(cold_run)
-    _record(benchmark, res, PRE_PR_EVENT[32])
-    assert res.generated > 10_000
-    assert res.littles_law_gap < 0.1
-
-
 def test_slotted_32x32_numpy_warm(best_of, benchmark):
     """The vectorized slot kernel on the 32x32 acceptance cell, against
     the python kernel on a warm shared cache."""
@@ -422,7 +401,7 @@ def test_slotted_32x32_numpy_warm(best_of, benchmark):
     lam = lambda_for_load(32, RHO, "table1")
     SlottedNetworkSimulation(
         mesh_router, dests, lam, seed=4, path_cache=cache, backend="numpy"
-    ).run(int(WARMUP), int(HORIZON))  # warm the kernel level cache
+    ).run(int(WARMUP), int(HORIZON))  # first-call costs, untimed
     t_python = _best_seconds(
         SlottedNetworkSimulation(
             mesh_router, dests, lam, seed=4, path_cache=cache
@@ -458,7 +437,7 @@ def test_finite_32x32_numpy_warm(best_of, benchmark):
     lam = lambda_for_load(32, RHO, "table1")
     FiniteBufferNetworkSimulation(
         mesh_router, dests, lam, seed=3, path_cache=cache, backend="numpy"
-    ).run(WARMUP, HORIZON)  # warm the kernel level cache
+    ).run(WARMUP, HORIZON)  # first-call costs, untimed
     sim = FiniteBufferNetworkSimulation(
         mesh_router, dests, lam, seed=3, path_cache=cache, backend="numpy"
     )
@@ -497,10 +476,10 @@ def test_slotted_8x8_cold(best_of, benchmark):
 
 
 def _numpy_vs_python(benchmark, best_of, build):
-    """Time ``build(backend).run`` on numpy (best of 3) after one warming
+    """Time ``build(backend).run`` on numpy (best of 3) after one untimed
     run, record packets/s and the ratio to the python loops on the
     identical warm cell; returns the numpy result and that ratio."""
-    build("numpy").run(WARMUP, HORIZON)  # warm the kernel level cache
+    build("numpy").run(WARMUP, HORIZON)  # first-call costs, untimed
     t_python = _best_seconds(build("python").run, WARMUP, HORIZON)
     res = best_of(build("numpy").run, WARMUP, HORIZON)
     dt = benchmark.stats.stats.min

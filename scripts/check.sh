@@ -46,7 +46,7 @@ sweep_smoke() {
     # End-to-end `repro sweep` smoke: a tiny 18-cell spec on the fifo,
     # rushed and ps engines (the torus cells warm their path caches pair
     # by pair in the pool workers; uniform ps cells take the level path,
-    # randomized ones the heap loop and torus ones the cyclic fallback),
+    # randomized and torus ones the heap loop),
     # run twice into one directory — the rerun must resume every cell
     # from checkpoint.
     local dir

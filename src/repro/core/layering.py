@@ -17,6 +17,11 @@ Row labels lie in ``1..n-1`` and increase along any one-directional row
 leg; column labels lie in ``n..2n-2`` and increase along any column leg —
 so a row-first greedy route is strictly increasing (Figure 1).
 
+These labels, less one, are the router's own closed-form levels
+(:meth:`~repro.routing.greedy.GreedyKDRouter.edge_levels`, which also
+covers rectangular and k-d arrays), and the simulation kernels solve
+layered runs level by level in that order (:mod:`repro.sim.kernels.levels`).
+
 The torus, by contrast, cannot be layered under greedy routing (for tori
 of side at least 4): its route legs chain around directed rings — e.g. on
 a 4-ring the legs 0->1->2, 1->2->3, 2->3->0, 3->0->1 force the cyclic
@@ -39,28 +44,17 @@ from typing import Sequence
 import numpy as np
 
 from repro.routing.base import Router
+from repro.routing.greedy import GreedyArrayRouter
 from repro.topology.array_mesh import DOWN, LEFT, RIGHT, UP, ArrayMesh
 from repro.util.validation import check_side
 
 
 def array_layering_labels(mesh: ArrayMesh) -> np.ndarray:
-    """Lemma 2's labels for every edge of a square mesh, by edge id."""
+    """Lemma 2's labels for every edge of a square mesh, by edge id: the
+    row-first router's levels plus one."""
     if not mesh.is_square:
         raise ValueError("Lemma 2's labelling is stated for square meshes")
-    n = mesh.side
-    labels = np.zeros(mesh.num_edges, dtype=np.int64)
-    for i0 in range(n):
-        for j0 in range(n):
-            i, j = i0 + 1, j0 + 1  # paper's 1-based coordinates
-            if j0 < n - 1:  # right edge ((i,j),(i,j+1)): label j
-                labels[mesh.directed_edge_id(i0, j0, RIGHT)] = j
-                # left edge ((i,j+1),(i,j)): label n - j
-                labels[mesh.directed_edge_id(i0, j0 + 1, LEFT)] = n - j
-            if i0 < n - 1:  # down edge ((i,j),(i+1,j)): label n + i - 1
-                labels[mesh.directed_edge_id(i0, j0, DOWN)] = n + i - 1
-                # up edge ((i+1,j),(i,j)): label 2n - i - 1
-                labels[mesh.directed_edge_id(i0 + 1, j0, UP)] = 2 * n - i - 1
-    return labels
+    return GreedyArrayRouter(mesh).edge_levels() + 1
 
 
 def _routes(

@@ -11,8 +11,10 @@ cell's expected visit count fits
 :data:`~repro.sim.kernels.NUMPY_VISIT_BUDGET`, ``python`` above
 it. A replication's expected visit count is
 ``sum_e lam_e * (warmup + horizon)``: every packet visits each edge of
-its route once, and the warmup is simulated too. The python fifo kernel
-applies the same budget to decide which runs it solves level by level.
+its route once, and the warmup is simulated too. The python fifo and PS
+level paths read the same budget, but bound a run's visits by total
+rate x (warmup + horizon) x (``num_nodes - 1``) instead, the most any
+path could take.
 """
 
 from __future__ import annotations

@@ -35,6 +35,10 @@ class Router(Protocol):
         """Sample a path for one packet; deterministic routers ignore ``rng``."""
         ...
 
+    def edge_levels(self) -> np.ndarray | None:
+        """Closed-form edge levels, strictly increasing along every path
+        the router takes, or ``None`` if it has none."""
+
 
 class BaseRouter:
     """Shared implementation: deterministic routers only override ``path``."""
@@ -52,6 +56,10 @@ class BaseRouter:
     ) -> tuple[int, ...]:
         """Default: the deterministic path, independent of ``rng``."""
         return self.path(src, dst)
+
+    def edge_levels(self) -> np.ndarray | None:
+        """Default: no closed-form layering."""
+        return None
 
     # Convenience used by tests and the analysis layer --------------------
     def path_length(self, src: int, dst: int) -> int:

@@ -94,6 +94,28 @@ class GreedyKDRouter(BaseRouter):
             at += step
         return tuple(out)
 
+    def edge_levels(self) -> np.ndarray:
+        """Lemma 2's layering, generalised: each axis in walk order takes
+        the next ``side - 1`` levels, an edge's offset being its tail's
+        coordinate ``c`` on a ``+`` leg and ``side - 1 - c`` on a ``-``
+        leg (``int16`` where the levels fit).
+
+        >>> GreedyArrayRouter(ArrayMesh(3)).edge_levels().tolist()
+        [0, 1, 0, 1, 0, 1, 1, 0, 1, 0, 1, 0, 2, 2, 2, 3, 3, 3, 3, 3, 3, 2, 2, 2]
+        """
+        array = self.array
+        small = sum(array.dims) < np.iinfo(np.int16).max
+        lvl = np.empty(array.num_edges, dtype=np.int16 if small else np.int64)
+        base = 0
+        for axis in self.dimension_order:
+            stride, side = array.strides[axis], array.dims[axis]
+            for sign in (+1, -1):
+                lo, hi = array.block(axis, sign)
+                c = array.edge_source[lo:hi] // stride % side
+                lvl[lo:hi] = base + (c if sign > 0 else side - 1 - c)
+            base += side - 1
+        return lvl
+
 
 class GreedyArrayRouter(GreedyKDRouter):
     """Row-first greedy routing on an :class:`ArrayMesh`.

@@ -11,6 +11,8 @@ Stamoulis-Tsitsiklis that the paper's Section 4.5 improves upon.
 
 from __future__ import annotations
 
+import numpy as np
+
 from repro.routing.base import BaseRouter
 from repro.topology.hypercube import Hypercube
 
@@ -45,3 +47,13 @@ class GreedyHypercubeRouter(BaseRouter):
             diff >>= 1
             k += 1
         return tuple(out)
+
+    def edge_levels(self) -> np.ndarray:
+        """Each edge's dimension (as ``int16``): the walk crosses
+        dimensions in increasing order.
+
+        >>> GreedyHypercubeRouter(Hypercube(2)).edge_levels().tolist()
+        [0, 0, 0, 0, 1, 1, 1, 1]
+        """
+        cube = self.cube
+        return (np.arange(cube.num_edges) // cube.num_nodes).astype(np.int16)

@@ -148,12 +148,13 @@ the vectorized module (the optional-dependency boundary the ``fast``
 extra documents). Its loops are *bit-identical* to the pre-extraction
 engines. Its fifo kernel solves layered plain runs — uniform
 deterministic service, no caps, nothing tracked or collected, an
-RNG-free path cache, within the visit budget — on the merge loop's own
+RNG-free path cache, a router with closed-form levels, within the visit
+budget — on the merge loop's own
 draws with the shared level sweep (:mod:`repro.sim.kernels.levels`):
 every arrival, id, path and integer field is the loop's, and the floats
 move only by rounding (pinned against the loop by
 ``tests/test_sim_level_path.py``). The PS engine does the same for every
-run on an RNG-free path cache within the visit budget, tracked or not,
+run on such a router and path cache within the visit budget, tracked or not,
 on its heap loop's draws: the sweep solves each level's PS queues by
 advancing all their busy periods together in virtual time
 (``tests/test_sim_ps_level_path.py`` pins it against the heap loop).
@@ -216,7 +217,10 @@ python fifo and PS level paths and the rushed engine skip the memo:
 each run routes its packets directly
 (:func:`repro.routing.pathcache.route_packets`, a block of arrivals at
 a time for the rushed engine, once per distinct pair on the level
-path), and the numpy kernels keep only an edge-level memo per router.
+path). The level sweeps read their edge levels from the router's
+closed-form layering (Lemma 2), or, on the numpy kernels for a router
+without one, from the run's own visits, so no run keeps anything a
+later run reads.
 
 **Monotone merge where service is uniform deterministic; a binary heap
 where it is not.** With one deterministic service time everywhere

@@ -4,15 +4,17 @@ At a single FIFO server with constant service time ``c_e`` the departure
 of the ``k``-th arrival (in arrival order) is the Lindley recurrence
 ``d_k = max(x_k, d_{k-1}) + c_e``, which has the closed form
 ``d_k = (k+1) c_e + cummax_j<=k (x_j - j c_e)``: one segmented
-cumulative maximum per edge, no loop over events. When the route set is
-*feedforward* — the edge-precedence relation "``e`` is visited
-immediately before ``f`` on some used path" is acyclic, as Lemma 2
-shows for greedy routing on the array, and true on k-d arrays,
-hypercubes and butterflies too — edges are solved level by level: every
-hop-0 eligibility time is a packet's creation time, a level's
-departures become the eligibility times of the next hops, and so on.
-Torus wraparound or mixed-order randomized routes make precedence
-cycles, which :func:`_edge_levels` detects (:class:`CyclicRoutes`).
+cumulative maximum per edge, no loop over events. When every route
+crosses strictly increasing edge levels (a layering, Theorem 1's first
+hypothesis), edges are solved level by level: every hop-0 eligibility
+time is a packet's creation time, a level's departures become the
+eligibility times of the next hops, and so on. The levels are the
+router's closed form (:meth:`~repro.routing.base.BaseRouter.edge_levels`:
+Lemma 2 on greedy arrays, the dimension on the hypercube), so they never
+depend on earlier runs. For other routers the numpy kernels level each
+run's own consecutive visit pairs (:func:`_precedence_levels`); torus
+wraparound or mixed-order randomized routes make those cyclic, which
+:func:`_edge_levels` rejects.
 
 Three solvers run here: the numpy FIFO kernel
 (:mod:`repro.sim.kernels.numpy_backend`) on its own blocked draws, the
@@ -87,7 +89,6 @@ time), and the time-weighted distribution of the number in the network
 
 from __future__ import annotations
 
-import weakref
 from typing import Any, Callable, NamedTuple
 
 import numpy as np
@@ -103,10 +104,6 @@ _SORT_CHUNK = 1 << 16
 _I16_MAX = np.iinfo(np.int16).max
 
 
-class CyclicRoutes(ValueError):
-    """The used routes' edge-precedence relation has a cycle."""
-
-
 def _edge_levels(
     num_edges: int, prev: np.ndarray, nxt: np.ndarray
 ) -> np.ndarray:
@@ -118,7 +115,7 @@ def _edge_levels(
     vectorized): round ``r`` removes the edges whose predecessors are all
     gone, and those are exactly the edges of level ``r``. A precedence
     cycle is never peeled, so a round that frees nothing while pairs
-    remain proves one (:class:`CyclicRoutes`) — on a torus, at once.
+    remain proves one (a ``ValueError``) — on a torus, at once.
     """
     lvl = np.zeros(num_edges, dtype=np.int64)
     if prev.size == 0:
@@ -145,7 +142,7 @@ def _edge_levels(
         frontier = np.flatnonzero((waiting == 0) & (hit > 0))
         level += 1
     if peeled < prev.size:
-        raise CyclicRoutes(
+        raise ValueError(
             "backend='numpy' requires feedforward routing (an acyclic "
             "edge-precedence relation over the used paths); this route set "
             "has a cycle — e.g. torus wraparound or mixed-order randomized "
@@ -161,7 +158,7 @@ def _precedence_levels(
 
     ``breaks`` are the sorted visits ``b`` whose pair ``(b, b + 1)``
     straddles two packets; the distinct pairs are found chunk by chunk.
-    Raises :class:`CyclicRoutes` when the pairs have a cycle.
+    Raises ``ValueError`` when the pairs have a cycle.
     """
     # Distinct precedence pairs as keys e * E + f (int32 while E^2
     # fits); the pairs that straddle two packets are masked out as -1.
@@ -183,35 +180,6 @@ def _precedence_levels(
         # int16 levels: the level sort's radix pass then needs no cast.
         lvl = lvl.astype(np.int16)
     return lvl
-
-
-#: Each router's last edge-level assignment (see :func:`_levels_for`).
-_LEVEL_MEMO: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
-
-
-def _levels_for(
-    router: Any, num_edges: int, visit_edge: np.ndarray, breaks: np.ndarray
-) -> np.ndarray:
-    """Per-visit edge levels for this run, memoized per router.
-
-    A level assignment is valid for a run iff ``lvl[f] > lvl[e]`` for
-    every consecutive visit pair ``e -> f`` the run actually uses, so an
-    assignment memoized by an earlier run on the same router (a cell's
-    seeds share one) is revalidated with one vectorized pass and only
-    recomputed (:func:`_precedence_levels`) when a new seed routes a pair
-    it does not cover.
-    """
-    cached = _LEVEL_MEMO.get(router)
-    if cached is not None:
-        lvl_vis = cached[visit_edge]
-        ok = lvl_vis[1:] > lvl_vis[:-1]
-        ok[breaks] = True
-        if bool(ok.all()):
-            return lvl_vis
-        del lvl_vis, ok
-    lvl = _precedence_levels(num_edges, visit_edge, breaks)
-    _LEVEL_MEMO[router] = lvl
-    return lvl[visit_edge]
 
 
 def _solve_runs(
@@ -513,6 +481,7 @@ def _sweep_levels(
     sim: Any,
     visits: list[np.ndarray],
     lens: np.ndarray,
+    edge_lvl: np.ndarray,
     seed: np.ndarray,
     solve: Callable[[np.ndarray, np.ndarray], np.ndarray | None],
     forward: Callable[[np.ndarray], np.ndarray],
@@ -520,13 +489,14 @@ def _sweep_levels(
     clip_hi: float,
     sat_arr: np.ndarray | None,
     measured: np.ndarray | None = None,
-    edge_lvl: np.ndarray | None = None,
 ) -> _Sweep:
     """The level sweep both kernels share.
 
     Takes the routed packets' visits out of their one-element list (the
-    caller keeps no reference), lays them out by level, freeing the
-    visit array, and solves level by level over one per-packet array
+    caller keeps no reference), lays them out by their edges' levels
+    ``edge_lvl`` (valid for this run's routes: strictly increasing
+    along each path), freeing the visit array, and solves level by
+    level over one per-packet array
     ``cur`` of ``seed``'s dtype: the eligibility value of each packet's
     next hop, ``seed`` before its first hop and ``forward(d)`` after a
     hop departed at ``d``. A packet visits each level at most once, and
@@ -536,10 +506,6 @@ def _sweep_levels(
     written back. ``cur`` ends up holding ``forward`` of every packet's
     last departure. Each solved level adds its visits' clipped
     departures ``max(min(d, clip_hi) - clip_lo, 0)`` to the window sums.
-
-    The levels are ``edge_lvl`` (per edge, valid for this run's routes)
-    when given, else the router's memoized assignment
-    (:func:`_levels_for`).
 
     Tail-drop runs pass each routed packet's ``measured`` flag, and
     ``solve`` returns the mask of the visits it dropped (or ``None``).
@@ -562,10 +528,7 @@ def _sweep_levels(
         cum_sat = np.cumsum(sat_arr[visit_edge], dtype=np.int32)
         sat_hops = np.diff(cum_sat[ends - 1], prepend=0)
         del cum_sat
-    if edge_lvl is None:
-        lvl_vis = _levels_for(sim.router, num_edges, visit_edge, ends[:-1] - 1)
-    else:
-        lvl_vis = edge_lvl[visit_edge]
+    lvl_vis = edge_lvl[visit_edge]
     bounds, e_lv, pk_lv = _level_layout(lvl_vis, num_edges, visit_edge, ends)
     del lvl_vis, visit_edge, ends
     cur = seed.copy()
@@ -613,31 +576,28 @@ def _sweep_levels(
 #: A run's routing callback for :func:`solve_fifo`: the routed packets'
 #: ``(src, dst)`` arrays to their visit array (in a one-element list, see
 #: :func:`_sweep_levels`), path lengths, and per-edge levels valid for
-#: those routes (``None``: the router's memoized assignment).
+#: those routes.
 Route = Callable[
     [np.ndarray, np.ndarray],
-    tuple[list[np.ndarray], np.ndarray, "np.ndarray | None"],
+    tuple[list[np.ndarray], np.ndarray, np.ndarray],
 ]
 
 
 def pair_routes(router: Any) -> Route:
-    """The level paths' routing callback for a deterministic router:
-    each distinct ``(src, dst)`` pair is routed once
-    (:func:`~repro.routing.pathcache.route_pairs`), and the levels come
-    from the precedence pairs of these routes alone, never from a memo,
-    so a result depends only on its run. Raises :class:`CyclicRoutes`
-    when the routes have a precedence cycle."""
-    num_edges = router.topology.num_edges
+    """The level paths' routing callback for a router with closed-form
+    levels (:meth:`~repro.routing.base.BaseRouter.edge_levels`): each
+    distinct ``(src, dst)`` pair is routed once
+    (:func:`~repro.routing.pathcache.route_pairs`), and the levels are
+    the router's."""
 
     def route(
         srcs: np.ndarray, dsts: np.ndarray
     ) -> tuple[list[np.ndarray], np.ndarray, np.ndarray]:
         edges, pair_lens, inverse = route_pairs(router, srcs, dsts)
-        ends = np.cumsum(pair_lens)
-        edge_lvl = _precedence_levels(num_edges, edges, ends[:-1] - 1)
+        starts = np.cumsum(pair_lens) - pair_lens
         lens = pair_lens[inverse]
-        visits = gather_paths(edges, (ends - pair_lens)[inverse], lens)
-        return [visits], lens, edge_lvl
+        visits = gather_paths(edges, starts[inverse], lens)
+        return [visits], lens, router.edge_levels()
 
     return route
 
@@ -746,6 +706,7 @@ def solve_levels(
         sim,
         visits,
         lens,
+        edge_lvl,
         a_t,
         solve,
         lambda d: d,
@@ -753,7 +714,6 @@ def solve_levels(
         t_end,
         sat_arr,
         mr if capped else None,
-        edge_lvl,
     )
     d_final, sum_r, sum_rs, sat_hops = sweep[:4]
 

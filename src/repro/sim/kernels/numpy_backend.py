@@ -14,9 +14,9 @@ of the two regimes the python backend's hot loops already isolate:
   ``d_k = max(g_k, d_{k-1} + 1) = k + cummax(g_j - j)`` over eligibility
   slots ``g``, on the same level sweep.
 
-Torus wraparound or mixed-order randomized routes create precedence
-cycles; the kernels detect that and raise a ``ValueError`` pointing back
-to ``backend='python'``.
+The levels are the router's closed form, else those of the run's own
+visits; cyclic routes (torus wraparound, mixed-order randomized) raise a
+``ValueError`` pointing back to ``backend='python'``.
 
 Visits come straight from the router
 (:func:`~repro.routing.pathcache.route_packets`, no path cache): the
@@ -56,6 +56,7 @@ from repro.routing.pathcache import route_packets
 from repro.sim.enginecommon import draw_ids
 from repro.sim.kernels.levels import (
     _I16_MAX,
+    _precedence_levels,
     _solve_runs,
     _sorted_by_edge_then,
     _sweep_levels,
@@ -140,7 +141,7 @@ def run_fifo(
         warmup,
         horizon,
         arrivals,
-        lambda s, d: (*_draw_paths(sim, s, d, rng), None),
+        lambda s, d: _draw_paths(sim, s, d, rng),
         track_utilization=track_utilization,
         collect_delays=collect_delays,
     )
@@ -188,7 +189,7 @@ def run_slotted(
     mr = measured[nz]
     srcs, dsts = srcs[nz], dsts[nz]
     del slots, measured, zero, nz
-    visits, lens = _draw_paths(sim, srcs, dsts, rng)
+    visits, lens, edge_lvl = _draw_paths(sim, srcs, dsts, rng)
     del srcs, dsts
 
     # ---- solve ----
@@ -201,6 +202,7 @@ def run_slotted(
         sim,
         visits,
         lens,
+        edge_lvl,
         2 * a_s + 1,
         lambda e, k: _slot_departures(e, k, num_edges),
         lambda d: 2 * d + 2,
@@ -269,8 +271,13 @@ def _draw_paths(
     srcs: np.ndarray,
     dsts: np.ndarray,
     rng: np.random.Generator,
-) -> tuple[list[np.ndarray], np.ndarray]:
+) -> tuple[list[np.ndarray], np.ndarray, np.ndarray]:
     """The packets' visit array, in a one-element list that hands its only
-    reference to :func:`_sweep_levels`, and their path lengths."""
+    reference to :func:`_sweep_levels`, their path lengths, and per-edge
+    levels: the router's closed form, else those of these visits."""
     visit_edge, lens = route_packets(sim.router, srcs, dsts, rng)
-    return [visit_edge], lens
+    edge_lvl = sim.router.edge_levels()
+    if edge_lvl is None:
+        breaks = np.cumsum(lens)[:-1] - 1
+        edge_lvl = _precedence_levels(sim.topology.num_edges, visit_edge, breaks)
+    return [visit_edge], lens, edge_lvl

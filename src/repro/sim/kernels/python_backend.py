@@ -26,13 +26,12 @@ the merge loop's own draws. A run takes this path when
 3. its expected visits, total rate x (warmup + horizon) x
    (``num_nodes - 1``), fit
    :data:`~repro.sim.kernels.NUMPY_VISIT_BUDGET`;
-4. its own routes are layered: the edge-precedence pairs they use have
-   no cycle. Otherwise (torus wraparound) the event loops run it from a
-   fresh generator of the same seed.
+4. its router has closed-form levels
+   (:meth:`~repro.routing.base.BaseRouter.edge_levels`: greedy arrays
+   by Lemma 2, and the greedy hypercube), which the sweep solves by.
 
-:func:`takes_level_path` is conditions 1-3; condition 4 is checked on
-the run's routes, so a result never depends on the runs made before it.
-The draws are the merge loop's, in its order
+:func:`takes_level_path` is all four; a torus or any other run goes
+straight to the event loops. The draws are the merge loop's, in its order
 (:func:`~repro.sim.enginecommon.loop_arrivals`): an exponential block,
 an id block, and then one more of each as the loop would consume them,
 the arrival times being the loop's sequential sums of the scaled gaps.
@@ -78,7 +77,7 @@ import numpy as np
 from repro.sim import measurement
 from repro.sim.enginecommon import draw_id_lists, draw_ids, loop_arrivals
 from repro.sim.kernels import NUMPY_VISIT_BUDGET
-from repro.sim.kernels.levels import CyclicRoutes, pair_routes, solve_fifo
+from repro.sim.kernels.levels import pair_routes, solve_fifo
 from repro.sim.result import SimResult
 from repro.sim.rng import make_rng
 
@@ -114,18 +113,18 @@ def takes_level_path(
     track_number_distribution: bool = False,
     track_maxima: bool = False,
 ) -> bool:
-    """Whether :func:`run_fifo` tries the level path for this run: a
+    """Whether :func:`run_fifo` solves this run on the level path: a
     merge-loop run without ``collect_delays``, on a path cache that
     draws nothing, whose expected visits fit :data:`NUMPY_VISIT_BUDGET`
-    (``num_nodes - 1`` bounds every path's hop count). It then takes the
-    path unless its own routes have a precedence cycle. Every condition
-    depends on the run alone, never on runs made before it."""
+    (``num_nodes - 1`` bounds every path's hop count), on a router with
+    closed-form levels."""
     return (
         _plain_stats(sim, track_utilization, track_number_distribution, track_maxima)
         and not collect_delays
         and not sim.path_cache.consumes_rng
         and sim.total_rate * (warmup + horizon) * (sim.topology.num_nodes - 1)
         <= NUMPY_VISIT_BUDGET
+        and sim.router.edge_levels() is not None
     )
 
 
@@ -140,8 +139,8 @@ def run_fifo(
     track_maxima: bool = False,
 ) -> SimResult:
     """The FIFO kernel: the level path (:func:`_run_levels`) where
-    :func:`takes_level_path` holds and the run's routes are layered, the
-    event loops (:func:`_run_events`) everywhere else."""
+    :func:`takes_level_path` holds, the event loops (:func:`_run_events`)
+    everywhere else."""
     flags = dict(
         track_utilization=track_utilization,
         collect_delays=collect_delays,
@@ -149,25 +148,19 @@ def run_fifo(
         track_maxima=track_maxima,
     )
     if takes_level_path(sim, warmup, horizon, **flags):
-        res = _run_levels(sim, warmup, horizon)
-        if res is not None:
-            return res
+        return _run_levels(sim, warmup, horizon)
     return _run_events(sim, warmup, horizon, **flags)
 
 
-def _run_levels(sim: Any, warmup: float, horizon: float) -> SimResult | None:
+def _run_levels(sim: Any, warmup: float, horizon: float) -> SimResult:
     """The level path: the merge loop's draws
     (:func:`~repro.sim.enginecommon.loop_arrivals`), routed once per
     distinct pair and solved by the level sweep
-    (:func:`~repro.sim.kernels.levels.solve_fifo`) on levels computed
-    from this run's own routes. ``None`` when those routes have a
-    precedence cycle."""
+    (:func:`~repro.sim.kernels.levels.solve_fifo`) on the router's
+    closed-form levels."""
     rng = make_rng(sim.seed, engine="fifo", backend="python")
     arrivals = loop_arrivals(sim, warmup + horizon, rng, _BLOCK)
-    try:
-        return solve_fifo(sim, warmup, horizon, arrivals, pair_routes(sim.router))
-    except CyclicRoutes:
-        return None
+    return solve_fifo(sim, warmup, horizon, arrivals, pair_routes(sim.router))
 
 
 def _run_events(

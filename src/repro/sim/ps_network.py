@@ -14,9 +14,10 @@ ordering.
 Two paths solve a run, as in the python fifo kernel
 (:mod:`repro.sim.kernels.python_backend`):
 
-* **The level path.** Greedy routing on the array is layered (Lemma 2):
-  the edge-precedence relation of the used routes is acyclic. A run on
-  an RNG-free path cache whose expected visits fit
+* **The level path.** Greedy routing on the array is layered (Lemma 2),
+  and the router returns that layering in closed form
+  (:meth:`~repro.routing.base.BaseRouter.edge_levels`). A run on such a
+  router, on an RNG-free path cache, whose expected visits fit
   :data:`~repro.sim.kernels.NUMPY_VISIT_BUDGET` (:func:`takes_level_path`)
   draws exactly the heap loop's arrivals
   (:func:`~repro.sim.enginecommon.loop_arrivals`), routes them once per
@@ -29,10 +30,9 @@ Two paths solve a run, as in the python fifo kernel
   collected delays are the sweep's window-overlap reductions, shared
   with FIFO. Every arrival, id, path and integer field is the heap
   loop's; floats agree to rounding (``tests/test_sim_ps_level_path.py``).
-  When the run's own routes have a cycle (torus wraparound), the heap
-  loop runs it from a fresh generator of the same seed.
-* **The heap loop** (:func:`_run_heap`), for cyclic routes, randomized
-  routers, per-packet path interners and runs over the budget: the
+* **The heap loop** (:func:`_run_heap`), for routers without closed-form
+  levels (torus, randomized and the rest), per-packet path interners
+  and runs over the budget: the
   classic virtual-completion-event scheme. Each queue keeps its
   customers' remaining work in arrival order, a ``last update``
   timestamp and a version counter; an arrival or departure at the queue
@@ -139,30 +139,29 @@ class PSNetworkSimulation:
         """Simulate ``warmup + horizon`` time units and drain (see
         :meth:`repro.sim.NetworkSimulation.run` for parameter meanings):
         on the level path (:func:`_run_levels`) where
-        :func:`takes_level_path` holds and the run's routes are layered,
-        on the heap loop (:func:`_run_heap`) everywhere else."""
+        :func:`takes_level_path` holds, on the heap loop
+        (:func:`_run_heap`) everywhere else."""
         check_window(warmup, horizon)
         flags = dict(
             collect_delays=collect_delays,
             track_number_distribution=track_number_distribution,
         )
         if takes_level_path(self, warmup, horizon):
-            res = _run_levels(self, warmup, horizon, **flags)
-            if res is not None:
-                return res
+            return _run_levels(self, warmup, horizon, **flags)
         return _run_heap(self, warmup, horizon, **flags)
 
 
 def takes_level_path(sim: PSNetworkSimulation, warmup: float, horizon: float) -> bool:
-    """Whether :meth:`PSNetworkSimulation.run` tries the level path: on a
-    path cache that draws nothing, when the run's expected visits fit
-    :data:`~repro.sim.kernels.NUMPY_VISIT_BUDGET` (``num_nodes - 1``
-    bounds every path's hop count). It then takes the path unless its
-    own routes have a precedence cycle."""
+    """Whether :meth:`PSNetworkSimulation.run` solves this run on the
+    level path: on a path cache that draws nothing, when the run's
+    expected visits fit :data:`~repro.sim.kernels.NUMPY_VISIT_BUDGET`
+    (``num_nodes - 1`` bounds every path's hop count), on a router with
+    closed-form levels."""
     return (
         not sim.path_cache.consumes_rng
         and sim.total_rate * (warmup + horizon) * (sim.topology.num_nodes - 1)
         <= NUMPY_VISIT_BUDGET
+        and sim.router.edge_levels() is not None
     )
 
 
@@ -173,39 +172,30 @@ def _run_levels(
     *,
     collect_delays: bool,
     track_number_distribution: bool,
-) -> SimResult | None:
+) -> SimResult:
     """The level path: the heap loop's draws
     (:func:`~repro.sim.enginecommon.loop_arrivals`), routed once per
     distinct pair and solved level by level
     (:func:`~repro.sim.kernels.levels.solve_levels`) with the lockstep
-    PS solve (:func:`~repro.sim.kernels.levels._ps_departures`).
-    ``None`` when the run's routes have a precedence cycle."""
+    PS solve (:func:`~repro.sim.kernels.levels._ps_departures`)."""
     # Late: the level machinery loads with the first run that takes it.
-    from repro.sim.kernels.levels import (
-        CyclicRoutes,
-        _ps_departures,
-        pair_routes,
-        solve_levels,
-    )
+    from repro.sim.kernels.levels import _ps_departures, pair_routes, solve_levels
 
     rng = make_rng(sim.seed, engine="ps")
     arrivals = loop_arrivals(sim, warmup + horizon, rng, _BLOCK)
     num_edges = sim.topology.num_edges
     phi = np.asarray(sim._phi)
     rate = float(phi[0]) if bool((phi == phi[0]).all()) else phi
-    try:
-        return solve_levels(
-            sim,
-            warmup,
-            horizon,
-            arrivals,
-            pair_routes(sim.router),
-            lambda e, x: _ps_departures(e, x, rate, num_edges),
-            collect_delays=collect_delays,
-            track_number_distribution=track_number_distribution,
-        )
-    except CyclicRoutes:
-        return None
+    return solve_levels(
+        sim,
+        warmup,
+        horizon,
+        arrivals,
+        pair_routes(sim.router),
+        lambda e, x: _ps_departures(e, x, rate, num_edges),
+        collect_delays=collect_delays,
+        track_number_distribution=track_number_distribution,
+    )
 
 
 def _run_heap(

@@ -112,10 +112,10 @@ def warm_cell(spec: Any, node_rate: Any, mask: Any) -> tuple:
     cells share no cache), only attempted on caches that support it, and
     skipped for cells whose runs never read the cache (the engine's
     ``reads_path_cache``: rushed cells, numpy cells, and python fifo and
-    PS cells their level paths solve); a run that does read it after
-    all, such as a cyclic fallback, fills it lazily. Topologies whose pair space is
-    partial (e.g. butterfly input-to-output routing) raise out of
-    ``precompute_all`` and simply stay lazy.
+    PS cells their level paths solve). Which path a run takes depends on
+    its cell alone, so no run reads a cache this skipped. Topologies
+    whose pair space is partial (e.g. butterfly input-to-output routing)
+    raise out of ``precompute_all`` and simply stay lazy.
     """
     net, cache = cell_network(spec)
     if (

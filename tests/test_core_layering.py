@@ -17,13 +17,16 @@ from repro.core.layering import (
     render_figure1,
     verify_layering,
 )
+from repro.routing.base import TabulatedRouter
 from repro.routing.butterfly_routing import ButterflyRouter
 from repro.routing.greedy import GreedyArrayRouter, GreedyKDRouter
 from repro.routing.hypercube_greedy import GreedyHypercubeRouter
+from repro.routing.randomized_greedy import RandomizedGreedyArrayRouter
 from repro.routing.torus_greedy import GreedyTorusRouter
 from repro.topology.array_mesh import ArrayMesh, KDArray
 from repro.topology.butterfly import Butterfly
 from repro.topology.hypercube import Hypercube
+from repro.topology.linear import LinearArray
 from repro.topology.torus import Torus
 
 
@@ -63,6 +66,62 @@ class TestLemma2Labels:
     def test_render_contains_labels(self):
         text = render_figure1(3)
         assert "R1" in text and "D" in text
+
+
+class TestRouterEdgeLevels:
+    """The routers' closed-form levels layer every canonical route."""
+
+    @pytest.mark.parametrize("column_first", [False, True])
+    @pytest.mark.parametrize("shape", [(2, 2), (4, 4), (3, 5), (6, 2)])
+    def test_mesh(self, shape, column_first):
+        router = GreedyArrayRouter(ArrayMesh(*shape), column_first=column_first)
+        levels = router.edge_levels()
+        assert levels.dtype == np.int16
+        assert verify_layering(router, levels)
+
+    @pytest.mark.parametrize("n", [2, 3, 7])
+    def test_linear_array(self, n):
+        router = GreedyKDRouter(LinearArray(n))
+        levels = router.edge_levels()
+        assert verify_layering(router, levels)
+        assert levels.max() == n - 2
+
+    @pytest.mark.parametrize("order", [(0, 1, 2), (2, 0, 1), (1, 2, 0)])
+    def test_3d_array_any_walk_order(self, order):
+        array = KDArray((3, 2, 4), block_order=(1, 2, 0))
+        router = GreedyKDRouter(array, dimension_order=order)
+        assert verify_layering(router, router.edge_levels())
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
+    def test_hypercube(self, d):
+        cube = Hypercube(d)
+        router = GreedyHypercubeRouter(cube)
+        levels = router.edge_levels()
+        assert verify_layering(router, levels)
+        assert levels.tolist() == [
+            cube.edge_dimension(e) for e in range(cube.num_edges)
+        ]
+
+    @pytest.mark.parametrize("n", [2, 3, 5, 8])
+    def test_lemma2_labels_are_the_levels_plus_one(self, n):
+        mesh = ArrayMesh(n)
+        levels = GreedyArrayRouter(mesh).edge_levels()
+        assert (array_layering_labels(mesh) == levels + 1).all()
+
+    @pytest.mark.parametrize(
+        "router_factory",
+        [
+            lambda: GreedyTorusRouter(Torus(4)),
+            lambda: RandomizedGreedyArrayRouter(ArrayMesh(3)),
+            lambda: RandomizedGreedyArrayRouter(
+                ArrayMesh(3), row_first_probability=1.0
+            ),
+            lambda: TabulatedRouter(LinearArray(2), {(0, 1): [0], (1, 0): [1]}),
+        ],
+        ids=["torus", "randomized", "randomized-p1", "tabulated"],
+    )
+    def test_other_routers_have_none(self, router_factory):
+        assert router_factory().edge_levels() is None
 
 
 class TestVerifyLayering:

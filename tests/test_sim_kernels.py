@@ -255,10 +255,12 @@ class TestNumpyFifoOptions:
             router, AlwaysNodeZero(), [1.0, 0.0, 0.0],
             buffer_size=0, backend=NUMPY_BACKEND,
         )
-        visits, lens = _draw_paths(sim, np.array([0, 0]), np.array([1, 2]), None)
+        visits, lens, edge_lvl = _draw_paths(
+            sim, np.array([0, 0]), np.array([1, 2]), None
+        )
         cap = np.zeros(line.num_edges)
         sweep = _sweep_levels(
-            sim, visits, lens, np.array([0.0, 0.5]),
+            sim, visits, lens, edge_lvl, np.array([0.0, 0.5]),
             lambda e, x: _fifo_departures(e, x, 1.0, line.num_edges, cap),
             lambda d: d, 0.0, 10.0, None, np.array([True, True]),
         )
@@ -618,30 +620,10 @@ class TestBatchedSourceDrawBoundary:
 
 
 class TestKernelLevelCache:
-    def test_levels_cached_and_reused(self):
-        """The level memo is per router: a second run on the same router
-        reuses the assignment whether or not it shares a path cache."""
-        from repro.sim.kernels import levels
-
-        mesh = ArrayMesh(4)
-        router = GreedyArrayRouter(mesh)
-        sim = NetworkSimulation(
-            router, UniformDestinations(16), 0.2, seed=1, backend=NUMPY_BACKEND,
-        )
-        sim.run(0.0, 200.0)
-        lvl = levels._LEVEL_MEMO[router]
-        for cache in (sim.path_cache, path_cache_for(router)):
-            NetworkSimulation(
-                router, UniformDestinations(16), 0.2, seed=2,
-                path_cache=cache, backend=NUMPY_BACKEND,
-            ).run(0.0, 200.0)
-            # Later runs revalidate and keep the memoized assignment.
-            assert levels._LEVEL_MEMO[router] is lvl
-
     def test_cache_growth_matches_fresh_cache(self):
-        """A router whose level memo is stale (an earlier run routed
-        fewer pairs) must produce the same trajectory as a fresh router —
-        revalidation, not staleness."""
+        """A router that served a narrower workload first, on a shared
+        path cache that run grew, must produce the same trajectory as a
+        fresh router."""
         mesh = ArrayMesh(5)
         router = GreedyArrayRouter(mesh)
         shared = path_cache_for(router)
@@ -664,18 +646,17 @@ class TestKernelLevelCache:
         ).run(10.0, 300.0)
         assert grown.mean_delay == fresh.mean_delay
         assert grown.mean_number == fresh.mean_number
+        assert grown.mean_remaining == fresh.mean_remaining
         assert grown.generated == fresh.generated
 
 
 class TestNumpyRunsLeaveThePathCacheEmpty:
     """The numpy kernels route each run straight from the router: the
     shared path cache (the interpreted loops' memo) is neither read nor
-    grown, and the kernel level memo is kept per router, not on it."""
+    grown, and the levels are the router's own, kept nowhere."""
 
     @pytest.mark.parametrize("engine", ["fifo", "slotted"])
     def test_deterministic_cache_stays_empty(self, engine):
-        from repro.sim.kernels import levels
-
         router = GreedyArrayRouter(ArrayMesh(5))
         cache = path_cache_for(router)
         args = (router, UniformDestinations(25), 0.2)
@@ -687,7 +668,6 @@ class TestNumpyRunsLeaveThePathCacheEmpty:
         assert res.generated > 0
         assert len(cache) == 0 and len(cache.arena) == 0
         assert not hasattr(cache, "_kernel_levels")
-        assert levels._LEVEL_MEMO[router].size == router.topology.num_edges
 
     def test_randomized_cache_stays_empty(self):
         router = RandomizedGreedyArrayRouter(ArrayMesh(3), row_first_probability=1.0)

@@ -168,14 +168,13 @@ def test_over_budget_run_is_the_loops(monkeypatch):
 
 
 def test_torus_run_is_the_loops():
-    """Torus routes have a precedence cycle: the level path gives up and
-    the loop runs from a fresh generator of the same seed."""
+    """The torus router has no closed-form levels (its routes have a
+    precedence cycle), so its runs go straight to the event loops."""
     torus = Torus(5)
     sim = NetworkSimulation(
         GreedyTorusRouter(torus), UniformDestinations(25), 0.15, seed=11
     )
-    assert python_backend.takes_level_path(sim, 15.0, 150.0)
-    assert python_backend._run_levels(sim, 15.0, 150.0) is None
+    assert not python_backend.takes_level_path(sim, 15.0, 150.0)
     _identical(
         python_backend.run_fifo(sim, 15.0, 150.0),
         python_backend._run_events(sim, 15.0, 150.0),
@@ -198,7 +197,7 @@ def test_tracked_runs_stay_on_the_loops(run_kw):
 
 
 def test_results_do_not_depend_on_earlier_runs():
-    """Each run's levels come from its own routes: a router that served
+    """The levels are the router's closed form: a router that served
     other seeds and laws first gives the same result as a fresh one."""
     mesh = ArrayMesh(5)
     router = GreedyArrayRouter(mesh)

@@ -125,6 +125,8 @@ class TestWarmOnlyCachesRunsRead:
             dict(scenario="randomized"),
             dict(engine="ps", scenario="randomized"),
             dict(service="exponential"),
+            dict(scenario="torus"),
+            dict(engine="ps", scenario="torus"),
         ],
         ids=[
             "maxima",
@@ -134,6 +136,8 @@ class TestWarmOnlyCachesRunsRead:
             "randomized",
             "ps-randomized",
             "exponential",
+            "torus",
+            "ps-torus",
         ],
     )
     def test_cache_warmed(self, kw):
@@ -152,20 +156,16 @@ class TestWarmOnlyCachesRunsRead:
         assert cache.complete
 
     @pytest.mark.parametrize("engine", ["fifo", "ps"])
-    def test_cyclic_fallback_fills_the_cache_lazily(self, engine):
-        """A torus run passes every cheap check, so its cell is not
-        warmed; its routes are cyclic, so it runs on the event loop (the
-        fifo merge loop, the PS heap loop), which routes its pairs into
-        the cache as it meets them."""
+    def test_torus_pool_run_matches_serial(self, engine):
+        """Torus runs take the event loop (the fifo merge loop, the PS
+        heap loop) on the cache a worker warmed; they equal the serial
+        runs."""
         sharedcells._NETWORK_MEMO.clear()
         spec = CellSpec(
             scenario="torus", engine=engine, n=4, rho=0.5, seeds=(0,), **WINDOW
         )
         entry = _resolved(spec)
-        _net, cache = warm_cell(*entry)
-        assert len(cache) == 0
         serial = ReplicationEngine(processes=1).run(spec)
-        assert 0 < len(cache) < 16 * 16
         with publish_cells([entry]) as batch:
             sharedcells._NETWORK_MEMO.clear()
             _idx, _pos, (res,) = run_seed_chunk((batch.token, 0, 0, spec.seeds))
@@ -197,7 +197,10 @@ class TestLargeCells:
         assert len(caches) == 2
         assert all(ref() is None for ref in caches)
 
-    def test_numpy_seeds_share_one_level_assignment(self, monkeypatch):
+    @staticmethod
+    def _level_passes(monkeypatch, **kw):
+        """How often a 3-seed numpy cell's runs work out levels from
+        their own visits (``levels._edge_levels``)."""
         from repro.sim.kernels import levels
 
         calls = []
@@ -210,11 +213,25 @@ class TestLargeCells:
         monkeypatch.setattr(levels, "_edge_levels", counted)
         sharedcells._NETWORK_MEMO.clear()
         spec = CellSpec(
-            scenario="uniform", n=12, rho=0.6, seeds=(0, 1, 2),
-            engine_params=(("backend", "numpy"),), **WINDOW,
+            n=12, rho=0.6, seeds=(0, 1, 2),
+            engine_params=(("backend", "numpy"),), **kw, **WINDOW,
         )
         ReplicationEngine(processes=1).run(spec)
-        assert len(calls) == 1
+        return len(calls)
+
+    def test_numpy_seeds_share_one_level_assignment(self, monkeypatch):
+        """Greedy-array seeds read the router's closed-form levels."""
+        assert self._level_passes(monkeypatch, scenario="uniform") == 0
+
+    def test_numpy_runs_without_closed_form_level_their_own_visits(
+        self, monkeypatch
+    ):
+        """A randomized router has no closed-form levels: every run
+        levels its own visits (all row-first here, so they are layered)."""
+        passes = self._level_passes(
+            monkeypatch, scenario="randomized", params=(("p", 1.0),)
+        )
+        assert passes == 3
 
 
 class TestRunSeedChunk:
