@@ -3,8 +3,8 @@
 The vectorized ``backend="numpy"`` kernels solve a cell's whole
 trajectory at once, so their memory grows with the run, while the
 python loops' does not. Every report section whose cells the numpy
-kernels can solve — deterministic service on feedforward (layered)
-routes: the (n, rho) grid, the Section 4.5 / 5.1 / 5.2 validation
+kernels can solve — deterministic service on a router with closed-form
+edge levels: the (n, rho) grid, the Section 4.5 / 5.1 / 5.2 validation
 points, the finite-buffer sweep and the layered scenario-sweep cells —
 picks the backend through :func:`budget_backend`: ``numpy`` while the
 cell's expected visit count fits
@@ -12,9 +12,13 @@ cell's expected visit count fits
 it. A replication's expected visit count is
 ``sum_e lam_e * (warmup + horizon)``: every packet visits each edge of
 its route once, and the warmup is simulated too. The python fifo and PS
-level paths read the same budget, but bound a run's visits by total
-rate x (warmup + horizon) x (``num_nodes - 1``) instead, the most any
-path could take.
+level paths read the same budget
+(:func:`~repro.sim.kernels.fits_level_sweep`), but bound each packet's
+hops by the router's number of edge levels, which needs no calibrated
+edge rates. On uniform meshes that bound is about 3x the exact count (a
+path's mean length is about a third of the levels), so the report keeps
+exact visits: under the hop bound its largest numpy cells would fail
+the budget.
 """
 
 from __future__ import annotations

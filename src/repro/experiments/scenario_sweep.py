@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.experiments.backends import with_budget_backend
-from repro.scenarios import get_scenario
+from repro.scenarios import build_network
 from repro.sim.kernels import NUMPY_BACKEND
 from repro.sim.registry import get_engine
 from repro.sim.replication import CellSpec, ReplicatedResult, ReplicationEngine
@@ -105,18 +105,19 @@ def to_cell_specs(config: ScenarioSweepConfig = QUICK_SCEN) -> list[CellSpec]:
     ``run_sweep(to_cell_specs(FULL_SCEN), "out/scen")`` checkpoints each
     (scenario, engine) cell and survives interrupts.
 
-    Cells of layered scenarios on engines that offer the numpy backend
-    run on the backend the shared visit budget picks; the rest (the
-    torus, the randomized mixture, the rushed and PS engines) stay on
-    the python default.
+    Cells of layered scenarios (whose router has closed-form edge
+    levels) on engines that offer the numpy backend run on the backend
+    the shared visit budget picks; the rest (the torus, the randomized
+    mixture, the rushed and PS engines) stay on the python default.
     """
     specs = []
     for name in config.scenarios:
-        layered = get_scenario(name).layered
+        n = config.cube_dim if name == "bitreversal" else config.n
+        layered = build_network(name, n).router.edge_levels() is not None
         for engine in config.engines:
             spec = CellSpec(
                 scenario=name,
-                n=config.cube_dim if name == "bitreversal" else config.n,
+                n=n,
                 rho=config.rho,
                 engine=engine,
                 warmup=config.warmup,

@@ -12,6 +12,8 @@ other pair is a usage error and raises ``ValueError``.
 
 from __future__ import annotations
 
+import numpy as np
+
 from repro.routing.base import BaseRouter
 from repro.topology.butterfly import Butterfly
 
@@ -50,3 +52,14 @@ class ButterflyRouter(BaseRouter):
             else:
                 out.append(b.straight_edge(level, row))
         return tuple(out)
+
+    def edge_levels(self) -> np.ndarray:
+        """Each edge's butterfly level (as ``int16``,
+        :meth:`Butterfly.edge_level` vectorized): every path crosses
+        levels ``0..d-1`` in order.
+
+        >>> ButterflyRouter(Butterfly(2)).edge_levels().tolist()
+        [0, 0, 0, 0, 0, 0, 0, 0, 1, 1, 1, 1, 1, 1, 1, 1]
+        """
+        b = self.butterfly
+        return (np.arange(b.num_edges) // (2 * b.rows)).astype(np.int16)

@@ -95,11 +95,6 @@ class Scenario:
     ``bounds_apply`` marks the one scheme the paper's Theorem 7 upper
     bound covers: the randomized mixture shares the standard rate map but
     is not layered, so the bound sandwich must not be asserted for it.
-    ``layered`` marks scenarios whose routes are feedforward (the
-    edge-precedence relation of the used paths is acyclic), which the
-    ``backend="numpy"`` max-plus kernels need: dimension-ordered routing
-    on the mesh and the hypercube, not the torus wrap-around or the
-    randomized row/column mixture.
     """
 
     name: str
@@ -107,7 +102,6 @@ class Scenario:
     build: Callable[..., ScenarioNetwork]
     standard_mesh: bool = False
     bounds_apply: bool = False
-    layered: bool = False
 
 
 _REGISTRY: dict[str, Scenario] = {}
@@ -287,7 +281,6 @@ register(
         _uniform,
         standard_mesh=True,
         bounds_apply=True,
-        layered=True,
     )
 )
 register(
@@ -303,7 +296,6 @@ register(
         "hotspot",
         "uniform mesh traffic with extra mass h on a hot node",
         _hotspot,
-        layered=True,
     )
 )
 register(
@@ -311,7 +303,6 @@ register(
         "transpose",
         "fixed-permutation transpose traffic (i,j) -> (j,i) on the mesh",
         _transpose,
-        layered=True,
     )
 )
 register(
@@ -319,7 +310,6 @@ register(
         "bitreversal",
         "bit-reversal permutation on the n-dimensional hypercube",
         _bitreversal,
-        layered=True,
     )
 )
 register(
@@ -327,7 +317,6 @@ register(
         "geometric",
         "Section 5.2 distance-biased destinations on the mesh",
         _geometric,
-        layered=True,
     )
 )
 register(
@@ -336,7 +325,6 @@ register(
         "one isolated M/*/1 queue (2x2 mesh, node 0 -> 1 only) for "
         "closed-form validation cells",
         _single,
-        layered=True,
     )
 )
 register(

@@ -147,29 +147,34 @@ reference: bound by the same-seed golden fixtures, and it never imports
 the vectorized module (the optional-dependency boundary the ``fast``
 extra documents). Its loops are *bit-identical* to the pre-extraction
 engines. Its fifo kernel solves layered plain runs — uniform
-deterministic service, no caps, nothing tracked or collected, an
-RNG-free path cache, a router with closed-form levels, within the visit
-budget — on the merge loop's own
+deterministic service, no caps, nothing tracked or collected, and
+admitted by the level sweep (:func:`repro.sim.kernels.fits_level_sweep`:
+a router with closed-form levels, an RNG-free path cache, and expected
+visits, at most one per level per packet, within the visit budget) — on
+the merge loop's own
 draws with the shared level sweep (:mod:`repro.sim.kernels.levels`):
 every arrival, id, path and integer field is the loop's, and the floats
 move only by rounding (pinned against the loop by
 ``tests/test_sim_level_path.py``). The PS engine does the same for every
-run on such a router and path cache within the visit budget, tracked or not,
-on its heap loop's draws: the sweep solves each level's PS queues by
-advancing all their busy periods together in virtual time
+run the level sweep admits, tracked or not, on its heap loop's draws:
+the sweep solves each level's PS queues by advancing all their busy
+periods together in virtual time
 (``tests/test_sim_ps_level_path.py`` pins it against the heap loop).
 ``backend="numpy"`` solves whole trajectories over each run's routed
-visits — blocked draws first, then a feedforward max-plus
-sweep over edge-precedence levels — and is *seed-stable* (same seed,
+visits — blocked draws first, then a max-plus sweep over the router's
+closed-form edge levels — and is *seed-stable* (same seed,
 same result) and *statistically equivalent*, but not
 draw-order-identical: blocked draws interleave differently once a run
 crosses an RNG block boundary, and equal-eligibility slot ties may
 swap. Distribution-level parity tests (``tests/test_sim_kernels.py``)
 pin that tier. Options the vectorized kernels cannot honour
-(``track_maxima``, ``track_number_distribution``, exponential service,
-routes whose edge-precedence graph has cycles — e.g. torus
-wrap-around) raise ``ValueError`` pointing back to ``backend="python"``
-rather than degrading silently.
+(``track_maxima``, ``track_number_distribution``, exponential service)
+raise ``ValueError`` pointing back to ``backend="python"`` rather than
+degrading silently, and so does a router without closed-form edge
+levels (torus, randomized, tabulated), at construction and before any
+draw: the vectorized kernels never work out a layering from a run's
+own visits, so whether a numpy run is accepted never depends on its
+seed.
 
 Every engine defaults to ``backend="python"``. The paper report runs
 every cell the numpy kernels can solve there — the shared (n, rho)
@@ -180,7 +185,7 @@ scenario-sweep cells — while its expected visit count fits
 ``NUMPY_VISIT_BUDGET``, and on ``python`` above it; the rule lives in
 :mod:`repro.experiments.backends` and the budget in
 :mod:`repro.sim.kernels` (the whole-trajectory solve holds about 30
-bytes per visit), where the python fifo kernel's level path reads it
+bytes per visit), where the python fifo and PS level paths read it
 too. Apart from the hand-built Section 4.5 / 5.2
 simulators, every report cell — the torus and Theorem 5 dominance cells
 too, which stay on python by design (cyclic routes, exponential service,
@@ -218,9 +223,8 @@ each run routes its packets directly
 (:func:`repro.routing.pathcache.route_packets`, a block of arrivals at
 a time for the rushed engine, once per distinct pair on the level
 path). The level sweeps read their edge levels from the router's
-closed-form layering (Lemma 2), or, on the numpy kernels for a router
-without one, from the run's own visits, so no run keeps anything a
-later run reads.
+closed-form layering (Lemma 2), so no run keeps anything a later run
+reads.
 
 **Monotone merge where service is uniform deterministic; a binary heap
 where it is not.** With one deterministic service time everywhere

@@ -60,6 +60,7 @@ from repro.sim.kernels import (
     NUMPY_BACKEND,
     PYTHON_BACKEND,
     check_backend,
+    check_numpy_router,
     get_kernel,
 )
 from repro.sim.result import SimResult
@@ -114,8 +115,8 @@ class NetworkSimulation:
         same-seed contract; ``"numpy"`` runs the
         vectorized max-plus kernel — distribution-identical, not
         draw-order-identical, for deterministic service (uniform or
-        per-edge rates, with utilization and tail-drop caps) on
-        feedforward routes.
+        per-edge rates, with utilization and tail-drop caps) on routers
+        with closed-form edge levels.
     """
 
     #: Per-edge waiting-room caps for tail-drop admission, or ``None``
@@ -154,12 +155,14 @@ class NetworkSimulation:
             == len(self._service_times)
         )
         self.backend = check_backend(backend)
-        if self.backend == NUMPY_BACKEND and service != DETERMINISTIC:
-            raise ValueError(
-                "backend='numpy' vectorizes only deterministic service "
-                "(uniform-deterministic or per-edge rates); exponential "
-                "service needs backend='python'"
-            )
+        if self.backend == NUMPY_BACKEND:
+            if service != DETERMINISTIC:
+                raise ValueError(
+                    "backend='numpy' vectorizes only deterministic service "
+                    "(uniform-deterministic or per-edge rates); exponential "
+                    "service needs backend='python'"
+                )
+            check_numpy_router(router)
 
         # Shared constructor policy (sources, rates, pinned source CDF,
         # fast-id predicate, path cache). The batched id draw samples over

@@ -43,7 +43,7 @@ run solved on the kernel's level path makes the same draws and agrees
 with it to rounding. A capped run
 records ``engine="finite"`` in its rngsan trace.
 
-On ``backend="numpy"`` (deterministic service, feedforward routes)
+On ``backend="numpy"`` (deterministic service, closed-form levels)
 the max-plus kernel (:func:`repro.sim.kernels.numpy_backend.run_fifo`)
 decides admission per edge from the last admitted departure: an
 arrival at ``a`` finds ``ceil((d_last - a) / c_e)`` packets, so it is

@@ -18,7 +18,9 @@ kernel, which applies tail-drop admission when the caps are set.
 ``"numpy"``
     Vectorized kernels (:mod:`repro.sim.kernels.numpy_backend`) that
     solve the whole trajectory over each run's directly routed visits
-    with batched draws and the same level sweep. Not
+    with batched draws and the same level sweep, on the router's
+    closed-form levels; a router without them is rejected at
+    construction (:func:`check_numpy_router`). Not
     draw-order-identical — pinned by distribution-level parity tests
     instead (see the two-backend contract in :mod:`repro.sim`).
 
@@ -53,12 +55,41 @@ FIFO_KERNEL, SLOTTED_KERNEL = "fifo", "slotted"
 
 #: Largest expected visit count (packets x hops, warmup included) of one
 #: run the level sweep (:mod:`repro.sim.kernels.levels`) solves: the
-#: report's numpy cells, and the python fifo runs that take the level
-#: path. The sweep holds about 30 bytes per visit, so this caps it near
-#: 130 MB. The report's numpy cells peak at 2.3M visits, while the FULL
-#: table1 n=20, rho=0.99 cell needs ~348M and runs on the python loop,
-#: whose memory does not grow with the run.
+#: report's numpy cells, and the python fifo and PS runs that take the
+#: level path (:func:`fits_level_sweep`). The sweep holds about 30 bytes
+#: per visit, so this caps it near 130 MB. The report's numpy cells peak
+#: at 2.3M visits, while the FULL table1 n=20, rho=0.99 cell needs ~348M
+#: and runs on the python loop, whose memory does not grow with the run.
 NUMPY_VISIT_BUDGET = 1 << 22
+
+
+def fits_level_sweep(sim: Any, warmup: float, horizon: float) -> bool:
+    """Whether the level sweep may solve this python fifo or PS run on
+    the loop's own draws: its router has closed-form edge levels
+    (:meth:`~repro.routing.base.BaseRouter.edge_levels`), its path cache
+    draws no randomness, and its expected visits, total rate x (warmup +
+    horizon) x the number of levels, fit :data:`NUMPY_VISIT_BUDGET`.
+    Levels strictly increase along every path, so their count bounds a
+    path's hops: exactly for greedy arrays (``sum(side - 1)``),
+    hypercubes (``d``) and butterflies."""
+    levels = sim.router.edge_levels()
+    if levels is None or sim.path_cache.consumes_rng:
+        return False
+    hops = int(levels.max()) + 1 if levels.size else 0
+    return bool(sim.total_rate * (warmup + horizon) * hops <= NUMPY_VISIT_BUDGET)
+
+
+def check_numpy_router(router: Any) -> None:
+    """Reject, at construction and before any draw, a ``backend="numpy"``
+    run on a router without closed-form edge levels: the vectorized
+    kernels sweep the router's layering and work out none of their
+    own."""
+    if router.edge_levels() is None:
+        raise ValueError(
+            "backend='numpy' requires a layered router with closed-form "
+            f"edge levels, which {type(router).__name__} lacks (e.g. torus "
+            "wraparound or randomized routes); use backend='python'"
+        )
 
 
 def numpy_available() -> bool:

@@ -10,11 +10,10 @@ hypothesis), edges are solved level by level: every hop-0 eligibility
 time is a packet's creation time, a level's departures become the
 eligibility times of the next hops, and so on. The levels are the
 router's closed form (:meth:`~repro.routing.base.BaseRouter.edge_levels`:
-Lemma 2 on greedy arrays, the dimension on the hypercube), so they never
-depend on earlier runs. For other routers the numpy kernels level each
-run's own consecutive visit pairs (:func:`_precedence_levels`); torus
-wraparound or mixed-order randomized routes make those cyclic, which
-:func:`_edge_levels` rejects.
+Lemma 2 on greedy arrays, the dimension on the hypercube, the stage on
+the butterfly), so they never depend on a run. Nothing here levels a
+run's own visits: a router without closed-form levels (torus,
+randomized, tabulated) never reaches the sweep.
 
 Three solvers run here: the numpy FIFO kernel
 (:mod:`repro.sim.kernels.numpy_backend`) on its own blocked draws, the
@@ -97,89 +96,10 @@ from repro.routing.pathcache import gather_paths, route_pairs
 from repro.sim.measurement import TimeBatchAccumulator
 from repro.sim.result import SimResult
 
-#: Visits per chunk of the level sort and the precedence-pair dedup
-#: (bounds their temporaries).
+#: Visits per chunk of the level sort (bounds its temporaries).
 _SORT_CHUNK = 1 << 16
 
 _I16_MAX = np.iinfo(np.int16).max
-
-
-def _edge_levels(
-    num_edges: int, prev: np.ndarray, nxt: np.ndarray
-) -> np.ndarray:
-    """Topological level of every edge under the used-path precedence.
-
-    ``lvl[e] = 0`` for edges never preceded on any used path, else one
-    more than the deepest predecessor. Computed by peeling the distinct
-    consecutive-visit pairs ``prev -> nxt`` in rounds (Kahn's algorithm,
-    vectorized): round ``r`` removes the edges whose predecessors are all
-    gone, and those are exactly the edges of level ``r``. A precedence
-    cycle is never peeled, so a round that frees nothing while pairs
-    remain proves one (a ``ValueError``) — on a torus, at once.
-    """
-    lvl = np.zeros(num_edges, dtype=np.int64)
-    if prev.size == 0:
-        return lvl
-    order = np.argsort(prev, kind="stable")
-    succ = nxt[order]
-    # Pairs out of edge e: succ[heads[e]:heads[e + 1]].
-    heads = np.searchsorted(prev[order], np.arange(num_edges + 1))
-    waiting = np.bincount(nxt, minlength=num_edges)
-    frontier = np.flatnonzero(waiting == 0)
-    peeled = 0
-    level = 0
-    while frontier.size:
-        lvl[frontier] = level
-        counts = heads[frontier + 1] - heads[frontier]
-        total = int(counts.sum())
-        if total == 0:
-            break
-        # The pairs out of the frontier, as one index array.
-        starts = np.repeat(heads[frontier] - (np.cumsum(counts) - counts), counts)
-        hit = np.bincount(succ[starts + np.arange(total)], minlength=num_edges)
-        peeled += total
-        waiting -= hit
-        frontier = np.flatnonzero((waiting == 0) & (hit > 0))
-        level += 1
-    if peeled < prev.size:
-        raise ValueError(
-            "backend='numpy' requires feedforward routing (an acyclic "
-            "edge-precedence relation over the used paths); this route set "
-            "has a cycle — e.g. torus wraparound or mixed-order randomized "
-            "routes — use backend='python'"
-        )
-    return lvl
-
-
-def _precedence_levels(
-    num_edges: int, visit_edge: np.ndarray, breaks: np.ndarray
-) -> np.ndarray:
-    """Edge levels under the consecutive visit pairs of ``visit_edge``.
-
-    ``breaks`` are the sorted visits ``b`` whose pair ``(b, b + 1)``
-    straddles two packets; the distinct pairs are found chunk by chunk.
-    Raises ``ValueError`` when the pairs have a cycle.
-    """
-    # Distinct precedence pairs as keys e * E + f (int32 while E^2
-    # fits); the pairs that straddle two packets are masked out as -1.
-    dtype = np.int32 if num_edges * num_edges < 2**31 else np.int64
-    found = [np.empty(0, dtype=dtype)]
-    last = visit_edge.size - 1
-    for lo in range(0, last, _SORT_CHUNK):
-        hi = min(lo + _SORT_CHUNK, last)
-        key = visit_edge[lo:hi].astype(dtype)
-        key *= num_edges
-        key += visit_edge[lo + 1 : hi + 1]
-        b0, b1 = np.searchsorted(breaks, (lo, hi))
-        key[breaks[b0:b1] - lo] = -1
-        found.append(np.unique(key))
-    pairs = np.unique(np.concatenate(found))
-    pairs = pairs[pairs >= 0].astype(np.int64)
-    lvl = _edge_levels(num_edges, pairs // num_edges, pairs % num_edges)
-    if int(lvl.max()) < _I16_MAX:
-        # int16 levels: the level sort's radix pass then needs no cast.
-        lvl = lvl.astype(np.int16)
-    return lvl
 
 
 def _solve_runs(

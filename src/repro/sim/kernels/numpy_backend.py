@@ -5,7 +5,7 @@ of the two regimes the python backend's hot loops already isolate:
 
 * **deterministic FIFO service** — the per-edge Lindley recurrence in
   closed form, one segmented cumulative maximum per edge, solved level
-  by level over the feedforward route set by the sweep in
+  by level over the router's edge levels by the sweep in
   :mod:`repro.sim.kernels.levels`, which the python kernel's level path
   shares. Uniform service (the standard model) keeps the service time a
   scalar; per-edge rates (Theorem 15's allocation) scale each visit by
@@ -14,9 +14,11 @@ of the two regimes the python backend's hot loops already isolate:
   ``d_k = max(g_k, d_{k-1} + 1) = k + cummax(g_j - j)`` over eligibility
   slots ``g``, on the same level sweep.
 
-The levels are the router's closed form, else those of the run's own
-visits; cyclic routes (torus wraparound, mixed-order randomized) raise a
-``ValueError`` pointing back to ``backend='python'``.
+The levels are the router's closed form
+(:meth:`~repro.routing.base.BaseRouter.edge_levels`); the engines reject
+a router without them (torus, randomized, tabulated) at construction,
+before any draw, with a ``ValueError`` pointing back to
+``backend='python'`` (:func:`~repro.sim.kernels.check_numpy_router`).
 
 Visits come straight from the router
 (:func:`~repro.routing.pathcache.route_packets`, no path cache): the
@@ -56,7 +58,6 @@ from repro.routing.pathcache import route_packets
 from repro.sim.enginecommon import draw_ids
 from repro.sim.kernels.levels import (
     _I16_MAX,
-    _precedence_levels,
     _solve_runs,
     _sorted_by_edge_then,
     _sweep_levels,
@@ -273,11 +274,7 @@ def _draw_paths(
     rng: np.random.Generator,
 ) -> tuple[list[np.ndarray], np.ndarray, np.ndarray]:
     """The packets' visit array, in a one-element list that hands its only
-    reference to :func:`_sweep_levels`, their path lengths, and per-edge
-    levels: the router's closed form, else those of these visits."""
+    reference to :func:`_sweep_levels`, their path lengths, and the
+    router's closed-form edge levels."""
     visit_edge, lens = route_packets(sim.router, srcs, dsts, rng)
-    edge_lvl = sim.router.edge_levels()
-    if edge_lvl is None:
-        breaks = np.cumsum(lens)[:-1] - 1
-        edge_lvl = _precedence_levels(sim.topology.num_edges, visit_edge, breaks)
-    return [visit_edge], lens, edge_lvl
+    return [visit_edge], lens, sim.router.edge_levels()

@@ -21,16 +21,16 @@ the merge loop's own draws. A run takes this path when
 
 1. the merge loop would serve it (uniform deterministic service, no
    caps, nothing tracked) and it does not ``collect_delays``;
-2. its path cache draws no randomness (no randomized router, no
-   per-packet ``SampledPathInterner``);
-3. its expected visits, total rate x (warmup + horizon) x
-   (``num_nodes - 1``), fit
-   :data:`~repro.sim.kernels.NUMPY_VISIT_BUDGET`;
-4. its router has closed-form levels
+2. the level sweep admits it
+   (:func:`~repro.sim.kernels.fits_level_sweep`, the rule PS shares):
+   its router has closed-form levels
    (:meth:`~repro.routing.base.BaseRouter.edge_levels`: greedy arrays
-   by Lemma 2, and the greedy hypercube), which the sweep solves by.
+   by Lemma 2, the greedy hypercube and the butterfly), its path cache
+   draws no randomness (no per-packet ``SampledPathInterner``), and its
+   expected visits, total rate x (warmup + horizon) x the number of
+   levels, fit :data:`~repro.sim.kernels.NUMPY_VISIT_BUDGET`.
 
-:func:`takes_level_path` is all four; a torus or any other run goes
+:func:`takes_level_path` is both; a torus or any other run goes
 straight to the event loops. The draws are the merge loop's, in its order
 (:func:`~repro.sim.enginecommon.loop_arrivals`): an exponential block,
 an id block, and then one more of each as the loop would consume them,
@@ -76,7 +76,7 @@ import numpy as np
 
 from repro.sim import measurement
 from repro.sim.enginecommon import draw_id_lists, draw_ids, loop_arrivals
-from repro.sim.kernels import NUMPY_VISIT_BUDGET
+from repro.sim.kernels import fits_level_sweep
 from repro.sim.kernels.levels import pair_routes, solve_fifo
 from repro.sim.result import SimResult
 from repro.sim.rng import make_rng
@@ -114,17 +114,12 @@ def takes_level_path(
     track_maxima: bool = False,
 ) -> bool:
     """Whether :func:`run_fifo` solves this run on the level path: a
-    merge-loop run without ``collect_delays``, on a path cache that
-    draws nothing, whose expected visits fit :data:`NUMPY_VISIT_BUDGET`
-    (``num_nodes - 1`` bounds every path's hop count), on a router with
-    closed-form levels."""
+    merge-loop run without ``collect_delays`` that the level sweep
+    admits (:func:`~repro.sim.kernels.fits_level_sweep`)."""
     return (
         _plain_stats(sim, track_utilization, track_number_distribution, track_maxima)
         and not collect_delays
-        and not sim.path_cache.consumes_rng
-        and sim.total_rate * (warmup + horizon) * (sim.topology.num_nodes - 1)
-        <= NUMPY_VISIT_BUDGET
-        and sim.router.edge_levels() is not None
+        and fits_level_sweep(sim, warmup, horizon)
     )
 
 

@@ -16,10 +16,12 @@ Two paths solve a run, as in the python fifo kernel
 
 * **The level path.** Greedy routing on the array is layered (Lemma 2),
   and the router returns that layering in closed form
-  (:meth:`~repro.routing.base.BaseRouter.edge_levels`). A run on such a
-  router, on an RNG-free path cache, whose expected visits fit
-  :data:`~repro.sim.kernels.NUMPY_VISIT_BUDGET` (:func:`takes_level_path`)
-  draws exactly the heap loop's arrivals
+  (:meth:`~repro.routing.base.BaseRouter.edge_levels`). A run the level
+  sweep admits (:func:`~repro.sim.kernels.fits_level_sweep`, the rule
+  the python fifo kernel shares: closed-form levels, an RNG-free path
+  cache, and expected visits, bounded by the number of levels per path,
+  within :data:`~repro.sim.kernels.NUMPY_VISIT_BUDGET`) draws exactly
+  the heap loop's arrivals
   (:func:`~repro.sim.enginecommon.loop_arrivals`), routes them once per
   distinct pair and is solved edge level by edge level by the shared
   sweep (:func:`~repro.sim.kernels.levels.solve_levels`). Each level's
@@ -87,7 +89,7 @@ from repro.sim.enginecommon import (
     loop_arrivals,
     resolve_service_rates,
 )
-from repro.sim.kernels import NUMPY_VISIT_BUDGET
+from repro.sim.kernels import fits_level_sweep
 from repro.sim import measurement
 from repro.sim.result import SimResult
 from repro.sim.rng import make_rng
@@ -139,30 +141,16 @@ class PSNetworkSimulation:
         """Simulate ``warmup + horizon`` time units and drain (see
         :meth:`repro.sim.NetworkSimulation.run` for parameter meanings):
         on the level path (:func:`_run_levels`) where
-        :func:`takes_level_path` holds, on the heap loop
-        (:func:`_run_heap`) everywhere else."""
+        :func:`~repro.sim.kernels.fits_level_sweep` holds, on the heap
+        loop (:func:`_run_heap`) everywhere else."""
         check_window(warmup, horizon)
         flags = dict(
             collect_delays=collect_delays,
             track_number_distribution=track_number_distribution,
         )
-        if takes_level_path(self, warmup, horizon):
+        if fits_level_sweep(self, warmup, horizon):
             return _run_levels(self, warmup, horizon, **flags)
         return _run_heap(self, warmup, horizon, **flags)
-
-
-def takes_level_path(sim: PSNetworkSimulation, warmup: float, horizon: float) -> bool:
-    """Whether :meth:`PSNetworkSimulation.run` solves this run on the
-    level path: on a path cache that draws nothing, when the run's
-    expected visits fit :data:`~repro.sim.kernels.NUMPY_VISIT_BUDGET`
-    (``num_nodes - 1`` bounds every path's hop count), on a router with
-    closed-form levels."""
-    return (
-        not sim.path_cache.consumes_rng
-        and sim.total_rate * (warmup + horizon) * (sim.topology.num_nodes - 1)
-        <= NUMPY_VISIT_BUDGET
-        and sim.router.edge_levels() is not None
-    )
 
 
 def _run_levels(

@@ -69,12 +69,9 @@ from numbers import Integral, Real
 from typing import Any, Callable, Mapping
 
 from repro.sim.fifo_network import DETERMINISTIC, EXPONENTIAL, NetworkSimulation
-from repro.sim.kernels import KERNEL_BACKENDS, PYTHON_BACKEND
+from repro.sim.kernels import KERNEL_BACKENDS, PYTHON_BACKEND, fits_level_sweep
 from repro.sim.finite_buffer import FiniteBufferNetworkSimulation
-from repro.sim.ps_network import (
-    PSNetworkSimulation,
-    takes_level_path as ps_takes_level_path,
-)
+from repro.sim.ps_network import PSNetworkSimulation
 from repro.sim.result import SimResult
 from repro.sim.rushed_network import RushedNetworkSimulation
 from repro.sim.slotted import SlottedNetworkSimulation
@@ -314,7 +311,8 @@ def _event_reads_cache(
     spec: Any, node_rate: Any, mask: Any, net: Any, cache: Any
 ) -> bool:
     """A python fifo or finite cell's runs read the path cache unless the
-    kernel's level path serves them (the seed plays no part in that)."""
+    kernel's level path serves them: a merge-loop run the level sweep
+    admits (the seed plays no part in that)."""
     # Late: the kernel module is otherwise loaded with a cell's first run.
     from repro.sim.kernels.python_backend import takes_level_path
 
@@ -409,10 +407,10 @@ def _ps_cell(
 def _ps_reads_cache(
     spec: Any, node_rate: Any, mask: Any, net: Any, cache: Any
 ) -> bool:
-    """A PS cell's runs read the path cache unless the engine's level
-    path serves them (the seed plays no part in that)."""
+    """A PS cell's runs read the path cache unless the level sweep
+    admits them (the seed plays no part in that)."""
     sim = PSNetworkSimulation(**_ps_args(spec, 0, node_rate, net, cache))
-    return not ps_takes_level_path(sim, spec.warmup, spec.horizon)
+    return not fits_level_sweep(sim, spec.warmup, spec.horizon)
 
 
 register_engine(

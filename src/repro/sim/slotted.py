@@ -38,7 +38,14 @@ from typing import Sequence
 from repro.routing.base import Router
 from repro.routing.destinations import DestinationDistribution
 from repro.sim.enginecommon import EngineCommon, resolve_saturated_mask
-from repro.sim.kernels import SLOTTED_KERNEL, PYTHON_BACKEND, check_backend, get_kernel
+from repro.sim.kernels import (
+    NUMPY_BACKEND,
+    PYTHON_BACKEND,
+    SLOTTED_KERNEL,
+    check_backend,
+    check_numpy_router,
+    get_kernel,
+)
 from repro.sim.result import SimResult
 from repro.util.validation import check_positive
 
@@ -72,6 +79,8 @@ class SlottedNetworkSimulation:
         # bit-identity reference loop, "numpy" the vectorized max-plus
         # kernel (distribution parity).
         self.backend = check_backend(backend)
+        if self.backend == NUMPY_BACKEND:
+            check_numpy_router(router)
         # Shared constructor policy (sources, rates, pinned source CDF,
         # fast-id predicate, path cache).
         EngineCommon(

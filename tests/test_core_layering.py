@@ -102,6 +102,19 @@ class TestRouterEdgeLevels:
             cube.edge_dimension(e) for e in range(cube.num_edges)
         ]
 
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    def test_butterfly(self, d):
+        b = Butterfly(d)
+        router = ButterflyRouter(b)
+        levels = router.edge_levels()
+        assert levels.dtype == np.int16
+        assert levels.tolist() == [b.edge_level(e) for e in range(b.num_edges)]
+        sources = [b.node_id(0, r) for r in range(b.rows)]
+        dests = [b.node_id(d, r) for r in range(b.rows)]
+        assert verify_layering(
+            router, levels, source_nodes=sources, dest_nodes=dests
+        )
+
     @pytest.mark.parametrize("n", [2, 3, 5, 8])
     def test_lemma2_labels_are_the_levels_plus_one(self, n):
         mesh = ArrayMesh(n)

@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
+from repro.core.layering import layering_from_follows
 from repro.core.rates import edge_rates_from_routing, lambda_for_load
+from repro.routing.pathcache import path_cache_for
 from repro.scenarios import (
     Scenario,
     available_scenarios,
@@ -130,21 +132,31 @@ class TestCalibration:
 
 
 class TestLayered:
-    """``Scenario.layered`` is what the report trusts to put a cell on
-    the numpy max-plus kernel: every layered scenario must run a tiny
+    """A scenario's router alone says whether its cells run on the numpy
+    max-plus kernel (closed-form edge levels, which the report's
+    scenario sweep asks too): every layered scenario must run a tiny
     numpy cell, every other one must be refused with the pointer back
     to the python backend."""
 
     @pytest.mark.parametrize(
         "name", [s.name for s in available_scenarios()]
     )
-    def test_flag_matches_the_numpy_kernel(self, name):
+    def test_router_levels_match_the_numpy_kernel(self, name):
         n = {"single": 2, "bitreversal": 3}.get(name, 4)
+        router = build_network(name, n).router
+        layered = router.edge_levels() is not None
+        # Cross-check against an independent witness: a topological sort
+        # of the follows relation over the canonical routes, which are
+        # the routes taken when the router draws no coins.
+        assert layered == (
+            layering_from_follows(router) is not None
+            and not path_cache_for(router).consumes_rng
+        )
         spec = CellSpec(
             scenario=name, n=n, rho=0.5, warmup=10.0, horizon=200.0,
             seeds=(1,), engine_params=(("backend", "numpy"),),
         )
-        if get_scenario(name).layered:
+        if layered:
             res = replicate(spec, processes=1)
             assert res.generated > 0
             assert res.replications[0].completed == res.generated

@@ -12,6 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from repro.analysis import rngsan
 from repro.core.rates import array_edge_rates, lambda_for_load
 from repro.core.saturation import saturated_edge_mask
 from repro.routing.base import TabulatedRouter
@@ -20,7 +21,7 @@ from repro.routing.destinations import (
     PermutationDestinations,
     UniformDestinations,
 )
-from repro.routing.greedy import GreedyArrayRouter
+from repro.routing.greedy import GreedyArrayRouter, GreedyKDRouter
 from repro.routing.pathcache import (
     SampledPathInterner,
     gather_paths,
@@ -248,9 +249,7 @@ class TestNumpyFifoOptions:
         from repro.sim.kernels.numpy_backend import _draw_paths
 
         line = LinearArray(3)
-        router = TabulatedRouter(
-            line, {(0, 1): [0], (0, 2): [0, 1], (0, 0): []}
-        )
+        router = GreedyKDRouter(line)  # 0 -> 1 is [0], 0 -> 2 is [0, 1]
         sim = FiniteBufferNetworkSimulation(
             router, AlwaysNodeZero(), [1.0, 0.0, 0.0],
             buffer_size=0, backend=NUMPY_BACKEND,
@@ -399,18 +398,60 @@ class TestTailDropParity:
         self._close(py, nu, "mean_number", "number_half_width")
 
 
-class TestCycleRejection:
-    """The max-plus level sweep needs a feedforward edge-precedence
-    graph; wrap-around and coin-dependent routes create cycles, which
-    the kernel must reject with a pointer back to the reference."""
+#: Routers without closed-form edge levels, with a destination law.
+UNLEVELLED = {
+    "torus": lambda: (GreedyTorusRouter(Torus(4)), UniformDestinations(16)),
+    "randomized": lambda: (
+        RandomizedGreedyArrayRouter(ArrayMesh(4)),
+        UniformDestinations(16),
+    ),
+    "randomized-p1": lambda: (
+        RandomizedGreedyArrayRouter(ArrayMesh(4), row_first_probability=1.0),
+        UniformDestinations(16),
+    ),
+    "tabulated": lambda: (
+        TabulatedRouter(
+            LinearArray(2), {(0, 1): [0], (1, 0): [1], (0, 0): [], (1, 1): []}
+        ),
+        UniformDestinations(2),
+    ),
+}
 
-    def test_torus_routes_are_rejected(self):
-        router = GreedyTorusRouter(Torus(4))
-        sim = NetworkSimulation(
-            router, UniformDestinations(16), 0.2, backend=NUMPY_BACKEND
-        )
-        with pytest.raises(ValueError, match="backend='python'"):
-            sim.run(0, 100)
+#: The three engines that offer the numpy kernels.
+NUMPY_ENGINES = {
+    "fifo": NetworkSimulation,
+    "finite": lambda *a, **kw: FiniteBufferNetworkSimulation(
+        *a, buffer_size=2, **kw
+    ),
+    "slotted": SlottedNetworkSimulation,
+}
+
+
+class TestNumpyRejectsRoutersWithoutLevels:
+    """The max-plus level sweep solves by the router's closed-form edge
+    levels and works out none of its own, so a router without them
+    (wrap-around, coin-dependent or tabulated routes) is rejected when
+    the simulator is built, before any draw, with one message for all
+    three engines that points back to the reference."""
+
+    @pytest.mark.parametrize("router_name", sorted(UNLEVELLED))
+    def test_construction_raises_before_any_draw(self, router_name):
+        messages = set()
+        for engine_cls in NUMPY_ENGINES.values():
+            router, dests = UNLEVELLED[router_name]()
+            with rngsan.trace() as tracer:
+                with pytest.raises(ValueError, match="backend='python'") as err:
+                    engine_cls(router, dests, 0.2, seed=3, backend=NUMPY_BACKEND)
+            assert tracer.generators == [] and tracer.draws == []
+            messages.add(str(err.value))
+        assert len(messages) == 1
+
+    @pytest.mark.parametrize("engine", sorted(NUMPY_ENGINES))
+    def test_python_backend_accepts_the_same_routers(self, engine):
+        for make in UNLEVELLED.values():
+            router, dests = make()
+            sim = NUMPY_ENGINES[engine](router, dests, 0.2, seed=3)
+            assert sim.backend == PYTHON_BACKEND
 
     def test_python_backend_still_runs_the_torus(self):
         router = GreedyTorusRouter(Torus(4))
@@ -556,23 +597,16 @@ class TestDistributionParity:
 
 
 class TestRandomizedRouterParity:
-    def test_randomized_greedy_runs_on_numpy(self):
-        """Coin draws ride the sampled-path cache; the level sweep must
-        either solve the realised routes or reject them — never return
-        silently wrong numbers. On the 4x4 mesh the realised visit
-        orders stay feedforward-consistent often enough to solve."""
-        mesh = ArrayMesh(4)
-        router = RandomizedGreedyArrayRouter(mesh)
-        try:
-            res = NetworkSimulation(
-                router, UniformDestinations(16), 0.2, seed=3,
+    @pytest.mark.parametrize("seed", [3, 4, 5])
+    def test_randomized_greedy_is_refused_on_numpy(self, seed):
+        """Coin-dependent routes have no closed-form levels: every seed
+        is refused alike, never solved on some seeds and not others."""
+        router = RandomizedGreedyArrayRouter(ArrayMesh(4))
+        with pytest.raises(ValueError, match="backend='python'"):
+            NetworkSimulation(
+                router, UniformDestinations(16), 0.2, seed=seed,
                 backend=NUMPY_BACKEND,
-            ).run(10.0, 300.0)
-        except ValueError as err:
-            assert "backend='python'" in str(err)
-            return
-        assert res.completed > 0
-        assert res.littles_law_gap < 0.25
+            )
 
 
 # ----------------------------------------------------------------------
@@ -580,10 +614,7 @@ class TestRandomizedRouterParity:
 
 
 def _two_node_router():
-    line = LinearArray(2)
-    return TabulatedRouter(
-        line, {(0, 1): [0], (1, 0): [1], (0, 0): [], (1, 1): []}
-    )
+    return GreedyKDRouter(LinearArray(2))  # 0 -> 1 is [0], 1 -> 0 is [1]
 
 
 class TestBatchedSourceDrawBoundary:
@@ -670,13 +701,15 @@ class TestNumpyRunsLeaveThePathCacheEmpty:
         assert not hasattr(cache, "_kernel_levels")
 
     def test_randomized_cache_stays_empty(self):
+        """A randomized router is refused at construction, before its
+        cache is read or grown."""
         router = RandomizedGreedyArrayRouter(ArrayMesh(3), row_first_probability=1.0)
         cache = path_cache_for(router)
-        res = NetworkSimulation(
-            router, UniformDestinations(9), 0.2, seed=3,
-            path_cache=cache, backend=NUMPY_BACKEND,
-        ).run(5.0, 100.0)
-        assert res.generated > 0
+        with pytest.raises(ValueError, match="backend='python'"):
+            NetworkSimulation(
+                router, UniformDestinations(9), 0.2, seed=3,
+                path_cache=cache, backend=NUMPY_BACKEND,
+            )
         assert len(cache.arena) == 0
         assert len(cache.row_first) == len(cache.col_first) == 0
 

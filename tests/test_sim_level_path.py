@@ -9,23 +9,32 @@ every float to rounding.
 
 import dataclasses
 import math
+from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
+from repro.routing.butterfly_routing import ButterflyRouter
 from repro.routing.destinations import (
     GeometricStopDestinations,
     HotSpotDestinations,
+    MatrixDestinations,
     PermutationDestinations,
     UniformDestinations,
 )
 from repro.routing.greedy import GreedyArrayRouter
 from repro.routing.hypercube_greedy import GreedyHypercubeRouter
 from repro.routing.torus_greedy import GreedyTorusRouter
-from repro.scenarios import build_network
+from repro.core.rates import lambda_for_load
+from repro.experiments import configs, grid
+from repro.scenarios import build_network, resolve_cell
 from repro.sim.fifo_network import NetworkSimulation
 from repro.sim.finite_buffer import FiniteBufferNetworkSimulation
-from repro.sim.kernels import python_backend
+from repro.sim import kernels
+from repro.sim.kernels import fits_level_sweep, python_backend
+from repro.sim.replication import CellSpec
 from repro.topology.array_mesh import ArrayMesh
+from repro.topology.butterfly import Butterfly
 from repro.topology.hypercube import Hypercube
 from repro.topology.torus import Torus
 
@@ -60,6 +69,18 @@ def _single(rate):
     )
 
 
+def _butterfly(d, rate, seed):
+    """Level-0 sources sending uniformly to the level-d outputs."""
+    b = Butterfly(d)
+    p = np.zeros((b.num_nodes, b.num_nodes))
+    p[:, [b.node_id(d, r) for r in range(b.rows)]] = 1.0 / b.rows
+    sources = [b.node_id(0, r) for r in range(b.rows)]
+    return NetworkSimulation(
+        ButterflyRouter(b), MatrixDestinations(p), rate,
+        source_nodes=sources, seed=seed,
+    )
+
+
 #: name -> (simulator, warmup, horizon)
 CELLS = {
     "uniform-fast-ids": (_mesh(5), 10.0, 200.0),
@@ -84,6 +105,7 @@ CELLS = {
         10.0,
         200.0,
     ),
+    "butterfly": (_butterfly(3, 1.4, 17), 10.0, 200.0),
     "single": (_single(0.8), 20.0, 500.0),
     "finite-unbounded": (
         _mesh(5, cls=FiniteBufferNetworkSimulation, buffer_size=None),
@@ -162,7 +184,7 @@ def _identical(a, b):
 def test_over_budget_run_is_the_loops(monkeypatch):
     sim, warmup, horizon = CELLS["uniform-fast-ids"]
     loop = python_backend._run_events(sim, warmup, horizon)
-    monkeypatch.setattr(python_backend, "NUMPY_VISIT_BUDGET", 1000)
+    monkeypatch.setattr(kernels, "NUMPY_VISIT_BUDGET", 1000)
     assert not python_backend.takes_level_path(sim, warmup, horizon)
     _identical(python_backend.run_fifo(sim, warmup, horizon), loop)
 
@@ -217,3 +239,63 @@ def test_level_path_does_not_grow_the_path_cache():
     before = len(cache)
     python_backend._run_levels(sim, warmup, horizon)
     assert len(cache) == before
+
+
+def _cell_sim(spec):
+    """A python fifo simulator on ``spec``'s network at its resolved rate."""
+    rate, _ = resolve_cell(spec)
+    net = build_network(spec.scenario, spec.n)
+    return NetworkSimulation(net.router, net.destinations, rate)
+
+
+class TestLevelSweepAdmission:
+    """``fits_level_sweep`` bounds a run's visits by total rate x window x
+    the router's number of levels, which bounds every path's hops."""
+
+    def test_mesh32_python_cell_is_admitted(self):
+        """The 32x32 python fifo cell that perfbench's ``mesh32`` runs."""
+        spec = CellSpec(
+            scenario="uniform", n=32, rho=0.6, warmup=100.0, horizon=200.0
+        )
+        sim = _cell_sim(spec)
+        assert fits_level_sweep(sim, spec.warmup, spec.horizon)
+        assert python_backend.takes_level_path(sim, spec.warmup, spec.horizon)
+
+    def test_bench_32x32_event_cell_is_admitted(self):
+        """The 32x32 event cell of ``benchmarks/bench_engine_hotpath.py``
+        (rho 0.8 under the Table I convention, window 20 + 120)."""
+        mesh = ArrayMesh(32)
+        sim = NetworkSimulation(
+            GreedyArrayRouter(mesh),
+            UniformDestinations(mesh.num_nodes),
+            lambda_for_load(32, 0.8, "table1"),
+        )
+        assert fits_level_sweep(sim, 20.0, 120.0)
+
+    def test_full_table1_heavy_cell_is_not(self):
+        """FULL Table I at n=20, rho=0.99 stays on the loop, whose memory
+        does not grow with the run."""
+        spec = next(
+            s for s in grid.grid_specs(configs.FULL) if s.n == 20 and s.rho == 0.99
+        )
+        sim = _cell_sim(spec)
+        assert not fits_level_sweep(sim, spec.warmup, spec.horizon)
+
+    def test_hypercube_bound_is_its_dimension(self, monkeypatch):
+        """Total rate 4 over a window of 100 on the 4-cube: at most
+        400 x 4 visits, admitted at exactly that budget and not below."""
+        sim = NetworkSimulation(
+            GreedyHypercubeRouter(Hypercube(4)), UniformDestinations(16), 0.25
+        )
+        monkeypatch.setattr(kernels, "NUMPY_VISIT_BUDGET", 1600)
+        assert fits_level_sweep(sim, 10.0, 90.0)
+        monkeypatch.setattr(kernels, "NUMPY_VISIT_BUDGET", 1599)
+        assert not fits_level_sweep(sim, 10.0, 90.0)
+
+    def test_router_without_edges_needs_no_visits(self):
+        sim = SimpleNamespace(
+            router=SimpleNamespace(edge_levels=lambda: np.empty(0, np.int16)),
+            path_cache=SimpleNamespace(consumes_rng=False),
+            total_rate=1e9,
+        )
+        assert fits_level_sweep(sim, 0.0, 1e9)

@@ -13,15 +13,22 @@ import math
 import numpy as np
 import pytest
 
-from repro.routing.destinations import HotSpotDestinations, UniformDestinations
+from repro.routing.butterfly_routing import ButterflyRouter
+from repro.routing.destinations import (
+    HotSpotDestinations,
+    MatrixDestinations,
+    UniformDestinations,
+)
 from repro.routing.greedy import GreedyArrayRouter
 from repro.routing.randomized_greedy import RandomizedGreedyArrayRouter
 from repro.routing.torus_greedy import GreedyTorusRouter
 from repro.scenarios import build_network, resolve_cell
-from repro.sim import ps_network
+from repro.sim import kernels, ps_network
+from repro.sim.kernels import fits_level_sweep
 from repro.sim.ps_network import PSNetworkSimulation
 from repro.sim.replication import CellSpec
 from repro.topology.array_mesh import ArrayMesh
+from repro.topology.butterfly import Butterfly
 from repro.topology.torus import Torus
 
 INT_FIELDS = ("generated", "completed", "zero_hop", "in_flight_at_end", "dropped")
@@ -53,6 +60,18 @@ def _per_edge_phi(n):
     return 1.0 + 0.5 * (np.arange(ArrayMesh(n).num_edges) % 4 == 0)
 
 
+def _butterfly(d, rate, seed):
+    """Level-0 sources sending uniformly to the level-d outputs."""
+    b = Butterfly(d)
+    p = np.zeros((b.num_nodes, b.num_nodes))
+    p[:, [b.node_id(d, r) for r in range(b.rows)]] = 1.0 / b.rows
+    sources = [b.node_id(0, r) for r in range(b.rows)]
+    return PSNetworkSimulation(
+        ButterflyRouter(b), MatrixDestinations(p), rate,
+        source_nodes=sources, seed=seed,
+    )
+
+
 #: name -> (simulator, warmup, horizon)
 CELLS = {
     "uniform-fast-ids": (_mesh(5, 0.12, 3), 10.0, 300.0),
@@ -67,6 +86,7 @@ CELLS = {
         15.0,
         150.0,
     ),
+    "butterfly": (_butterfly(3, 1.4, 17), 10.0, 200.0),
     "warmup-zero": (_mesh(5, 0.12, 5), 0.0, 200.0),
     # About 19k arrivals: three exponential blocks and three id blocks.
     "multi-block": (_mesh(8, 0.3, 6), 20.0, 1000.0),
@@ -109,7 +129,7 @@ def _assert_close(level, loop, t_end):
 @pytest.mark.parametrize("name", sorted(CELLS))
 def test_level_path_matches_the_heap_loop(name, flags):
     sim, warmup, horizon = CELLS[name]
-    assert ps_network.takes_level_path(sim, warmup, horizon)
+    assert fits_level_sweep(sim, warmup, horizon)
     level = ps_network._run_levels(sim, warmup, horizon, **flags)
     assert level is not None
     loop = ps_network._run_heap(sim, warmup, horizon, **flags)
@@ -165,8 +185,8 @@ def _identical(a, b):
 def test_over_budget_run_is_the_loops(monkeypatch):
     sim, warmup, horizon = CELLS["uniform-fast-ids"]
     loop = ps_network._run_heap(sim, warmup, horizon, **BOTH)
-    monkeypatch.setattr(ps_network, "NUMPY_VISIT_BUDGET", 1000)
-    assert not ps_network.takes_level_path(sim, warmup, horizon)
+    monkeypatch.setattr(kernels, "NUMPY_VISIT_BUDGET", 1000)
+    assert not fits_level_sweep(sim, warmup, horizon)
     _identical(sim.run(warmup, horizon, **BOTH), loop)
 
 
@@ -176,7 +196,7 @@ def test_torus_run_is_the_loops():
     sim = PSNetworkSimulation(
         GreedyTorusRouter(Torus(5)), UniformDestinations(25), 0.15, seed=11
     )
-    assert not ps_network.takes_level_path(sim, 15.0, 150.0)
+    assert not fits_level_sweep(sim, 15.0, 150.0)
     _identical(
         sim.run(15.0, 150.0, **BOTH),
         ps_network._run_heap(sim, 15.0, 150.0, **BOTH),
@@ -192,7 +212,7 @@ def test_randomized_run_is_the_loops():
         0.12,
         seed=12,
     )
-    assert not ps_network.takes_level_path(sim, 15.0, 150.0)
+    assert not fits_level_sweep(sim, 15.0, 150.0)
     _identical(
         sim.run(15.0, 150.0, **BOTH),
         ps_network._run_heap(sim, 15.0, 150.0, **BOTH),

@@ -147,9 +147,9 @@ class TestWarmOnlyCachesRunsRead:
         assert cache.complete
 
     def test_over_budget_cell_is_warmed(self, monkeypatch):
-        from repro.sim.kernels import python_backend
+        from repro.sim import kernels
 
-        monkeypatch.setattr(python_backend, "NUMPY_VISIT_BUDGET", 10)
+        monkeypatch.setattr(kernels, "NUMPY_VISIT_BUDGET", 10)
         sharedcells._NETWORK_MEMO.clear()
         spec = CellSpec(scenario="uniform", n=4, rho=0.5, **WINDOW)
         _net, cache = warm_cell(*_resolved(spec))
@@ -196,42 +196,6 @@ class TestLargeCells:
         gc.collect()
         assert len(caches) == 2
         assert all(ref() is None for ref in caches)
-
-    @staticmethod
-    def _level_passes(monkeypatch, **kw):
-        """How often a 3-seed numpy cell's runs work out levels from
-        their own visits (``levels._edge_levels``)."""
-        from repro.sim.kernels import levels
-
-        calls = []
-        edge_levels = levels._edge_levels
-
-        def counted(*args):
-            calls.append(1)
-            return edge_levels(*args)
-
-        monkeypatch.setattr(levels, "_edge_levels", counted)
-        sharedcells._NETWORK_MEMO.clear()
-        spec = CellSpec(
-            n=12, rho=0.6, seeds=(0, 1, 2),
-            engine_params=(("backend", "numpy"),), **kw, **WINDOW,
-        )
-        ReplicationEngine(processes=1).run(spec)
-        return len(calls)
-
-    def test_numpy_seeds_share_one_level_assignment(self, monkeypatch):
-        """Greedy-array seeds read the router's closed-form levels."""
-        assert self._level_passes(monkeypatch, scenario="uniform") == 0
-
-    def test_numpy_runs_without_closed_form_level_their_own_visits(
-        self, monkeypatch
-    ):
-        """A randomized router has no closed-form levels: every run
-        levels its own visits (all row-first here, so they are layered)."""
-        passes = self._level_passes(
-            monkeypatch, scenario="randomized", params=(("p", 1.0),)
-        )
-        assert passes == 3
 
 
 class TestRunSeedChunk:
