@@ -27,9 +27,13 @@ soft 1.5x floor so a noisy or slower machine does not fail the gate
 spuriously — absolute cross-machine comparisons belong to the warn-only
 perf gate, not to hard asserts.
 
-The exponential 32x32 cell times the stochastic-service loop, whose
-departures are not monotone and so pop from a plain ``heapq`` list in
-``(time, seq)`` order. The rushed cell (16x16) times the engine's
+Exponential service has a stream of its own (each routed packet draws
+its hops' service when it is generated), so layered exponential runs
+take the python kernel's level path: the 32x32 and 8x8 exponential
+cells time it. ``test_event_8x8_torus_exponential`` times the
+stochastic-service heap loop, whose departures are not monotone and so
+pop from a plain ``heapq`` list in ``(time, seq)`` order (the torus
+router has no closed-form levels). The rushed cell (16x16) times the engine's
 closed-form solve: per 8192-arrival block, one Lindley cummax per edge
 and no event loop (12.7 ms median against the former merge loop's
 94.4 ms on a 2-vCPU Xeon). The PS
@@ -73,20 +77,20 @@ non-uniform arrival path, whose ids come in blocks from
 covered too. No frozen ``PRE_PR_*`` constant exists for it, so it
 records packets/s only.
 
-Which path of the python fifo kernel each cell times: the cached 8x8,
-geometric and 32x32 cells are layered plain runs that the level sweep
-admits (their visits, bounded by total rate x window x the mesh's
+Which path of the python fifo kernel each cell times: the cached 8x8
+and geometric cells are layered plain runs that the level sweep admits
+(their visits, bounded by total rate x window x the mesh's
 ``2 * (n - 1)`` levels, fit the budget), so they time the *level path*
 (the merge loop's draws solved level by level), which routes each
-distinct pair itself and reads no path cache: the warm and cold 32x32
-cells time the same solve. The ``*_uncached`` cells hand the run an
-RNG-drawing ``SampledPathInterner``, so they time the *merge loop*; so
-does ``test_event_8x8_torus``, whose router has no closed-form levels,
-so its runs go straight to the loop, and so does
+distinct pair itself and reads no path cache. The warm and cold 32x32
+cached cells collect delays, which a deterministic run's level path
+declines, so they time the *merge loop* on a warm and on a cold path
+cache. The ``*_uncached`` cells hand the run an RNG-drawing
+``SampledPathInterner``, so they time the merge loop too; so does
+``test_event_8x8_torus``, whose router has no closed-form levels, so
+its runs go straight to the loop, and so does
 ``test_event_32x32_cached_beats_uncached``, which collects delays on
-both sides (the level path declines ``collect_delays``) to compare the
-cache with the interner on the same loop. The exponential cell times
-the heap loop.
+both sides to compare the cache with the interner on the same loop.
 
 Two numpy cells time the kernel's options on 16x16 configurations the
 report runs, each against the python loops on the identical warm cell:
@@ -213,17 +217,17 @@ def test_event_8x8_torus(best_of, benchmark):
 
 def test_event_32x32_cached_warm(best_of, benchmark):
     """The acceptance cell: 32x32 uniform, warm shared cache (the
-    replication-engine pattern). The run takes the level path, which
-    reads no path cache."""
+    replication-engine pattern). Collecting delays keeps the run on the
+    merge loop, which looks every packet's path up in the cache."""
     mesh_router = GreedyArrayRouter(ArrayMesh(32))
     cache = path_cache_for(mesh_router)
     dests = UniformDestinations(1024)
     lam = lambda_for_load(32, RHO, "table1")
     NetworkSimulation(
         mesh_router, dests, lam, seed=3, path_cache=cache
-    ).run(WARMUP, HORIZON)  # warm the arena
+    ).run(WARMUP, HORIZON, collect_delays=True)  # warm the arena
     sim = NetworkSimulation(mesh_router, dests, lam, seed=3, path_cache=cache)
-    res = best_of(sim.run, WARMUP, HORIZON)
+    res = best_of(sim.run, WARMUP, HORIZON, collect_delays=True)
     pps = _record(benchmark, res, PRE_PR_EVENT[32])
     assert res.generated > 10_000
     assert res.littles_law_gap < 0.1
@@ -233,11 +237,10 @@ def test_event_32x32_cached_warm(best_of, benchmark):
 
 
 def test_event_32x32_cached_cold(once, benchmark):
-    """Same cell with a cold cache (single round). The run takes the
-    level path, which reads no path cache, so this times what the warm
-    cell does."""
+    """Same cell with a cold cache (single round): the merge loop fills
+    the cache pair by pair as it goes."""
     sim = _event_cell(32)
-    res = once(sim.run, WARMUP, HORIZON)
+    res = once(sim.run, WARMUP, HORIZON, collect_delays=True)
     _record(benchmark, res, PRE_PR_EVENT[32])
     assert res.generated > 10_000
 
@@ -280,11 +283,41 @@ def test_event_32x32_cached_beats_uncached(once, benchmark):
 
 
 def test_event_32x32_exponential(best_of, benchmark):
-    """The stochastic-service loop: exponential service on the heap."""
+    """Exponential service on the 32x32 cell: the level path, with
+    per-visit service times from the service stream."""
     sim = _event_cell(32, service="exponential")
     res = best_of(sim.run, WARMUP, HORIZON)
     _record(benchmark, res, PRE_PR_EVENT_EXP_32)
     assert res.generated > 10_000
+
+
+def test_event_8x8_exponential(best_of, benchmark):
+    """Exponential service on the 8x8 cell: the level path."""
+    sim = _event_cell(8, service="exponential")
+    res = best_of(sim.run, WARMUP, HORIZON)
+    dt = benchmark.stats.stats.min
+    benchmark.extra_info["packets_per_second"] = round(res.generated / dt)
+    assert res.generated > 2000
+    assert res.littles_law_gap < 0.15
+
+
+def test_event_8x8_torus_exponential(best_of, benchmark):
+    """The stochastic-service heap loop: exponential service on the 8x8
+    greedy torus (a router without closed-form levels) at the mesh
+    cell's node rate."""
+    torus = Torus(8)
+    sim = NetworkSimulation(
+        GreedyTorusRouter(torus),
+        UniformDestinations(torus.num_nodes),
+        lambda_for_load(8, RHO, "table1"),
+        service="exponential",
+        seed=3,
+    )
+    res = best_of(sim.run, WARMUP, HORIZON)
+    dt = benchmark.stats.stats.min
+    benchmark.extra_info["packets_per_second"] = round(res.generated / dt)
+    assert res.generated > 2000
+    assert res.littles_law_gap < 0.15
 
 
 def test_rushed_16x16(best_of, benchmark):

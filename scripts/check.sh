@@ -43,12 +43,13 @@ cd "$(dirname "$0")/.."
 export PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}"
 
 sweep_smoke() {
-    # End-to-end `repro sweep` smoke: a tiny 18-cell spec on the fifo,
+    # End-to-end `repro sweep` smoke: a tiny 20-cell spec on the fifo,
     # rushed and ps engines (the torus cells warm their path caches pair
     # by pair in the pool workers; uniform ps cells take the level path,
-    # randomized and torus ones the heap loop),
-    # run twice into one directory — the rerun must resume every cell
-    # from checkpoint.
+    # randomized and torus ones the heap loop), plus two exponential
+    # fifo cells (the uniform one takes the level path, the torus one
+    # the heap loop), run twice into one directory — the rerun must
+    # resume every cell from checkpoint.
     local dir
     dir=$(mktemp -d)
     trap 'rm -rf "$dir"' RETURN
@@ -57,13 +58,16 @@ sweep_smoke() {
   "defaults": {"scenario": "uniform", "n": 4,
                "warmup": 20, "horizon": 120, "seeds": [0, 1]},
   "grid": {"rho": [0.4, 0.7], "scenario": ["uniform", "randomized", "torus"],
-           "engine": ["fifo", "rushed", "ps"]}
+           "engine": ["fifo", "rushed", "ps"]},
+  "cells": [{"engine": "fifo", "service": "exponential", "rho": 0.6},
+            {"engine": "fifo", "service": "exponential", "rho": 0.6,
+             "scenario": "torus"}]
 }
 SPEC
     python -m repro sweep "$dir/spec.json" -o "$dir/out" \
-        | grep -q "18 ran, 0 resumed"
+        | grep -q "20 ran, 0 resumed"
     python -m repro sweep "$dir/spec.json" -o "$dir/out" \
-        | grep -q "0 ran, 18 resumed"
+        | grep -q "0 ran, 20 resumed"
 }
 
 perfbench_smoke() {

@@ -125,9 +125,10 @@ backends apply tail-drop admission.
 ========== ============================ ==============================
 engine     ``backend="python"``         ``backend="numpy"``
 ========== ============================ ==============================
-``fifo``   level sweep on the merge     max-plus level sweep;
-           loop's draws for layered     deterministic service (uniform
-           plain runs; reference loops  or per-edge), utilization
+``fifo``   level sweep on the loops'    max-plus level sweep;
+           draws for layered plain      deterministic service (uniform
+           and uncapped exponential     or per-edge), utilization
+           runs; reference loops
            otherwise (default)
 ``finite`` fifo kernel; tail-drop       the fifo sweep plus a
            admission in the heap loop   vectorized tail-drop scan
@@ -147,15 +148,21 @@ reference: bound by the same-seed golden fixtures, and it never imports
 the vectorized module (the optional-dependency boundary the ``fast``
 extra documents). Its loops are *bit-identical* to the pre-extraction
 engines. Its fifo kernel solves layered plain runs — uniform
-deterministic service, no caps, nothing tracked or collected, and
-admitted by the level sweep (:func:`repro.sim.kernels.fits_level_sweep`:
-a router with closed-form levels, an RNG-free path cache, and expected
-visits, at most one per level per packet, within the visit budget) — on
-the merge loop's own
-draws with the shared level sweep (:mod:`repro.sim.kernels.levels`):
-every arrival, id, path and integer field is the loop's, and the floats
-move only by rounding (pinned against the loop by
-``tests/test_sim_level_path.py``). The PS engine does the same for every
+deterministic service, no caps, nothing tracked or collected — and
+layered uncapped exponential runs without ``track_maxima`` (delays,
+utilization and the N distribution included), when the level sweep
+admits them (:func:`repro.sim.kernels.fits_level_sweep`: a router with
+closed-form levels, an RNG-free path cache, and expected visits, at
+most one per level per packet, within the visit budget), on the loops'
+own draws with the shared level sweep (:mod:`repro.sim.kernels.levels`):
+every arrival, id, path and integer field is the loops', and the floats
+move only by rounding (pinned against the loops by
+``tests/test_sim_level_path.py`` and
+``tests/test_sim_exp_level_path.py``). Exponential service comes from
+a stream of its own, each routed packet drawing its hops' service
+times when it is generated, so the heap loop and the level path draw
+the same values and an exponential run shares its arrivals with the
+deterministic run at its seed. The PS engine does the same for every
 run the level sweep admits, tracked or not, on its heap loop's draws:
 the sweep solves each level's PS queues by advancing all their busy
 periods together in virtual time
@@ -200,8 +207,9 @@ The per-packet work of all four engines is built around four ideas:
 memoized once per ``(src, dst)`` pair into one flat append-only edge-id
 store (a Python list the interpreter loops index directly). A packet record is
 ``[t0, arena_offset, length, hops_done, measured]`` — five scalars, no
-edge tuple — and "which edge next" is ``arena[offset + hop]``, one list
-index. Deterministic routers resolve a packet's path with a single dict
+edge tuple (the heap loop adds the block holding the packet's unit
+exponentials and their offset under exponential service) — and "which
+edge next" is ``arena[offset + hop]``, one list index. Deterministic routers resolve a packet's path with a single dict
 probe; the Section 6 randomized scheme keeps two tables (row-first /
 column-first) on one arena and draws exactly the one coin the uncached
 scheme drew. Caches only
@@ -236,9 +244,10 @@ FIFO run (exponential service, per-edge rates, any tracking, or the
 finite-buffer engine's caps) pushes ``(time, seq, ...)`` event tuples
 onto a plain ``heapq`` list; ``seq`` is unique per run, so the pop
 order is total, never compares the payload, and is the very order the
-merge replays. PS has no monotone structure to exploit (completions are
-re-planned on every queue change), so its versioned-event loop uses
-the same heap; layered PS runs skip it for the level sweep.
+merge replays. Layered uncapped exponential runs skip it for the
+level sweep, and so do layered PS runs: PS has no monotone structure
+to exploit (completions are re-planned on every queue change), so its
+versioned-event loop uses the same heap.
 
 **Blocked and batched draws.** Every kernel draws the ``(src, dst)``
 ids of its arrivals through one helper,
@@ -259,9 +268,14 @@ same kind, so a fast-id block equals the per-pair draws. The
 source-then-destination blocks of the other networks are pinned by the
 golden cells and, in distribution, by ``tests/test_sim_arrival_ids.py``.
 The slotted engine draws its per-slot Poisson counts from 8192-size
-blocks too, then makes one helper call per slot. Over an RNG-consuming
-path cache it forces the source-then-destination order even for fast
-ids, the order its golden cell pins. A path cache that draws router
+blocks too. Where fast ids meet an RNG-free path cache it draws the
+whole count block's ids in one helper call right after the count block
+(split ``integers`` draws concatenate bit for bit, so these are the
+per-slot draws); elsewhere it makes one helper call per slot. Over an
+RNG-consuming path cache it forces the source-then-destination order
+even for fast ids, the order its golden cell pins. Exponential fifo
+service draws from a stream of its own, 8192 unit exponentials per
+block, each routed packet taking its hops' values when it is generated. A path cache that draws router
 coins is looked up once per slot, so the coins come in one batch too;
 an RNG-free cache is probed per packet.
 

@@ -14,9 +14,11 @@ large-mesh statistics" as the risk):
   the binary heap degenerates into a *monotone merge* of two streams (a
   FIFO departure deque plus the single pending arrival) with the exact
   same ``(time, seq)`` pop order — O(1) per event instead of O(log n);
-* the general case (exponential or per-edge service times) runs on a
-  plain ``heapq`` binary heap popping in ``(time, seq)`` order, with the
-  arrival sentinel merged in;
+* the general case (exponential or per-edge service times, tracked or
+  capped runs) runs on a plain ``heapq`` binary heap popping in
+  ``(time, seq)`` order, with the arrival sentinel merged in; exponential
+  service comes from a stream of its own, each routed packet drawing its
+  hops' service times when it is generated;
 * external arrivals use a *merged* Poisson stream — one exponential gap at
   rate ``sum of node rates`` with the source drawn per packet — which is
   distributionally identical to independent per-node streams and avoids
@@ -34,9 +36,9 @@ The default ``backend="python"`` kernel is the extracted reference loop,
 bound by the *same-seed contract* (see :mod:`repro.sim` docs): the RNG
 draw order, the event pop order and the floating-point accumulation
 order are all observable through the golden-result tests. Layered plain
-runs take its level path, which makes the loop's draws and solves them
-in closed form: the same arrivals, paths and integer fields, floats
-equal to rounding. ``backend="numpy"`` trades that contract for
+runs and layered uncapped exponential runs take its level path, which
+makes the loops' draws and solves them edge level by edge level: the
+same arrivals, paths and integer fields, floats equal to rounding. ``backend="numpy"`` trades that contract for
 vectorization and is pinned by distribution-level parity tests instead.
 
 Statistics are exact time integrals (see :mod:`repro.sim` docs). After the
@@ -111,7 +113,8 @@ class NetworkSimulation:
     backend:
         Kernel backend for the hot loop (see :mod:`repro.sim.kernels`):
         ``"python"`` (the default) runs the extracted reference loops
-        (or, for layered plain runs, their level path) under the
+        (or, for layered plain and uncapped exponential runs, their
+        level path) under the
         same-seed contract; ``"numpy"`` runs the
         vectorized max-plus kernel — distribution-identical, not
         draw-order-identical, for deterministic service (uniform or

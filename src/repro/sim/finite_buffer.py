@@ -39,8 +39,10 @@ golden cells. With buffers too large to ever fill, the capped heap loop
 performs the exact same draws, event ordering and float accumulation
 as an uncapped run on either event loop (the admission test consumes no
 randomness), which the regression tests pin as well; an uncapped plain
-run solved on the kernel's level path makes the same draws and agrees
-with it to rounding. A capped run
+or exponential run solved on the kernel's level path makes the same
+draws and agrees with it to rounding. Capped exponential runs draw
+every generated packet's service times, admitted or not, so the
+service stream does not depend on the caps. A capped run
 records ``engine="finite"`` in its rngsan trace.
 
 On ``backend="numpy"`` (deterministic service, closed-form levels)

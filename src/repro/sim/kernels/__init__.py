@@ -11,10 +11,11 @@ kernel, which applies tail-drop admission when the caps are set.
     The reference kernels (:mod:`repro.sim.kernels.python_backend`): the
     extracted engine loops plus the finite engine's tail-drop admission
     test, which draws nothing, bound by the same-seed contract the
-    golden fixtures pin. Layered plain FIFO runs take its *level path*:
-    the merge loop's own draws, solved edge level by edge level by the
-    shared sweep (:mod:`repro.sim.kernels.levels`), with every arrival,
-    id, path and integer field the loop's and floats equal to rounding.
+    golden fixtures pin. Layered plain and uncapped exponential FIFO
+    runs take its *level path*: the loops' own draws, solved edge level
+    by edge level by the shared sweep (:mod:`repro.sim.kernels.levels`),
+    with every arrival, id, path and integer field the loops' and floats
+    equal to rounding.
 ``"numpy"``
     Vectorized kernels (:mod:`repro.sim.kernels.numpy_backend`) that
     solve the whole trajectory over each run's directly routed visits
@@ -57,8 +58,9 @@ FIFO_KERNEL, SLOTTED_KERNEL = "fifo", "slotted"
 #: run the level sweep (:mod:`repro.sim.kernels.levels`) solves: the
 #: report's numpy cells, and the python fifo and PS runs that take the
 #: level path (:func:`fits_level_sweep`). The sweep holds about 30 bytes
-#: per visit, so this caps it near 130 MB. The report's numpy cells peak
-#: at 2.3M visits, while the FULL table1 n=20, rho=0.99 cell needs ~348M
+#: per visit, so this caps it near 130 MB; an exponential run's
+#: per-visit service times add 8 bytes per visit (about 160 MB). The
+#: report's numpy cells peak at 2.3M visits, while the FULL table1 n=20, rho=0.99 cell needs ~348M
 #: and runs on the python loop, whose memory does not grow with the run.
 NUMPY_VISIT_BUDGET = 1 << 22
 

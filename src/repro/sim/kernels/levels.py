@@ -18,30 +18,48 @@ randomized, tabulated) never reaches the sweep.
 Three solvers run here: the numpy FIFO kernel
 (:mod:`repro.sim.kernels.numpy_backend`) on its own blocked draws, the
 python FIFO kernel's level path
-(:mod:`repro.sim.kernels.python_backend`) on the merge loop's draws, and
+(:mod:`repro.sim.kernels.python_backend`) on its loops' draws, and
 the PS engine's level path (:mod:`repro.sim.ps_network`) on its heap
 loop's draws. :func:`solve_levels` takes a run's arrivals, a routing
 callback (:func:`pair_routes` for the level paths) and a per-level
 departure solver, and returns its :class:`~repro.sim.result.SimResult`
 from the statistics all of them share; :func:`solve_fifo` passes it the
-Lindley solve above, PS its lockstep solve (see below). The slotted
-numpy kernel uses :func:`_sweep_levels` directly with integer join keys.
+Lindley solve above (or, with per-visit service times, the busy-period
+sums below), PS its lockstep solve (see below). The slotted numpy
+kernel uses :func:`_sweep_levels` directly with integer join keys.
 
 Memory layout (:func:`_sweep_levels`): per visit, only its edge id and
-its packet id, as ``int16``/``int32`` arrays in level order; per packet,
-the eligibility value of its next hop, which each level gathers for its
-visits and overwrites once they are solved. All statistics
+its packet id, as ``int16``/``int32`` arrays in level order, and its
+service time where visits carry their own (exponential service); per
+packet, the eligibility value of its next hop, which each level gathers
+for its visits and overwrites once they are solved. All statistics
 (occupancy/remaining-work integrals, delay batch means, in-flight
 counts) are exact window-overlap reductions — the same integrals the
 event loops accumulate incrementally — taken level by level as each
 level is solved, so no other per-visit array is kept. That is about 30
-bytes per visit at the peak, which
+bytes per visit at the peak (8 more with per-visit service), which
 :data:`~repro.sim.kernels.NUMPY_VISIT_BUDGET` bounds.
+
+Per-visit service
+-----------------
+With exponential service every visit carries its own service time
+``s_k`` (:func:`_fifo_service_departures`), and the departures are
+``d_k = max(x_k, d_{k-1}) + s_k``. The closed form ``S_k + cummax_j<=k
+(x_j - S_{j-1})``, ``S`` being an edge's cumulative service, rounds on
+the scale of the whole level's service, which loses digits on long
+runs; it only cuts the busy periods. Each period's departures are then
+summed in the event loop's own order, ``t + s`` from its first arrival,
+all periods of the level in lockstep, longest first (as in
+:func:`_tail_drop` and :func:`_ps_periods`), so a level takes its
+longest busy period in steps and the departures are the heap loop's bit
+for bit. Where rounding in the cut puts a period's last departure after
+the next period's first arrival on its edge, the two are merged and the
+level solved again, as for PS.
 
 FIFO options
 ------------
 * ``track_utilization``: a visit that leaves edge ``e`` at ``d`` kept it
-  busy over ``[d - c_e, d]``; each solved level clips those intervals
+  busy over ``[d - c_e, d]`` (``[d - s_k, d]`` with per-visit service); each solved level clips those intervals
   to the window and sums them per edge with one ``bincount``.
 * Tail-drop caps (the finite-buffer engine): a visit arriving at ``a``
   finds ``ceil((d_last - a) / c_e)`` packets at its edge, where
@@ -179,6 +197,74 @@ def _fifo_departures(
     mask = np.zeros(e_s.size, dtype=bool)
     mask[order[dropped]] = True
     return mask
+
+
+def _fifo_service_departures(
+    e_s: np.ndarray, x_s: np.ndarray, s_s: np.ndarray, e_span: int
+) -> None:
+    """Solve one level of FIFO queues in place, each visit carrying its
+    own service time ``s_s`` (exponential service): ``x_s`` holds the
+    visits' eligibility times on entry and their departure times on
+    return, ``d_k = max(x_k, d_{k-1}) + s_k`` in arrival order.
+
+    The closed form ``d_k = S_k + cummax_j<=k (x_j - S_{j-1})``, with
+    ``S`` the cumulative service, only cuts the busy periods: it rounds
+    on the scale of the whole level's service. Each period's departures
+    are then summed in the loop's own order, ``t + s`` from its first
+    arrival, all periods in lockstep (:func:`_fifo_periods`), so they
+    are the event loop's bit for bit. Where rounding in the cut puts a
+    period's last departure after the next period's first arrival on its
+    edge, the two are merged and the level solved again, as in
+    :func:`_ps_departures`."""
+    order = _sorted_by_edge_then(x_s, e_s, e_span)
+    e_o = e_s[order]
+    x = x_s[order]
+    s = s_s[order]
+    new_edge = np.ones(x.size, dtype=bool)
+    new_edge[1:] = e_o[1:] != e_o[:-1]
+    # The level's cumulative service: its offset at an edge's first
+    # visit cancels within the edge's run.
+    cum = np.cumsum(s)
+    d = x - (cum - s)
+    starts = np.flatnonzero(new_edge)
+    for s0, s1 in zip(starts.tolist(), np.append(starts[1:], x.size).tolist()):
+        run = d[s0:s1]
+        np.maximum.accumulate(run, out=run)
+    d += cum
+    opens = new_edge.copy()
+    opens[1:] |= x[1:] >= d[:-1]
+    while True:
+        starts = np.flatnonzero(opens)
+        d = _fifo_periods(x, s, starts)
+        nxt = starts[1:]
+        late = nxt[(d[nxt - 1] > x[nxt]) & ~new_edge[nxt]]
+        if late.size == 0:
+            break
+        opens[late] = False
+    x_s[order] = d
+
+
+def _fifo_periods(x: np.ndarray, s: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    """Departures of FIFO busy periods: ``x[starts[i]:starts[i + 1]]``
+    (the last running to the end) are one period's arrival times,
+    ascending, and ``s`` their service times. Every period steps one
+    customer at a time, ``d = max(x, d_prev) + s``, all of them
+    together, longest first, so the periods still running at a step
+    are a prefix."""
+    n = x.size
+    length = np.append(starts[1:], n) - starts
+    by_len = np.argsort(-length, kind="stable")
+    start, length = starts[by_len], length[by_len]
+    active = np.searchsorted(-length, -np.arange(int(length[0])), side="left")
+    last = np.full(start.size, -np.inf)
+    d = np.empty(n)
+    for k, m in enumerate(active.tolist()):
+        pos = start[:m] + k
+        dep = np.maximum(x[pos], last[:m])
+        dep += s[pos]
+        last[:m] = dep
+        d[pos] = dep
+    return d
 
 
 def _ps_departures(
@@ -330,16 +416,21 @@ def _tail_drop(
 
 
 def _level_layout(
-    lvl_vis: np.ndarray, num_edges: int, visit_edge: np.ndarray, ends: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    lvl_vis: np.ndarray,
+    num_edges: int,
+    visit_edge: np.ndarray,
+    ends: np.ndarray,
+    service: np.ndarray | None = None,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray | None]:
     """Static per-run structure of the level sweep, in *level layout*
     (visits stably sorted by their levels ``lvl_vis``), so the solve
     loop reads it as contiguous slices. ``ends`` are the packets'
     cumulative path lengths.
 
-    Returns ``(bounds, e_lv, pk_lv)`` — per-level slice bounds and, per
-    visit in level layout, its edge id (``int16`` where edge ids fit) and
-    its packet id (``int32``). The stable sort keeps visits in generation
+    Returns ``(bounds, e_lv, pk_lv, s_lv)`` — per-level slice bounds and,
+    per visit in level layout, its edge id (``int16`` where edge ids fit),
+    its packet id (``int32``) and, given per-visit ``service`` times, its
+    service time (else ``None``). The stable sort keeps visits in generation
     order inside each level (each packet appears at most once per level,
     so this is also packet order — the slotted tie-break relies on it).
     It runs as a chunked counting sort: each chunk is radix-sorted on its
@@ -357,6 +448,7 @@ def _level_layout(
     base = bounds[:-1] + np.cumsum(counts, axis=0) - counts
     e_lv = np.empty(nvis, dtype=np.int16 if num_edges < _I16_MAX else np.int32)
     pk_lv = np.empty(nvis, dtype=np.int32)
+    s_lv = None if service is None else np.empty(nvis)
     for k, i in enumerate(cuts):
         chunk = lvl_vis[i : i + _SORT_CHUNK]
         j = i + chunk.size
@@ -365,6 +457,8 @@ def _level_layout(
         slot = (base[k] - first).astype(np.int32)[chunk[o]]
         slot += np.arange(o.size, dtype=np.int32)
         e_lv[slot] = visit_edge[i:j][o]
+        if service is not None and s_lv is not None:
+            s_lv[slot] = service[i:j][o]
         # The chunk's packet ids: one more after each packet's last visit
         # (paths are non-empty, so packet ends are distinct).
         p0, p1 = np.searchsorted(ends, (i, j - 1), side="right")
@@ -373,7 +467,7 @@ def _level_layout(
         np.cumsum(pk, out=pk)
         pk += p0
         pk_lv[slot] = pk[o]
-    return bounds, e_lv, pk_lv
+    return bounds, e_lv, pk_lv, s_lv
 
 
 #: Tail-drop packet state bit: the packet was dropped.
@@ -403,12 +497,13 @@ def _sweep_levels(
     lens: np.ndarray,
     edge_lvl: np.ndarray,
     seed: np.ndarray,
-    solve: Callable[[np.ndarray, np.ndarray], np.ndarray | None],
+    solve: Callable[..., np.ndarray | None],
     forward: Callable[[np.ndarray], np.ndarray],
     clip_lo: float,
     clip_hi: float,
     sat_arr: np.ndarray | None,
     measured: np.ndarray | None = None,
+    service: Service | None = None,
 ) -> _Sweep:
     """The level sweep both kernels share.
 
@@ -432,6 +527,10 @@ def _sweep_levels(
     A dropped packet is retired: its later visits skip every solve and
     carry the drop time forward as their "departure", which is where its
     remaining hop units end in the window sums.
+
+    With ``service`` (per-visit service times, see :data:`Service`),
+    each visit's time is laid out beside its edge and packet ids and
+    ``solve(edges, values, services)`` gets the level's slice.
     """
     num_edges = sim.topology.num_edges
     visit_edge = visits.pop()
@@ -449,8 +548,11 @@ def _sweep_levels(
         sat_hops = np.diff(cum_sat[ends - 1], prepend=0)
         del cum_sat
     lvl_vis = edge_lvl[visit_edge]
-    bounds, e_lv, pk_lv = _level_layout(lvl_vis, num_edges, visit_edge, ends)
-    del lvl_vis, visit_edge, ends
+    s_vis = None if service is None else service(lens, visit_edge)
+    bounds, e_lv, pk_lv, s_lv = _level_layout(
+        lvl_vis, num_edges, visit_edge, ends, s_vis
+    )
+    del lvl_vis, visit_edge, ends, s_vis
     cur = seed.copy()
     state: np.ndarray | None = None
     if measured is not None:
@@ -464,15 +566,16 @@ def _sweep_levels(
         e = e_lv[lo:hi]
         pk = pk_lv[lo:hi]
         d = cur[pk]
+        extra = () if s_lv is None else (s_lv[lo:hi],)
         if state is None:
-            solve(e, d)
+            solve(e, d, *extra)
         else:
             st = state[pk]
             live = np.flatnonzero(st < _DROPPED)
             lost: np.ndarray | None = None
             if live.size:  # a level may hold only retired visits
                 d_live = d[live]
-                lost = solve(e[live], d_live)
+                lost = solve(e[live], d_live, *(v[live] for v in extra))
                 d[live] = d_live
             if lost is not None:
                 hit = live[lost]
@@ -501,6 +604,11 @@ Route = Callable[
     [np.ndarray, np.ndarray],
     tuple[list[np.ndarray], np.ndarray, np.ndarray],
 ]
+
+#: A run's per-visit service times for :func:`solve_fifo`: the routed
+#: packets' path lengths and visit edges (in generation order) to each
+#: visit's service time.
+Service = Callable[[np.ndarray, np.ndarray], np.ndarray]
 
 
 def pair_routes(router: Any) -> Route:
@@ -531,10 +639,14 @@ def solve_fifo(
     *,
     track_utilization: bool = False,
     collect_delays: bool = False,
+    track_number_distribution: bool = False,
+    service: Service | None = None,
 ) -> SimResult:
-    """A deterministic-service FIFO run, solved level by level
-    (:func:`solve_levels` with :func:`_fifo_departures`). Service times,
-    waiting-room caps and the saturated-edge mask come from ``sim``."""
+    """A FIFO run, solved level by level (:func:`solve_levels`): with
+    deterministic service by :func:`_fifo_departures`, taking service
+    times, waiting-room caps and the saturated-edge mask from ``sim``;
+    given per-visit ``service`` times (exponential service, no caps) by
+    :func:`_fifo_service_departures`."""
     caps = sim._edge_caps
     t_end = warmup + horizon
     num_edges = sim.topology.num_edges
@@ -549,13 +661,22 @@ def solve_fifo(
     sat = sim._sat
     util = np.zeros(num_edges) if track_utilization else None
 
-    def solve(e: np.ndarray, x: np.ndarray) -> np.ndarray | None:
-        lost = _fifo_departures(e, x, c, num_edges, cap)
+    def solve(
+        e: np.ndarray, x: np.ndarray, s: np.ndarray | None = None
+    ) -> np.ndarray | None:
+        if s is None:
+            lost = _fifo_departures(e, x, c, num_edges, cap)
+        else:
+            _fifo_service_departures(e, x, s, num_edges)
+            lost = None
         if util is not None:
             if lost is not None:
                 e, x = e[~lost], x[~lost]
-            # Each served visit keeps its edge busy over [d - c_e, d].
-            start = x - (c[e] if isinstance(c, np.ndarray) else c)
+            # Each served visit keeps its edge busy over [d - s, d].
+            if s is None:
+                start = x - (c[e] if isinstance(c, np.ndarray) else c)
+            else:
+                start = x - s
             busy = np.minimum(x, t_end)
             busy -= np.maximum(start, warmup)
             np.maximum(busy, 0.0, out=busy)
@@ -573,6 +694,8 @@ def solve_fifo(
         sat_arr=None if sat is None else np.asarray(sat, dtype=bool),
         util=util,
         collect_delays=collect_delays,
+        track_number_distribution=track_number_distribution,
+        service=service,
     )
 
 
@@ -582,13 +705,14 @@ def solve_levels(
     horizon: float,
     arrivals: list[np.ndarray],
     route: Route,
-    solve: Callable[[np.ndarray, np.ndarray], np.ndarray | None],
+    solve: Callable[..., np.ndarray | None],
     *,
     capped: bool = False,
     sat_arr: np.ndarray | None = None,
     util: np.ndarray | None = None,
     collect_delays: bool = False,
     track_number_distribution: bool = False,
+    service: Service | None = None,
 ) -> SimResult:
     """A run solved level by level, given its per-level departure solver.
 
@@ -600,8 +724,10 @@ def solve_levels(
     :func:`_sweep_levels`); a ``capped`` solver returns the mask of the
     visits it dropped. ``sat_arr`` is the saturated-edge mask and
     ``util`` a per-edge busy-time array the solver fills, reported over
-    the horizon. Every statistic is an exact window-overlap reduction
-    over the solved departures, so FIFO and PS share all of them.
+    the horizon. ``service`` gives the visits their own service times,
+    which ``solve`` then takes as a third argument. Every statistic is an
+    exact window-overlap reduction over the solved departures, so FIFO
+    and PS share all of them.
     """
     t_end = warmup + horizon
     num_nodes = sim.topology.num_nodes
@@ -634,6 +760,7 @@ def solve_levels(
         t_end,
         sat_arr,
         mr if capped else None,
+        service,
     )
     d_final, sum_r, sum_rs, sat_hops = sweep[:4]
 

@@ -11,16 +11,33 @@ those of the pre-kernels engines: this module is the same-seed
 reference that the golden fixtures (``tests/golden/``) pin and that the
 numpy backend's distribution-parity tests compare against.
 
+Exponential service
+-------------------
+Exponential service has a stream of its own, seeded apart from the
+arrivals (the arrival seed's first spawned child). Every routed packet
+draws its ``ln`` hops' unit exponentials from it when it is generated,
+whether or not a cap then admits it, and its service on hop ``h`` is
+``u[h] * st[e]``, ``st[e]`` being the edge's mean service time. The
+heap loop draws them in blocks of :data:`_BLOCK`, refilled when a
+packet needs more than the block has left, and keeps the block and the
+packet's offset in it in the packet record, so generating a packet
+copies nothing and a block lives only while packets drawn from it are
+in flight: the loop's memory still does not grow with the run. The arrival stream then carries only arrival gaps and ids, so an
+exponential run's arrivals, ids and paths are those of the
+deterministic run at the same seed.
+
 The level path
 --------------
-Greedy routing on the array is layered (Lemma 2), so a deterministic
-FIFO run needs no event loop: :func:`run_fifo` solves it one edge level
-at a time with the closed-form Lindley recurrence
+Greedy routing on the array is layered (Lemma 2), so a FIFO run needs
+no event loop: :func:`run_fifo` solves it one edge level at a time
 (:mod:`repro.sim.kernels.levels`, the sweep the numpy kernel uses) on
-the merge loop's own draws. A run takes this path when
+the loops' own draws. A run takes this path when
 
-1. the merge loop would serve it (uniform deterministic service, no
-   caps, nothing tracked) and it does not ``collect_delays``;
+1. it is an uncapped exponential run without ``track_maxima`` (its
+   completion times never tie, so it may ``collect_delays`` and track
+   utilization and the N distribution), or the merge loop would serve
+   it (uniform deterministic service, no caps, nothing tracked) and it
+   does not ``collect_delays``;
 2. the level sweep admits it
    (:func:`~repro.sim.kernels.fits_level_sweep`, the rule PS shares):
    its router has closed-form levels
@@ -30,22 +47,31 @@ the merge loop's own draws. A run takes this path when
    expected visits, total rate x (warmup + horizon) x the number of
    levels, fit :data:`~repro.sim.kernels.NUMPY_VISIT_BUDGET`.
 
-:func:`takes_level_path` is both; a torus or any other run goes
-straight to the event loops. The draws are the merge loop's, in its order
-(:func:`~repro.sim.enginecommon.loop_arrivals`): an exponential block,
-an id block, and then one more of each as the loop would consume them,
-the arrival times being the loop's sequential sums of the scaled gaps.
-So the arrivals, their ids and their paths are the loop's, and so is
-every integer field of the result; the floats agree to rounding (the
-closed form and the window-overlap statistics sum in another order), as
-the parity tests in ``tests/test_sim_level_path.py`` pin.
+:func:`takes_level_path` is both; capped, ``track_maxima``, cyclic
+(torus, randomized) and over-budget runs go straight to the event
+loops. The arrival draws are the loops', in their order
+(:func:`~repro.sim.enginecommon.loop_arrivals`): a gap block, an id
+block, and then one more of each as the loops would consume them, the
+arrival times being the loops' sequential sums of the scaled gaps. An
+exponential run then draws its routed packets' unit exponentials from
+the service stream in the heap loop's blocks, in generation order, and
+solves each level with per-visit service times, each busy period's
+departures summed in the loop's own order: its departures are the heap
+loop's bit for bit. So the arrivals, their ids and their paths are the
+loops', and so is every integer field of the result; the floats agree
+to rounding (the deterministic closed form and the window-overlap
+statistics sum in another order), as the parity tests in
+``tests/test_sim_level_path.py`` and
+``tests/test_sim_exp_level_path.py`` pin.
 
 Arrival ids come from :func:`repro.sim.enginecommon.draw_ids`, the one
 definition of the arrival stream's ids. The two FIFO loops take
-8192 pairs per call (:func:`~repro.sim.enginecommon.draw_id_lists`),
-the slot kernel one slot's batch. Fast-id networks draw uniform
-interleaved pairs; every other network draws a source block and then
-one ``sample_batch`` call, so no loop draws an id per packet.
+8192 pairs per call (:func:`~repro.sim.enginecommon.draw_id_lists`).
+The slot kernel takes a whole Poisson count block's pairs in one call
+right after the count block where fast ids meet an RNG-free path
+cache, and one slot's batch per call elsewhere. Fast-id networks draw
+uniform interleaved pairs; every other network draws a source block
+and then one ``sample_batch`` call, so no loop draws an id per packet.
 
 Two more choices keep the loops fast without moving a bit. The RNG
 blocks are drawn as numpy arrays and converted with ``.tolist()``, the
@@ -77,7 +103,7 @@ import numpy as np
 from repro.sim import measurement
 from repro.sim.enginecommon import draw_id_lists, draw_ids, loop_arrivals
 from repro.sim.kernels import fits_level_sweep
-from repro.sim.kernels.levels import pair_routes, solve_fifo
+from repro.sim.kernels.levels import Service, pair_routes, solve_fifo
 from repro.sim.result import SimResult
 from repro.sim.rng import make_rng
 
@@ -113,14 +139,19 @@ def takes_level_path(
     track_number_distribution: bool = False,
     track_maxima: bool = False,
 ) -> bool:
-    """Whether :func:`run_fifo` solves this run on the level path: a
-    merge-loop run without ``collect_delays`` that the level sweep
-    admits (:func:`~repro.sim.kernels.fits_level_sweep`)."""
-    return (
-        _plain_stats(sim, track_utilization, track_number_distribution, track_maxima)
-        and not collect_delays
-        and fits_level_sweep(sim, warmup, horizon)
-    )
+    """Whether :func:`run_fifo` solves this run on the level path: an
+    uncapped exponential run without ``track_maxima``, or a merge-loop
+    run without ``collect_delays``, that the level sweep admits
+    (:func:`~repro.sim.kernels.fits_level_sweep`)."""
+    if sim.service == EXPONENTIAL:
+        # Continuous service: completions never tie, so the level path
+        # collects delays in the loop's completion order.
+        served = sim._edge_caps is None and not track_maxima
+    else:
+        served = not collect_delays and _plain_stats(
+            sim, track_utilization, track_number_distribution, track_maxima
+        )
+    return served and fits_level_sweep(sim, warmup, horizon)
 
 
 def run_fifo(
@@ -143,19 +174,76 @@ def run_fifo(
         track_maxima=track_maxima,
     )
     if takes_level_path(sim, warmup, horizon, **flags):
-        return _run_levels(sim, warmup, horizon)
+        return _run_levels(
+            sim,
+            warmup,
+            horizon,
+            track_utilization=track_utilization,
+            collect_delays=collect_delays,
+            track_number_distribution=track_number_distribution,
+        )
     return _run_events(sim, warmup, horizon, **flags)
 
 
-def _run_levels(sim: Any, warmup: float, horizon: float) -> SimResult:
-    """The level path: the merge loop's draws
+def _service_rng(sim: Any, capped: bool) -> Any:
+    """The exponential service stream: the arrival seed's first spawned
+    child, so it is independent of the arrival stream."""
+    return make_rng(
+        np.random.SeedSequence(sim.seed).spawn(1)[0],
+        engine="finite" if capped else "fifo",
+        backend="python",
+        stream="service",
+    )
+
+
+def _exponential_service(sim: Any) -> Service:
+    """The level path's per-visit exponential service times: the routed
+    packets' unit exponentials from the service stream, ``ln`` per packet
+    in generation order and drawn in the heap loop's blocks of
+    :data:`_BLOCK` (split draws concatenate bit for bit), hop ``h``'s
+    scaled by its edge's mean, as the heap loop does."""
+    rng = _service_rng(sim, False)
+    mean = np.asarray(sim._service_times)
+
+    def service(lens: np.ndarray, visit_edge: np.ndarray) -> np.ndarray:
+        total = int(lens.sum())
+        blocks = [rng.exponential(size=_BLOCK) for _ in range(-(-total // _BLOCK))]
+        s = np.concatenate(blocks)[:total] if blocks else np.empty(0)
+        s *= mean[visit_edge]
+        return s
+
+    return service
+
+
+def _run_levels(
+    sim: Any,
+    warmup: float,
+    horizon: float,
+    *,
+    track_utilization: bool = False,
+    collect_delays: bool = False,
+    track_number_distribution: bool = False,
+) -> SimResult:
+    """The level path: the loops' arrival draws
     (:func:`~repro.sim.enginecommon.loop_arrivals`), routed once per
     distinct pair and solved by the level sweep
     (:func:`~repro.sim.kernels.levels.solve_fifo`) on the router's
-    closed-form levels."""
+    closed-form levels, with per-visit service times
+    (:func:`_exponential_service`) under exponential service."""
     rng = make_rng(sim.seed, engine="fifo", backend="python")
     arrivals = loop_arrivals(sim, warmup + horizon, rng, _BLOCK)
-    return solve_fifo(sim, warmup, horizon, arrivals, pair_routes(sim.router))
+    exponential = sim.service == EXPONENTIAL
+    return solve_fifo(
+        sim,
+        warmup,
+        horizon,
+        arrivals,
+        pair_routes(sim.router),
+        track_utilization=track_utilization,
+        collect_delays=collect_delays,
+        track_number_distribution=track_number_distribution,
+        service=_exponential_service(sim) if exponential else None,
+    )
 
 
 def _run_events(
@@ -212,9 +300,17 @@ def _run_events(
 
     seq = 0
 
-    # Block RNG: exponential(1) variates, then the (src, dst) id blocks
-    # of draw_id_lists, all as lists of builtin numbers (see the module
-    # docstring).
+    # Block RNG: exponential(1) arrival gaps, then the (src, dst) id
+    # blocks of draw_id_lists, all as lists of builtin numbers (see the
+    # module docstring). Exponential service has a stream of its own:
+    # each routed packet takes its hops' unit exponentials from srv_block
+    # when it is generated, refilled a block at a time.
+    srv_rng: Any = _service_rng(sim, capped) if exponential else None
+    srv_block: list[float] = []
+    srv_i = srv_n = 0
+    # A generated packet's unit exponentials: u[u0 : u0 + ln].
+    u: list[float] | None = None
+    u0 = 0
     exp_block = rng.exponential(size=_BLOCK).tolist()
     exp_i = 0
     src_block, dst_block = draw_id_lists(sim, _BLOCK, rng)
@@ -406,9 +502,12 @@ def _run_events(
         # A binary heap orders departures by the unique (time, seq)
         # prefix, with the arrival sentinel merged in: exponential or
         # per-edge service (departure times are not monotone), and
-        # every tracked or capped run. Each of the three service starts
-        # draws its time inline (exponential service), from the same
-        # block as the arrival gaps, and clips it into util there.
+        # every tracked or capped run. An exponential packet record
+        # carries the block holding its hops' unit exponentials and
+        # their offset (pkt[5], pkt[6]: a reference, not a copy, so
+        # generating a packet allocates nothing more), drawn when it was
+        # generated; each of the three service starts scales the hop's
+        # one by the edge's mean and clips the service into util.
         # Drops never schedule events.
         heap: list[tuple] = []
         heappush(heap, (first_gap, seq, -1, None))
@@ -476,6 +575,19 @@ def _run_events(
                     else:
                         off, ln = sample_offlen(src, dst, rng)
                     f = arena[off]
+                    if exponential:
+                        while srv_i + ln > srv_n:
+                            srv_block = srv_block[srv_i:]
+                            srv_block += srv_rng.exponential(size=BLK).tolist()
+                            srv_n = len(srv_block)
+                            srv_i = 0
+                        u = srv_block
+                        u0 = srv_i
+                        srv_i += ln
+                        s = u[u0] * st[f]
+                    else:
+                        u = None
+                        s = st[f]
                     if busy[f] and capped and len(queues[f]) >= cap[f]:
                         # Entry buffer full: the packet never enters.
                         if measured:
@@ -492,7 +604,7 @@ def _run_events(
                             remaining_sat += nsat
                         # Fresh per-packet record: the queues mutate it
                         # in place, so it cannot be pooled.
-                        new_pkt = [t, off, ln, 0, measured]  # replint: disable=hot-loop-alloc
+                        new_pkt = [t, off, ln, 0, measured, u, u0]  # replint: disable=hot-loop-alloc
                         if busy[f]:
                             q = queues[f]
                             q.append(new_pkt)
@@ -505,14 +617,6 @@ def _run_events(
                                 max_queue = len(q)
                         else:
                             busy[f] = 1
-                            if exponential:
-                                if exp_i >= BLK:
-                                    exp_block = rng.exponential(size=BLK).tolist()
-                                    exp_i = 0
-                                s = exp_block[exp_i] * st[f]
-                                exp_i += 1
-                            else:
-                                s = st[f]
                             heappush(heap, (t + s, seq, f, new_pkt))
                             seq += 1
                             if util is not None:
@@ -576,14 +680,7 @@ def _run_events(
                                 max_queue = len(qf)
                         else:
                             busy[f] = 1
-                            if exponential:
-                                if exp_i >= BLK:
-                                    exp_block = rng.exponential(size=BLK).tolist()
-                                    exp_i = 0
-                                s = exp_block[exp_i] * st[f]
-                                exp_i += 1
-                            else:
-                                s = st[f]
+                            s = pkt[5][pkt[6] + hop] * st[f] if exponential else st[f]
                             heappush(heap, (t + s, seq, f, pkt))
                             seq += 1
                             if util is not None:
@@ -596,14 +693,7 @@ def _run_events(
                 q = queues[e]
                 if q:
                     nxt = q.popleft()
-                    if exponential:
-                        if exp_i >= BLK:
-                            exp_block = rng.exponential(size=BLK).tolist()
-                            exp_i = 0
-                        s = exp_block[exp_i] * st[e]
-                        exp_i += 1
-                    else:
-                        s = st[e]
+                    s = nxt[5][nxt[6] + nxt[3]] * st[e] if exponential else st[e]
                     heappush(heap, (t + s, seq, e, nxt))
                     seq += 1
                     if util is not None:
@@ -692,11 +782,17 @@ def run_slotted(
         det_get = None
         det_build = None
         sample_offlen_batch = cache.sample_offlen_batch
-    # Each slot's (src, dst) pairs come from one draw_ids call: one
-    # interleaved id block where the fast-id predicate holds over an
-    # RNG-free path cache, else a source block and then a destination
-    # block (the order slotted_randomized pins).
+    # Where the fast-id predicate holds over an RNG-free path cache, one
+    # interleaved id block right after each count block serves all of
+    # its slots: nothing else draws in between, and split integers draws
+    # concatenate bit for bit, so the ids are one draw_ids call per slot
+    # would give. Elsewhere each slot makes one draw_ids call: a source
+    # block and then a destination block (the order slotted_randomized
+    # pins).
     uniform_id_pairs = sim._fast_ids and cache_rng_free
+    src_block: list[int] = []
+    dst_block: list[int] = []
+    id_i = 0
 
     queues: list[deque] = [deque() for _ in range(sim.topology.num_edges)]
     active: set[int] = set()
@@ -741,22 +837,30 @@ def run_slotted(
                 count_block = rng.poisson(batch_mean, size=size).tolist()
                 counts_drawn += size
                 count_i = 0
+                if uniform_id_pairs:
+                    src_block, dst_block = draw_id_lists(sim, sum(count_block), rng)
+                    id_i = 0
             k = count_block[count_i]
             count_i += 1
             if k:
-                # Draw the slot's sources and destinations as batches;
-                # packets are enqueued in draw order.
-                srcs_a, dsts_a = draw_ids(sim, k, rng, fast_ids=uniform_id_pairs)
-                if det_get is None:
-                    nz = srcs_a != dsts_a
-                    if nz.any():
-                        offs_a, lens_a = sample_offlen_batch(
-                            srcs_a[nz], dsts_a[nz], rng
-                        )
-                        offs = offs_a.tolist()
-                        lens = lens_a.tolist()
-                srcs = srcs_a.tolist()
-                dsts = dsts_a.tolist()
+                # The slot's sources and destinations, as batches; packets
+                # are enqueued in draw order.
+                if uniform_id_pairs:
+                    srcs = src_block[id_i : id_i + k]
+                    dsts = dst_block[id_i : id_i + k]
+                    id_i += k
+                else:
+                    srcs_a, dsts_a = draw_ids(sim, k, rng, fast_ids=False)
+                    if det_get is None:
+                        nz = srcs_a != dsts_a
+                        if nz.any():
+                            offs_a, lens_a = sample_offlen_batch(
+                                srcs_a[nz], dsts_a[nz], rng
+                            )
+                            offs = offs_a.tolist()
+                            lens = lens_a.tolist()
+                    srcs = srcs_a.tolist()
+                    dsts = dsts_a.tolist()
                 at = 0  # index into offs/lens (non-zero-hop packets)
                 for src, dst in zip(srcs, dsts):
                     if measuring:

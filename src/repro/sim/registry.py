@@ -311,8 +311,9 @@ def _event_reads_cache(
     spec: Any, node_rate: Any, mask: Any, net: Any, cache: Any
 ) -> bool:
     """A python fifo or finite cell's runs read the path cache unless the
-    kernel's level path serves them: a merge-loop run the level sweep
-    admits (the seed plays no part in that)."""
+    kernel's level path serves them (a layered plain or uncapped
+    exponential run the level sweep admits; the seed plays no part in
+    that)."""
     # Late: the kernel module is otherwise loaded with a cell's first run.
     from repro.sim.kernels.python_backend import takes_level_path
 

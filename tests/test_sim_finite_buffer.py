@@ -27,6 +27,7 @@ from repro.sim.finite_buffer import (
     FiniteBufferNetworkSimulation,
     resolve_buffer_size,
 )
+from repro.sim.kernels import python_backend
 from repro.sim.replication import CellSpec, ReplicationEngine
 from repro.topology.array_mesh import ArrayMesh
 
@@ -101,16 +102,22 @@ class TestFifoIdentity:
     def test_huge_buffer_event_queue_loop_bit_identical(
         self, router4, uniform4, service_kw
     ):
-        """Same contract on the stochastic-service (event-queue) loop."""
+        """Same contract on the stochastic-service (event-queue) loop,
+        against the uncapped heap loop (an uncapped exponential run
+        otherwise takes the level path)."""
         kw = dict(service_kw)
         if kw.get("service_rates", 1.0) is None:
             kw["service_rates"] = 1.0 + 0.5 * (
                 np.arange(router4.topology.num_edges) % 4 == 0
             )
         for sim_kw, run_kw in _tracked_inputs(router4):
-            fifo = NetworkSimulation(
-                router4, uniform4, 0.2, seed=5, **kw, **sim_kw
-            ).run(10, 120, collect_delays=True, **run_kw)
+            fifo = python_backend._run_events(
+                NetworkSimulation(router4, uniform4, 0.2, seed=5, **kw, **sim_kw),
+                10,
+                120,
+                collect_delays=True,
+                **run_kw,
+            )
             fin = FiniteBufferNetworkSimulation(
                 router4, uniform4, 0.2, seed=5, buffer_size=HUGE, **kw,
                 **sim_kw,

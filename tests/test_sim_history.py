@@ -55,6 +55,14 @@ CELLS = {
         **SHORT,
     ),
     "ps-levels": CellSpec(**HOT, node_rate=0.1, engine="ps", **WINDOW),
+    # Exponential service: the level path, and the heap loop under caps.
+    "fifo-exponential-levels": CellSpec(
+        **HOT, node_rate=0.1, service="exponential", collect_delays=True, **WINDOW
+    ),
+    "finite-exponential": CellSpec(
+        **HOT, node_rate=0.15, engine="finite", service="exponential",
+        engine_params=(("buffer_size", 1),), **WINDOW,
+    ),
 }
 
 

@@ -239,6 +239,18 @@ class TestSlottedBatchRng:
         assert a.mean_number == b.mean_number
         assert a.generated == b.generated
 
+    def test_fast_ids_draw_one_id_block_per_count_block(self, monkeypatch):
+        """Fast ids over an RNG-free path cache: one interleaved id block
+        right after each Poisson count block, no draw per slot."""
+        from repro.sim.kernels import python_backend
+
+        monkeypatch.setattr(python_backend, "_BLOCK", 64)
+        with rngsan.trace() as tracer:
+            res = self._mk(UniformDestinations(16)).run(10, 300)
+        assert res.generated > 0
+        kinds = [kind for kind, _size, _site in tracer.draws]
+        assert kinds == ["poisson", "integers"] * 5  # 310 slots, 64 a block
+
     def test_randomized_router_coins_batched(self):
         mesh = ArrayMesh(4)
         router = RandomizedGreedyArrayRouter(mesh)

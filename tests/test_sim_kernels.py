@@ -833,8 +833,12 @@ def _interpreted_runs():
                 track_maxima=True,
             ),
         ),
+        # Maxima keep the exponential run on the heap loop rather than
+        # the python kernel's level path.
         "fifo-heap-exponential": fifo(
-            0.10, service="exponential", run_kw=dict(track_utilization=True)
+            0.10,
+            service="exponential",
+            run_kw=dict(track_utilization=True, track_maxima=True),
         ),
         "fifo-heap-peredge": fifo(service_rates=_per_edge_rates(m)),
         "finite-caps": lambda: FiniteBufferNetworkSimulation(

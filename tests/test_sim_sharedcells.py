@@ -88,7 +88,8 @@ class TestPublish:
 class TestWarmOnlyCachesRunsRead:
     """warm_cell precomputes a cell's path cache only when some run of
     the cell looks paths up in it: not for rushed or numpy cells, nor for
-    python fifo cells the kernel's level path solves."""
+    python fifo cells the kernel's level path solves (exponential ones
+    included)."""
 
     @pytest.mark.parametrize(
         "kw",
@@ -99,6 +100,8 @@ class TestWarmOnlyCachesRunsRead:
             dict(engine_params=(("backend", "numpy"),)),
             dict(engine="slotted", engine_params=(("backend", "numpy"),)),
             dict(engine="ps"),
+            dict(service="exponential"),
+            dict(service="exponential", collect_delays=True),
         ],
         ids=[
             "fifo-level-path",
@@ -107,6 +110,8 @@ class TestWarmOnlyCachesRunsRead:
             "numpy",
             "slotted-numpy",
             "ps-level-path",
+            "exponential",
+            "exponential-delays",
         ],
     )
     def test_cache_left_cold(self, kw):
@@ -124,7 +129,13 @@ class TestWarmOnlyCachesRunsRead:
             dict(engine="slotted"),
             dict(scenario="randomized"),
             dict(engine="ps", scenario="randomized"),
-            dict(service="exponential"),
+            dict(service="exponential", track_maxima=True),
+            dict(service="exponential", scenario="torus"),
+            dict(
+                engine="finite",
+                service="exponential",
+                engine_params=(("buffer_size", 2),),
+            ),
             dict(scenario="torus"),
             dict(engine="ps", scenario="torus"),
         ],
@@ -135,7 +146,9 @@ class TestWarmOnlyCachesRunsRead:
             "slotted",
             "randomized",
             "ps-randomized",
-            "exponential",
+            "exponential-maxima",
+            "exponential-torus",
+            "exponential-capped",
             "torus",
             "ps-torus",
         ],
